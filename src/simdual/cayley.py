@@ -16,6 +16,7 @@ fiber of g is the single point g - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import modsolve
@@ -204,7 +205,24 @@ def mat_components(space: Space, m: Mat) -> list[int]:
     return out
 
 
-def mat_from_components(space: Space, comps) -> Mat:
+def mat_numerators(space: Space, m: Mat) -> tuple[list[int], int]:
+    """The components of m, in the layout of ``mat_components``, as integer
+    numerators over one common denominator: (numerators, denominator)."""
+    d = components_per_scalar(space)
+    entries = [x for row in m.rows for x in row]
+    den = math.lcm(*(x.d for x in entries))
+    out = []
+    for x in entries:
+        f = den // x.d
+        out.append(x.x * f)
+        if d == 2:
+            out.append(x.y * f)
+    return out, den
+
+
+def mat_from_components(space: Space, comps, den: int = 1) -> Mat:
+    """The matrix with components ``comps`` (the layout of
+    ``mat_components``), each divided by the integer ``den``."""
     d = components_per_scalar(space)
     n = space.n
     ring = space.ring
@@ -215,9 +233,83 @@ def mat_from_components(space: Space, comps) -> Mat:
         for _ in range(n):
             a = next(it)
             b = next(it) if d == 2 else 0
-            row.append(ring.scalar(a, b))
-        rows.append(row)
-    return Mat(ring, rows)
+            row.append(ring.scalar(a, b) if den == 1 else ring.ratio(a, b, den))
+        rows.append(tuple(row))
+    return Mat._make(ring, tuple(rows))
+
+
+def multiplier_predicate(space: Space):
+    """``mu_of(comps)`` for a truncated space: the residue mu when the
+    matrix g with components ``comps`` (the layout of ``mat_components``)
+    satisfies g star(g) = mu * 1 with mu a unit of the base ring, else
+    None.  It agrees with ``similitude_multiplier`` but runs in integer
+    arithmetic mod p^N: star is F-linear on components, so its matrix is
+    found once per space by probing unit vectors.  In the general-linear
+    family mu = 1 exactly for the invertible g.
+    """
+    if space.ring.exact:
+        raise ValueError("the multiplier predicate works mod p^N")
+    if "multiplier_predicate" in space.memo:
+        return space.memo["multiplier_predicate"]
+    ring = space.ring
+    n, p, M = space.n, ring.p, ring.modulus
+
+    if not space.has_form:
+        def mu_of(x):
+            invertible = mat_from_components(space, x).is_invertible()
+            return 1 if invertible else None
+        space.memo["multiplier_predicate"] = mu_of
+        return mu_of
+
+    D = n * n * components_per_scalar(space)
+    star_rows = [[] for _ in range(D)]      # sparse rows of star's matrix
+    for j in range(D):
+        probe = [0] * D
+        probe[j] = 1
+        img = mat_components(space, star(space,
+                                         mat_from_components(space, probe)))
+        for i, c in enumerate(img):
+            if c:
+                star_rows[i].append((j, c))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    if ring.ext == INERT:
+        u = ring.u
+
+        def mu_of(x):
+            y = [sum(c * x[j] for j, c in row) % M for row in star_rows]
+            mu = None
+            for i, j in cells:
+                ta = tb = 0
+                for k in range(n):
+                    ia, ja = 2 * (i * n + k), 2 * (k * n + j)
+                    ta += x[ia] * y[ja] + u * x[ia + 1] * y[ja + 1]
+                    tb += x[ia] * y[ja + 1] + x[ia + 1] * y[ja]
+                ta, tb = ta % M, tb % M
+                if i != j:
+                    if ta or tb:
+                        return None
+                elif tb or (mu is not None and ta != mu):
+                    return None
+                else:
+                    mu = ta
+            return mu if mu % p else None
+    else:
+        def mu_of(x):
+            y = [sum(c * x[j] for j, c in row) % M for row in star_rows]
+            mu = None
+            for i, j in cells:
+                t = sum(x[i * n + k] * y[k * n + j] for k in range(n)) % M
+                if i != j:
+                    if t:
+                        return None
+                elif mu is not None and t != mu:
+                    return None
+                else:
+                    mu = t
+            return mu if mu % p else None
+    space.memo["multiplier_predicate"] = mu_of
+    return mu_of
 
 
 def _solve_branch(g: GroupElem, lam: Scalar, limit):

@@ -25,6 +25,8 @@ from .finite import FINITE_FAMILIES
 from .lattices import standard_lattices
 from .matrices import parse_matrix
 from .report import PASS, CheckRow, Report, emit_report
+from .scalars import NotIntegralError
+from .spaces import MembershipError, SpaceError, certify_group
 from .suites import (ALL_SUITES, ConfigError, SuiteConfig, build_space,
                      replay_check, run_suite, validate_config)
 
@@ -174,11 +176,19 @@ def _cmd_decompose(args) -> int:
         raise ConfigError("decompose needs a p-adic family, not a finite tag")
     if not (1 <= cfg.level < cfg.precision):
         raise ConfigError("need 1 <= level < precision")
-    space = build_space(cfg.family, cfg.n, cfg.p)
+    try:
+        space = build_space(cfg.family, cfg.n, cfg.p)
+    except SpaceError as exc:
+        raise ConfigError(str(exc))
     try:
         b = parse_matrix(space.ring, args.base)
     except Exception as exc:
         raise ConfigError(f"cannot parse base matrix: {exc}")
+    try:
+        certify_group(space.truncated(cfg.precision), b.reduce(cfg.precision))
+    except (MembershipError, NotIntegralError) as exc:
+        raise ConfigError(f"base matrix is not in the group mod "
+                          f"{cfg.p}^{cfg.precision}: {exc}")
     std = standard_lattices(space)
     C = coset_set(space, std, b, cfg.level, cfg.precision, limit=cfg.budget)
     pieces = decompose(C, std, limit=cfg.budget)
@@ -224,7 +234,12 @@ def _cmd_replay(args) -> int:
     if not isinstance(entry, dict) or "check" not in entry \
             or "payload" not in entry:
         raise ConfigError("replay entry needs 'check' and 'payload' keys")
-    row = replay_check(entry)
+    try:
+        row = replay_check(entry)
+    except KeyError as exc:
+        raise ConfigError(f"replay payload lacks the key {exc}")
+    except (SpaceError, MembershipError) as exc:
+        raise ConfigError(f"bad replay payload: {exc}")
     report = Report(suite="replay", params={"check": entry["check"]},
                     rows=[row])
     _emit(report, args.fmt, args.output, False)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modsolve
-from .cayley import cayley, mat_components, mat_from_components
+from .cayley import (cayley, mat_components, mat_from_components,
+                     multiplier_predicate)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import LatticeBasis, StandardLattices, lattice_of_x
 from .matrices import Mat
@@ -134,13 +135,11 @@ def _conjugator_system(a: GroupElem):
     ta = theta_group(a).mat
 
     if space.has_form:
-        H = space.H
-        Jinv = space.J.inv()
-        Hinv = H.inv()
+        H, J, Jinv, Hinv = space.H, space.J, space.Jinv, space.Hinv
 
         def f(x):
             r1 = x * a.mat - ta * x
-            r2 = x - H * Jinv * x.transpose() * space.J * Hinv
+            r2 = x - H * Jinv * x.transpose() * J * Hinv
             return r1, r2
     else:
         def f(x):
@@ -168,63 +167,6 @@ def _conjugator_system(a: GroupElem):
     return A, b
 
 
-_ISOMETRY_TESTS = {}
-
-
-def _isometry_component_test(space: Space):
-    """Integer-level test of x star(x) = 1 on raw component vectors.
-
-    star is F-linear on components, so its matrix is precomputed once per
-    space; the test then runs in plain modular integer arithmetic, which
-    keeps the per-candidate cost of the conjugator search small.
-    """
-    if space in _ISOMETRY_TESTS:
-        return _ISOMETRY_TESTS[space]
-    from .spaces import star
-    ring = space.ring
-    n = space.n
-    M = ring.modulus
-    D = n * n * (2 if ring.ext == "inert" else 1)
-    cols = []
-    for idx in range(D):
-        e = [0] * D
-        e[idx] = 1
-        img = mat_components(space, star(space, mat_from_components(space, e)))
-        cols.append(img)
-    S = [[cols[j][i] for j in range(D)] for i in range(D)]
-    ident = mat_components(space, Mat.identity(ring, n))
-    if ring.ext != "inert":
-        def test(x):
-            y = [sum(S[i][j] * x[j] for j in range(D)) % M for i in range(D)]
-            for i in range(n):
-                for j in range(n):
-                    tot = sum(x[i * n + k] * y[k * n + j] for k in range(n))
-                    if tot % M != ident[i * n + j]:
-                        return False
-            return True
-    else:
-        u = ring.u
-
-        def test(x):
-            y = [sum(S[i][j] * x[j] for j in range(D)) % M for i in range(D)]
-            for i in range(n):
-                for j in range(n):
-                    ta = tb = 0
-                    for k in range(n):
-                        ia = 2 * (i * n + k)
-                        ja = 2 * (k * n + j)
-                        a1, b1 = x[ia], x[ia + 1]
-                        a2, b2 = y[ja], y[ja + 1]
-                        ta += a1 * a2 + u * b1 * b2
-                        tb += a1 * b2 + b1 * a2
-                    base = 2 * (i * n + j)
-                    if ta % M != ident[base] or tb % M != ident[base + 1]:
-                        return False
-            return True
-    _ISOMETRY_TESTS[space] = test
-    return test
-
-
 def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
     """First theta-symmetric isometry x with x a x^-1 = theta(a) mod p^N.
 
@@ -241,11 +183,7 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
     if ta == a.mat:
         return GroupElem(space, space.identity(), ring.one)
     A, b = _conjugator_system(a)
-    if space.has_form:
-        is_isometry = _isometry_component_test(space)
-    else:
-        def is_isometry(comps):
-            return mat_from_components(space, comps).is_invertible()
+    mu_of = multiplier_predicate(space)
     tried = 0
     for comps in modsolve.iter_affine_mod(A, b, ring.p, ring.prec):
         tried += 1
@@ -254,7 +192,7 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
         # the linear system already encodes x a = theta(a) x exactly and
         # theta-symmetry of x conditional on x being an isometry; the only
         # remaining condition is x star(x) = 1.
-        if not is_isometry(comps):
+        if mu_of(comps) != 1:
             continue
         x = mat_from_components(space, comps)
         mu = similitude_multiplier(space, x)

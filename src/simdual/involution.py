@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 from .matrices import Mat
 from .scalars import Ring, Scalar
 from .spaces import (GENERAL_LINEAR, GroupElem, LieElem, MembershipError,
-                     Space, SpaceError, cached_inv, certify_group,
+                     Space, SpaceError, certify_group,
                      similitude_multiplier)
 
 
@@ -125,7 +125,7 @@ def theta_group(g: GroupElem) -> GroupElem:
     if not space.has_form:
         return GroupElem(space, g.mat.transpose(), g.mu)
     H = space.H
-    mat = (H * g.mat.inv().tau() * cached_inv(H)) * g.mu
+    mat = (H * g.mat.inv().tau() * space.Hinv) * g.mu
     return GroupElem(space, mat, g.mu)
 
 
@@ -141,7 +141,7 @@ def theta_lie(X: LieElem) -> LieElem:
         return LieElem(space, X.mat.transpose(), X.alpha)
     H = space.H
     mat = Mat.scalar_mat(space.ring, space.n, X.alpha) \
-        - H * X.mat.tau() * cached_inv(H)
+        - H * X.mat.tau() * space.Hinv
     return LieElem(space, mat, X.alpha)
 
 

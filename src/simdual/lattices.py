@@ -12,18 +12,18 @@ all computation happens over F.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import modsolve
-from .cayley import cayley, components_per_scalar, mat_components, \
-    mat_from_components
+from .cayley import (cayley, components_per_scalar, mat_components,
+                     mat_from_components, mat_numerators, multiplier_predicate)
 from .involution import theta_lie
 from .matrices import Mat
 from .scalars import val_fraction
-from .spaces import (GroupElem, Space, certify_lie, similitude_multiplier,
-                     star)
+from .spaces import GroupElem, Space, certify_lie, star
 
 
 class LatticeBudgetError(RuntimeError):
@@ -37,18 +37,8 @@ class LatticeError(ValueError):
 # -- Fraction matrix helpers (rows = lists of Fraction) ---------------
 
 
-def fr_identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
 def fr_matvec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def fr_matmul(A, B):
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 def fr_transpose(A):
@@ -212,8 +202,14 @@ class LieCoords:
         self.m0 = space.n * space.n * self.d
         self.basis, self.alphas = self._build_basis()
         self.m = len(self.basis)
-        self._M = [[Fraction(x) for x in col] for col in
-                   zip(*[mat_components(space, B) for B in self.basis])]
+        # the integer matrix whose columns are the basis components
+        cols = []
+        for B in self.basis:
+            comps, den = mat_numerators(space, B)
+            if den != 1:
+                raise LatticeError("coordinate basis is not integral")
+            cols.append(comps)
+        self._M = [list(row) for row in zip(*cols)]
         self._solver = self._build_solver()
 
     def _build_basis(self):
@@ -260,12 +256,11 @@ class LieCoords:
         return basis, alphas
 
     def _build_solver(self):
-        # choose m independent rows of the coordinate matrix, invert
-        M = self._M
-        rows, chosen = [], []
-        work = []
-        for i, row in enumerate(M):
-            cand = work + [row]
+        """Rows ``chosen`` of the coordinate matrix that are independent,
+        and their inverse as an integer matrix over one denominator."""
+        work, chosen = [], []
+        for i, row in enumerate(self._M):
+            cand = work + [list(map(Fraction, row))]
             if _fr_rank(cand) > len(work):
                 work = cand
                 chosen.append(i)
@@ -273,19 +268,28 @@ class LieCoords:
                 break
         if len(work) != self.m:
             raise LatticeError("coordinate basis is degenerate")
-        return chosen, fr_inv(work)
+        inv = fr_inv(work)
+        den = math.lcm(*(x.denominator for row in inv for x in row))
+        return chosen, [[int(x * den) for x in row] for row in inv], den
 
     def to_coords(self, X: Mat):
-        flat = [Fraction(x) for x in mat_components(self.space, X)]
-        chosen, inv = self._solver
-        c = fr_matvec(inv, [flat[i] for i in chosen])
-        if fr_matvec(self._M, c) != flat:
-            raise LatticeError("matrix is not in the Lie algebra")
-        return c
+        flat, den = mat_numerators(self.space, X)
+        chosen, inv, inv_den = self._solver
+        picked = [flat[i] for i in chosen]
+        c = [sum(a * x for a, x in zip(row, picked)) for row in inv]
+        # c / (inv_den * den) are the coordinates; check that they give X
+        for row, x in zip(self._M, flat):
+            if sum(a * y for a, y in zip(row, c)) != x * inv_den:
+                raise LatticeError("matrix is not in the Lie algebra")
+        den *= inv_den
+        return [Fraction(x, den) for x in c]
 
     def from_coords(self, c) -> Mat:
-        flat = fr_matvec(self._M, list(map(Fraction, c)))
-        return mat_from_components(self.space, flat)
+        c = list(map(Fraction, c))
+        den = math.lcm(*(x.denominator for x in c))
+        nums = [x.numerator * (den // x.denominator) for x in c]
+        flat = [sum(a * x for a, x in zip(row, nums)) for row in self._M]
+        return mat_from_components(self.space, flat, den)
 
     def operator_matrix(self, f):
         """Rows of the F-linear operator X -> f(X) in these coordinates."""
@@ -449,18 +453,36 @@ def _coefficient_tuples(count, modulus, budget):
     if total > budget:
         raise LatticeBudgetError(
             f"enumeration of {total} residues exceeds budget {budget}")
-    idx = [0] * count
-    while True:
-        yield tuple(idx)
-        j = count - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < modulus:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    return itertools.product(range(modulus), repeat=count)
+
+
+def _congruence_scan(space: Space, k: int, N: int, budget: int):
+    """(truncated space, [(key, comps, mu)]) for every residue 1 + p^k Y
+    mod p^N in the similitude group, sorted by key.  One integer scan per
+    (space, k, N), kept in ``space.memo``; the isometry variant filters it.
+    """
+    memo_key = ("congruence-scan", k, N)
+    if memo_key in space.memo:
+        return space.memo[memo_key]
+    space_t = space.truncated(N) if space.ring.exact else space
+    ring = space_t.ring
+    d = components_per_scalar(space_t)
+    m0 = space_t.n * space_t.n * d
+    pk, M = ring.p**k, ring.modulus
+    ident = mat_components(space_t, Mat.identity(ring, space_t.n))
+    mu_of = multiplier_predicate(space_t)
+    entries = []
+    for coeffs in _coefficient_tuples(m0, ring.p**(N - k), budget):
+        comps = [(e + c * pk) % M for e, c in zip(ident, coeffs)]
+        mu = mu_of(comps)
+        if mu is None:
+            continue
+        key = tuple(comps) if d == 2 else \
+            tuple(v for c in comps for v in (c, 0))
+        entries.append((key, comps, mu))
+    entries.sort(key=lambda e: e[0])
+    space.memo[memo_key] = space_t, entries
+    return space_t, entries
 
 
 def congruence_members(space: Space, k: int, N: int, variant: str = "gu",
@@ -470,23 +492,11 @@ def congruence_members(space: Space, k: int, N: int, variant: str = "gu",
     """
     if not (1 <= k < N):
         raise LatticeError("need 1 <= k < N")
-    if space.ring.exact:
-        space = space.truncated(N)
-    ring = space.ring
-    m0 = space.n * space.n * components_per_scalar(space)
-    pk = ring.p**k
-    out = []
-    for coeffs in _coefficient_tuples(m0, ring.p**(N - k), budget):
-        Y = mat_from_components(space, [c * pk for c in coeffs])
-        g = Mat.identity(ring, space.n) + Y
-        mu = similitude_multiplier(space, g)
-        if mu is None:
-            continue
-        if variant == "u" and mu != ring.one:
-            continue
-        out.append(GroupElem(space, g, mu))
-    out.sort(key=lambda e: e.mat.key())
-    return out
+    space_t, entries = _congruence_scan(space, k, N, budget)
+    ring = space_t.ring
+    return [GroupElem(space_t, mat_from_components(space_t, comps),
+                      ring.scalar(mu))
+            for _, comps, mu in entries if variant != "u" or mu == 1]
 
 
 @dataclass
@@ -539,8 +549,9 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
         if key in image:
             injective = False
         image[key] = g
-    members = congruence_members(space, k, N, variant, budget)
-    member_keys = {m.mat.key() for m in members}
+    _, entries = _congruence_scan(space, k, N, budget)
+    member_keys = {key for key, _, mu in entries
+                   if variant != "u" or mu == 1}
     sets_equal = set(image) == member_keys
     mismatches = []
     if not sets_equal:
@@ -548,5 +559,5 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
             side = "image-only" if key in image else "congruence-only"
             mismatches.append((side, key))
     return LevelCheckReport(space.family, k, N, variant, len(image),
-                            len(members), injective, sets_equal, alpha_ok,
+                            len(member_keys), injective, sets_equal, alpha_ok,
                             mu_ok, mismatches)

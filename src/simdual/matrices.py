@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Ring, Scalar
+from .scalars import Ring, Scalar, dot
 
 
 class NotInvertibleError(ValueError):
@@ -31,17 +31,27 @@ class Mat:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
 
+    @staticmethod
+    def _make(ring: Ring, rows: tuple) -> "Mat":
+        """Trusted constructor for internal results: ``rows`` is already a
+        rectangular tuple of tuples of scalars of ``ring``."""
+        m = object.__new__(Mat)
+        m.ring = ring
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Mat":
-        return Mat(ring, [[ring.one if i == j else ring.zero for j in range(n)]
-                          for i in range(n)])
+        return Mat.diag(ring, [ring.one] * n)
 
     @staticmethod
     def zeros(ring: Ring, n: int, m: int | None = None) -> "Mat":
         m = n if m is None else m
-        return Mat(ring, [[ring.zero] * m for _ in range(n)])
+        return Mat._make(ring, ((ring.zero,) * m,) * n)
 
     @staticmethod
     def diag(ring: Ring, entries) -> "Mat":
@@ -62,7 +72,8 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
+        return (self.ring is other.ring or self.ring == other.ring) \
+            and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -81,33 +92,40 @@ class Mat:
 
     def __add__(self, other):
         self._check(other)
-        return Mat(self.ring, [[a + b for a, b in zip(r, s)]
-                               for r, s in zip(self.rows, other.rows)])
+        return Mat._make(self.ring, tuple(
+            tuple(a + b for a, b in zip(r, s))
+            for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         self._check(other)
-        return Mat(self.ring, [[a - b for a, b in zip(r, s)]
-                               for r, s in zip(self.rows, other.rows)])
+        return Mat._make(self.ring, tuple(
+            tuple(a - b for a, b in zip(r, s))
+            for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return Mat(self.ring, [[-a for a in r] for r in self.rows])
+        return Mat._make(self.ring, tuple(tuple(-a for a in r)
+                                          for r in self.rows))
 
     def _check(self, other):
-        if self.ring != other.ring or self.nrows != other.nrows \
-                or self.ncols != other.ncols:
+        if (self.ring is not other.ring and self.ring != other.ring) \
+                or self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("incompatible matrices")
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, (Scalar, int, Fraction)):
-            s = other if isinstance(other, Scalar) else self.ring.scalar(other)
-            return Mat(self.ring, [[a * s for a in r] for r in self.rows])
+            if not isinstance(other, Scalar):
+                other = ring.scalar(other)
+            return Mat._make(ring, tuple(tuple(a * other for a in r)
+                                         for r in self.rows))
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.ncols != other.nrows or self.ring != other.ring:
+        if self.ncols != other.nrows or \
+                (ring is not other.ring and ring != other.ring):
             raise ValueError("incompatible matrix product")
-        cols = list(zip(*other.rows))
-        return Mat(self.ring,
-                   [[_dot(r, c) for c in cols] for r in self.rows])
+        cols = tuple(zip(*other.rows))
+        return Mat._make(ring, tuple(tuple(dot(ring, r, c) for c in cols)
+                                     for r in self.rows))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -115,11 +133,12 @@ class Mat:
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return Mat(self.ring, list(zip(*self.rows)))
+        return Mat._make(self.ring, tuple(zip(*self.rows)))
 
     def tau(self) -> "Mat":
         """Entrywise Galois conjugation."""
-        return Mat(self.ring, [[a.tau() for a in r] for r in self.rows])
+        return Mat._make(self.ring, tuple(tuple(a.tau() for a in r)
+                                          for r in self.rows))
 
     def trace(self) -> Scalar:
         t = self.ring.zero
@@ -133,14 +152,23 @@ class Mat:
         return _det(self.ring, [list(r) for r in self.rows])
 
     def inv(self) -> "Mat":
-        """Inverse via Gauss-Jordan, pivoting on units (required mod p^N)."""
+        """Inverse via Gauss-Jordan, pivoting on units (required mod p^N);
+        2 x 2 inverses use the adjugate, invertible iff the determinant is
+        nonzero (exact) or a unit (truncated)."""
         if not self.is_square():
             raise NotInvertibleError("non-square matrix")
         n = self.nrows
         ring = self.ring
+        exact = ring.exact
+        if n == 2:
+            (a, b), (c, d) = self.rows
+            det = a * d - b * c
+            if not (bool(det) if exact else det.is_unit()):
+                raise NotInvertibleError("matrix is not invertible")
+            di = det.inv()
+            return Mat._make(ring, ((d * di, -(b * di)), (-(c * di), a * di)))
         aug = [list(self.rows[i]) + [ring.one if j == i else ring.zero
                                      for j in range(n)] for i in range(n)]
-        exact = ring.exact
         for col in range(n):
             piv = None
             for r in range(col, n):
@@ -157,7 +185,7 @@ class Mat:
                 if r != col and bool(aug[r][col]):
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Mat(ring, [row[n:] for row in aug])
+        return Mat._make(ring, tuple(tuple(row[n:]) for row in aug))
 
     def is_invertible(self) -> bool:
         try:
@@ -171,10 +199,9 @@ class Mat:
         if not self.is_square():
             return None
         s = self.rows[0][0]
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                want = s if i == j else self.ring.zero
-                if self.rows[i][j] != want:
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                if (x != s) if i == j else bool(x):
                     return None
         return s
 
@@ -182,35 +209,29 @@ class Mat:
         return all(a.is_integral() for r in self.rows for a in r)
 
     def reduce(self, N: int) -> "Mat":
-        return Mat(self.ring.truncated(N),
-                   [[a.reduce(N) for a in r] for r in self.rows])
+        return Mat._make(self.ring.truncated(N), tuple(
+            tuple(a.reduce(N) for a in r) for r in self.rows))
 
     def lift(self) -> "Mat":
-        return Mat(Ring(self.ring.p, self.ring.ext, None),
-                   [[a.lift() for a in r] for r in self.rows])
+        return Mat._make(self.ring.exact_ring, tuple(
+            tuple(a.lift() for a in r) for r in self.rows))
 
     def key(self):
-        """Canonical sort key: row-major component tuple."""
+        """Canonical sort key: the row-major (a, b) components, flat."""
+        if self.ring.exact:
+            return tuple([v for row in self.rows for x in row
+                          for v in (x.a, x.b)])
         out = []
         for row in self.rows:
             for x in row:
-                out.append(x.a)
-                out.append(x.b)
+                out.append(x.x)
+                out.append(x.y)
         return tuple(out)
 
     # -- canonical text form ------------------------------------------
 
     def to_text(self) -> str:
         return "; ".join(", ".join(str(x) for x in row) for row in self.rows)
-
-
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
 
 
 def _det(ring, rows):

@@ -7,12 +7,21 @@ unit mod p; the "split" tag means no extension at all.  A second, finite
 mode truncates everything to ``Z/p^N`` (resp. its quadratic extension),
 which is what all exhaustive enumerations run over.  ``N = 1`` gives the
 finite fields F_p and F_{p^2}.
+
+Every scalar a + b*sqrt(u) is stored as three plain integers (x, y, d)
+with a = x/d and b = y/d.  Exact scalars share one denominator d > 0 and
+are kept in lowest terms, gcd(x, y, d) = 1, so that equal values have
+equal storage and equality, hashing and reduction mod p^N read the
+integers directly.  Truncated scalars store their residues 0 <= x, y < p^N
+with d = 1.  The read-only views ``a`` and ``b`` give the components as
+``Fraction`` (exact) or ``int`` (truncated).  ``dot`` sums products with a
+single normalization, which is what matrix products use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -81,12 +90,21 @@ class Ring:
     """Scalar ring context: (p, extension tag, optional truncation precision).
 
     ``prec=None`` means exact rational arithmetic; ``prec=N`` means Z/p^N
-    (with sqrt(u) adjoined in the inert case).
+    (with sqrt(u) adjoined in the inert case).  The modulus, ``u`` and the
+    constants 0 and 1 are computed once per ring.  Rings that differ only in
+    precision are shared through ``truncated`` (and ``Scalar.lift``), so the
+    arithmetic can recognise operands of the same ring by identity.
     """
 
     p: int
     ext: str = SPLIT
     prec: int | None = None
+    _mod: int | None = field(init=False, repr=False, compare=False)
+    _u: int = field(init=False, repr=False, compare=False)
+    _variants: dict = field(init=False, repr=False, compare=False)
+    exact: bool = field(init=False, repr=False, compare=False)
+    zero: "Scalar" = field(init=False, repr=False, compare=False)
+    one: "Scalar" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_odd_prime(self.p):
@@ -95,44 +113,54 @@ class Ring:
             raise ValueError(f"unknown extension tag {self.ext!r}")
         if self.prec is not None and self.prec < 1:
             raise ValueError("precision must be >= 1")
-
-    @property
-    def exact(self) -> bool:
-        return self.prec is None
+        put = object.__setattr__
+        put(self, "_mod", None if self.prec is None else self.p**self.prec)
+        put(self, "_u", smallest_nonresidue(self.p) if self.ext == INERT else 0)
+        put(self, "_variants", {self.prec: self})
+        put(self, "exact", self.prec is None)
+        put(self, "zero", Scalar(self, 0, 0, 1))
+        put(self, "one", Scalar(self, 1, 0, 1))
 
     @property
     def u(self) -> int:
         if self.ext != INERT:
             raise ValueError("split ring has no extension generator")
-        return smallest_nonresidue(self.p)
+        return self._u
 
     @property
     def modulus(self) -> int:
-        if self.prec is None:
+        if self._mod is None:
             raise ValueError("exact ring has no modulus")
-        return self.p**self.prec
+        return self._mod
 
     # -- constructors -------------------------------------------------
 
     def scalar(self, a, b=0) -> "Scalar":
         if b != 0 and self.ext != INERT:
             raise ValueError("nonzero sqrt(u)-part in a split ring")
-        if self.exact:
-            return Scalar(self, Fraction(a), Fraction(b))
-        m = self.modulus
+        m = self._mod
+        if m is None:
+            if type(a) is int and type(b) is int:
+                return Scalar(self, a, b, 1)
+            a, b = Fraction(a), Fraction(b)
+            da, db = a.denominator, b.denominator
+            d = math.lcm(da, db)
+            # d is the lcm of the reduced denominators, so gcd(x, y, d) = 1
+            return Scalar(self, a.numerator * (d // da),
+                          b.numerator * (d // db), d)
         if isinstance(a, Fraction):
             a = canonical_residue(a, self.p, self.prec)
         if isinstance(b, Fraction):
             b = canonical_residue(b, self.p, self.prec)
-        return Scalar(self, a % m, b % m)
+        return Scalar(self, a % m, b % m, 1)
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
+    def ratio(self, x: int, y: int, d: int) -> "Scalar":
+        """(x + y*sqrt(u)) / d for integers x, y and d != 0."""
+        if not self.exact or (y and self.ext != INERT):
+            return self.scalar(Fraction(x, d), Fraction(y, d))
+        if d < 0:
+            x, y, d = -x, -y, -d
+        return _exact(self, x, y, d)
 
     @property
     def gen(self) -> "Scalar":
@@ -140,31 +168,77 @@ class Ring:
         return self.scalar(0, 1)
 
     def truncated(self, N: int) -> "Ring":
-        return Ring(self.p, self.ext, N)
+        return self._variant(N)
+
+    @property
+    def exact_ring(self) -> "Ring":
+        """The exact ring with the same p and extension."""
+        return self._variant(None)
+
+    def _variant(self, prec) -> "Ring":
+        """The ring of the same (p, ext) at precision ``prec``, one object
+        per precision."""
+        ring = self._variants.get(prec)
+        if ring is None:
+            ring = Ring(self.p, self.ext, prec)
+            object.__setattr__(ring, "_variants", self._variants)
+            self._variants[prec] = ring
+        return ring
 
     def residues(self):
         """All scalars of a truncated ring, in canonical (lexicographic) order."""
         if self.exact:
             raise ValueError("cannot enumerate an exact ring")
-        m = self.modulus
+        m = self._mod
         if self.ext == SPLIT:
             for a in range(m):
-                yield Scalar(self, a, 0)
+                yield Scalar(self, a, 0, 1)
         else:
             for a in range(m):
                 for b in range(m):
-                    yield Scalar(self, a, b)
+                    yield Scalar(self, a, b, 1)
+
+
+def _exact(ring: Ring, x: int, y: int, d: int) -> "Scalar":
+    """(x + y*sqrt(u))/d in lowest terms; requires d > 0."""
+    g = math.gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    return Scalar(ring, x, y, d)
 
 
 class Scalar:
-    """An element a + b*sqrt(u) of F or E, exact or truncated."""
+    """An element a + b*sqrt(u) of F or E, exact or truncated.
 
-    __slots__ = ("ring", "a", "b")
+    Stored as plain integers (x, y, d) with a = x/d and b = y/d.  Exact
+    scalars keep gcd(x, y, d) = 1 and d > 0, so equal values have equal
+    storage; truncated scalars keep residues 0 <= x, y < p^N and d = 1.
+    ``a`` and ``b`` read the components back (``Fraction`` when exact,
+    ``int`` when truncated).  The constructor trusts its arguments; build
+    scalars from arbitrary values with ``Ring.scalar``.
+    """
 
-    def __init__(self, ring: Ring, a, b):
+    __slots__ = ("ring", "x", "y", "d")
+
+    def __init__(self, ring: Ring, x: int, y: int, d: int):
         self.ring = ring
-        self.a = a
-        self.b = b
+        self.x = x
+        self.y = y
+        self.d = d
+
+    @property
+    def a(self):
+        if self.ring.exact:
+            return Fraction(self.x, self.d)
+        return self.x
+
+    @property
+    def b(self):
+        if self.ring.exact:
+            return Fraction(self.y, self.d)
+        return self.y
 
     # -- basics -------------------------------------------------------
 
@@ -172,25 +246,26 @@ class Scalar:
         return f"Scalar({self.ring.p},{self.ring.ext},{self.ring.prec}: {self})"
 
     def __str__(self):
-        if self.b == 0:
+        if self.y == 0:
             return str(self.a)
         return f"{self.a}+{self.b}*s"
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.x == other.x and self.y == other.y and self.d == other.d
 
     def __hash__(self):
         return hash((self.a, self.b))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.x != 0 or self.y != 0
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed scalar rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -199,67 +274,101 @@ class Scalar:
 
     # -- ring operations ----------------------------------------------
 
-    def _wrap(self, a, b):
-        if self.ring.exact:
-            return Scalar(self.ring, a, b)
-        m = self.ring.modulus
-        return Scalar(self.ring, a % m, b % m)
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.a + other.a, self.b + other.b)
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
+        m = ring._mod
+        if m is not None:
+            return Scalar(ring, (self.x + other.x) % m, (self.y + other.y) % m, 1)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return Scalar(ring, self.x + other.x, self.y + other.y, 1)
+            return _exact(ring, self.x + other.x, self.y + other.y, d1)
+        return _exact(ring, self.x * d2 + other.x * d1,
+                      self.y * d2 + other.y * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(-self.a, -self.b)
+        m = self.ring._mod
+        if m is None:
+            return Scalar(self.ring, -self.x, -self.y, self.d)
+        return Scalar(self.ring, -self.x % m, -self.y % m, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.a - other.a, self.b - other.b)
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
+        m = ring._mod
+        if m is not None:
+            return Scalar(ring, (self.x - other.x) % m, (self.y - other.y) % m, 1)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return Scalar(ring, self.x - other.x, self.y - other.y, 1)
+            return _exact(ring, self.x - other.x, self.y - other.y, d1)
+        return _exact(ring, self.x * d2 - other.x * d1,
+                      self.y * d2 - other.y * d1, d1 * d2)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if b == 0 and d == 0:
-            return self._wrap(a * c, 0)
-        u = self.ring.u
-        return self._wrap(a * c + u * b * d, a * d + b * c)
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        if y1 or y2:
+            x = x1 * x2 + ring._u * y1 * y2
+            y = x1 * y2 + y1 * x2
+        else:
+            x, y = x1 * x2, 0
+        m = ring._mod
+        if m is not None:
+            return Scalar(ring, x % m, y % m, 1)
+        d = self.d * other.d
+        if d == 1:
+            return Scalar(ring, x, y, 1)
+        return _exact(ring, x, y, d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         ring = self.ring
-        if self.b == 0:
-            if ring.exact:
-                if self.a == 0:
+        x, y = self.x, self.y
+        m = ring._mod
+        if y == 0:
+            if m is None:
+                if x == 0:
                     raise ZeroDivisionError("inverse of zero")
-                return Scalar(ring, 1 / Fraction(self.a), Fraction(0))
+                # gcd(x, d) = 1 already
+                return Scalar(ring, self.d if x > 0 else -self.d, 0, abs(x))
             try:
-                return Scalar(ring, pow(self.a, -1, ring.modulus), 0)
+                return Scalar(ring, pow(x, -1, m), 0, 1)
             except ValueError:
                 raise NotUnitError(f"{self} is not a unit mod {ring.p}^{ring.prec}")
         # (a + b s)^-1 = (a - b s) / (a^2 - u b^2)
-        u = ring.u
-        n = self.a * self.a - u * self.b * self.b
-        if ring.exact:
+        n = x * x - ring._u * y * y
+        if m is None:
             if n == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Scalar(ring, self.a / Fraction(n), -self.b / Fraction(n))
+            d = self.d
+            if n < 0:
+                d, n = -d, -n
+            return _exact(ring, d * x, -d * y, n)
         try:
-            ninv = pow(n % ring.modulus, -1, ring.modulus)
+            ninv = pow(n % m, -1, m)
         except ValueError:
             raise NotUnitError(f"{self} is not a unit mod {ring.p}^{ring.prec}")
-        return self._wrap(self.a * ninv, -self.b * ninv)
+        return Scalar(ring, x * ninv % m, -y * ninv % m, 1)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -274,65 +383,105 @@ class Scalar:
 
     def tau(self) -> "Scalar":
         """Conjugation a + b*s -> a - b*s; identity on the base field."""
-        if self.b == 0:
+        if self.y == 0:
             return self
-        return self._wrap(self.a, -self.b)
+        m = self.ring._mod
+        if m is None:
+            return Scalar(self.ring, self.x, -self.y, self.d)
+        return Scalar(self.ring, self.x, -self.y % m, 1)
 
     def norm(self) -> "Scalar":
         """x * tau(x); always has zero sqrt(u)-part."""
         return self * self.tau()
 
     def is_in_base(self) -> bool:
-        return self.b == 0
+        return self.y == 0
 
     # -- valuation and integrality ------------------------------------
 
     def val(self):
         """p-adic valuation (min over components for the unramified extension)."""
-        if not self.ring.exact:
-            p, m = self.ring.p, self.ring.modulus
-            if self.a == 0 and self.b == 0:
-                return INF
-            vs = [val_int(c % m, p) for c in (self.a, self.b) if c % m != 0]
-            return min(min(vs), self.ring.prec)
-        return min(val_fraction(Fraction(self.a), self.ring.p),
-                   val_fraction(Fraction(self.b), self.ring.p))
+        p = self.ring.p
+        if self.x == 0 and self.y == 0:
+            return INF
+        if self.ring.exact:
+            vs = min(val_int(c, p) for c in (self.x, self.y) if c != 0)
+            return vs - val_int(self.d, p)
+        vs = [val_int(c, p) for c in (self.x, self.y) if c != 0]
+        return min(min(vs), self.ring.prec)
 
     def is_integral(self) -> bool:
-        if not self.ring.exact:
-            return True
-        return self.val() >= 0
+        # gcd(x, y, d) = 1: p | d exactly when some component has p in its
+        # denominator
+        return not self.ring.exact or self.d % self.ring.p != 0
 
     def is_unit(self) -> bool:
         if self.ring.exact:
             return bool(self) and self.val() == 0
         p = self.ring.p
-        if self.b % p == 0:
-            return self.a % p != 0
+        if self.y % p == 0:
+            return self.x % p != 0
         if self.ring.ext == SPLIT:
-            return self.a % p != 0
-        return (self.a * self.a - self.ring.u * self.b * self.b) % p != 0
+            return self.x % p != 0
+        return (self.x * self.x - self.ring._u * self.y * self.y) % p != 0
 
     # -- mode changes -------------------------------------------------
 
     def reduce(self, N: int) -> "Scalar":
         """Reduce an integral exact scalar mod p^N (a ring homomorphism)."""
-        if not self.ring.exact:
-            if N > self.ring.prec:
+        ring = self.ring
+        p = ring.p
+        m = p**N
+        if not ring.exact:
+            if N > ring.prec:
                 raise ValueError("cannot increase precision of a truncated scalar")
-            m = self.ring.p**N
-            return Scalar(self.ring.truncated(N), self.a % m, self.b % m)
-        p = self.ring.p
-        a = canonical_residue(Fraction(self.a), p, N)
-        b = canonical_residue(Fraction(self.b), p, N)
-        return Scalar(self.ring.truncated(N), a, b)
+            return Scalar(ring.truncated(N), self.x % m, self.y % m, 1)
+        if self.d % p == 0:
+            for c in (self.a, self.b):
+                if val_fraction(c, p) < 0:
+                    raise NotIntegralError(
+                        f"{c} has negative {p}-adic valuation")
+        dinv = pow(self.d, -1, m)
+        return Scalar(ring.truncated(N), self.x * dinv % m, self.y * dinv % m, 1)
 
     def lift(self) -> "Scalar":
         """Tautological lift of a truncated scalar to an exact integer scalar."""
         if self.ring.exact:
             return self
-        ring = Ring(self.ring.p, self.ring.ext, None)
-        return Scalar(ring, Fraction(self.a), Fraction(self.b))
+        return Scalar(self.ring.exact_ring, self.x, self.y, 1)
+
+
+def dot(ring: Ring, xs, ys) -> Scalar:
+    """sum(x * y for x, y in zip(xs, ys)) for nonempty sequences of scalars
+    of ``ring``, normalized once instead of after every term."""
+    u, m = ring._u, ring._mod
+    acc_x = acc_y = 0
+    acc_d = 1
+    for s, t in zip(xs, ys):
+        x1, y1, x2, y2 = s.x, s.y, t.x, t.y
+        if y1 or y2:
+            x = x1 * x2 + u * y1 * y2
+            y = x1 * y2 + y1 * x2
+        else:
+            x, y = x1 * x2, 0
+        if m is not None:
+            acc_x += x
+            acc_y += y
+            continue
+        d = s.d * t.d
+        if d == acc_d:
+            acc_x += x
+            acc_y += y
+        else:
+            g = math.gcd(acc_d, d)
+            acc_x = acc_x * (d // g) + x * (acc_d // g)
+            acc_y = acc_y * (d // g) + y * (acc_d // g)
+            acc_d = acc_d // g * d
+    if m is not None:
+        return Scalar(ring, acc_x % m, acc_y % m, 1)
+    if acc_d == 1:
+        return Scalar(ring, acc_x, acc_y, 1)
+    return _exact(ring, acc_x, acc_y, acc_d)
 
 
 # -- square roots -----------------------------------------------------

@@ -13,18 +13,11 @@ transpose, membership is just invertibility (mu = 1) resp. anything
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .matrices import Mat, NotInvertibleError
 from .scalars import INERT, SPLIT, Ring, Scalar
-
-
-@lru_cache(maxsize=512)
-def cached_inv(m: Mat) -> Mat:
-    """Inverse cache for the fixed structure matrices (J, H) that every
-    star/theta evaluation re-uses."""
-    return m.inv()
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -47,7 +40,9 @@ class MembershipError(ValueError):
 class Space:
     """An epsilon-hermitian space with its fixed anti-unitary involution H.
 
-    For the general-linear family eps, J and H are None.
+    For the general-linear family eps, J and H are None.  ``Jinv`` and
+    ``Hinv`` are computed on first use and kept; ``memo`` holds other data
+    derived from the fixed structure, keyed by the module that derives it.
     """
 
     family: str
@@ -56,10 +51,20 @@ class Space:
     eps: int | None
     J: Mat | None
     H: Mat | None
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def has_form(self) -> bool:
         return self.family != GENERAL_LINEAR
+
+    @cached_property
+    def Jinv(self) -> Mat:
+        return self.J.inv()
+
+    @cached_property
+    def Hinv(self) -> Mat:
+        return self.H.inv()
 
     def truncated(self, N: int) -> "Space":
         ring = self.ring.truncated(N)
@@ -145,7 +150,7 @@ def star(space: Space, a: Mat) -> Mat:
     """The adjoint anti-involution a* = tau(J^-1 a^T J)."""
     if not space.has_form:
         raise SpaceError("general-linear family has no star; theta is transpose")
-    return (cached_inv(space.J) * a.transpose() * space.J).tau()
+    return (space.Jinv * a.transpose() * space.J).tau()
 
 
 def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .cayley import cayley, fiber, in_domain
 from .decomposition import coset_set, decompose
-from .finite import FINITE_FAMILIES, build_group, conjugacy_classes, \
-    verify_class_inversion
+from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, build_group, \
+    conjugacy_classes, verify_class_inversion
 from .involution import theta_group, theta_lie, validate_anti_unitary
 from .lattices import check_cayley_level, lattice_of_x, standard_lattices, \
     transform_lattice
@@ -26,9 +26,13 @@ from .sampling import make_rng, sample_group, sample_integral_lie, \
     sample_lie, sample_stabilizing, sample_theta_fixed
 from .scalars import INERT, SPLIT, Ring, is_odd_prime
 from .spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, SKEW_HERMITIAN,
-                     certify_group, certify_lie, standard_space, star)
+                     SpaceError, certify_group, certify_lie, standard_space,
+                     star)
 
 ALL_SUITES = ("identity", "cayley", "lattice", "decompose", "finite-dual")
+
+# families whose scalars live in the quadratic extension
+_INERT_FAMILIES = (HERMITIAN, SKEW_HERMITIAN, UNITARY, GUNITARY)
 
 
 class ConfigError(ValueError):
@@ -81,6 +85,15 @@ def validate_config(cfg: SuiteConfig) -> None:
             f"family {cfg.family!r} only supports the finite-dual suite")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
+    ring_ext = INERT if cfg.family in _INERT_FAMILIES else SPLIT
+    if cfg.ext not in ("auto", ring_ext):
+        raise ConfigError(f"family {cfg.family!r} works over the {ring_ext} "
+                          f"ring, not ext {cfg.ext!r}")
+    if cfg.family in FAMILIES and not finite_only:
+        try:
+            build_space(cfg.family, cfg.n, cfg.p)
+        except SpaceError as exc:
+            raise ConfigError(str(exc))
     if not (1 <= cfg.level < cfg.precision):
         raise ConfigError(
             f"need 1 <= level < precision, got level={cfg.level} "

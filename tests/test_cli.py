@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +125,44 @@ def test_markdown_format(capsys):
                 "--format", "markdown"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# suite:")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--family", "symplectic", "--dim", "3"],          # SpaceError
+    ["decompose", "--precision", "3", "3, 0; 0, 1"],             # not a member
+    ["replay", json.dumps({"check": "multiplier-identity",       # no "X"
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3}})],
+])
+def test_bad_input_exits_2_with_one_line(args, capsys):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_ext_must_match_the_family_ring(capsys):
+    assert run(["verify", "--family", "symplectic", "--ext", "inert"]) == 2
+    assert run(["verify", "--family", "hermitian", "--ext", "split"]) == 2
+    assert capsys.readouterr().err.count("\n") == 2
+    with pytest.raises(ConfigError):
+        validate_config(SuiteConfig(family="gu", ext="split",
+                                    suites=("finite-dual",)))
+    assert run(["verify", "--family", "hermitian", "--ext", "inert",
+                "--suite", "identity", "--samples", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["ext"] == "inert"
+
+
+def test_verify_is_identical_across_hash_seeds():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "simdual.cli", "verify", "--family",
+            "hermitian", "--suite", "all", "--samples", "3", "--cosets", "1",
+            "--decompose-precision", "2"]
+    digests = set()
+    for seed in ("0", "1", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        out = subprocess.run(args, env=env, capture_output=True, check=True,
+                             timeout=300).stdout
+        assert json.loads(out)["summary"]["fail"] == 0
+        digests.add(hashlib.sha256(out).hexdigest())
+    assert len(digests) == 1

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from simdual.cayley import cayley, in_domain
+from simdual.cayley import (cayley, components_per_scalar, in_domain,
+                            mat_from_components)
 from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeError, check_cayley_level,
                               congruence_members, hnf_columns, lattice_of_x,
@@ -11,7 +13,8 @@ from simdual.matrices import Mat
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
-                            certify_lie, standard_space)
+                            certify_lie, similitude_multiplier,
+                            standard_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
@@ -137,3 +140,34 @@ def test_scaled_lattice_inside_domain():
         X = certify_lie(SYMPL, coords.from_coords(c))
         assert in_domain(X)
         assert X.alpha.val() >= 1
+
+
+def _mat_level_scan(space, k, N):
+    """Reference: similitude_multiplier on every 1 + p^k Y mod p^N."""
+    st = space.truncated(N)
+    ring = st.ring
+    m0 = st.n * st.n * components_per_scalar(st)
+    pk = ring.p**k
+    out = []
+    for coeffs in itertools.product(range(ring.p**(N - k)), repeat=m0):
+        g = Mat.identity(ring, st.n) + mat_from_components(
+            st, [c * pk for c in coeffs])
+        mu = similitude_multiplier(st, g)
+        if mu is not None:
+            out.append((g.key(), mu.a, mu.b))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("family, k, N", [
+    (ORTHOGONAL, 1, 2), (SYMPLECTIC, 1, 2), (HERMITIAN, 1, 2),
+    (SKEW_HERMITIAN, 1, 2), (GENERAL_LINEAR, 1, 2),
+    (SYMPLECTIC, 1, 3), (ORTHOGONAL, 1, 3)])
+def test_integer_congruence_scan_matches_mat_level(family, k, N):
+    ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
+    space = standard_space(family, 2, Ring(3, ext))
+    gu = congruence_members(space, k, N, "gu")
+    got = [(m.mat.key(), m.mu.a, m.mu.b) for m in gu]
+    assert got == _mat_level_scan(space, k, N)
+    u = congruence_members(space, k, N, "u")
+    assert [m.mat.key() for m in u] == \
+        [m.mat.key() for m in gu if m.mu == m.space.ring.one]

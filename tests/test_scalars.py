@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simdual.scalars import (INERT, INF, SPLIT, NotIntegralError, NotUnitError,
-                             Ring, canonical_residue, hensel_sqrt_one_plus,
+                             Ring, canonical_residue, dot, hensel_sqrt_one_plus,
                              is_odd_prime, rational_sqrt, smallest_nonresidue,
                              sqrt_mod_prime_power, val_fraction)
 
@@ -133,3 +134,96 @@ def test_hensel_root_property(m):
     lam = hensel_sqrt_one_plus(mu, k, N, p=p)
     assert (lam.a * lam.a - mu) % p**N == 0
     assert (lam.a - 1) % p**k == 0
+
+
+# -- the (x, y, d) storage against a reference on Fraction pairs -------
+
+
+def _ref_str(a, b):
+    return str(a) if b == 0 else f"{a}+{b}*s"
+
+
+def _ref_mul(x, y, u):
+    (a, b), (c, d) = x, y
+    return (a * c + u * b * d, a * d + b * c)
+
+
+def _ref_inv(x, u):
+    a, b = x
+    n = a * a - u * b * b
+    return (a / n, -b / n)
+
+
+def _ref_val(x, p):
+    return min(val_fraction(x[0], p), val_fraction(x[1], p))
+
+
+def _assert_matches(s, ref):
+    """s stores ref = (a, b) in lowest terms, and reads back as the old
+    (Fraction, Fraction) form did."""
+    a, b = ref
+    assert s.d > 0 and math.gcd(s.x, s.y, s.d) == 1
+    assert (s.a, s.b) == (a, b)
+    assert type(s.a) is Fraction and type(s.b) is Fraction
+    assert str(s) == _ref_str(a, b)
+    assert hash(s) == hash((a, b))
+
+
+_FRACTIONS = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@pytest.mark.parametrize("p, ext", [(3, SPLIT), (3, INERT), (5, INERT)])
+@settings(max_examples=80, deadline=None)
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS)
+def test_exact_storage_matches_fraction_pairs(p, ext, a, b, c, d):
+    ring = Ring(p, ext)
+    u = ring.u if ext == INERT else 0
+    if ext == SPLIT:
+        b = d = Fraction(0)
+    x, y = ring.scalar(a, b), ring.scalar(c, d)
+    _assert_matches(x, (a, b))
+    _assert_matches(x + y, (a + c, b + d))
+    _assert_matches(x - y, (a - c, b - d))
+    _assert_matches(-x, (-a, -b))
+    _assert_matches(x * y, _ref_mul((a, b), (c, d), u))
+    _assert_matches(x.tau(), (a, -b))
+    _assert_matches(x.norm(), _ref_mul((a, b), (a, -b), u))
+    assert x.val() == _ref_val((a, b), p)
+    assert x.is_integral() == (_ref_val((a, b), p) >= 0)
+    assert (x == y) == ((a, b) == (c, d))
+    if (a, b) != (0, 0):
+        _assert_matches(x.inv(), _ref_inv((a, b), u))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+    N = 2
+    if _ref_val((a, b), p) >= 0:
+        r = x.reduce(N)
+        assert (r.a, r.b) == (canonical_residue(a, p, N),
+                              canonical_residue(b, p, N))
+        assert r.ring == Ring(p, ext, N)
+    else:
+        with pytest.raises(NotIntegralError):
+            x.reduce(N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_FRACTIONS, _FRACTIONS), min_size=1, max_size=4),
+       st.lists(st.tuples(_FRACTIONS, _FRACTIONS), min_size=4, max_size=4))
+def test_dot_matches_termwise_sum(xs, ys):
+    ring = Ring(3, INERT)
+    sx = [ring.scalar(a, b) for a, b in xs]
+    sy = [ring.scalar(a, b) for a, b in ys]
+    acc = (Fraction(0), Fraction(0))
+    for x, y in zip(xs, ys):
+        t = _ref_mul(x, y, ring.u)
+        acc = (acc[0] + t[0], acc[1] + t[1])
+    _assert_matches(dot(ring, sx, sy), acc)
+    t = Ring(3, INERT, 2)
+    tx = [s.reduce(2) for s in sx if s.is_integral()]
+    ty = [s.reduce(2) for s in sy if s.is_integral()]
+    if tx and ty:
+        want = tx[0] * ty[0]
+        for x, y in list(zip(tx, ty))[1:]:
+            want = want + x * y
+        assert dot(t, tx, ty) == want
