@@ -25,7 +25,7 @@ from .cayley import (cayley, mat_components, mat_from_components,
                      multiplier_predicate)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import LatticeBasis, StandardLattices, lattice_of_x
-from .matrices import Mat
+from .matrices import Mat, NotInvertibleError
 from .spaces import (GroupElem, Space, certify_group, certify_lie,
                      similitude_multiplier)
 
@@ -224,7 +224,7 @@ def _member_lattice(std: StandardLattices, x: Mat) -> LatticeBasis:
     lift = _lift_mat(x)
     try:
         inv = lift.inv()
-    except Exception:
+    except NotInvertibleError:
         return lattice_of_x(std.gu_coords, lift)
     if lift.is_integral() and inv.is_integral():
         basis_ok = all((inv * B * lift).is_integral() and

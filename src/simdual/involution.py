@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .matrices import Mat
+from .matrices import Mat, NotInvertibleError
 from .scalars import Ring, Scalar
 from .spaces import (GENERAL_LINEAR, GroupElem, LieElem, MembershipError,
                      Space, SpaceError, certify_group,
@@ -45,10 +45,6 @@ class AntiUnitaryMap:
 
     def apply(self, v: Mat) -> Mat:
         return self.H * v.tau()
-
-    def compose(self, other: "AntiUnitaryMap") -> Mat:
-        """Matrix of the (linear) composite self o other."""
-        return self.H * other.H.tau()
 
     @property
     def square(self) -> Mat:
@@ -210,7 +206,7 @@ def find_symmetric_conjugator(a: GroupElem,
             continue
         try:
             xinv = x.mat.inv()
-        except Exception:
+        except NotInvertibleError:
             continue
         if x.mat * a.mat * xinv == ta:
             return x

@@ -1,6 +1,6 @@
-"""Lattices and orders: the stable lattice in V, its stabilizer order, the
-Lie-algebra lattices, intersection lattices attached to group elements,
-congruence-level enumerations, and the Cayley level-bijection checker.
+"""Lattices: the stable lattice in V, the Lie-algebra lattice, intersection
+lattices attached to group elements, congruence-level enumerations, and
+the Cayley level-bijection checker.
 
 All lattices are full-rank o_F-modules presented by a basis matrix in a
 canonical Hermite form over the localization of the integers at p (pivots
@@ -334,25 +334,22 @@ def _fr_rank(rows):
 
 @dataclass(frozen=True)
 class StandardLattices:
-    """L in V, its stabilizer order, and the two Lie-algebra lattices."""
+    """L in V, the standard Lie lattice Ldot, and the coordinates on the
+    similitude and isometry Lie algebras."""
 
     space: Space
     L: LatticeBasis
-    Lhat: LatticeBasis
     Ldot: LatticeBasis
-    Lddot: LatticeBasis
     gu_coords: LieCoords
     u_coords: LieCoords
-    form_value_valuation: int
 
 
 def standard_lattices(space: Space) -> StandardLattices:
     """The standard-basis lattice chain of a standard model.
 
     L is the o_E-span of the standard basis (checked stable under the fixed
-    anti-unitary involution), Lhat its stabilizer order (the full integral
-    matrix order for the standard models), Ldot and Lddot its intersections
-    with the two Lie algebras.
+    anti-unitary involution) and Ldot its intersection with the similitude
+    Lie algebra.
     """
     p = space.ring.p
     d = components_per_scalar(space)
@@ -360,17 +357,10 @@ def standard_lattices(space: Space) -> StandardLattices:
     L = LatticeBasis.standard(p, nV, ambient="V")
     if space.has_form:
         _check_h_stable(space, L)
-    m0 = space.n * space.n * d
-    Lhat = LatticeBasis.standard(p, m0, ambient="End")
     gu_coords = LieCoords(space, isometry=False)
     u_coords = LieCoords(space, isometry=True)
     Ldot = gu_coords.standard_lattice(ambient="gu")
-    Lddot = u_coords.standard_lattice(ambient="u")
-    fval = 0
-    if space.has_form:
-        fval = min(int(x.val()) for row in space.J.rows for x in row if bool(x))
-    return StandardLattices(space, L, Lhat, Ldot, Lddot, gu_coords, u_coords,
-                            fval)
+    return StandardLattices(space, L, Ldot, gu_coords, u_coords)
 
 
 def _check_h_stable(space: Space, L: LatticeBasis):

@@ -198,10 +198,6 @@ class GroupElem:
     def inv(self) -> "GroupElem":
         return GroupElem(self.space, self.mat.inv(), self.mu.inv())
 
-    @property
-    def is_isometry(self) -> bool:
-        return self.mu == self.space.ring.one
-
 
 @dataclass(frozen=True)
 class LieElem:
@@ -210,10 +206,6 @@ class LieElem:
     space: Space
     mat: Mat
     alpha: Scalar
-
-    @property
-    def is_isometry_lie(self) -> bool:
-        return self.alpha == self.space.ring.zero
 
 
 def certify_group(space: Space, g: Mat) -> GroupElem:

@@ -1,33 +1,40 @@
 """Suite runner: configuration, the five verification suites, and the
-replay registry that re-executes any reported counterexample.
+replay of reported rows.
 
-Suites are deterministic functions of (configuration, seed).  Every row
-that can fail carries a ``replay`` entry whose payload contains the full
-inputs in canonical text form, so a reported counterexample can be re-run
-in isolation with ``replay_check``.
+Suites are deterministic functions of (configuration, seed).  Each check
+is one function, called by its suite and by ``replay_check``.  These rows
+replay: the FAIL rows of the sampled checks in ``CHECKS`` (the payload
+holds each drawn argument under its kind's key), ``theta-stable-lattice``,
+FAIL rows of ``cayley-level-bijection-{gu,u}``, ``decompose-coset-<i>``
+and ``class-<c>`` findings.  The rows about the configured space or group
+itself (``anti-unitary-involution``, ``finite-build``,
+``iota-inverse-permutations``, ``class-inversion-summary``) do not.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
+from typing import Callable
 
 from .cayley import cayley, fiber, in_domain
-from .decomposition import coset_set, decompose
-from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, build_group, \
-    conjugacy_classes, verify_class_inversion
-from .involution import theta_group, theta_lie, validate_anti_unitary
-from .lattices import check_cayley_level, lattice_of_x, standard_lattices, \
-    transform_lattice
+from .decomposition import DecompositionError, coset_set, decompose
+from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, BudgetExceeded, \
+    FiniteGroupError, build_group, conjugacy_classes, verify_class_inversion
+from .involution import AntiUnitaryError, ConjugatorNotFound, \
+    is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
+from .lattices import LatticeBudgetError, check_cayley_level, \
+    lattice_of_x, standard_lattices, transform_lattice
 from .matrices import Mat, parse_matrix
+from .modsolve import SolveBudgetError
 from .report import FAIL, FINDING, PASS, CheckRow, Report
 from .sampling import make_rng, sample_group, sample_integral_lie, \
     sample_lie, sample_stabilizing, sample_theta_fixed
-from .scalars import INERT, SPLIT, Ring, is_odd_prime
-from .spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, SKEW_HERMITIAN,
-                     SpaceError, certify_group, certify_lie, standard_space,
-                     star)
+from .scalars import INERT, SPLIT, Ring, is_odd_prime, val_fraction
+from .spaces import (FAMILIES, HERMITIAN, SKEW_HERMITIAN, SpaceError,
+                     certify_group, certify_lie, standard_space, star)
 
 ALL_SUITES = ("identity", "cayley", "lattice", "decompose", "finite-dual")
 
@@ -39,12 +46,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _family_ext(family: str) -> str:
+    return INERT if family in _INERT_FAMILIES else SPLIT
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     family: str = "symplectic"
     n: int = 2
     p: int = 3
-    ext: str = "auto"             # split / inert / auto (from family)
+    ext: str = "auto"             # auto, or the family's ring: split / inert
     precision: int = 2
     level: int = 1
     samples: int = 200
@@ -61,16 +72,11 @@ class SuiteConfig:
     def as_params(self) -> dict:
         return {
             "family": self.family, "n": self.n, "p": self.p,
-            "ext": self.resolved_ext(), "precision": self.precision,
+            "ext": _family_ext(self.family), "precision": self.precision,
             "level": self.level, "samples": self.samples, "seed": self.seed,
             "cosets": self.cosets,
             "decompose_precision": self.decompose_precision,
         }
-
-    def resolved_ext(self) -> str:
-        if self.ext != "auto":
-            return self.ext
-        return INERT if self.family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
 
 
 def validate_config(cfg: SuiteConfig) -> None:
@@ -85,7 +91,7 @@ def validate_config(cfg: SuiteConfig) -> None:
             f"family {cfg.family!r} only supports the finite-dual suite")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    ring_ext = INERT if cfg.family in _INERT_FAMILIES else SPLIT
+    ring_ext = _family_ext(cfg.family)
     if cfg.ext not in ("auto", ring_ext):
         raise ConfigError(f"family {cfg.family!r} works over the {ring_ext} "
                           f"ring, not ext {cfg.ext!r}")
@@ -108,33 +114,7 @@ def validate_config(cfg: SuiteConfig) -> None:
 
 
 def build_space(family: str, n: int, p: int):
-    ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
-    return standard_space(family, n, Ring(p, ext))
-
-
-# -- replay registry --------------------------------------------------
-
-
-REPLAY_REGISTRY = {}
-
-
-def _registered(name):
-    def deco(fn):
-        REPLAY_REGISTRY[name] = fn
-        return fn
-    return deco
-
-
-def replay_check(entry: dict) -> CheckRow:
-    """Re-run a single reported check from its replay payload."""
-    name = entry["check"]
-    if name not in REPLAY_REGISTRY:
-        raise ConfigError(f"no replayable check named {name!r}")
-    return REPLAY_REGISTRY[name](entry["payload"])
-
-
-def _space_from_payload(payload):
-    return build_space(payload["family"], int(payload["n"]), int(payload["p"]))
+    return standard_space(family, n, Ring(p, _family_ext(family)))
 
 
 def _row(name, ok, payload=None, check=None, detail=None):
@@ -145,301 +125,342 @@ def _row(name, ok, payload=None, check=None, detail=None):
     return row
 
 
-# -- atomic replayable checks -----------------------------------------
+# -- the sampled checks -----------------------------------------------
 
 
-@_registered("multiplier-identity")
-def check_multiplier_identity(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    X = certify_lie(space, parse_matrix(space.ring, payload["X"]))
-    g = cayley(X)
-    t = (space.ring.one + X.alpha).inv()
-    ok = g.mu == t * t
-    if space.has_form:
-        ok = ok and (g.mat * star(space, g.mat)).scalar_part() == g.mu
-    return _row("multiplier-identity", ok, payload)
+@dataclass(frozen=True)
+class Kind:
+    """How one argument of a sampled check is drawn, certified and stored.
+    ``holds`` is what the sampler guarantees beyond membership; only
+    replay input is checked against it."""
+
+    key: str                      # payload key
+    sample: Callable              # (std, rng) -> element
+    certify: Callable             # (space, Mat) -> element
+    requirement: str = ""
+    holds: Callable | None = None  # (std, element) -> bool
 
 
-@_registered("theta-cayley-commute")
-def check_theta_cayley(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    X = certify_lie(space, parse_matrix(space.ring, payload["X"]))
-    ok = theta_group(cayley(X)).mat == cayley(theta_lie(X)).mat
-    return _row("theta-cayley-commute", ok, payload)
+LIE = Kind("X", sample_lie, certify_lie, "in the working domain",
+           lambda std, X: in_domain(X))
+GROUP = Kind("x", sample_group, certify_group)
+THETA_FIXED = Kind("x", sample_theta_fixed, certify_group, "theta-fixed",
+                   lambda std, x: is_theta_fixed(x))
+STABILIZING = Kind("k", sample_stabilizing, certify_group,
+                   "a stabilizer of Ldot", lambda std, k: transform_lattice(
+                       std.gu_coords, ("ad", k.mat), std.Ldot) == std.Ldot)
+INTEGRAL_LIE = Kind("X", sample_integral_lie, certify_lie, "in p*Ldot",
+                    lambda std, X: all(val_fraction(c, std.space.ring.p) >= 1
+                                       for c in std.gu_coords.to_coords(X.mat)))
 
 
-@_registered("ad-equivariance")
-def check_ad_equivariance(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    X = certify_lie(space, parse_matrix(space.ring, payload["X"]))
-    x = certify_group(space, parse_matrix(space.ring, payload["x"]))
-    adX = certify_lie(space, x.mat * X.mat * x.mat.inv())
-    lhs = x.mat * cayley(X).mat * x.mat.inv()
-    ok = lhs == cayley(adX).mat
-    return _row("ad-equivariance", ok, payload)
+@dataclass(frozen=True)
+class Check:
+    """A sampled identity: its suite, its argument kinds, and one
+    predicate over the drawn (or replayed) arguments."""
+
+    suite: str
+    kinds: tuple
+    predicate: Callable           # (std, *elements) -> bool
+    needs_form: bool = False
+
+    def keys(self) -> list:
+        """Payload keys, numbered where two arguments share a kind key."""
+        keys = [k.key for k in self.kinds]
+        return [key + str(keys[:i + 1].count(key)) if keys.count(key) > 1
+                else key for i, key in enumerate(keys)]
 
 
-@_registered("domain-invariance")
-def check_domain_invariance(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    X = certify_lie(space, parse_matrix(space.ring, payload["X"]))
-    x = certify_group(space, parse_matrix(space.ring, payload["x"]))
-    adX = certify_lie(space, x.mat * X.mat * x.mat.inv())
-    d = in_domain(X)
-    ok = in_domain(theta_lie(X)) == d and in_domain(adX) == d
-    return _row("domain-invariance", ok, payload)
+def _ad(std, X, x):
+    return certify_lie(std.space, x.mat * X.mat * x.mat.inv())
 
 
-@_registered("fiber-roundtrip")
-def check_fiber_roundtrip(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    X = certify_lie(space, parse_matrix(space.ring, payload["X"]))
-    g = cayley(X)
-    res = fiber(g)
-    if res.tag == "infinite-identity":
-        ok = res.identity_fiber_contains(X)
-    else:
-        ok = any(p.X.mat == X.mat for p in res.preimages)
-    return _row("fiber-roundtrip", ok, payload)
-
-
-@_registered("lattice-theta-ad")
-def check_lattice_theta_ad(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    std = standard_lattices(space)
-    x = certify_group(space, parse_matrix(space.ring, payload["x"]))
-    ok = theta_group(x).mat == x.mat
-    if ok:
-        lx = lattice_of_x(std.gu_coords, x.mat)
-        lhs = transform_lattice(std.gu_coords, ("theta",), lx)
-        rhs = transform_lattice(std.gu_coords, ("ad", x.mat), lx)
-        ok = lhs == rhs
-    return _row("lattice-theta-ad", ok, payload)
-
-
-@_registered("lattice-coset-invariance")
-def check_lattice_coset(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    std = standard_lattices(space)
-    k = certify_group(space, parse_matrix(space.ring, payload["k"]))
-    d = certify_group(space, parse_matrix(space.ring, payload["d"]))
-    stab = transform_lattice(std.gu_coords, ("ad", k.mat), std.Ldot) == std.Ldot
-    ok = stab and lattice_of_x(std.gu_coords, (k * d).mat) == \
-        lattice_of_x(std.gu_coords, d.mat)
-    return _row("lattice-coset-invariance", ok, payload)
-
-
-@_registered("decompose-coset")
-def check_decompose_coset(payload) -> CheckRow:
-    space = _space_from_payload(payload)
-    std = standard_lattices(space)
-    N = int(payload["precision"])
-    b = parse_matrix(space.ring, payload["b"])
-    C = coset_set(space, std, b, int(payload["level"]), N)
-    pieces = decompose(C, std)
-    return _row("decompose-coset", True, payload,
-                detail={"members": len(C.members), "pieces": len(pieces)})
-
-
-@_registered("class-inversion")
-def check_class_inversion(payload) -> CheckRow:
-    table = build_group(payload["family"], int(payload["n"]),
-                        int(payload["q"]))
-    classes = conjugacy_classes(table)
-    rep_mat = parse_matrix(table.space.ring, payload["rep"])
-    pos = table.position(rep_mat)
-    ic = classes.class_of[table.iota[pos]]
-    vc = classes.class_of[table.inverse[pos]]
-    return _row("class-inversion", ic == vc, payload)
-
-
-# -- sampled-identity helper ------------------------------------------
-
-
-def _sampled(name, cfg, payload_base, sampler, predicate, count=None):
-    """Run ``predicate`` on ``count`` sampled inputs; one row out."""
-    count = count or cfg.samples
-    t0 = time.monotonic()
-    for _ in range(count):
-        data = sampler()
-        if not predicate(*data if isinstance(data, tuple) else (data,)):
-            payload = dict(payload_base)
-            payload.update(_payload_of(data))
-            row = _row(name, False, payload, check=name)
-            row.detail = {"samples": count}
-            return row
-    row = CheckRow(name=name, status=PASS, detail={"samples": count})
-    row.timing = time.monotonic() - t0
-    return row
-
-
-def _payload_of(data):
-    if not isinstance(data, tuple):
-        data = (data,)
-    out = {}
-    names = ["X", "x", "Y", "y"]
-    for obj, key in zip(data, names):
-        out[key] = obj.mat.to_text()
-    return out
-
-
-# -- suites -----------------------------------------------------------
-
-
-def suite_identity(cfg: SuiteConfig) -> list:
-    space = build_space(cfg.family, cfg.n, cfg.p)
-    std = standard_lattices(space)
-    rng = make_rng(cfg.seed)
-    base = {"family": cfg.family, "n": cfg.n, "p": cfg.p}
-    rows = []
-
-    if space.has_form:
-        try:
-            validate_anti_unitary(space, space.H, mode="involution")
-            rows.append(CheckRow("anti-unitary-involution", PASS))
-        except Exception as exc:                          # pragma: no cover
-            rows.append(CheckRow("anti-unitary-involution", FAIL,
-                                 detail={"error": str(exc)}))
-        rows.append(_sampled(
-            "star-anti-involution", cfg, base,
-            lambda: (sample_group(std, rng), sample_group(std, rng)),
-            lambda a, b: star(space, a.mat * b.mat)
-            == star(space, b.mat) * star(space, a.mat)
-            and star(space, star(space, a.mat)) == a.mat))
-
-    rows.append(_sampled(
-        "theta-anti-automorphism", cfg, base,
-        lambda: (sample_group(std, rng), sample_group(std, rng)),
-        lambda a, b: theta_group(a * b).mat
-        == (theta_group(b) * theta_group(a)).mat
-        and theta_group(theta_group(a)).mat == a.mat))
-
-    rows.append(_sampled(
-        "multiplier-homomorphism", cfg, base,
-        lambda: (sample_group(std, rng), sample_group(std, rng)),
-        lambda a, b: certify_group(space, a.mat * b.mat).mu == a.mu * b.mu))
-
-    rows.append(_sampled(
-        "alpha-theta-invariance", cfg, base,
-        lambda: sample_lie(std, rng),
-        lambda X: theta_lie(X).alpha == X.alpha
-        and certify_lie(space, theta_lie(X).mat).alpha == X.alpha))
-
-    rows.append(_sampled(
-        "theta-ad-twist", cfg, base,
-        lambda: (sample_lie(std, rng), sample_group(std, rng)),
-        lambda X, x: theta_lie(
-            certify_lie(space, x.mat * X.mat * x.mat.inv())).mat
-        == theta_group(x).mat.inv() * theta_lie(X).mat * theta_group(x).mat))
-    return rows
-
-
-def suite_cayley(cfg: SuiteConfig) -> list:
-    space = build_space(cfg.family, cfg.n, cfg.p)
-    std = standard_lattices(space)
-    rng = make_rng(cfg.seed)
-    base = {"family": cfg.family, "n": cfg.n, "p": cfg.p}
-    one = space.ring.one
-    rows = []
-
-    rows.append(_sampled(
-        "multiplier-identity", cfg, base,
-        lambda: sample_lie(std, rng),
-        lambda X: cayley(X).mu == (one + X.alpha).inv() * (one + X.alpha).inv()))
-
-    if space.has_form:
-        rows.append(_sampled(
-            "cayley-star-product", cfg, base,
-            lambda: sample_lie(std, rng),
-            lambda X: (cayley(X).mat * star(space, cayley(X).mat))
-            .scalar_part() == cayley(X).mu))
-
-    rows.append(_sampled(
-        "theta-cayley-commute", cfg, base,
-        lambda: sample_lie(std, rng),
-        lambda X: theta_group(cayley(X)).mat == cayley(theta_lie(X)).mat))
-
-    rows.append(_sampled(
-        "ad-equivariance", cfg, base,
-        lambda: (sample_lie(std, rng), sample_group(std, rng)),
-        lambda X, x: x.mat * cayley(X).mat * x.mat.inv()
-        == cayley(certify_lie(space, x.mat * X.mat * x.mat.inv())).mat))
-
-    rows.append(_sampled(
-        "domain-invariance", cfg, base,
-        lambda: (sample_lie(std, rng), sample_group(std, rng)),
-        lambda X, x: in_domain(theta_lie(X)) == in_domain(X)
-        == in_domain(certify_lie(space, x.mat * X.mat * x.mat.inv()))))
-
-    rows.append(_sampled(
-        "fiber-roundtrip", cfg, base,
-        lambda: sample_lie(std, rng),
-        lambda X: _roundtrips(X)))
-    return rows
-
-
-def _roundtrips(X) -> bool:
+def _fiber_roundtrip(std, X) -> bool:
     res = fiber(cayley(X))
     if res.tag == "infinite-identity":
         return res.identity_fiber_contains(X)
     return any(p.X.mat == X.mat for p in res.preimages)
 
 
-def suite_lattice(cfg: SuiteConfig) -> list:
-    space = build_space(cfg.family, cfg.n, cfg.p)
-    std = standard_lattices(space)
-    rng = make_rng(cfg.seed)
-    base = {"family": cfg.family, "n": cfg.n, "p": cfg.p}
+def _lattice_theta_ad(std, x) -> bool:
+    lx = lattice_of_x(std.gu_coords, x.mat)
+    return transform_lattice(std.gu_coords, ("theta",), lx) \
+        == transform_lattice(std.gu_coords, ("ad", x.mat), lx)
+
+
+# in report order within each suite
+CHECKS = {
+    "star-anti-involution": Check(
+        "identity", (GROUP, GROUP), lambda std, a, b:
+        star(std.space, a.mat * b.mat)
+        == star(std.space, b.mat) * star(std.space, a.mat)
+        and star(std.space, star(std.space, a.mat)) == a.mat,
+        needs_form=True),
+    "theta-anti-automorphism": Check(
+        "identity", (GROUP, GROUP), lambda std, a, b:
+        theta_group(a * b).mat == (theta_group(b) * theta_group(a)).mat
+        and theta_group(theta_group(a)).mat == a.mat),
+    "multiplier-homomorphism": Check(
+        "identity", (GROUP, GROUP), lambda std, a, b:
+        certify_group(std.space, a.mat * b.mat).mu == a.mu * b.mu),
+    "alpha-theta-invariance": Check(
+        "identity", (LIE,), lambda std, X: theta_lie(X).alpha == X.alpha
+        and certify_lie(std.space, theta_lie(X).mat).alpha == X.alpha),
+    "theta-ad-twist": Check(
+        "identity", (LIE, GROUP), lambda std, X, x:
+        theta_lie(_ad(std, X, x)).mat
+        == theta_group(x).mat.inv() * theta_lie(X).mat * theta_group(x).mat),
+    "multiplier-identity": Check(
+        "cayley", (LIE,), lambda std, X: cayley(X).mu
+        == (std.space.ring.one + X.alpha).inv()
+        * (std.space.ring.one + X.alpha).inv()),
+    "cayley-star-product": Check(
+        "cayley", (LIE,), lambda std, X:
+        (cayley(X).mat * star(std.space, cayley(X).mat)).scalar_part()
+        == cayley(X).mu, needs_form=True),
+    "theta-cayley-commute": Check(
+        "cayley", (LIE,), lambda std, X:
+        theta_group(cayley(X)).mat == cayley(theta_lie(X)).mat),
+    "ad-equivariance": Check(
+        "cayley", (LIE, GROUP), lambda std, X, x:
+        x.mat * cayley(X).mat * x.mat.inv() == cayley(_ad(std, X, x)).mat),
+    "domain-invariance": Check(
+        "cayley", (LIE, GROUP), lambda std, X, x:
+        in_domain(theta_lie(X)) == in_domain(X) == in_domain(_ad(std, X, x))),
+    "fiber-roundtrip": Check("cayley", (LIE,), _fiber_roundtrip),
+    "lattice-theta-ad": Check("lattice", (THETA_FIXED,), _lattice_theta_ad),
+    "lattice-coset-invariance": Check(
+        "lattice", (STABILIZING, GROUP), lambda std, k, d:
+        lattice_of_x(std.gu_coords, (k * d).mat)
+        == lattice_of_x(std.gu_coords, d.mat)),
+    "scaled-lattice-in-domain": Check(
+        "lattice", (INTEGRAL_LIE,), lambda std, X: in_domain(X)),
+}
+
+
+def _sampled_rows(suite, std, rng, base, count) -> list:
+    """One row per check of ``suite``, each run on ``count`` samples."""
     rows = []
-
-    theta_L = transform_lattice(std.gu_coords, ("theta",), std.Ldot)
-    rows.append(_row("theta-stable-lattice", theta_L == std.Ldot, base,
-                     check="lattice-theta-ad"))
-
-    count = min(cfg.samples, 100)
-    rows.append(_sampled(
-        "lattice-theta-ad", cfg, base,
-        lambda: sample_theta_fixed(std, rng),
-        lambda x: _lattice_lemma(std, x), count=count))
-
-    rows.append(_sampled(
-        "lattice-coset-invariance", cfg, base,
-        lambda: (sample_stabilizing(std, rng), sample_group(std, rng)),
-        lambda k, d: lattice_of_x(std.gu_coords, (k * d).mat)
-        == lattice_of_x(std.gu_coords, d.mat), count=count))
-
-    rows.append(_sampled(
-        "scaled-lattice-in-domain", cfg, base,
-        lambda: sample_integral_lie(std, rng, level=1),
-        lambda X: in_domain(X), count=count))
-
-    for variant in ("gu", "u"):
-        if variant == "u" and not space.has_form:
+    for name, check in CHECKS.items():
+        if check.suite != suite or check.needs_form and not std.space.has_form:
             continue
-        name = f"cayley-level-bijection-{variant}"
-        try:
-            rep = check_cayley_level(space, std, cfg.level, cfg.precision,
-                                     variant, budget=cfg.budget)
-            detail = {"image": rep.image_size,
-                      "congruence": rep.congruence_size}
-            ok = rep.passed
-            row = CheckRow(name, PASS if ok else FAIL, detail=detail)
-            if not ok:
-                row.counterexample = {"mismatches": rep.mismatches[:5],
-                                      **base, "variant": variant,
-                                      "level": cfg.level,
-                                      "precision": cfg.precision}
-        except Exception as exc:
-            row = CheckRow(name, FAIL, detail={"error": str(exc)})
+        row = CheckRow(name, PASS, detail={"samples": count})
+        t0 = time.monotonic()
+        for _ in range(count):
+            args = [kind.sample(std, rng) for kind in check.kinds]
+            if not check.predicate(std, *args):
+                payload = {**base, **{key: obj.mat.to_text() for key, obj
+                                      in zip(check.keys(), args)}}
+                row = _row(name, False, payload, detail={"samples": count})
+                break
+        else:
+            row.timing = time.monotonic() - t0
         rows.append(row)
     return rows
 
 
-def _lattice_lemma(std, x) -> bool:
-    lx = lattice_of_x(std.gu_coords, x.mat)
-    lhs = transform_lattice(std.gu_coords, ("theta",), lx)
-    rhs = transform_lattice(std.gu_coords, ("ad", x.mat), lx)
-    return lhs == rhs
+# -- the rows that are not sampled ------------------------------------
+
+
+def _theta_stable_lattice(std, base) -> CheckRow:
+    theta_L = transform_lattice(std.gu_coords, ("theta",), std.Ldot)
+    return _row("theta-stable-lattice", theta_L == std.Ldot, base)
+
+
+def _level_bijection(std, base, variant, level, precision,
+                     budget) -> CheckRow:
+    name = f"cayley-level-bijection-{variant}"
+    payload = {**base, "variant": variant, "level": level,
+               "precision": precision, "budget": budget}
+    try:
+        rep = check_cayley_level(std.space, std, level, precision, variant,
+                                 budget=budget)
+    except LatticeBudgetError as exc:
+        return _row(name, False, payload, "cayley-level-bijection",
+                    {"error": str(exc)})
+    row = _row(name, rep.passed, payload, "cayley-level-bijection",
+               {"image": rep.image_size, "congruence": rep.congruence_size})
+    if not rep.passed:
+        row.counterexample = {**payload, "mismatches": rep.mismatches[:5]}
+    return row
+
+
+def _decompose_coset(name, std, b, level, N, budget, payload) -> CheckRow:
+    """Build and partition b * c(p^level Ldot) mod p^N.  Every row
+    replays; a failing one also records its budget."""
+    replay = {"check": "decompose-coset", "payload": payload}
+    try:
+        C = coset_set(std.space, std, b, level, N, limit=budget)
+        pieces = decompose(C, std, limit=budget)
+    except (DecompositionError, ConjugatorNotFound, SolveBudgetError) as exc:
+        replay["payload"] = {**payload, "budget": budget}
+        return CheckRow(name, FAIL, {"error": str(exc)}, replay["payload"],
+                        replay)
+    return CheckRow(name, PASS, {"members": len(C.members),
+                                 "pieces": len(pieces)}, replay=replay)
+
+
+def _class_inversion(cls, row, family, n, q) -> CheckRow:
+    """A finding unless class ``cls``'s ``verify_class_inversion`` row passed."""
+    if row.status == "pass":
+        return CheckRow(f"class-{cls}", PASS)
+    payload = {"family": family, "n": n, "q": q, "rep": row.rep}
+    return CheckRow(
+        f"class-{cls}", FINDING,
+        counterexample={**payload, "iota_class": row.iota_class,
+                        "inverse_class": row.inverse_class,
+                        "conjugator": row.conjugator},
+        replay={"check": "class-inversion", "payload": payload})
+
+
+# -- replay -----------------------------------------------------------
+
+
+def replay_check(entry: dict) -> CheckRow:
+    """Re-run one reported check; a payload that does not parse, or that
+    breaks a precondition the suite guarantees, raises ConfigError."""
+    name, payload = entry["check"], entry["payload"]
+    if not isinstance(name, str) or name not in REPLAY_REGISTRY:
+        raise ConfigError(f"no replayable check named {name!r}")
+    if not isinstance(payload, dict):
+        raise ConfigError("replay payload must be a JSON object")
+    return REPLAY_REGISTRY[name](payload)
+
+
+def _field(payload, key, parse=int):
+    """``parse(payload[key])``; a missing or malformed value raises
+    ConfigError."""
+    if key not in payload:
+        raise ConfigError(f"replay payload lacks the key {key!r}")
+    try:
+        return parse(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} in replay payload: {exc}") from None
+
+
+def _matrix(space, text) -> Mat:
+    m = parse_matrix(space.ring, str(text))
+    if (m.nrows, m.ncols) != (space.n, space.n):
+        raise ValueError(f"not a {space.n}x{space.n} matrix")
+    return m
+
+
+def _payload_std(payload):
+    """Standard lattices of the payload's (family, n, p), and its base."""
+    base = {"family": _field(payload, "family", str),
+            "n": _field(payload, "n"), "p": _field(payload, "p")}
+    try:
+        space = build_space(base["family"], base["n"], base["p"])
+    except ValueError as exc:                 # SpaceError, or a bad p
+        raise ConfigError(f"bad replay payload: {exc}") from None
+    return standard_lattices(space), base
+
+
+def _replay_sampled(name, payload) -> CheckRow:
+    check = CHECKS[name]
+    std, _ = _payload_std(payload)
+    if check.needs_form and not std.space.has_form:
+        raise ConfigError(f"{name} needs a family with a form")
+    args = []
+    for kind, key in zip(check.kinds, check.keys()):
+        obj = _field(payload, key,
+                     lambda t: kind.certify(std.space, _matrix(std.space, t)))
+        if kind.holds is not None and not kind.holds(std, obj):
+            raise ConfigError(f"{key!r} is not {kind.requirement}")
+        args.append(obj)
+    return _row(name, check.predicate(std, *args), payload)
+
+
+def _replay_level_bijection(payload) -> CheckRow:
+    std, base = _payload_std(payload)
+    variant, level, precision = (_field(payload, "variant", str),
+                                 _field(payload, "level"),
+                                 _field(payload, "precision"))
+    if variant not in ("gu", "u") or not 1 <= level < precision:
+        raise ConfigError("replay payload needs variant gu or u and "
+                          "1 <= level < precision")
+    return _level_bijection(std, base, variant, level, precision,
+                            _field(payload, "budget"))
+
+
+def _replay_decompose_coset(payload) -> CheckRow:
+    std, _ = _payload_std(payload)
+    level, N = _field(payload, "level"), _field(payload, "precision")
+
+    def coset_base(text):
+        b = _matrix(std.space, text)
+        certify_group(std.space.truncated(N), b.reduce(N))
+        return b
+    b = _field(payload, "b", coset_base)
+    budget = _field({"budget": SuiteConfig.budget, **payload}, "budget")
+    return _decompose_coset("decompose-coset", std, b, level, N, budget,
+                            payload)
+
+
+def _replay_class_inversion(payload) -> CheckRow:
+    family, n, q = (_field(payload, "family", str), _field(payload, "n"),
+                    _field(payload, "q"))
+    try:
+        table = build_group(family, n, q)
+    except (BudgetExceeded, ValueError) as exc:   # FiniteGroupError, bad q
+        raise ConfigError(f"cannot build the group: {exc}") from None
+    pos = table.index.get(_field(payload, "rep",
+                                 lambda t: _matrix(table.space, t).key()))
+    if pos is None:
+        raise ConfigError("'rep' is not an element of the group")
+    classes = conjugacy_classes(table)
+    cls = classes.class_of[pos]
+    row = verify_class_inversion(table, classes).rows[cls]
+    return _class_inversion(cls, row, family, n, q)
+
+
+REPLAY_REGISTRY = {
+    **{name: partial(_replay_sampled, name) for name in CHECKS},
+    "theta-stable-lattice": lambda payload: _theta_stable_lattice(
+        *_payload_std(payload)),
+    "cayley-level-bijection": _replay_level_bijection,
+    "decompose-coset": _replay_decompose_coset,
+    "class-inversion": _replay_class_inversion,
+}
+
+
+# -- suites -----------------------------------------------------------
+
+
+def _setup(cfg: SuiteConfig):
+    std = standard_lattices(build_space(cfg.family, cfg.n, cfg.p))
+    base = {"family": cfg.family, "n": cfg.n, "p": cfg.p}
+    return std, make_rng(cfg.seed), base
+
+
+def suite_identity(cfg: SuiteConfig) -> list:
+    std, rng, base = _setup(cfg)
+    rows = []
+    space = std.space
+    if space.has_form:
+        try:
+            validate_anti_unitary(space, space.H, mode="involution")
+        except AntiUnitaryError as exc:                   # pragma: no cover
+            rows.append(CheckRow("anti-unitary-involution", FAIL,
+                                 detail={"error": str(exc)}))
+        else:
+            rows.append(CheckRow("anti-unitary-involution", PASS))
+    return rows + _sampled_rows("identity", std, rng, base, cfg.samples)
+
+
+def suite_cayley(cfg: SuiteConfig) -> list:
+    std, rng, base = _setup(cfg)
+    return _sampled_rows("cayley", std, rng, base, cfg.samples)
+
+
+def suite_lattice(cfg: SuiteConfig) -> list:
+    std, rng, base = _setup(cfg)
+    rows = [_theta_stable_lattice(std, base)]
+    rows += _sampled_rows("lattice", std, rng, base, min(cfg.samples, 100))
+    for variant in ("gu", "u") if std.space.has_form else ("gu",):
+        rows.append(_level_bijection(std, base, variant, cfg.level,
+                                     cfg.precision, cfg.budget))
+    return rows
 
 
 def sample_coset_base(std, rng, N: int) -> Mat:
@@ -462,30 +483,18 @@ def sample_coset_base(std, rng, N: int) -> Mat:
 
 
 def suite_decompose(cfg: SuiteConfig) -> list:
-    space = build_space(cfg.family, cfg.n, cfg.p)
-    std = standard_lattices(space)
-    rng = make_rng(cfg.seed)
+    std, rng, base = _setup(cfg)
     N = cfg.decompose_precision
     if not (1 <= cfg.level < N):
         raise ConfigError("need 1 <= level < decompose precision")
     rows = []
     for i in range(cfg.cosets):
         b = sample_coset_base(std, rng, N)
-        payload = {"family": cfg.family, "n": cfg.n, "p": cfg.p,
-                   "precision": N, "level": cfg.level, "b": b.to_text()}
+        payload = {**base, "precision": N, "level": cfg.level,
+                   "b": b.to_text()}
         t0 = time.monotonic()
-        try:
-            C = coset_set(space, std, b, cfg.level, N, limit=cfg.budget)
-            pieces = decompose(C, std, limit=cfg.budget)
-            row = CheckRow(f"decompose-coset-{i}", PASS,
-                           detail={"members": len(C.members),
-                                   "pieces": len(pieces)})
-            row.replay = {"check": "decompose-coset", "payload": payload}
-        except Exception as exc:
-            row = CheckRow(f"decompose-coset-{i}", FAIL,
-                           counterexample=payload,
-                           detail={"error": str(exc)})
-            row.replay = {"check": "decompose-coset", "payload": payload}
+        row = _decompose_coset(f"decompose-coset-{i}", std, b, cfg.level, N,
+                               cfg.budget, payload)
         row.timing = time.monotonic() - t0
         rows.append(row)
     return rows
@@ -493,29 +502,19 @@ def suite_decompose(cfg: SuiteConfig) -> list:
 
 def suite_finite(cfg: SuiteConfig) -> list:
     family = cfg.family if cfg.family in FINITE_FAMILIES else "sp"
-    rows = []
     t0 = time.monotonic()
     try:
         table = build_group(family, cfg.n, cfg.p)
-    except Exception as exc:
+    except (BudgetExceeded, FiniteGroupError) as exc:
         return [CheckRow("finite-build", FAIL, detail={"error": str(exc)})]
     classes = conjugacy_classes(table)
     rep = verify_class_inversion(table, classes)
-    detail = {"order": table.order, "classes": classes.num_classes}
-    rows.append(CheckRow("finite-build", PASS, detail=detail))
-    perm_row = CheckRow("iota-inverse-permutations",
-                        PASS if rep.permutations_equal else FINDING)
-    rows.append(perm_row)
-    for cls, r in enumerate(rep.rows):
-        if r.status == "pass":
-            continue
-        payload = {"family": family, "n": cfg.n, "q": cfg.p, "rep": r.rep}
-        rows.append(CheckRow(
-            f"class-{cls}", FINDING,
-            counterexample={**payload, "iota_class": r.iota_class,
-                            "inverse_class": r.inverse_class,
-                            "conjugator": r.conjugator},
-            replay={"check": "class-inversion", "payload": payload}))
+    rows = [CheckRow("finite-build", PASS, detail={
+        "order": table.order, "classes": classes.num_classes}),
+        CheckRow("iota-inverse-permutations",
+                 PASS if rep.permutations_equal else FINDING)]
+    rows += [_class_inversion(cls, r, family, cfg.n, cfg.p)
+             for cls, r in enumerate(rep.rows) if r.status != "pass"]
     passing = sum(1 for r in rep.rows if r.status == "pass")
     rows.append(CheckRow(
         "class-inversion-summary",

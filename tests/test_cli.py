@@ -133,6 +133,19 @@ def test_markdown_format(capsys):
     ["replay", json.dumps({"check": "multiplier-identity",       # no "X"
                            "payload": {"family": "symplectic", "n": 2,
                                        "p": 3}})],
+    ["replay", json.dumps({"check": "multiplier-identity",       # no matrix
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "X": "abc"}})],
+    ["replay", json.dumps({"check": "lattice-theta-ad",          # not fixed
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "x": "1, 1; 1, 2"}})],
+    ["replay", json.dumps({"check": "lattice-coset-invariance",  # moves Ldot
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "k": "3, 0; 0, 1/3",
+                                       "x": "1, 0; 0, 1"}})],
+    ["replay", json.dumps({"check": "scaled-lattice-in-domain",  # not in pL
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "X": "1, 0; 0, 1"}})],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys):
     assert run(args) == 2
@@ -150,6 +163,14 @@ def test_ext_must_match_the_family_ring(capsys):
     assert run(["verify", "--family", "hermitian", "--ext", "inert",
                 "--suite", "identity", "--samples", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["params"]["ext"] == "inert"
+
+
+@pytest.mark.parametrize("family, ext", [("u", "inert"), ("gu", "inert"),
+                                         ("sp", "split")])
+def test_finite_dual_reports_the_family_ring(family, ext, capsys):
+    assert run(["finite-dual", "--family", family, "--dim", "2",
+                "--prime", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["ext"] == ext
 
 
 def test_verify_is_identical_across_hash_seeds():
