@@ -26,7 +26,7 @@ from .lattices import standard_lattices
 from .matrices import parse_matrix
 from .report import PASS, CheckRow, Report, emit_report
 from .scalars import NotIntegralError
-from .spaces import MembershipError, SpaceError, certify_group
+from .spaces import MembershipError, certify_group
 from .suites import (ALL_SUITES, ConfigError, SuiteConfig, build_space,
                      replay_check, run_suite, validate_config)
 
@@ -174,12 +174,9 @@ def _cmd_decompose(args) -> int:
             "symplectic", "orthogonal", "hermitian", "skew-hermitian",
             "general-linear"):
         raise ConfigError("decompose needs a p-adic family, not a finite tag")
-    if not (1 <= cfg.level < cfg.precision):
-        raise ConfigError("need 1 <= level < precision")
-    try:
-        space = build_space(cfg.family, cfg.n, cfg.p)
-    except SpaceError as exc:
-        raise ConfigError(str(exc))
+    cfg = replace(cfg, suites=("decompose",))
+    validate_config(cfg)
+    space = build_space(cfg.family, cfg.n, cfg.p)
     try:
         b = parse_matrix(space.ring, args.base)
     except Exception as exc:
@@ -191,7 +188,7 @@ def _cmd_decompose(args) -> int:
                           f"{cfg.p}^{cfg.precision}: {exc}")
     std = standard_lattices(space)
     C = coset_set(space, std, b, cfg.level, cfg.precision, limit=cfg.budget)
-    pieces = decompose(C, std, limit=cfg.budget)
+    pieces = decompose(C, std)
     rows = [CheckRow("coset-partition", PASS,
                      detail={"members": len(C.members),
                              "pieces": len(pieces)})]

@@ -2,21 +2,32 @@
 conjugate-theta-stable pieces with explicit witnesses.
 
 A set S is conjugate-theta-stable when theta(S) = g S g^-1 for some group
-element g.  The algorithm: a coset C = b * c(p^l0 Ldot) that contains a
-theta-fixed element a is itself such a set (witness a^-1); otherwise every
-member a receives a theta-symmetric conjugator x_a, members are bucketed
-by the intersection lattice of x_a, nested levels are chosen per bucket,
-and C is covered by neighborhoods a * c(p^l L(x_a)) whose maximal elements
-form the partition.  All set arithmetic happens at one fixed precision N.
+element g.  The paper gives each member a of a coset C = b * c(p^l0 Ldot)
+a theta-symmetric conjugator x_a (x_a a x_a^-1 = theta(a)) and covers C by
+the neighborhoods a * c(p^l L(x_a)), each stable with witness x_a a^-1.
+At a fixed precision N every such x_a is a unit, x_a star(x_a) = 1 mod p^N,
+so L(x_a) = Ldot and the neighborhood of any member at level l0 is
+a * c(p^l0 Ldot) = C.  The partition is therefore C itself, one piece.
+Its witness comes from one member a: a^-1 for the first theta-fixed
+member, else x_a a^-1 for the first member.
 
-The per-member conjugator search exploits that for an isometry x the two
-conditions theta(x) = x and x a x^-1 = theta(a) are linear in the entries
-of x, so candidates come from an exact affine solve mod p^N instead of a
-scan of the whole group.
+The per-member existence of x_a is checked on the general path (no
+theta-fixed member) without one solve per member.  Conjugation by an
+isometry k of c(p^l0 Ldot) keeps C, and if x conjugates a to theta(a)
+then x' = theta(k)^-1 x k^-1 conjugates k a k^-1 to its theta-image, is
+theta-symmetric and keeps mu = 1, because theta is an involutive
+anti-automorphism and mu(k) = 1.  So one solve per orbit of C under these
+conjugations suffices; every carried conjugator is re-checked.
+
+The conjugator search exploits that for an isometry x the two conditions
+theta(x) = x and x a x^-1 = theta(a) are linear in the entries of x, so
+candidates come from an exact affine solve mod p^N instead of a scan of
+the whole group.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +35,8 @@ from . import modsolve
 from .cayley import (cayley, mat_components, mat_from_components,
                      multiplier_predicate)
 from .involution import ConjugatorNotFound, theta_group
-from .lattices import LatticeBasis, StandardLattices, lattice_of_x
-from .matrices import Mat, NotInvertibleError
+from .lattices import StandardLattices
+from .matrices import Mat
 from .spaces import (GroupElem, Space, certify_group, certify_lie,
                      similitude_multiplier)
 
@@ -34,34 +45,22 @@ class DecompositionError(ValueError):
     pass
 
 
-class PrecisionExhausted(DecompositionError):
-    """A nested level would need l >= N, which the precision cannot resolve."""
-
-
-# -- enumeration of c(p^l * Lambda) mod p^N ---------------------------
+# -- enumeration of c(p^l * Ldot) mod p^N -----------------------------
 
 
 def cayley_image_members(std: StandardLattices, level: int, N: int,
-                         lat: LatticeBasis | None = None,
                          limit: int = 10**6) -> list[GroupElem]:
-    """Residues mod p^N of c(p^level * lat), sorted; lat defaults to Ldot.
+    """Residues mod p^N of c(p^level * Ldot), sorted.
 
-    For level >= 1 and lat inside Ldot every point is in the working
-    domain, and the image is a subgroup of the similitude group mod p^N.
+    For level >= 1 every point is in the working domain, and the image is
+    a subgroup of the similitude group mod p^N.
     """
     coords = std.gu_coords
     space = coords.space
     p = space.ring.p
     if level < 1:
         raise DecompositionError("need level >= 1")
-    if lat is None:
-        lat = std.Ldot
-    gens = []
-    for col in lat.cols:
-        vec = [Fraction(x) * p**level for x in col]
-        if any(x.denominator != 1 for x in vec):
-            raise DecompositionError("lattice is not integral at this level")
-        gens.append([int(x) for x in vec])
+    gens = [[int(x * p**level) for x in col] for col in std.Ldot.cols]
     coeff_vectors = modsolve.span_coset_mod([0] * coords.m, gens, p, N, limit)
     st = space.truncated(N)
     seen = {}
@@ -96,7 +95,7 @@ class Piece:
 
     members: tuple              # sorted GroupElems
     witness: GroupElem
-    provenance: dict            # base point a, conjugator x, level, lattice
+    provenance: dict            # base point a, conjugator x, level
 
     def member_keys(self) -> set:
         return {m.mat.key() for m in self.members}
@@ -206,65 +205,57 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
         f"({tried} candidates tried)", tried)
 
 
-# -- neighborhoods and verification -----------------------------------
+# -- conjugators carried along orbits ---------------------------------
 
 
-def _lift_mat(m: Mat) -> Mat:
-    return m.lift()
+def _orbit_conjugators(C: CosetSet, std: StandardLattices,
+                       max_candidates: int) -> GroupElem:
+    """Check that every member of C has a theta-symmetric isometry
+    conjugator; return the one of C.members[0].
 
-
-def _member_lattice(std: StandardLattices, x: Mat) -> LatticeBasis:
-    """Intersection lattice of the canonical integer lift of a residue x.
-
-    Fast path: when the lift and its inverse are both p-integral,
-    conjugation is a bijection of the integral Lie lattice, so the
-    intersection is the standard lattice itself; verified by conjugating
-    the lattice basis.  Falls back to the full normal-form computation.
+    Members are visited in sorted order.  Each member not yet reached is
+    solved, and its conjugator is carried over its orbit under the
+    isometry generators, with every carried x' re-checked: a' in C,
+    mu(x') = 1, theta(x') = x' and x' a' = theta(a') x'.
     """
-    lift = _lift_mat(x)
-    try:
-        inv = lift.inv()
-    except NotInvertibleError:
-        return lattice_of_x(std.gu_coords, lift)
-    if lift.is_integral() and inv.is_integral():
-        basis_ok = all((inv * B * lift).is_integral() and
-                       (lift * B * inv).is_integral()
-                       for B in std.gu_coords.basis)
-        if basis_ok:
-            return std.Ldot
-    return lattice_of_x(std.gu_coords, lift)
+    space, one = C.space, C.space.ring.one
+    keys = C.member_keys()
+    # isometries k = c(p^l0 B) of c(p^l0 Ldot), B in the isometry Lie
+    # basis, so mu(k) = 1; kept with k^-1 and theta(k)^-1
+    gens = []
+    for B in std.u_coords.basis:
+        k = cayley(certify_lie(space, (B * space.ring.p**C.level).reduce(C.N)))
+        gens.append((k, k.inv(), theta_group(k).inv()))
+    reached = set()
+    first = None
+    for root in C.members:
+        if root.mat.key() in reached:
+            continue
+        x = find_conjugator_mod(root, max_candidates=max_candidates)
+        if first is None:
+            first = x
+        reached.add(root.mat.key())
+        queue = deque([(root, x)])
+        while queue:
+            a, x = queue.popleft()
+            for k, kinv, tkinv in gens:
+                a2 = k * a * kinv
+                key = a2.mat.key()
+                if key in reached:
+                    continue
+                x2 = tkinv * x * kinv
+                if (key not in keys
+                        or similitude_multiplier(space, x2.mat) != one
+                        or theta_group(x2).mat != x2.mat
+                        or x2.mat * a2.mat != theta_group(a2).mat * x2.mat):
+                    raise DecompositionError(
+                        f"carried conjugator fails at {a2.mat.to_text()}")
+                reached.add(key)
+                queue.append((a2, x2))
+    return first
 
 
-def neighborhood(std: StandardLattices, a: GroupElem, x: GroupElem,
-                 k: int, limit: int = 10**6) -> Piece:
-    """The conjugate-theta-stable neighborhood a * c(p^k L(x)) of a.
-
-    Preconditions: theta(x) = x, x a x^-1 = theta(a), k >= 1.  The witness
-    is g = x a^-1.
-    """
-    space = a.space
-    if k < 1:
-        raise DecompositionError("need level k >= 1")
-    if theta_group(x).mat != x.mat:
-        raise DecompositionError("x is not theta-fixed")
-    if x.mat * a.mat * x.mat.inv() != theta_group(a).mat:
-        raise DecompositionError("x does not conjugate a to theta(a)")
-    N = space.ring.prec
-    lat = _member_lattice(std, x.mat)
-    subgroup = cayley_image_members(std, k, N, lat, limit=limit)
-    seen = {}
-    for h in subgroup:
-        m = a * h
-        seen[m.mat.key()] = m
-    members = tuple(seen[key] for key in sorted(seen))
-    witness = x * a.inv()
-    provenance = {
-        "a": a.mat.to_text(),
-        "x": x.mat.to_text(),
-        "level": k,
-        "lattice": lat.to_text(),
-    }
-    return Piece(members, witness, provenance)
+# -- the decomposition ------------------------------------------------
 
 
 def verify_piece(members, g: GroupElem) -> bool:
@@ -275,138 +266,28 @@ def verify_piece(members, g: GroupElem) -> bool:
     return theta_keys == conj_keys
 
 
-# -- the decomposition algorithm --------------------------------------
-
-
 def decompose(C: CosetSet, std: StandardLattices,
-              limit: int = 10**6,
               max_candidates: int = 10**5) -> list[Piece]:
-    """Partition C into verified conjugate-theta-stable pieces.
+    """Partition C into verified conjugate-theta-stable pieces: the one
+    piece C, since a * c(p^l0 Ldot) = C for every member a.
 
-    Fast path: if C contains a theta-fixed member a, then C itself is one
-    piece with witness a^-1 (C = a * subgroup and the subgroup is
-    theta-stable).  Otherwise each member is bucketed by the intersection
-    lattice of its conjugator, nested levels are chosen per bucket, and
-    the cover by neighborhoods is pruned to its maximal elements.  The
-    partition property and every witness are re-verified on each run.
+    Fast path: the first theta-fixed member a gives the witness a^-1
+    (C = a * subgroup and the subgroup is theta-stable).  Otherwise the
+    first member a and its conjugator x give x a^-1, after every member's
+    conjugator has been checked orbit by orbit.  The witness is
+    re-verified on each run.
     """
     space = C.space
-    members = C.members
-    # fast path: theta-fixed member
-    for a in members:
-        if theta_group(a).mat == a.mat:
-            x = GroupElem(space, space.identity(), space.ring.one)
-            piece = neighborhood(std, a, x, C.level, limit=limit)
-            _check_partition(C, [piece])
-            return [piece]
-    # general path: conjugator per member, bucket by lattice
-    conjugators = {}
-    lattices = {}
-    buckets = {}          # lattice cols -> list of member indices
-    bucket_order = []
-    for idx, a in enumerate(members):
-        x = find_conjugator_mod(a, max_candidates=max_candidates)
-        lat = _member_lattice(std, x.mat)
-        conjugators[idx] = x
-        lattices[idx] = lat
-        key = lat.cols
-        if key not in buckets:
-            buckets[key] = []
-            bucket_order.append(key)
-        buckets[key].append(idx)
-    # the lattice depends only on the bucket: re-check against the
-    # bucket representative (the first member assigned to it)
-    for key in bucket_order:
-        rep_lat = lattices[buckets[key][0]]
-        for idx in buckets[key][1:]:
-            if lattices[idx] != rep_lat:
-                raise DecompositionError(
-                    "bucketed members disagree on the intersection lattice")
-    # nested level choice per bucket
-    levels = _choose_levels(C, std, [lattices[buckets[k][0]] for k in bucket_order])
-    level_of = {}
-    for key, lvl in zip(bucket_order, levels):
-        for idx in buckets[key]:
-            level_of[idx] = lvl
-    # cover by neighborhoods of uncovered members, in sorted member order
-    covered = set()
-    pieces = []
-    for idx, a in enumerate(members):
-        if a.mat.key() in covered:
-            continue
-        piece = neighborhood(std, a, conjugators[idx], level_of[idx],
-                             limit=limit)
-        keys = piece.member_keys()
-        if not keys <= C.member_keys():
-            raise DecompositionError("neighborhood escapes the coset")
-        pieces.append(piece)
-        covered |= keys
-    pieces = _maximal_pieces(pieces)
-    _check_nesting(C, std, bucket_order, levels,
-                   [lattices[buckets[k][0]] for k in bucket_order], limit)
-    _check_partition(C, pieces)
-    return pieces
-
-
-def _choose_levels(C: CosetSet, std: StandardLattices, bucket_lats):
-    """Levels l_1 <= l_2 <= ... with p^{l_i} L_i inside p^{l_{i-1}} L_{i-1}."""
-    p = C.space.ring.p
-    levels = []
-    prev_lat = std.Ldot
-    prev_level = C.level
-    for lat in bucket_lats:
-        l = max(prev_level, C.level)
-        while not prev_lat.scale(prev_level).contains_lattice(lat.scale(l)):
-            l += 1
-            if l >= C.N:
-                raise PrecisionExhausted(
-                    f"nested level {l} reaches precision {C.N}")
-        if l >= C.N:
-            raise PrecisionExhausted(
-                f"nested level {l} reaches precision {C.N}")
-        levels.append(l)
-        prev_lat, prev_level = lat, l
-    return levels
-
-
-def _maximal_pieces(pieces):
-    """Drop pieces strictly contained in another piece."""
-    keysets = [p.member_keys() for p in pieces]
-    out = []
-    for i, p in enumerate(pieces):
-        if any(i != j and keysets[i] < keysets[j] for j in range(len(pieces))):
-            continue
-        out.append(p)
-    return out
-
-
-def _check_nesting(C, std, bucket_order, levels, bucket_lats, limit):
-    """The subgroup chain c(p^{l_i} L_i) is nested as residue sets."""
-    prev = None
-    prev_level = None
-    for lat, lvl in zip(bucket_lats, levels):
-        cur = {g.mat.key()
-               for g in cayley_image_members(std, lvl, C.N, lat, limit=limit)}
-        if prev is not None and not cur <= prev:
-            raise DecompositionError(
-                f"level chain broken: c(p^{lvl} L) not inside c(p^{prev_level} L')")
-        prev, prev_level = cur, lvl
-
-
-def _check_partition(C: CosetSet, pieces):
-    union = set()
-    keysets = [p.member_keys() for p in pieces]
-    for i, keys in enumerate(keysets):
-        if union & keys:
-            raise DecompositionError("pieces are not pairwise disjoint")
-        union |= keys
-        for j in range(i):
-            inter = keys & keysets[j]
-            if inter and not (keys <= keysets[j] or keysets[j] <= keys):
-                raise DecompositionError("pieces neither disjoint nor nested")
-    if union != C.member_keys():
-        raise DecompositionError("pieces do not cover the coset")
-    for p in pieces:
-        if not verify_piece(p.members, p.witness):
-            raise DecompositionError(
-                f"witness fails for piece at {p.provenance['a']}")
+    a = next((m for m in C.members if theta_group(m).mat == m.mat), None)
+    if a is not None:
+        x = GroupElem(space, space.identity(), space.ring.one)
+    else:
+        a = C.members[0]
+        x = _orbit_conjugators(C, std, max_candidates)
+    piece = Piece(C.members, x * a.inv(),
+                  {"a": a.mat.to_text(), "x": x.mat.to_text(),
+                   "level": C.level})
+    if not verify_piece(piece.members, piece.witness):
+        raise DecompositionError(
+            f"witness fails for piece at {piece.provenance['a']}")
+    return [piece]

@@ -291,7 +291,7 @@ def _decompose_coset(name, std, b, level, N, budget, payload) -> CheckRow:
     replay = {"check": "decompose-coset", "payload": payload}
     try:
         C = coset_set(std.space, std, b, level, N, limit=budget)
-        pieces = decompose(C, std, limit=budget)
+        pieces = decompose(C, std)
     except (DecompositionError, ConjugatorNotFound, SolveBudgetError) as exc:
         replay["payload"] = {**payload, "budget": budget}
         return CheckRow(name, FAIL, {"error": str(exc)}, replay["payload"],

@@ -146,6 +146,10 @@ def test_markdown_format(capsys):
     ["replay", json.dumps({"check": "scaled-lattice-in-domain",  # not in pL
                            "payload": {"family": "symplectic", "n": 2,
                                        "p": 3, "X": "1, 0; 0, 1"}})],
+    ["decompose", "--family", "symplectic", "--prime", "4",      # not prime
+     "--precision", "2", "1, 1; 0, 1"],
+    ["decompose", "--family", "symplectic", "--ext", "inert",    # wrong ring
+     "--precision", "2", "1, 1; 0, 1"],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys):
     assert run(args) == 2

@@ -1,13 +1,14 @@
 import pytest
 
+from simdual import decomposition
 from simdual.decomposition import (DecompositionError, cayley_image_members,
                                    coset_set, decompose, find_conjugator_mod,
-                                   neighborhood, verify_piece)
+                                   verify_piece)
 from simdual.involution import ConjugatorNotFound, theta_group
 from simdual.lattices import standard_lattices
-from simdual.matrices import Mat
-from simdual.scalars import SPLIT, Ring
-from simdual.spaces import (SYMPLECTIC, GroupElem, certify_group,
+from simdual.matrices import Mat, parse_matrix
+from simdual.scalars import INERT, SPLIT, Ring
+from simdual.spaces import (HERMITIAN, SYMPLECTIC, GroupElem, certify_group,
                             standard_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
@@ -78,18 +79,55 @@ def test_conjugator_theta_fixed_fast_path():
     assert find_conjugator_mod(a).mat == st.identity()
 
 
-def test_neighborhood_preconditions():
-    st = SYMPL.truncated(2)
-    a = certify_group(st, Mat(st.ring, [[2, 0], [0, 1]]))
-    not_fixed = certify_group(st, Mat(st.ring, [[1, 1], [0, 1]]))
-    with pytest.raises(DecompositionError):
-        neighborhood(STD, a, not_fixed, 1)
-    ident = certify_group(st, st.identity())
-    with pytest.raises(DecompositionError):
-        neighborhood(STD, a, ident, 1)     # identity does not conjugate a
-    with pytest.raises(DecompositionError):
-        x = find_conjugator_mod(a)
-        neighborhood(STD, a, x, 0)
+def _counting_solver(monkeypatch):
+    calls = []
+
+    def counted(a, **kwargs):
+        calls.append(a.mat.key())
+        return find_conjugator_mod(a, **kwargs)
+    monkeypatch.setattr(decomposition, "find_conjugator_mod", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, ext, base, N, witness, x, solves", [
+    (SYMPLECTIC, SPLIT, "2, 0; 0, 1", 3, "0, 1; 13, 0", "0, 1; 26, 0", 81),
+    (HERMITIAN, INERT, "16+16*s, 17+8*s; 10+19*s, 7+25*s", 2,
+     "2+8*s, 2+2*s; 2+2*s, 1+7*s", "0+2*s, 0+6*s; 0+6*s, 6+7*s", 27),
+], ids=["symplectic-mod27", "hermitian-mod9"])
+def test_general_path_pinned_witness_and_solves(monkeypatch, family, ext,
+                                                base, N, witness, x, solves):
+    # one solve per orbit under the isometries of c(p Ldot), where one
+    # solve per member took 6561 and 243
+    space = standard_space(family, 2, Ring(3, ext))
+    std = standard_lattices(space)
+    C = coset_set(space, std, parse_matrix(space.ring, base), 1, N)
+    calls = _counting_solver(monkeypatch)
+    (piece,) = decompose(C, std)
+    assert piece.members == C.members
+    assert piece.witness.mat.to_text() == witness
+    assert piece.provenance == {"a": C.members[0].mat.to_text(), "x": x,
+                                "level": 1}
+    assert len(calls) == solves
+    assert calls[0] == C.members[0].mat.key()
+
+
+def test_carried_conjugators_are_rechecked(monkeypatch):
+    # a solver that returns the identity for a non-theta-fixed member is
+    # caught when its conjugator is carried to the next member of the orbit
+    def identity_solver(a, **kwargs):
+        return GroupElem(a.space, a.space.identity(), a.space.ring.one)
+    monkeypatch.setattr(decomposition, "find_conjugator_mod", identity_solver)
+    C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
+    assert all(theta_group(m).mat != m.mat for m in C.members)
+    with pytest.raises(DecompositionError, match="carried conjugator fails"):
+        decompose(C, STD)
+
+
+def test_failing_solve_names_the_first_member():
+    C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
+    with pytest.raises(ConjugatorNotFound) as err:
+        decompose(C, STD, max_candidates=0)
+    assert C.members[0].mat.to_text() in str(err.value)
 
 
 def test_verify_piece_rejects_wrong_witness():
