@@ -238,6 +238,69 @@ def mat_from_components(space: Space, comps, den: int = 1) -> Mat:
     return Mat._make(ring, tuple(rows))
 
 
+def _probe(space: Space, f) -> list:
+    """The F-linear map ``f`` on matrices, as sparse rows on components
+    (the layout of ``mat_components``): row i lists the pairs (j, c) with
+    component i of f(e_j) equal to c, found by probing unit vectors."""
+    D = space.n * space.n * components_per_scalar(space)
+    rows = [[] for _ in range(D)]
+    for j in range(D):
+        probe = [0] * D
+        probe[j] = 1
+        img = mat_components(space, f(mat_from_components(space, probe)))
+        for i, c in enumerate(img):
+            if c:
+                rows[i].append((j, c))
+    return rows
+
+
+def _star_rows(space: Space) -> list:
+    """Sparse rows of star, probed once per space."""
+    if "star_rows" not in space.memo:
+        space.memo["star_rows"] = _probe(space, lambda m: star(space, m))
+    return space.memo["star_rows"]
+
+
+def _gl_inverse(x, n: int, p: int, M: int):
+    """Gauss-Jordan inverse mod M = p^N of the split n x n matrix with
+    row-major components x, pivoting on units; None when it is singular."""
+    aug = [list(x[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = pow(aug[col][col], -1, M)
+        top = aug[col] = [v * f % M for v in aug[col]]
+        for r in range(n):
+            c = aug[r][col]
+            if r != col and c:
+                aug[r] = [(v - c * w) % M for v, w in zip(aug[r], top)]
+    return tuple(v for row in aug for v in row[n:])
+
+
+def _det(x, n: int) -> int:
+    """Integer determinant of the n x n matrix with row-major entries x,
+    by cofactor expansion along the first row."""
+    if n == 1:
+        return x[0]
+    if n == 2:
+        return x[0] * x[3] - x[1] * x[2]
+    total = 0
+    for j in range(n):
+        if x[j]:
+            minor = [x[r * n + c] for r in range(1, n) for c in range(n)
+                     if c != j]
+            total += (-1) ** j * x[j] * _det(minor, n - 1)
+    return total
+
+
+def _check_split_gl(space: Space):
+    if space.ring.ext == INERT:
+        raise SpaceError("the general-linear kernels work over the split ring")
+
+
 def multiplier_predicate(space: Space):
     """``mu_of(comps)`` for a truncated space: the residue mu when the
     matrix g with components ``comps`` (the layout of ``mat_components``)
@@ -245,7 +308,7 @@ def multiplier_predicate(space: Space):
     None.  It agrees with ``similitude_multiplier`` but runs in integer
     arithmetic mod p^N: star is F-linear on components, so its matrix is
     found once per space by probing unit vectors.  In the general-linear
-    family mu = 1 exactly for the invertible g.
+    family mu = 1 exactly for the g whose integer determinant is a unit.
     """
     if space.ring.exact:
         raise ValueError("the multiplier predicate works mod p^N")
@@ -255,61 +318,109 @@ def multiplier_predicate(space: Space):
     n, p, M = space.n, ring.p, ring.modulus
 
     if not space.has_form:
+        _check_split_gl(space)
+
         def mu_of(x):
-            invertible = mat_from_components(space, x).is_invertible()
-            return 1 if invertible else None
+            return 1 if _det(x, n) % p else None
         space.memo["multiplier_predicate"] = mu_of
         return mu_of
 
-    D = n * n * components_per_scalar(space)
-    star_rows = [[] for _ in range(D)]      # sparse rows of star's matrix
-    for j in range(D):
-        probe = [0] * D
-        probe[j] = 1
-        img = mat_components(space, star(space,
-                                         mat_from_components(space, probe)))
-        for i, c in enumerate(img):
-            if c:
-                star_rows[i].append((j, c))
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    star_rows = _star_rows(space)
+    mul = product_kernel(space)
+    # g star(g) = mu * 1: its n diagonal a-components, every
+    # (n + 1) entries apart, equal mu and its other components are zero
+    step = components_per_scalar(space) * (n + 1)
+    zeros = len(star_rows) - n
 
-    if ring.ext == INERT:
-        u = ring.u
-
-        def mu_of(x):
-            y = [sum(c * x[j] for j, c in row) % M for row in star_rows]
-            mu = None
-            for i, j in cells:
-                ta = tb = 0
-                for k in range(n):
-                    ia, ja = 2 * (i * n + k), 2 * (k * n + j)
-                    ta += x[ia] * y[ja] + u * x[ia + 1] * y[ja + 1]
-                    tb += x[ia] * y[ja + 1] + x[ia + 1] * y[ja]
-                ta, tb = ta % M, tb % M
-                if i != j:
-                    if ta or tb:
-                        return None
-                elif tb or (mu is not None and ta != mu):
-                    return None
-                else:
-                    mu = ta
-            return mu if mu % p else None
-    else:
-        def mu_of(x):
-            y = [sum(c * x[j] for j, c in row) % M for row in star_rows]
-            mu = None
-            for i, j in cells:
-                t = sum(x[i * n + k] * y[k * n + j] for k in range(n)) % M
-                if i != j:
-                    if t:
-                        return None
-                elif mu is not None and t != mu:
-                    return None
-                else:
-                    mu = t
-            return mu if mu % p else None
+    def mu_of(x):
+        z = mul(x, [sum(c * x[j] for j, c in row) % M for row in star_rows])
+        mu = z[0]
+        if mu % p and z.count(0) == zeros and z[::step].count(mu) == n:
+            return mu
+        return None
     space.memo["multiplier_predicate"] = mu_of
     return mu_of
+
+
+def product_kernel(space: Space):
+    """``mul(x, y)``: the components of g h mod p^N, where g and h have
+    components x and y (the layout of ``mat_components``), for split and
+    inert rings.  The product is generated once per space as one
+    straight-line expression over the unpacked components, which runs
+    several times faster than a loop over index lists.
+    """
+    if space.ring.exact:
+        raise ValueError("the product kernel works mod p^N")
+    if "product_kernel" in space.memo:
+        return space.memo["product_kernel"]
+    ring = space.ring
+    n, M = space.n, ring.modulus
+    if ring.ext == INERT:
+        def entry(v, i, j):              # (a, b) names of entry (i, j)
+            k = 2 * (i * n + j)
+            return f"{v}{k}", f"{v}{k + 1}"
+        terms = []
+        for i in range(n):
+            for j in range(n):
+                pairs = [(entry("x", i, k), entry("y", k, j))
+                         for k in range(n)]
+                a = " + ".join(f"{xa}*{ya}" for (xa, _), (ya, _) in pairs)
+                u = " + ".join(f"{xb}*{yb}" for (_, xb), (_, yb) in pairs)
+                b = " + ".join(f"{xa}*{yb} + {xb}*{ya}"
+                               for (xa, xb), (ya, yb) in pairs)
+                terms += [f"({a} + {ring.u}*({u})) % {M}", f"({b}) % {M}"]
+        D = 2 * n * n
+    else:
+        terms = [" + ".join(f"x{i * n + k}*y{k * n + j}" for k in range(n))
+                 for i in range(n) for j in range(n)]
+        terms = [f"({t}) % {M}" for t in terms]
+        D = n * n
+    xs = ", ".join(f"x{i}" for i in range(D))
+    ys = ", ".join(f"y{i}" for i in range(D))
+    source = (f"def mul(x, y):\n    {xs}, = x\n    {ys}, = y\n"
+              f"    return ({', '.join(terms)},)\n")
+    namespace = {}
+    exec(source, namespace)
+    mul = namespace["mul"]
+    space.memo["product_kernel"] = mul
+    return mul
+
+
+def _scaled_map(rows: list, M: int):
+    """``(x, mu) -> mu^-1 L(x) mod M`` for the linear map L with the sparse
+    rows ``rows`` (those of ``_probe``)."""
+    def apply(x, mu):
+        s = pow(mu, -1, M)
+        return tuple(sum(c * x[j] for j, c in row) * s % M for row in rows)
+    return apply
+
+
+def inverse_kernel(space: Space):
+    """``inv(x, mu)``: the components of g^-1 mod p^N for the member g
+    with components x and multiplier residue mu.  With a form g^-1 =
+    mu^-1 star(g), star probed once; in the general-linear family integer
+    Gauss-Jordan (mu is 1 there)."""
+    if space.ring.exact:
+        raise ValueError("the inverse kernel works mod p^N")
+    ring = space.ring
+    n, p, M = space.n, ring.p, ring.modulus
+    if space.has_form:
+        return _scaled_map(_star_rows(space), M)
+    _check_split_gl(space)
+    return lambda x, mu: _gl_inverse(x, n, p, M)
+
+
+def iota_kernel(space: Space):
+    """``iota(x, mu)``: the components of iota(g) = mu^-1 H tau(g) H^-1
+    mod p^N (``involution.iota_group``) for the member g with components
+    x and multiplier residue mu; g -> H tau(g) H^-1 is F-linear on
+    components and probed once per space."""
+    if space.ring.exact:
+        raise ValueError("the iota kernel works mod p^N")
+    if not space.has_form:
+        raise SpaceError("general-linear iota is the inverse transpose")
+    return _scaled_map(_probe(space, lambda m: space.H * m.tau() * space.Hinv),
+                       space.ring.modulus)
 
 
 def _solve_branch(g: GroupElem, lam: Scalar, limit):

@@ -20,11 +20,13 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .decomposition import coset_set, decompose
+from .decomposition import DecompositionError, coset_set, decompose
 from .finite import FINITE_FAMILIES
+from .involution import ConjugatorNotFound
 from .lattices import standard_lattices
 from .matrices import parse_matrix
-from .report import PASS, CheckRow, Report, emit_report
+from .modsolve import SolveBudgetError
+from .report import FAIL, PASS, CheckRow, Report, emit_report
 from .scalars import NotIntegralError
 from .spaces import MembershipError, certify_group
 from .suites import (ALL_SUITES, ConfigError, SuiteConfig, build_space,
@@ -186,9 +188,25 @@ def _cmd_decompose(args) -> int:
     except (MembershipError, NotIntegralError) as exc:
         raise ConfigError(f"base matrix is not in the group mod "
                           f"{cfg.p}^{cfg.precision}: {exc}")
-    std = standard_lattices(space)
-    C = coset_set(space, std, b, cfg.level, cfg.precision, limit=cfg.budget)
-    pieces = decompose(C, std)
+    rows = _partition_rows(space, standard_lattices(space), b, cfg)
+    params = {**cfg.as_params(), "base": b.to_text()}
+    report = Report(suite="decompose", params=params, rows=rows)
+    _emit(report, cfg.fmt, cfg.output, cfg.include_timing)
+    return report.exit_code(cfg.findings_fail)
+
+
+def _partition_rows(space, std, b, cfg: SuiteConfig) -> list:
+    """The coset-partition row and one row per piece.  A partition that
+    fails is a FAIL row; a budget too small for the coset is bad input."""
+    try:
+        C = coset_set(space, std, b, cfg.level, cfg.precision,
+                      limit=cfg.budget)
+        pieces = decompose(C, std)
+    except SolveBudgetError as exc:
+        raise ConfigError(f"budget {cfg.budget} is too small: {exc}") \
+            from None
+    except (ConjugatorNotFound, DecompositionError) as exc:
+        return [CheckRow("coset-partition", FAIL, detail={"error": str(exc)})]
     rows = [CheckRow("coset-partition", PASS,
                      detail={"members": len(C.members),
                              "pieces": len(pieces)})]
@@ -199,10 +217,7 @@ def _cmd_decompose(args) -> int:
                     "witness": piece.witness.mat.to_text(),
                     **{k: v for k, v in piece.provenance.items()
                        if k in ("level",)}}))
-    params = {**cfg.as_params(), "base": b.to_text()}
-    report = Report(suite="decompose", params=params, rows=rows)
-    _emit(report, cfg.fmt, cfg.output, cfg.include_timing)
-    return report.exit_code(cfg.findings_fail)
+    return rows
 
 
 def _cmd_finite(args) -> int:

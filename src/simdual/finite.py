@@ -8,21 +8,39 @@ dual -- if and only if iota(g) is conjugate to g^-1 for every g.  That
 class-inversion criterion is what this module verifies, exhaustively,
 together with an explicit theta-symmetric conjugator for every class.
 
-Groups are built by scanning all matrices over F_q (or F_{q^2} for the
-unitary families) and keeping those satisfying the defining equation
-g star(g) = mu * 1.
+A group is held as integer tables over the component tuples of its
+matrices (the layout of ``cayley.mat_components``).  ``build_group``
+scans every matrix over F_q (F_{q^2} for the unitary families) and keeps
+those with g star(g) = mu * 1, decided by ``cayley.multiplier_predicate``;
+the scan order is the canonical one, so positions follow ``Mat.key()``.
+Inverse and iota are derived per element from linear maps probed once
+(g^-1 = mu^-1 star(g), iota(g) = mu^-1 H tau(g) H^-1; integer Gauss-Jordan
+and the transpose in ``gl``), products come from ``cayley.product_kernel``.
+A greedy generating set S carries one right-multiplication table R_s per
+generator (R_s[g] = position of g s), so subgroup closure and the
+conjugation orbits g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.
+
+The table is re-checked before use: every inverse by one product, iota
+as a bijective involution, iota on the generators against
+``involution.iota_group``, and iota(g s) = iota(g) iota(s) for all g in G
+and s in S, which by induction on word length makes iota multiplicative on
+all of G.  Together with the generator check it pins iota down as the
+automorphism ``iota_group`` defines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .involution import enumerate_matrices, iota_group, theta_group
+from .cayley import (inverse_kernel, iota_kernel, mat_components,
+                     mat_from_components, multiplier_predicate,
+                     product_kernel)
+from .involution import enumerate_matrices, iota_group
 from .matrices import Mat
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL, SYMPLECTIC,
-                     GroupElem, Space, similitude_multiplier, standard_space,
-                     validate_space)
+                     GroupElem, Space, standard_space, validate_space)
 
 SP = "sp"
 GSP = "gsp"
@@ -77,109 +95,190 @@ def _finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
     raise FiniteGroupError(f"unknown finite family {family!r}")
 
 
+def scan_size(family: str, n: int, q: int) -> int:
+    """How many matrices ``build_group`` scans for the group."""
+    space, _ = _finite_space(family, n, q)
+    d = 2 if space.ring.ext == INERT else 1
+    return (q**d) ** (n * n)
+
+
 @dataclass
 class FiniteGroupTable:
-    """A fully enumerated matrix group over a finite field with iota."""
+    """A fully enumerated matrix group over a finite field, with iota, as
+    integer tables indexed by position (the canonical order of the
+    element matrices).
+
+    ``comps`` holds each element's component tuple and ``mus`` its
+    multiplier residue; ``index`` maps a component tuple to its position;
+    ``inverse`` and ``iota`` are permutations of positions; ``gens`` is the
+    greedy generating set and ``right[k][g]`` the position of
+    g * gens[k].  ``elements`` decodes a ``GroupElem`` on access, so none
+    is kept per element.
+    """
 
     family: str
     n: int
     q: int
     space: Space
-    elements: list                    # GroupElems sorted by mat.key()
-    index: dict = field(repr=False)   # mat.key() -> position
+    comps: list = field(repr=False)
+    mus: list = field(repr=False)
+    index: dict = field(repr=False)
     inverse: list = field(repr=False)
     iota: list = field(repr=False)
+    gens: list = field(repr=False)
+    right: list = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.comps)
+
+    @property
+    def elements(self) -> "_Elements":
+        return _Elements(self)
+
+    def element(self, i: int) -> GroupElem:
+        space = self.space
+        return GroupElem(space, mat_from_components(space, self.comps[i]),
+                         space.ring.scalar(self.mus[i]))
 
     def position(self, m: Mat) -> int:
-        return self.index[m.key()]
+        """The position of the matrix m; KeyError if it is not a member."""
+        return self.index[tuple(mat_components(self.space, m))]
+
+
+class _Elements(Sequence):
+    """The elements of a table in order, decoded on access."""
+
+    def __init__(self, table: FiniteGroupTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._table.element(i)
 
 
 def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
                 scan_budget: int = 10**7) -> FiniteGroupTable:
-    """Enumerate the group, attach iota, and verify the table invariants."""
+    """Enumerate the group, attach inverse, iota and the generators'
+    right-multiplication tables, and verify the table invariants."""
     space, similitude = _finite_space(family, n, q)
-    ring = space.ring
-    d = 2 if ring.ext == INERT else 1
-    scan = (q**d) ** (n * n)
+    scan = scan_size(family, n, q)
     if scan > scan_budget:
         raise BudgetExceeded(f"matrix scan of {scan} exceeds {scan_budget}")
-    elements = []
-    for m in enumerate_matrices(ring, n):
-        mu = similitude_multiplier(space, m)
-        if mu is None:
+    mu_of = multiplier_predicate(space)
+    comps, mus = [], []
+    for x in enumerate_matrices(space.ring, n):
+        mu = mu_of(x)
+        if mu is None or (mu != 1 and not similitude):
             continue
-        if not similitude and mu != ring.one:
-            continue
-        elements.append(GroupElem(space, m, mu))
-        if len(elements) > order_budget:
+        comps.append(x)
+        mus.append(mu)
+        if len(comps) > order_budget:
             raise BudgetExceeded(f"group order exceeds {order_budget}")
-    elements.sort(key=lambda e: e.mat.key())
-    index = {e.mat.key(): i for i, e in enumerate(elements)}
-    inverse = []
-    iota = []
-    for e in elements:
-        inv = e.inv()
-        if inv.mat.key() not in index:
-            raise FiniteGroupError("table is not closed under inversion")
-        inverse.append(index[inv.mat.key()])
-        im = iota_group(e)
-        if im.mat.key() not in index:
-            raise FiniteGroupError("iota leaves the table")
-        iota.append(index[im.mat.key()])
-    table = FiniteGroupTable(family, n, q, space, elements, index,
-                             inverse, iota)
+    index = {x: i for i, x in enumerate(comps)}
+    inv_of = inverse_kernel(space)
+    inverse = _positions(index, map(inv_of, comps, mus),
+                         "table is not closed under inversion")
+    if space.has_form:
+        images = map(iota_kernel(space), comps, mus)
+    else:                                # iota(g) = (g^-1)^T
+        images = (_transpose(comps[j], n) for j in inverse)
+    iota = _positions(index, images, "iota leaves the table")
+    mul = product_kernel(space)
+    gens, right = _generators(comps, index, mul,
+                              index[_identity(space)])
+    table = FiniteGroupTable(family, n, q, space, comps, mus, index,
+                             inverse, iota, gens, right)
     _verify_table(table)
     return table
 
 
+def _identity(space: Space) -> tuple:
+    return tuple(mat_components(space, space.identity()))
+
+
+def _transpose(x: tuple, n: int) -> tuple:
+    return tuple(v for j in range(n) for v in x[j::n])
+
+
+def _positions(index: dict, images, error: str) -> list:
+    out = []
+    for y in images:
+        pos = index.get(y)
+        if pos is None:
+            raise FiniteGroupError(error)
+        out.append(pos)
+    return out
+
+
+def _generators(comps, index, mul, identity: int):
+    """A small generating set, grown greedily in element order, and the
+    right-multiplication table of each generator."""
+    n = len(comps)
+    gens, right = [], []
+    have = bytearray(n)
+    have[identity] = 1
+    members = [identity]
+    for i in range(n):
+        if have[i]:
+            continue
+        gens.append(i)
+        s = comps[i]
+        right.append([index[mul(x, s)] for x in comps])
+        # close the subgroup under right multiplication by every generator
+        frontier = members[:]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for R in right:
+                    k = R[a]
+                    if not have[k]:
+                        have[k] = 1
+                        nxt.append(k)
+            members += nxt
+            frontier = nxt
+        if len(members) == n:
+            return gens, right
+    raise FiniteGroupError("generating-set construction failed")
+
+
 def _verify_table(table: FiniteGroupTable):
-    """iota is an involutive automorphism; mu is a homomorphism with
+    """Inverses are inverses; iota is an involutive automorphism that
+    agrees with ``iota_group`` on the generators; mu is a homomorphism with
     |G| = |image of mu| * |isometry kernel| in the similitude families."""
     n = table.order
-    if sorted(table.iota) != list(range(n)):
+    comps, iota = table.comps, table.iota
+    space = table.space
+    mul = product_kernel(space)
+    one = _identity(space)
+    for x, j in zip(comps, table.inverse):
+        if mul(x, comps[j]) != one:
+            raise FiniteGroupError("inverse table is wrong")
+    if sorted(iota) != list(range(n)):
         raise FiniteGroupError("iota is not a bijection")
     for i in range(n):
-        if table.iota[table.iota[i]] != i:
+        if iota[iota[i]] != i:
             raise FiniteGroupError("iota is not an involution")
-    # automorphism check: all pairs for small tables, a deterministic
-    # stride sample for large ones
-    pairs = _pair_sample(n, full_limit=200, sample=2000)
-    els = table.elements
-    for i, j in pairs:
-        prod = els[i] * els[j]
-        lhs = table.iota[table.index[prod.mat.key()]]
-        rhs = els[table.iota[i]] * els[table.iota[j]]
-        if els[lhs].mat != rhs.mat:
-            raise FiniteGroupError("iota is not multiplicative")
-    if table.space.has_form:
-        mus = {}
-        kernel = 0
-        ring = table.space.ring
-        for e in els:
-            mus[(e.mu.a, e.mu.b)] = True
-            if e.mu == ring.one:
-                kernel += 1
-        if len(mus) * kernel != n:
+    # iota(g s) = iota(g) iota(s) for all g in G and s in S
+    for s, R in zip(table.gens, table.right):
+        t = comps[iota[s]]
+        for g in range(n):
+            if comps[iota[R[g]]] != mul(comps[iota[g]], t):
+                raise FiniteGroupError("iota is not multiplicative")
+    for s in table.gens:
+        image = iota_group(table.element(s)).mat
+        if tuple(mat_components(space, image)) != comps[iota[s]]:
+            raise FiniteGroupError("iota differs from iota_group on a "
+                                   "generator")
+    if space.has_form:
+        kernel = table.mus.count(1)
+        if len(set(table.mus)) * kernel != n:
             raise FiniteGroupError(
                 "order mismatch: |G| != |mu image| * |isometry subgroup|")
-
-
-def _pair_sample(n: int, full_limit: int, sample: int):
-    if n <= full_limit:
-        for i in range(n):
-            for j in range(n):
-                yield i, j
-        return
-    # deterministic stride walk over the pair grid
-    step = max(1, (n * n) // sample)
-    idx = 0
-    while idx < n * n:
-        yield idx // n, idx % n
-        idx += step
 
 
 # -- conjugacy classes ------------------------------------------------
@@ -198,40 +297,11 @@ class ClassMap:
         return len(self.reps)
 
 
-def _generating_set(table: FiniteGroupTable) -> list[int]:
-    """A small generating set, grown greedily in element order."""
-    els = table.elements
-    n = table.order
-    gens = []
-    have = {table.index[table.space.identity().key()]}
-    for i in range(n):
-        if i in have:
-            continue
-        gens.append(i)
-        # close under multiplication by the new generator set
-        frontier = list(have | {i})
-        have.add(i)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    for prod in (els[a] * els[g], els[g] * els[a]):
-                        k = table.index[prod.mat.key()]
-                        if k not in have:
-                            have.add(k)
-                            nxt.append(k)
-            frontier = nxt
-        if len(have) == n:
-            return gens
-    raise FiniteGroupError("generating-set construction failed")
-
-
 def conjugacy_classes(table: FiniteGroupTable) -> ClassMap:
-    """Orbits of conjugation, computed with a generating set."""
-    els = table.elements
+    """Orbits of conjugation by the generators, e -> g^-1 e g, computed
+    as lookups in the inverse and right-multiplication tables."""
+    inverse = table.inverse
     n = table.order
-    gens = _generating_set(table)
-    gen_pairs = [(els[g], els[table.inverse[g]]) for g in gens]
     class_of = [-1] * n
     reps = []
     for start in range(n):
@@ -243,11 +313,9 @@ def conjugacy_classes(table: FiniteGroupTable) -> ClassMap:
         frontier = [start]
         while frontier:
             nxt = []
-            for i in frontier:
-                e = els[i]
-                for g, ginv in gen_pairs:
-                    conj = g * e * ginv
-                    k = table.index[conj.mat.key()]
+            for e in frontier:
+                for R in table.right:
+                    k = inverse[R[inverse[R[e]]]]
                     if class_of[k] == -1:
                         class_of[k] = cls
                         nxt.append(k)
@@ -286,18 +354,19 @@ class ClassInversionReport:
 
 def _theta_symmetric_conjugator(table: FiniteGroupTable, pos: int) -> int | None:
     """First h in table order with theta(h) = h, mu(h) = 1 and
-    h a h^-1 = theta(a), where a is the element at ``pos``."""
-    els = table.elements
-    a = els[pos]
-    theta_a = els[table.inverse[table.iota[pos]]]      # theta = iota^-1
-    ring = table.space.ring
-    for i, h in enumerate(els):
-        if table.space.has_form and h.mu != ring.one:
+    h a h^-1 = theta(a), where a is the element at ``pos``; the last
+    condition is tested as h a = theta(a) h with two kernel products."""
+    comps, iota, inverse = table.comps, table.iota, table.inverse
+    a = comps[pos]
+    theta_a = comps[inverse[iota[pos]]]              # theta = iota^-1
+    mul = product_kernel(table.space)
+    has_form = table.space.has_form
+    for i, h in enumerate(comps):
+        if has_form and table.mus[i] != 1:
             continue
-        if table.iota[i] != table.inverse[i]:          # theta(h) != h
+        if iota[i] != inverse[i]:                    # theta(h) != h
             continue
-        hinv = els[table.inverse[i]]
-        if (h.mat * a.mat) * hinv.mat == theta_a.mat:
+        if mul(h, a) == mul(theta_a, h):
             return i
     return None
 

@@ -9,10 +9,12 @@ composition is (H1, tau)(H2, tau) = (H1 tau(H2), id).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
+from .cayley import mat_from_components
 from .matrices import Mat, NotInvertibleError
-from .scalars import Ring, Scalar
+from .scalars import INERT, Ring, Scalar
 from .spaces import (GENERAL_LINEAR, GroupElem, LieElem, MembershipError,
                      Space, SpaceError, certify_group,
                      similitude_multiplier)
@@ -148,24 +150,18 @@ def is_theta_fixed(g: GroupElem) -> bool:
 # -- enumeration helpers ----------------------------------------------
 
 
-def enumerate_matrices(ring: Ring, n: int) -> Iterator[Mat]:
-    """All n x n matrices over a truncated ring, canonical lexicographic order."""
-    scalars = list(ring.residues())
-
-    def rec(entries):
-        if len(entries) == n * n:
-            rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-            yield Mat(ring, rows)
-            return
-        for s in scalars:
-            yield from rec(entries + [s])
-
-    yield from rec([])
+def enumerate_matrices(ring: Ring, n: int) -> Iterator[tuple]:
+    """All n x n matrices over a truncated ring, as component tuples in
+    the layout of ``cayley.mat_components``, in canonical order (that of
+    ``Mat.key()``)."""
+    d = 2 if ring.ext == INERT else 1
+    yield from product(range(ring.modulus), repeat=n * n * d)
 
 
 def enumerate_group(space: Space, isometry_only: bool = False) -> Iterator[GroupElem]:
     """All certified group members mod p^N, canonical order."""
-    for m in enumerate_matrices(space.ring, space.n):
+    for comps in enumerate_matrices(space.ring, space.n):
+        m = mat_from_components(space, comps)
         mu = similitude_multiplier(space, m)
         if mu is None:
             continue

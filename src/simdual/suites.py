@@ -404,10 +404,11 @@ def _replay_class_inversion(payload) -> CheckRow:
         table = build_group(family, n, q)
     except (BudgetExceeded, ValueError) as exc:   # FiniteGroupError, bad q
         raise ConfigError(f"cannot build the group: {exc}") from None
-    pos = table.index.get(_field(payload, "rep",
-                                 lambda t: _matrix(table.space, t).key()))
-    if pos is None:
-        raise ConfigError("'rep' is not an element of the group")
+    rep = _field(payload, "rep", lambda t: _matrix(table.space, t))
+    try:
+        pos = table.position(rep)
+    except KeyError:
+        raise ConfigError("'rep' is not an element of the group") from None
     classes = conjugacy_classes(table)
     cls = classes.class_of[pos]
     row = verify_class_inversion(table, classes).rows[cls]

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from simdual import cli
 from simdual.cli import main
+from simdual.decomposition import DecompositionError
+from simdual.involution import ConjugatorNotFound
 from simdual.report import PASS
 from simdual.suites import (ConfigError, SuiteConfig, replay_check, run_suite,
                             validate_config)
@@ -72,6 +75,20 @@ def test_decompose_subcommand(tmp_path):
     data = json.loads(out.read_text())
     assert data["rows"][0]["detail"]["members"] == 81
     assert data["rows"][0]["detail"]["pieces"] == 1
+
+
+@pytest.mark.parametrize("error", [
+    ConjugatorNotFound("no theta-symmetric conjugator", 7),
+    DecompositionError("witness fails")])
+def test_decompose_failure_is_a_fail_row(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "decompose", fail)
+    assert run(["decompose", "--family", "symplectic", "--precision", "2",
+                "1, 1; 0, 1"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [{"name": "coset-partition", "status": "fail",
+                     "detail": {"error": str(error)}}]
 
 
 def test_finite_dual_subcommand(tmp_path):
@@ -150,8 +167,13 @@ def test_markdown_format(capsys):
      "--precision", "2", "1, 1; 0, 1"],
     ["decompose", "--family", "symplectic", "--ext", "inert",    # wrong ring
      "--precision", "2", "1, 1; 0, 1"],
+    ["decompose", "--config", "BUDGET_10", "--family",           # budget
+     "symplectic", "--precision", "2", "1, 1; 0, 1"],
 ])
-def test_bad_input_exits_2_with_one_line(args, capsys):
+def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("budget = 10\n")
+    args = [str(budget) if a == "BUDGET_10" else a for a in args]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

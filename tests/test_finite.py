@@ -1,8 +1,20 @@
+import hashlib
+import importlib.util
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from simdual.finite import (BudgetExceeded, FiniteGroupError, build_group,
-                            conjugacy_classes, verify_class_inversion)
+from simdual.cayley import mat_components, mat_from_components, product_kernel
+from simdual.finite import (BudgetExceeded, FiniteGroupError, _verify_table,
+                            build_group, conjugacy_classes,
+                            verify_class_inversion)
+from simdual.involution import iota_group
 from simdual.matrices import parse_matrix
+from simdual.scalars import INERT, SPLIT, Ring
+from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
+                            standard_space)
 
 
 def test_pinned_orders_and_class_counts():
@@ -52,6 +64,49 @@ def test_iota_is_involutive_automorphism():
             assert els[lhs].mat == rhs.mat
 
 
+@pytest.mark.parametrize("target", [("sp", 2, 3), ("u", 2, 3), ("gu", 2, 3),
+                                    ("o-", 2, 5), ("gl", 2, 3)],
+                         ids=lambda t: "%s(%d,%d)" % t)
+def test_inverse_and_iota_tables_match_group_elements(target):
+    table = build_group(*target)
+    els = table.elements
+    for i, e in enumerate(els):
+        assert els[table.inverse[i]].mat == e.inv().mat
+        assert els[table.iota[i]].mat == iota_group(e).mat
+
+
+@pytest.mark.parametrize("family, n, ext, N", [
+    (SYMPLECTIC, 2, SPLIT, 1), (SYMPLECTIC, 2, SPLIT, 2),
+    (GENERAL_LINEAR, 3, SPLIT, 1), (GENERAL_LINEAR, 3, SPLIT, 2),
+    (HERMITIAN, 2, INERT, 1), (HERMITIAN, 2, INERT, 2),
+    (HERMITIAN, 3, INERT, 2)])
+def test_product_kernel_matches_matrix_product(family, n, ext, N):
+    space = standard_space(family, n, Ring(3, ext, N))
+    mul = product_kernel(space)
+    D = n * n * (2 if ext == INERT else 1)
+    rng = random.Random(7)
+    for _ in range(200):
+        x, y = (tuple(rng.randrange(3**N) for _ in range(D))
+                for _ in range(2))
+        prod = mat_from_components(space, x) * mat_from_components(space, y)
+        assert mul(x, y) == tuple(mat_components(space, prod))
+
+
+def test_corrupted_iota_is_not_multiplicative():
+    # sigma o iota o sigma, sigma swapping two non-identity elements, is
+    # still a bijective involution; only the G x S check can catch it
+    table = build_group("gl", 2, 3)
+    one = table.position(table.space.identity())
+    a, b = [i for i in range(table.order) if i != one][:2]
+    sigma = list(range(table.order))
+    sigma[a], sigma[b] = b, a
+    corrupted = [sigma[table.iota[sigma[i]]] for i in range(table.order)]
+    assert corrupted != table.iota
+    table.iota = corrupted
+    with pytest.raises(FiniteGroupError, match="iota is not multiplicative"):
+        _verify_table(table)
+
+
 def test_class_inversion_reports():
     for family, n, q, classes in (("sp", 2, 3, 7), ("gsp", 2, 3, 8),
                                   ("u", 2, 3, 16), ("gl", 2, 3, 8),
@@ -94,6 +149,67 @@ def test_budget_guard():
         build_group("gl", 3, 5, scan_budget=10**6)
 
 
+def test_survey_script_skips_groups_over_the_scan_budget(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" \
+        / "finite_duality_survey.py"
+    spec = importlib.util.spec_from_file_location("finite_duality_survey",
+                                                  path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main(["--budget", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line.split()[0] for line in lines
+               if line.endswith("(skipped: over budget)")]
+    assert skipped == ["u(2,3)", "gu(2,3)", "gl(3,3)"]
+    assert sum(line.split()[3] == "holds" for line in lines[1:]) == 10
+
+
 def test_unknown_family():
     with pytest.raises(FiniteGroupError):
         build_group("nope", 2, 3)
+
+
+# order, class count and the sha256 of the JSON of (element keys in table
+# order, inverse, iota, class representatives, class_of, every ClassRow)
+PINNED = {
+    ("gl", 3, 3): (11232, 24, "2a2779db3e6e02b7151fbbe40865dc55"
+                              "f27044362d550acf735af128f8442193"),
+    ("gu", 2, 3): (192, 32, "4f5a602169ac880203facd14f3ffc0b6"
+                            "79cc30de7b851f7e576fa9ea1cbdf031"),
+    ("u", 2, 3): (96, 16, "155b37ed99537ee831403f0373125121"
+                          "740779269309c5a7cc2500ac2dca3fcf"),
+    ("sp", 2, 3): (24, 7, "f68bf09921ea620be136106618fc0e6f"
+                          "f2657f57bd81bef52f62a8b6432afe97"),
+    ("gsp", 2, 3): (48, 8, "7ad39e699018ad3c06244ef157658648"
+                           "70da177ba421696cc28058e87fe41b0d"),
+    ("sp", 2, 5): (120, 9, "0cbc88547b1246643e3366afd43142ce"
+                           "358a9dda7021610158b5aed7a2647967"),
+    ("gsp", 2, 5): (480, 24, "6a9f4c1892fdcfde5488fdefdaaa9113"
+                             "5150b6bc9f3b34bb5a14ab4750f1fdfe"),
+    ("o+", 2, 5): (8, 5, "27a730a8be22c9a77193220eb13d73fc"
+                         "bf9a7dfc7430be4ce7e9b52a8eef7b83"),
+    ("o-", 2, 5): (12, 6, "70881fc687b82d069653b56cdc8a692c"
+                          "c520ab4eb7c26a70702d7e20b2cd6720"),
+    ("gl", 2, 3): (48, 8, "1d4862b194a49bd9ed6d6c17382b733e"
+                          "2643c024287feafb9cdb5468c03ec2e6"),
+    ("gl", 2, 5): (480, 24, "7b57cf858944f862647d3113785c7b2d"
+                            "82d3cce88d0324501fc0e62b0050ff69"),
+    ("o+", 2, 3): (4, 4, "391c249b4561bb587db5a364be645f30"
+                         "9b127d7274abf1994d2b3c8e6e69cecc"),
+    ("o-", 2, 3): (8, 5, "3e02a1880df1c983d612196f97cf5070"
+                         "48131c42e33c156f47149713d90430bb"),
+}
+
+
+@pytest.mark.parametrize("target", list(PINNED),
+                         ids=lambda t: "%s(%d,%d)" % t)
+def test_tables_and_classes_match_the_pinned_digest(target):
+    table = build_group(*target)
+    classes = conjugacy_classes(table)
+    rep = verify_class_inversion(table, classes)
+    data = [[list(e.mat.key()) for e in table.elements], table.inverse,
+            table.iota, classes.reps, classes.class_of,
+            [[r.rep, r.size, r.iota_class, r.inverse_class, r.status,
+              r.conjugator] for r in rep.rows]]
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert (table.order, classes.num_classes, digest) == PINNED[target]

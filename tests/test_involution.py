@@ -1,5 +1,6 @@
 import pytest
 
+from simdual.cayley import mat_from_components
 from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
                                 enumerate_group, enumerate_matrices,
                                 factor_anti_unitary, find_symmetric_conjugator,
@@ -100,7 +101,8 @@ def test_conjugator_exhaustion_raises():
 def test_factor_anti_unitary():
     a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 1]]))
     h1, h2 = factor_anti_unitary(
-        a, enumerate_matrices(SYMPL_F3.ring, 2))
+        a, (mat_from_components(SYMPL_F3, comps)
+            for comps in enumerate_matrices(SYMPL_F3.ring, 2)))
     # a = h1 h2 as semilinear composition, h1 an involution
     assert h1.H * h2.H.tau() == a.mat
     assert h1.square == SYMPL_F3.identity()
