@@ -16,6 +16,7 @@ fiber of g is the single point g - 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -238,27 +239,62 @@ def mat_from_components(space: Space, comps, den: int = 1) -> Mat:
     return Mat._make(ring, tuple(rows))
 
 
-def _probe(space: Space, f) -> list:
-    """The F-linear map ``f`` on matrices, as sparse rows on components
-    (the layout of ``mat_components``): row i lists the pairs (j, c) with
-    component i of f(e_j) equal to c, found by probing unit vectors."""
-    D = space.n * space.n * components_per_scalar(space)
-    rows = [[] for _ in range(D)]
+def linear_system(D: int, f) -> tuple[list, list]:
+    """(A, b) with f(v) = A v - b for the affine map ``f`` on length-D
+    component lists, found by probing the zero vector and the D unit
+    vectors."""
+    const = f([0] * D)
+    cols = []
     for j in range(D):
-        probe = [0] * D
-        probe[j] = 1
-        img = mat_components(space, f(mat_from_components(space, probe)))
-        for i, c in enumerate(img):
-            if c:
-                rows[i].append((j, c))
-    return rows
+        e = [0] * D
+        e[j] = 1
+        cols.append([x - c for x, c in zip(f(e), const)])
+    return [list(row) for row in zip(*cols)], [-c for c in const]
+
+
+def matrix_system(space: Space, f) -> tuple[list, list]:
+    """``linear_system`` of a map ``f`` from n x n matrices to a tuple of
+    n x n matrices, on components (the layout of ``mat_components``,
+    one block per matrix of the tuple, stacked)."""
+    def on_components(v):
+        out = []
+        for m in f(mat_from_components(space, v)):
+            out += mat_components(space, m)
+        return out
+    return linear_system(space.n * space.n * components_per_scalar(space),
+                         on_components)
+
+
+def _sparse_rows(space: Space, f) -> list:
+    """The F-linear map ``f`` on matrices as sparse rows on components:
+    row i lists the pairs (j, c) with component i of f(e_j) equal to c."""
+    A, _ = matrix_system(space, lambda m: (f(m),))
+    return [[(j, c) for j, c in enumerate(row) if c] for row in A]
 
 
 def _star_rows(space: Space) -> list:
     """Sparse rows of star, probed once per space."""
     if "star_rows" not in space.memo:
-        space.memo["star_rows"] = _probe(space, lambda m: star(space, m))
+        space.memo["star_rows"] = _sparse_rows(space,
+                                               lambda m: star(space, m))
     return space.memo["star_rows"]
+
+
+def lie_system(space: Space, alpha: bool = True) -> list:
+    """The matrix of (X, alpha) -> X + X* - alpha 1 on the components of
+    X followed by alpha: the similitude Lie algebra is its kernel.  With
+    ``alpha`` False the unknowns are the components of X alone and the
+    kernel is the isometry Lie algebra."""
+    ring = space.ring
+    D = space.n * space.n * components_per_scalar(space)
+
+    def residual(v):
+        X = mat_from_components(space, v[:D])
+        a = ring.scalar(v[D]) if alpha else ring.zero
+        return mat_components(
+            space, X + star(space, X) - Mat.scalar_mat(ring, space.n, a))
+    A, _ = linear_system(D + 1 if alpha else D, residual)
+    return A
 
 
 def _gl_inverse(x, n: int, p: int, M: int):
@@ -388,7 +424,7 @@ def product_kernel(space: Space):
 
 def _scaled_map(rows: list, M: int):
     """``(x, mu) -> mu^-1 L(x) mod M`` for the linear map L with the sparse
-    rows ``rows`` (those of ``_probe``)."""
+    rows ``rows`` (those of ``_sparse_rows``)."""
     def apply(x, mu):
         s = pow(mu, -1, M)
         return tuple(sum(c * x[j] for j, c in row) * s % M for row in rows)
@@ -419,46 +455,24 @@ def iota_kernel(space: Space):
         raise ValueError("the iota kernel works mod p^N")
     if not space.has_form:
         raise SpaceError("general-linear iota is the inverse transpose")
-    return _scaled_map(_probe(space, lambda m: space.H * m.tau() * space.Hinv),
-                       space.ring.modulus)
+    return _scaled_map(
+        _sparse_rows(space, lambda m: space.H * m.tau() * space.Hinv),
+        space.ring.modulus)
 
 
 def _solve_branch(g: GroupElem, lam: Scalar, limit):
     """All X mod p^N with (lam + g) X = 1 - g and X + X* = (lam^-1 - 1) 1."""
     space = g.space
     ring = space.ring
-    one = space.identity()
-    lam_mat = Mat.scalar_mat(ring, space.n, lam)
+    shifted = Mat.scalar_mat(ring, space.n, lam) + g.mat
+    rhs = space.identity() - g.mat
     alpha_target = Mat.scalar_mat(ring, space.n, lam.inv() - ring.one)
 
     def f(X):
-        r1 = (lam_mat + g.mat) * X - (one - g.mat)
-        r2 = X + star(space, X) - alpha_target
-        return r1, r2
+        return shifted * X - rhs, X + star(space, X) - alpha_target
 
-    A, b = _affine_system_stacked(space, f)
+    A, b = matrix_system(space, f)
     return modsolve.solve_affine_mod(A, b, ring.p, ring.prec, limit)
-
-
-def _affine_system_stacked(space: Space, f):
-    D = space.n * space.n * components_per_scalar(space)
-    zero = Mat.zeros(space.ring, space.n)
-
-    def comps(pair):
-        r1, r2 = pair
-        return mat_components(space, r1) + mat_components(space, r2)
-
-    const = comps(f(zero))
-    cols = []
-    for idx in range(D):
-        cvec = [0] * D
-        cvec[idx] = 1
-        probe = mat_from_components(space, cvec)
-        img = comps(f(probe))
-        cols.append([x - c for x, c in zip(img, const)])
-    A = [[cols[j][i] for j in range(D)] for i in range(len(const))]
-    b = [-c for c in const]
-    return A, b
 
 
 def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
@@ -505,47 +519,17 @@ def enumerate_lie(space: Space, limit=10**6):
     ring = space.ring
     if ring.exact:
         raise ValueError("cannot enumerate an exact Lie algebra")
+    D = space.n * space.n * components_per_scalar(space)
     if not space.has_form:
-        D = space.n * space.n * components_per_scalar(space)
         M = ring.modulus
         if M**D > limit:
             raise modsolve.SolveBudgetError(
                 f"Lie enumeration of {M**D} elements exceeds limit {limit}")
-        out = []
-
-        def rec(comps):
-            if len(comps) == D:
-                out.append(certify_lie(space, mat_from_components(space, comps)))
-                return
-            for v in range(M):
-                rec(comps + [v])
-        rec([])
-        return out
-    # unknowns: matrix components plus the scalar alpha
-    D = space.n * space.n * components_per_scalar(space)
-
-    def f(X_and_alpha):
-        X, alpha = X_and_alpha
-        return X + star(space, X) - Mat.scalar_mat(ring, space.n, alpha)
-
-    zero = Mat.zeros(ring, space.n)
-    const = mat_components(space, f((zero, ring.zero)))
-    cols = []
-    for idx in range(D + 1):
-        if idx < D:
-            cvec = [0] * D
-            cvec[idx] = 1
-            probe = (mat_from_components(space, cvec), ring.zero)
-        else:
-            probe = (zero, ring.one)
-        img = mat_components(space, f(probe))
-        cols.append([x - c for x, c in zip(img, const)])
-    A = [[cols[j][i] for j in range(D + 1)] for i in range(len(const))]
-    sols = modsolve.kernel_mod(A, ring.p, ring.prec, limit)
-    out = []
-    for comps in sols:
-        X = mat_from_components(space, comps[:D])
-        out.append(certify_lie(space, X))
+        return [certify_lie(space, mat_from_components(space, comps))
+                for comps in itertools.product(range(M), repeat=D)]
+    sols = modsolve.kernel_mod(lie_system(space), ring.p, ring.prec, limit)
+    out = [certify_lie(space, mat_from_components(space, comps[:D]))
+           for comps in sols]
     out.sort(key=lambda lie: lie.mat.key())
     return out
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modsolve
-from .cayley import (cayley, mat_components, mat_from_components,
+from .cayley import (cayley, mat_from_components, matrix_system,
                      multiplier_predicate)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices
@@ -134,36 +134,15 @@ def _conjugator_system(a: GroupElem):
     ta = theta_group(a).mat
 
     if space.has_form:
-        H, J, Jinv, Hinv = space.H, space.J, space.Jinv, space.Hinv
+        left, right = space.H * space.Jinv, space.J * space.Hinv
 
         def f(x):
-            r1 = x * a.mat - ta * x
-            r2 = x - H * Jinv * x.transpose() * J * Hinv
-            return r1, r2
+            return x * a.mat - ta * x, x - left * x.transpose() * right
     else:
         def f(x):
-            r1 = x * a.mat - ta * x
-            r2 = x - x.transpose()
-            return r1, r2
+            return x * a.mat - ta * x, x - x.transpose()
 
-    D = space.n * space.n * (2 if space.ring.ext == "inert" else 1)
-    zero = Mat.zeros(space.ring, space.n)
-
-    def comps(pair):
-        r1, r2 = pair
-        return mat_components(space, r1) + mat_components(space, r2)
-
-    const = comps(f(zero))
-    cols = []
-    for idx in range(D):
-        cvec = [0] * D
-        cvec[idx] = 1
-        probe = mat_from_components(space, cvec)
-        img = comps(f(probe))
-        cols.append([x - c for x, c in zip(img, const)])
-    A = [[cols[j][i] for j in range(D)] for i in range(len(const))]
-    b = [-c for c in const]
-    return A, b
+    return matrix_system(space, f)
 
 
 def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
@@ -185,9 +164,9 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
     mu_of = multiplier_predicate(space)
     tried = 0
     for comps in modsolve.iter_affine_mod(A, b, ring.p, ring.prec):
-        tried += 1
-        if tried > max_candidates:
+        if tried == max_candidates:
             break
+        tried += 1
         # the linear system already encodes x a = theta(a) x exactly and
         # theta-symmetry of x conditional on x being an isometry; the only
         # remaining condition is x star(x) = 1.

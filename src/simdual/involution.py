@@ -1,6 +1,7 @@
 """The fixed anti-unitary involution, the maps theta and iota on group and
-Lie algebra, the theta-symmetric conjugator search, and factorization of a
-similitude into a pair of anti-unitary maps.
+Lie algebra, the enumeration of matrices over a truncated ring, and
+factorization of a similitude into a pair of anti-unitary maps.  The
+theta-symmetric conjugator search is ``decomposition.find_conjugator_mod``.
 
 Semilinear maps are stored by their matrix H with action v -> H tau(v);
 composition is (H1, tau)(H2, tau) = (H1 tau(H2), id).
@@ -12,12 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .cayley import mat_from_components
-from .matrices import Mat, NotInvertibleError
+from .matrices import Mat
 from .scalars import INERT, Ring, Scalar
-from .spaces import (GENERAL_LINEAR, GroupElem, LieElem, MembershipError,
-                     Space, SpaceError, certify_group,
-                     similitude_multiplier)
+from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
+                     certify_group)
 
 
 class AntiUnitaryError(ValueError):
@@ -156,59 +155,6 @@ def enumerate_matrices(ring: Ring, n: int) -> Iterator[tuple]:
     ``Mat.key()``)."""
     d = 2 if ring.ext == INERT else 1
     yield from product(range(ring.modulus), repeat=n * n * d)
-
-
-def enumerate_group(space: Space, isometry_only: bool = False) -> Iterator[GroupElem]:
-    """All certified group members mod p^N, canonical order."""
-    for comps in enumerate_matrices(space.ring, space.n):
-        m = mat_from_components(space, comps)
-        mu = similitude_multiplier(space, m)
-        if mu is None:
-            continue
-        if isometry_only and mu != space.ring.one:
-            continue
-        if not space.has_form and not m.is_invertible():
-            continue
-        yield GroupElem(space, m, mu)
-
-
-# -- the conjugator search --------------------------------------------
-
-
-def find_symmetric_conjugator(a: GroupElem,
-                              search_space: Iterable) -> GroupElem:
-    """First x in canonical order with theta(x) = x and x a x^-1 = theta(a).
-
-    For theta-fixed a the witness is always the identity.  The search space
-    is any finite iterable of candidate matrices or group elements; the two
-    defining equations are the whole contract (x need not be an isometry).
-    Exhaustion raises ConjugatorNotFound (never silent).
-    """
-    space = a.space
-    ta = theta_group(a).mat
-    if ta == a.mat:
-        return GroupElem(space, space.identity(), space.ring.one)
-    tried = 0
-    for cand in search_space:
-        tried += 1
-        if isinstance(cand, GroupElem):
-            x = cand
-        else:
-            try:
-                x = certify_group(space, cand)
-            except MembershipError:
-                continue
-        if theta_group(x).mat != x.mat:
-            continue
-        try:
-            xinv = x.mat.inv()
-        except NotInvertibleError:
-            continue
-        if x.mat * a.mat * xinv == ta:
-            return x
-    raise ConjugatorNotFound(
-        f"no theta-symmetric conjugator for {a.mat.to_text()} "
-        f"({tried} candidates tried)", tried)
 
 
 def factor_anti_unitary(a: GroupElem,

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import modsolve
-from .cayley import (cayley, components_per_scalar, mat_components,
-                     mat_from_components, mat_numerators, multiplier_predicate)
+from .cayley import (cayley, components_per_scalar, lie_system,
+                     mat_components, mat_from_components, mat_numerators,
+                     matrix_system, multiplier_predicate)
 from .involution import theta_lie
 from .matrices import Mat
 from .scalars import val_fraction
-from .spaces import GroupElem, Space, certify_lie, star
+from .spaces import GroupElem, Space, certify_lie
 
 
 class LatticeBudgetError(RuntimeError):
@@ -170,14 +171,6 @@ class LatticeBasis:
         c = fr_matvec(fr_inv(self.matrix()), list(v))
         return all(val_fraction(x, self.p) >= 0 for x in c)
 
-    def contains_lattice(self, other: "LatticeBasis") -> bool:
-        Minv = fr_inv(self.matrix())
-        for c in other.cols:
-            coeffs = fr_matvec(Minv, list(c))
-            if not all(val_fraction(x, self.p) >= 0 for x in coeffs):
-                return False
-        return True
-
     def to_text(self) -> str:
         return "; ".join(", ".join(str(x) for x in c) for c in self.cols)
 
@@ -215,33 +208,11 @@ class LieCoords:
     def _build_basis(self):
         space = self.space
         if not space.has_form:
-            basis = []
-            for idx in range(self.m0):
-                comps = [0] * self.m0
-                comps[idx] = 1
-                basis.append(mat_from_components(space, comps))
+            basis = [mat_from_components(space, [int(i == j)
+                                                 for i in range(self.m0)])
+                     for j in range(self.m0)]
             return basis, [space.ring.zero] * self.m0
-        # unknowns: matrix components, plus alpha unless isometry
-        extra = 0 if self.isometry else 1
-
-        def residual(X, alpha):
-            return X + star(space, X) - Mat.scalar_mat(space.ring, space.n, alpha)
-
-        zero = Mat.zeros(space.ring, space.n)
-        const = mat_components(space, residual(zero, space.ring.zero))
-        cols = []
-        for idx in range(self.m0 + extra):
-            if idx < self.m0:
-                comps = [0] * self.m0
-                comps[idx] = 1
-                probe = (mat_from_components(space, comps), space.ring.zero)
-            else:
-                probe = (zero, space.ring.one)
-            img = mat_components(space, residual(*probe))
-            cols.append([Fraction(x) - Fraction(c) for x, c in zip(img, const)])
-        E = [[cols[j][i] for j in range(self.m0 + extra)]
-             for i in range(self.m0)]
-        E = _clear_denominators(E)
+        E = _clear_denominators(lie_system(space, alpha=not self.isometry))
         _, D, V = modsolve.smith(E)
         rank = 0
         while rank < min(len(D), len(V)) and D[rank][rank] != 0:
@@ -250,7 +221,8 @@ class LieCoords:
         for j in range(rank, len(V)):
             vec = [V[i][j] for i in range(len(V))]
             X = mat_from_components(space, [Fraction(v) for v in vec[:self.m0]])
-            alpha = space.ring.scalar(vec[self.m0]) if extra else space.ring.zero
+            alpha = (space.ring.zero if self.isometry
+                     else space.ring.scalar(vec[self.m0]))
             basis.append(X)
             alphas.append(alpha)
         return basis, alphas
@@ -334,11 +306,10 @@ def _fr_rank(rows):
 
 @dataclass(frozen=True)
 class StandardLattices:
-    """L in V, the standard Lie lattice Ldot, and the coordinates on the
-    similitude and isometry Lie algebras."""
+    """The standard Lie lattice Ldot and the coordinates on the similitude
+    and isometry Lie algebras."""
 
     space: Space
-    L: LatticeBasis
     Ldot: LatticeBasis
     gu_coords: LieCoords
     u_coords: LieCoords
@@ -347,57 +318,27 @@ class StandardLattices:
 def standard_lattices(space: Space) -> StandardLattices:
     """The standard-basis lattice chain of a standard model.
 
-    L is the o_E-span of the standard basis (checked stable under the fixed
-    anti-unitary involution) and Ldot its intersection with the similitude
-    Lie algebra.
+    The o_E-span L of the standard basis of V is checked stable under the
+    fixed anti-unitary involution; Ldot is the lattice of integral
+    matrices in the similitude Lie algebra.
     """
-    p = space.ring.p
-    d = components_per_scalar(space)
-    nV = space.n * d
-    L = LatticeBasis.standard(p, nV, ambient="V")
     if space.has_form:
-        _check_h_stable(space, L)
+        _check_h_stable(space)
     gu_coords = LieCoords(space, isometry=False)
     u_coords = LieCoords(space, isometry=True)
     Ldot = gu_coords.standard_lattice(ambient="gu")
-    return StandardLattices(space, L, Ldot, gu_coords, u_coords)
+    return StandardLattices(space, Ldot, gu_coords, u_coords)
 
 
-def _check_h_stable(space: Space, L: LatticeBasis):
-    # operator v -> H tau(v) on the F-coordinates of V
-    d = components_per_scalar(space)
-    nV = space.n * d
-    cols = []
-    for idx in range(nV):
-        comps = [0] * nV
-        comps[idx] = 1
-        v = _vec_from_components(space, comps)
-        img = space.H * v.tau()
-        cols.append([Fraction(x) for x in _vec_components(space, img)])
-    img_lat = LatticeBasis.from_columns(space.ring.p, nV, cols, "V")
-    if img_lat != L:
+def _check_h_stable(space: Space):
+    # h acts on each column of a matrix M by v -> H tau(v), so the standard
+    # lattice of V is h-stable exactly when the integral matrices are
+    # stable under M -> H tau(M)
+    A, _ = matrix_system(space, lambda m: (space.H * m.tau(),))
+    D = len(A)
+    img_lat = LatticeBasis.from_columns(space.ring.p, D, zip(*A))
+    if img_lat != LatticeBasis.standard(space.ring.p, D):
         raise LatticeError("standard lattice is not stable under h")
-
-
-def _vec_components(space: Space, v: Mat):
-    out = []
-    for row in v.rows:
-        out.append(row[0].a)
-        if components_per_scalar(space) == 2:
-            out.append(row[0].b)
-    return out
-
-
-def _vec_from_components(space: Space, comps) -> Mat:
-    d = components_per_scalar(space)
-    ring = space.ring
-    rows = []
-    it = iter(comps)
-    for _ in range(space.n):
-        a = next(it)
-        b = next(it) if d == 2 else 0
-        rows.append([ring.scalar(a, b)])
-    return Mat(ring, rows)
 
 
 # -- lattice operations in Lie coordinates ----------------------------

@@ -212,10 +212,6 @@ class Mat:
         return Mat._make(self.ring.truncated(N), tuple(
             tuple(a.reduce(N) for a in r) for r in self.rows))
 
-    def lift(self) -> "Mat":
-        return Mat._make(self.ring.exact_ring, tuple(
-            tuple(a.lift() for a in r) for r in self.rows))
-
     def key(self):
         """Canonical sort key: the row-major (a, b) components, flat."""
         if self.ring.exact:

@@ -92,8 +92,8 @@ class Ring:
     ``prec=None`` means exact rational arithmetic; ``prec=N`` means Z/p^N
     (with sqrt(u) adjoined in the inert case).  The modulus, ``u`` and the
     constants 0 and 1 are computed once per ring.  Rings that differ only in
-    precision are shared through ``truncated`` (and ``Scalar.lift``), so the
-    arithmetic can recognise operands of the same ring by identity.
+    precision are shared through ``truncated``, so the arithmetic can
+    recognise operands of the same ring by identity.
     """
 
     p: int
@@ -168,35 +168,14 @@ class Ring:
         return self.scalar(0, 1)
 
     def truncated(self, N: int) -> "Ring":
-        return self._variant(N)
-
-    @property
-    def exact_ring(self) -> "Ring":
-        """The exact ring with the same p and extension."""
-        return self._variant(None)
-
-    def _variant(self, prec) -> "Ring":
-        """The ring of the same (p, ext) at precision ``prec``, one object
-        per precision."""
-        ring = self._variants.get(prec)
+        """The ring of the same (p, ext) at precision N, one object per
+        precision."""
+        ring = self._variants.get(N)
         if ring is None:
-            ring = Ring(self.p, self.ext, prec)
+            ring = Ring(self.p, self.ext, N)
             object.__setattr__(ring, "_variants", self._variants)
-            self._variants[prec] = ring
+            self._variants[N] = ring
         return ring
-
-    def residues(self):
-        """All scalars of a truncated ring, in canonical (lexicographic) order."""
-        if self.exact:
-            raise ValueError("cannot enumerate an exact ring")
-        m = self._mod
-        if self.ext == SPLIT:
-            for a in range(m):
-                yield Scalar(self, a, 0, 1)
-        else:
-            for a in range(m):
-                for b in range(m):
-                    yield Scalar(self, a, b, 1)
 
 
 def _exact(ring: Ring, x: int, y: int, d: int) -> "Scalar":
@@ -443,12 +422,6 @@ class Scalar:
                         f"{c} has negative {p}-adic valuation")
         dinv = pow(self.d, -1, m)
         return Scalar(ring.truncated(N), self.x * dinv % m, self.y * dinv % m, 1)
-
-    def lift(self) -> "Scalar":
-        """Tautological lift of a truncated scalar to an exact integer scalar."""
-        if self.ring.exact:
-            return self
-        return Scalar(self.ring.exact_ring, self.x, self.y, 1)
 
 
 def dot(ring: Ring, xs, ys) -> Scalar:

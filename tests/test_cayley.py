@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,19 @@ def test_truncated_fiber_matches_exhaustive_buckets():
         res = fiber(images[key])
         got = sorted(p.X.mat.key() for p in res.domain_preimages())
         assert got == sorted(buckets[key])
+
+
+def test_fiber_census_script_finds_no_mismatch(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fiber_census.py"
+    spec = importlib.util.spec_from_file_location("fiber_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    assert census.main(["--precision", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "domain images mod 3^1: 15",
+        "fiber tags: {'infinite-identity': 1, 'unique-mu1': 14}",
+        "fiber sizes: {1: 14, 19: 1}",
+        "mismatches: 0"]
 
 
 @settings(max_examples=50, deadline=None)

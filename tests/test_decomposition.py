@@ -73,6 +73,19 @@ def test_conjugator_solver_matches_defining_equations():
     assert x.mat * a.mat == theta_group(a).mat * x.mat
 
 
+@pytest.mark.parametrize("k", [0, 1, 16])
+def test_conjugator_cap_counts_the_candidates_tested(k):
+    # the first conjugator of 2, 0; 0, 1 mod 9 is candidate 18 of 81
+    st = SYMPL.truncated(2)
+    a = certify_group(st, Mat(st.ring, [[2, 0], [0, 1]]))
+    with pytest.raises(ConjugatorNotFound) as err:
+        find_conjugator_mod(a, max_candidates=k)
+    assert err.value.tried == k
+    assert f"({k} candidates tried)" in str(err.value)
+    assert find_conjugator_mod(a, max_candidates=18).mat == \
+        find_conjugator_mod(a).mat
+
+
 def test_conjugator_theta_fixed_fast_path():
     st = SYMPL.truncated(2)
     a = certify_group(st, Mat(st.ring, [[2, 0], [0, 2]]))

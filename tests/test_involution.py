@@ -1,9 +1,9 @@
 import pytest
 
 from simdual.cayley import mat_from_components
+from simdual.decomposition import find_conjugator_mod
 from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
-                                enumerate_group, enumerate_matrices,
-                                factor_anti_unitary, find_symmetric_conjugator,
+                                enumerate_matrices, factor_anti_unitary,
                                 iota_group, is_theta_fixed, theta_group,
                                 theta_lie, validate_anti_unitary)
 from simdual.matrices import Mat
@@ -72,30 +72,31 @@ def test_enumerate_matrices_count():
 def test_pinned_conjugator_symplectic_f3():
     a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 1]]))
     assert not is_theta_fixed(a)
-    x = find_symmetric_conjugator(a, enumerate_group(SYMPL_F3))
-    assert x.mat == Mat(SYMPL_F3.ring, [[0, 1], [1, 0]])
+    x = find_conjugator_mod(a)
+    assert x.mat == Mat(SYMPL_F3.ring, [[0, 1], [2, 0]])
+    assert x.mu == SYMPL_F3.ring.one
     assert theta_group(x).mat == x.mat
     assert x.mat * a.mat * x.mat.inv() == theta_group(a).mat
 
 
 def test_pinned_conjugator_general_linear():
     a = certify_group(GL_F3, Mat(GL_F3.ring, [[1, 1], [0, 1]]))
-    x = find_symmetric_conjugator(a, enumerate_group(GL_F3))
+    x = find_conjugator_mod(a)
     assert x.mat == Mat(GL_F3.ring, [[0, 1], [1, 0]])
 
 
 def test_theta_fixed_gets_identity_conjugator():
     a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 2]]))
     assert is_theta_fixed(a)
-    x = find_symmetric_conjugator(a, [])
+    x = find_conjugator_mod(a, max_candidates=0)
     assert x.mat == SYMPL_F3.identity()
 
 
 def test_conjugator_exhaustion_raises():
     a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 1]]))
     with pytest.raises(ConjugatorNotFound) as info:
-        find_symmetric_conjugator(a, [SYMPL_F3.identity()])
-    assert info.value.tried == 1
+        find_conjugator_mod(a, max_candidates=0)
+    assert info.value.tried == 0
 
 
 def test_factor_anti_unitary():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from simdual.cayley import (cayley, components_per_scalar, in_domain,
                             mat_from_components)
 from simdual.involution import theta_group
-from simdual.lattices import (LatticeBasis, LatticeError, check_cayley_level,
-                              congruence_members, hnf_columns, lattice_of_x,
-                              standard_lattices, transform_lattice)
+from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
+                              check_cayley_level, congruence_members,
+                              hnf_columns, lattice_of_x, standard_lattices,
+                              transform_lattice)
 from simdual.matrices import Mat
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
@@ -46,8 +48,8 @@ def test_lattice_equality_is_basis_independent():
     b = LatticeBasis.from_columns(3, 2, [[1, 1], [2, 1], [0, 3]])
     assert a == b
     assert a.scale(1) != a
-    assert a.contains_lattice(a.scale(1))
-    assert not a.scale(1).contains_lattice(a)
+    assert a.intersect(a.scale(1)) == a.scale(1)
+    assert a.scale(1).intersect(a) != a
 
 
 def test_lie_lattice_dimensions():
@@ -65,6 +67,19 @@ def test_lie_lattice_dimensions():
     assert dims[GENERAL_LINEAR] == (4, 4)
 
 
+@pytest.mark.parametrize("space", [
+    SYMPL, standard_space(HERMITIAN, 2, Ring(3, INERT))],
+    ids=["symplectic", "hermitian"])
+def test_h_stability_check(space):
+    ring = space.ring
+    _check_h_stable(replace(space, H=Mat(ring, [[1, 1], [0, -1]])))
+    with pytest.raises(LatticeError, match="not stable under h"):
+        _check_h_stable(replace(space, H=Mat(ring, [[1, 0], [0, 3]])))
+    with pytest.raises(LatticeError, match="not stable under h"):
+        _check_h_stable(replace(space,
+                                H=Mat(ring, [[1, 0], [0, Fraction(1, 3)]])))
+
+
 def test_theta_stabilizes_standard_lattice():
     assert transform_lattice(STD.gu_coords, ("theta",), STD.Ldot) == STD.Ldot
 
@@ -73,8 +88,8 @@ def test_lattice_of_x_pinned_diag_1_3():
     x = Mat(SYMPL.ring, [[1, 0], [0, 3]])
     lx = lattice_of_x(STD.gu_coords, x)
     assert lx != STD.Ldot
-    assert STD.Ldot.contains_lattice(lx)
-    assert lx.contains_lattice(STD.Ldot.scale(1))
+    assert STD.Ldot.intersect(lx) == lx
+    assert lx.intersect(STD.Ldot.scale(1)) == STD.Ldot.scale(1)
     # the upper-right matrix coordinate is forced into 3 o_F
     e12 = STD.gu_coords.to_coords(Mat(SYMPL.ring, [[0, 1], [0, 0]]))
     assert not lx.contains_vector(e12)

@@ -1,0 +1,168 @@
+"""The linearizer ``cayley.linear_system`` and every integer system built
+with it, pinned by sha256 digests: the Lie enumerations, the Lie-algebra
+coordinate bases, the star and iota kernels, and the affine systems of
+the conjugator and fiber solves."""
+
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simdual import cayley as cayley_mod
+from simdual import modsolve
+from simdual.cayley import (_star_rows, cayley, components_per_scalar,
+                            enumerate_lie, fiber, iota_kernel, linear_system)
+from simdual.decomposition import _conjugator_system
+from simdual.lattices import standard_lattices
+from simdual.matrices import parse_matrix
+from simdual.scalars import INERT, SPLIT, Ring
+from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
+                            SKEW_HERMITIAN, SYMPLECTIC, certify_group,
+                            certify_lie, standard_space)
+
+
+@st.composite
+def affine_maps(draw):
+    D = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 6))
+    entries = st.integers(-10**6, 10**6)
+    A = draw(st.lists(st.lists(entries, min_size=D, max_size=D),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_maps())
+def test_linear_system_recovers_an_integer_affine_map(Ab):
+    A, b = Ab
+
+    def f(v):
+        return [sum(a * x for a, x in zip(row, v)) - c
+                for row, c in zip(A, b)]
+    assert linear_system(len(A[0]), f) == (A, b)
+
+
+def _ext(family):
+    return INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def _scalar(s):
+    return [str(s.a), str(s.b)]
+
+
+PINNED_LIE_KEYS = {
+    ("orthogonal", 1):
+        "9a99979b962041ad81f802a87e20bf159aab079a2958b68360225d04cbd5b949",
+    ("symplectic", 1):
+        "67b0da0ab315cc6435bd32fc2e42c5ded621ec0881c7938f336a2f8b92ef9e8c",
+    ("hermitian", 1):
+        "f163a9768a6e686c30a2f232916924e0fa8444c541b97c9915da795b64cba022",
+    ("skew-hermitian", 1):
+        "f163a9768a6e686c30a2f232916924e0fa8444c541b97c9915da795b64cba022",
+    ("general-linear", 1):
+        "fe69d8fb95ab4c7cb73a668502df6aca3797ccb777cc9dd72aa60f3b761d8233",
+    ("symplectic", 2):
+        "d8350e98992261b943716e41312e33fc9aa13771fe149486c361e1a629cb33a8",
+}
+
+
+@pytest.mark.parametrize("family, N", list(PINNED_LIE_KEYS))
+def test_enumerate_lie_matches_the_pinned_digest(family, N):
+    space = standard_space(family, 2, Ring(3, _ext(family), N))
+    keys = [list(lie.mat.key()) + _scalar(lie.alpha)
+            for lie in enumerate_lie(space)]
+    assert _digest(keys) == PINNED_LIE_KEYS[family, N]
+
+
+PINNED_COORDS = {
+    "orthogonal":
+        "13b760d8ddefca29fa42bfca39ecb2b40d14313eba339006a255a5a142841ed4",
+    "symplectic":
+        "22a632984683bd41b70326be27409590dad56ff382a0d5c97a3a7c6b6693600c",
+    "hermitian":
+        "6aba5dbfb564ce131eb9f5da5c88289e6d1e17a889e6dff06a5b2fbe9cdbf9bf",
+    "skew-hermitian":
+        "6aba5dbfb564ce131eb9f5da5c88289e6d1e17a889e6dff06a5b2fbe9cdbf9bf",
+    "general-linear":
+        "2af5d3b4d7c297f794c96ad4417ea5100c46d503999e4082aedd6d14f0150f56",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lie_coordinates_match_the_pinned_digest(family):
+    std = standard_lattices(standard_space(family, 2, Ring(3, _ext(family))))
+    data = [[[B.to_text() for B in coords.basis],
+             [_scalar(a) for a in coords.alphas]]
+            for coords in (std.gu_coords, std.u_coords)]
+    assert _digest(data) == PINNED_COORDS[family]
+
+
+PINNED_KERNELS = {
+    SYMPLECTIC:
+        "0e4aae4cfe782a24442da1c9c5e3be642d05273c00a4b49080e08b775887214e",
+    HERMITIAN:
+        "9ce1e7a0aa72309f04ea54376766849610e235fdb931fff6a0fcf6fed1184d27",
+}
+
+
+@pytest.mark.parametrize("family", list(PINNED_KERNELS))
+def test_star_and_iota_kernels_match_the_pinned_digest(family):
+    space = standard_space(family, 2, Ring(3, _ext(family), 1))
+    D = space.n * space.n * components_per_scalar(space)
+    iota = iota_kernel(space)
+    units = [[int(i == j) for i in range(D)] for j in range(D)]
+    data = [_star_rows(space),
+            [list(iota(e, mu)) for e in units for mu in (1, 2)]]
+    assert _digest(data) == PINNED_KERNELS[family]
+
+
+PINNED_CONJUGATOR_SYSTEMS = {
+    (SYMPLECTIC, 1, "2, 0; 0, 1"):
+        "80ca4b3565c44f1ed20d06f3780dd819eb7e99f1e1d789006d7e9968d2df3ae1",
+    (GENERAL_LINEAR, 1, "1, 1; 0, 1"):
+        "98f963d14f6db30d8b1b0e225503aa2e5b5f6c3ec1e0587eb8c7f7e0bbc7c84b",
+    (HERMITIAN, 2, "16+16*s, 17+8*s; 10+19*s, 7+25*s"):
+        "122b28dd7c087e4cf3445243489254d1c3ff335a0492dab30045131176a3fffa",
+}
+
+
+@pytest.mark.parametrize("family, N, text", list(PINNED_CONJUGATOR_SYSTEMS))
+def test_conjugator_system_matches_the_pinned_digest(family, N, text):
+    space = standard_space(family, 2, Ring(3, _ext(family), N))
+    a = certify_group(space, parse_matrix(space.ring, text))
+    assert (_digest(_conjugator_system(a))
+            == PINNED_CONJUGATOR_SYSTEMS[family, N, text])
+
+
+PINNED_BRANCH_SYSTEMS = {
+    (SYMPLECTIC, (1, 0, 0, 0)):
+        "634a5d3c64673acce597dc4470244ff46b490d10e8df79ce5da03ad239b5ac17",
+    (HERMITIAN, (1, 0, 1, 0, 3)):
+        "a21ba122be38c214f97b56dc8045ff73a9c36d9162b003ff7349bf98718139b2",
+}
+
+
+@pytest.mark.parametrize("family, coords", list(PINNED_BRANCH_SYSTEMS))
+def test_fiber_branch_systems_match_the_pinned_digest(monkeypatch, family,
+                                                      coords):
+    # the (A, b) handed to the affine solve, one pair per lambda branch
+    systems = []
+
+    def recording(A, b, p, N, limit):
+        systems.append([A, b])
+        return solve(A, b, p, N, limit)
+    solve = modsolve.solve_affine_mod
+    monkeypatch.setattr(cayley_mod.modsolve, "solve_affine_mod", recording)
+    space = standard_space(family, 2, Ring(3, _ext(family)))
+    X = standard_lattices(space).gu_coords.from_coords(coords).reduce(2)
+    g = cayley(certify_lie(space.truncated(2), X))
+    assert fiber(g).preimages
+    assert len(systems) == 2
+    assert _digest(systems) == PINNED_BRANCH_SYSTEMS[family, coords]

@@ -67,14 +67,6 @@ def test_scalar_reduce_lift():
     ring = Ring(3, SPLIT)
     x = ring.scalar(Fraction(1, 2))
     assert x.reduce(2).a == 5
-    assert x.reduce(2).lift().a == 5
-
-
-def test_residue_enumeration():
-    ring = Ring(3, INERT, 1)
-    res = list(ring.residues())
-    assert len(res) == 9
-    assert len(set((r.a, r.b) for r in res)) == 9
 
 
 def test_hensel_pinned_values():
