@@ -12,18 +12,31 @@ exhaustive bucketing residue-for-residue.
 
 In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
+
+Mod p^N the work runs on integer component tuples (the layout of
+``mat_components``) through kernels derived once per space and kept in
+``space.memo``: the generated product, one integer Gauss-Jordan inverse
+for split and inert rings, the F-linear maps star, theta and iota probed
+on unit vectors, and from them the multiplier and alpha certificates, the
+Cayley map and the working domain.  The fiber branches are built with
+``linear_system`` on components, and preimages are certified on integers;
+``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where a public
+function returns one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import modsolve
 from .matrices import Mat
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
-from .spaces import (GroupElem, LieElem, Space, SpaceError, certify_lie, star)
+from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
+                     certify_lie, star)
 
 UNIQUE_LAMBDA = "unique-lambda"
 TWO_PREIMAGES = "two-preimages"
@@ -239,6 +252,44 @@ def mat_from_components(space: Space, comps, den: int = 1) -> Mat:
     return Mat._make(ring, tuple(rows))
 
 
+def comps_key(space: Space, comps) -> tuple:
+    """``Mat.key()`` of the truncated matrix with components ``comps``:
+    the components themselves when inert, each paired with 0 when split.
+    Both orders agree, so sorted components are sorted keys."""
+    if components_per_scalar(space) == 2:
+        return tuple(comps)
+    return tuple(v for c in comps for v in (c, 0))
+
+
+def identity_comps(space: Space) -> tuple:
+    return tuple(mat_components(space, space.identity()))
+
+
+class Members(Sequence):
+    """Group elements held as component tuples ``comps`` (the layout of
+    ``mat_components``) with multiplier residues ``mus``.  A
+    ``GroupElem`` is decoded on access, so none is kept per element."""
+
+    def __init__(self, space: Space, comps, mus):
+        self.space = space
+        self.comps = comps
+        self.mus = mus
+
+    def __len__(self) -> int:
+        return len(self.comps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        space = self.space
+        return GroupElem(space, mat_from_components(space, self.comps[i]),
+                         space.ring.scalar(self.mus[i]))
+
+    def keys(self) -> set:
+        """The ``Mat.key()`` of every element."""
+        return {comps_key(self.space, x) for x in self.comps}
+
+
 def linear_system(D: int, f) -> tuple[list, list]:
     """(A, b) with f(v) = A v - b for the affine map ``f`` on length-D
     component lists, found by probing the zero vector and the D unit
@@ -272,12 +323,23 @@ def _sparse_rows(space: Space, f) -> list:
     return [[(j, c) for j, c in enumerate(row) if c] for row in A]
 
 
+def _per_space(build):
+    """Keep ``build(space)`` in ``space.memo`` under the function's name,
+    so a kernel is derived once per space."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def get(space: Space):
+        if name not in space.memo:
+            space.memo[name] = build(space)
+        return space.memo[name]
+    return get
+
+
+@_per_space
 def _star_rows(space: Space) -> list:
     """Sparse rows of star, probed once per space."""
-    if "star_rows" not in space.memo:
-        space.memo["star_rows"] = _sparse_rows(space,
-                                               lambda m: star(space, m))
-    return space.memo["star_rows"]
+    return _sparse_rows(space, lambda m: star(space, m))
 
 
 def lie_system(space: Space, alpha: bool = True) -> list:
@@ -297,9 +359,17 @@ def lie_system(space: Space, alpha: bool = True) -> list:
     return A
 
 
-def _gl_inverse(x, n: int, p: int, M: int):
-    """Gauss-Jordan inverse mod M = p^N of the split n x n matrix with
-    row-major components x, pivoting on units; None when it is singular."""
+def _gauss_jordan(x, n: int, p: int, M: int):
+    """Gauss-Jordan inverse mod M = p^N of the n x n integer matrix with
+    row-major entries x, pivoting on units; None when it is singular.
+    2 x 2 inverses use the adjugate, as ``Mat.inv`` does."""
+    if n == 2:
+        a, b, c, d = x
+        det = (a * d - b * c) % M
+        if det % p == 0:
+            return None
+        f = pow(det, -1, M)
+        return d * f % M, -b * f % M, -c * f % M, a * f % M
     aug = [list(x[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)]
            for i in range(n)]
     for col in range(n):
@@ -314,6 +384,39 @@ def _gl_inverse(x, n: int, p: int, M: int):
             if r != col and c:
                 aug[r] = [(v - c * w) % M for v, w in zip(aug[r], top)]
     return tuple(v for row in aug for v in row[n:])
+
+
+@_per_space
+def matrix_inverse_kernel(space: Space):
+    """``inv(x)``: the components of the inverse mod p^N of the matrix
+    with components x, or None when it is singular (its determinant is
+    not a unit).  Over the inert ring each entry a + b s becomes the
+    block [[a, u b], [b, a]] of a 2n x 2n matrix over the base ring; that
+    map is a ring homomorphism and its image is invertible exactly when x
+    is, so one integer Gauss-Jordan serves both rings."""
+    ring = space.ring
+    n, p, M = space.n, ring.p, ring.modulus
+    if ring.ext != INERT:
+        return lambda x: _gauss_jordan(x, n, p, M)
+    u, m = ring.u, 2 * n
+    # position in the 2n x 2n matrix of each block entry, by component
+    places = []
+    for i in range(n):
+        for j in range(n):
+            r, c = 2 * i * m + 2 * j, (2 * i + 1) * m + 2 * j
+            places.append(((r, c + 1), (c, r + 1)))
+
+    def inv(x):
+        big = [0] * (m * m)
+        for ((a1, a2), (b1, b2)), a, b in zip(places, x[::2], x[1::2]):
+            big[a1] = big[a2] = a
+            big[b1] = b
+            big[b2] = u * b
+        y = _gauss_jordan(big, m, p, M)
+        if y is None:
+            return None
+        return tuple(y[k] for (a1, _), (b1, _) in places for k in (a1, b1))
+    return inv
 
 
 def _det(x, n: int) -> int:
@@ -332,11 +435,7 @@ def _det(x, n: int) -> int:
     return total
 
 
-def _check_split_gl(space: Space):
-    if space.ring.ext == INERT:
-        raise SpaceError("the general-linear kernels work over the split ring")
-
-
+@_per_space
 def multiplier_predicate(space: Space):
     """``mu_of(comps)`` for a truncated space: the residue mu when the
     matrix g with components ``comps`` (the layout of ``mat_components``)
@@ -348,17 +447,16 @@ def multiplier_predicate(space: Space):
     """
     if space.ring.exact:
         raise ValueError("the multiplier predicate works mod p^N")
-    if "multiplier_predicate" in space.memo:
-        return space.memo["multiplier_predicate"]
     ring = space.ring
     n, p, M = space.n, ring.p, ring.modulus
 
     if not space.has_form:
-        _check_split_gl(space)
+        if ring.ext == INERT:
+            raise SpaceError("the general-linear multiplier works over the "
+                             "split ring")
 
         def mu_of(x):
             return 1 if _det(x, n) % p else None
-        space.memo["multiplier_predicate"] = mu_of
         return mu_of
 
     star_rows = _star_rows(space)
@@ -374,10 +472,10 @@ def multiplier_predicate(space: Space):
         if mu % p and z.count(0) == zeros and z[::step].count(mu) == n:
             return mu
         return None
-    space.memo["multiplier_predicate"] = mu_of
     return mu_of
 
 
+@_per_space
 def product_kernel(space: Space):
     """``mul(x, y)``: the components of g h mod p^N, where g and h have
     components x and y (the layout of ``mat_components``), for split and
@@ -387,8 +485,6 @@ def product_kernel(space: Space):
     """
     if space.ring.exact:
         raise ValueError("the product kernel works mod p^N")
-    if "product_kernel" in space.memo:
-        return space.memo["product_kernel"]
     ring = space.ring
     n, M = space.n, ring.modulus
     if ring.ext == INERT:
@@ -417,9 +513,7 @@ def product_kernel(space: Space):
               f"    return ({', '.join(terms)},)\n")
     namespace = {}
     exec(source, namespace)
-    mul = namespace["mul"]
-    space.memo["product_kernel"] = mul
-    return mul
+    return namespace["mul"]
 
 
 def _scaled_map(rows: list, M: int):
@@ -438,12 +532,10 @@ def inverse_kernel(space: Space):
     Gauss-Jordan (mu is 1 there)."""
     if space.ring.exact:
         raise ValueError("the inverse kernel works mod p^N")
-    ring = space.ring
-    n, p, M = space.n, ring.p, ring.modulus
     if space.has_form:
-        return _scaled_map(_star_rows(space), M)
-    _check_split_gl(space)
-    return lambda x, mu: _gl_inverse(x, n, p, M)
+        return _scaled_map(_star_rows(space), space.ring.modulus)
+    inv = matrix_inverse_kernel(space)
+    return lambda x, mu: inv(x)
 
 
 def iota_kernel(space: Space):
@@ -460,62 +552,164 @@ def iota_kernel(space: Space):
         space.ring.modulus)
 
 
-def _solve_branch(g: GroupElem, lam: Scalar, limit):
-    """All X mod p^N with (lam + g) X = 1 - g and X + X* = (lam^-1 - 1) 1."""
-    space = g.space
+def theta_map(space: Space):
+    """theta on group members as a map on matrices: g -> H J^-1 g^T J H^-1,
+    which is mu(g) H tau(g^-1) H^-1 (``involution.theta_group``) because
+    g^-1 = mu^-1 tau(J^-1 g^T J) for a similitude g.  It is linear in g;
+    in the general-linear family it is the transpose."""
+    if not space.has_form:
+        return Mat.transpose
+    left, right = space.H * space.Jinv, space.J * space.Hinv
+    return lambda m: left * m.transpose() * right
+
+
+@_per_space
+def theta_kernel(space: Space):
+    """``theta(x)``: the components of theta(g) mod p^N for the member g
+    with components x; ``theta_map`` probed once per space."""
+    if space.ring.exact:
+        raise ValueError("the theta kernel works mod p^N")
+    rows = _sparse_rows(space, theta_map(space))
+    M = space.ring.modulus
+    return lambda x: tuple(sum(c * x[j] for j, c in row) % M for row in rows)
+
+
+@_per_space
+def lie_alpha_kernel(space: Space):
+    """``alpha(x)``: the residue alpha with X + X* = alpha 1, alpha in the
+    base ring, for the X with components x (0 in the general-linear
+    family); raises MembershipError, as ``certify_lie`` does, when X is
+    not in the similitude Lie algebra mod p^N."""
+    if space.ring.exact:
+        raise ValueError("the alpha kernel works mod p^N")
+    if not space.has_form:
+        return lambda x: 0
+    rows = _star_rows(space)
+    n, M = space.n, space.ring.modulus
+    # X + X* = alpha 1: its n diagonal a-components equal alpha and its
+    # other components are zero
+    step = components_per_scalar(space) * (n + 1)
+    size = len(rows)
+
+    def alpha(x):
+        z = [(v + sum(c * x[j] for j, c in row)) % M
+             for v, row in zip(x, rows)]
+        a = z[0]
+        if z[::step].count(a) == n and z.count(0) == (size - n if a else size):
+            return a
+        raise MembershipError("not in the similitude Lie algebra: "
+                              + mat_from_components(space, x).to_text())
+    return alpha
+
+
+@_per_space
+def cayley_kernel(space: Space):
+    """``c(x, alpha)``: ``cayley`` on components.  (components, mu) of
+    c(X) = (1 - lam X)(1 + X)^-1 mod p^N with lam = (1 + alpha)^-1 and
+    mu = lam^2, for the X with components x and alpha from
+    ``lie_alpha_kernel``; None outside the two-condition Cayley domain.
+    In the general-linear family c(X) = 1 + X with mu = 1."""
+    ident = identity_comps(space)
+    inv = matrix_inverse_kernel(space)
+    mul = product_kernel(space)
+    p, M = space.ring.p, space.ring.modulus
+
+    def c(x, alpha):
+        one_plus = tuple((e + v) % M for e, v in zip(ident, x))
+        t = inv(one_plus)
+        if t is None:
+            return None
+        if not space.has_form:
+            return one_plus, 1
+        if (1 + alpha) % p == 0:
+            return None
+        lam = pow(1 + alpha, -1, M)
+        return (mul(tuple((e - lam * v) % M for e, v in zip(ident, x)), t),
+                lam * lam % M)
+    return c
+
+
+@_per_space
+def domain_kernel(space: Space):
+    """``in_domain(x, alpha)``: ``in_domain`` on components, the
+    three-condition working domain (1 + alpha a unit, 1 + X and
+    (1 + alpha) 1 - X invertible mod p^N)."""
+    ident = identity_comps(space)
+    inv = matrix_inverse_kernel(space)
+    p, M = space.ring.p, space.ring.modulus
+
+    def in_dom(x, alpha):
+        a1 = (1 + alpha) % M
+        return (a1 % p != 0
+                and inv(tuple((e + v) % M for e, v in zip(ident, x))) is not None
+                and (not space.has_form or inv(tuple(
+                    (a1 * e - v) % M for e, v in zip(ident, x))) is not None))
+    return in_dom
+
+
+def _solve_branch(space: Space, x: tuple, lam: int, limit):
+    """All X mod p^N, as components, with (lam + g) X = 1 - g and
+    X + X* = (lam^-1 - 1) 1, where g has components x."""
     ring = space.ring
-    shifted = Mat.scalar_mat(ring, space.n, lam) + g.mat
-    rhs = space.identity() - g.mat
-    alpha_target = Mat.scalar_mat(ring, space.n, lam.inv() - ring.one)
+    M = ring.modulus
+    ident = identity_comps(space)
+    mul = product_kernel(space)
+    star_rows = _star_rows(space)
+    shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+    rhs = [(e - v) % M for e, v in zip(ident, x)]
+    target = [(pow(lam, -1, M) - 1) * e for e in ident]
 
-    def f(X):
-        return shifted * X - rhs, X + star(space, X) - alpha_target
+    def f(v):
+        return ([(y - r) % M for y, r in zip(mul(shifted, v), rhs)]
+                + [(vi + sum(c * v[j] for j, c in row) - t) % M
+                   for vi, row, t in zip(v, star_rows, target)])
 
-    A, b = matrix_system(space, f)
+    A, b = linear_system(len(ident), f)
     return modsolve.solve_affine_mod(A, b, ring.p, ring.prec, limit)
 
 
 def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
     space = g.space
     ring = space.ring
-    mu = g.mu
-    root = sqrt_mod_prime_power(mu.a, ring.p, ring.prec)
+    M = ring.modulus
+    root = sqrt_mod_prime_power(g.mu.a, ring.p, ring.prec)
     if root is None:
         return FiberResult(EMPTY)
-    lam0 = ring.scalar(root)
-    branches = [lam0, -lam0]
-    preimages = []
+    x = tuple(mat_components(space, g.mat))
+    ident = identity_comps(space)
+    inv = matrix_inverse_kernel(space)
+    alpha_of = lie_alpha_kernel(space)
+    in_dom = domain_kernel(space)
+    found = {}                      # components of X -> (alpha, lambda)
     lambdas = []
-    seen = set()
-    for lam in branches:
-        for comps in _solve_branch(g, lam, limit):
-            X = mat_from_components(space, comps)
-            if not _mat_regular(space.identity() + X):
+    for lam in (root, -root % M):
+        for comps in _solve_branch(space, x, lam, limit):
+            if comps in found or inv(
+                    tuple((e + v) % M for e, v in zip(ident, comps))) is None:
                 continue
-            key = X.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            lie = certify_lie(space, X)
-            preimages.append(FiberPreimage(lie, lam, in_domain(lie)))
+            found[comps] = alpha_of(comps), lam
             if lam not in lambdas:
                 lambdas.append(lam)
-    preimages.sort(key=lambda pre: pre.X.mat.key())
-    if not preimages:
+    if not found:
         return FiberResult(EMPTY)
-    if g.mat == space.identity():
+    preimages = [FiberPreimage(
+        LieElem(space, mat_from_components(space, comps), ring.scalar(alpha)),
+        ring.scalar(lam), in_dom(comps, alpha))
+        for comps, (alpha, lam) in sorted(found.items())]
+    if x == ident:
         tag = INFINITE_IDENTITY
-    elif mu == ring.one:
+    elif g.mu == ring.one:
         tag = UNIQUE_MU1
     elif len(preimages) == 2:
         tag = TWO_PREIMAGES
     else:
         tag = UNIQUE_LAMBDA
-    return FiberResult(tag, preimages, lambdas)
+    return FiberResult(tag, preimages, [ring.scalar(lam) for lam in lambdas])
 
 
-def enumerate_lie(space: Space, limit=10**6):
-    """All Lie-algebra members of a truncated space, canonical order."""
+def _lie_components(space: Space, limit) -> list:
+    """The components of every Lie-algebra member of a truncated space,
+    sorted."""
     ring = space.ring
     if ring.exact:
         raise ValueError("cannot enumerate an exact Lie algebra")
@@ -525,24 +719,28 @@ def enumerate_lie(space: Space, limit=10**6):
         if M**D > limit:
             raise modsolve.SolveBudgetError(
                 f"Lie enumeration of {M**D} elements exceeds limit {limit}")
-        return [certify_lie(space, mat_from_components(space, comps))
-                for comps in itertools.product(range(M), repeat=D)]
+        return list(itertools.product(range(M), repeat=D))
     sols = modsolve.kernel_mod(lie_system(space), ring.p, ring.prec, limit)
-    out = [certify_lie(space, mat_from_components(space, comps[:D]))
-           for comps in sols]
-    out.sort(key=lambda lie: lie.mat.key())
-    return out
+    return sorted(comps[:D] for comps in sols)
+
+
+def enumerate_lie(space: Space, limit=10**6):
+    """All Lie-algebra members of a truncated space, canonical order."""
+    return [certify_lie(space, mat_from_components(space, comps))
+            for comps in _lie_components(space, limit)]
 
 
 def bucket_domain_images(space: Space, limit=10**6):
     """Exhaustive oracle: bucket c over all working-domain X of a truncated
-    space, keyed by the image residue.  Ground truth for fiber()."""
+    space, keyed by the image residue, each bucket listing its X in
+    canonical order.  Ground truth for fiber(); runs on components."""
+    alpha_of = lie_alpha_kernel(space)
+    in_dom = domain_kernel(space)
+    c = cayley_kernel(space)
     buckets = {}
-    for lie in enumerate_lie(space, limit):
-        if not in_domain(lie):
-            continue
-        img = cayley(lie)
-        buckets.setdefault(img.mat.key(), []).append(lie.mat.key())
-    for key in buckets:
-        buckets[key].sort()
+    for x in _lie_components(space, limit):
+        alpha = alpha_of(x)
+        if in_dom(x, alpha):
+            buckets.setdefault(comps_key(space, c(x, alpha)[0]), []).append(
+                comps_key(space, x))
     return buckets

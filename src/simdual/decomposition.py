@@ -19,6 +19,12 @@ theta-symmetric and keeps mu = 1, because theta is an involutive
 anti-automorphism and mu(k) = 1.  So one solve per orbit of C under these
 conjugations suffices; every carried conjugator is re-checked.
 
+Members are held as integer component tuples mod p^N (the layout of
+``cayley.mat_components``): the subgroup comes from
+``LieCoords.cayley_images``, and products, inverses, theta and the
+multiplier from the kernels of ``cayley``.  ``CosetSet.members`` decodes a
+``GroupElem`` on access.
+
 The conjugator search exploits that for an isometry x the two conditions
 theta(x) = x and x a x^-1 = theta(a) are linear in the entries of x, so
 candidates come from an exact affine solve mod p^N instead of a scan of
@@ -29,16 +35,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import modsolve
-from .cayley import (cayley, mat_from_components, matrix_system,
-                     multiplier_predicate)
+from .cayley import (Members, inverse_kernel, mat_components,
+                     mat_from_components, matrix_system, multiplier_predicate,
+                     product_kernel, theta_kernel, theta_map)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices
 from .matrices import Mat
-from .spaces import (GroupElem, Space, certify_group, certify_lie,
-                     similitude_multiplier)
+from .spaces import GroupElem, Space, certify_group, similitude_multiplier
 
 
 class DecompositionError(ValueError):
@@ -49,8 +54,9 @@ class DecompositionError(ValueError):
 
 
 def cayley_image_members(std: StandardLattices, level: int, N: int,
-                         limit: int = 10**6) -> list[GroupElem]:
-    """Residues mod p^N of c(p^level * Ldot), sorted.
+                         limit: int = 10**6) -> Members:
+    """Residues mod p^N of c(p^level * Ldot), sorted, as component tuples
+    that decode to ``GroupElem`` on access.
 
     For level >= 1 every point is in the working domain, and the image is
     a subgroup of the similitude group mod p^N.
@@ -63,13 +69,10 @@ def cayley_image_members(std: StandardLattices, level: int, N: int,
     gens = [[int(x * p**level) for x in col] for col in std.Ldot.cols]
     coeff_vectors = modsolve.span_coset_mod([0] * coords.m, gens, p, N, limit)
     st = space.truncated(N)
-    seen = {}
-    for v in coeff_vectors:
-        X = coords.from_coords([Fraction(c) for c in v])
-        lie = certify_lie(st, X.reduce(N))
-        g = cayley(lie)
-        seen[g.mat.key()] = g
-    return [seen[k] for k in sorted(seen)]
+    seen = {comps: mu for comps, mu, _ in
+            coords.cayley_images(st, coeff_vectors)}
+    comps = sorted(seen)
+    return Members(st, comps, [seen[x] for x in comps])
 
 
 # -- domain types -----------------------------------------------------
@@ -83,22 +86,22 @@ class CosetSet:
     base: GroupElem             # b mod p^N
     level: int                  # l0
     N: int
-    members: tuple              # sorted GroupElems, pairwise distinct
+    members: Members            # sorted, pairwise distinct
 
     def member_keys(self) -> set:
-        return {m.mat.key() for m in self.members}
+        return self.members.keys()
 
 
 @dataclass(frozen=True)
 class Piece:
     """A member list S with a witness g satisfying theta(S) = g S g^-1."""
 
-    members: tuple              # sorted GroupElems
+    members: Members            # sorted
     witness: GroupElem
     provenance: dict            # base point a, conjugator x, level
 
     def member_keys(self) -> set:
-        return {m.mat.key() for m in self.members}
+        return self.members.keys()
 
 
 def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
@@ -109,15 +112,16 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
     st = space.truncated(N) if space.ring.exact else space
     bt = certify_group(st, b.reduce(N) if b.ring.exact else b)
     subgroup = cayley_image_members(std, l0, N, limit=limit)
+    mul = product_kernel(st)
+    bx, mu_b, M = tuple(mat_components(st, bt.mat)), bt.mu.a, st.ring.modulus
     seen = {}
-    for k in subgroup:
-        m = bt * k
-        key = m.mat.key()
-        if key in seen:
+    for k, mu in zip(subgroup.comps, subgroup.mus):
+        m = mul(bx, k)
+        if m in seen:
             raise DecompositionError("coset members are not pairwise distinct")
-        seen[key] = m
-    members = tuple(seen[k] for k in sorted(seen))
-    return CosetSet(st, bt, l0, N, members)
+        seen[m] = mu_b * mu % M
+    comps = sorted(seen)
+    return CosetSet(st, bt, l0, N, Members(st, comps, [seen[x] for x in comps]))
 
 
 # -- the linear-system conjugator search ------------------------------
@@ -126,21 +130,15 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
 def _conjugator_system(a: GroupElem):
     """Affine system over matrix components for {x a = theta(a) x, x
     theta-symmetric}, where theta-symmetry of an isometry x is the linear
-    condition H J^-1 x^T J H^-1 = x (transpose-symmetry for the
-    general-linear family).  Quadratic conditions (x a unit isometry) are
-    checked per candidate afterwards.
+    condition ``theta_map(x) = x``.  Quadratic conditions (x a unit
+    isometry) are checked per candidate afterwards.
     """
     space = a.space
     ta = theta_group(a).mat
+    theta = theta_map(space)
 
-    if space.has_form:
-        left, right = space.H * space.Jinv, space.J * space.Hinv
-
-        def f(x):
-            return x * a.mat - ta * x, x - left * x.transpose() * right
-    else:
-        def f(x):
-            return x * a.mat - ta * x, x - x.transpose()
+    def f(x):
+        return x * a.mat - ta * x, x - theta(x)
 
     return matrix_system(space, f)
 
@@ -187,6 +185,26 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
 # -- conjugators carried along orbits ---------------------------------
 
 
+def _carried_check(space: Space, keys):
+    """``failure(a, x)``: the first of the four conditions on a carried
+    pair (a', x') = (a, x) that fails, or None: a' in C (``keys``),
+    mu(x') = 1, theta(x') = x' and x' a' = theta(a') x'."""
+    mul, theta = product_kernel(space), theta_kernel(space)
+    mu_of = multiplier_predicate(space)
+
+    def failure(a, x):
+        if a not in keys:
+            return "a' is not in C"
+        if mu_of(x) != 1:
+            return "mu(x') != 1"
+        if theta(x) != x:
+            return "theta(x') != x'"
+        if mul(x, a) != mul(theta(a), x):
+            return "x' a' != theta(a') x'"
+        return None
+    return failure
+
+
 def _orbit_conjugators(C: CosetSet, std: StandardLattices,
                        max_candidates: int) -> GroupElem:
     """Check that every member of C has a theta-symmetric isometry
@@ -194,42 +212,45 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
 
     Members are visited in sorted order.  Each member not yet reached is
     solved, and its conjugator is carried over its orbit under the
-    isometry generators, with every carried x' re-checked: a' in C,
-    mu(x') = 1, theta(x') = x' and x' a' = theta(a') x'.
+    isometry generators, with every carried x' re-checked by
+    ``_carried_check``.
     """
-    space, one = C.space, C.space.ring.one
-    keys = C.member_keys()
+    space = C.space
+    mul, theta = product_kernel(space), theta_kernel(space)
+    inv = inverse_kernel(space)
+    members = C.members
+    failure = _carried_check(space, set(members.comps))
     # isometries k = c(p^l0 B) of c(p^l0 Ldot), B in the isometry Lie
     # basis, so mu(k) = 1; kept with k^-1 and theta(k)^-1
-    gens = []
-    for B in std.u_coords.basis:
-        k = cayley(certify_lie(space, (B * space.ring.p**C.level).reduce(C.N)))
-        gens.append((k, k.inv(), theta_group(k).inv()))
+    coords = std.u_coords
+    pl = space.ring.p**C.level
+    unit_vectors = [[pl * (i == j) for i in range(coords.m)]
+                    for j in range(coords.m)]
+    gens = [(k, inv(k, 1), inv(theta(k), 1))
+            for k, _, _ in coords.cayley_images(space, unit_vectors)]
     reached = set()
     first = None
-    for root in C.members:
-        if root.mat.key() in reached:
+    for i, root in enumerate(members.comps):
+        if root in reached:
             continue
-        x = find_conjugator_mod(root, max_candidates=max_candidates)
+        x = find_conjugator_mod(members[i], max_candidates=max_candidates)
         if first is None:
             first = x
-        reached.add(root.mat.key())
-        queue = deque([(root, x)])
+        reached.add(root)
+        queue = deque([(root, tuple(mat_components(space, x.mat)))])
         while queue:
             a, x = queue.popleft()
             for k, kinv, tkinv in gens:
-                a2 = k * a * kinv
-                key = a2.mat.key()
-                if key in reached:
+                a2 = mul(mul(k, a), kinv)
+                if a2 in reached:
                     continue
-                x2 = tkinv * x * kinv
-                if (key not in keys
-                        or similitude_multiplier(space, x2.mat) != one
-                        or theta_group(x2).mat != x2.mat
-                        or x2.mat * a2.mat != theta_group(a2).mat * x2.mat):
+                x2 = mul(mul(tkinv, x), kinv)
+                failed = failure(a2, x2)
+                if failed:
                     raise DecompositionError(
-                        f"carried conjugator fails at {a2.mat.to_text()}")
-                reached.add(key)
+                        f"carried conjugator fails ({failed}) at "
+                        f"{mat_from_components(space, a2).to_text()}")
+                reached.add(a2)
                 queue.append((a2, x2))
     return first
 
@@ -237,12 +258,15 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
 # -- the decomposition ------------------------------------------------
 
 
-def verify_piece(members, g: GroupElem) -> bool:
+def verify_piece(members: Members, g: GroupElem) -> bool:
     """Exact residue-set check of theta(S) = g S g^-1."""
-    ginv = g.mat.inv()
-    theta_keys = {theta_group(s).mat.key() for s in members}
-    conj_keys = {(g.mat * s.mat * ginv).key() for s in members}
-    return theta_keys == conj_keys
+    space = g.space
+    comps = members.comps
+    mul, theta = product_kernel(space), theta_kernel(space)
+    gx = tuple(mat_components(space, g.mat))
+    ginv = inverse_kernel(space)(gx, g.mu.a)
+    return ({theta(s) for s in comps}
+            == {mul(mul(gx, s), ginv) for s in comps})
 
 
 def decompose(C: CosetSet, std: StandardLattices,
@@ -257,13 +281,23 @@ def decompose(C: CosetSet, std: StandardLattices,
     re-verified on each run.
     """
     space = C.space
-    a = next((m for m in C.members if theta_group(m).mat == m.mat), None)
-    if a is not None:
+    members = C.members
+    theta = theta_kernel(space)
+    i = next((i for i, m in enumerate(members.comps) if theta(m) == m), None)
+    if i is not None:
         x = GroupElem(space, space.identity(), space.ring.one)
     else:
-        a = C.members[0]
+        i = 0
         x = _orbit_conjugators(C, std, max_candidates)
-    piece = Piece(C.members, x * a.inv(),
+    a = members[i]
+    M = space.ring.modulus
+    w = product_kernel(space)(tuple(mat_components(space, x.mat)),
+                              inverse_kernel(space)(members.comps[i],
+                                                    members.mus[i]))
+    mu_w = x.mu.a * pow(members.mus[i], -1, M) % M
+    witness = GroupElem(space, mat_from_components(space, w),
+                        space.ring.scalar(mu_w))
+    piece = Piece(members, witness,
                   {"a": a.mat.to_text(), "x": x.mat.to_text(),
                    "level": C.level})
     if not verify_piece(piece.members, piece.witness):

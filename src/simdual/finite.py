@@ -30,17 +30,15 @@ automorphism ``iota_group`` defines.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .cayley import (inverse_kernel, iota_kernel, mat_components,
-                     mat_from_components, multiplier_predicate,
-                     product_kernel)
+from .cayley import (Members, identity_comps, inverse_kernel, iota_kernel,
+                     mat_components, multiplier_predicate, product_kernel)
 from .involution import enumerate_matrices, iota_group
 from .matrices import Mat
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL, SYMPLECTIC,
-                     GroupElem, Space, standard_space, validate_space)
+                     Space, standard_space, validate_space)
 
 SP = "sp"
 GSP = "gsp"
@@ -133,32 +131,12 @@ class FiniteGroupTable:
         return len(self.comps)
 
     @property
-    def elements(self) -> "_Elements":
-        return _Elements(self)
-
-    def element(self, i: int) -> GroupElem:
-        space = self.space
-        return GroupElem(space, mat_from_components(space, self.comps[i]),
-                         space.ring.scalar(self.mus[i]))
+    def elements(self) -> Members:
+        return Members(self.space, self.comps, self.mus)
 
     def position(self, m: Mat) -> int:
         """The position of the matrix m; KeyError if it is not a member."""
         return self.index[tuple(mat_components(self.space, m))]
-
-
-class _Elements(Sequence):
-    """The elements of a table in order, decoded on access."""
-
-    def __init__(self, table: FiniteGroupTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return self._table.order
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return self._table.element(i)
 
 
 def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
@@ -190,15 +168,11 @@ def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
     iota = _positions(index, images, "iota leaves the table")
     mul = product_kernel(space)
     gens, right = _generators(comps, index, mul,
-                              index[_identity(space)])
+                              index[identity_comps(space)])
     table = FiniteGroupTable(family, n, q, space, comps, mus, index,
                              inverse, iota, gens, right)
     _verify_table(table)
     return table
-
-
-def _identity(space: Space) -> tuple:
-    return tuple(mat_components(space, space.identity()))
 
 
 def _transpose(x: tuple, n: int) -> tuple:
@@ -254,7 +228,7 @@ def _verify_table(table: FiniteGroupTable):
     comps, iota = table.comps, table.iota
     space = table.space
     mul = product_kernel(space)
-    one = _identity(space)
+    one = identity_comps(space)
     for x, j in zip(comps, table.inverse):
         if mul(x, comps[j]) != one:
             raise FiniteGroupError("inverse table is wrong")
@@ -270,7 +244,7 @@ def _verify_table(table: FiniteGroupTable):
             if comps[iota[R[g]]] != mul(comps[iota[g]], t):
                 raise FiniteGroupError("iota is not multiplicative")
     for s in table.gens:
-        image = iota_group(table.element(s)).mat
+        image = iota_group(table.elements[s]).mat
         if tuple(mat_components(space, image)) != comps[iota[s]]:
             raise FiniteGroupError("iota differs from iota_group on a "
                                    "generator")

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modsolve
-from .cayley import (cayley, components_per_scalar, lie_system,
-                     mat_components, mat_from_components, mat_numerators,
-                     matrix_system, multiplier_predicate)
+from .cayley import (DomainError, cayley_kernel, components_per_scalar,
+                     comps_key, identity_comps, lie_alpha_kernel, lie_system,
+                     mat_from_components, mat_numerators, matrix_system,
+                     multiplier_predicate)
 from .involution import theta_lie
 from .matrices import Mat
 from .scalars import val_fraction
@@ -130,17 +131,16 @@ class LatticeBasis:
     p: int
     dim: int
     cols: tuple
-    ambient: str = field(default="generic", compare=False)
 
     @staticmethod
-    def from_columns(p: int, dim: int, cols, ambient="generic") -> "LatticeBasis":
-        return LatticeBasis(p, dim, hnf_columns(p, dim, cols), ambient)
+    def from_columns(p: int, dim: int, cols) -> "LatticeBasis":
+        return LatticeBasis(p, dim, hnf_columns(p, dim, cols))
 
     @staticmethod
-    def standard(p: int, dim: int, ambient="generic") -> "LatticeBasis":
+    def standard(p: int, dim: int) -> "LatticeBasis":
         cols = [tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim))
                 for j in range(dim)]
-        return LatticeBasis(p, dim, tuple(cols), ambient)
+        return LatticeBasis(p, dim, tuple(cols))
 
     def matrix(self):
         return fr_transpose([list(c) for c in self.cols])
@@ -148,12 +148,12 @@ class LatticeBasis:
     def scale(self, k: int) -> "LatticeBasis":
         f = Fraction(self.p) ** k
         return LatticeBasis.from_columns(
-            self.p, self.dim, [[f * x for x in c] for c in self.cols], self.ambient)
+            self.p, self.dim, [[f * x for x in c] for c in self.cols])
 
     def transform(self, T) -> "LatticeBasis":
         """Image under an invertible F-linear operator given by rows T."""
         cols = [fr_matvec(T, list(c)) for c in self.cols]
-        return LatticeBasis.from_columns(self.p, self.dim, cols, self.ambient)
+        return LatticeBasis.from_columns(self.p, self.dim, cols)
 
     def dual_matrix(self):
         return fr_transpose(fr_inv(self.matrix()))
@@ -164,12 +164,7 @@ class LatticeBasis:
         duals = fr_transpose(self.dual_matrix()) + fr_transpose(other.dual_matrix())
         sum_dual = hnf_columns(self.p, self.dim, duals)
         back = fr_transpose(fr_inv(fr_transpose([list(c) for c in sum_dual])))
-        return LatticeBasis.from_columns(self.p, self.dim, fr_transpose(back),
-                                         self.ambient)
-
-    def contains_vector(self, v) -> bool:
-        c = fr_matvec(fr_inv(self.matrix()), list(v))
-        return all(val_fraction(x, self.p) >= 0 for x in c)
+        return LatticeBasis.from_columns(self.p, self.dim, fr_transpose(back))
 
     def to_text(self) -> str:
         return "; ".join(", ".join(str(x) for x in c) for c in self.cols)
@@ -268,8 +263,26 @@ class LieCoords:
         cols = [self.to_coords(f(B)) for B in self.basis]
         return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
 
-    def standard_lattice(self, ambient="lie") -> LatticeBasis:
-        return LatticeBasis.standard(self.space.ring.p, self.m, ambient)
+    def standard_lattice(self) -> LatticeBasis:
+        return LatticeBasis.standard(self.space.ring.p, self.m)
+
+    def cayley_images(self, space_t: Space, vectors):
+        """(components, mu, alpha) of c(X) mod p^N, on integers, for the X
+        with integer coordinates v, for each v of ``vectors``; ``space_t``
+        is the space truncated at N.  Every X is certified in the Lie
+        algebra mod p^N (MembershipError), and one outside the Cayley
+        domain raises DomainError."""
+        M = space_t.ring.modulus
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self._M]
+        alpha_of = lie_alpha_kernel(space_t)
+        c = cayley_kernel(space_t)
+        for v in vectors:
+            x = tuple(sum(a * v[j] for j, a in row) % M for row in rows)
+            alpha = alpha_of(x)
+            image = c(x, alpha)
+            if image is None:
+                raise DomainError("X is outside the Cayley domain")
+            yield image + (alpha,)
 
 
 def _clear_denominators(E):
@@ -326,7 +339,7 @@ def standard_lattices(space: Space) -> StandardLattices:
         _check_h_stable(space)
     gu_coords = LieCoords(space, isometry=False)
     u_coords = LieCoords(space, isometry=True)
-    Ldot = gu_coords.standard_lattice(ambient="gu")
+    Ldot = gu_coords.standard_lattice()
     return StandardLattices(space, Ldot, gu_coords, u_coords)
 
 
@@ -397,20 +410,16 @@ def _congruence_scan(space: Space, k: int, N: int, budget: int):
         return space.memo[memo_key]
     space_t = space.truncated(N) if space.ring.exact else space
     ring = space_t.ring
-    d = components_per_scalar(space_t)
-    m0 = space_t.n * space_t.n * d
     pk, M = ring.p**k, ring.modulus
-    ident = mat_components(space_t, Mat.identity(ring, space_t.n))
+    ident = identity_comps(space_t)
     mu_of = multiplier_predicate(space_t)
     entries = []
-    for coeffs in _coefficient_tuples(m0, ring.p**(N - k), budget):
+    for coeffs in _coefficient_tuples(len(ident), ring.p**(N - k), budget):
         comps = [(e + c * pk) % M for e, c in zip(ident, coeffs)]
         mu = mu_of(comps)
         if mu is None:
             continue
-        key = tuple(comps) if d == 2 else \
-            tuple(v for c in comps for v in (c, 0))
-        entries.append((key, comps, mu))
+        entries.append((comps_key(space_t, comps), comps, mu))
     entries.sort(key=lambda e: e[0])
     space.memo[memo_key] = space_t, entries
     return space_t, entries
@@ -463,23 +472,23 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
     coords = std.u_coords if variant == "u" else std.gu_coords
     space_t = space.truncated(N)
     pk = space.ring.p**k
-    image = {}
+    image = set()
     alpha_ok = True
     mu_ok = True
     injective = True
-    for coeffs in _coefficient_tuples(coords.m, space.ring.p**(N - k), budget):
-        X = coords.from_coords([Fraction(c * pk) for c in coeffs])
-        lie = certify_lie(space, X)
-        if lie.alpha.val() < k:
+    vectors = ([c * pk for c in coeffs] for coeffs in
+               _coefficient_tuples(coords.m, space.ring.p**(N - k), budget))
+    # alpha is the residue mod p^N of the exact alpha of the integral X,
+    # and N > k, so it is 0 mod p^k exactly when that alpha is in p^k o_F
+    for comps, mu, alpha in coords.cayley_images(space_t, vectors):
+        if alpha % pk:
             alpha_ok = False
-        Xt = certify_lie(space_t, X.reduce(N))
-        g = cayley(Xt)
-        if (g.mu.a - 1) % pk != 0 or g.mu.b != 0:
+        if (mu - 1) % pk:
             mu_ok = False
-        key = g.mat.key()
+        key = comps_key(space_t, comps)
         if key in image:
             injective = False
-        image[key] = g
+        image.add(key)
     _, entries = _congruence_scan(space, k, N, budget)
     member_keys = {key for key, _, mu in entries
                    if variant != "u" or mu == 1}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -6,14 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
-                            TWO_PREIMAGES, UNIQUE_LAMBDA, UNIQUE_MU1,
-                            bucket_domain_images, cayley, enumerate_lie,
-                            fiber, in_cayley_domain, in_domain, x_lambda)
+                            TWO_PREIMAGES, UNIQUE_MU1, bucket_domain_images,
+                            cayley, cayley_kernel, domain_kernel,
+                            enumerate_lie, fiber, in_cayley_domain, in_domain,
+                            lie_alpha_kernel, mat_components,
+                            matrix_inverse_kernel, product_kernel,
+                            theta_kernel, x_lambda)
 from simdual.involution import theta_group, theta_lie
-from simdual.matrices import Mat
-from simdual.scalars import SPLIT, Ring
-from simdual.spaces import (GENERAL_LINEAR, SYMPLECTIC, certify_group,
+from simdual.lattices import standard_lattices
+from simdual.matrices import Mat, NotInvertibleError
+from simdual.scalars import INERT, SPLIT, Ring
+from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
+                            SKEW_HERMITIAN, SYMPLECTIC, certify_group,
                             certify_lie, standard_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
@@ -114,7 +121,10 @@ def test_general_linear_cayley_is_shift():
     assert res.tag == UNIQUE_MU1 and res.preimages[0].X.mat == X.mat
 
 
-def test_truncated_fiber_matches_exhaustive_buckets():
+@pytest.fixture(scope="module")
+def census9():
+    """The symplectic census mod 9 through ``Mat``: every working-domain
+    X bucketed by c(X), and the fiber of every image."""
     buckets = {}
     images = {}
     for lieel in enumerate_lie(SYMPL9):
@@ -123,12 +133,34 @@ def test_truncated_fiber_matches_exhaustive_buckets():
         g = cayley(lieel)
         buckets.setdefault(g.mat.key(), []).append(lieel.mat.key())
         images[g.mat.key()] = g
+    for key in buckets:
+        buckets[key].sort()
+    fibers = {key: fiber(images[key]) for key in sorted(buckets)}
+    return buckets, fibers
+
+
+def test_truncated_fiber_matches_exhaustive_buckets(census9):
+    buckets, fibers = census9
     assert len(buckets) == 1215
-    # spot-check a deterministic slice of images against fiber()
-    for key in sorted(buckets)[::40]:
-        res = fiber(images[key])
+    assert bucket_domain_images(SYMPL9) == buckets
+    for key, res in fibers.items():
         got = sorted(p.X.mat.key() for p in res.domain_preimages())
-        assert got == sorted(buckets[key])
+        assert got == buckets[key]
+
+
+def test_census_mod9_pinned_digest(census9):
+    # sha256 of the buckets and of every fiber (tag, lambdas, preimage
+    # keys, in_g1), recorded before the census moved onto component tuples
+    _, fibers = census9
+    assert hashlib.sha256(repr(sorted(
+        bucket_domain_images(SYMPL9).items())).encode()).hexdigest() == \
+        "91bbfa0e60edba31e183e228033af98fd191013f71bb8e52239c0166c8060d8b"
+    data = [(key, res.tag, [lam.a for lam in res.lambdas],
+             [pre.X.mat.key() for pre in res.preimages],
+             [pre.in_g1 for pre in res.preimages])
+            for key, res in fibers.items()]
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == \
+        "5e2063ca50c46a7a0a403aee22961c84a3ebeda90ee84c5ac1a76115a4dd3440"
 
 
 def test_fiber_census_script_finds_no_mismatch(capsys):
@@ -164,3 +196,77 @@ def test_multiplier_identity_property(rows):
         return
     t = (SYMPL.ring.one + X.alpha).inv()
     assert cayley(X).mu == t * t
+
+
+STDS = {family: standard_lattices(standard_space(family, 2, Ring(3, ext)))
+        for family, ext in ((ORTHOGONAL, SPLIT), (SYMPLECTIC, SPLIT),
+                            (HERMITIAN, INERT), (SKEW_HERMITIAN, INERT),
+                            (GENERAL_LINEAR, SPLIT))}
+
+
+def _comps(space, m):
+    return tuple(mat_components(space, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(STDS)), st.sampled_from([2, 3]),
+       st.lists(st.lists(st.integers(-40, 40), min_size=5, max_size=5),
+                min_size=2, max_size=2),
+       st.integers(1, 26))
+def test_integer_kernels_match_the_mat_level_maps(family, N, coords, s):
+    # alpha, the working domain, the inverse, the Cayley map and theta on
+    # components against certify_lie, in_domain, Mat.inv, cayley and
+    # theta_group; members are c(X1) c(X2) s for a unit scalar s
+    std = STDS[family]
+    space = std.space.truncated(N)
+    ring = space.ring
+    one = space.identity()
+    members = []
+    for v in coords:
+        X = std.gu_coords.from_coords(v[:std.gu_coords.m]).reduce(N)
+        lie_t = certify_lie(space, X)
+        x = _comps(space, X)
+        alpha = lie_alpha_kernel(space)(x)
+        assert alpha == lie_t.alpha.a
+        assert domain_kernel(space)(x, alpha) == in_domain(lie_t)
+        try:
+            inverse = _comps(space, (one + X).inv())
+        except NotInvertibleError:
+            inverse = None
+        assert matrix_inverse_kernel(space)(_comps(space, one + X)) == inverse
+        image = cayley_kernel(space)(x, alpha)
+        if not in_cayley_domain(lie_t):
+            assert image is None
+            with pytest.raises(DomainError):
+                cayley(lie_t)
+            continue
+        g = cayley(lie_t)
+        assert image == (_comps(space, g.mat), g.mu.a)
+        members.append(g)
+    if len(members) < 2 or s % 3 == 0:
+        return
+    scalar = Mat.scalar_mat(ring, 2, ring.scalar(s))
+    g = certify_group(space, members[0].mat * members[1].mat * scalar)
+    gx = product_kernel(space)(
+        product_kernel(space)(_comps(space, members[0].mat),
+                              _comps(space, members[1].mat)),
+        _comps(space, scalar))
+    assert gx == _comps(space, g.mat)
+    for h in (members[0], members[1], g):
+        assert theta_kernel(space)(_comps(space, h.mat)) == \
+            _comps(space, theta_group(h).mat)
+
+
+def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):
+    # X = -1 solves nothing here, but it is a Lie element (alpha = -2)
+    # with 1 + X = 0: fed in as an extra branch solution it must be dropped
+    g = cayley(lie(SYMPL9, [[3, 1], [0, 3]]))
+    want = [(p.X.mat.key(), p.lam, p.in_g1) for p in fiber(g).preimages]
+    real = cayley_module._solve_branch
+
+    def with_singular(space, x, lam, limit):
+        return sorted(real(space, x, lam, limit) + [(8, 0, 0, 8)])
+    monkeypatch.setattr(cayley_module, "_solve_branch", with_singular)
+    got = [(p.X.mat.key(), p.lam, p.in_g1) for p in fiber(g).preimages]
+    assert got == want and (8, 0, 0, 0, 0, 0, 8, 0) not in \
+        [key for key, _, _ in got]

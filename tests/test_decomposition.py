@@ -1,15 +1,19 @@
+import hashlib
+
 import pytest
 
 from simdual import decomposition
-from simdual.decomposition import (DecompositionError, cayley_image_members,
-                                   coset_set, decompose, find_conjugator_mod,
-                                   verify_piece)
+from simdual.cayley import Members, mat_components
+from simdual.decomposition import (DecompositionError, _carried_check,
+                                   cayley_image_members, coset_set, decompose,
+                                   find_conjugator_mod, verify_piece)
 from simdual.involution import ConjugatorNotFound, theta_group
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat, parse_matrix
 from simdual.scalars import INERT, SPLIT, Ring
-from simdual.spaces import (HERMITIAN, SYMPLECTIC, GroupElem, certify_group,
-                            standard_space)
+from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SKEW_HERMITIAN,
+                            SYMPLECTIC, GroupElem, MembershipError,
+                            certify_group, standard_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
@@ -159,3 +163,92 @@ def test_coset_set_validates_level():
         coset_set(SYMPL, STD, b, 0, 2)
     with pytest.raises(DecompositionError):
         coset_set(SYMPL, STD, b, 2, 2)
+
+
+@pytest.mark.parametrize("family, ext, base, N, digest", [
+    (SYMPLECTIC, SPLIT, "1, 1; 0, 1", 3,
+     "342f2f408be60c7ffb33e9e4f75d5c42f0a764c62f43162cf56c83fdbcc109d0"),
+    (GENERAL_LINEAR, SPLIT, "2, 1; 1, 1", 3,
+     "5e2089784042060d73ed857ecb72e1fb06b4ec1fb92a1b910eeac72716b88562"),
+    (GENERAL_LINEAR, SPLIT, "1, 2; 0, 1", 3,
+     "24fe6d614e36f0f6f560b88399752f82f84ec6c5cf3f7d84ba67ea14610ed654"),
+    (HERMITIAN, INERT, "16+16*s, 17+8*s; 10+19*s, 7+25*s", 2,
+     "694bc568c43b134c5d74d2c762ce4c44834cf1bbfe951c2d19bbc617e51ff990"),
+    (SKEW_HERMITIAN, INERT, "1+8*s, 5+7*s; 4+2*s, 7+5*s", 2,
+     "dcc6d7bad83e6d770508ac3b2fa128f854cd406090b2534818bc244e66887f4d"),
+    (SKEW_HERMITIAN, INERT, "6+4*s, 6+3*s; 6+3*s, 7+6*s", 2,
+     "b91277627c5bd6950d9843bd363ad73f6a82c94fe86c0cb3ec63b52efddfcd25"),
+], ids=["symplectic-fast-mod27", "general-linear-fast-mod27",
+        "general-linear-general-mod27", "hermitian-general-mod9",
+        "skew-hermitian-general-mod9", "skew-hermitian-fast-mod9"])
+def test_coset_and_piece_pinned_digest(family, ext, base, N, digest):
+    # sha256 of the (key, mu) member list, the witness and the provenance,
+    # recorded before the coset and piece moved onto component tuples
+    space = standard_space(family, 2, Ring(3, ext))
+    std = standard_lattices(space)
+    C = coset_set(space, std, parse_matrix(space.ring, base), 1, N)
+    (piece,) = decompose(C, std)
+    data = ([(m.mat.key(), m.mu.a) for m in C.members],
+            [(m.mat.key(), m.mu.a) for m in piece.members],
+            piece.witness.mat.key(), piece.witness.mu.a,
+            sorted(piece.provenance.items()))
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
+
+
+def test_cayley_images_certify_every_x():
+    # a corrupted coordinate matrix puts X outside the Lie algebra
+    std = standard_lattices(standard_space(HERMITIAN, 2, Ring(3, INERT)))
+    assert len(cayley_image_members(std, 1, 2)) == 243
+    std.gu_coords._M[2][0] += 1
+    with pytest.raises(MembershipError, match="not in the similitude Lie"):
+        cayley_image_members(std, 1, 2)
+
+
+def test_coset_set_rejects_repeated_members(monkeypatch):
+    real = decomposition.cayley_image_members
+
+    def repeated(*args, **kwargs):
+        K = real(*args, **kwargs)
+        return Members(K.space, K.comps + K.comps[:1], K.mus + K.mus[:1])
+    monkeypatch.setattr(decomposition, "cayley_image_members", repeated)
+    with pytest.raises(DecompositionError, match="not pairwise distinct"):
+        coset_set(SYMPL, STD, Mat.identity(SYMPL.ring, 2), 1, 2)
+
+
+def test_decompose_rechecks_the_witness(monkeypatch):
+    # the identity as the first member's conjugator gives the witness
+    # a^-1, which fails on a coset without a theta-fixed member
+    C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
+    monkeypatch.setattr(
+        decomposition, "_orbit_conjugators",
+        lambda C, std, max_candidates: GroupElem(C.space, C.space.identity(),
+                                                 C.space.ring.one))
+    with pytest.raises(DecompositionError, match="witness fails"):
+        decompose(C, STD)
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    ("member", "a' is not in C"),
+    ("multiplier", "mu(x') != 1"),
+    ("theta", "theta(x') != x'"),
+    ("conjugate", "x' a' != theta(a') x'"),
+])
+def test_carried_pair_is_rechecked(corrupt, expected):
+    # a member a of C = diag(2, 1) c(3 Ldot) mod 9 and its conjugator x,
+    # with one of the four conditions broken at a time
+    C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
+    st = C.space
+    failure = _carried_check(st, set(C.members.comps))
+    a = C.members.comps[0]
+    x = tuple(mat_components(st, find_conjugator_mod(C.members[0]).mat))
+    assert failure(a, x) is None
+    one = (1, 0, 0, 1)
+    if corrupt == "member":          # mu(1) = 1 is not mu(b) = 2 mod 3
+        a = one
+    elif corrupt == "multiplier":    # mu(2 x) = 4
+        x = tuple(2 * v % 9 for v in x)
+    elif corrupt == "theta":         # theta(diag(2, 5)) = diag(5, 2)
+        x = (2, 0, 0, 5)
+    else:                            # a is not theta-fixed
+        x = one
+    assert failure(a, x) == expected

@@ -1,12 +1,10 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simdual.matrices import Mat
 from simdual.scalars import INERT, SPLIT, Ring
-from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
+from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
                             SKEW_HERMITIAN, SYMPLECTIC, MembershipError,
                             SpaceError, certify_group, certify_lie, inner,
                             lie_alpha, similitude_multiplier, standard_space,
