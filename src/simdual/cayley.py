@@ -2,13 +2,16 @@
 identity, and the complete image/fiber analysis.
 
 The map is c(X) = (1 - X/(1+alpha)) (1+X)^-1 with alpha = alpha(X); its
-multiplier is (1+alpha)^-2.  The working domain everywhere is the smaller
-set cut out by the three conditions (1+alpha, det(1+X), det(1+alpha-X) all
+multiplier is (1+alpha)^-2.  The working domain everywhere is the set
+cut out by the three conditions (1+alpha, det(1+X), det(1+alpha-X) all
 regular), which is stable under theta and Ad; the fiber analysis runs over
-the larger two-condition set and flags preimages that fall outside the
-smaller one.  Over truncated rings "nonzero" uniformly means "unit", and
-fibers are computed as exact affine solves so that they agree with
-exhaustive bucketing residue-for-residue.
+the two-condition set (1+alpha and det(1+X) regular) and flags whether
+each preimage is in the working domain.  On the Lie algebra
+1+alpha-X = (1+X)*, whose determinant is tau(det(1+X)), so the third
+condition follows from the second and the two sets agree.  Over
+truncated rings "nonzero" uniformly means "unit", and fibers are computed
+as exact affine solves so that they agree with exhaustive bucketing
+residue-for-residue.
 
 In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
@@ -73,15 +76,12 @@ def in_cayley_domain(X: LieElem) -> bool:
 
 
 def in_domain(X: LieElem) -> bool:
-    """The three-condition working domain (theta- and Ad-stable)."""
-    space = X.space
-    one = space.identity()
-    if not space.has_form:
-        return _mat_regular(one + X.mat)
-    a1 = space.ring.one + X.alpha
-    return (_is_regular(a1)
-            and _mat_regular(one + X.mat)
-            and _mat_regular(Mat.scalar_mat(space.ring, space.n, a1) - X.mat))
+    """The three-condition working domain (theta- and Ad-stable): 1 + alpha,
+    1 + X and (1 + alpha) 1 - X regular.  It is the two-condition domain:
+    X + X* = alpha 1 gives (1 + alpha) 1 - X = (1 + X)*, and
+    det((1 + X)*) = tau(det(1 + X)), so the third condition holds exactly
+    when the second does."""
+    return in_cayley_domain(X)
 
 
 def cayley(X: LieElem) -> GroupElem:
@@ -631,19 +631,17 @@ def cayley_kernel(space: Space):
 
 @_per_space
 def domain_kernel(space: Space):
-    """``in_domain(x, alpha)``: ``in_domain`` on components, the
-    three-condition working domain (1 + alpha a unit, 1 + X and
-    (1 + alpha) 1 - X invertible mod p^N)."""
+    """``in_domain(x, alpha)``: ``in_domain`` on the components of a Lie
+    element, 1 + alpha a unit and 1 + X invertible mod p^N.  As in
+    ``in_domain``, (1 + alpha) 1 - X = (1 + X)* is invertible exactly when
+    1 + X is, so it is not inverted again."""
     ident = identity_comps(space)
     inv = matrix_inverse_kernel(space)
     p, M = space.ring.p, space.ring.modulus
 
     def in_dom(x, alpha):
-        a1 = (1 + alpha) % M
-        return (a1 % p != 0
-                and inv(tuple((e + v) % M for e, v in zip(ident, x))) is not None
-                and (not space.has_form or inv(tuple(
-                    (a1 * e - v) % M for e, v in zip(ident, x))) is not None))
+        return ((1 + alpha) % p != 0 and inv(
+            tuple((e + v) % M for e, v in zip(ident, x))) is not None)
     return in_dom
 
 

@@ -66,7 +66,7 @@ def cayley_image_members(std: StandardLattices, level: int, N: int,
     p = space.ring.p
     if level < 1:
         raise DecompositionError("need level >= 1")
-    gens = [[int(x * p**level) for x in col] for col in std.Ldot.cols]
+    gens = [[int(x.a * p**level) for x in col] for col in std.Ldot.cols]
     coeff_vectors = modsolve.span_coset_mod([0] * coords.m, gens, p, N, limit)
     st = space.truncated(N)
     seen = {comps: mu for comps, mu, _ in

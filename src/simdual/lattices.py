@@ -5,9 +5,10 @@ the Cayley level-bijection checker.
 All lattices are full-rank o_F-modules presented by a basis matrix in a
 canonical Hermite form over the localization of the integers at p (pivots
 are powers of p, entries below a pivot reduced mod that pivot), so lattice
-equality is literal equality of normal forms.  The o_E-structure of the
-vector-space lattice is tracked through the choice of F-coordinates but
-all computation happens over F.
+equality is literal equality of normal forms.  Bases and operators are
+scalars and matrices of the exact split ring over p.  The o_E-structure
+of the vector-space lattice is tracked through the choice of
+F-coordinates but all computation happens over F.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, components_per_scalar,
@@ -24,8 +26,8 @@ from .cayley import (DomainError, cayley_kernel, components_per_scalar,
                      multiplier_predicate)
 from .involution import theta_lie
 from .matrices import Mat
-from .scalars import val_fraction
-from .spaces import GroupElem, Space, certify_lie
+from .scalars import Ring, Scalar
+from .spaces import Space, certify_lie
 
 
 class LatticeBudgetError(RuntimeError):
@@ -36,89 +38,65 @@ class LatticeError(ValueError):
     pass
 
 
-# -- Fraction matrix helpers (rows = lists of Fraction) ---------------
+@lru_cache(maxsize=None)
+def _field(p: int) -> Ring:
+    """The exact split ring F, one object per p, so that the scalars and
+    matrices of every lattice take the same-ring arithmetic paths."""
+    return Ring(p)
 
 
-def fr_matvec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def fr_transpose(A):
-    return [list(r) for r in zip(*A)]
-
-
-def fr_inv(A):
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if j == i else Fraction(0)
-                                         for j in range(n)]
-           for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise LatticeError("singular basis matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _canonical_residue_fr(x: Fraction, p: int, e: int) -> Fraction:
+def _residue(x: Scalar, e: int) -> Scalar:
     """Canonical representative of x mod p^e in Z_(p), allowing x to have
     negative valuation (the representative then keeps the same denominator
     power of p)."""
-    v = val_fraction(x, p)
+    ring = x.ring
+    v = x.val()
     if v >= e:
-        return Fraction(0)
-    shift = min(int(v), 0)
-    m = p ** (e - shift)
-    y = x / Fraction(p) ** shift
-    r = y.numerator * pow(y.denominator, -1, m) % m
-    return Fraction(r) * Fraction(p) ** shift
+        return ring.zero
+    s = min(v, 0)
+    shift = ring.scalar(Fraction(ring.p) ** s)
+    return ring.scalar((x / shift).reduce(e - s).x) * shift
 
 
 def hnf_columns(p: int, dim: int, cols) -> tuple:
     """Canonical Hermite form over Z_(p) of the column span of ``cols``.
 
-    Returns a tuple of dim column tuples: lower triangular, diagonal a power
-    of p, entries below a pivot integer representatives mod that pivot.
-    Requires the columns to span the full space.
+    Returns a tuple of dim column tuples of scalars of the split field:
+    lower triangular, diagonal a power of p, entries below a pivot integer
+    representatives mod that pivot.  Requires the columns to span the full
+    space.
     """
-    work = [list(map(Fraction, c)) for c in cols]
+    ring = _field(p)
+    work = [[x if isinstance(x, Scalar) else ring.scalar(x) for x in c]
+            for c in cols]
     pivots = []
     for row in range(dim):
         best = None
         bestval = None
         for idx, c in enumerate(work):
-            v = val_fraction(c[row], p)
-            if c[row] != 0 and (bestval is None or v < bestval):
+            v = c[row].val()
+            if c[row] and (bestval is None or v < bestval):
                 best, bestval = idx, v
         if best is None:
             raise LatticeError("columns do not span the full space")
         pivot = work.pop(best)
+        pinv = pivot[row].inv()
         for c in work:
-            if c[row] != 0:
-                f = c[row] / pivot[row]
+            if c[row]:
+                f = c[row] * pinv
                 for i in range(dim):
                     c[i] -= f * pivot[i]
         # normalize the pivot entry to p^e by a unit scaling
-        unit = pivot[row] / Fraction(p) ** bestval
-        pivot = [x / unit for x in pivot]
-        pivots.append((row, bestval, pivot))
+        unit = ring.scalar(Fraction(p) ** bestval) * pinv
+        pivots.append((row, bestval, [x * unit for x in pivot]))
     # back-reduce entries below earlier pivots
-    pivots.sort(key=lambda t: t[0])
     for j in range(len(pivots)):
-        rj, _, colj = pivots[j]
-        for i in range(j + 1, len(pivots)):
-            ri, ei, coli = pivots[i]
+        colj = pivots[j][2]
+        for ri, ei, coli in pivots[j + 1:]:
             entry = colj[ri]
-            if entry == 0:
+            if not entry:
                 continue
-            target = _canonical_residue_fr(entry, p, ei)
-            q = (entry - target) / Fraction(p) ** ei
+            q = (entry - _residue(entry, ei)) / ring.scalar(Fraction(p) ** ei)
             for r in range(dim):
                 colj[r] -= q * coli[r]
     return tuple(tuple(c) for _, _, c in pivots)
@@ -138,36 +116,32 @@ class LatticeBasis:
 
     @staticmethod
     def standard(p: int, dim: int) -> "LatticeBasis":
-        cols = [tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim))
-                for j in range(dim)]
-        return LatticeBasis(p, dim, tuple(cols))
+        return LatticeBasis(p, dim, Mat.identity(_field(p), dim).rows)
 
-    def matrix(self):
-        return fr_transpose([list(c) for c in self.cols])
+    def _basis(self) -> Mat:
+        """The matrix whose columns are the basis vectors."""
+        return Mat._make(_field(self.p), tuple(zip(*self.cols)))
 
     def scale(self, k: int) -> "LatticeBasis":
-        f = Fraction(self.p) ** k
+        f = _field(self.p).scalar(Fraction(self.p) ** k)
         return LatticeBasis.from_columns(
             self.p, self.dim, [[f * x for x in c] for c in self.cols])
 
-    def transform(self, T) -> "LatticeBasis":
-        """Image under an invertible F-linear operator given by rows T."""
-        cols = [fr_matvec(T, list(c)) for c in self.cols]
-        return LatticeBasis.from_columns(self.p, self.dim, cols)
-
-    def dual_matrix(self):
-        return fr_transpose(fr_inv(self.matrix()))
+    def transform(self, T: Mat) -> "LatticeBasis":
+        """Image under an invertible F-linear operator T."""
+        return LatticeBasis.from_columns(
+            self.p, self.dim, (T * self._basis()).transpose().rows)
 
     def intersect(self, other: "LatticeBasis") -> "LatticeBasis":
+        """The dual of the sum of the duals: the rows of B^-1 span the dual
+        of the lattice with basis matrix B."""
         if (self.p, self.dim) != (other.p, other.dim):
             raise LatticeError("incompatible lattices")
-        duals = fr_transpose(self.dual_matrix()) + fr_transpose(other.dual_matrix())
-        sum_dual = hnf_columns(self.p, self.dim, duals)
-        back = fr_transpose(fr_inv(fr_transpose([list(c) for c in sum_dual])))
-        return LatticeBasis.from_columns(self.p, self.dim, fr_transpose(back))
-
-    def to_text(self) -> str:
-        return "; ".join(", ".join(str(x) for x in c) for c in self.cols)
+        sum_dual = LatticeBasis.from_columns(
+            self.p, self.dim,
+            self._basis().inv().rows + other._basis().inv().rows)
+        return LatticeBasis.from_columns(self.p, self.dim,
+                                         sum_dual._basis().inv().rows)
 
 
 # -- Lie-algebra coordinates ------------------------------------------
@@ -223,32 +197,27 @@ class LieCoords:
         return basis, alphas
 
     def _build_solver(self):
-        """Rows ``chosen`` of the coordinate matrix that are independent,
-        and their inverse as an integer matrix over one denominator."""
-        work, chosen = [], []
-        for i, row in enumerate(self._M):
-            cand = work + [list(map(Fraction, row))]
-            if _fr_rank(cand) > len(work):
-                work = cand
-                chosen.append(i)
-            if len(work) == self.m:
-                break
-        if len(work) != self.m:
+        """An integer matrix S and a denominator den with S M = den times
+        the identity, for M the coordinate matrix: from the Smith form
+        U M V = D, S = V diag(den / D_ii) U, on the first m rows of U."""
+        U, D, V = modsolve.smith(self._M)
+        diag = [D[i][i] for i in range(self.m)]
+        if 0 in diag:
             raise LatticeError("coordinate basis is degenerate")
-        inv = fr_inv(work)
-        den = math.lcm(*(x.denominator for row in inv for x in row))
-        return chosen, [[int(x * den) for x in row] for row in inv], den
+        den = math.lcm(*diag)
+        rows = [[den // d * a for a in U[i]] for i, d in enumerate(diag)]
+        return [[sum(v * r[k] for v, r in zip(V[i], rows))
+                 for k in range(self.m0)] for i in range(self.m)], den
 
     def to_coords(self, X: Mat):
         flat, den = mat_numerators(self.space, X)
-        chosen, inv, inv_den = self._solver
-        picked = [flat[i] for i in chosen]
-        c = [sum(a * x for a, x in zip(row, picked)) for row in inv]
-        # c / (inv_den * den) are the coordinates; check that they give X
+        solve, solve_den = self._solver
+        c = [sum(a * x for a, x in zip(row, flat)) for row in solve]
+        # c / (solve_den * den) are the coordinates; check that they give X
         for row, x in zip(self._M, flat):
-            if sum(a * y for a, y in zip(row, c)) != x * inv_den:
+            if sum(a * y for a, y in zip(row, c)) != x * solve_den:
                 raise LatticeError("matrix is not in the Lie algebra")
-        den *= inv_den
+        den *= solve_den
         return [Fraction(x, den) for x in c]
 
     def from_coords(self, c) -> Mat:
@@ -258,10 +227,10 @@ class LieCoords:
         flat = [sum(a * x for a, x in zip(row, nums)) for row in self._M]
         return mat_from_components(self.space, flat, den)
 
-    def operator_matrix(self, f):
-        """Rows of the F-linear operator X -> f(X) in these coordinates."""
-        cols = [self.to_coords(f(B)) for B in self.basis]
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
+    def operator_matrix(self, f) -> Mat:
+        """The F-linear operator X -> f(X) in these coordinates."""
+        return Mat(_field(self.space.ring.p),
+                   [self.to_coords(f(B)) for B in self.basis]).transpose()
 
     def standard_lattice(self) -> LatticeBasis:
         return LatticeBasis.standard(self.space.ring.p, self.m)
@@ -293,25 +262,6 @@ def _clear_denominators(E):
             den = den * x.denominator // math.gcd(den, x.denominator)
         out.append([int(x * den) for x in row])
     return out
-
-
-def _fr_rank(rows):
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        d = work[rank][col]
-        work[rank] = [x / d for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
 
 
 # -- standard lattices ------------------------------------------------
@@ -423,20 +373,6 @@ def _congruence_scan(space: Space, k: int, N: int, budget: int):
     entries.sort(key=lambda e: e[0])
     space.memo[memo_key] = space_t, entries
     return space_t, entries
-
-
-def congruence_members(space: Space, k: int, N: int, variant: str = "gu",
-                       budget: int = 10**6):
-    """All residues of (1 + p^k * integral) satisfying the truncated group
-    condition mod p^N, in canonical order.  variant "u" forces multiplier 1.
-    """
-    if not (1 <= k < N):
-        raise LatticeError("need 1 <= k < N")
-    space_t, entries = _congruence_scan(space, k, N, budget)
-    ring = space_t.ring
-    return [GroupElem(space_t, mat_from_components(space_t, comps),
-                      ring.scalar(mu))
-            for _, comps, mu in entries if variant != "u" or mu == 1]
 
 
 @dataclass

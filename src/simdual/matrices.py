@@ -246,10 +246,18 @@ def _det(ring, rows):
     return acc
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_matrix(ring: Ring, text: str) -> Mat:
     """Parse the canonical row-major form: rows split by ';', entries by ','.
 
-    Entries are "a" or "a+b*s" with a, b rationals.
+    Entries are "a" or "a+b*s" with a, b rationals.  Malformed text,
+    including a zero denominator, raises ValueError.
     """
     rows = []
     for rtext in text.split(";"):
@@ -262,9 +270,9 @@ def parse_matrix(ring: Ring, text: str) -> Mat:
                 if not sign:
                     a_text, sign, b_text = head.rpartition("-")
                     b_text = "-" + b_text
-                a = Fraction(a_text) if a_text else Fraction(0)
-                row.append(ring.scalar(a, Fraction(b_text)))
+                a = _rational(a_text) if a_text else Fraction(0)
+                row.append(ring.scalar(a, _rational(b_text)))
             else:
-                row.append(ring.scalar(Fraction(etext)))
+                row.append(ring.scalar(_rational(etext)))
         rows.append(row)
     return Mat(ring, rows)

@@ -9,19 +9,22 @@ from hypothesis import strategies as st
 
 from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
-                            TWO_PREIMAGES, UNIQUE_MU1, bucket_domain_images,
-                            cayley, cayley_kernel, domain_kernel,
-                            enumerate_lie, fiber, in_cayley_domain, in_domain,
-                            lie_alpha_kernel, mat_components,
+                            TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
+                            bucket_domain_images, cayley, cayley_kernel,
+                            components_per_scalar, domain_kernel,
+                            enumerate_lie, fiber, identity_comps,
+                            in_cayley_domain, in_domain, lie_alpha_kernel,
+                            mat_components, mat_from_components,
                             matrix_inverse_kernel, product_kernel,
                             theta_kernel, x_lambda)
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat, NotInvertibleError
+from simdual.sampling import make_rng, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
-                            SKEW_HERMITIAN, SYMPLECTIC, certify_group,
-                            certify_lie, standard_space)
+                            SKEW_HERMITIAN, SYMPLECTIC, LieElem,
+                            certify_group, certify_lie, standard_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 SYMPL9 = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT, 2))
@@ -255,6 +258,67 @@ def test_integer_kernels_match_the_mat_level_maps(family, N, coords, s):
     for h in (members[0], members[1], g):
         assert theta_kernel(space)(_comps(space, h.mat)) == \
             _comps(space, theta_group(h).mat)
+
+
+def _three_conditions(X: LieElem) -> bool:
+    """1 + alpha, 1 + X and (1 + alpha) 1 - X all regular: nonzero over
+    the exact field, units mod p^N."""
+    space = X.space
+    regular = bool if space.ring.exact else (lambda s: s.is_unit())
+    one = space.identity()
+    if not space.has_form:
+        return regular((one + X.mat).det())
+    a1 = space.ring.one + X.alpha
+    return (regular(a1) and regular((one + X.mat).det())
+            and regular((one * a1 - X.mat).det()))
+
+
+def _det_is_unit(x, d) -> bool:
+    """Whether the 2 x 2 matrix with components x (d per entry, a + b s
+    with s^2 = 2 when d = 2) has a determinant that is a unit mod 3."""
+    def mul(y, z):
+        if d == 1:
+            return y[0] * z[0], 0
+        return y[0] * z[0] + 2 * y[1] * z[1], y[0] * z[1] + y[1] * z[0]
+    a, b, c, e = (x[k:k + d] for k in range(0, 4 * d, d))
+    (p0, p1), (q0, q1) = mul(a, e), mul(b, c)
+    return ((p0 - q0) ** 2 - 2 * (p1 - q1) ** 2) % 3 != 0
+
+
+@pytest.mark.parametrize("family", sorted(STDS))
+def test_domain_needs_only_two_of_its_three_conditions(family):
+    # (1 + alpha) 1 - X = (1 + X)* on the Lie algebra, whose determinant
+    # is tau(det(1 + X)), so domain_kernel and in_domain skip the third
+    # condition; written out here, it changes no verdict on any Lie element
+    # mod 9 (one in 49 also through in_domain) or on exact sampled ones
+    std = STDS[family]
+    space = std.space.truncated(2)
+    ring = space.ring
+    M = ring.modulus
+    ident = identity_comps(space)
+    d = components_per_scalar(space)
+    alpha_of, in_dom = lie_alpha_kernel(space), domain_kernel(space)
+    verdicts = set()
+    for i, x in enumerate(_lie_components(space, 10**6)):
+        alpha = alpha_of(x)
+        a1 = (1 + alpha) % M
+        three = (a1 % 3 != 0
+                 and _det_is_unit([e + v for e, v in zip(ident, x)], d)
+                 and (not space.has_form or _det_is_unit(
+                     [a1 * e - v for e, v in zip(ident, x)], d)))
+        assert in_dom(x, alpha) == three
+        verdicts.add(three)
+        if i % 49 == 0:
+            X = LieElem(space, mat_from_components(space, x),
+                        ring.scalar(alpha))
+            assert in_domain(X) == _three_conditions(X) == three
+    assert verdicts == {True, False}
+    rng = make_rng(148)
+    for _ in range(30):
+        X = sample_lie(std, rng)
+        for Y in (X, LieElem(std.space, -std.space.identity() - X.mat,
+                             -2 - X.alpha)):
+            assert in_domain(Y) == _three_conditions(Y)
 
 
 def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):

@@ -169,6 +169,19 @@ def test_markdown_format(capsys):
      "--precision", "2", "1, 1; 0, 1"],
     ["decompose", "--config", "BUDGET_10", "--family",           # budget
      "symplectic", "--precision", "2", "1, 1; 0, 1"],
+    ["decompose", "--family", "symplectic",                      # 1/0
+     "--precision", "2", "1/0, 0; 0, 1"],
+    ["replay", json.dumps({"check": "theta-anti-automorphism",   # 1/0
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "x1": "1/0, 0; 0, 1",
+                                       "x2": "1, 0; 0, 1"}})],
+    ["replay", json.dumps({"check": "class-inversion",           # 1/0
+                           "payload": {"family": "sp", "n": 2, "q": 3,
+                                       "rep": "1/0, 0; 0, 1"}})],
+    ["replay", json.dumps({"check": "decompose-coset",           # 1/0
+                           "payload": {"family": "hermitian", "n": 2,
+                                       "p": 3, "level": 1, "precision": 2,
+                                       "b": "1+1/0*s, 0; 0, 1"}})],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     budget = tmp_path / "budget.cfg"

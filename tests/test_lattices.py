@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -8,10 +9,11 @@ from simdual.cayley import (cayley, components_per_scalar, in_domain,
                             mat_from_components)
 from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
-                              check_cayley_level, congruence_members,
+                              _congruence_scan, check_cayley_level,
                               hnf_columns, lattice_of_x, standard_lattices,
-                              transform_lattice)
+                              theta_operator, transform_lattice)
 from simdual.matrices import Mat
+from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
@@ -127,12 +129,11 @@ def test_stabilizer_coset_invariance():
 
 
 def test_congruence_members_pinned_u1():
-    members = congruence_members(HERM1, 1, 2, variant="u")
+    _, entries = _congruence_scan(HERM1, 1, 2, 10**6)
+    members = [comps for _, comps, mu in entries if mu == 1]
     assert len(members) == 3
-    ring = HERM1.ring.truncated(2)
-    for m in members:
-        g = m.mat[0, 0]
-        assert g.a == 1 and g.b % 3 == 0
+    for a, b in members:
+        assert a == 1 and b % 3 == 0
 
 
 def test_level_bijection_pinned_counts():
@@ -148,7 +149,7 @@ def test_level_check_validates_inputs():
     with pytest.raises(LatticeError):
         check_cayley_level(SYMPL, STD, 2, 2, "gu")
     with pytest.raises(LatticeError):
-        congruence_members(SYMPL, 0, 2)
+        check_cayley_level(SYMPL, STD, 0, 2, "gu")
 
 
 def test_scaled_lattice_inside_domain():
@@ -185,9 +186,64 @@ def _mat_level_scan(space, k, N):
 def test_integer_congruence_scan_matches_mat_level(family, k, N):
     ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
     space = standard_space(family, 2, Ring(3, ext))
-    gu = congruence_members(space, k, N, "gu")
-    got = [(m.mat.key(), m.mu.a, m.mu.b) for m in gu]
+    _, entries = _congruence_scan(space, k, N, 10**6)
+    got = [(key, mu, 0) for key, _, mu in entries]
     assert got == _mat_level_scan(space, k, N)
-    u = congruence_members(space, k, N, "u")
-    assert [m.mat.key() for m in u] == \
-        [m.mat.key() for m in gu if m.mu == m.space.ring.one]
+
+
+def _text(rows) -> list:
+    """Entries as text, row by row: a Fraction and an exact split scalar of
+    the same value print alike."""
+    return [[str(x) for x in row] for row in rows]
+
+
+def _lattice_digests(family, ext):
+    std = standard_lattices(standard_space(family, 2, Ring(3, ext)))
+    coords, pL = std.gu_coords, std.Ldot.scale(1)
+    rng = make_rng(1607)
+    lattices = []
+    for _ in range(30):
+        x = sample_group(std, rng, factors=4).mat
+        lx = lattice_of_x(coords, x)
+        lattices += [lx, transform_lattice(coords, ("theta",), lx),
+                     transform_lattice(coords, ("ad", x), lx),
+                     lx.intersect(pL)]
+    operators = [getattr(op, "rows", op) for op in
+                 (theta_operator(std.gu_coords), theta_operator(std.u_coords))]
+    coordinates = [coords.to_coords(sample_lie(std, rng).mat)
+                   for _ in range(30)]
+    return tuple(hashlib.sha256(repr(data).encode()).hexdigest()[:32]
+                 for data in ([_text(lat.cols) for lat in lattices],
+                              [_text(op) for op in operators],
+                              _text(coordinates)))
+
+
+# sha256 (first 32 hex digits) of the intersection lattices L(x) of 30
+# seeded group draws with their theta and Ad(x) images and their meets
+# with p * Ldot, of the theta operators on both Lie algebras, and of the
+# coordinates of 30 seeded Lie draws, recorded while every lattice
+# operation still ran on lists of Fraction
+LATTICE_PINS = {
+    ORTHOGONAL: ('09843983adbbe22f350b487afbde0abc',
+        'f27323da72da52cd2e7e458bfd7b9128',
+        'f1c66ddfb2c4d72f5ee813a61e2194e4'),
+    SYMPLECTIC: ('a2cda9641c27ae1081b24488baf7f57e',
+        '0f2c287bc956e9b78e11ba722c6757aa',
+        '05c19c65204fc775ccfd4d7f5bb165c8'),
+    HERMITIAN: ('34da40a2676a95392accf7268fb80b11',
+        '0518df87d5a6cd8a79700caef4dc7246',
+        '3ad395277e66d05e0e8f434bf032828a'),
+    SKEW_HERMITIAN: ('34da40a2676a95392accf7268fb80b11',
+        '0518df87d5a6cd8a79700caef4dc7246',
+        '3ad395277e66d05e0e8f434bf032828a'),
+    GENERAL_LINEAR: ('850d71808127f5dde27413dfa01dcce1',
+        'b7cf2cae4b03b5df734e8861f647c942',
+        '1a51f1c52de8921934435aa88f89722b'),
+}
+
+
+@pytest.mark.parametrize("family, ext", [
+    (ORTHOGONAL, SPLIT), (SYMPLECTIC, SPLIT), (HERMITIAN, INERT),
+    (SKEW_HERMITIAN, INERT), (GENERAL_LINEAR, SPLIT)])
+def test_lattice_operations_pinned(family, ext):
+    assert _lattice_digests(family, ext) == LATTICE_PINS[family]
