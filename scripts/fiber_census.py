@@ -3,8 +3,10 @@
 
 Enumerates every Lie element in the working domain mod p^N, buckets the
 images, and cross-checks each bucket against the per-element fiber
-computation (affine solves).  Prints the tag distribution and any
-mismatch between the two independent computations.
+computation (affine solves).  Prints the tag distribution, any mismatch
+between the two independent computations, and the number of preimages
+outside the working domain, which must be 0.  Exits 1 when either count
+is not 0.
 
 Usage: PYTHONPATH=src python3 scripts/fiber_census.py [--prime P] [--precision N]
        [--dim n]
@@ -14,7 +16,8 @@ import argparse
 import sys
 from collections import Counter
 
-from simdual.cayley import bucket_domain_images, fiber, mat_from_components
+from simdual.cayley import (bucket_domain_images, fiber, in_domain,
+                            mat_from_components)
 from simdual.scalars import SPLIT, Ring
 from simdual.spaces import SYMPLECTIC, certify_group, standard_space
 
@@ -34,14 +37,15 @@ def main(argv=None) -> int:
 
     tags = Counter()
     sizes = Counter()
-    mismatches = 0
+    mismatches = outside = 0
     for key in sorted(buckets):
         # over the split ring a key lists the pair (a, 0) of every entry
         g = certify_group(space, mat_from_components(space, key[::2]))
         res = fiber(g)
         tags[res.tag] += 1
         sizes[len(buckets[key])] += 1
-        got = sorted(p.X.mat.key() for p in res.domain_preimages())
+        outside += sum(not in_domain(p.X) for p in res.preimages)
+        got = sorted(p.X.mat.key() for p in res.preimages)
         if got != buckets[key]:
             mismatches += 1
             print("MISMATCH at image", g.mat.to_text())
@@ -49,7 +53,8 @@ def main(argv=None) -> int:
     print("fiber tags:", dict(sorted(tags.items())))
     print("fiber sizes:", dict(sorted(sizes.items())))
     print("mismatches:", mismatches)
-    return 1 if mismatches else 0
+    print("preimages outside the domain:", outside)
+    return 1 if mismatches or outside else 0
 
 
 if __name__ == "__main__":

@@ -2,16 +2,12 @@
 identity, and the complete image/fiber analysis.
 
 The map is c(X) = (1 - X/(1+alpha)) (1+X)^-1 with alpha = alpha(X); its
-multiplier is (1+alpha)^-2.  The working domain everywhere is the set
-cut out by the three conditions (1+alpha, det(1+X), det(1+alpha-X) all
-regular), which is stable under theta and Ad; the fiber analysis runs over
-the two-condition set (1+alpha and det(1+X) regular) and flags whether
-each preimage is in the working domain.  On the Lie algebra
-1+alpha-X = (1+X)*, whose determinant is tau(det(1+X)), so the third
-condition follows from the second and the two sets agree.  Over
-truncated rings "nonzero" uniformly means "unit", and fibers are computed
-as exact affine solves so that they agree with exhaustive bucketing
-residue-for-residue.
+multiplier is (1+alpha)^-2.  Its domain, the working domain everywhere, is
+cut out by two conditions, 1+alpha and det(1+X) regular (``in_domain``),
+and is stable under theta and Ad.  Every preimage the fiber analysis
+returns lies in it.  Over truncated rings "nonzero" uniformly means
+"unit", and fibers are computed as exact affine solves so that they agree
+with exhaustive bucketing residue-for-residue.
 
 In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
@@ -20,11 +16,11 @@ Mod p^N the work runs on integer component tuples (the layout of
 ``mat_components``) through kernels derived once per space and kept in
 ``space.memo``: the generated product, one integer Gauss-Jordan inverse
 for split and inert rings, the F-linear maps star, theta and iota probed
-on unit vectors, and from them the multiplier and alpha certificates, the
-Cayley map and the working domain.  The fiber branches are built with
-``linear_system`` on components, and preimages are certified on integers;
-``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where a public
-function returns one.
+on unit vectors, and from them the multiplier and alpha certificates and
+the Cayley map, which is None outside the domain.  The fiber branches are
+built with ``linear_system`` on components, and preimages are certified on
+integers; ``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where a
+public function returns one.
 """
 
 from __future__ import annotations
@@ -65,23 +61,19 @@ def _mat_regular(m: Mat) -> bool:
     return m.is_invertible()
 
 
-def in_cayley_domain(X: LieElem) -> bool:
-    """The two-condition domain of the similitude Cayley map."""
+def in_domain(X: LieElem) -> bool:
+    """The working domain of the Cayley map, stable under theta and Ad:
+    1 + alpha and 1 + X regular (only 1 + X in the general-linear family).
+    A third condition, (1 + alpha) 1 - X regular, would change nothing:
+    X + X* = alpha 1 gives (1 + alpha) 1 - X = (1 + X)*, and
+    det((1 + X)*) = tau(det(1 + X)), so it holds exactly when the second
+    does."""
     space = X.space
     one = space.identity()
     if not space.has_form:
         return _mat_regular(one + X.mat)
     return (_is_regular(space.ring.one + X.alpha)
             and _mat_regular(one + X.mat))
-
-
-def in_domain(X: LieElem) -> bool:
-    """The three-condition working domain (theta- and Ad-stable): 1 + alpha,
-    1 + X and (1 + alpha) 1 - X regular.  It is the two-condition domain:
-    X + X* = alpha 1 gives (1 + alpha) 1 - X = (1 + X)*, and
-    det((1 + X)*) = tau(det(1 + X)), so the third condition holds exactly
-    when the second does."""
-    return in_cayley_domain(X)
 
 
 def cayley(X: LieElem) -> GroupElem:
@@ -93,7 +85,7 @@ def cayley(X: LieElem) -> GroupElem:
         if not _mat_regular(g):
             raise DomainError("1 + X is singular")
         return GroupElem(space, g, space.ring.one)
-    if not in_cayley_domain(X):
+    if not in_domain(X):
         raise DomainError("X is outside the Cayley domain")
     lam = (space.ring.one + X.alpha).inv()
     g = (one - X.mat * lam) * (one + X.mat).inv()
@@ -123,7 +115,6 @@ def x_lambda(g: GroupElem, lam: Scalar) -> LieElem:
 class FiberPreimage:
     X: LieElem
     lam: Scalar
-    in_g1: bool
 
 
 @dataclass
@@ -135,8 +126,11 @@ class FiberResult:
     lambdas: list = field(default_factory=list)
 
     def domain_preimages(self):
-        """Preimages lying in the three-condition working domain."""
-        return [p for p in self.preimages if p.in_g1]
+        """The preimages, every one in the working domain: 1 + alpha =
+        lambda^-1 is a unit, an exact X_lambda has 1 + X_lambda =
+        (1 + lambda)(lambda + g)^-1 with lambda != -1, and the truncated
+        fiber keeps only solutions with 1 + X invertible."""
+        return list(self.preimages)
 
     def identity_fiber_contains(self, X: LieElem) -> bool:
         """Membership test for the (infinite, over the exact field) fiber of 1."""
@@ -145,12 +139,11 @@ class FiberResult:
         ring = X.space.ring
         if not bool(X.mat):
             return True
-        return X.alpha == ring.scalar(-2) and in_cayley_domain(X)
+        return X.alpha == ring.scalar(-2) and in_domain(X)
 
 
 def _preimage(g: GroupElem, lam: Scalar) -> FiberPreimage:
-    X = x_lambda(g, lam)
-    return FiberPreimage(X, lam, in_domain(X))
+    return FiberPreimage(x_lambda(g, lam), lam)
 
 
 def fiber(g: GroupElem) -> FiberResult:
@@ -163,7 +156,7 @@ def fiber(g: GroupElem) -> FiberResult:
     ring = space.ring
     if not space.has_form:
         X = certify_lie(space, g.mat - space.identity())
-        return FiberResult(UNIQUE_MU1, [FiberPreimage(X, ring.one, True)],
+        return FiberResult(UNIQUE_MU1, [FiberPreimage(X, ring.one)],
                            [ring.one])
     if ring.exact:
         return _fiber_exact(g)
@@ -183,7 +176,7 @@ def _fiber_exact(g: GroupElem) -> FiberResult:
         if g.mat == one:
             zero = certify_lie(space, Mat.zeros(ring, space.n))
             return FiberResult(INFINITE_IDENTITY,
-                               [FiberPreimage(zero, ring.one, True)],
+                               [FiberPreimage(zero, ring.one)],
                                [ring.one])
         if _mat_regular(one + g.mat):
             return FiberResult(UNIQUE_MU1, [_preimage(g, ring.one)], [ring.one])
@@ -607,7 +600,7 @@ def cayley_kernel(space: Space):
     """``c(x, alpha)``: ``cayley`` on components.  (components, mu) of
     c(X) = (1 - lam X)(1 + X)^-1 mod p^N with lam = (1 + alpha)^-1 and
     mu = lam^2, for the X with components x and alpha from
-    ``lie_alpha_kernel``; None outside the two-condition Cayley domain.
+    ``lie_alpha_kernel``; None outside the domain (``in_domain``).
     In the general-linear family c(X) = 1 + X with mu = 1."""
     ident = identity_comps(space)
     inv = matrix_inverse_kernel(space)
@@ -615,34 +608,18 @@ def cayley_kernel(space: Space):
     p, M = space.ring.p, space.ring.modulus
 
     def c(x, alpha):
+        if (1 + alpha) % p == 0:         # alpha is 0 without a form
+            return None
         one_plus = tuple((e + v) % M for e, v in zip(ident, x))
         t = inv(one_plus)
         if t is None:
             return None
         if not space.has_form:
             return one_plus, 1
-        if (1 + alpha) % p == 0:
-            return None
         lam = pow(1 + alpha, -1, M)
         return (mul(tuple((e - lam * v) % M for e, v in zip(ident, x)), t),
                 lam * lam % M)
     return c
-
-
-@_per_space
-def domain_kernel(space: Space):
-    """``in_domain(x, alpha)``: ``in_domain`` on the components of a Lie
-    element, 1 + alpha a unit and 1 + X invertible mod p^N.  As in
-    ``in_domain``, (1 + alpha) 1 - X = (1 + X)* is invertible exactly when
-    1 + X is, so it is not inverted again."""
-    ident = identity_comps(space)
-    inv = matrix_inverse_kernel(space)
-    p, M = space.ring.p, space.ring.modulus
-
-    def in_dom(x, alpha):
-        return ((1 + alpha) % p != 0 and inv(
-            tuple((e + v) % M for e, v in zip(ident, x))) is not None)
-    return in_dom
 
 
 def _solve_branch(space: Space, x: tuple, lam: int, limit):
@@ -677,7 +654,6 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
     ident = identity_comps(space)
     inv = matrix_inverse_kernel(space)
     alpha_of = lie_alpha_kernel(space)
-    in_dom = domain_kernel(space)
     found = {}                      # components of X -> (alpha, lambda)
     lambdas = []
     for lam in (root, -root % M):
@@ -692,7 +668,7 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
         return FiberResult(EMPTY)
     preimages = [FiberPreimage(
         LieElem(space, mat_from_components(space, comps), ring.scalar(alpha)),
-        ring.scalar(lam), in_dom(comps, alpha))
+        ring.scalar(lam))
         for comps, (alpha, lam) in sorted(found.items())]
     if x == ident:
         tag = INFINITE_IDENTITY
@@ -731,14 +707,14 @@ def enumerate_lie(space: Space, limit=10**6):
 def bucket_domain_images(space: Space, limit=10**6):
     """Exhaustive oracle: bucket c over all working-domain X of a truncated
     space, keyed by the image residue, each bucket listing its X in
-    canonical order.  Ground truth for fiber(); runs on components."""
+    canonical order.  Ground truth for fiber(); runs on components, and
+    ``cayley_kernel`` is None exactly outside the domain."""
     alpha_of = lie_alpha_kernel(space)
-    in_dom = domain_kernel(space)
     c = cayley_kernel(space)
     buckets = {}
     for x in _lie_components(space, limit):
-        alpha = alpha_of(x)
-        if in_dom(x, alpha):
-            buckets.setdefault(comps_key(space, c(x, alpha)[0]), []).append(
+        image = c(x, alpha_of(x))
+        if image is not None:
+            buckets.setdefault(comps_key(space, image[0]), []).append(
                 comps_key(space, x))
     return buckets

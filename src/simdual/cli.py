@@ -28,7 +28,7 @@ from .matrices import parse_matrix
 from .modsolve import SolveBudgetError
 from .report import FAIL, PASS, CheckRow, Report, emit_report
 from .scalars import NotIntegralError
-from .spaces import FAMILIES, MembershipError, certify_group
+from .spaces import MembershipError, certify_group
 from .suites import (ALL_SUITES, ConfigError, SuiteConfig, build_space,
                      replay_check, run_suite, validate_config)
 
@@ -172,8 +172,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = _config_from_args(args, SuiteConfig(precision=3))
-    if cfg.family in FINITE_FAMILIES and cfg.family not in FAMILIES:
-        raise ConfigError("decompose needs a p-adic family, not a finite tag")
     cfg = replace(cfg, suites=("decompose",))
     validate_config(cfg)
     space = build_space(cfg.family, cfg.n, cfg.p)

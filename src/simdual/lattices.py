@@ -319,23 +319,20 @@ def theta_operator(coords: LieCoords):
     return coords.operator_matrix(f)
 
 
-def lattice_of_x(coords: LieCoords, x: Mat,
-                 base: LatticeBasis | None = None) -> LatticeBasis:
+def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
     """The intersection lattice Ad(x^-1) L meet L."""
-    base = base if base is not None else coords.standard_lattice()
+    base = coords.standard_lattice()
     T = ad_operator(coords, x.inv())
     return base.transform(T).intersect(base)
 
 
 def transform_lattice(coords: LieCoords, op, lat: LatticeBasis) -> LatticeBasis:
-    """op is ("theta",), ("ad", x) or ("scale", k)."""
+    """op is ("theta",) or ("ad", x)."""
     kind = op[0]
     if kind == "theta":
         return lat.transform(theta_operator(coords))
     if kind == "ad":
         return lat.transform(ad_operator(coords, op[1]))
-    if kind == "scale":
-        return lat.scale(op[1])
     raise ValueError(f"unknown lattice operation {kind!r}")
 
 

@@ -205,9 +205,6 @@ class Mat:
                     return None
         return s
 
-    def is_integral(self) -> bool:
-        return all(a.is_integral() for r in self.rows for a in r)
-
     def reduce(self, N: int) -> "Mat":
         return Mat._make(self.ring.truncated(N), tuple(
             tuple(a.reduce(N) for a in r) for r in self.rows))

@@ -485,39 +485,6 @@ def sqrt_mod_prime_power(a: int, p: int, N: int) -> int | None:
     return r
 
 
-def hensel_sqrt_one_plus(mu, k: int, N: int, p: int | None = None) -> "Scalar":
-    """The unique lambda = 1 mod p^k with lambda^2 = mu mod p^N.
-
-    ``mu`` may be a Scalar (base-field part only), Fraction or int.  Requires
-    mu = 1 mod p^k, k >= 1 and N >= k; p odd makes the root unique.
-    """
-    if isinstance(mu, Scalar):
-        if mu.b != 0:
-            raise ValueError("mu must lie in the base field")
-        p = mu.ring.p
-        mu_val = mu.a
-    else:
-        if p is None:
-            raise ValueError("p required for a bare rational mu")
-        mu_val = Fraction(mu)
-    if k < 1 or N < k:
-        raise ValueError("need 1 <= k <= N")
-    m = canonical_residue(Fraction(mu_val), p, N)
-    if (m - 1) % p**k != 0:
-        raise ValueError(f"mu = {mu_val} is not 1 mod {p}^{k}")
-    r = 1
-    j = 1
-    while j < N:
-        j = min(2 * j, N)
-        mod = p**j
-        r = (r + m * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    # Of the two roots +-r, exactly one is 1 mod p^k.
-    if (r - 1) % p**k != 0:
-        r = (-r) % p**N
-    assert (r - 1) % p**k == 0 and (r * r - m) % p**N == 0
-    return Ring(p, SPLIT, N).scalar(r)
-
-
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None if x is not a square."""
     x = Fraction(x)

@@ -133,17 +133,8 @@ def validate_space(J: Mat, eps: int, ring: Ring, family: str | None = None,
     space = Space(family, J.nrows, ring, eps, J, H)
     if H is not None:
         from .involution import validate_anti_unitary
-        validate_anti_unitary(space, H, mode="involution")
+        validate_anti_unitary(space, H)
     return space
-
-
-def inner(space: Space, u: Mat, v: Mat) -> Scalar:
-    """<u, v> = u^T J tau(v) for column vectors u, v."""
-    if not space.has_form:
-        raise SpaceError("general-linear family carries no form")
-    if u.nrows != space.n or v.nrows != space.n or u.ncols != 1 or v.ncols != 1:
-        raise SpaceError("vectors must be n x 1 columns")
-    return (u.transpose() * space.J * v.tau())[0, 0]
 
 
 def star(space: Space, a: Mat) -> Mat:

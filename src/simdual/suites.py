@@ -440,7 +440,7 @@ def suite_identity(cfg: SuiteConfig) -> list:
     space = std.space
     if space.has_form:
         try:
-            validate_anti_unitary(space, space.H, mode="involution")
+            validate_anti_unitary(space, space.H)
         except AntiUnitaryError as exc:                   # pragma: no cover
             rows.append(CheckRow("anti-unitary-involution", FAIL,
                                  detail={"error": str(exc)}))

@@ -72,7 +72,7 @@ def test_criterion_2_fiber_analysis():
     assert len(buckets) == 1215
     for key in sorted(buckets):
         res = fiber(images[key])
-        got = sorted(p.X.mat.key() for p in res.domain_preimages())
+        got = sorted(p.X.mat.key() for p in res.preimages)
         assert got == sorted(buckets[key])
     assert time.monotonic() - t0 < 30.0
 

@@ -11,9 +11,8 @@ from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
                             TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
                             bucket_domain_images, cayley, cayley_kernel,
-                            components_per_scalar, domain_kernel,
-                            enumerate_lie, fiber, identity_comps,
-                            in_cayley_domain, in_domain, lie_alpha_kernel,
+                            components_per_scalar, enumerate_lie, fiber,
+                            identity_comps, in_domain, lie_alpha_kernel,
                             mat_components, mat_from_components,
                             matrix_inverse_kernel, product_kernel,
                             theta_kernel, x_lambda)
@@ -53,21 +52,19 @@ def test_cayley_pinned_alpha0():
 
 def test_cayley_domain_errors():
     bad = lie(SYMPL, [[-1, 0], [0, -1]])       # det(1 + X) = 0
-    assert not in_cayley_domain(bad)
+    assert not in_domain(bad)
     with pytest.raises(DomainError):
         cayley(bad)
 
 
 def test_domain_containment():
-    # the three-condition domain sits inside the two-condition one; for
-    # 2x2 with alpha = trace both singularity tests evaluate to the same
-    # determinant 1 + alpha + det(X), so here they agree exactly
-    for rows in ([[1, 1], [0, 1]], [[-1, 1], [0, -1]], [[0, 2], [1, 0]],
-                 [[2, 0], [0, -3]]):
+    # in_domain tests two conditions; written out with the third, the
+    # pinned verdicts agree (for 2x2 with alpha = trace both singularity
+    # tests evaluate to the same determinant 1 + alpha + det(X))
+    for rows, want in (([[1, 1], [0, 1]], True), ([[-1, 1], [0, -1]], False),
+                       ([[0, 2], [1, 0]], True), ([[2, 0], [0, -3]], False)):
         X = lie(SYMPL, rows)
-        assert in_domain(X) == in_cayley_domain(X)
-        if in_domain(X):
-            assert in_cayley_domain(X)
+        assert in_domain(X) == _three_conditions(X) == want
 
 
 def test_x_lambda_roundtrip_pinned():
@@ -111,7 +108,7 @@ def test_identity_fiber_membership():
     # c(X) = 1 also for alpha = -2 elements in the Cayley domain
     X = lie(SYMPL, [[-1, 1], [1, -1]])
     assert X.alpha == SYMPL.ring.scalar(-2)
-    if in_cayley_domain(X):
+    if in_domain(X):
         assert cayley(X).mat == SYMPL.identity()
         assert res.identity_fiber_contains(X)
 
@@ -147,23 +144,25 @@ def test_truncated_fiber_matches_exhaustive_buckets(census9):
     assert len(buckets) == 1215
     assert bucket_domain_images(SYMPL9) == buckets
     for key, res in fibers.items():
-        got = sorted(p.X.mat.key() for p in res.domain_preimages())
+        got = sorted(p.X.mat.key() for p in res.preimages)
         assert got == buckets[key]
 
 
 def test_census_mod9_pinned_digest(census9):
-    # sha256 of the buckets and of every fiber (tag, lambdas, preimage
-    # keys, in_g1), recorded before the census moved onto component tuples
+    # sha256 of the buckets, recorded before the census moved onto
+    # component tuples, and of every fiber (tag, lambdas, preimage keys),
+    # recorded while preimages still carried a computed domain flag
     _, fibers = census9
     assert hashlib.sha256(repr(sorted(
         bucket_domain_images(SYMPL9).items())).encode()).hexdigest() == \
         "91bbfa0e60edba31e183e228033af98fd191013f71bb8e52239c0166c8060d8b"
     data = [(key, res.tag, [lam.a for lam in res.lambdas],
-             [pre.X.mat.key() for pre in res.preimages],
-             [pre.in_g1 for pre in res.preimages])
+             [pre.X.mat.key() for pre in res.preimages])
             for key, res in fibers.items()]
     assert hashlib.sha256(repr(data).encode()).hexdigest() == \
-        "5e2063ca50c46a7a0a403aee22961c84a3ebeda90ee84c5ac1a76115a4dd3440"
+        "640df4e4d422f0bd4bea91914ae1cb7ca9ff36a64b5bfbfd0c489524fad980a2"
+    assert all(in_domain(pre.X)
+               for res in fibers.values() for pre in res.preimages)
 
 
 def test_fiber_census_script_finds_no_mismatch(capsys):
@@ -176,7 +175,8 @@ def test_fiber_census_script_finds_no_mismatch(capsys):
         "domain images mod 3^1: 15",
         "fiber tags: {'infinite-identity': 1, 'unique-mu1': 14}",
         "fiber sizes: {1: 14, 19: 1}",
-        "mismatches: 0"]
+        "mismatches: 0",
+        "preimages outside the domain: 0"]
 
 
 @settings(max_examples=50, deadline=None)
@@ -231,15 +231,14 @@ def test_integer_kernels_match_the_mat_level_maps(family, N, coords, s):
         x = _comps(space, X)
         alpha = lie_alpha_kernel(space)(x)
         assert alpha == lie_t.alpha.a
-        assert domain_kernel(space)(x, alpha) == in_domain(lie_t)
         try:
             inverse = _comps(space, (one + X).inv())
         except NotInvertibleError:
             inverse = None
         assert matrix_inverse_kernel(space)(_comps(space, one + X)) == inverse
         image = cayley_kernel(space)(x, alpha)
-        if not in_cayley_domain(lie_t):
-            assert image is None
+        assert (image is not None) == in_domain(lie_t)
+        if image is None:
             with pytest.raises(DomainError):
                 cayley(lie_t)
             continue
@@ -288,7 +287,7 @@ def _det_is_unit(x, d) -> bool:
 @pytest.mark.parametrize("family", sorted(STDS))
 def test_domain_needs_only_two_of_its_three_conditions(family):
     # (1 + alpha) 1 - X = (1 + X)* on the Lie algebra, whose determinant
-    # is tau(det(1 + X)), so domain_kernel and in_domain skip the third
+    # is tau(det(1 + X)), so cayley_kernel and in_domain skip the third
     # condition; written out here, it changes no verdict on any Lie element
     # mod 9 (one in 49 also through in_domain) or on exact sampled ones
     std = STDS[family]
@@ -297,7 +296,7 @@ def test_domain_needs_only_two_of_its_three_conditions(family):
     M = ring.modulus
     ident = identity_comps(space)
     d = components_per_scalar(space)
-    alpha_of, in_dom = lie_alpha_kernel(space), domain_kernel(space)
+    alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
     verdicts = set()
     for i, x in enumerate(_lie_components(space, 10**6)):
         alpha = alpha_of(x)
@@ -306,7 +305,7 @@ def test_domain_needs_only_two_of_its_three_conditions(family):
                  and _det_is_unit([e + v for e, v in zip(ident, x)], d)
                  and (not space.has_form or _det_is_unit(
                      [a1 * e - v for e, v in zip(ident, x)], d)))
-        assert in_dom(x, alpha) == three
+        assert (c(x, alpha) is not None) == three
         verdicts.add(three)
         if i % 49 == 0:
             X = LieElem(space, mat_from_components(space, x),
@@ -325,12 +324,12 @@ def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):
     # X = -1 solves nothing here, but it is a Lie element (alpha = -2)
     # with 1 + X = 0: fed in as an extra branch solution it must be dropped
     g = cayley(lie(SYMPL9, [[3, 1], [0, 3]]))
-    want = [(p.X.mat.key(), p.lam, p.in_g1) for p in fiber(g).preimages]
+    want = [(p.X.mat.key(), p.lam) for p in fiber(g).preimages]
     real = cayley_module._solve_branch
 
     def with_singular(space, x, lam, limit):
         return sorted(real(space, x, lam, limit) + [(8, 0, 0, 8)])
     monkeypatch.setattr(cayley_module, "_solve_branch", with_singular)
-    got = [(p.X.mat.key(), p.lam, p.in_g1) for p in fiber(g).preimages]
+    got = [(p.X.mat.key(), p.lam) for p in fiber(g).preimages]
     assert got == want and (8, 0, 0, 0, 0, 0, 8, 0) not in \
-        [key for key, _, _ in got]
+        [key for key, _ in got]

@@ -182,6 +182,8 @@ def test_markdown_format(capsys):
                            "payload": {"family": "hermitian", "n": 2,
                                        "p": 3, "level": 1, "precision": 2,
                                        "b": "1+1/0*s, 0; 0, 1"}})],
+    ["decompose", "--family", "sp", "--precision", "3",          # finite tag
+     "2, 0; 0, 1"],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     budget = tmp_path / "budget.cfg"

@@ -1,11 +1,10 @@
 import pytest
 
-from simdual.cayley import mat_from_components
 from simdual.decomposition import find_conjugator_mod
 from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
-                                enumerate_matrices, factor_anti_unitary,
-                                iota_group, is_theta_fixed, theta_group,
-                                theta_lie, validate_anti_unitary)
+                                enumerate_matrices, iota_group,
+                                is_theta_fixed, theta_group, theta_lie,
+                                validate_anti_unitary)
 from simdual.matrices import Mat
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
@@ -19,23 +18,21 @@ GL_F3 = standard_space(GENERAL_LINEAR, 2, Ring(3, SPLIT, 1))
 
 def test_validate_anti_unitary_accepts_standard_h():
     for space in (SYMPL, HERM):
-        m = validate_anti_unitary(space, space.H, mode="involution")
-        assert m.square == space.identity()
-        assert m.beta == space.ring.one
+        assert validate_anti_unitary(space, space.H) is None
+        assert space.H * space.H.tau() == space.identity()
 
 
 def test_validate_anti_unitary_rejects_corruption():
     bad = Mat(SYMPL.ring, [[1, 1], [0, 1]])
     with pytest.raises(AntiUnitaryError):
-        validate_anti_unitary(SYMPL, bad, mode="involution")
+        validate_anti_unitary(SYMPL, bad)
 
 
 def test_similitude_mode_scales():
+    # 2 H is an anti-unitary similitude, not an involution
     scaled = SYMPL.H * 2
-    m = validate_anti_unitary(SYMPL, scaled, mode="similitude")
-    assert m.beta == SYMPL.ring.scalar(4)
     with pytest.raises(AntiUnitaryError):
-        validate_anti_unitary(SYMPL, scaled, mode="involution")
+        validate_anti_unitary(SYMPL, scaled)
 
 
 def test_theta_is_involutive_anti_automorphism():
@@ -97,14 +94,3 @@ def test_conjugator_exhaustion_raises():
     with pytest.raises(ConjugatorNotFound) as info:
         find_conjugator_mod(a, max_candidates=0)
     assert info.value.tried == 0
-
-
-def test_factor_anti_unitary():
-    a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 1]]))
-    h1, h2 = factor_anti_unitary(
-        a, (mat_from_components(SYMPL_F3, comps)
-            for comps in enumerate_matrices(SYMPL_F3.ring, 2)))
-    # a = h1 h2 as semilinear composition, h1 an involution
-    assert h1.H * h2.H.tau() == a.mat
-    assert h1.square == SYMPL_F3.identity()
-    assert h2.beta == a.mu

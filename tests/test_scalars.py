@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simdual.scalars import (INERT, INF, SPLIT, NotIntegralError, NotUnitError,
-                             Ring, canonical_residue, dot, hensel_sqrt_one_plus,
-                             is_odd_prime, rational_sqrt, smallest_nonresidue,
+                             Ring, canonical_residue, dot, is_odd_prime,
+                             rational_sqrt, smallest_nonresidue,
                              sqrt_mod_prime_power, val_fraction)
 
 
@@ -69,19 +69,6 @@ def test_scalar_reduce_lift():
     assert x.reduce(2).a == 5
 
 
-def test_hensel_pinned_values():
-    # unique root congruent to 1 mod p
-    assert hensel_sqrt_one_plus(4, 1, 3, p=3).a == 25
-    assert hensel_sqrt_one_plus(6, 1, 2, p=5).a == 16
-
-
-def test_hensel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        hensel_sqrt_one_plus(2, 1, 3, p=3)   # 2 is not 1 mod 3
-    with pytest.raises(ValueError):
-        hensel_sqrt_one_plus(4, 0, 3, p=3)
-
-
 def test_sqrt_mod_prime_power():
     r = sqrt_mod_prime_power(4, 3, 3)
     assert r is not None and r * r % 27 == 4
@@ -116,16 +103,6 @@ def test_truncated_ring_homomorphism(a, b):
     x, y = exact.scalar(a), exact.scalar(b)
     assert (x * y).reduce(2) == x.reduce(2) * y.reduce(2)
     assert (x + y).reduce(2) == x.reduce(2) + y.reduce(2)
-
-
-@settings(max_examples=40)
-@given(st.integers(1, 80))
-def test_hensel_root_property(m):
-    p, k, N = 3, 1, 4
-    mu = 1 + p * m
-    lam = hensel_sqrt_one_plus(mu, k, N, p=p)
-    assert (lam.a * lam.a - mu) % p**N == 0
-    assert (lam.a - 1) % p**k == 0
 
 
 # -- the (x, y, d) storage against a reference on Fraction pairs -------
