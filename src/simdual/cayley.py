@@ -698,12 +698,6 @@ def _lie_components(space: Space, limit) -> list:
     return sorted(comps[:D] for comps in sols)
 
 
-def enumerate_lie(space: Space, limit=10**6):
-    """All Lie-algebra members of a truncated space, canonical order."""
-    return [certify_lie(space, mat_from_components(space, comps))
-            for comps in _lie_components(space, limit)]
-
-
 def bucket_domain_images(space: Space, limit=10**6):
     """Exhaustive oracle: bucket c over all working-domain X of a truncated
     space, keyed by the image residue, each bucket listing its X in

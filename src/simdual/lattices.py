@@ -26,7 +26,7 @@ from .cayley import (DomainError, cayley_kernel, components_per_scalar,
                      multiplier_predicate)
 from .involution import theta_lie
 from .matrices import Mat
-from .scalars import Ring, Scalar
+from .scalars import Ring, Scalar, val_int
 from .spaces import Space, certify_lie
 
 
@@ -45,61 +45,48 @@ def _field(p: int) -> Ring:
     return Ring(p)
 
 
-def _residue(x: Scalar, e: int) -> Scalar:
-    """Canonical representative of x mod p^e in Z_(p), allowing x to have
-    negative valuation (the representative then keeps the same denominator
-    power of p)."""
-    ring = x.ring
-    v = x.val()
-    if v >= e:
-        return ring.zero
-    s = min(v, 0)
-    shift = ring.scalar(Fraction(ring.p) ** s)
-    return ring.scalar((x / shift).reduce(e - s).x) * shift
+def _over_one_denominator(xs) -> tuple[list[int], int]:
+    """(numerators, den): the rationals ``xs`` (ints, Fractions or scalars
+    of the split field) as integers over one common denominator den > 0."""
+    pairs = [(x.x, x.d) if isinstance(x, Scalar)
+             else (x.numerator, x.denominator) for x in xs]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def hnf_columns(p: int, dim: int, cols) -> tuple:
     """Canonical Hermite form over Z_(p) of the column span of ``cols``.
 
     Returns a tuple of dim column tuples of scalars of the split field:
-    lower triangular, diagonal a power of p, entries below a pivot integer
-    representatives mod that pivot.  Requires the columns to span the full
-    space.
+    lower triangular, diagonal a power of p, entries below a pivot in
+    [0, pivot) and in Z[1/p].  Requires the columns to span the full space.
+
+    All columns go over one denominator p^s w, w prime to p; dropping the
+    unit w leaves the span alone.  The integer columns triangularize over Z.
+    The p-part p^K of their pivot product is the index of their Z_(p)-span,
+    which therefore contains p^K Z^dim: so each pivot becomes its p-part by
+    a unit scaling mod p^K, and then the entries below the pivots reduce.
     """
-    ring = _field(p)
-    work = [[x if isinstance(x, Scalar) else ring.scalar(x) for x in c]
-            for c in cols]
-    pivots = []
-    for row in range(dim):
-        best = None
-        bestval = None
-        for idx, c in enumerate(work):
-            v = c[row].val()
-            if c[row] and (bestval is None or v < bestval):
-                best, bestval = idx, v
-        if best is None:
-            raise LatticeError("columns do not span the full space")
-        pivot = work.pop(best)
-        pinv = pivot[row].inv()
-        for c in work:
-            if c[row]:
-                f = c[row] * pinv
-                for i in range(dim):
-                    c[i] -= f * pivot[i]
-        # normalize the pivot entry to p^e by a unit scaling
-        unit = ring.scalar(Fraction(p) ** bestval) * pinv
-        pivots.append((row, bestval, [x * unit for x in pivot]))
-    # back-reduce entries below earlier pivots
-    for j in range(len(pivots)):
-        colj = pivots[j][2]
-        for ri, ei, coli in pivots[j + 1:]:
-            entry = colj[ri]
-            if not entry:
-                continue
-            q = (entry - _residue(entry, ei)) / ring.scalar(Fraction(p) ** ei)
-            for r in range(dim):
-                colj[r] -= q * coli[r]
-    return tuple(tuple(c) for _, _, c in pivots)
+    nums, den = _over_one_denominator([x for col in cols for x in col])
+    basis = modsolve.subgroup_basis(
+        [nums[i:i + dim] for i in range(0, len(nums), dim)], dim, 0)
+    if len(basis) < dim:
+        raise LatticeError("columns do not span the full space")
+    pivots = [p**val_int(col[i], p) for i, col in enumerate(basis)]
+    M = math.prod(pivots)
+    for i, col in enumerate(basis):
+        unit = pow(col[i] // pivots[i], -1, M)
+        col[i] = pivots[i]
+        for r in range(i + 1, dim):
+            col[r] = col[r] * unit % M
+    for j, col in enumerate(basis):
+        for i in range(j + 1, dim):
+            q = col[i] // pivots[i]
+            if q:
+                for r in range(i, dim):
+                    col[r] -= q * basis[i][r]
+    ring, den = _field(p), p**val_int(den, p)
+    return tuple(tuple(ring.ratio(x, 0, den) for x in col) for col in basis)
 
 
 @dataclass(frozen=True)
@@ -121,11 +108,6 @@ class LatticeBasis:
     def _basis(self) -> Mat:
         """The matrix whose columns are the basis vectors."""
         return Mat._make(_field(self.p), tuple(zip(*self.cols)))
-
-    def scale(self, k: int) -> "LatticeBasis":
-        f = _field(self.p).scalar(Fraction(self.p) ** k)
-        return LatticeBasis.from_columns(
-            self.p, self.dim, [[f * x for x in c] for c in self.cols])
 
     def transform(self, T: Mat) -> "LatticeBasis":
         """Image under an invertible F-linear operator T."""
@@ -181,7 +163,8 @@ class LieCoords:
                                                  for i in range(self.m0)])
                      for j in range(self.m0)]
             return basis, [space.ring.zero] * self.m0
-        E = _clear_denominators(lie_system(space, alpha=not self.isometry))
+        E = [_over_one_denominator(row)[0]
+             for row in lie_system(space, alpha=not self.isometry)]
         _, D, V = modsolve.smith(E)
         rank = 0
         while rank < min(len(D), len(V)) and D[rank][rank] != 0:
@@ -221,9 +204,7 @@ class LieCoords:
         return [Fraction(x, den) for x in c]
 
     def from_coords(self, c) -> Mat:
-        c = list(map(Fraction, c))
-        den = math.lcm(*(x.denominator for x in c))
-        nums = [x.numerator * (den // x.denominator) for x in c]
+        nums, den = _over_one_denominator(c)
         flat = [sum(a * x for a, x in zip(row, nums)) for row in self._M]
         return mat_from_components(self.space, flat, den)
 
@@ -252,16 +233,6 @@ class LieCoords:
             if image is None:
                 raise DomainError("X is outside the Cayley domain")
             yield image + (alpha,)
-
-
-def _clear_denominators(E):
-    out = []
-    for row in E:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
 
 
 # -- standard lattices ------------------------------------------------
@@ -324,16 +295,6 @@ def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
     base = coords.standard_lattice()
     T = ad_operator(coords, x.inv())
     return base.transform(T).intersect(base)
-
-
-def transform_lattice(coords: LieCoords, op, lat: LatticeBasis) -> LatticeBasis:
-    """op is ("theta",) or ("ad", x)."""
-    kind = op[0]
-    if kind == "theta":
-        return lat.transform(theta_operator(coords))
-    if kind == "ad":
-        return lat.transform(ad_operator(coords, op[1]))
-    raise ValueError(f"unknown lattice operation {kind!r}")
 
 
 # -- congruence levels ------------------------------------------------

@@ -1,6 +1,11 @@
 """Integer linear algebra mod p^N: Smith normal form, affine solve with
 full solution enumeration, and column Hermite reduction.
 
+The column reduction ``subgroup_basis`` is the one triangularization of
+integer columns: it gives the kernel bases of the affine solves and of
+``span_coset_mod``, and, over Z, the lattice Hermite forms of
+``lattices.hnf_columns``.
+
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 (at most a few dozen rows), so the classical algorithms are plenty.
 """
@@ -107,7 +112,7 @@ def _solution_data(A, b, p, N):
     x0 = tuple(sum(V[i][j] * w0[j] for j in range(ncols)) % M for i in range(k))
     # kernel generators: x-parts of the free columns of V, plus M e_i
     gens = [[V[i][j] for i in range(k)] for j in range(r, ncols)]
-    return x0, _subgroup_basis(gens, k, M), k, M
+    return x0, subgroup_basis(gens, k, M), k, M
 
 
 def solve_affine_mod(A, b, p, N, limit=10**6):
@@ -140,7 +145,7 @@ def span_coset_mod(x0, gens, p, N, limit=10**6):
     """All vectors of x0 + <gens> inside (Z/p^N)^k, in canonical order."""
     k = len(x0)
     M = p**N
-    sub = _subgroup_basis([list(g) for g in gens], k, M)
+    sub = subgroup_basis([list(g) for g in gens], k, M)
     return _enumerate_coset(tuple(a % M for a in x0), sub, k, M, limit)
 
 
@@ -149,11 +154,13 @@ def kernel_mod(A, p, N, limit=10**6):
     return solve_affine_mod(A, [0] * m, p, N, limit)
 
 
-def _subgroup_basis(gens, k, M):
+def subgroup_basis(gens, k, M):
     """Lower-triangular basis (list of columns) of the subgroup of (Z/M)^k
-    generated by ``gens`` together with M Z^k."""
+    generated by ``gens`` together with M Z^k; M = 0 means over Z.  The
+    columns have their first nonzero entries at increasing rows, and those
+    entries are positive."""
     cols = [g[:] for g in gens] + [[M if i == j else 0 for i in range(k)]
-                                   for j in range(k)]
+                                   for j in range(k) if M]
     basis = []
     row = 0
     while row < k and cols:

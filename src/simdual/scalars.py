@@ -389,11 +389,6 @@ class Scalar:
         vs = [val_int(c, p) for c in (self.x, self.y) if c != 0]
         return min(min(vs), self.ring.prec)
 
-    def is_integral(self) -> bool:
-        # gcd(x, y, d) = 1: p | d exactly when some component has p in its
-        # denominator
-        return not self.ring.exact or self.d % self.ring.p != 0
-
     def is_unit(self) -> bool:
         if self.ring.exact:
             return bool(self) and self.val() == 0

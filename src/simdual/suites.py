@@ -25,8 +25,8 @@ from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, BudgetExceeded, \
     FiniteGroupError, build_group, conjugacy_classes, verify_class_inversion
 from .involution import AntiUnitaryError, ConjugatorNotFound, \
     is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
-from .lattices import LatticeBudgetError, check_cayley_level, \
-    lattice_of_x, standard_lattices, transform_lattice
+from .lattices import LatticeBudgetError, ad_operator, check_cayley_level, \
+    lattice_of_x, standard_lattices, theta_operator
 from .matrices import Mat, parse_matrix
 from .modsolve import SolveBudgetError
 from .report import FAIL, FINDING, PASS, CheckRow, Report
@@ -147,8 +147,8 @@ GROUP = Kind("x", sample_group, certify_group)
 THETA_FIXED = Kind("x", sample_theta_fixed, certify_group, "theta-fixed",
                    lambda std, x: is_theta_fixed(x))
 STABILIZING = Kind("k", sample_stabilizing, certify_group,
-                   "a stabilizer of Ldot", lambda std, k: transform_lattice(
-                       std.gu_coords, ("ad", k.mat), std.Ldot) == std.Ldot)
+                   "a stabilizer of Ldot", lambda std, k: std.Ldot.transform(
+                       ad_operator(std.gu_coords, k.mat)) == std.Ldot)
 INTEGRAL_LIE = Kind("X", sample_integral_lie, certify_lie, "in p*Ldot",
                     lambda std, X: all(val_fraction(c, std.space.ring.p) >= 1
                                        for c in std.gu_coords.to_coords(X.mat)))
@@ -184,8 +184,8 @@ def _fiber_roundtrip(std, X) -> bool:
 
 def _lattice_theta_ad(std, x) -> bool:
     lx = lattice_of_x(std.gu_coords, x.mat)
-    return transform_lattice(std.gu_coords, ("theta",), lx) \
-        == transform_lattice(std.gu_coords, ("ad", x.mat), lx)
+    return lx.transform(theta_operator(std.gu_coords)) \
+        == lx.transform(ad_operator(std.gu_coords, x.mat))
 
 
 # in report order within each suite
@@ -263,7 +263,7 @@ def _sampled_rows(suite, std, rng, base, count) -> list:
 
 
 def _theta_stable_lattice(std, base) -> CheckRow:
-    theta_L = transform_lattice(std.gu_coords, ("theta",), std.Ldot)
+    theta_L = std.Ldot.transform(theta_operator(std.gu_coords))
     return _row("theta-stable-lattice", theta_L == std.Ldot, base)
 
 

@@ -4,14 +4,14 @@ the elapsed wall time."""
 
 import time
 
-from simdual.cayley import (INFINITE_IDENTITY, cayley, enumerate_lie, fiber,
-                            in_domain)
+from simdual.cayley import (INFINITE_IDENTITY, _lie_components, cayley,
+                            fiber, in_domain, mat_from_components)
 from simdual.decomposition import coset_set, decompose, verify_piece
 from simdual.finite import build_group, conjugacy_classes, \
     verify_class_inversion
 from simdual.involution import theta_group, theta_lie
-from simdual.lattices import (check_cayley_level, lattice_of_x,
-                              standard_lattices, transform_lattice)
+from simdual.lattices import (ad_operator, check_cayley_level, lattice_of_x,
+                              standard_lattices, theta_operator)
 from simdual.sampling import (make_rng, sample_group, sample_integral_lie,
                               sample_lie, sample_stabilizing,
                               sample_theta_fixed)
@@ -63,7 +63,8 @@ def test_criterion_2_fiber_analysis():
     trunc = space.truncated(2)
     buckets = {}
     images = {}
-    for lie in enumerate_lie(trunc):
+    for comps in _lie_components(trunc, 10**6):
+        lie = certify_lie(trunc, mat_from_components(trunc, comps))
         if not in_domain(lie):
             continue
         g = cayley(lie)
@@ -113,7 +114,7 @@ def test_criterion_4_equivariance_suite():
             assert x.mat * cayley(X).mat * x.mat.inv() == cayley(adX).mat
             assert in_domain(theta_lie(X)) and in_domain(adX)
         if space.has_form:
-            assert transform_lattice(std.gu_coords, ("theta",), std.Ldot) \
+            assert std.Ldot.transform(theta_operator(std.gu_coords)) \
                 == std.Ldot
         for _ in range(100):
             assert in_domain(sample_integral_lie(std, rng, level=1))
@@ -131,8 +132,8 @@ def test_criterion_5_lattice_lemmas():
         for _ in range(100):
             x = sample_theta_fixed(std, rng)
             lx = lattice_of_x(std.gu_coords, x.mat)
-            lhs = transform_lattice(std.gu_coords, ("theta",), lx)
-            rhs = transform_lattice(std.gu_coords, ("ad", x.mat), lx)
+            lhs = lx.transform(theta_operator(std.gu_coords))
+            rhs = lx.transform(ad_operator(std.gu_coords, x.mat))
             assert lhs == rhs
         for _ in range(100):
             k = sample_stabilizing(std, rng)

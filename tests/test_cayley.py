@@ -11,7 +11,7 @@ from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
                             TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
                             bucket_domain_images, cayley, cayley_kernel,
-                            components_per_scalar, enumerate_lie, fiber,
+                            components_per_scalar, fiber,
                             identity_comps, in_domain, lie_alpha_kernel,
                             mat_components, mat_from_components,
                             matrix_inverse_kernel, product_kernel,
@@ -127,7 +127,8 @@ def census9():
     X bucketed by c(X), and the fiber of every image."""
     buckets = {}
     images = {}
-    for lieel in enumerate_lie(SYMPL9):
+    for comps in _lie_components(SYMPL9, 10**6):
+        lieel = certify_lie(SYMPL9, mat_from_components(SYMPL9, comps))
         if not in_domain(lieel):
             continue
         g = cayley(lieel)

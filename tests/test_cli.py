@@ -228,3 +228,28 @@ def test_verify_is_identical_across_hash_seeds():
         assert json.loads(out)["summary"]["fail"] == 0
         digests.add(hashlib.sha256(out).hexdigest())
     assert len(digests) == 1
+
+
+# sha256 of the JSON report of `verify --seed 13 --samples 10` with the
+# default suites (identity, cayley, lattice), one per family
+DEFAULT_REPORT_DIGESTS = {
+    "orthogonal":
+        "7c7598465f4f86874445f9f8784fd11620acbe7eaf50d404e62aa2dcd6208331",
+    "symplectic":
+        "10c948a8b88d984199c0b89cae961fd83aa1714626fd0a5722e24a05863c1de7",
+    "hermitian":
+        "a384b4772a8627a9103190ba16ca73e9184fb776c1f65a33f459f0be5115306f",
+    "skew-hermitian":
+        "60276c2eb46f55815284e9120917abf6929ce5480b3c9dd22cefbafefa69743d",
+    "general-linear":
+        "b9817fd8f1db98c3023665622546d7c36a6feeec183c69519b5a3b9625dae851",
+}
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_REPORT_DIGESTS))
+def test_default_report_matches_the_pinned_digest(family, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--family", family, "--seed", "13",
+                "--samples", "10", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == DEFAULT_REPORT_DIGESTS[family]

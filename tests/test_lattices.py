@@ -4,17 +4,19 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simdual.cayley import (cayley, components_per_scalar, in_domain,
                             mat_from_components)
 from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
-                              _congruence_scan, check_cayley_level,
-                              hnf_columns, lattice_of_x, standard_lattices,
-                              theta_operator, transform_lattice)
+                              _congruence_scan, ad_operator,
+                              check_cayley_level, hnf_columns, lattice_of_x,
+                              standard_lattices, theta_operator)
 from simdual.matrices import Mat
 from simdual.sampling import make_rng, sample_group, sample_lie
-from simdual.scalars import INERT, SPLIT, Ring
+from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
                             certify_lie, similitude_multiplier,
@@ -24,6 +26,12 @@ SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
 HERM1 = standard_space(HERMITIAN, 1, Ring(3, INERT))
 STD_H1 = standard_lattices(HERM1)
+
+
+def _times_p(lat):
+    """p * lat, from the scaled basis columns."""
+    return LatticeBasis.from_columns(
+        lat.p, lat.dim, [[lat.p * x for x in c] for c in lat.cols])
 
 
 def test_hnf_canonical_form():
@@ -45,13 +53,60 @@ def test_hnf_requires_full_span():
         hnf_columns(3, 2, [(Fraction(1), Fraction(0))])
 
 
+# entries with denominators prime to p, and with p or p^2 in them (negative
+# valuation) for p = 3 and for p = 5
+_ENTRIES = st.builds(Fraction, st.integers(-40, 40),
+                     st.sampled_from([1, 1, 1, 2, 3, 4, 5, 7, 9, 25]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 3), st.data())
+def test_hnf_properties(p, dim, data):
+    column = st.lists(_ENTRIES, min_size=dim, max_size=dim)
+    cols = data.draw(st.lists(column, min_size=dim, max_size=dim + 2))
+    assume(Mat(Ring(p), list(zip(*cols[:dim]))).det())
+    form = hnf_columns(p, dim, cols)
+    rows = [[x.a for x in col] for col in form]
+    # lower triangular, pivots p^e, entries left of a pivot in [0, pivot)
+    # with a power of p for denominator
+    for i, col in enumerate(rows):
+        pivot = col[i]
+        assert col[:i] == [0] * i
+        assert pivot == Fraction(p) ** form[i][i].val()
+        for left in rows[:i]:
+            assert 0 <= left[i] < pivot
+            den = left[i].denominator
+            assert den == p ** val_int(den, p)
+    # every input column lies in the form's lattice: the triangular solve
+    # has integral coefficients
+    for v in cols:
+        coeffs = []
+        for i in range(dim):
+            rest = v[i] - sum(c * rows[j][i] for j, c in enumerate(coeffs))
+            coeffs.append(rest / rows[i][i])
+        assert all(val_fraction(c, p) >= 0 for c in coeffs)
+    # the span does not change under a prime-to-p scaling of a column or
+    # an appended integer combination of the columns
+    k = data.draw(st.integers(0, len(cols) - 1))
+    for unit in (2, Fraction(1, 2), Fraction(7, 4)):
+        scaled = [[unit * x for x in c] if j == k else c
+                  for j, c in enumerate(cols)]
+        assert hnf_columns(p, dim, scaled) == form
+    ints = data.draw(st.lists(st.integers(-5, 5), min_size=len(cols),
+                              max_size=len(cols)))
+    combo = [sum(a * c[i] for a, c in zip(ints, cols)) for i in range(dim)]
+    assert hnf_columns(p, dim, cols + [combo]) == form
+
+
 def test_lattice_equality_is_basis_independent():
     a = LatticeBasis.from_columns(3, 2, [[1, 0], [0, 1]])
     b = LatticeBasis.from_columns(3, 2, [[1, 1], [2, 1], [0, 3]])
+    pa = LatticeBasis.from_columns(3, 2, [[3, 0], [0, 3]])
     assert a == b
-    assert a.scale(1) != a
-    assert a.intersect(a.scale(1)) == a.scale(1)
-    assert a.scale(1).intersect(a) != a
+    assert pa == _times_p(a)
+    assert pa != a
+    assert a.intersect(pa) == pa
+    assert pa.intersect(a) != a
 
 
 def test_lie_lattice_dimensions():
@@ -83,7 +138,7 @@ def test_h_stability_check(space):
 
 
 def test_theta_stabilizes_standard_lattice():
-    assert transform_lattice(STD.gu_coords, ("theta",), STD.Ldot) == STD.Ldot
+    assert STD.Ldot.transform(theta_operator(STD.gu_coords)) == STD.Ldot
 
 
 def test_lattice_of_x_pinned_diag_1_3():
@@ -91,7 +146,8 @@ def test_lattice_of_x_pinned_diag_1_3():
     lx = lattice_of_x(STD.gu_coords, x)
     assert lx != STD.Ldot
     assert STD.Ldot.intersect(lx) == lx
-    assert lx.intersect(STD.Ldot.scale(1)) == STD.Ldot.scale(1)
+    pL = _times_p(STD.Ldot)
+    assert lx.intersect(pL) == pL
     # a vector is in lx exactly when adding it as a column leaves lx
     # unchanged
     def contains(v):
@@ -112,8 +168,8 @@ def test_theta_fixed_lattice_lemma():
         x = certify_group(SYMPL, Mat(SYMPL.ring, rows))
         assert theta_group(x).mat == x.mat
         lx = lattice_of_x(STD.gu_coords, x.mat)
-        lhs = transform_lattice(STD.gu_coords, ("theta",), lx)
-        rhs = transform_lattice(STD.gu_coords, ("ad", x.mat), lx)
+        lhs = lx.transform(theta_operator(STD.gu_coords))
+        rhs = lx.transform(ad_operator(STD.gu_coords, x.mat))
         assert lhs == rhs
 
 
@@ -122,7 +178,7 @@ def test_stabilizer_coset_invariance():
     X = certify_lie(SYMPL, Mat(SYMPL.ring, [[3, 3], [0, 3]]))
     assert in_domain(X)
     k = cayley(X)
-    assert transform_lattice(STD.gu_coords, ("ad", k.mat), STD.Ldot) == STD.Ldot
+    assert STD.Ldot.transform(ad_operator(STD.gu_coords, k.mat)) == STD.Ldot
     d = certify_group(SYMPL, Mat(SYMPL.ring, [[1, 0], [0, 3]]))
     assert lattice_of_x(STD.gu_coords, (k * d).mat) == \
         lattice_of_x(STD.gu_coords, d.mat)
@@ -199,15 +255,15 @@ def _text(rows) -> list:
 
 def _lattice_digests(family, ext):
     std = standard_lattices(standard_space(family, 2, Ring(3, ext)))
-    coords, pL = std.gu_coords, std.Ldot.scale(1)
+    coords, pL = std.gu_coords, _times_p(std.Ldot)
+    theta = theta_operator(coords)
     rng = make_rng(1607)
     lattices = []
     for _ in range(30):
         x = sample_group(std, rng, factors=4).mat
         lx = lattice_of_x(coords, x)
-        lattices += [lx, transform_lattice(coords, ("theta",), lx),
-                     transform_lattice(coords, ("ad", x), lx),
-                     lx.intersect(pL)]
+        lattices += [lx, lx.transform(theta),
+                     lx.transform(ad_operator(coords, x)), lx.intersect(pL)]
     operators = [getattr(op, "rows", op) for op in
                  (theta_operator(std.gu_coords), theta_operator(std.u_coords))]
     coordinates = [coords.to_coords(sample_lie(std, rng).mat)

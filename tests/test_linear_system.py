@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from simdual import cayley as cayley_mod
 from simdual import modsolve
-from simdual.cayley import (_star_rows, cayley, components_per_scalar,
-                            enumerate_lie, fiber, iota_kernel, linear_system)
+from simdual.cayley import (_lie_components, _star_rows, cayley,
+                            components_per_scalar, fiber, iota_kernel,
+                            linear_system, mat_from_components)
 from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
 from simdual.matrices import parse_matrix
@@ -76,8 +77,9 @@ PINNED_LIE_KEYS = {
 @pytest.mark.parametrize("family, N", list(PINNED_LIE_KEYS))
 def test_enumerate_lie_matches_the_pinned_digest(family, N):
     space = standard_space(family, 2, Ring(3, _ext(family), N))
-    keys = [list(lie.mat.key()) + _scalar(lie.alpha)
-            for lie in enumerate_lie(space)]
+    lies = [certify_lie(space, mat_from_components(space, comps))
+            for comps in _lie_components(space, 10**6)]
+    keys = [list(lie.mat.key()) + _scalar(lie.alpha) for lie in lies]
     assert _digest(keys) == PINNED_LIE_KEYS[family, N]
 
 

@@ -1,6 +1,6 @@
 from simdual.cayley import in_domain
 from simdual.involution import theta_group
-from simdual.lattices import standard_lattices, transform_lattice
+from simdual.lattices import ad_operator, standard_lattices
 from simdual.sampling import (make_rng, sample_group, sample_integral_lie,
                               sample_lie, sample_stabilizing,
                               sample_theta_fixed)
@@ -65,5 +65,5 @@ def test_stabilizing_samples_preserve_lattice():
     rng = make_rng(5)
     for _ in range(5):
         k = sample_stabilizing(STD, rng)
-        assert transform_lattice(STD.gu_coords, ("ad", k.mat), STD.Ldot) \
+        assert STD.Ldot.transform(ad_operator(STD.gu_coords, k.mat)) \
             == STD.Ldot
