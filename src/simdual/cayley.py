@@ -14,10 +14,12 @@ fiber of g is the single point g - 1.
 
 Mod p^N the work runs on integer component tuples (the layout of
 ``mat_components``) through kernels derived once per space and kept in
-``space.memo``: the generated product, one integer Gauss-Jordan inverse
-for split and inert rings, the F-linear maps star, theta and iota probed
-on unit vectors, and from them the multiplier and alpha certificates and
-the Cayley map, which is None outside the domain.  The fiber branches are
+``space.memo``: one integer Gauss-Jordan inverse for split and inert
+rings, and generated straight-line code for the product, the determinant
+(once per n) and the F-linear maps star, theta and iota, which are probed
+on unit vectors and compiled from their sparse rows; from these come the
+multiplier and alpha certificates and the Cayley map, which is None
+outside the domain.  The fiber branches are
 built with ``linear_system`` on components, and preimages are certified on
 integers; ``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where a
 public function returns one.
@@ -412,20 +414,17 @@ def matrix_inverse_kernel(space: Space):
     return inv
 
 
-def _det(x, n: int) -> int:
-    """Integer determinant of the n x n matrix with row-major entries x,
-    by cofactor expansion along the first row."""
-    if n == 1:
-        return x[0]
-    if n == 2:
-        return x[0] * x[3] - x[1] * x[2]
-    total = 0
-    for j in range(n):
-        if x[j]:
-            minor = [x[r * n + c] for r in range(1, n) for c in range(n)
-                     if c != j]
-            total += (-1) ** j * x[j] * _det(minor, n - 1)
-    return total
+@functools.cache
+def det_kernel(n: int):
+    """``det(x)``: the integer determinant of the n x n matrix with
+    row-major entries x, generated once per n as the straight-line
+    Leibniz sum over the permutations of range(n)."""
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        factors = "*".join(f"x{i * n + j}" for i, j in enumerate(perm))
+        terms.append(("- " if inversions % 2 else "+ ") + factors)
+    return _generated("x", [_unpack("x", n * n)], " ".join(terms))
 
 
 @_per_space
@@ -441,26 +440,23 @@ def multiplier_predicate(space: Space):
     if space.ring.exact:
         raise ValueError("the multiplier predicate works mod p^N")
     ring = space.ring
-    n, p, M = space.n, ring.p, ring.modulus
+    n, p = space.n, ring.p
 
     if not space.has_form:
         if ring.ext == INERT:
             raise SpaceError("the general-linear multiplier works over the "
                              "split ring")
+        det = det_kernel(n)
+        return lambda x: 1 if det(x) % p else None
 
-        def mu_of(x):
-            return 1 if _det(x, n) % p else None
-        return mu_of
-
-    star_rows = _star_rows(space)
-    mul = product_kernel(space)
+    star_of, mul = star_kernel(space), product_kernel(space)
     # g star(g) = mu * 1: its n diagonal a-components, every
     # (n + 1) entries apart, equal mu and its other components are zero
-    step = components_per_scalar(space) * (n + 1)
-    zeros = len(star_rows) - n
+    d = components_per_scalar(space)
+    step, zeros = d * (n + 1), d * n * n - n
 
     def mu_of(x):
-        z = mul(x, [sum(c * x[j] for j, c in row) % M for row in star_rows])
+        z = mul(x, star_of(x))
         mu = z[0]
         if mu % p and z.count(0) == zeros and z[::step].count(mu) == n:
             return mu
@@ -500,24 +496,46 @@ def product_kernel(space: Space):
                  for i in range(n) for j in range(n)]
         terms = [f"({t}) % {M}" for t in terms]
         D = n * n
-    xs = ", ".join(f"x{i}" for i in range(D))
-    ys = ", ".join(f"y{i}" for i in range(D))
-    source = (f"def mul(x, y):\n    {xs}, = x\n    {ys}, = y\n"
-              f"    return ({', '.join(terms)},)\n")
+    return _generated("x, y", [_unpack("x", D), _unpack("y", D)],
+                      f"({', '.join(terms)},)")
+
+
+def _unpack(v: str, D: int) -> str:
+    """The line unpacking the length-D tuple ``v`` into v0, v1, ..."""
+    return f"{', '.join(f'{v}{i}' for i in range(D))}, = {v}"
+
+
+def _generated(args: str, lines: list, result: str):
+    """The function of ``args`` that runs ``lines`` and returns
+    ``result``, compiled from generated source."""
+    body = "".join(f"    {line}\n" for line in lines + [f"return {result}"])
     namespace = {}
-    exec(source, namespace)
-    return namespace["mul"]
+    exec(f"def f({args}):\n{body}", namespace)
+    return namespace["f"]
 
 
-def _scaled_map(rows: list, M: int):
-    """``(x, mu) -> mu^-1 L(x) mod M`` for the linear map L with the sparse
-    rows ``rows`` (those of ``_sparse_rows``)."""
-    def apply(x, mu):
-        s = pow(mu, -1, M)
-        return tuple(sum(c * x[j] for j, c in row) * s % M for row in rows)
-    return apply
+def _linear_kernel(rows: list, M: int, scaled: bool = False):
+    """The linear map L with the sparse rows ``rows`` (those of
+    ``_sparse_rows``) as generated straight-line code on component
+    tuples: ``L(x)`` mod M, or with ``scaled`` ``(x, mu) -> mu^-1 L(x)``
+    mod M."""
+    sums = [" + ".join(f"{c}*x{j}" for j, c in row) or "0" for row in rows]
+    lines = [_unpack("x", len(rows))]
+    if scaled:
+        lines.append(f"s = pow(mu, -1, {M})")
+        sums = [f"({t})*s" for t in sums]
+    return _generated("x, mu" if scaled else "x", lines,
+                      f"({', '.join(f'({t}) % {M}' for t in sums)},)")
 
 
+@_per_space
+def star_kernel(space: Space):
+    """``star(x)``: the components of star(g) mod p^N for the matrix g
+    with components x; star probed once per space."""
+    return _linear_kernel(_star_rows(space), space.ring.modulus)
+
+
+@_per_space
 def inverse_kernel(space: Space):
     """``inv(x, mu)``: the components of g^-1 mod p^N for the member g
     with components x and multiplier residue mu.  With a form g^-1 =
@@ -526,11 +544,12 @@ def inverse_kernel(space: Space):
     if space.ring.exact:
         raise ValueError("the inverse kernel works mod p^N")
     if space.has_form:
-        return _scaled_map(_star_rows(space), space.ring.modulus)
+        return _linear_kernel(_star_rows(space), space.ring.modulus, True)
     inv = matrix_inverse_kernel(space)
     return lambda x, mu: inv(x)
 
 
+@_per_space
 def iota_kernel(space: Space):
     """``iota(x, mu)``: the components of iota(g) = mu^-1 H tau(g) H^-1
     mod p^N (``involution.iota_group``) for the member g with components
@@ -540,9 +559,9 @@ def iota_kernel(space: Space):
         raise ValueError("the iota kernel works mod p^N")
     if not space.has_form:
         raise SpaceError("general-linear iota is the inverse transpose")
-    return _scaled_map(
+    return _linear_kernel(
         _sparse_rows(space, lambda m: space.H * m.tau() * space.Hinv),
-        space.ring.modulus)
+        space.ring.modulus, True)
 
 
 def theta_map(space: Space):
@@ -562,9 +581,8 @@ def theta_kernel(space: Space):
     with components x; ``theta_map`` probed once per space."""
     if space.ring.exact:
         raise ValueError("the theta kernel works mod p^N")
-    rows = _sparse_rows(space, theta_map(space))
-    M = space.ring.modulus
-    return lambda x: tuple(sum(c * x[j] for j, c in row) % M for row in rows)
+    return _linear_kernel(_sparse_rows(space, theta_map(space)),
+                          space.ring.modulus)
 
 
 @_per_space
@@ -577,16 +595,15 @@ def lie_alpha_kernel(space: Space):
         raise ValueError("the alpha kernel works mod p^N")
     if not space.has_form:
         return lambda x: 0
-    rows = _star_rows(space)
-    n, M = space.n, space.ring.modulus
+    plus_star = _linear_kernel(
+        _sparse_rows(space, lambda m: m + star(space, m)), space.ring.modulus)
+    n, d = space.n, components_per_scalar(space)
     # X + X* = alpha 1: its n diagonal a-components equal alpha and its
     # other components are zero
-    step = components_per_scalar(space) * (n + 1)
-    size = len(rows)
+    step, size = d * (n + 1), d * n * n
 
     def alpha(x):
-        z = [(v + sum(c * x[j] for j, c in row)) % M
-             for v, row in zip(x, rows)]
+        z = plus_star(x)
         a = z[0]
         if z[::step].count(a) == n and z.count(0) == (size - n if a else size):
             return a
@@ -629,15 +646,15 @@ def _solve_branch(space: Space, x: tuple, lam: int, limit):
     M = ring.modulus
     ident = identity_comps(space)
     mul = product_kernel(space)
-    star_rows = _star_rows(space)
+    star_of = star_kernel(space)
     shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e for e in ident]
 
     def f(v):
         return ([(y - r) % M for y, r in zip(mul(shifted, v), rhs)]
-                + [(vi + sum(c * v[j] for j, c in row) - t) % M
-                   for vi, row, t in zip(v, star_rows, target)])
+                + [(vi + w - t) % M
+                   for vi, w, t in zip(v, star_of(v), target)])
 
     A, b = linear_system(len(ident), f)
     return modsolve.solve_affine_mod(A, b, ring.p, ring.prec, limit)

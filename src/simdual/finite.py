@@ -11,14 +11,18 @@ together with an explicit theta-symmetric conjugator for every class.
 A group is held as integer tables over the component tuples of its
 matrices (the layout of ``cayley.mat_components``).  ``build_group``
 scans every matrix over F_q (F_{q^2} for the unitary families) and keeps
-those with g star(g) = mu * 1, decided by ``cayley.multiplier_predicate``;
+those with g star(g) = mu * 1, decided by ``cayley.multiplier_predicate``
+(in ``gl``, a unit determinant from the generated ``cayley.det_kernel``);
 the scan order is the canonical one, so positions follow ``Mat.key()``.
-Inverse and iota are derived per element from linear maps probed once
-(g^-1 = mu^-1 star(g), iota(g) = mu^-1 H tau(g) H^-1; integer Gauss-Jordan
-and the transpose in ``gl``), products come from ``cayley.product_kernel``.
-A greedy generating set S carries one right-multiplication table R_s per
-generator (R_s[g] = position of g s), so subgroup closure and the
-conjugation orbits g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.
+Products come from ``cayley.product_kernel``.  A greedy generating set S
+carries one right-multiplication table R_s per generator (R_s[g] =
+position of g s), so subgroup closure and the conjugation orbits
+g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.  Inverses come
+from the generator tree: the closure first reaches each element as
+k = a s, and k^-1 = s^-1 a^-1 is one product, so only the generators are
+inverted (``cayley.inverse_kernel``).  iota is derived per element from a
+linear map probed once (iota(g) = mu^-1 H tau(g) H^-1; the transpose of
+the inverse in ``gl``).
 
 The table is re-checked before use: every inverse by one product, iota
 as a bijective involution, iota on the generators against
@@ -33,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cayley import (Members, identity_comps, inverse_kernel, iota_kernel,
-                     mat_components, multiplier_predicate, product_kernel)
+                     mat_components, multiplier_predicate, product_kernel,
+                     theta_kernel)
 from .involution import enumerate_matrices, iota_group
 from .matrices import Mat
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
@@ -158,65 +163,57 @@ def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
         if len(comps) > order_budget:
             raise BudgetExceeded(f"group order exceeds {order_budget}")
     index = {x: i for i, x in enumerate(comps)}
-    inv_of = inverse_kernel(space)
-    inverse = _positions(index, map(inv_of, comps, mus),
-                         "table is not closed under inversion")
+    gens, right, inverse = _generators(space, comps, mus, index)
     if space.has_form:
         images = map(iota_kernel(space), comps, mus)
     else:                                # iota(g) = (g^-1)^T
-        images = (_transpose(comps[j], n) for j in inverse)
-    iota = _positions(index, images, "iota leaves the table")
-    mul = product_kernel(space)
-    gens, right = _generators(comps, index, mul,
-                              index[identity_comps(space)])
+        images = map(theta_kernel(space), (comps[j] for j in inverse))
+    iota = [index.get(y, -1) for y in images]
+    if -1 in iota:
+        raise FiniteGroupError("iota leaves the table")
     table = FiniteGroupTable(family, n, q, space, comps, mus, index,
                              inverse, iota, gens, right)
     _verify_table(table)
     return table
 
 
-def _transpose(x: tuple, n: int) -> tuple:
-    return tuple(v for j in range(n) for v in x[j::n])
-
-
-def _positions(index: dict, images, error: str) -> list:
-    out = []
-    for y in images:
-        pos = index.get(y)
-        if pos is None:
-            raise FiniteGroupError(error)
-        out.append(pos)
-    return out
-
-
-def _generators(comps, index, mul, identity: int):
-    """A small generating set, grown greedily in element order, and the
-    right-multiplication table of each generator."""
+def _generators(space: Space, comps, mus, index):
+    """A small generating set, grown greedily in element order, the
+    right-multiplication table of each generator, and the inverse table.
+    The closure first reaches each element k as k = a s, with a reached
+    before and s a generator, and sets k^-1 = s^-1 a^-1; only the
+    generators are inverted."""
+    mul, inv_of = product_kernel(space), inverse_kernel(space)
     n = len(comps)
-    gens, right = [], []
-    have = bytearray(n)
-    have[identity] = 1
+    gens, right, gen_invs = [], [], []
+    identity = index[identity_comps(space)]
+    inverse = [-1] * n                   # -1: not reached yet
+    inverse[identity] = identity
     members = [identity]
     for i in range(n):
-        if have[i]:
+        if inverse[i] >= 0:
             continue
+        t = inv_of(comps[i], mus[i])
+        if t not in index:
+            raise FiniteGroupError("table is not closed under inversion")
         gens.append(i)
-        s = comps[i]
-        right.append([index[mul(x, s)] for x in comps])
+        gen_invs.append(t)
+        right.append([index[mul(x, comps[i])] for x in comps])
         # close the subgroup under right multiplication by every generator
         frontier = members[:]
         while frontier:
             nxt = []
             for a in frontier:
-                for R in right:
+                a_inv = comps[inverse[a]]
+                for R, s_inv in zip(right, gen_invs):
                     k = R[a]
-                    if not have[k]:
-                        have[k] = 1
+                    if inverse[k] < 0:
+                        inverse[k] = index[mul(s_inv, a_inv)]
                         nxt.append(k)
             members += nxt
             frontier = nxt
         if len(members) == n:
-            return gens, right
+            return gens, right, inverse
     raise FiniteGroupError("generating-set construction failed")
 
 

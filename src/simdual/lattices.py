@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, components_per_scalar,
@@ -213,6 +213,13 @@ class LieCoords:
         return Mat(_field(self.space.ring.p),
                    [self.to_coords(f(B)) for B in self.basis]).transpose()
 
+    @cached_property
+    def theta(self) -> Mat:
+        """theta on the Lie algebra in these coordinates, built on first
+        use and kept."""
+        return self.operator_matrix(
+            lambda B: theta_lie(certify_lie(self.space, B)).mat)
+
     def standard_lattice(self) -> LatticeBasis:
         return LatticeBasis.standard(self.space.ring.p, self.m)
 
@@ -280,14 +287,6 @@ def _check_h_stable(space: Space):
 
 def ad_operator(coords: LieCoords, x: Mat):
     return coords.operator_matrix(lambda B: x * B * x.inv())
-
-
-def theta_operator(coords: LieCoords):
-    space = coords.space
-
-    def f(B):
-        return theta_lie(certify_lie(space, B)).mat
-    return coords.operator_matrix(f)
 
 
 def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:

@@ -26,7 +26,7 @@ from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, BudgetExceeded, \
 from .involution import AntiUnitaryError, ConjugatorNotFound, \
     is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
 from .lattices import LatticeBudgetError, ad_operator, check_cayley_level, \
-    lattice_of_x, standard_lattices, theta_operator
+    lattice_of_x, standard_lattices
 from .matrices import Mat, parse_matrix
 from .modsolve import SolveBudgetError
 from .report import FAIL, FINDING, PASS, CheckRow, Report
@@ -184,7 +184,7 @@ def _fiber_roundtrip(std, X) -> bool:
 
 def _lattice_theta_ad(std, x) -> bool:
     lx = lattice_of_x(std.gu_coords, x.mat)
-    return lx.transform(theta_operator(std.gu_coords)) \
+    return lx.transform(std.gu_coords.theta) \
         == lx.transform(ad_operator(std.gu_coords, x.mat))
 
 
@@ -263,7 +263,7 @@ def _sampled_rows(suite, std, rng, base, count) -> list:
 
 
 def _theta_stable_lattice(std, base) -> CheckRow:
-    theta_L = std.Ldot.transform(theta_operator(std.gu_coords))
+    theta_L = std.Ldot.transform(std.gu_coords.theta)
     return _row("theta-stable-lattice", theta_L == std.Ldot, base)
 
 

@@ -11,7 +11,7 @@ from simdual.finite import build_group, conjugacy_classes, \
     verify_class_inversion
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import (ad_operator, check_cayley_level, lattice_of_x,
-                              standard_lattices, theta_operator)
+                              standard_lattices)
 from simdual.sampling import (make_rng, sample_group, sample_integral_lie,
                               sample_lie, sample_stabilizing,
                               sample_theta_fixed)
@@ -114,7 +114,7 @@ def test_criterion_4_equivariance_suite():
             assert x.mat * cayley(X).mat * x.mat.inv() == cayley(adX).mat
             assert in_domain(theta_lie(X)) and in_domain(adX)
         if space.has_form:
-            assert std.Ldot.transform(theta_operator(std.gu_coords)) \
+            assert std.Ldot.transform(std.gu_coords.theta) \
                 == std.Ldot
         for _ in range(100):
             assert in_domain(sample_integral_lie(std, rng, level=1))
@@ -132,7 +132,7 @@ def test_criterion_5_lattice_lemmas():
         for _ in range(100):
             x = sample_theta_fixed(std, rng)
             lx = lattice_of_x(std.gu_coords, x.mat)
-            lhs = lx.transform(theta_operator(std.gu_coords))
+            lhs = lx.transform(std.gu_coords.theta)
             rhs = lx.transform(ad_operator(std.gu_coords, x.mat))
             assert lhs == rhs
         for _ in range(100):

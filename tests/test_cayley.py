@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
                             TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
-                            bucket_domain_images, cayley, cayley_kernel,
-                            components_per_scalar, fiber,
-                            identity_comps, in_domain, lie_alpha_kernel,
+                            _sparse_rows, _star_rows, bucket_domain_images,
+                            cayley, cayley_kernel, components_per_scalar,
+                            det_kernel, fiber, identity_comps, in_domain,
+                            inverse_kernel, iota_kernel, lie_alpha_kernel,
                             mat_components, mat_from_components,
                             matrix_inverse_kernel, product_kernel,
-                            theta_kernel, x_lambda)
+                            star_kernel, theta_kernel, theta_map, x_lambda)
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat, NotInvertibleError
@@ -334,3 +335,50 @@ def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):
     got = [(p.X.mat.key(), p.lam) for p in fiber(g).preimages]
     assert got == want and (8, 0, 0, 0, 0, 0, 8, 0) not in \
         [key for key, _ in got]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-50, 50), min_size=n * n,
+                         max_size=n * n))),
+       st.sampled_from([3, 5]))
+def test_det_kernel_matches_mat_det(nx, p):
+    # the generated Leibniz sum against Mat.det, exact and mod p
+    n, x = nx
+    rows = [x[i * n:(i + 1) * n] for i in range(n)]
+    det = det_kernel(n)(x)
+    exact = Ring(p, SPLIT)
+    assert Mat(exact, rows).det() == exact.scalar(det)
+    assert Mat(Ring(p, SPLIT, 1), rows).det().a == det % p
+
+
+def _apply_rows(rows, x, M, s=1):
+    """The sparse-row application the generated linear kernels replace."""
+    return tuple(sum(c * x[j] for j, c in row) * s % M for row in rows)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("family", sorted(STDS))
+def test_compiled_linear_kernels_match_their_sparse_rows(family, N):
+    # star, theta, iota and the scaled inverse mu^-1 star(g), generated
+    # from sparse rows, on random component tuples and unit multipliers
+    space = STDS[family].space.truncated(N)
+    M = space.ring.modulus
+    D = len(identity_comps(space))
+    rng = make_rng(N)
+    theta_rows = _sparse_rows(space, theta_map(space))
+    if space.has_form:
+        star_rows = _star_rows(space)
+        iota_rows = _sparse_rows(
+            space, lambda m: space.H * m.tau() * space.Hinv)
+    for _ in range(100):
+        x = tuple(rng.randrange(M) for _ in range(D))
+        assert theta_kernel(space)(x) == _apply_rows(theta_rows, x, M)
+        if not space.has_form:
+            continue
+        mu = rng.choice([u for u in range(1, M) if u % 3])
+        s = pow(mu, -1, M)
+        assert star_kernel(space)(x) == _apply_rows(star_rows, x, M)
+        assert inverse_kernel(space)(x, mu) == \
+            _apply_rows(star_rows, x, M, s)
+        assert iota_kernel(space)(x, mu) == _apply_rows(iota_rows, x, M, s)

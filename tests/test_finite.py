@@ -107,6 +107,21 @@ def test_corrupted_iota_is_not_multiplicative():
         _verify_table(table)
 
 
+@pytest.mark.parametrize("target", [("gl", 2, 3), ("gu", 2, 3)],
+                         ids=lambda t: "%s(%d,%d)" % t)
+def test_corrupted_inverse_table_is_caught(target):
+    # the generator tree derives every inverse; the one-product check of
+    # each entry is what certifies the table
+    table = build_group(*target)
+    _verify_table(table)
+    inverse = table.inverse
+    one = table.position(table.space.identity())
+    a, b = [i for i in range(table.order) if i != one][:2]
+    inverse[a], inverse[b] = inverse[b], inverse[a]
+    with pytest.raises(FiniteGroupError, match="inverse table is wrong"):
+        _verify_table(table)
+
+
 def test_class_inversion_reports():
     for family, n, q, classes in (("sp", 2, 3, 7), ("gsp", 2, 3, 8),
                                   ("u", 2, 3, 16), ("gl", 2, 3, 8),

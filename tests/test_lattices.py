@@ -13,7 +13,7 @@ from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
                               _congruence_scan, ad_operator,
                               check_cayley_level, hnf_columns, lattice_of_x,
-                              standard_lattices, theta_operator)
+                              standard_lattices)
 from simdual.matrices import Mat
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
@@ -138,7 +138,7 @@ def test_h_stability_check(space):
 
 
 def test_theta_stabilizes_standard_lattice():
-    assert STD.Ldot.transform(theta_operator(STD.gu_coords)) == STD.Ldot
+    assert STD.Ldot.transform(STD.gu_coords.theta) == STD.Ldot
 
 
 def test_lattice_of_x_pinned_diag_1_3():
@@ -168,7 +168,7 @@ def test_theta_fixed_lattice_lemma():
         x = certify_group(SYMPL, Mat(SYMPL.ring, rows))
         assert theta_group(x).mat == x.mat
         lx = lattice_of_x(STD.gu_coords, x.mat)
-        lhs = lx.transform(theta_operator(STD.gu_coords))
+        lhs = lx.transform(STD.gu_coords.theta)
         rhs = lx.transform(ad_operator(STD.gu_coords, x.mat))
         assert lhs == rhs
 
@@ -256,7 +256,7 @@ def _text(rows) -> list:
 def _lattice_digests(family, ext):
     std = standard_lattices(standard_space(family, 2, Ring(3, ext)))
     coords, pL = std.gu_coords, _times_p(std.Ldot)
-    theta = theta_operator(coords)
+    theta = coords.theta
     rng = make_rng(1607)
     lattices = []
     for _ in range(30):
@@ -265,7 +265,7 @@ def _lattice_digests(family, ext):
         lattices += [lx, lx.transform(theta),
                      lx.transform(ad_operator(coords, x)), lx.intersect(pL)]
     operators = [getattr(op, "rows", op) for op in
-                 (theta_operator(std.gu_coords), theta_operator(std.u_coords))]
+                 (std.gu_coords.theta, std.u_coords.theta)]
     coordinates = [coords.to_coords(sample_lie(std, rng).mat)
                    for _ in range(30)]
     return tuple(hashlib.sha256(repr(data).encode()).hexdigest()[:32]
