@@ -8,8 +8,12 @@ between the two independent computations, and the number of preimages
 outside the working domain, which must be 0.  Exits 1 when either count
 is not 0.
 
-Usage: PYTHONPATH=src python3 scripts/fiber_census.py [--prime P] [--precision N]
-       [--dim n]
+Usage: PYTHONPATH=src python3 scripts/fiber_census.py [--family F]
+       [--prime P] [--precision N] [--dim n]
+
+F is one of orthogonal, symplectic (the default), hermitian and
+skew-hermitian; the last two work over the unramified quadratic
+extension.
 """
 
 import argparse
@@ -18,19 +22,24 @@ from collections import Counter
 
 from simdual.cayley import (bucket_domain_images, fiber, in_domain,
                             mat_from_components)
-from simdual.scalars import SPLIT, Ring
-from simdual.spaces import SYMPLECTIC, certify_group, standard_space
+from simdual.scalars import INERT
+from simdual.spaces import (HERMITIAN, ORTHOGONAL, SKEW_HERMITIAN, SYMPLECTIC,
+                            certify_group)
+from simdual.suites import build_space
+
+FAMILIES = (ORTHOGONAL, SYMPLECTIC, HERMITIAN, SKEW_HERMITIAN)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
+    ap.add_argument("--family", choices=FAMILIES, default=SYMPLECTIC)
     ap.add_argument("--prime", type=int, default=3)
     ap.add_argument("--precision", type=int, default=2)
     ap.add_argument("--dim", type=int, default=2)
     args = ap.parse_args(argv)
 
-    ring = Ring(args.prime, SPLIT, args.precision)
-    space = standard_space(SYMPLECTIC, args.dim, ring)
+    space = build_space(args.family, args.dim,
+                        args.prime).truncated(args.precision)
 
     buckets = bucket_domain_images(space)
     print(f"domain images mod {args.prime}^{args.precision}: {len(buckets)}")
@@ -39,8 +48,10 @@ def main(argv=None) -> int:
     sizes = Counter()
     mismatches = outside = 0
     for key in sorted(buckets):
-        # over the split ring a key lists the pair (a, 0) of every entry
-        g = certify_group(space, mat_from_components(space, key[::2]))
+        # an inert key is the components; a split key lists the pair
+        # (a, 0) of every entry
+        comps = key if space.ring.ext == INERT else key[::2]
+        g = certify_group(space, mat_from_components(space, comps))
         res = fiber(g)
         tags[res.tag] += 1
         sizes[len(buckets[key])] += 1

@@ -33,7 +33,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from . import modsolve
 from .matrices import Mat
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
@@ -256,10 +255,6 @@ def comps_key(space: Space, comps) -> tuple:
     return tuple(v for c in comps for v in (c, 0))
 
 
-def identity_comps(space: Space) -> tuple:
-    return tuple(mat_components(space, space.identity()))
-
-
 class Members(Sequence):
     """Group elements held as component tuples ``comps`` (the layout of
     ``mat_components``) with multiplier residues ``mus``.  A
@@ -329,6 +324,12 @@ def _per_space(build):
             space.memo[name] = build(space)
         return space.memo[name]
     return get
+
+
+@_per_space
+def identity_comps(space: Space) -> tuple:
+    """The components of the identity matrix."""
+    return tuple(mat_components(space, space.identity()))
 
 
 @_per_space
@@ -656,6 +657,7 @@ def _solve_branch(space: Space, x: tuple, lam: int, limit):
                 + [(vi + w - t) % M
                    for vi, w, t in zip(v, star_of(v), target)])
 
+    from . import modsolve          # only the solving paths load it
     A, b = linear_system(len(ident), f)
     return modsolve.solve_affine_mod(A, b, ring.p, ring.prec, limit)
 
@@ -701,6 +703,7 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
 def _lie_components(space: Space, limit) -> list:
     """The components of every Lie-algebra member of a truncated space,
     sorted."""
+    from . import modsolve          # only the solving paths load it
     ring = space.ring
     if ring.exact:
         raise ValueError("cannot enumerate an exact Lie algebra")

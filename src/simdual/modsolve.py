@@ -1,10 +1,26 @@
-"""Integer linear algebra mod p^N: Smith normal form, affine solve with
-full solution enumeration, and column Hermite reduction.
+"""Integer linear algebra mod p^N: two eliminations for affine solves,
+Smith normal form over Z, and column Hermite reduction.
+
+The affine solves take one of two eliminations, chosen by the contract
+of the entry point:
+
+- ``solve_affine_mod`` and ``kernel_mod`` return the solution set sorted,
+  so any elimination gives the same output.  They eliminate over the
+  chain ring Z/p^N (``_chain_solution``): every entry is p^v times a
+  unit, so pivoting on the least p-valuation clears each column with
+  exact quotients, with no Euclid loop and no augmented columns, and
+  every integer stays below p^N (Storjohann, *Algorithms for Matrix
+  Canonical Forms*, ETH 2000; Cohen, GTM 138, 2.4).
+- ``iter_affine_mod`` yields solutions in the traversal order of the
+  kernel basis, and its first hit is a reported witness.  It keeps the
+  Smith form over Z of ``[A | p^N I]`` (``_solution_data``), whose
+  kernel generators fix that order.
 
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and of
 ``span_coset_mod``, and, over Z, the lattice Hermite forms of
-``lattices.hnf_columns``.
+``lattices.hnf_columns``.  ``smith`` also serves the Lie coordinates of
+``lattices``, which work over Z.
 
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 (at most a few dozen rows), so the classical algorithms are plenty.
@@ -84,10 +100,14 @@ def smith(A):
 
 
 def _solution_data(A, b, p, N):
-    """Particular solution and kernel basis of A x = b mod p^N, or None.
+    """Particular solution and kernel basis of A x = b mod p^N, or None,
+    from the Smith form over Z of the augmented [A | p^N I].
 
     Returns (x0, basis, k, M) with ``basis`` a lower-triangular column basis
-    of the solution subgroup of (Z/M)^k.
+    of the solution subgroup of (Z/M)^k.  Only ``iter_affine_mod`` uses
+    it: its traversal order, and so the first hit of a conjugator search,
+    follows from these kernel generators, and the chain-ring generators of
+    ``_chain_solution`` would change the reported general-path witness.
     """
     m = len(A)
     k = len(A[0]) if m else 0
@@ -115,24 +135,106 @@ def _solution_data(A, b, p, N):
     return x0, subgroup_basis(gens, k, M), k, M
 
 
+def _chain_solution(A, b, p, N):
+    """Particular solution and kernel generators of A x = b mod M = p^N,
+    or None, by one elimination over the chain ring Z/M.
+
+    Each step takes a pivot of least p-valuation v in the trailing block
+    and scales its row to make the pivot p^v.  Every entry of its column
+    and row then has valuation >= v, so row operations (applied to b too)
+    clear the column and column operations (recorded in V) clear the row,
+    each with the exact quotient entry // p^v.  This gives D = U A V
+    diagonal with U and V invertible mod M, and A x = b becomes
+    p^v y_t = c_t on the pivots and 0 = c_i past the rank.  Returns
+    (x0, gens) with x0 = V y0 and the generators V p^(N-v) e_t (v > 0) and
+    V e_t (t a free column); with M Z^k they span the kernel.
+    """
+    M = p**N
+    m = len(A)
+    k = len(A[0]) if m else 0
+    D = [[a % M for a in row] for row in A]
+    c = [v % M for v in b]
+    V = [[int(i == j) for i in range(k)] for j in range(k)]  # columns
+    pivots = []                     # p^v of each pivot, in order
+    for t in range(min(m, k)):
+        best, piv = N, None
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, k):
+                a = row[j]
+                if a:
+                    v = 0
+                    while a % p == 0:
+                        a //= p
+                        v += 1
+                    if v < best:
+                        best, piv = v, (i, j)
+                        if not v:
+                            break
+            if not best:
+                break
+        if piv is None:
+            break
+        i0, j0 = piv
+        D[t], D[i0] = D[i0], D[t]
+        c[t], c[i0] = c[i0], c[t]
+        if j0 != t:
+            for row in D[t:]:
+                row[t], row[j0] = row[j0], row[t]
+            V[t], V[j0] = V[j0], V[t]
+        pv = p**best
+        row = D[t]
+        f = pow(row[t] // pv, -1, M)
+        row = D[t] = [a * f % M for a in row]
+        ct = c[t] = c[t] * f % M
+        for i in range(t + 1, m):
+            q = D[i][t] // pv
+            if q:
+                D[i] = [(a - q * e) % M for a, e in zip(D[i], row)]
+                c[i] = (c[i] - q * ct) % M
+        # the pivot row is not read again, so only V records the column
+        # operations that clear it
+        vt = V[t]
+        for j in range(t + 1, k):
+            q = row[j] // pv
+            if q:
+                V[j] = [(a - q * e) % M for a, e in zip(V[j], vt)]
+        pivots.append(pv)
+    r = len(pivots)
+    if any(c[r:]) or any(ct % pv for ct, pv in zip(c, pivots)):
+        return None
+    x0 = [0] * k
+    for ct, pv, col in zip(c, pivots, V):
+        y = ct // pv
+        if y:
+            x0 = [(a + y * e) % M for a, e in zip(x0, col)]
+    gens = [[a * (M // pv) for a in col]
+            for pv, col in zip(pivots, V) if pv > 1] + V[r:]
+    return tuple(x0), gens
+
+
 def solve_affine_mod(A, b, p, N, limit=10**6):
     """All solutions x mod p^N of A x = b mod p^N, in canonical order.
 
     Returns a (possibly empty) sorted list of tuples; raises
     SolveBudgetError if the solution set exceeds ``limit``.
     """
-    data = _solution_data(A, b, p, N)
+    data = _chain_solution(A, b, p, N)
     if data is None:
         return []
-    x0, sub, k, M = data
-    return _enumerate_coset(x0, sub, k, M, limit)
+    x0, gens = data
+    k = len(x0)
+    M = p**N
+    basis = subgroup_basis(gens, k, M) if gens else []
+    return _enumerate_coset(x0, basis, k, M, limit)
 
 
 def iter_affine_mod(A, b, p, N):
     """Yield the solutions of A x = b mod p^N lazily.
 
     The order is deterministic (fixed traversal of the triangular kernel
-    basis) but not globally sorted; intended for first-hit searches.
+    basis of ``_solution_data``) but not globally sorted; intended for
+    first-hit searches.
     """
     data = _solution_data(A, b, p, N)
     if data is None:
@@ -216,8 +318,10 @@ def _iter_coset(x0, basis, k, M):
 
 
 def _enumerate_coset(x0, basis, k, M, limit):
+    """The coset x0 + <basis>, sorted; SolveBudgetError when it has more
+    than ``limit`` elements (a coset of the trivial subgroup has 1)."""
     count = 1
-    for step in _coset_steps(basis, k, M):
+    for step in _coset_steps(basis, k, M) or [1]:
         count *= step
         if count > limit:
             raise SolveBudgetError(

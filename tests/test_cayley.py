@@ -167,16 +167,31 @@ def test_census_mod9_pinned_digest(census9):
                for res in fibers.values() for pre in res.preimages)
 
 
-def test_fiber_census_script_finds_no_mismatch(capsys):
+def _census_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "fiber_census.py"
     spec = importlib.util.spec_from_file_location("fiber_census", path)
     census = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(census)
-    assert census.main(["--precision", "1"]) == 0
+    return census
+
+
+def test_fiber_census_script_finds_no_mismatch(capsys):
+    assert _census_script().main(["--precision", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "domain images mod 3^1: 15",
         "fiber tags: {'infinite-identity': 1, 'unique-mu1': 14}",
         "fiber sizes: {1: 14, 19: 1}",
+        "mismatches: 0",
+        "preimages outside the domain: 0"]
+
+
+def test_fiber_census_script_orthogonal_mod9(capsys):
+    assert _census_script().main(["--family", "orthogonal"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "domain images mod 3^2: 27",
+        "fiber tags: {'infinite-identity': 1, 'unique-lambda': 18, "
+        "'unique-mu1': 8}",
+        "fiber sizes: {1: 22, 4: 4, 7: 1}",
         "mismatches: 0",
         "preimages outside the domain: 0"]
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdual import cayley as cayley_mod
 from simdual import modsolve
 from simdual.cayley import (_lie_components, _star_rows, cayley,
                             components_per_scalar, fiber, iota_kernel,
@@ -161,7 +160,7 @@ def test_fiber_branch_systems_match_the_pinned_digest(monkeypatch, family,
         systems.append([A, b])
         return solve(A, b, p, N, limit)
     solve = modsolve.solve_affine_mod
-    monkeypatch.setattr(cayley_mod.modsolve, "solve_affine_mod", recording)
+    monkeypatch.setattr(modsolve, "solve_affine_mod", recording)
     space = standard_space(family, 2, Ring(3, _ext(family)))
     X = standard_lattices(space).gu_coords.from_coords(coords).reduce(2)
     g = cayley(certify_lie(space.truncated(2), X))

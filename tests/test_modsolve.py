@@ -1,11 +1,17 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdual.decomposition import _conjugator_system
+from simdual.matrices import parse_matrix
 from simdual.modsolve import (SolveBudgetError, iter_affine_mod, kernel_mod,
                               smith, solve_affine_mod, span_coset_mod)
+from simdual.scalars import INERT, Ring
+from simdual.spaces import HERMITIAN, certify_group, standard_space
 
 
 def brute_force(A, b, p, N):
@@ -69,6 +75,99 @@ def test_span_coset_mod():
 def test_budget_error():
     with pytest.raises(SolveBudgetError):
         solve_affine_mod([[0, 0, 0]], [0], 3, 4, limit=10)
+
+
+# (A, b, p, N, limit) -> the budget message, recorded with the Smith-form
+# solve over Z: the count it names is the first running product of the
+# cycle lengths, in the row order of the triangular kernel basis, that
+# exceeds the limit
+PINNED_BUDGET_MESSAGES = [
+    (([[0, 0, 0]], [0], 3, 4, 10),
+     "solution set has 81+ elements (limit 10)"),
+    (([[3, 0, 0], [0, 9, 0]], [0, 0], 3, 3, 100),
+     "solution set has 729+ elements (limit 100)"),
+    (([[1, 1, 0]], [2], 5, 2, 24),
+     "solution set has 25+ elements (limit 24)"),
+    (([[3, 0], [0, 1]], [3, 1], 3, 2, 2),
+     "solution set has 3+ elements (limit 2)"),
+    (([[1, 0], [0, 1]], [1, 1], 3, 2, 0),
+     "solution set has 1+ elements (limit 0)"),
+]
+
+
+@pytest.mark.parametrize("args, message", PINNED_BUDGET_MESSAGES)
+def test_budget_error_message_is_pinned(args, message):
+    A, b, p, N, limit = args
+    with pytest.raises(SolveBudgetError) as info:
+        solve_affine_mod(A, b, p, N, limit)
+    assert str(info.value) == message
+
+
+@st.composite
+def systems(draw):
+    """(A, b, p, N) with p in {3, 5} and N in {1, 2, 3}: entries negative
+    and unreduced; rows that repeat a combination of earlier ones (rank
+    deficient); right sides either consistent by construction or drawn
+    freely (often inconsistent)."""
+    p = draw(st.sampled_from([3, 5]))
+    N = draw(st.integers(1, 3))
+    M = p**N
+    k = draw(st.integers(1, 3 if M <= 9 else 2))
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-2 * M, 2 * M),
+                      st.builds(lambda e, u: p**e * u,
+                                st.integers(0, N), st.integers(-4, 4)))
+    A = [draw(st.lists(entry, min_size=k, max_size=k))]
+    for _ in range(m - 1):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(A),
+                                   max_size=len(A)))
+            A.append([sum(c * row[j] for c, row in zip(coeffs, A))
+                      for j in range(k)])
+        else:
+            A.append(draw(st.lists(entry, min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-M, 2 * M), min_size=k, max_size=k))
+        b = [sum(a * v for a, v in zip(row, x)) + M * draw(st.integers(-2, 2))
+             for row in A]
+    else:
+        b = draw(st.lists(entry, min_size=m, max_size=m))
+    return A, b, p, N
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_solve_property_p3_p5(system):
+    A, b, p, N = system
+    want = sorted(brute_force(A, b, p, N))
+    assert solve_affine_mod(A, b, p, N) == want
+    assert sorted(iter_affine_mod(A, b, p, N)) == want
+    assert kernel_mod(A, p, N) == sorted(brute_force(A, [0] * len(A), p, N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_budget_error_exactly_past_the_count(system):
+    A, b, p, N = system
+    count = len(brute_force(A, b, p, N))
+    assert len(solve_affine_mod(A, b, p, N, limit=count)) == count
+    if count:
+        with pytest.raises(SolveBudgetError):
+            solve_affine_mod(A, b, p, N, limit=count - 1)
+
+
+def test_iter_order_of_a_conjugator_system_is_pinned():
+    # the first 20 candidates of the conjugator search on the hermitian
+    # general-path member below, in the order recorded with the Smith-form
+    # kernel basis: the first hit of this order is a reported witness
+    space = standard_space(HERMITIAN, 2, Ring(3, INERT, 2))
+    a = certify_group(space, parse_matrix(
+        space.ring, "16+16*s, 17+8*s; 10+19*s, 7+25*s"))
+    A, b = _conjugator_system(a)
+    first = list(itertools.islice(iter_affine_mod(A, b, 3, 2), 20))
+    assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == \
+        "cdbcac6cb57deee010901d20cd3fac753af628e14564de2132bfd904f64bbc76"
+    assert len(solve_affine_mod(A, b, 3, 2)) == 6561
 
 
 @settings(max_examples=40)
