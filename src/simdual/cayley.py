@@ -275,10 +275,6 @@ class Members(Sequence):
         return GroupElem(space, mat_from_components(space, self.comps[i]),
                          space.ring.scalar(self.mus[i]))
 
-    def keys(self) -> set:
-        """The ``Mat.key()`` of every element."""
-        return {comps_key(self.space, x) for x in self.comps}
-
 
 def linear_system(D: int, f) -> tuple[list, list]:
     """(A, b) with f(v) = A v - b for the affine map ``f`` on length-D

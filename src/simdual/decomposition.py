@@ -37,9 +37,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import modsolve
-from .cayley import (Members, inverse_kernel, mat_components,
-                     mat_from_components, matrix_system, multiplier_predicate,
-                     product_kernel, theta_kernel, theta_map)
+from .cayley import (Members, inverse_kernel, linear_system, mat_components,
+                     mat_from_components, multiplier_predicate,
+                     product_kernel, theta_kernel)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices
 from .matrices import Mat
@@ -59,20 +59,25 @@ def cayley_image_members(std: StandardLattices, level: int, N: int,
     that decode to ``GroupElem`` on access.
 
     For level >= 1 every point is in the working domain, and the image is
-    a subgroup of the similitude group mod p^N.
+    a subgroup of the similitude group mod p^N.  It is built once per
+    (level, N, limit) and kept in ``std.space.memo``.
     """
     coords = std.gu_coords
     space = coords.space
     p = space.ring.p
     if level < 1:
         raise DecompositionError("need level >= 1")
+    memo_key = ("cayley-image-members", level, N, limit)
+    if memo_key in space.memo:
+        return space.memo[memo_key]
     gens = [[int(x.a * p**level) for x in col] for col in std.Ldot.cols]
     coeff_vectors = modsolve.span_coset_mod([0] * coords.m, gens, p, N, limit)
     st = space.truncated(N)
     seen = {comps: mu for comps, mu, _ in
             coords.cayley_images(st, coeff_vectors)}
     comps = sorted(seen)
-    return Members(st, comps, [seen[x] for x in comps])
+    space.memo[memo_key] = Members(st, comps, [seen[x] for x in comps])
+    return space.memo[memo_key]
 
 
 # -- domain types -----------------------------------------------------
@@ -88,9 +93,6 @@ class CosetSet:
     N: int
     members: Members            # sorted, pairwise distinct
 
-    def member_keys(self) -> set:
-        return self.members.keys()
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -99,9 +101,6 @@ class Piece:
     members: Members            # sorted
     witness: GroupElem
     provenance: dict            # base point a, conjugator x, level
-
-    def member_keys(self) -> set:
-        return self.members.keys()
 
 
 def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
@@ -127,20 +126,22 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
 # -- the linear-system conjugator search ------------------------------
 
 
-def _conjugator_system(a: GroupElem):
+def _conjugator_system(space: Space, a: tuple):
     """Affine system over matrix components for {x a = theta(a) x, x
-    theta-symmetric}, where theta-symmetry of an isometry x is the linear
-    condition ``theta_map(x) = x``.  Quadratic conditions (x a unit
-    isometry) are checked per candidate afterwards.
+    theta-symmetric}, for the member with components ``a``, where
+    theta-symmetry of an isometry x is the linear condition theta(x) = x.
+    Quadratic conditions (x a unit isometry) are checked per candidate
+    afterwards.
     """
-    space = a.space
-    ta = theta_group(a).mat
-    theta = theta_map(space)
+    mul, theta = product_kernel(space), theta_kernel(space)
+    M = space.ring.modulus
+    ta = theta(a)
 
     def f(x):
-        return x * a.mat - ta * x, x - theta(x)
+        return ([(u - v) % M for u, v in zip(mul(x, a), mul(ta, x))]
+                + [(u - v) % M for u, v in zip(x, theta(x))])
 
-    return matrix_system(space, f)
+    return linear_system(len(a), f)
 
 
 def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
@@ -158,7 +159,7 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
     ta = theta_group(a).mat
     if ta == a.mat:
         return GroupElem(space, space.identity(), ring.one)
-    A, b = _conjugator_system(a)
+    A, b = _conjugator_system(space, tuple(mat_components(space, a.mat)))
     mu_of = multiplier_predicate(space)
     tried = 0
     for comps in modsolve.iter_affine_mod(A, b, ring.p, ring.prec):
@@ -259,14 +260,21 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
 
 
 def verify_piece(members: Members, g: GroupElem) -> bool:
-    """Exact residue-set check of theta(S) = g S g^-1."""
+    """Exact residue-set check of theta(S) = g S g^-1: every g s g^-1
+    lies in theta(S), and every member of theta(S) is hit.  Only theta(S)
+    is stored, as a dict of hit flags; g S g^-1 is never held whole."""
     space = g.space
     comps = members.comps
     mul, theta = product_kernel(space), theta_kernel(space)
     gx = tuple(mat_components(space, g.mat))
     ginv = inverse_kernel(space)(gx, g.mu.a)
-    return ({theta(s) for s in comps}
-            == {mul(mul(gx, s), ginv) for s in comps})
+    hit = dict.fromkeys(map(theta, comps), False)
+    for s in comps:
+        c = mul(mul(gx, s), ginv)
+        if c not in hit:
+            return False
+        hit[c] = True
+    return all(hit.values())
 
 
 def decompose(C: CosetSet, std: StandardLattices,

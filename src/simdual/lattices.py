@@ -286,7 +286,8 @@ def _check_h_stable(space: Space):
 
 
 def ad_operator(coords: LieCoords, x: Mat):
-    return coords.operator_matrix(lambda B: x * B * x.inv())
+    xinv = x.inv()
+    return coords.operator_matrix(lambda B: x * B * xinv)
 
 
 def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
@@ -311,7 +312,10 @@ def _congruence_scan(space: Space, k: int, N: int, budget: int):
     """(truncated space, [(key, comps, mu)]) for every residue 1 + p^k Y
     mod p^N in the similitude group, sorted by key.  One integer scan per
     (space, k, N), kept in ``space.memo``; the isometry variant filters it.
+    The budget applies on every call, also when the scan is kept.
     """
+    D = space.n * space.n * components_per_scalar(space)
+    scan = _coefficient_tuples(D, space.ring.p**(N - k), budget)
     memo_key = ("congruence-scan", k, N)
     if memo_key in space.memo:
         return space.memo[memo_key]
@@ -321,7 +325,7 @@ def _congruence_scan(space: Space, k: int, N: int, budget: int):
     ident = identity_comps(space_t)
     mu_of = multiplier_predicate(space_t)
     entries = []
-    for coeffs in _coefficient_tuples(len(ident), ring.p**(N - k), budget):
+    for coeffs in scan:
         comps = [(e + c * pk) % M for e, c in zip(ident, coeffs)]
         mu = mu_of(comps)
         if mu is None:

@@ -140,12 +140,6 @@ class Mat:
         return Mat._make(self.ring, tuple(tuple(a.tau() for a in r)
                                           for r in self.rows))
 
-    def trace(self) -> Scalar:
-        t = self.ring.zero
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
-
     def det(self) -> Scalar:
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")

@@ -16,6 +16,12 @@ of the entry point:
   Smith form over Z of ``[A | p^N I]`` (``_solution_data``), whose
   kernel generators fix that order.
 
+Both entry points enumerate with the one enumerator ``_iter_coset``:
+x0 plus every combination of the triangular kernel basis, one
+``itertools.product`` over each column's multiples, first column
+slowest.  ``iter_affine_mod`` yields it lazily; ``solve_affine_mod``,
+``kernel_mod`` and ``span_coset_mod`` sort it under a budget.
+
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and of
 ``span_coset_mod``, and, over Z, the lattice Hermite forms of
@@ -28,6 +34,7 @@ Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -303,18 +310,12 @@ def _coset_steps(basis, k, M):
 
 
 def _iter_coset(x0, basis, k, M):
-    steps = _coset_steps(basis, k, M)
-
-    def rec(j, acc):
-        if j == len(basis):
-            yield tuple(a % M for a in acc)
-            return
-        vec = list(acc)
-        for _ in range(steps[j]):
-            yield from rec(j + 1, tuple(vec))
-            for i in range(k):
-                vec[i] += basis[j][i]
-    yield from rec(0, x0)
+    """The coset x0 + <basis> in lexicographic order of the coefficients,
+    the first basis column slowest."""
+    parts = [[tuple(c * e for e in col) for c in range(step)]
+             for col, step in zip(basis, _coset_steps(basis, k, M))]
+    return (tuple(sum(t) % M for t in zip(x0, *combo))
+            for combo in itertools.product(*parts))
 
 
 def _enumerate_coset(x0, basis, k, M, limit):

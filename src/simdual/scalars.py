@@ -369,10 +369,6 @@ class Scalar:
             return Scalar(self.ring, self.x, -self.y, self.d)
         return Scalar(self.ring, self.x, -self.y % m, 1)
 
-    def norm(self) -> "Scalar":
-        """x * tau(x); always has zero sqrt(u)-part."""
-        return self * self.tau()
-
     def is_in_base(self) -> bool:
         return self.y == 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .matrices import Mat, NotInvertibleError
+from .matrices import Mat
 from .scalars import INERT, SPLIT, Ring, Scalar
 
 ORTHOGONAL = "orthogonal"
@@ -203,10 +203,6 @@ def certify_group(space: Space, g: Mat) -> GroupElem:
     mu = similitude_multiplier(space, g)
     if mu is None:
         raise MembershipError(f"not a similitude: {g.to_text()}")
-    try:
-        g.inv()
-    except NotInvertibleError:
-        raise MembershipError(f"not invertible: {g.to_text()}")
     return GroupElem(space, g, mu)
 
 

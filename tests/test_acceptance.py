@@ -156,10 +156,10 @@ def test_criterion_6_decomposition_20_cosets():
         elapsed = time.monotonic() - t0
         union = set()
         for p in pieces:
-            assert not (union & p.member_keys())
-            union |= p.member_keys()
+            assert not (union & set(p.members.comps))
+            union |= set(p.members.comps)
             assert verify_piece(p.members, p.witness)
-        assert union == C.member_keys()
+        assert union == set(C.members.comps)
         assert elapsed < 60.0, f"coset {i}: {elapsed:.1f}s"
 
 

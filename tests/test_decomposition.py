@@ -10,6 +10,7 @@ from simdual.decomposition import (DecompositionError, _carried_check,
 from simdual.involution import ConjugatorNotFound, theta_group
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat, parse_matrix
+from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SKEW_HERMITIAN,
                             SYMPLECTIC, GroupElem, MembershipError,
@@ -38,7 +39,7 @@ def test_subgroup_coset_is_one_piece_with_trivial_witness():
     pieces = decompose(C, STD)
     assert len(pieces) == 1
     assert pieces[0].witness.mat == SYMPL.truncated(2).identity()
-    assert pieces[0].member_keys() == C.member_keys()
+    assert set(pieces[0].members.comps) == set(C.members.comps)
 
 
 def test_theta_fixed_base_gives_inverse_witness():
@@ -62,10 +63,10 @@ def test_general_coset_partition_mod27():
     # public contract once more
     union = set()
     for p in pieces:
-        assert not (union & p.member_keys())
-        union |= p.member_keys()
+        assert not (union & set(p.members.comps))
+        union |= set(p.members.comps)
         assert verify_piece(p.members, p.witness)
-    assert union == C.member_keys()
+    assert union == set(C.members.comps)
 
 
 def test_conjugator_solver_matches_defining_equations():
@@ -157,6 +158,16 @@ def test_verify_piece_rejects_wrong_witness():
     assert not verify_piece(piece.members, bad)
 
 
+def test_verify_piece_needs_every_theta_image_hit():
+    # the zero matrix as witness sends S = {0, 1} into {0}, a proper
+    # subset of theta(S) = {0, 1}: the two sets differ
+    st = SYMPL.truncated(2)
+    S = Members(st, [(0, 0, 0, 0), (1, 0, 0, 1)], [1, 1])
+    zero = GroupElem(st, Mat.zeros(st.ring, 2), st.ring.one)
+    assert not verify_piece(S, zero)
+    assert verify_piece(S, GroupElem(st, st.identity(), st.ring.one))
+
+
 def test_coset_set_validates_level():
     b = Mat.identity(SYMPL.ring, 2)
     with pytest.raises(DecompositionError):
@@ -196,12 +207,25 @@ def test_coset_and_piece_pinned_digest(family, ext, base, N, digest):
 
 
 def test_cayley_images_certify_every_x():
-    # a corrupted coordinate matrix puts X outside the Lie algebra
-    std = standard_lattices(standard_space(HERMITIAN, 2, Ring(3, INERT)))
-    assert len(cayley_image_members(std, 1, 2)) == 243
+    # a corrupted coordinate matrix puts X outside the Lie algebra; each
+    # space keeps its K, so the corrupted build runs on a fresh space
+    def fresh():
+        return standard_lattices(standard_space(HERMITIAN, 2, Ring(3, INERT)))
+    assert len(cayley_image_members(fresh(), 1, 2)) == 243
+    std = fresh()
     std.gu_coords._M[2][0] += 1
     with pytest.raises(MembershipError, match="not in the similitude Lie"):
         cayley_image_members(std, 1, 2)
+
+
+def test_kept_subgroup_is_built_once_and_keeps_the_budget():
+    std = standard_lattices(standard_space(SYMPLECTIC, 2, Ring(3, SPLIT)))
+    K = cayley_image_members(std, 1, 2)
+    assert cayley_image_members(std, 1, 2) is K
+    b = Mat.identity(std.space.ring, 2)
+    assert len(coset_set(std.space, std, b, 1, 2).members) == 81
+    with pytest.raises(SolveBudgetError, match="limit 10"):
+        coset_set(std.space, std, b, 1, 2, limit=10)
 
 
 def test_coset_set_rejects_repeated_members(monkeypatch):

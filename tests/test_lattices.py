@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from simdual.cayley import (cayley, components_per_scalar, in_domain,
                             mat_from_components)
 from simdual.involution import theta_group
-from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
-                              _congruence_scan, ad_operator,
+from simdual.lattices import (LatticeBasis, LatticeBudgetError, LatticeError,
+                              _check_h_stable, _congruence_scan, ad_operator,
                               check_cayley_level, hnf_columns, lattice_of_x,
                               standard_lattices)
 from simdual.matrices import Mat
@@ -199,6 +199,19 @@ def test_level_bijection_pinned_counts():
     rep1 = check_cayley_level(HERM1, STD_H1, 1, 2, "u")
     assert rep1.passed
     assert rep1.image_size == rep1.congruence_size == 3
+
+
+def test_level_check_budget_does_not_depend_on_call_history():
+    # orthogonal n = 2: 9 coordinate vectors, but 3^4 = 81 congruence
+    # residues, over budget 10 also when a larger budget has kept the scan
+    space = standard_space(ORTHOGONAL, 2, Ring(3, SPLIT))
+    std = standard_lattices(space)
+    with pytest.raises(LatticeBudgetError, match="81 residues exceeds"):
+        check_cayley_level(space, std, 1, 2, "gu", budget=10)
+    rep = check_cayley_level(space, std, 1, 2, "gu", budget=10**6)
+    assert rep.passed and rep.image_size == rep.congruence_size == 9
+    with pytest.raises(LatticeBudgetError, match="81 residues exceeds"):
+        check_cayley_level(space, std, 1, 2, "gu", budget=10)
 
 
 def test_level_check_validates_inputs():
