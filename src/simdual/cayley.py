@@ -511,13 +511,15 @@ def _generated(args: str, lines: list, result: str):
     return namespace["f"]
 
 
-def _linear_kernel(rows: list, M: int, scaled: bool = False):
+def linear_kernel(rows: list, M: int, scaled: bool = False,
+                  width: int | None = None):
     """The linear map L with the sparse rows ``rows`` (those of
-    ``_sparse_rows``) as generated straight-line code on component
-    tuples: ``L(x)`` mod M, or with ``scaled`` ``(x, mu) -> mu^-1 L(x)``
-    mod M."""
+    ``_sparse_rows``) as generated straight-line code on tuples of
+    ``width`` entries (default: square, one per row): ``L(x)`` mod M, or
+    with ``scaled`` ``(x, mu) -> mu^-1 L(x)`` mod M."""
     sums = [" + ".join(f"{c}*x{j}" for j, c in row) or "0" for row in rows]
-    lines = [_unpack("x", len(rows))]
+    width = len(rows) if width is None else width
+    lines = [_unpack("x", width)] if width else []
     if scaled:
         lines.append(f"s = pow(mu, -1, {M})")
         sums = [f"({t})*s" for t in sums]
@@ -529,7 +531,7 @@ def _linear_kernel(rows: list, M: int, scaled: bool = False):
 def star_kernel(space: Space):
     """``star(x)``: the components of star(g) mod p^N for the matrix g
     with components x; star probed once per space."""
-    return _linear_kernel(_star_rows(space), space.ring.modulus)
+    return linear_kernel(_star_rows(space), space.ring.modulus)
 
 
 @_per_space
@@ -541,7 +543,7 @@ def inverse_kernel(space: Space):
     if space.ring.exact:
         raise ValueError("the inverse kernel works mod p^N")
     if space.has_form:
-        return _linear_kernel(_star_rows(space), space.ring.modulus, True)
+        return linear_kernel(_star_rows(space), space.ring.modulus, True)
     inv = matrix_inverse_kernel(space)
     return lambda x, mu: inv(x)
 
@@ -556,7 +558,7 @@ def iota_kernel(space: Space):
         raise ValueError("the iota kernel works mod p^N")
     if not space.has_form:
         raise SpaceError("general-linear iota is the inverse transpose")
-    return _linear_kernel(
+    return linear_kernel(
         _sparse_rows(space, lambda m: space.H * m.tau() * space.Hinv),
         space.ring.modulus, True)
 
@@ -578,8 +580,8 @@ def theta_kernel(space: Space):
     with components x; ``theta_map`` probed once per space."""
     if space.ring.exact:
         raise ValueError("the theta kernel works mod p^N")
-    return _linear_kernel(_sparse_rows(space, theta_map(space)),
-                          space.ring.modulus)
+    return linear_kernel(_sparse_rows(space, theta_map(space)),
+                         space.ring.modulus)
 
 
 @_per_space
@@ -592,7 +594,7 @@ def lie_alpha_kernel(space: Space):
         raise ValueError("the alpha kernel works mod p^N")
     if not space.has_form:
         return lambda x: 0
-    plus_star = _linear_kernel(
+    plus_star = linear_kernel(
         _sparse_rows(space, lambda m: m + star(space, m)), space.ring.modulus)
     n, d = space.n, components_per_scalar(space)
     # X + X* = alpha 1: its n diagonal a-components equal alpha and its

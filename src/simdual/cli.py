@@ -24,13 +24,13 @@ from .decomposition import DecompositionError, coset_set, decompose
 from .finite import FINITE_FAMILIES
 from .involution import ConjugatorNotFound
 from .lattices import standard_lattices
-from .matrices import parse_matrix
 from .modsolve import SolveBudgetError
 from .report import FAIL, PASS, CheckRow, Report, emit_report
 from .scalars import NotIntegralError
 from .spaces import MembershipError, certify_group
 from .suites import (ALL_SUITES, ConfigError, SuiteConfig, build_space,
-                     replay_check, run_suite, validate_config)
+                     replay_check, run_suite, square_matrix,
+                     validate_config)
 
 _CONFIG_KEYS = {
     "family": str, "n": int, "p": int, "ext": str, "precision": int,
@@ -176,7 +176,7 @@ def _cmd_decompose(args) -> int:
     validate_config(cfg)
     space = build_space(cfg.family, cfg.n, cfg.p)
     try:
-        b = parse_matrix(space.ring, args.base)
+        b = square_matrix(space, args.base)
     except ValueError as exc:
         raise ConfigError(f"cannot parse base matrix: {exc}")
     try:

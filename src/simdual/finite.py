@@ -64,7 +64,7 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def _finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
+def finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
     """The ambient space over the residue field and the similitude flag."""
     if family in (SP, GSP):
         ring = Ring(q, SPLIT, 1)
@@ -100,7 +100,7 @@ def _finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
 
 def scan_size(family: str, n: int, q: int) -> int:
     """How many matrices ``build_group`` scans for the group."""
-    space, _ = _finite_space(family, n, q)
+    space, _ = finite_space(family, n, q)
     d = 2 if space.ring.ext == INERT else 1
     return (q**d) ** (n * n)
 
@@ -148,7 +148,7 @@ def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
                 scan_budget: int = 10**7) -> FiniteGroupTable:
     """Enumerate the group, attach inverse, iota and the generators'
     right-multiplication tables, and verify the table invariants."""
-    space, similitude = _finite_space(family, n, q)
+    space, similitude = finite_space(family, n, q)
     scan = scan_size(family, n, q)
     if scan > scan_budget:
         raise BudgetExceeded(f"matrix scan of {scan} exceeds {scan_budget}")

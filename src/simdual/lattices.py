@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, components_per_scalar,
                      comps_key, identity_comps, lie_alpha_kernel, lie_system,
-                     mat_from_components, mat_numerators, matrix_system,
-                     multiplier_predicate)
+                     linear_kernel, mat_from_components, mat_numerators,
+                     matrix_system, multiplier_predicate)
 from .involution import theta_lie
 from .matrices import Mat
 from .scalars import Ring, Scalar, val_int
@@ -153,7 +153,7 @@ class LieCoords:
             if den != 1:
                 raise LatticeError("coordinate basis is not integral")
             cols.append(comps)
-        self._M = [list(row) for row in zip(*cols)]
+        self._M = [[col[i] for col in cols] for i in range(self.m0)]
         self._solver = self._build_solver()
 
     def _build_basis(self):
@@ -229,12 +229,13 @@ class LieCoords:
         is the space truncated at N.  Every X is certified in the Lie
         algebra mod p^N (MembershipError), and one outside the Cayley
         domain raises DomainError."""
-        M = space_t.ring.modulus
-        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self._M]
+        to_comps = linear_kernel(
+            [[(j, a) for j, a in enumerate(row) if a] for row in self._M],
+            space_t.ring.modulus, width=self.m)
         alpha_of = lie_alpha_kernel(space_t)
         c = cayley_kernel(space_t)
         for v in vectors:
-            x = tuple(sum(a * v[j] for j, a in row) % M for row in rows)
+            x = to_comps(v)
             alpha = alpha_of(x)
             image = c(x, alpha)
             if image is None:

@@ -1,20 +1,12 @@
-"""Integer linear algebra mod p^N: two eliminations for affine solves,
+"""Integer linear algebra mod p^N: one elimination for affine solves,
 Smith normal form over Z, and column Hermite reduction.
 
-The affine solves take one of two eliminations, chosen by the contract
-of the entry point:
-
-- ``solve_affine_mod`` and ``kernel_mod`` return the solution set sorted,
-  so any elimination gives the same output.  They eliminate over the
-  chain ring Z/p^N (``_chain_solution``): every entry is p^v times a
-  unit, so pivoting on the least p-valuation clears each column with
-  exact quotients, with no Euclid loop and no augmented columns, and
-  every integer stays below p^N (Storjohann, *Algorithms for Matrix
-  Canonical Forms*, ETH 2000; Cohen, GTM 138, 2.4).
-- ``iter_affine_mod`` yields solutions in the traversal order of the
-  kernel basis, and its first hit is a reported witness.  It keeps the
-  Smith form over Z of ``[A | p^N I]`` (``_solution_data``), whose
-  kernel generators fix that order.
+Every affine solve mod p^N eliminates over the chain ring Z/p^N
+(``_chain_solution``): every entry is p^v times a unit, so pivoting on
+the least p-valuation clears each column with exact quotients, with no
+Euclid loop and no augmented columns, and every integer stays below p^N
+(Storjohann, *Algorithms for Matrix Canonical Forms*, ETH 2000; Cohen,
+GTM 138, 2.4).
 
 Both entry points enumerate with the one enumerator ``_iter_coset``:
 x0 plus every combination of the triangular kernel basis, one
@@ -106,45 +98,9 @@ def smith(A):
     return U, D, V
 
 
-def _solution_data(A, b, p, N):
-    """Particular solution and kernel basis of A x = b mod p^N, or None,
-    from the Smith form over Z of the augmented [A | p^N I].
-
-    Returns (x0, basis, k, M) with ``basis`` a lower-triangular column basis
-    of the solution subgroup of (Z/M)^k.  Only ``iter_affine_mod`` uses
-    it: its traversal order, and so the first hit of a conjugator search,
-    follows from these kernel generators, and the chain-ring generators of
-    ``_chain_solution`` would change the reported general-path witness.
-    """
-    m = len(A)
-    k = len(A[0]) if m else 0
-    M = p**N
-    # augment: A x + M y = b over Z
-    Aaug = [A[i][:] + [M if j == i else 0 for j in range(m)] for i in range(m)]
-    U, D, V = smith(Aaug)
-    ncols = k + m
-    Ub = [sum(U[i][j] * b[j] for j in range(m)) for i in range(m)]
-    r = 0
-    while r < min(m, ncols) and D[r][r] != 0:
-        r += 1
-    w0 = []
-    for i in range(r):
-        if Ub[i] % D[i][i] != 0:
-            return None
-        w0.append(Ub[i] // D[i][i])
-    for i in range(r, m):
-        if Ub[i] != 0:
-            return None
-    w0 += [0] * (ncols - r)
-    x0 = tuple(sum(V[i][j] * w0[j] for j in range(ncols)) % M for i in range(k))
-    # kernel generators: x-parts of the free columns of V, plus M e_i
-    gens = [[V[i][j] for i in range(k)] for j in range(r, ncols)]
-    return x0, subgroup_basis(gens, k, M), k, M
-
-
 def _chain_solution(A, b, p, N):
-    """Particular solution and kernel generators of A x = b mod M = p^N,
-    or None, by one elimination over the chain ring Z/M.
+    """Particular solution and kernel basis of A x = b mod M = p^N, or
+    None, by one elimination over the chain ring Z/M.
 
     Each step takes a pivot of least p-valuation v in the trailing block
     and scales its row to make the pivot p^v.  Every entry of its column
@@ -153,8 +109,9 @@ def _chain_solution(A, b, p, N):
     each with the exact quotient entry // p^v.  This gives D = U A V
     diagonal with U and V invertible mod M, and A x = b becomes
     p^v y_t = c_t on the pivots and 0 = c_i past the rank.  Returns
-    (x0, gens) with x0 = V y0 and the generators V p^(N-v) e_t (v > 0) and
-    V e_t (t a free column); with M Z^k they span the kernel.
+    (x0, basis, k, M) with x0 = V y0 and ``basis`` the lower-triangular
+    column basis (``subgroup_basis``) of the kernel, which the generators
+    V p^(N-v) e_t (v > 0) and V e_t (t a free column) span with M Z^k.
     """
     M = p**N
     m = len(A)
@@ -217,7 +174,7 @@ def _chain_solution(A, b, p, N):
             x0 = [(a + y * e) % M for a, e in zip(x0, col)]
     gens = [[a * (M // pv) for a in col]
             for pv, col in zip(pivots, V) if pv > 1] + V[r:]
-    return tuple(x0), gens
+    return tuple(x0), subgroup_basis(gens, k, M) if gens else [], k, M
 
 
 def solve_affine_mod(A, b, p, N, limit=10**6):
@@ -227,27 +184,19 @@ def solve_affine_mod(A, b, p, N, limit=10**6):
     SolveBudgetError if the solution set exceeds ``limit``.
     """
     data = _chain_solution(A, b, p, N)
-    if data is None:
-        return []
-    x0, gens = data
-    k = len(x0)
-    M = p**N
-    basis = subgroup_basis(gens, k, M) if gens else []
-    return _enumerate_coset(x0, basis, k, M, limit)
+    return [] if data is None else _enumerate_coset(*data, limit)
 
 
 def iter_affine_mod(A, b, p, N):
     """Yield the solutions of A x = b mod p^N lazily.
 
     The order is deterministic (fixed traversal of the triangular kernel
-    basis of ``_solution_data``) but not globally sorted; intended for
+    basis of ``_chain_solution``) but not globally sorted; intended for
     first-hit searches.
     """
-    data = _solution_data(A, b, p, N)
-    if data is None:
-        return
-    x0, basis, k, M = data
-    yield from _iter_coset(x0, basis, k, M)
+    data = _chain_solution(A, b, p, N)
+    if data is not None:
+        yield from _iter_coset(*data)
 
 
 def span_coset_mod(x0, gens, p, N, limit=10**6):

@@ -22,7 +22,8 @@ from typing import Callable
 from .cayley import cayley, fiber, in_domain
 from .decomposition import DecompositionError, coset_set, decompose
 from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, BudgetExceeded, \
-    FiniteGroupError, build_group, conjugacy_classes, verify_class_inversion
+    FiniteGroupError, build_group, conjugacy_classes, finite_space, \
+    verify_class_inversion
 from .involution import AntiUnitaryError, ConjugatorNotFound, \
     is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
 from .lattices import LatticeBudgetError, ad_operator, check_cayley_level, \
@@ -100,17 +101,31 @@ def validate_config(cfg: SuiteConfig) -> None:
             build_space(cfg.family, cfg.n, cfg.p)
         except SpaceError as exc:
             raise ConfigError(str(exc))
+    if "finite-dual" in cfg.suites:
+        family = _finite_family(cfg.family)
+        try:
+            finite_space(family, cfg.n, cfg.p)
+        except (SpaceError, FiniteGroupError) as exc:
+            raise ConfigError(f"finite-dual group {family}: {exc}")
     if not (1 <= cfg.level < cfg.precision):
         raise ConfigError(
             f"need 1 <= level < precision, got level={cfg.level} "
             f"precision={cfg.precision}")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
+    if cfg.cosets < 1:
+        raise ConfigError("cosets must be >= 1")
     for s in cfg.suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}")
     if cfg.fmt not in ("json", "markdown"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
+
+
+def _finite_family(family: str) -> str:
+    """The finite group the finite-dual suite builds: a p-adic family
+    runs it on sp."""
+    return family if family in FINITE_FAMILIES else "sp"
 
 
 def build_space(family: str, n: int, p: int):
@@ -338,7 +353,7 @@ def _field(payload, key, parse=int):
         raise ConfigError(f"bad {key!r} in replay payload: {exc}") from None
 
 
-def _matrix(space, text) -> Mat:
+def square_matrix(space, text) -> Mat:
     m = parse_matrix(space.ring, str(text))
     if (m.nrows, m.ncols) != (space.n, space.n):
         raise ValueError(f"not a {space.n}x{space.n} matrix")
@@ -364,7 +379,8 @@ def _replay_sampled(name, payload) -> CheckRow:
     args = []
     for kind, key in zip(check.kinds, check.keys()):
         obj = _field(payload, key,
-                     lambda t: kind.certify(std.space, _matrix(std.space, t)))
+                     lambda t: kind.certify(std.space,
+                                            square_matrix(std.space, t)))
         if kind.holds is not None and not kind.holds(std, obj):
             raise ConfigError(f"{key!r} is not {kind.requirement}")
         args.append(obj)
@@ -388,7 +404,7 @@ def _replay_decompose_coset(payload) -> CheckRow:
     level, N = _field(payload, "level"), _field(payload, "precision")
 
     def coset_base(text):
-        b = _matrix(std.space, text)
+        b = square_matrix(std.space, text)
         certify_group(std.space.truncated(N), b.reduce(N))
         return b
     b = _field(payload, "b", coset_base)
@@ -404,7 +420,7 @@ def _replay_class_inversion(payload) -> CheckRow:
         table = build_group(family, n, q)
     except (BudgetExceeded, ValueError) as exc:   # FiniteGroupError, bad q
         raise ConfigError(f"cannot build the group: {exc}") from None
-    rep = _field(payload, "rep", lambda t: _matrix(table.space, t))
+    rep = _field(payload, "rep", lambda t: square_matrix(table.space, t))
     try:
         pos = table.position(rep)
     except KeyError:
@@ -502,7 +518,7 @@ def suite_decompose(cfg: SuiteConfig) -> list:
 
 
 def suite_finite(cfg: SuiteConfig) -> list:
-    family = cfg.family if cfg.family in FINITE_FAMILIES else "sp"
+    family = _finite_family(cfg.family)
     t0 = time.monotonic()
     try:
         table = build_group(family, cfg.n, cfg.p)

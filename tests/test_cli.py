@@ -184,6 +184,13 @@ def test_markdown_format(capsys):
                                        "b": "1+1/0*s, 0; 0, 1"}})],
     ["decompose", "--family", "sp", "--precision", "3",          # finite tag
      "2, 0; 0, 1"],
+    ["decompose", "--family", "symplectic", "--precision", "2",  # 3x3 base
+     "1, 0, 0; 0, 1, 0; 0, 0, 1"],
+    ["verify", "--family", "hermitian", "--dim", "3",            # sp at n = 3
+     "--suite", "finite-dual"],
+    ["finite-dual", "--family", "o+", "--dim", "3"],             # n = 2 only
+    ["verify", "--suite", "decompose", "--cosets", "0"],         # no cosets
+    ["verify", "--cosets", "-1"],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     budget = tmp_path / "budget.cfg"
@@ -192,6 +199,13 @@ def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_orthogonal_dim_1_lattice_suite_passes(capsys):
+    # the isometry Lie algebra is 0 there: no coordinates, one component
+    assert run(["verify", "--family", "orthogonal", "--dim", "1",
+                "--suite", "lattice"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
 
 
 def test_ext_must_match_the_family_ring(capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simdual.cayley import (cayley, components_per_scalar, in_domain,
-                            mat_from_components)
+                            linear_kernel, mat_from_components)
 from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeBudgetError, LatticeError,
                               _check_h_stable, _congruence_scan, ad_operator,
@@ -316,3 +316,19 @@ LATTICE_PINS = {
     (SKEW_HERMITIAN, INERT), (GENERAL_LINEAR, SPLIT)])
 def test_lattice_operations_pinned(family, ext):
     assert _lattice_digests(family, ext) == LATTICE_PINS[family]
+
+
+def test_coordinate_kernel_is_the_coordinate_matrix():
+    # cayley_images maps m coordinates to n^2 d components with a linear
+    # kernel of input width m; at width 0 every component is 0
+    coords = standard_lattices(
+        standard_space(HERMITIAN, 2, Ring(3, INERT))).gu_coords
+    to_comps = linear_kernel(
+        [[(j, a) for j, a in enumerate(row) if a] for row in coords._M],
+        27, width=coords.m)
+    rng = make_rng(5)
+    for _ in range(50):
+        v = [rng.randrange(-27, 27) for _ in range(coords.m)]
+        assert to_comps(v) == tuple(sum(a * x for a, x in zip(row, v)) % 27
+                                    for row in coords._M)
+    assert linear_kernel([[]], 27, width=0)(()) == (0,)

@@ -159,15 +159,15 @@ def test_budget_error_exactly_past_the_count(system):
 
 def test_iter_order_of_a_conjugator_system_is_pinned():
     # the first 20 candidates of the conjugator search on the hermitian
-    # general-path member below, in the order recorded with the Smith-form
-    # kernel basis: the first hit of this order is a reported witness
+    # general-path member below, in the order of the chain-ring kernel
+    # basis: the first hit of this order is a reported witness
     space = standard_space(HERMITIAN, 2, Ring(3, INERT, 2))
     a = certify_group(space, parse_matrix(
         space.ring, "16+16*s, 17+8*s; 10+19*s, 7+25*s"))
     A, b = _conjugator_system(space, tuple(mat_components(space, a.mat)))
     first = list(itertools.islice(iter_affine_mod(A, b, 3, 2), 20))
     assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == \
-        "cdbcac6cb57deee010901d20cd3fac753af628e14564de2132bfd904f64bbc76"
+        "cc72e4790752864aaaedeea776e1200ffb00f0f3663a4b2d92d58a4417e0dcab"
     assert len(solve_affine_mod(A, b, 3, 2)) == 6561
 
 
