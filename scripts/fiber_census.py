@@ -6,7 +6,8 @@ images, and cross-checks each bucket against the per-element fiber
 computation (affine solves).  Prints the tag distribution, any mismatch
 between the two independent computations, and the number of preimages
 outside the working domain, which must be 0.  Exits 1 when either count
-is not 0.
+is not 0, and 2 with one line on stderr on bad arguments or when the
+enumeration exceeds its budget.
 
 Usage: PYTHONPATH=src python3 scripts/fiber_census.py [--family F]
        [--prime P] [--precision N] [--dim n]
@@ -22,9 +23,10 @@ from collections import Counter
 
 from simdual.cayley import (bucket_domain_images, fiber, in_domain,
                             mat_from_components)
-from simdual.scalars import INERT
+from simdual.modsolve import SolveBudgetError
+from simdual.scalars import INERT, is_odd_prime
 from simdual.spaces import (HERMITIAN, ORTHOGONAL, SKEW_HERMITIAN, SYMPLECTIC,
-                            certify_group)
+                            SpaceError, certify_group)
 from simdual.suites import build_space
 
 FAMILIES = (ORTHOGONAL, SYMPLECTIC, HERMITIAN, SKEW_HERMITIAN)
@@ -37,12 +39,27 @@ def main(argv=None) -> int:
     ap.add_argument("--precision", type=int, default=2)
     ap.add_argument("--dim", type=int, default=2)
     args = ap.parse_args(argv)
+    if not is_odd_prime(args.prime):
+        return _error(f"--prime must be an odd prime, got {args.prime}")
+    for name in ("precision", "dim"):
+        if getattr(args, name) < 1:
+            return _error(f"--{name} must be >= 1, got {getattr(args, name)}")
+    try:
+        return _census(build_space(args.family, args.dim,
+                                   args.prime).truncated(args.precision))
+    except (SpaceError, SolveBudgetError) as exc:
+        return _error(str(exc))
 
-    space = build_space(args.family, args.dim,
-                        args.prime).truncated(args.precision)
 
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _census(space) -> int:
     buckets = bucket_domain_images(space)
-    print(f"domain images mod {args.prime}^{args.precision}: {len(buckets)}")
+    print(f"domain images mod {space.ring.p}^{space.ring.prec}: "
+          f"{len(buckets)}")
 
     tags = Counter()
     sizes = Counter()

@@ -19,10 +19,12 @@ rings, and generated straight-line code for the product, the determinant
 (once per n) and the F-linear maps star, theta and iota, which are probed
 on unit vectors and compiled from their sparse rows; from these come the
 multiplier and alpha certificates and the Cayley map, which is None
-outside the domain.  The fiber branches are
-built with ``linear_system`` on components, and preimages are certified on
-integers; ``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where a
-public function returns one.
+outside the domain.  A fiber branch where lambda + g is a unit is the
+closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse and one
+product; only a singular branch is written as an integer system for an
+affine solve.  Preimages are certified on integers; ``Mat``,
+``GroupElem`` and ``LieElem`` are decoded only where a public function
+returns one.
 """
 
 from __future__ import annotations
@@ -151,8 +153,9 @@ def fiber(g: GroupElem) -> FiberResult:
     """Image membership and full preimage list for g under the Cayley map.
 
     Over the exact field this follows the proved case analysis; over a
-    truncated ring the preimages are computed by exact affine solves (the
-    case pattern can blur at finite precision, e.g. near the identity)."""
+    truncated ring each branch lambda is solved exactly (the case pattern
+    can blur at finite precision, e.g. near the identity): in closed form
+    X_lambda where lambda + g is a unit, by an affine solve elsewhere."""
     space = g.space
     ring = space.ring
     if not space.has_form:
@@ -638,26 +641,51 @@ def cayley_kernel(space: Space):
     return c
 
 
+@_per_space
+def _plus_star_system(space: Space) -> list:
+    """``lie_system`` without alpha, the matrix of X -> X + X*."""
+    return lie_system(space, alpha=False)
+
+
+def _left_multiplication(space: Space, s: tuple) -> list:
+    """The matrix of X -> s X on components, s given by its components:
+    row (i, j) holds s_ik at column (k, j), over the inert ring as the
+    block [[a, u b], [b, a]] of s_ik = a + b s (``matrix_inverse_kernel``
+    embeds with the same block)."""
+    n, d = space.n, components_per_scalar(space)
+    A = [[0] * (d * n * n) for _ in range(d * n * n)]
+    for i, k, j in itertools.product(range(n), repeat=3):
+        a, r, c = s[d * (i * n + k)], d * (i * n + j), d * (k * n + j)
+        A[r][c] = a
+        if d == 2:
+            b = s[d * (i * n + k) + 1]
+            A[r][c + 1], A[r + 1][c], A[r + 1][c + 1] = space.ring.u * b, b, a
+    return A
+
+
 def _solve_branch(space: Space, x: tuple, lam: int, limit):
     """All X mod p^N, as components, with (lam + g) X = 1 - g and
-    X + X* = (lam^-1 - 1) 1, where g has components x."""
+    X + X* = (lam^-1 - 1) 1, where g has components x.  When lam + g is a
+    unit (``matrix_inverse_kernel`` decides) the first equation has the
+    one solution X_lam = (1 - g)(lam + g)^-1, the factors commuting, and
+    the branch is [X_lam] or [] by the second.  Otherwise the two are
+    written as one integer system, X -> (lam + g) X on components stacked
+    on ``lie_system`` without alpha, for ``modsolve.solve_affine_mod``."""
     ring = space.ring
     M = ring.modulus
     ident = identity_comps(space)
-    mul = product_kernel(space)
-    star_of = star_kernel(space)
     shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     rhs = [(e - v) % M for e, v in zip(ident, x)]
-    target = [(pow(lam, -1, M) - 1) * e for e in ident]
-
-    def f(v):
-        return ([(y - r) % M for y, r in zip(mul(shifted, v), rhs)]
-                + [(vi + w - t) % M
-                   for vi, w, t in zip(v, star_of(v), target)])
-
+    target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
+    t = matrix_inverse_kernel(space)(shifted)
+    if t is not None:
+        X = product_kernel(space)(rhs, t)
+        return [X] if all((v + w - e) % M == 0 for v, w, e in zip(
+            X, star_kernel(space)(X), target)) else []
     from . import modsolve          # only the solving paths load it
-    A, b = linear_system(len(ident), f)
-    return modsolve.solve_affine_mod(A, b, ring.p, ring.prec, limit)
+    A = _left_multiplication(space, shifted) + _plus_star_system(space)
+    return modsolve.solve_affine_mod(A, rhs + target, ring.p, ring.prec,
+                                     limit)
 
 
 def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:

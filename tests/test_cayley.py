@@ -196,6 +196,44 @@ def test_fiber_census_script_orthogonal_mod9(capsys):
         "preimages outside the domain: 0"]
 
 
+CENSUS_MOD5 = {
+    SYMPLECTIC: [
+        "domain images mod 5^1: 215",
+        "fiber tags: {'infinite-identity': 1, 'two-preimages': 70, "
+        "'unique-lambda': 50, 'unique-mu1': 94}",
+        "fiber sizes: {1: 144, 2: 70, 101: 1}"],
+    HERMITIAN: [
+        "domain images mod 5^1: 1295",
+        "fiber tags: {'infinite-identity': 1, 'two-preimages': 490, "
+        "'unique-lambda': 210, 'unique-mu1': 594}",
+        "fiber sizes: {1: 804, 2: 490, 521: 1}"],
+}
+
+
+@pytest.mark.parametrize("family", list(CENSUS_MOD5))
+def test_fiber_census_script_mod5_has_two_preimage_images(family, capsys):
+    # p = 3 has no two-preimage images mod 3 or 9
+    assert _census_script().main(
+        ["--family", family, "--prime", "5", "--precision", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == CENSUS_MOD5[family] + [
+        "mismatches: 0", "preimages outside the domain: 0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--prime", "4"], "--prime must be an odd prime, got 4"),
+    (["--precision", "0"], "--precision must be >= 1, got 0"),
+    (["--family", "symplectic", "--dim", "3"],
+     "symplectic dimension must be even"),
+    (["--dim", "0"], "--dim must be >= 1, got 0"),
+    (["--precision", "4"],
+     "solution set has 43046721+ elements (limit 1000000)"),
+])
+def test_fiber_census_script_rejects_bad_input(argv, message, capsys):
+    assert _census_script().main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.integers(-8, 8), min_size=2, max_size=2),
                 min_size=2, max_size=2))

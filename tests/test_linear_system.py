@@ -11,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simdual import modsolve
-from simdual.cayley import (_lie_components, _star_rows, cayley,
-                            components_per_scalar, fiber, iota_kernel,
-                            linear_system, mat_components,
-                            mat_from_components)
+from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
+                            bucket_domain_images, cayley,
+                            components_per_scalar, fiber, identity_comps,
+                            iota_kernel, linear_system, mat_components,
+                            mat_from_components, matrix_inverse_kernel,
+                            multiplier_predicate, product_kernel,
+                            star_kernel)
 from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
 from simdual.matrices import parse_matrix
-from simdual.scalars import INERT, SPLIT, Ring
+from simdual.scalars import INERT, SPLIT, Ring, sqrt_mod_prime_power
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
                             certify_lie, standard_space)
@@ -152,20 +155,121 @@ PINNED_BRANCH_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("family, coords", list(PINNED_BRANCH_SYSTEMS))
-def test_fiber_branch_systems_match_the_pinned_digest(monkeypatch, family,
-                                                      coords):
-    # the (A, b) handed to the affine solve, one pair per lambda branch
+def _lambdas(space, x):
+    """The two branches lam, -lam of the fiber over the image with
+    components x, in the order ``fiber`` takes them."""
+    ring = space.ring
+    root = sqrt_mod_prime_power(multiplier_predicate(space)(x), ring.p,
+                                ring.prec)
+    return root, -root % ring.modulus
+
+
+def _probed_branch_system(space, x, lam):
+    """The (A, b) of a fiber branch built by probing: ``linear_system`` on
+    the residual of (lam + g) X = 1 - g and X + X* = (lam^-1 - 1) 1."""
+    M = space.ring.modulus
+    ident = identity_comps(space)
+    mul, star_of = product_kernel(space), star_kernel(space)
+    shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+    rhs = [(e - v) % M for e, v in zip(ident, x)]
+    target = [(pow(lam, -1, M) - 1) * e for e in ident]
+
+    def f(v):
+        return ([(y - r) % M for y, r in zip(mul(shifted, v), rhs)]
+                + [(vi + w - t) % M
+                   for vi, w, t in zip(v, star_of(v), target)])
+    return linear_system(len(ident), f)
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """The (A, b) of every affine solve, recorded as it is handed over."""
     systems = []
+    solve = modsolve.solve_affine_mod
 
     def recording(A, b, p, N, limit):
-        systems.append([A, b])
+        systems.append((A, b))
         return solve(A, b, p, N, limit)
-    solve = modsolve.solve_affine_mod
     monkeypatch.setattr(modsolve, "solve_affine_mod", recording)
+    return systems
+
+
+def _check_branch(space, x, lam, written):
+    """The branch lam of the fiber over the image with components x gives
+    the probed solve's solutions, and when lam + g is singular it writes
+    the probed system mod p^N.  Returns whether lam + g is singular, and
+    the solutions."""
+    ring = space.ring
+    M = ring.modulus
+    A, b = _probed_branch_system(space, x, lam)
+    want = modsolve.solve_affine_mod(A, b, ring.p, ring.prec, 10**5)
+    del written[:]
+    assert _solve_branch(space, x, lam, 10**5) == want
+    shifted = tuple((lam * e + v) % M
+                    for e, v in zip(identity_comps(space), x))
+    if matrix_inverse_kernel(space)(shifted) is not None:
+        assert written == []
+        return False, want
+    (WA, Wb), = written
+    assert [[a % M for a in row] for row in WA] == \
+        [[a % M for a in row] for row in A]
+    assert [v % M for v in Wb] == [v % M for v in b]
+    return True, want
+
+
+def _singular_branches(space, x, written):
+    """``_check_branch`` on both branches; the number of singular ones."""
+    return sum(_check_branch(space, x, lam, written)[0]
+               for lam in _lambdas(space, x))
+
+
+@pytest.mark.parametrize("family, coords", list(PINNED_BRANCH_SYSTEMS))
+def test_fiber_branch_systems_match_the_pinned_digest(written, family,
+                                                      coords):
+    # the probed (A, b) of both lambda branches, pinned when every branch
+    # went to the affine solve; now one branch takes the closed form
     space = standard_space(family, 2, Ring(3, _ext(family)))
     X = standard_lattices(space).gu_coords.from_coords(coords).reduce(2)
     g = cayley(certify_lie(space.truncated(2), X))
+    x = tuple(mat_components(g.space, g.mat))
+    probed = [_probed_branch_system(g.space, x, lam)
+              for lam in _lambdas(g.space, x)]
+    assert _digest([[A, b] for A, b in probed]) == \
+        PINNED_BRANCH_SYSTEMS[family, coords]
     assert fiber(g).preimages
-    assert len(systems) == 2
-    assert _digest(systems) == PINNED_BRANCH_SYSTEMS[family, coords]
+    # one symplectic branch is singular; both hermitian ones are units
+    assert _singular_branches(g.space, x, written) == (family == SYMPLECTIC)
+
+
+def _census_images(family, step):
+    """Every step-th image of the census mod 9, as components."""
+    space = standard_space(family, 2, Ring(3, _ext(family), 2))
+    keys = sorted(bucket_domain_images(space))[::step]
+    # a split key lists the pair (a, 0) of every entry
+    return space, [k if space.ring.ext == INERT else k[::2] for k in keys]
+
+
+@pytest.mark.parametrize("family, step, images",
+                         [(SYMPLECTIC, 1, 1215), (HERMITIAN, 33, 509),
+                          (SKEW_HERMITIAN, 33, 509)])
+def test_fiber_branches_match_the_probed_solve(written, family, step,
+                                               images):
+    space, xs = _census_images(family, step)
+    assert len(xs) == images
+    singular = sum(_singular_branches(space, x, written) for x in xs)
+    # both kinds of branch occur
+    assert 0 < singular < 2 * images
+
+
+def test_closed_form_branch_is_empty_off_the_multiplier(written):
+    # with lam^2 != mu(g), X_lam = (1 - g)(lam + g)^-1 fails
+    # X + X* = (lam^-1 - 1) 1 and the probed solve has no solution
+    space, xs = _census_images(SYMPLECTIC, 5)
+    empty = 0
+    for x in xs:
+        mu = multiplier_predicate(space)(x)
+        for lam in range(1, 9):
+            if lam % 3 and lam * lam % 9 != mu:
+                singular, sols = _check_branch(space, x, lam, written)
+                empty += not singular and not sols
+    assert empty
