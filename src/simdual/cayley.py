@@ -4,7 +4,8 @@ identity, and the complete image/fiber analysis.
 The map is c(X) = (1 - X/(1+alpha)) (1+X)^-1 with alpha = alpha(X); its
 multiplier is (1+alpha)^-2.  Its domain, the working domain everywhere, is
 cut out by two conditions, 1+alpha and det(1+X) regular (``in_domain``),
-and is stable under theta and Ad.  Every preimage the fiber analysis
+and is stable under theta and Ad; ``cayley`` decides the second through
+the inverse of 1+X it computes anyway.  Every preimage the fiber analysis
 returns lies in it.  Over truncated rings "nonzero" uniformly means
 "unit", and fibers are computed as exact affine solves so that they agree
 with exhaustive bucketing residue-for-residue.
@@ -15,14 +16,15 @@ fiber of g is the single point g - 1.
 Mod p^N the work runs on integer component tuples (the layout of
 ``mat_components``) through kernels derived once per space and kept in
 ``space.memo``: one integer Gauss-Jordan inverse for split and inert
-rings, and generated straight-line code for the product, the determinant
-(once per n) and the F-linear maps star, theta and iota, which are probed
-on unit vectors and compiled from their sparse rows; from these come the
-multiplier and alpha certificates and the Cayley map, which is None
-outside the domain.  A fiber branch where lambda + g is a unit is the
-closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse and one
-product; only a singular branch is written as an integer system for an
-affine solve.  Preimages are certified on integers; ``Mat``,
+rings, and generated straight-line code for the product (which also
+runs without a modulus on integer components, for ``lattices``), the
+determinant (once per n) and the F-linear maps star, theta and iota,
+which are probed on unit vectors and compiled from their sparse rows;
+from these come the multiplier and alpha certificates and the Cayley
+map, which is None outside the domain.  A fiber branch where lambda + g
+is a unit is the closed form X_lambda = (1 - g)(lambda + g)^-1 of one
+inverse and one product; only a singular branch is written as an integer
+system for an affine solve.  Preimages are certified on integers; ``Mat``,
 ``GroupElem`` and ``LieElem`` are decoded only where a public function
 returns one.
 """
@@ -35,7 +37,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .matrices import Mat
+from .matrices import Mat, NotInvertibleError
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
                      certify_lie, star)
@@ -80,7 +82,9 @@ def in_domain(X: LieElem) -> bool:
 
 
 def cayley(X: LieElem) -> GroupElem:
-    """c(X), certified with multiplier (1 + alpha)^-2."""
+    """c(X), certified with multiplier (1 + alpha)^-2.  Outside the
+    domain it raises DomainError: 1 + alpha is tested first, and
+    1 + X through the inverse that c(X) needs anyway."""
     space = X.space
     one = space.identity()
     if not space.has_form:
@@ -88,11 +92,15 @@ def cayley(X: LieElem) -> GroupElem:
         if not _mat_regular(g):
             raise DomainError("1 + X is singular")
         return GroupElem(space, g, space.ring.one)
-    if not in_domain(X):
+    one_plus_alpha = space.ring.one + X.alpha
+    if not _is_regular(one_plus_alpha):
         raise DomainError("X is outside the Cayley domain")
-    lam = (space.ring.one + X.alpha).inv()
-    g = (one - X.mat * lam) * (one + X.mat).inv()
-    return GroupElem(space, g, lam * lam)
+    try:
+        inv = (one + X.mat).inv()
+    except NotInvertibleError:
+        raise DomainError("X is outside the Cayley domain") from None
+    lam = one_plus_alpha.inv()
+    return GroupElem(space, (one - X.mat * lam) * inv, lam * lam)
 
 
 def x_lambda(g: GroupElem, lam: Scalar) -> LieElem:
@@ -468,14 +476,15 @@ def multiplier_predicate(space: Space):
 def product_kernel(space: Space):
     """``mul(x, y)``: the components of g h mod p^N, where g and h have
     components x and y (the layout of ``mat_components``), for split and
-    inert rings.  The product is generated once per space as one
-    straight-line expression over the unpacked components, which runs
-    several times faster than a loop over index lists.
+    inert rings; over an exact space the integer components of the
+    product of the integer matrices x and y, with no modulus.  The
+    product is generated once per space as one straight-line expression
+    over the unpacked components, which runs several times faster than a
+    loop over index lists.
     """
-    if space.ring.exact:
-        raise ValueError("the product kernel works mod p^N")
     ring = space.ring
-    n, M = space.n, ring.modulus
+    n = space.n
+    mod = "" if ring.exact else f" % {ring.modulus}"
     if ring.ext == INERT:
         def entry(v, i, j):              # (a, b) names of entry (i, j)
             k = 2 * (i * n + j)
@@ -489,12 +498,12 @@ def product_kernel(space: Space):
                 u = " + ".join(f"{xb}*{yb}" for (_, xb), (_, yb) in pairs)
                 b = " + ".join(f"{xa}*{yb} + {xb}*{ya}"
                                for (xa, xb), (ya, yb) in pairs)
-                terms += [f"({a} + {ring.u}*({u})) % {M}", f"({b}) % {M}"]
+                terms += [f"({a} + {ring.u}*({u})){mod}", f"({b}){mod}"]
         D = 2 * n * n
     else:
         terms = [" + ".join(f"x{i * n + k}*y{k * n + j}" for k in range(n))
                  for i in range(n) for j in range(n)]
-        terms = [f"({t}) % {M}" for t in terms]
+        terms = [f"({t}){mod}" for t in terms]
         D = n * n
     return _generated("x, y", [_unpack("x", D), _unpack("y", D)],
                       f"({', '.join(terms)},)")

@@ -4,7 +4,9 @@ The theta-symmetric conjugator search is
 ``decomposition.find_conjugator_mod``.
 
 The semilinear map h is stored by its matrix H with action v -> H tau(v),
-so h o h has the matrix H tau(H).
+so h o h has the matrix H tau(H).  Both thetas conjugate by H through
+H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1)), applied as the sparse entry map
+of ``spaces`` for the pair (tau(H), tau(H^-1)), derived once per space.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import Iterator
 
 from .matrices import Mat
 from .scalars import INERT, Ring
-from .spaces import GroupElem, LieElem, Space, SpaceError
+from .spaces import (GroupElem, LieElem, Space, SpaceError, _apply_tau,
+                     _entry_map)
 
 
 class AntiUnitaryError(ValueError):
@@ -58,14 +61,21 @@ def _failing_pair(lhs: Mat, target: Mat):
 # -- theta and iota ---------------------------------------------------
 
 
+def _tau_pair(space: Space) -> tuple:
+    """(tau(H), tau(H^-1)): H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1))."""
+    return space.H.tau(), space.Hinv.tau()
+
+
 def theta_group(g: GroupElem) -> GroupElem:
     """theta(g) = mu(g) H tau(g^-1) H^-1; transpose for general-linear."""
     space = g.space
     if not space.has_form:
         return GroupElem(space, g.mat.transpose(), g.mu)
-    H = space.H
-    mat = (H * g.mat.inv().tau() * space.Hinv) * g.mu
-    return GroupElem(space, mat, g.mu)
+    entries = _entry_map(space, "theta", lambda: _tau_pair(space))
+    mu = g.mu
+    rows = _apply_tau(space, entries, g.mat.inv())
+    return GroupElem(space, Mat._make(space.ring, tuple(
+        tuple(mu * x for x in row) for row in rows)), mu)
 
 
 def iota_group(g: GroupElem) -> GroupElem:
@@ -78,10 +88,13 @@ def theta_lie(X: LieElem) -> LieElem:
     space = X.space
     if not space.has_form:
         return LieElem(space, X.mat.transpose(), X.alpha)
-    H = space.H
-    mat = Mat.scalar_mat(space.ring, space.n, X.alpha) \
-        - H * X.mat.tau() * space.Hinv
-    return LieElem(space, mat, X.alpha)
+    entries = _entry_map(space, "minus-theta", lambda: _tau_pair(space),
+                         sign=-1)
+    alpha = X.alpha
+    rows = _apply_tau(space, entries, X.mat)
+    return LieElem(space, Mat._make(space.ring, tuple(
+        tuple(x + alpha if i == j else x for j, x in enumerate(row))
+        for i, row in enumerate(rows))), alpha)
 
 
 def is_theta_fixed(g: GroupElem) -> bool:

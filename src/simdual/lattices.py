@@ -5,10 +5,19 @@ the Cayley level-bijection checker.
 All lattices are full-rank o_F-modules presented by a basis matrix in a
 canonical Hermite form over the localization of the integers at p (pivots
 are powers of p, entries below a pivot reduced mod that pivot), so lattice
-equality is literal equality of normal forms.  Bases and operators are
-scalars and matrices of the exact split ring over p.  The o_E-structure
-of the vector-space lattice is tracked through the choice of
-F-coordinates but all computation happens over F.
+equality is literal equality of normal forms.  A basis is held on
+integers: its columns as integer tuples over one power of p, the least
+that clears every denominator.  An operator on Lie coordinates is an
+integer matrix over one positive denominator in lowest terms.  The
+Hermite form, the duals of an intersection (forward substitution on the
+triangular basis, with exact divisions), the image of a basis under an
+operator and the conjugation operators (the integer product kernel of
+``cayley`` on the integral Lie basis, then the integer coordinate
+solver) all run on Python integers; scalars of the exact split field
+appear only in the public views ``hnf_columns``, ``LatticeBasis.cols``
+and ``Operator.rows``.  The o_E-structure of the vector-space lattice is
+tracked through the choice of F-coordinates but all computation happens
+over F.
 """
 
 from __future__ import annotations
@@ -18,12 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, components_per_scalar,
                      comps_key, identity_comps, lie_alpha_kernel, lie_system,
                      linear_kernel, mat_from_components, mat_numerators,
-                     matrix_system, multiplier_predicate)
+                     matrix_system, multiplier_predicate, product_kernel)
 from .involution import theta_lie
 from .matrices import Mat
 from .scalars import Ring, Scalar, val_int
@@ -40,8 +50,8 @@ class LatticeError(ValueError):
 
 @lru_cache(maxsize=None)
 def _field(p: int) -> Ring:
-    """The exact split ring F, one object per p, so that the scalars and
-    matrices of every lattice take the same-ring arithmetic paths."""
+    """The exact split ring F, one object per p, so that the scalars of
+    every view take the same-ring arithmetic paths."""
     return Ring(p)
 
 
@@ -54,22 +64,21 @@ def _over_one_denominator(xs) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def hnf_columns(p: int, dim: int, cols) -> tuple:
-    """Canonical Hermite form over Z_(p) of the column span of ``cols``.
+def _hnf(p: int, dim: int, cols, den: int) -> tuple[tuple, int]:
+    """Canonical Hermite form over Z_(p) of the column span of the integer
+    columns ``cols`` over the positive denominator ``den``: (columns, e)
+    with integer columns over e, a power of p, the least one.  The columns
+    are lower triangular, with a power of p on the diagonal and entries
+    below a pivot in [0, pivot).  Requires the columns to span the full
+    space.
 
-    Returns a tuple of dim column tuples of scalars of the split field:
-    lower triangular, diagonal a power of p, entries below a pivot in
-    [0, pivot) and in Z[1/p].  Requires the columns to span the full space.
-
-    All columns go over one denominator p^s w, w prime to p; dropping the
-    unit w leaves the span alone.  The integer columns triangularize over Z.
-    The p-part p^K of their pivot product is the index of their Z_(p)-span,
-    which therefore contains p^K Z^dim: so each pivot becomes its p-part by
-    a unit scaling mod p^K, and then the entries below the pivots reduce.
+    The unit part w of den = p^s w is dropped, which leaves the span
+    alone.  The integer columns triangularize over Z.  The p-part p^K of
+    their pivot product is the index of their Z_(p)-span, which therefore
+    contains p^K Z^dim: so each pivot becomes its p-part by a unit scaling
+    mod p^K, and then the entries below the pivots reduce.
     """
-    nums, den = _over_one_denominator([x for col in cols for x in col])
-    basis = modsolve.subgroup_basis(
-        [nums[i:i + dim] for i in range(0, len(nums), dim)], dim, 0)
+    basis = modsolve.subgroup_basis([list(c) for c in cols], dim, 0)
     if len(basis) < dim:
         raise LatticeError("columns do not span the full space")
     pivots = [p**val_int(col[i], p) for i, col in enumerate(basis)]
@@ -85,45 +94,114 @@ def hnf_columns(p: int, dim: int, cols) -> tuple:
             if q:
                 for r in range(i, dim):
                     col[r] -= q * basis[i][r]
-    ring, den = _field(p), p**val_int(den, p)
-    return tuple(tuple(ring.ratio(x, 0, den) for x in col) for col in basis)
+    den = p**val_int(den, p)
+    g = math.gcd(den, *(x for col in basis for x in col))
+    return tuple(tuple(x // g for x in col) for col in basis), den // g
+
+
+def hnf_columns(p: int, dim: int, cols) -> tuple:
+    """Canonical Hermite form over Z_(p) of the column span of the
+    rational columns ``cols`` (ints, Fractions or scalars of the split
+    field), as a tuple of dim column tuples of scalars of the split field
+    with entries in Z[1/p]; see ``_hnf``."""
+    return LatticeBasis.from_columns(p, dim, cols).cols
+
+
+def _dual_rows(cols, den: int) -> tuple[list, int]:
+    """The rows of B^-1 for the basis matrix B with the lower-triangular
+    integer columns ``cols`` over ``den``, as integer rows over one
+    denominator.  With T the integer matrix of B and P the product of its
+    pivots, P T^-1 is integral, and forward substitution finds it column
+    by column with exact divisions; then B^-1 = (den / P) (P T^-1)."""
+    dim = len(cols)
+    P = math.prod(col[i] for i, col in enumerate(cols))
+    inv_cols = []
+    for k in range(dim):
+        z = [0] * dim
+        for i in range(k, dim):
+            rest = (P if i == k else 0) - sum(cols[j][i] * z[j]
+                                              for j in range(k, i))
+            z[i], r = divmod(rest, cols[i][i])
+            if r:
+                raise LatticeError("inexact division: the basis is not "
+                                   "lower triangular")
+        inv_cols.append(z)
+    return [[col[i] * den for col in inv_cols] for i in range(dim)], P
+
+
+@dataclass(frozen=True)
+class Operator:
+    """An F-linear operator on Lie coordinates: the integer matrix ``nums``
+    (a tuple of rows) over the denominator ``den`` > 0, in lowest terms,
+    so that equal operators have equal fields."""
+
+    nums: tuple
+    den: int
+
+    @staticmethod
+    def from_columns(cols, den: int) -> "Operator":
+        """The operator with the integer columns ``cols`` over ``den``."""
+        g = math.gcd(den, *(x for col in cols for x in col))
+        return Operator(tuple(tuple(x // g for x in row)
+                              for row in zip(*cols)), den // g)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(Fraction(x, self.den) for x in row)
+                     for row in self.nums)
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A full o_F-lattice in an F-space, in canonical Hermite form."""
+    """A full o_F-lattice in an F-space, in canonical Hermite form: the
+    integer columns ``nums`` over ``den``, the least power of p that makes
+    them integral (``_hnf``)."""
 
     p: int
     dim: int
-    cols: tuple
+    nums: tuple
+    den: int
 
     @staticmethod
     def from_columns(p: int, dim: int, cols) -> "LatticeBasis":
-        return LatticeBasis(p, dim, hnf_columns(p, dim, cols))
+        """The lattice spanned by the rational columns ``cols``."""
+        flat, den = _over_one_denominator([x for col in cols for x in col])
+        return LatticeBasis(p, dim, *_hnf(
+            p, dim, [flat[i:i + dim] for i in range(0, len(flat), dim)], den))
 
     @staticmethod
     def standard(p: int, dim: int) -> "LatticeBasis":
-        return LatticeBasis(p, dim, Mat.identity(_field(p), dim).rows)
+        return LatticeBasis(p, dim, tuple(
+            tuple(int(i == j) for i in range(dim)) for j in range(dim)), 1)
 
-    def _basis(self) -> Mat:
-        """The matrix whose columns are the basis vectors."""
-        return Mat._make(_field(self.p), tuple(zip(*self.cols)))
+    @property
+    def cols(self) -> tuple:
+        """The basis columns as scalars of the split field."""
+        ring, den = _field(self.p), self.den
+        return tuple(tuple(ring.ratio(x, 0, den) for x in col)
+                     for col in self.nums)
 
-    def transform(self, T: Mat) -> "LatticeBasis":
+    def transform(self, T: Operator) -> "LatticeBasis":
         """Image under an invertible F-linear operator T."""
-        return LatticeBasis.from_columns(
-            self.p, self.dim, (T * self._basis()).transpose().rows)
+        cols = [[sum(a * x for a, x in zip(row, col)) for row in T.nums]
+                for col in self.nums]
+        return LatticeBasis(self.p, self.dim, *_hnf(
+            self.p, self.dim, cols, T.den * self.den))
 
     def intersect(self, other: "LatticeBasis") -> "LatticeBasis":
         """The dual of the sum of the duals: the rows of B^-1 span the dual
         of the lattice with basis matrix B."""
         if (self.p, self.dim) != (other.p, other.dim):
             raise LatticeError("incompatible lattices")
-        sum_dual = LatticeBasis.from_columns(
-            self.p, self.dim,
-            self._basis().inv().rows + other._basis().inv().rows)
-        return LatticeBasis.from_columns(self.p, self.dim,
-                                         sum_dual._basis().inv().rows)
+        (rows_a, da), (rows_b, db) = (_dual_rows(self.nums, self.den),
+                                      _dual_rows(other.nums, other.den))
+        den = math.lcm(da, db)
+        rows = ([[x * (den // da) for x in row] for row in rows_a]
+                + [[x * (den // db) for x in row] for row in rows_b])
+        sum_dual = _hnf(self.p, self.dim, rows, den)
+        return LatticeBasis(self.p, self.dim, *_hnf(
+            self.p, self.dim, *_dual_rows(*sum_dual)))
 
 
 # -- Lie-algebra coordinates ------------------------------------------
@@ -152,7 +230,8 @@ class LieCoords:
             comps, den = mat_numerators(space, B)
             if den != 1:
                 raise LatticeError("coordinate basis is not integral")
-            cols.append(comps)
+            cols.append(tuple(comps))
+        self._basis_comps = cols
         self._M = [[col[i] for col in cols] for i in range(self.m0)]
         self._solver = self._build_solver()
 
@@ -192,15 +271,27 @@ class LieCoords:
         return [[sum(v * r[k] for v, r in zip(V[i], rows))
                  for k in range(self.m0)] for i in range(self.m)], den
 
-    def to_coords(self, X: Mat):
-        flat, den = mat_numerators(self.space, X)
+    def _coords(self, flat, den: int) -> tuple[list, int]:
+        """The coordinates of the matrix with integer components ``flat``
+        over ``den``, as integers over one denominator; LatticeError when
+        the matrix is not in the Lie algebra."""
         solve, solve_den = self._solver
-        c = [sum(a * x for a, x in zip(row, flat)) for row in solve]
+        c = [sum(map(mul, row, flat)) for row in solve]
         # c / (solve_den * den) are the coordinates; check that they give X
         for row, x in zip(self._M, flat):
-            if sum(a * y for a, y in zip(row, c)) != x * solve_den:
+            if sum(map(mul, row, c)) != x * solve_den:
                 raise LatticeError("matrix is not in the Lie algebra")
-        den *= solve_den
+        return c, den * solve_den
+
+    def _columns(self, images) -> tuple[list, int]:
+        """The coordinates of each (integer components, denominator) pair
+        of ``images``, as integer columns over one denominator."""
+        cols = [self._coords(flat, den) for flat, den in images]
+        den = math.lcm(*(d for _, d in cols))
+        return [[x * (den // d) for x in c] for c, d in cols], den
+
+    def to_coords(self, X: Mat):
+        c, den = self._coords(*mat_numerators(self.space, X))
         return [Fraction(x, den) for x in c]
 
     def from_coords(self, c) -> Mat:
@@ -208,13 +299,13 @@ class LieCoords:
         flat = [sum(a * x for a, x in zip(row, nums)) for row in self._M]
         return mat_from_components(self.space, flat, den)
 
-    def operator_matrix(self, f) -> Mat:
+    def operator_matrix(self, f) -> Operator:
         """The F-linear operator X -> f(X) in these coordinates."""
-        return Mat(_field(self.space.ring.p),
-                   [self.to_coords(f(B)) for B in self.basis]).transpose()
+        return Operator.from_columns(*self._columns(
+            mat_numerators(self.space, f(B)) for B in self.basis))
 
     @cached_property
-    def theta(self) -> Mat:
+    def theta(self) -> Operator:
         """theta on the Lie algebra in these coordinates, built on first
         use and kept."""
         return self.operator_matrix(
@@ -286,16 +377,33 @@ def _check_h_stable(space: Space):
 # -- lattice operations in Lie coordinates ----------------------------
 
 
-def ad_operator(coords: LieCoords, x: Mat):
-    xinv = x.inv()
-    return coords.operator_matrix(lambda B: x * B * xinv)
+def _conjugation(coords: LieCoords, x: Mat, xinv: Mat) -> tuple[list, int]:
+    """The columns of the operator B -> x B xinv, for xinv the inverse of
+    x, as integers over one denominator: every product runs on the
+    integer components of the integral basis with the exact
+    ``product_kernel``, and the integer coordinate solver checks that each
+    image is in the Lie algebra."""
+    space = coords.space
+    prod = product_kernel(space)
+    left, dl = mat_numerators(space, x)
+    right, dr = mat_numerators(space, xinv)
+    den = dl * dr
+    return coords._columns((prod(prod(left, B), right), den)
+                           for B in coords._basis_comps)
+
+
+def ad_operator(coords: LieCoords, x: Mat) -> Operator:
+    """Ad(x): B -> x B x^-1 in the coordinates ``coords``."""
+    return Operator.from_columns(*_conjugation(coords, x, x.inv()))
 
 
 def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
-    """The intersection lattice Ad(x^-1) L meet L."""
-    base = coords.standard_lattice()
-    T = ad_operator(coords, x.inv())
-    return base.transform(T).intersect(base)
+    """The intersection lattice Ad(x^-1) L meet L, with one inverse of x:
+    the image of the standard lattice L under Ad(x^-1) is spanned by the
+    columns of that operator."""
+    p, m = coords.space.ring.p, coords.m
+    image = LatticeBasis(p, m, *_hnf(p, m, *_conjugation(coords, x.inv(), x)))
+    return image.intersect(coords.standard_lattice())
 
 
 # -- congruence levels ------------------------------------------------

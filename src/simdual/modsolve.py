@@ -16,8 +16,7 @@ slowest.  ``iter_affine_mod`` yields it lazily; ``solve_affine_mod``,
 
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and of
-``span_coset_mod``, and, over Z, the lattice Hermite forms of
-``lattices.hnf_columns``.  ``smith`` also serves the Lie coordinates of
+``span_coset_mod``, and, over Z, the Hermite forms of ``lattices``.  ``smith`` also serves the Lie coordinates of
 ``lattices``, which work over Z.
 
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny

@@ -6,6 +6,13 @@ The form convention is <u, v> = u^T J tau(v) (linear in the first slot),
 which pins down all matrix formulas: star(a) = tau(J^-1 a^T J), group
 membership g star(g) = mu * 1, Lie membership X + star(X) = alpha * 1.
 
+Maps of the shape a -> tau(P a Q) or tau(P a^T Q) for a fixed pair
+(P, Q) of the space, star and the two thetas of ``involution``, run as
+sparse entry maps: entry (i, j) of the image is tau(sum c a_kl) over the
+coefficients c = P_ik Q_lj != 0 (a_lk with the transpose), derived once
+per space and kept in ``Space.memo``.  That holds for any J, monomial or
+not, and costs a few scalar products instead of two matrix products.
+
 The "general-linear" family carries no form; its anti-involution is the
 transpose, membership is just invertibility (mu = 1) resp. anything
 (alpha = 0).
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .matrices import Mat
-from .scalars import INERT, SPLIT, Ring, Scalar
+from .scalars import INERT, SPLIT, Ring, Scalar, dot
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -73,6 +80,11 @@ class Space:
         return Space(self.family, self.n, ring, self.eps, J, H)
 
     def identity(self) -> Mat:
+        """The identity matrix, built once per space."""
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> Mat:
         return Mat.identity(self.ring, self.n)
 
 
@@ -137,11 +149,60 @@ def validate_space(J: Mat, eps: int, ring: Ring, family: str | None = None,
     return space
 
 
+def _entry_map(space: Space, name: str, pair, transpose: bool = False,
+               sign: int = 1) -> tuple:
+    """The map a -> sign * P a Q (P a^T Q with ``transpose``), for the
+    matrices (P, Q) = ``pair()``, as sparse rows kept in ``space.memo``
+    under ``name``.  Entry (i, j) of the image is a pair (c, source): for
+    one term with coefficient +-1 the int c and the source (k, l) of the
+    entry of a ((l, k) with the transpose), else the tuples of the nonzero
+    coefficients sign * P_ik Q_lj and of their sources."""
+    if name not in space.memo:
+        n, one = space.n, space.ring.one
+        P, Q = pair()
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                terms = [(P[i, k] * Q[l, j] * sign, (l, k) if transpose
+                          else (k, l))
+                         for k in range(n) if P[i, k]
+                         for l in range(n) if Q[l, j]]
+                if len(terms) == 1 and terms[0][0] in (one, -one):
+                    c, src = terms[0]
+                    row.append((1 if c == one else -1, src))
+                else:
+                    row.append((tuple(c for c, _ in terms),
+                                tuple(src for _, src in terms)))
+            rows.append(tuple(row))
+        space.memo[name] = tuple(rows)
+    return space.memo[name]
+
+
+def _apply_tau(space: Space, entries: tuple, a: Mat) -> tuple:
+    """The rows of tau(a') for the image a' of ``a`` under the entry map
+    ``entries`` of ``_entry_map``."""
+    ring, rows = space.ring, a.rows
+    out = []
+    for entry_row in entries:
+        row = []
+        for c, src in entry_row:
+            if c.__class__ is int:
+                k, l = src
+                x = rows[k][l] if c == 1 else -rows[k][l]
+            else:
+                x = dot(ring, c, [rows[k][l] for k, l in src])
+            row.append(x.tau())
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def star(space: Space, a: Mat) -> Mat:
     """The adjoint anti-involution a* = tau(J^-1 a^T J)."""
     if not space.has_form:
         raise SpaceError("general-linear family has no star; theta is transpose")
-    return (space.Jinv * a.transpose() * space.J).tau()
+    entries = _entry_map(space, "star", lambda: (space.Jinv, space.J), True)
+    return Mat._make(space.ring, _apply_tau(space, entries, a))
 
 
 def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:

@@ -58,6 +58,33 @@ def test_cayley_domain_errors():
         cayley(bad)
 
 
+@pytest.mark.parametrize("space", [SYMPL, SYMPL9], ids=["exact", "mod9"])
+@pytest.mark.parametrize("rows", [
+    [[-1, 1], [1, 0]],     # 1 + alpha = 0, 1 + X regular (det -1)
+    [[0, 1], [1, 0]],      # 1 + alpha = 1, 1 + X singular
+    [[-1, 0], [0, -1]],    # 1 + alpha = -1, 1 + X = 0
+], ids=["alpha", "one-plus-x", "both-fail-one-plus-x"])
+def test_cayley_outside_the_domain_raises_domain_error(space, rows):
+    # cayley tests 1 + alpha itself and 1 + X through its inverse: either
+    # failure is a DomainError, never NotInvertibleError or
+    # ZeroDivisionError
+    X = lie(space, rows)
+    assert not in_domain(X)
+    with pytest.raises(DomainError):
+        cayley(X)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 0]],      # 1 + alpha = 3, not a unit; det(1 + X) = 2
+    [[0, 1], [4, 0]],      # 1 + alpha = 1; det(1 + X) = -3, not a unit
+], ids=["alpha", "one-plus-x"])
+def test_cayley_mod9_needs_units_not_nonzero(rows):
+    X = lie(SYMPL9, rows)
+    assert not in_domain(X)
+    with pytest.raises(DomainError):
+        cayley(X)
+
+
 def test_domain_containment():
     # in_domain tests two conditions; written out with the third, the
     # pinned verdicts agree (for 2x2 with alpha = trace both singularity

@@ -1,14 +1,20 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from simdual.decomposition import find_conjugator_mod
+from simdual.finite import OMINUS, OPLUS, finite_space
 from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
                                 enumerate_matrices, iota_group,
                                 is_theta_fixed, theta_group, theta_lie,
                                 validate_anti_unitary)
 from simdual.matrices import Mat
 from simdual.scalars import INERT, SPLIT, Ring
-from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
-                            certify_group, certify_lie, standard_space)
+from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
+                            SKEW_HERMITIAN, SYMPLECTIC, GroupElem, LieElem,
+                            SpaceError, certify_group, certify_lie,
+                            standard_space, star, validate_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 HERM = standard_space(HERMITIAN, 2, Ring(3, INERT))
@@ -94,3 +100,101 @@ def test_conjugator_exhaustion_raises():
     with pytest.raises(ConjugatorNotFound) as info:
         find_conjugator_mod(a, max_candidates=0)
     assert info.value.tried == 0
+
+
+# -- the entry maps of star and theta against their matrix formulas ----
+
+
+def _entry_map_spaces():
+    """All five families at p = 3, exact and mod 9, the finite o+ and o-
+    spaces at q = 5, and an orthogonal form with a J that is not monomial
+    (every entry of star and theta a sum of several terms), exact and
+    mod 9."""
+    spaces = []
+    for family in FAMILIES:
+        ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
+        space = standard_space(family, 2, Ring(3, ext))
+        spaces += [pytest.param(space, id=f"{family}-exact"),
+                   pytest.param(space.truncated(2), id=f"{family}-mod9")]
+    spaces += [pytest.param(finite_space(family, 2, 5)[0], id=f"{family}-F5")
+               for family in (OPLUS, OMINUS)]
+    ring = Ring(3, SPLIT)
+    dense = validate_space(Mat(ring, [[2, 1], [1, 1]]), +1, ring,
+                           H=Mat.identity(ring, 2))
+    return spaces + [pytest.param(dense, id="dense-J-exact"),
+                     pytest.param(dense.truncated(2), id="dense-J-mod9")]
+
+
+ENTRY_MAP_SPACES = _entry_map_spaces()
+
+
+def _random_scalar(ring, rng):
+    if ring.exact:
+        def part():
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 9)))
+    else:
+        def part():
+            return rng.randrange(ring.modulus)
+    b = part() if ring.ext == INERT else 0
+    return ring.scalar(part(), b)
+
+
+def _random_matrices(space, rng, count=25, invertible=False):
+    out = []
+    while len(out) < count:
+        m = Mat(space.ring, [[_random_scalar(space.ring, rng)
+                              for _ in range(space.n)]
+                             for _ in range(space.n)])
+        if not invertible or m.is_invertible():
+            out.append(m)
+    return out
+
+
+def _star_formula(space, a):
+    return (space.Jinv * a.transpose() * space.J).tau()
+
+
+def _theta_group_formula(g):
+    space = g.space
+    return (space.H * g.mat.inv().tau() * space.Hinv) * g.mu
+
+
+def _theta_lie_formula(X):
+    space = X.space
+    return Mat.scalar_mat(space.ring, space.n, X.alpha) \
+        - space.H * X.mat.tau() * space.Hinv
+
+
+@pytest.mark.parametrize("space", ENTRY_MAP_SPACES)
+def test_star_entry_map_is_the_matrix_formula(space):
+    rng = random.Random(19)
+    if not space.has_form:
+        with pytest.raises(SpaceError):
+            star(space, space.identity())
+        return
+    for a in _random_matrices(space, rng):
+        assert star(space, a) == _star_formula(space, a)
+
+
+@pytest.mark.parametrize("space", ENTRY_MAP_SPACES)
+def test_theta_group_entry_map_is_the_matrix_formula(space):
+    # the formula holds for any invertible g and any scalar mu
+    rng = random.Random(23)
+    for g in _random_matrices(space, rng, invertible=True):
+        mu = _random_scalar(space.ring, rng)
+        x = GroupElem(space, g, mu)
+        want = _theta_group_formula(x) if space.has_form else g.transpose()
+        assert theta_group(x).mat == want
+        assert theta_group(x).mu == mu
+
+
+@pytest.mark.parametrize("space", ENTRY_MAP_SPACES)
+def test_theta_lie_entry_map_is_the_matrix_formula(space):
+    # the formula holds for any X and any scalar alpha
+    rng = random.Random(29)
+    for X in _random_matrices(space, rng):
+        alpha = _random_scalar(space.ring, rng)
+        Y = LieElem(space, X, alpha)
+        want = _theta_lie_formula(Y) if space.has_form else X.transpose()
+        assert theta_lie(Y).mat == want
+        assert theta_lie(Y).alpha == alpha

@@ -11,9 +11,9 @@ from simdual.cayley import (cayley, components_per_scalar, in_domain,
                             linear_kernel, mat_from_components)
 from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeBudgetError, LatticeError,
-                              _check_h_stable, _congruence_scan, ad_operator,
-                              check_cayley_level, hnf_columns, lattice_of_x,
-                              standard_lattices)
+                              _check_h_stable, _congruence_scan, _dual_rows,
+                              ad_operator, check_cayley_level, hnf_columns,
+                              lattice_of_x, standard_lattices)
 from simdual.matrices import Mat
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
@@ -332,3 +332,75 @@ def test_coordinate_kernel_is_the_coordinate_matrix():
         assert to_comps(v) == tuple(sum(a * x for a, x in zip(row, v)) % 27
                                     for row in coords._M)
     assert linear_kernel([[]], 27, width=0)(()) == (0,)
+
+
+# -- the integer lattice maps against their matrix formulas ------------
+
+
+def _inverse_rows(lat):
+    """The rows of B^-1 for the basis matrix B of ``lat``, by Mat.inv."""
+    return Mat(Ring(lat.p), list(zip(*lat.cols))).inv().rows
+
+
+def _meet_by_inverses(a, b):
+    """a meet b as the dual of the sum of the duals, each dual the rows
+    of a Mat.inv."""
+    sum_dual = LatticeBasis.from_columns(
+        a.p, a.dim, _inverse_rows(a) + _inverse_rows(b))
+    return LatticeBasis.from_columns(a.p, a.dim, _inverse_rows(sum_dual))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_integer_dual_is_the_inverse_rows(p):
+    rng = make_rng(p)
+    checked = 0
+    while checked < 60:
+        dim = rng.randint(1, 5)
+        cols = [[Fraction(rng.randint(-30, 30), rng.choice([1, 2, p, p * p]))
+                 for _ in range(dim)] for _ in range(dim + rng.randint(0, 2))]
+        if not Mat(Ring(p), list(zip(*cols[:dim]))).det():
+            continue
+        lat = LatticeBasis.from_columns(p, dim, cols)
+        rows, den = _dual_rows(lat.nums, lat.den)
+        assert [[Fraction(x, den) for x in row] for row in rows] \
+            == [[x.a for x in row] for row in _inverse_rows(lat)]
+        checked += 1
+
+
+FIVE_FAMILIES = [(ORTHOGONAL, SPLIT), (SYMPLECTIC, SPLIT), (HERMITIAN, INERT),
+                 (SKEW_HERMITIAN, INERT), (GENERAL_LINEAR, SPLIT)]
+
+
+@pytest.mark.parametrize("family, ext", FIVE_FAMILIES)
+def test_ad_operator_is_the_operator_matrix(family, ext):
+    std = standard_lattices(standard_space(family, 2, Ring(3, ext)))
+    rng = make_rng(19)
+    for coords in (std.gu_coords, std.u_coords):
+        for _ in range(15):
+            x = sample_group(std, rng).mat
+            xinv = x.inv()
+            assert ad_operator(coords, x) \
+                == coords.operator_matrix(lambda B: x * B * xinv)
+
+
+@pytest.mark.parametrize("family, ext", FIVE_FAMILIES)
+def test_lattice_of_x_is_the_meet_by_inverses(family, ext):
+    std = standard_lattices(standard_space(family, 2, Ring(3, ext)))
+    coords, base = std.gu_coords, std.Ldot
+    rng = make_rng(23)
+    for _ in range(15):
+        x = sample_group(std, rng, factors=3).mat
+        xinv = x.inv()
+        image = base.transform(coords.operator_matrix(lambda B: xinv * B * x))
+        assert lattice_of_x(coords, x) == _meet_by_inverses(image, base)
+
+
+def test_coordinate_solver_rejects_matrices_outside_the_lie_algebra():
+    # the integer solver checks M c = den t, so an off-algebra matrix, or a
+    # conjugation by a non-similitude, raises instead of being projected
+    std = standard_lattices(standard_space(ORTHOGONAL, 2, Ring(3, SPLIT)))
+    ring = std.space.ring
+    with pytest.raises(LatticeError, match="not in the Lie algebra"):
+        std.gu_coords.to_coords(Mat(ring, [[0, 1], [0, 0]]))
+    with pytest.raises(LatticeError, match="not in the Lie algebra"):
+        ad_operator(std.gu_coords, Mat(ring, [[1, 1], [0, 1]]))
