@@ -744,11 +744,7 @@ def _lie_components(space: Space, limit) -> list:
         raise ValueError("cannot enumerate an exact Lie algebra")
     D = space.n * space.n * components_per_scalar(space)
     if not space.has_form:
-        M = ring.modulus
-        if M**D > limit:
-            raise modsolve.SolveBudgetError(
-                f"Lie enumeration of {M**D} elements exceeds limit {limit}")
-        return list(itertools.product(range(M), repeat=D))
+        return list(modsolve.residues(D, ring.modulus, limit))
     sols = modsolve.kernel_mod(lie_system(space), ring.p, ring.prec, limit)
     return sorted(comps[:D] for comps in sols)
 

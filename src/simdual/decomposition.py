@@ -20,9 +20,10 @@ anti-automorphism and mu(k) = 1.  So one solve per orbit of C under these
 conjugations suffices; every carried conjugator is re-checked.
 
 Members are held as integer component tuples mod p^N (the layout of
-``cayley.mat_components``): the subgroup comes from
-``LieCoords.cayley_images``, and products, inverses, theta and the
-multiplier from the kernels of ``cayley``.  ``CosetSet.members`` decodes a
+``cayley.mat_components``): the subgroup c(p^l0 Ldot) comes from
+``lattices.level_images``, as Ldot is the identity basis of the Lie
+coordinates, and products, inverses, theta and the multiplier from the
+kernels of ``cayley``.  ``CosetSet.members`` decodes a
 ``GroupElem`` on access.
 
 The conjugator search exploits that for an isometry x the two conditions
@@ -41,7 +42,7 @@ from .cayley import (Members, inverse_kernel, linear_system, mat_components,
                      mat_from_components, multiplier_predicate,
                      product_kernel, theta_kernel)
 from .involution import ConjugatorNotFound, theta_group
-from .lattices import StandardLattices
+from .lattices import StandardLattices, level_images
 from .matrices import Mat
 from .spaces import GroupElem, Space, certify_group, similitude_multiplier
 
@@ -60,23 +61,22 @@ def cayley_image_members(std: StandardLattices, level: int, N: int,
 
     For level >= 1 every point is in the working domain, and the image is
     a subgroup of the similitude group mod p^N.  It is built once per
-    (level, N, limit) and kept in ``std.space.memo``.
+    (level, N, limit) and kept in ``std.space.memo``.  The Cayley map is
+    a bijection at level >= 1, so a residue hit twice raises
+    DecompositionError.
     """
-    coords = std.gu_coords
-    space = coords.space
-    p = space.ring.p
-    if level < 1:
-        raise DecompositionError("need level >= 1")
+    space = std.space
     memo_key = ("cayley-image-members", level, N, limit)
     if memo_key in space.memo:
         return space.memo[memo_key]
-    gens = [[int(x.a * p**level) for x in col] for col in std.Ldot.cols]
-    coeff_vectors = modsolve.span_coset_mod([0] * coords.m, gens, p, N, limit)
-    st = space.truncated(N)
-    seen = {comps: mu for comps, mu, _ in
-            coords.cayley_images(st, coeff_vectors)}
+    seen = {}
+    for comps, mu, _ in level_images(std.gu_coords, level, N, limit):
+        if comps in seen:
+            raise DecompositionError("the Cayley image repeats a residue")
+        seen[comps] = mu
     comps = sorted(seen)
-    space.memo[memo_key] = Members(st, comps, [seen[x] for x in comps])
+    space.memo[memo_key] = Members(space.truncated(N), comps,
+                                   [seen[x] for x in comps])
     return space.memo[memo_key]
 
 

@@ -41,6 +41,7 @@ from .cayley import (Members, identity_comps, inverse_kernel, iota_kernel,
                      theta_kernel)
 from .involution import enumerate_matrices, iota_group
 from .matrices import Mat
+from .modsolve import SolveBudgetError
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL, SYMPLECTIC,
                      Space, standard_space, validate_space)
@@ -57,10 +58,6 @@ FINITE_FAMILIES = (SP, GSP, UNITARY, GUNITARY, OPLUS, OMINUS, GL)
 
 
 class FiniteGroupError(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -147,21 +144,20 @@ class FiniteGroupTable:
 def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
                 scan_budget: int = 10**7) -> FiniteGroupTable:
     """Enumerate the group, attach inverse, iota and the generators'
-    right-multiplication tables, and verify the table invariants."""
+    right-multiplication tables, and verify the table invariants.  A scan
+    of more than ``scan_budget`` matrices, or a group of more than
+    ``order_budget`` elements, raises ``modsolve.SolveBudgetError``."""
     space, similitude = finite_space(family, n, q)
-    scan = scan_size(family, n, q)
-    if scan > scan_budget:
-        raise BudgetExceeded(f"matrix scan of {scan} exceeds {scan_budget}")
     mu_of = multiplier_predicate(space)
     comps, mus = [], []
-    for x in enumerate_matrices(space.ring, n):
+    for x in enumerate_matrices(space.ring, n, scan_budget):
         mu = mu_of(x)
         if mu is None or (mu != 1 and not similitude):
             continue
         comps.append(x)
         mus.append(mu)
         if len(comps) > order_budget:
-            raise BudgetExceeded(f"group order exceeds {order_budget}")
+            raise SolveBudgetError(f"group order exceeds {order_budget}")
     index = {x: i for i, x in enumerate(comps)}
     gens, right, inverse = _generators(space, comps, mus, index)
     if space.has_form:

@@ -11,10 +11,10 @@ of ``spaces`` for the pair (tau(H), tau(H^-1)), derived once per space.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 from .matrices import Mat
+from .modsolve import residues
 from .scalars import INERT, Ring
 from .spaces import (GroupElem, LieElem, Space, SpaceError, _apply_tau,
                      _entry_map)
@@ -104,9 +104,10 @@ def is_theta_fixed(g: GroupElem) -> bool:
 # -- enumeration helpers ----------------------------------------------
 
 
-def enumerate_matrices(ring: Ring, n: int) -> Iterator[tuple]:
+def enumerate_matrices(ring: Ring, n: int, limit: int) -> Iterator[tuple]:
     """All n x n matrices over a truncated ring, as component tuples in
     the layout of ``cayley.mat_components``, in canonical order (that of
-    ``Mat.key()``)."""
+    ``Mat.key()``); SolveBudgetError before the first one when there are
+    more than ``limit``."""
     d = 2 if ring.ext == INERT else 1
-    yield from product(range(ring.modulus), repeat=n * n * d)
+    yield from residues(n * n * d, ring.modulus, limit)

@@ -14,15 +14,15 @@ triangular basis, with exact divisions), the image of a basis under an
 operator and the conjugation operators (the integer product kernel of
 ``cayley`` on the integral Lie basis, then the integer coordinate
 solver) all run on Python integers; scalars of the exact split field
-appear only in the public views ``hnf_columns``, ``LatticeBasis.cols``
-and ``Operator.rows``.  The o_E-structure of the vector-space lattice is
-tracked through the choice of F-coordinates but all computation happens
-over F.
+appear only in the public views ``LatticeBasis.cols`` and
+``Operator.rows``.  ``level_images`` is the one enumeration of c(p^k L)
+mod p^N: the level check and the subgroup K of ``decomposition`` both
+run on it.  The o_E-structure of the vector-space lattice is tracked
+through the choice of F-coordinates but all computation happens over F.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,10 +38,6 @@ from .involution import theta_lie
 from .matrices import Mat
 from .scalars import Ring, Scalar, val_int
 from .spaces import Space, certify_lie
-
-
-class LatticeBudgetError(RuntimeError):
-    pass
 
 
 class LatticeError(ValueError):
@@ -97,14 +93,6 @@ def _hnf(p: int, dim: int, cols, den: int) -> tuple[tuple, int]:
     den = p**val_int(den, p)
     g = math.gcd(den, *(x for col in basis for x in col))
     return tuple(tuple(x // g for x in col) for col in basis), den // g
-
-
-def hnf_columns(p: int, dim: int, cols) -> tuple:
-    """Canonical Hermite form over Z_(p) of the column span of the
-    rational columns ``cols`` (ints, Fractions or scalars of the split
-    field), as a tuple of dim column tuples of scalars of the split field
-    with entries in Z[1/p]; see ``_hnf``."""
-    return LatticeBasis.from_columns(p, dim, cols).cols
 
 
 def _dual_rows(cols, den: int) -> tuple[list, int]:
@@ -409,12 +397,20 @@ def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
 # -- congruence levels ------------------------------------------------
 
 
-def _coefficient_tuples(count, modulus, budget):
-    total = modulus**count
-    if total > budget:
-        raise LatticeBudgetError(
-            f"enumeration of {total} residues exceeds budget {budget}")
-    return itertools.product(range(modulus), repeat=count)
+def level_images(coords: LieCoords, k: int, N: int, budget: int):
+    """(components, mu, alpha) of c(p^k X) mod p^N for the X with integer
+    coordinates v, for every v of ``modsolve.residues(m, p^(N-k))`` in
+    its lexicographic order: c(p^k L) mod p^N, L the integral lattice of
+    ``coords`` (``LieCoords.cayley_images``).  LatticeError unless
+    1 <= k < N; SolveBudgetError, on the call, for more than ``budget``
+    vectors."""
+    if not (1 <= k < N):
+        raise LatticeError("need 1 <= k < N")
+    space = coords.space
+    pk = space.ring.p**k
+    vectors = ([c * pk for c in v] for v in
+               modsolve.residues(coords.m, space.ring.p**(N - k), budget))
+    return coords.cayley_images(space.truncated(N), vectors)
 
 
 def _congruence_scan(space: Space, k: int, N: int, budget: int):
@@ -424,7 +420,7 @@ def _congruence_scan(space: Space, k: int, N: int, budget: int):
     The budget applies on every call, also when the scan is kept.
     """
     D = space.n * space.n * components_per_scalar(space)
-    scan = _coefficient_tuples(D, space.ring.p**(N - k), budget)
+    scan = modsolve.residues(D, space.ring.p**(N - k), budget)
     memo_key = ("congruence-scan", k, N)
     if memo_key in space.memo:
         return space.memo[memo_key]
@@ -471,27 +467,25 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
     onto the congruence subgroup at level k, with the valuation bounds
     (alpha in p^k o_F, multiplier = 1 mod p^k) on every enumerated element.
     """
-    if not (1 <= k < N):
-        raise LatticeError("need 1 <= k < N")
+    if variant not in ("gu", "u"):
+        raise LatticeError(f"unknown variant {variant!r}: need gu or u")
     if not space.ring.exact:
         raise LatticeError("level check starts from the exact space")
     coords = std.u_coords if variant == "u" else std.gu_coords
-    space_t = space.truncated(N)
+    images = level_images(coords, k, N, budget)
     pk = space.ring.p**k
     image = set()
     alpha_ok = True
     mu_ok = True
     injective = True
-    vectors = ([c * pk for c in coeffs] for coeffs in
-               _coefficient_tuples(coords.m, space.ring.p**(N - k), budget))
     # alpha is the residue mod p^N of the exact alpha of the integral X,
     # and N > k, so it is 0 mod p^k exactly when that alpha is in p^k o_F
-    for comps, mu, alpha in coords.cayley_images(space_t, vectors):
+    for comps, mu, alpha in images:
         if alpha % pk:
             alpha_ok = False
         if (mu - 1) % pk:
             mu_ok = False
-        key = comps_key(space_t, comps)
+        key = comps_key(space, comps)
         if key in image:
             injective = False
         image.add(key)

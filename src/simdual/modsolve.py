@@ -1,5 +1,6 @@
 """Integer linear algebra mod p^N: one elimination for affine solves,
-Smith normal form over Z, and column Hermite reduction.
+Smith normal form over Z, column Hermite reduction, and the one budgeted
+enumeration of residue tuples.
 
 Every affine solve mod p^N eliminates over the chain ring Z/p^N
 (``_chain_solution``): every entry is p^v times a unit, so pivoting on
@@ -8,16 +9,20 @@ Euclid loop and no augmented columns, and every integer stays below p^N
 (Storjohann, *Algorithms for Matrix Canonical Forms*, ETH 2000; Cohen,
 GTM 138, 2.4).
 
-Both entry points enumerate with the one enumerator ``_iter_coset``:
+Both entry points enumerate with the one coset enumerator ``_iter_coset``:
 x0 plus every combination of the triangular kernel basis, one
 ``itertools.product`` over each column's multiples, first column
-slowest.  ``iter_affine_mod`` yields it lazily; ``solve_affine_mod``,
-``kernel_mod`` and ``span_coset_mod`` sort it under a budget.
+slowest.  ``iter_affine_mod`` yields it lazily; ``solve_affine_mod`` and
+``kernel_mod`` sort it under a budget.  ``residues`` is the one
+enumeration of all tuples of residues mod a modulus: the matrix scans of
+``involution`` and ``cayley``, and the coordinate and congruence scans of
+``lattices``, all run on it.  Every enumeration over its budget raises
+``SolveBudgetError``.
 
 The column reduction ``subgroup_basis`` is the one triangularization of
-integer columns: it gives the kernel bases of the affine solves and of
-``span_coset_mod``, and, over Z, the Hermite forms of ``lattices``.  ``smith`` also serves the Lie coordinates of
-``lattices``, which work over Z.
+integer columns: it gives the kernel bases of the affine solves and, over
+Z, the Hermite forms of ``lattices``.  ``smith`` also serves the Lie
+coordinates of ``lattices``, which work over Z.
 
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 (at most a few dozen rows), so the classical algorithms are plenty.
@@ -30,7 +35,19 @@ import math
 
 
 class SolveBudgetError(RuntimeError):
-    """Enumerating a solution set would exceed the stated budget."""
+    """An enumeration would exceed the stated budget."""
+
+
+def residues(count, modulus, limit):
+    """Every tuple of ``count`` residues in range(modulus), in lexicographic
+    order, as a lazy ``itertools.product``.  The budget is checked here, on
+    the call, before any tuple exists: SolveBudgetError when there are more
+    than ``limit`` tuples."""
+    total = modulus**count
+    if total > limit:
+        raise SolveBudgetError(
+            f"enumeration of {total} residues exceeds budget {limit}")
+    return itertools.product(range(modulus), repeat=count)
 
 
 def _identity(n):
@@ -196,14 +213,6 @@ def iter_affine_mod(A, b, p, N):
     data = _chain_solution(A, b, p, N)
     if data is not None:
         yield from _iter_coset(*data)
-
-
-def span_coset_mod(x0, gens, p, N, limit=10**6):
-    """All vectors of x0 + <gens> inside (Z/p^N)^k, in canonical order."""
-    k = len(x0)
-    M = p**N
-    sub = subgroup_basis([list(g) for g in gens], k, M)
-    return _enumerate_coset(tuple(a % M for a in x0), sub, k, M, limit)
 
 
 def kernel_mod(A, p, N, limit=10**6):

@@ -21,13 +21,12 @@ from typing import Callable
 
 from .cayley import cayley, fiber, in_domain
 from .decomposition import DecompositionError, coset_set, decompose
-from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, BudgetExceeded, \
-    FiniteGroupError, build_group, conjugacy_classes, finite_space, \
-    verify_class_inversion
+from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, FiniteGroupError, \
+    build_group, conjugacy_classes, finite_space, verify_class_inversion
 from .involution import AntiUnitaryError, ConjugatorNotFound, \
     is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
-from .lattices import LatticeBudgetError, ad_operator, check_cayley_level, \
-    lattice_of_x, standard_lattices
+from .lattices import ad_operator, check_cayley_level, lattice_of_x, \
+    standard_lattices
 from .matrices import Mat, parse_matrix
 from .modsolve import SolveBudgetError
 from .report import FAIL, FINDING, PASS, CheckRow, Report
@@ -290,7 +289,7 @@ def _level_bijection(std, base, variant, level, precision,
     try:
         rep = check_cayley_level(std.space, std, level, precision, variant,
                                  budget=budget)
-    except LatticeBudgetError as exc:
+    except SolveBudgetError as exc:
         return _row(name, False, payload, "cayley-level-bijection",
                     {"error": str(exc)})
     row = _row(name, rep.passed, payload, "cayley-level-bijection",
@@ -418,7 +417,7 @@ def _replay_class_inversion(payload) -> CheckRow:
                     _field(payload, "q"))
     try:
         table = build_group(family, n, q)
-    except (BudgetExceeded, ValueError) as exc:   # FiniteGroupError, bad q
+    except (SolveBudgetError, ValueError) as exc:   # FiniteGroupError, bad q
         raise ConfigError(f"cannot build the group: {exc}") from None
     rep = _field(payload, "rep", lambda t: square_matrix(table.space, t))
     try:
@@ -522,7 +521,7 @@ def suite_finite(cfg: SuiteConfig) -> list:
     t0 = time.monotonic()
     try:
         table = build_group(family, cfg.n, cfg.p)
-    except (BudgetExceeded, FiniteGroupError) as exc:
+    except (SolveBudgetError, FiniteGroupError) as exc:
         return [CheckRow("finite-build", FAIL, detail={"error": str(exc)})]
     classes = conjugacy_classes(table)
     rep = verify_class_inversion(table, classes)

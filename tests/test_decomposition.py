@@ -8,7 +8,7 @@ from simdual.decomposition import (DecompositionError, _carried_check,
                                    cayley_image_members, coset_set, decompose,
                                    find_conjugator_mod, verify_piece)
 from simdual.involution import ConjugatorNotFound, theta_group
-from simdual.lattices import standard_lattices
+from simdual.lattices import LieCoords, standard_lattices
 from simdual.matrices import Mat, parse_matrix
 from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, SPLIT, Ring
@@ -227,8 +227,22 @@ def test_kept_subgroup_is_built_once_and_keeps_the_budget():
     assert cayley_image_members(std, 1, 2) is K
     b = Mat.identity(std.space.ring, 2)
     assert len(coset_set(std.space, std, b, 1, 2).members) == 81
-    with pytest.raises(SolveBudgetError, match="limit 10"):
+    with pytest.raises(SolveBudgetError, match="budget 10$"):
         coset_set(std.space, std, b, 1, 2, limit=10)
+
+
+def test_cayley_image_rejects_a_repeated_residue(monkeypatch):
+    # c is a bijection at level >= 1: an image hit twice is an error, not
+    # a smaller K
+    real = LieCoords.cayley_images
+
+    def repeating(self, space_t, vectors):
+        images = list(real(self, space_t, vectors))
+        return images[:1] + images[:-1]
+    monkeypatch.setattr(LieCoords, "cayley_images", repeating)
+    std = standard_lattices(standard_space(SYMPLECTIC, 2, Ring(3, SPLIT)))
+    with pytest.raises(DecompositionError, match="repeats a residue"):
+        cayley_image_members(std, 1, 2)
 
 
 def test_coset_set_rejects_repeated_members(monkeypatch):

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from simdual.cayley import mat_components, mat_from_components, product_kernel
-from simdual.finite import (BudgetExceeded, FiniteGroupError, _verify_table,
-                            build_group, conjugacy_classes,
-                            verify_class_inversion)
+from simdual.finite import (FiniteGroupError, _verify_table, build_group,
+                            conjugacy_classes, verify_class_inversion)
 from simdual.involution import iota_group
 from simdual.matrices import parse_matrix
+from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
                             standard_space)
@@ -160,8 +160,10 @@ def test_class_sizes_divide_order():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(SolveBudgetError):
         build_group("gl", 3, 5, scan_budget=10**6)
+    with pytest.raises(SolveBudgetError, match="group order exceeds 10$"):
+        build_group("sp", 2, 3, order_budget=10)
 
 
 def test_survey_script_skips_groups_over_the_scan_budget(capsys):

@@ -68,8 +68,8 @@ def test_theta_general_linear_is_transpose():
 
 
 def test_enumerate_matrices_count():
-    assert sum(1 for _ in enumerate_matrices(Ring(3, SPLIT, 1), 1)) == 3
-    assert sum(1 for _ in enumerate_matrices(Ring(3, INERT, 1), 1)) == 9
+    assert sum(1 for _ in enumerate_matrices(Ring(3, SPLIT, 1), 1, 3)) == 3
+    assert sum(1 for _ in enumerate_matrices(Ring(3, INERT, 1), 1, 9)) == 9
 
 
 def test_pinned_conjugator_symplectic_f3():

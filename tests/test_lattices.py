@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from simdual.cayley import (cayley, components_per_scalar, in_domain,
                             linear_kernel, mat_from_components)
 from simdual.involution import theta_group
-from simdual.lattices import (LatticeBasis, LatticeBudgetError, LatticeError,
-                              _check_h_stable, _congruence_scan, _dual_rows,
-                              ad_operator, check_cayley_level, hnf_columns,
-                              lattice_of_x, standard_lattices)
+from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
+                              _congruence_scan, _dual_rows, ad_operator,
+                              check_cayley_level, lattice_of_x,
+                              standard_lattices)
 from simdual.matrices import Mat
+from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
@@ -26,6 +27,11 @@ SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
 HERM1 = standard_space(HERMITIAN, 1, Ring(3, INERT))
 STD_H1 = standard_lattices(HERM1)
+
+
+def hnf_columns(p, dim, cols):
+    """The Hermite form of the span of ``cols``, as split-field scalars."""
+    return LatticeBasis.from_columns(p, dim, cols).cols
 
 
 def _times_p(lat):
@@ -206,11 +212,11 @@ def test_level_check_budget_does_not_depend_on_call_history():
     # residues, over budget 10 also when a larger budget has kept the scan
     space = standard_space(ORTHOGONAL, 2, Ring(3, SPLIT))
     std = standard_lattices(space)
-    with pytest.raises(LatticeBudgetError, match="81 residues exceeds"):
+    with pytest.raises(SolveBudgetError, match="81 residues exceeds"):
         check_cayley_level(space, std, 1, 2, "gu", budget=10)
     rep = check_cayley_level(space, std, 1, 2, "gu", budget=10**6)
     assert rep.passed and rep.image_size == rep.congruence_size == 9
-    with pytest.raises(LatticeBudgetError, match="81 residues exceeds"):
+    with pytest.raises(SolveBudgetError, match="81 residues exceeds"):
         check_cayley_level(space, std, 1, 2, "gu", budget=10)
 
 
@@ -219,6 +225,9 @@ def test_level_check_validates_inputs():
         check_cayley_level(SYMPL, STD, 2, 2, "gu")
     with pytest.raises(LatticeError):
         check_cayley_level(SYMPL, STD, 0, 2, "gu")
+    for variant in ("GU", "sp", None):   # not read as "gu"
+        with pytest.raises(LatticeError, match="unknown variant"):
+            check_cayley_level(SYMPL, STD, 1, 2, variant)
 
 
 def test_scaled_lattice_inside_domain():

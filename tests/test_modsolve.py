@@ -10,7 +10,7 @@ from simdual.cayley import mat_components
 from simdual.decomposition import _conjugator_system
 from simdual.matrices import parse_matrix
 from simdual.modsolve import (SolveBudgetError, iter_affine_mod, kernel_mod,
-                              smith, solve_affine_mod, span_coset_mod)
+                              residues, smith, solve_affine_mod)
 from simdual.scalars import INERT, Ring
 from simdual.spaces import HERMITIAN, certify_group, standard_space
 
@@ -67,10 +67,17 @@ def test_kernel_mod():
     assert ker == sorted(brute_force([[1, 1]], [0], 3, 1))
 
 
-def test_span_coset_mod():
-    got = span_coset_mod([1, 0], [[3, 0]], 3, 2)
-    want = sorted({((1 + 3 * t) % 9, 0) for t in range(3)})
-    assert got == want
+def test_residues_lexicographic_up_to_the_budget():
+    got = list(residues(2, 3, 9))
+    assert got == [(a, b) for a in range(3) for b in range(3)]
+    assert list(residues(0, 5, 1)) == [()]
+
+
+def test_residues_over_budget_raise_on_the_call():
+    # the error comes before iteration: no tuple is ever produced
+    with pytest.raises(SolveBudgetError) as info:
+        residues(3, 3, 26)
+    assert str(info.value) == "enumeration of 27 residues exceeds budget 26"
 
 
 def test_budget_error():

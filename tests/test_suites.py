@@ -84,3 +84,13 @@ def test_a_bug_is_not_a_fail_row(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         run_suite(SuiteConfig(family="symplectic", cosets=1,
                               decompose_precision=2, suites=("decompose",)))
+
+
+def test_a_finite_group_over_the_scan_budget_is_one_fail_row():
+    # sp(4, 3) scans 3^16 matrices, over the default budget of 10^7;
+    # the scan stops before its first matrix
+    rep = run_suite(SuiteConfig(family="sp", n=4, p=3,
+                                suites=("finite-dual",)))
+    assert [(row.name, row.status, row.detail) for row in rep.rows] == [
+        ("finite-build", FAIL, {"error": "enumeration of 43046721 residues "
+                                         "exceeds budget 10000000"})]
