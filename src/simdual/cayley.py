@@ -5,26 +5,27 @@ The map is c(X) = (1 - X/(1+alpha)) (1+X)^-1 with alpha = alpha(X); its
 multiplier is (1+alpha)^-2.  Its domain, the working domain everywhere, is
 cut out by two conditions, 1+alpha and det(1+X) regular (``in_domain``),
 and is stable under theta and Ad; ``cayley`` decides the second through
-the inverse of 1+X it computes anyway.  Every preimage the fiber analysis
-returns lies in it.  Over truncated rings "nonzero" uniformly means
+the determinant of 1+X it computes anyway.  Every preimage the fiber
+analysis returns lies in it.  Over truncated rings "nonzero" uniformly means
 "unit", and fibers are computed as exact affine solves so that they agree
 with exhaustive bucketing residue-for-residue.
 
 In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
 
-Mod p^N the work runs on integer component tuples (the layout of
+The work runs on integer component tuples (the layout of
 ``mat_components``) through kernels derived once per space and kept in
-``space.memo``: one integer Gauss-Jordan inverse for split and inert
-rings, and generated straight-line code for the product (which also
-runs without a modulus on integer components, for ``lattices``), the
-determinant (once per n) and the F-linear maps star, theta and iota,
-which are probed on unit vectors and compiled from their sparse rows;
-from these come the multiplier and alpha certificates and the Cayley
-map, which is None outside the domain.  A fiber branch where lambda + g
-is a unit is the closed form X_lambda = (1 - g)(lambda + g)^-1 of one
-inverse and one product; only a singular branch is written as an integer
-system for an affine solve.  Preimages are certified on integers; ``Mat``,
+``space.memo``, all generated straight-line code: the adjugate over the
+ring (the inverse is adj det^-1, det^-1 the conjugate over the norm when
+inert), the product, the integer determinant (once per n) and the
+F-linear maps star, theta and iota, probed on unit vectors and compiled
+from their sparse rows.  From these come the multiplier and alpha
+certificates and the Cayley map, one formula on residues mod p^N and on
+exact numerators over one denominator, reduced to lowest terms once,
+when a ``Mat`` is decoded.  A fiber branch where lambda + g is a unit is
+the closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse and one
+product; only a singular branch is written as an integer system for an
+affine solve.  Preimages are certified on integers; ``Mat``,
 ``GroupElem`` and ``LieElem`` are decoded only where a public function
 returns one.
 """
@@ -36,8 +37,9 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .matrices import Mat, NotInvertibleError
+from .matrices import Mat
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
                      certify_lie, star)
@@ -53,13 +55,6 @@ class DomainError(ValueError):
     pass
 
 
-def _is_regular(s: Scalar) -> bool:
-    """Nonzero in exact mode, unit in truncated mode."""
-    if s.ring.exact:
-        return bool(s)
-    return s.is_unit()
-
-
 def _mat_regular(m: Mat) -> bool:
     if m.ring.exact:
         return bool(m.det())
@@ -68,39 +63,41 @@ def _mat_regular(m: Mat) -> bool:
 
 def in_domain(X: LieElem) -> bool:
     """The working domain of the Cayley map, stable under theta and Ad:
-    1 + alpha and 1 + X regular (only 1 + X in the general-linear family).
-    A third condition, (1 + alpha) 1 - X regular, would change nothing:
-    X + X* = alpha 1 gives (1 + alpha) 1 - X = (1 + X)*, and
-    det((1 + X)*) = tau(det(1 + X)), so it holds exactly when the second
-    does."""
-    space = X.space
-    one = space.identity()
-    if not space.has_form:
-        return _mat_regular(one + X.mat)
-    return (_is_regular(space.ring.one + X.alpha)
-            and _mat_regular(one + X.mat))
+    1 + alpha and 1 + X regular (only 1 + X without a form), where
+    ``cayley_kernel`` is not None.  A third condition, (1 + alpha) 1 - X
+    regular, changes nothing: X + X* = alpha 1 gives (1 + alpha) 1 - X =
+    (1 + X)*, and det((1 + X)*) = tau(det(1 + X)) is regular with it."""
+    return _kernel_image(X)[0] is not None
+
+
+def _kernel_image(X: LieElem) -> tuple:
+    """(``cayley_kernel`` image, den) for X: over the exact field on
+    numerators over one denominator den that also clears alpha."""
+    space, alpha = X.space, X.alpha
+    if not space.ring.exact:
+        return cayley_kernel(space)(mat_components(space, X.mat), alpha.x), 1
+    x, den = mat_numerators(space, X.mat)
+    k = alpha.d // math.gcd(den, alpha.d)
+    den *= k
+    return cayley_kernel(space)([v * k for v in x], alpha.x * (den // alpha.d),
+                                den), den
 
 
 def cayley(X: LieElem) -> GroupElem:
-    """c(X), certified with multiplier (1 + alpha)^-2.  Outside the
-    domain it raises DomainError: 1 + alpha is tested first, and
-    1 + X through the inverse that c(X) needs anyway."""
-    space = X.space
-    one = space.identity()
-    if not space.has_form:
-        g = one + X.mat
-        if not _mat_regular(g):
-            raise DomainError("1 + X is singular")
-        return GroupElem(space, g, space.ring.one)
-    one_plus_alpha = space.ring.one + X.alpha
-    if not _is_regular(one_plus_alpha):
-        raise DomainError("X is outside the Cayley domain")
-    try:
-        inv = (one + X.mat).inv()
-    except NotInvertibleError:
-        raise DomainError("X is outside the Cayley domain") from None
-    lam = one_plus_alpha.inv()
-    return GroupElem(space, (one - X.mat * lam) * inv, lam * lam)
+    """c(X), certified with multiplier (1 + alpha)^-2: ``cayley_kernel``
+    on the integer components of X, decoded once.  Outside the domain it
+    raises DomainError."""
+    space, ring = X.space, X.space.ring
+    image, den = _kernel_image(X)
+    if image is None:
+        raise DomainError("X is outside the Cayley domain" if space.has_form
+                          else "1 + X is singular")
+    if not ring.exact:
+        return GroupElem(space, mat_from_components(space, image[0]),
+                         ring.scalar(image[1]))
+    nums, q, s = image
+    return GroupElem(space, mat_from_components(space, nums, q),
+                     ring.ratio(den * den, 0, s * s))
 
 
 def x_lambda(g: GroupElem, lam: Scalar) -> LieElem:
@@ -335,8 +332,8 @@ def _per_space(build):
 
 @_per_space
 def identity_comps(space: Space) -> tuple:
-    """The components of the identity matrix."""
-    return tuple(mat_components(space, space.identity()))
+    """The integer components of the identity matrix."""
+    return tuple(mat_numerators(space, space.identity())[0])
 
 
 @_per_space
@@ -362,64 +359,67 @@ def lie_system(space: Space, alpha: bool = True) -> list:
     return A
 
 
-def _gauss_jordan(x, n: int, p: int, M: int):
-    """Gauss-Jordan inverse mod M = p^N of the n x n integer matrix with
-    row-major entries x, pivoting on units; None when it is singular.
-    2 x 2 inverses use the adjugate, as ``Mat.inv`` does."""
-    if n == 2:
-        a, b, c, d = x
-        det = (a * d - b * c) % M
-        if det % p == 0:
-            return None
-        f = pow(det, -1, M)
-        return d * f % M, -b * f % M, -c * f % M, a * f % M
-    aug = [list(x[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = pow(aug[col][col], -1, M)
-        top = aug[col] = [v * f % M for v in aug[col]]
-        for r in range(n):
-            c = aug[r][col]
-            if r != col and c:
-                aug[r] = [(v - c * w) % M for v, w in zip(aug[r], top)]
-    return tuple(v for row in aug for v in row[n:])
+@_per_space
+def _adjugate_code(space: Space) -> tuple:
+    """(lines, A, q): straight-line source, on the unpacked components of
+    x, of the (A, q) of ``adjugate_kernel``, each minor expanded along its
+    first row into one local shared by the cofactors."""
+    n, d, u = space.n, components_per_scalar(space), space.ring._u
+    lines, minors = [_unpack("x", d * n * n)], {}
+
+    def times(a, b, sign):
+        """The component terms of sign a b, for a and b by component."""
+        if d == 1:
+            return [f" {sign} {a[0]}*{b[0]}"]
+        return [f" {sign} {a[0]}*{b[0]} {sign} {u}*{a[1]}*{b[1]}",
+                f" {sign} {a[0]}*{b[1]} {sign} {a[1]}*{b[0]}"]
+
+    def minor(rows, cols):
+        """The component names of the minor of g on ``rows`` x ``cols``."""
+        if not rows:
+            return ("1", "0")[:d]
+        if len(rows) == 1:
+            k = d * (rows[0] * n + cols[0])
+            return tuple(f"x{k + c}" for c in range(d))
+        if (rows, cols) not in minors:
+            terms = [times(minor(rows[:1], cols[i:i + 1]),
+                           minor(rows[1:], cols[:i] + cols[i + 1:]),
+                           "-" if i % 2 else "+") for i in range(len(cols))]
+            name = f"m{len(minors)}"
+            lines.extend(f"{name}_{k} =" + "".join(t[k] for t in terms)
+                         for k in range(d))
+            minors[rows, cols] = tuple(f"{name}_{k}" for k in range(d))
+        return minors[rows, cols]
+
+    rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
+    det = minor(tuple(range(n)), tuple(range(n)))
+    conj = ("1",) if d == 1 else (det[0], f"(-{det[1]})")
+    adj = [t for r, c in itertools.product(range(n), repeat=2)
+           for t in times(minor(rest[c], rest[r]), conj,
+                          "-" if (r + c) % 2 else "+")]
+    return lines, adj, times(det, conj, "+")[0]
+
+
+@_per_space
+def adjugate_kernel(space: Space):
+    """``adj(x)``: (A, q) with g A = q 1 on integers, for the matrix g with
+    integer components x: A = adj(g) tau(det g) and q = det(g) tau(det g),
+    the determinant (split) or its norm (inert), so g^-1 = A / q where q
+    is nonzero (a unit mod p^N); straight-line code made once per space."""
+    lines, adj, q = _adjugate_code(space)
+    return _generated("x", lines, f"({', '.join(adj)},), {q}")
 
 
 @_per_space
 def matrix_inverse_kernel(space: Space):
     """``inv(x)``: the components of the inverse mod p^N of the matrix
-    with components x, or None when it is singular (its determinant is
-    not a unit).  Over the inert ring each entry a + b s becomes the
-    block [[a, u b], [b, a]] of a 2n x 2n matrix over the base ring; that
-    map is a ring homomorphism and its image is invertible exactly when x
-    is, so one integer Gauss-Jordan serves both rings."""
-    ring = space.ring
-    n, p, M = space.n, ring.p, ring.modulus
-    if ring.ext != INERT:
-        return lambda x: _gauss_jordan(x, n, p, M)
-    u, m = ring.u, 2 * n
-    # position in the 2n x 2n matrix of each block entry, by component
-    places = []
-    for i in range(n):
-        for j in range(n):
-            r, c = 2 * i * m + 2 * j, (2 * i + 1) * m + 2 * j
-            places.append(((r, c + 1), (c, r + 1)))
-
-    def inv(x):
-        big = [0] * (m * m)
-        for ((a1, a2), (b1, b2)), a, b in zip(places, x[::2], x[1::2]):
-            big[a1] = big[a2] = a
-            big[b1] = b
-            big[b2] = u * b
-        y = _gauss_jordan(big, m, p, M)
-        if y is None:
-            return None
-        return tuple(y[k] for (a1, _), (b1, _) in places for k in (a1, b1))
-    return inv
+    with components x, or None when it is singular: A q^-1 for the
+    (A, q) of ``adjugate_kernel``, generated as one function."""
+    lines, adj, q = _adjugate_code(space)
+    p, M = space.ring.p, space.ring.modulus
+    return _generated("x", lines + [f"q = {q}", f"if q % {p} == 0:",
+                                    "    return None", f"f = pow(q, -1, {M})"],
+                      "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
 
 
 @functools.cache
@@ -518,25 +518,28 @@ def _generated(args: str, lines: list, result: str):
     """The function of ``args`` that runs ``lines`` and returns
     ``result``, compiled from generated source."""
     body = "".join(f"    {line}\n" for line in lines + [f"return {result}"])
-    namespace = {}
+    namespace = {"Fraction": Fraction}
     exec(f"def f({args}):\n{body}", namespace)
     return namespace["f"]
 
 
-def linear_kernel(rows: list, M: int, scaled: bool = False,
+def linear_kernel(rows: list, M: int | None, scaled: bool = False,
                   width: int | None = None):
     """The linear map L with the sparse rows ``rows`` (those of
     ``_sparse_rows``) as generated straight-line code on tuples of
-    ``width`` entries (default: square, one per row): ``L(x)`` mod M, or
-    with ``scaled`` ``(x, mu) -> mu^-1 L(x)`` mod M."""
-    sums = [" + ".join(f"{c}*x{j}" for j, c in row) or "0" for row in rows]
+    ``width`` entries (default: square, one per row): ``L(x)`` mod M
+    (with no modulus when M is None, a rational coefficient as a
+    Fraction), or with ``scaled`` ``(x, mu) -> mu^-1 L(x)`` mod M."""
+    sums = [" + ".join(f"{c if c.denominator == 1 else repr(c)}*x{j}"
+                       for j, c in row) or "0" for row in rows]
     width = len(rows) if width is None else width
     lines = [_unpack("x", width)] if width else []
     if scaled:
         lines.append(f"s = pow(mu, -1, {M})")
         sums = [f"({t})*s" for t in sums]
+    mod = "" if M is None else f" % {M}"
     return _generated("x, mu" if scaled else "x", lines,
-                      f"({', '.join(f'({t}) % {M}' for t in sums)},)")
+                      f"({', '.join(f'({t}){mod}' for t in sums)},)")
 
 
 @_per_space
@@ -550,8 +553,8 @@ def star_kernel(space: Space):
 def inverse_kernel(space: Space):
     """``inv(x, mu)``: the components of g^-1 mod p^N for the member g
     with components x and multiplier residue mu.  With a form g^-1 =
-    mu^-1 star(g), star probed once; in the general-linear family integer
-    Gauss-Jordan (mu is 1 there)."""
+    mu^-1 star(g), star probed once; in the general-linear family the
+    adjugate inverse (mu is 1 there)."""
     if space.ring.exact:
         raise ValueError("the inverse kernel works mod p^N")
     if space.has_form:
@@ -600,14 +603,15 @@ def theta_kernel(space: Space):
 def lie_alpha_kernel(space: Space):
     """``alpha(x)``: the residue alpha with X + X* = alpha 1, alpha in the
     base ring, for the X with components x (0 in the general-linear
-    family); raises MembershipError, as ``certify_lie`` does, when X is
-    not in the similitude Lie algebra mod p^N."""
-    if space.ring.exact:
-        raise ValueError("the alpha kernel works mod p^N")
+    family); over an exact space, for X = x / den with integer x,
+    alpha den (a Fraction only where star has a rational coefficient).
+    Raises MembershipError, as ``certify_lie`` does, when X is not in
+    the similitude Lie algebra."""
     if not space.has_form:
         return lambda x: 0
     plus_star = linear_kernel(
-        _sparse_rows(space, lambda m: m + star(space, m)), space.ring.modulus)
+        _sparse_rows(space, lambda m: m + star(space, m)),
+        None if space.ring.exact else space.ring.modulus)
     n, d = space.n, components_per_scalar(space)
     # X + X* = alpha 1: its n diagonal a-components equal alpha and its
     # other components are zero
@@ -625,28 +629,33 @@ def lie_alpha_kernel(space: Space):
 
 @_per_space
 def cayley_kernel(space: Space):
-    """``c(x, alpha)``: ``cayley`` on components.  (components, mu) of
-    c(X) = (1 - lam X)(1 + X)^-1 mod p^N with lam = (1 + alpha)^-1 and
-    mu = lam^2, for the X with components x and alpha from
-    ``lie_alpha_kernel``; None outside the domain (``in_domain``).
-    In the general-linear family c(X) = 1 + X with mu = 1."""
+    """``c(x, alpha, den=1)``: ``cayley`` on integer components, one
+    formula on every ring.  For X = x / den with alpha(X) = alpha / den
+    (``lie_alpha_kernel``), put Y = den 1 + x and s = den + alpha, so
+    that 1 + X = Y / den and 1 + alpha(X) = s / den; then
+    c(X) = (s 1 - x) adj(Y) den / (s det Y) and lambda = den / s.  Mod
+    p^N (den 1) it gives (components, mu) of c(X) with mu = lambda^2;
+    over an exact space (numerators, denominator, s), the denominator
+    s q for the (A, q) of ``adjugate_kernel`` on Y.  None outside the
+    domain (``in_domain``): s or det Y not regular.  In the
+    general-linear family c(X) = Y / den and lambda = 1."""
     ident = identity_comps(space)
-    inv = matrix_inverse_kernel(space)
-    mul = product_kernel(space)
-    p, M = space.ring.p, space.ring.modulus
+    adj, mul = adjugate_kernel(space), product_kernel(space)
+    p, M = space.ring.p, None if space.ring.exact else space.ring.modulus
 
-    def c(x, alpha):
-        if (1 + alpha) % p == 0:         # alpha is 0 without a form
-            return None
-        one_plus = tuple((e + v) % M for e, v in zip(ident, x))
-        t = inv(one_plus)
-        if t is None:
+    def c(x, alpha, den=1):
+        s = den + alpha                  # alpha is 0 without a form
+        y = [den * e + v for e, v in zip(ident, x)]
+        a, q = adj(y)                    # Y^-1 = a / q
+        if not (s and q) if M is None else (s % p == 0 or q % p == 0):
             return None
         if not space.has_form:
-            return one_plus, 1
-        lam = pow(1 + alpha, -1, M)
-        return (mul(tuple((e - lam * v) % M for e, v in zip(ident, x)), t),
-                lam * lam % M)
+            return (y, den, s) if M is None else (tuple(v % M for v in y), 1)
+        P = mul([s * e - v for e, v in zip(ident, x)], a)
+        if M is None:
+            return [v * den for v in P], s * q, s
+        f = pow(s * q, -1, M)
+        return tuple(v * f % M for v in P), pow(s, -2, M)
     return c
 
 
@@ -659,8 +668,7 @@ def _plus_star_system(space: Space) -> list:
 def _left_multiplication(space: Space, s: tuple) -> list:
     """The matrix of X -> s X on components, s given by its components:
     row (i, j) holds s_ik at column (k, j), over the inert ring as the
-    block [[a, u b], [b, a]] of s_ik = a + b s (``matrix_inverse_kernel``
-    embeds with the same block)."""
+    block [[a, u b], [b, a]] of s_ik = a + b s."""
     n, d = space.n, components_per_scalar(space)
     A = [[0] * (d * n * n) for _ in range(d * n * n)]
     for i, k, j in itertools.product(range(n), repeat=3):
@@ -706,14 +714,23 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
         return FiberResult(EMPTY)
     x = tuple(mat_components(space, g.mat))
     ident = identity_comps(space)
-    inv = matrix_inverse_kernel(space)
+    inv, mul = matrix_inverse_kernel(space), product_kernel(space)
     alpha_of = lie_alpha_kernel(space)
     found = {}                      # components of X -> (alpha, lambda)
     lambdas = []
     for lam in (root, -root % M):
+        # a solution has (lam + g)(1 + X) = (1 + lam) 1: 1 + X is a unit
+        # if 1 + lam is, and not if only lam + g is; the inverse of 1 + X
+        # decides on a singular branch or for an entry that is no solution
+        shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+        scaled = tuple((1 + lam) * e % M for e in ident)
+        unit = (1 + lam) % ring.p != 0
+        decides = unit or inv(shifted) is not None
         for comps in _solve_branch(space, x, lam, limit):
-            if comps in found or inv(
-                    tuple((e + v) % M for e, v in zip(ident, comps))) is None:
+            one_plus = tuple((e + v) % M for e, v in zip(ident, comps))
+            if comps in found or not (
+                    unit if decides and mul(shifted, one_plus) == scaled
+                    else inv(one_plus) is not None):
                 continue
             found[comps] = alpha_of(comps), lam
             if lam not in lambdas:

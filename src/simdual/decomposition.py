@@ -173,11 +173,12 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
             continue
         x = mat_from_components(space, comps)
         mu = similitude_multiplier(space, x)
-        cand = GroupElem(space, x, mu)
-        if (mu != ring.one or theta_group(cand).mat != x
-                or x * a.mat != ta * x):
+        # theta(x) = H tau(x^-1) H^-1 (mu = 1): a formula not theta_group's
+        theta_x = (space.H * x.inv().tau() * space.Hinv if space.has_form
+                   else x.transpose())
+        if mu != ring.one or theta_x != x or x * a.mat != ta * x:
             raise DecompositionError("conjugator linearization is inconsistent")
-        return cand
+        return GroupElem(space, x, mu)
     raise ConjugatorNotFound(
         f"no theta-symmetric conjugator for {a.mat.to_text()} "
         f"({tried} candidates tried)", tried)

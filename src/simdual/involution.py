@@ -4,9 +4,9 @@ The theta-symmetric conjugator search is
 ``decomposition.find_conjugator_mod``.
 
 The semilinear map h is stored by its matrix H with action v -> H tau(v),
-so h o h has the matrix H tau(H).  Both thetas conjugate by H through
-H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1)), applied as the sparse entry map
-of ``spaces`` for the pair (tau(H), tau(H^-1)), derived once per space.
+so h o h has the matrix H tau(H).  Both thetas are sparse entry maps of
+``spaces``, derived once per space: H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1))
+on the Lie algebra, and H J^-1 g^T J H^-1, with no inverse, on a member.
 """
 
 from __future__ import annotations
@@ -67,15 +67,15 @@ def _tau_pair(space: Space) -> tuple:
 
 
 def theta_group(g: GroupElem) -> GroupElem:
-    """theta(g) = mu(g) H tau(g^-1) H^-1; transpose for general-linear."""
+    """theta(g) = mu(g) H tau(g^-1) H^-1 = H J^-1 g^T J H^-1 for a member
+    g (g^-1 = mu^-1 star(g)), with no inverse; transpose for general-linear."""
     space = g.space
     if not space.has_form:
         return GroupElem(space, g.mat.transpose(), g.mu)
-    entries = _entry_map(space, "theta", lambda: _tau_pair(space))
-    mu = g.mu
-    rows = _apply_tau(space, entries, g.mat.inv())
-    return GroupElem(space, Mat._make(space.ring, tuple(
-        tuple(mu * x for x in row) for row in rows)), mu)
+    entries = _entry_map(space, "theta", lambda: (
+        space.H * space.Jinv, space.J * space.Hinv), transpose=True)
+    return GroupElem(space, Mat._make(space.ring, _apply_tau(
+        space, entries, g.mat, conj=False)), g.mu)
 
 
 def iota_group(g: GroupElem) -> GroupElem:

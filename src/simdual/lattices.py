@@ -282,10 +282,13 @@ class LieCoords:
         c, den = self._coords(*mat_numerators(self.space, X))
         return [Fraction(x, den) for x in c]
 
-    def from_coords(self, c) -> Mat:
+    def numerators(self, c) -> tuple[list, int]:
+        """(integer components, den) of the matrix with coordinates c."""
         nums, den = _over_one_denominator(c)
-        flat = [sum(a * x for a, x in zip(row, nums)) for row in self._M]
-        return mat_from_components(self.space, flat, den)
+        return [sum(map(mul, row, nums)) for row in self._M], den
+
+    def from_coords(self, c) -> Mat:
+        return mat_from_components(self.space, *self.numerators(c))
 
     def operator_matrix(self, f) -> Operator:
         """The F-linear operator X -> f(X) in these coordinates."""

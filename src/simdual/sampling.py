@@ -3,8 +3,10 @@
 Lie elements are drawn in the coordinates of the similitude (or isometry)
 Lie algebra with rational coefficients of bounded numerator size and
 bounded denominator p-valuation, then rejection-sampled into the working
-domain of the Cayley map.  Group elements are built as scalar multiples
-of products of Cayley images, so membership is certified by construction.
+domain of the Cayley map.  Group elements are scalar multiples of
+products of Cayley images of the same draws, computed by the ``cayley``
+kernels on integer numerators over one denominator, then decoded and
+certified once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cayley import cayley, in_domain
+from .cayley import (cayley, cayley_kernel, identity_comps, in_domain,
+                     lie_alpha_kernel, mat_from_components, product_kernel)
 from .involution import theta_group
 from .lattices import StandardLattices
 from .spaces import GroupElem, LieElem, certify_group, certify_lie
@@ -33,20 +36,27 @@ def _coefficient(rng: random.Random, p: int, numerator_bound: int,
     return Fraction(num, den)
 
 
+def _draws(coords, rng: random.Random, numerator_bound: int = 20,
+           denominator_valuation: int = 1, max_rejects: int = 200):
+    """The coordinates a rejection sampler tries, ``max_rejects`` of them."""
+    p = coords.space.ring.p
+    for _ in range(max_rejects):
+        yield [_coefficient(rng, p, numerator_bound, denominator_valuation)
+               for _ in range(coords.m)]
+    raise SamplingError("rejection sampling exhausted its attempt budget")
+
+
 def sample_lie(std: StandardLattices, rng: random.Random,
                isometry: bool = False, numerator_bound: int = 20,
                denominator_valuation: int = 1,
                max_rejects: int = 200) -> LieElem:
     """A random certified Lie element inside the working domain."""
     coords = std.u_coords if isometry else std.gu_coords
-    space = coords.space
-    for _ in range(max_rejects):
-        c = [_coefficient(rng, space.ring.p, numerator_bound,
-                          denominator_valuation) for _ in range(coords.m)]
-        X = certify_lie(space, coords.from_coords(c))
+    for c in _draws(coords, rng, numerator_bound, denominator_valuation,
+                    max_rejects):
+        X = certify_lie(coords.space, coords.from_coords(c))
         if in_domain(X):
             return X
-    raise SamplingError("rejection sampling exhausted its attempt budget")
 
 
 def sample_integral_lie(std: StandardLattices, rng: random.Random,
@@ -63,23 +73,32 @@ def sample_integral_lie(std: StandardLattices, rng: random.Random,
 
 def sample_group(std: StandardLattices, rng: random.Random,
                  isometry: bool = False, factors: int = 2) -> GroupElem:
-    """A random certified group element: scalar * product of Cayley images.
+    """A random certified group element: scalar * product of Cayley images
+    of ``sample_lie`` draws, from the same random stream.
 
     Isometry mode drops the scalar and uses isometry Lie elements, so the
     multiplier is 1.
     """
     space = std.space
-    g = None
+    coords = std.u_coords if isometry else std.gu_coords
+    alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
+    nums, den = identity_comps(space), 1
     for _ in range(factors):
-        f = cayley(sample_lie(std, rng, isometry=isometry))
-        g = f if g is None else g * f
+        for v in _draws(coords, rng):        # rejected as by in_domain
+            x, d = coords.numerators(v)
+            a = alpha_of(x)                 # alpha d; k clears a fraction
+            k = a.denominator
+            image = c([e * k for e in x], a.numerator, d * k)
+            if image is not None:
+                break
+        nums, den = product_kernel(space)(nums, image[0]), den * image[1]
     if not isometry:
         p = space.ring.p
         s = rng.randint(1, 5 * p)
         while s % p == 0:
             s = rng.randint(1, 5 * p)
-        g = GroupElem(space, g.mat * s, g.mu * (s * s))
-    return certify_group(space, g.mat)
+        nums = [v * s for v in nums]
+    return certify_group(space, mat_from_components(space, nums, den))
 
 
 def sample_theta_fixed(std: StandardLattices, rng: random.Random) -> GroupElem:

@@ -179,9 +179,9 @@ def _entry_map(space: Space, name: str, pair, transpose: bool = False,
     return space.memo[name]
 
 
-def _apply_tau(space: Space, entries: tuple, a: Mat) -> tuple:
+def _apply_tau(space: Space, entries: tuple, a: Mat, conj=True) -> tuple:
     """The rows of tau(a') for the image a' of ``a`` under the entry map
-    ``entries`` of ``_entry_map``."""
+    ``entries`` of ``_entry_map`` (of a' itself without ``conj``)."""
     ring, rows = space.ring, a.rows
     out = []
     for entry_row in entries:
@@ -192,7 +192,7 @@ def _apply_tau(space: Space, entries: tuple, a: Mat) -> tuple:
                 x = rows[k][l] if c == 1 else -rows[k][l]
             else:
                 x = dot(ring, c, [rows[k][l] for k, l in src])
-            row.append(x.tau())
+            row.append(x.tau() if conj else x)
         out.append(tuple(row))
     return tuple(out)
 

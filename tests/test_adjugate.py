@@ -1,0 +1,122 @@
+"""The generated adjugate kernel and the inverse mod p^N built on it,
+against an integer Gauss-Jordan oracle that embeds the inert ring as
+2 x 2 blocks over the base ring."""
+
+import random
+
+import pytest
+
+from simdual.cayley import (adjugate_kernel, components_per_scalar,
+                            identity_comps, mat_from_components,
+                            matrix_inverse_kernel, product_kernel)
+from simdual.scalars import INERT, SPLIT, Ring
+from simdual.spaces import HERMITIAN, ORTHOGONAL, standard_space
+
+
+def gauss_jordan(x, n, p, M):
+    """Gauss-Jordan inverse mod M = p^N of the n x n integer matrix with
+    row-major entries x, pivoting on units; None when it is singular."""
+    aug = [list(x[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = pow(aug[col][col], -1, M)
+        top = aug[col] = [v * f % M for v in aug[col]]
+        for r in range(n):
+            c = aug[r][col]
+            if r != col and c:
+                aug[r] = [(v - c * w) % M for v, w in zip(aug[r], top)]
+    return tuple(v for row in aug for v in row[n:])
+
+
+def oracle_inverse(space, x):
+    """The inverse mod p^N of the matrix with components x: Gauss-Jordan,
+    over the inert ring on the 2n x 2n matrix of blocks
+    [[a, u b], [b, a]] for the entries a + b s (a ring homomorphism whose
+    image is invertible exactly when x is)."""
+    ring = space.ring
+    n, p, M = space.n, ring.p, ring.modulus
+    if ring.ext != INERT:
+        return gauss_jordan(x, n, p, M)
+    m = 2 * n
+    big = [0] * (m * m)
+    for i in range(n):
+        for j in range(n):
+            a, b = x[2 * (i * n + j)], x[2 * (i * n + j) + 1]
+            r, c = 2 * i, 2 * j
+            big[r * m + c] = big[(r + 1) * m + c + 1] = a
+            big[(r + 1) * m + c] = b
+            big[r * m + c + 1] = ring.u * b
+    y = gauss_jordan(big, m, p, M)
+    if y is None:
+        return None
+    return tuple(y[(2 * i + k) * m + 2 * j]
+                 for i in range(n) for j in range(n) for k in (0, 1))
+
+
+def _space(ext, n, p, N=None):
+    family = HERMITIAN if ext == INERT else ORTHOGONAL
+    ring = Ring(p, ext) if N is None else Ring(p, ext, N)
+    return standard_space(family, n, ring)
+
+
+def _matrices(space, rng, count):
+    """Random component tuples mod p^N, a third of them made singular
+    mod p: a row that is zero mod p, or a row repeated."""
+    ring = space.ring
+    n, d, M = space.n, components_per_scalar(space), ring.modulus
+    width = d * n
+    out = []
+    for k in range(count):
+        x = [rng.randrange(M) for _ in range(d * n * n)]
+        if k % 3 == 1:
+            i = rng.randrange(n)
+            x[i * width:(i + 1) * width] = [ring.p * rng.randrange(M)
+                                            for _ in range(width)]
+        elif k % 3 == 2 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            x[j * width:(j + 1) * width] = x[i * width:(i + 1) * width]
+        out.append(tuple(x))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("ext", [SPLIT, INERT])
+def test_inverse_kernel_is_the_gauss_jordan_inverse(ext, n, p, N):
+    space = _space(ext, n, p, N)
+    inv = matrix_inverse_kernel(space)
+    rng = random.Random(n * 100 + p * 10 + N)
+    verdicts = set()
+    for x in _matrices(space, rng, 60):
+        want = oracle_inverse(space, x)
+        assert inv(x) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("ext", [SPLIT, INERT])
+def test_adjugate_kernel_is_the_exact_inverse(ext, n):
+    # g A = A g = q 1 on integer components with no modulus, q is the
+    # determinant (split) or its norm (inert), and A / q is Mat.inv
+    space = _space(ext, n, 3)
+    ring = space.ring
+    adj, mul = adjugate_kernel(space), product_kernel(space)
+    d = components_per_scalar(space)
+    rng = random.Random(n)
+    for _ in range(20):
+        x = tuple(rng.randint(-30, 30) for _ in range(d * n * n))
+        a, q = adj(x)
+        g = mat_from_components(space, x)
+        det = g.det()
+        assert q == (det.x if d == 1 else det.x ** 2 - ring.u * det.y ** 2)
+        assert list(mul(x, a)) == list(mul(a, x)) == \
+            [q * e for e in identity_comps(space)]
+        if q:
+            assert mat_from_components(space, a, q) == g.inv()
+    assert adj(identity_comps(space)) == (identity_comps(space), 1)

@@ -24,7 +24,8 @@ from simdual.sampling import make_rng, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, LieElem,
-                            certify_group, certify_lie, standard_space)
+                            MembershipError, certify_group, certify_lie,
+                            standard_space, validate_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 SYMPL9 = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT, 2))
@@ -462,3 +463,70 @@ def test_compiled_linear_kernels_match_their_sparse_rows(family, N):
         assert inverse_kernel(space)(x, mu) == \
             _apply_rows(star_rows, x, M, s)
         assert iota_kernel(space)(x, mu) == _apply_rows(iota_rows, x, M, s)
+
+
+# -- the exact Cayley kernel against the Mat formula ------------------
+
+
+def _cayley_formula(X: LieElem):
+    """c(X) = (1 - lam X)(1 + X)^-1 with lam = (1 + alpha)^-1 and
+    mu = lam^2, in Mat arithmetic (1 + X and mu = 1 without a form);
+    None outside the domain."""
+    space = X.space
+    ring, one = space.ring, space.identity()
+    one_plus = one + X.mat
+    if not one_plus.det():
+        return None
+    if not space.has_form:
+        return one_plus, ring.one
+    if not ring.one + X.alpha:
+        return None
+    lam = (ring.one + X.alpha).inv()
+    return (one - X.mat * lam) * one_plus.inv(), lam * lam
+
+
+def _exact_spaces():
+    """The five families at n = 1, 2, 3 (symplectic at 2 and 4), and an
+    orthogonal form with J = diag(1, 3), whose alpha can have the
+    denominator 3 where X has none."""
+    out = []
+    for family in sorted(STDS):
+        ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
+        for n in ((2, 4) if family == SYMPLECTIC else (1, 2, 3)):
+            out.append(pytest.param(standard_space(family, n, Ring(3, ext)),
+                                    id=f"{family}-{n}"))
+    ring = Ring(3, SPLIT)
+    return out + [pytest.param(validate_space(
+        Mat(ring, [[1, 0], [0, 3]]), +1, ring, H=Mat.identity(ring, 2)),
+        id="orthogonal-rational-star")]
+
+
+@pytest.mark.parametrize("space", _exact_spaces())
+def test_exact_cayley_is_the_mat_formula(space):
+    # sampled X of both Lie algebras, and constructed X outside the
+    # domain: 1 + alpha = 0 with 1 + X regular (X = -1/2), and
+    # det(1 + X) = 0 (X = -1, and X = -1 on the first basis vector only
+    # where that is a Lie element)
+    std = standard_lattices(space)
+    ring, n = space.ring, space.n
+    rng = make_rng(211 + n)
+    samples = [sample_lie(std, rng, isometry=k % 2 == 1) for k in range(12)]
+    outside = [Mat.scalar_mat(ring, n, Fraction(-1, 2)), -space.identity(),
+               Mat.diag(ring, [-1] + [0] * (n - 1))]
+    for m in outside:
+        try:
+            samples.append(certify_lie(space, m))
+        except MembershipError:
+            pass
+    domain_errors = 0
+    for X in samples:
+        want = _cayley_formula(X)
+        assert (want is not None) == in_domain(X)
+        if want is None:
+            domain_errors += 1
+            with pytest.raises(DomainError):
+                cayley(X)
+            continue
+        g = cayley(X)
+        assert (g.mat, g.mu) == want
+    assert domain_errors >= (2 if space.has_form else 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from simdual.cayley import DomainError, cayley
 from simdual.decomposition import find_conjugator_mod
 from simdual.finite import OMINUS, OPLUS, finite_space
 from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
@@ -176,16 +177,41 @@ def test_star_entry_map_is_the_matrix_formula(space):
         assert star(space, a) == _star_formula(space, a)
 
 
+def _random_members(space, rng, count=25):
+    """Certified members s c(Y - Y* + b 1) for random matrices Y, base
+    scalars b and unit scalars s."""
+    ring = space.ring
+    out = []
+    while len(out) < count:
+        Y, = _random_matrices(space, rng, count=1)
+        b = ring.scalar(_random_scalar(ring, rng).a)
+        s = _random_scalar(ring, rng)
+        try:
+            g = cayley(certify_lie(space, Y - star(space, Y)
+                                   + Mat.scalar_mat(ring, space.n, b)))
+        except DomainError:
+            continue
+        if s if ring.exact else s.is_unit():
+            out.append(certify_group(space, g.mat * s))
+    return out
+
+
 @pytest.mark.parametrize("space", ENTRY_MAP_SPACES)
 def test_theta_group_entry_map_is_the_matrix_formula(space):
-    # the formula holds for any invertible g and any scalar mu
+    # on certified members the entry map, which takes no inverse, is the
+    # formula mu H tau(g^-1) H^-1; in the general-linear family theta is
+    # the transpose of any invertible g, whatever its mu
     rng = random.Random(23)
-    for g in _random_matrices(space, rng, invertible=True):
-        mu = _random_scalar(space.ring, rng)
-        x = GroupElem(space, g, mu)
-        want = _theta_group_formula(x) if space.has_form else g.transpose()
-        assert theta_group(x).mat == want
-        assert theta_group(x).mu == mu
+    if not space.has_form:
+        for g in _random_matrices(space, rng, invertible=True):
+            mu = _random_scalar(space.ring, rng)
+            x = GroupElem(space, g, mu)
+            assert theta_group(x).mat == g.transpose()
+            assert theta_group(x).mu == mu
+        return
+    for x in _random_members(space, rng):
+        assert theta_group(x).mat == _theta_group_formula(x)
+        assert theta_group(x).mu == x.mu
 
 
 @pytest.mark.parametrize("space", ENTRY_MAP_SPACES)

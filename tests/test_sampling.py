@@ -1,3 +1,5 @@
+import pytest
+
 from simdual.cayley import in_domain
 from simdual.involution import theta_group
 from simdual.lattices import ad_operator, standard_lattices
@@ -5,7 +7,9 @@ from simdual.sampling import (make_rng, sample_group, sample_integral_lie,
                               sample_lie, sample_stabilizing,
                               sample_theta_fixed)
 from simdual.scalars import INERT, SPLIT, Ring
-from simdual.spaces import HERMITIAN, SYMPLECTIC, standard_space
+from simdual.matrices import Mat
+from simdual.spaces import (FAMILIES, HERMITIAN, SKEW_HERMITIAN, SYMPLECTIC,
+                            certify_group, standard_space, validate_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
@@ -67,3 +71,55 @@ def test_stabilizing_samples_preserve_lattice():
         k = sample_stabilizing(STD, rng)
         assert STD.Ldot.transform(ad_operator(STD.gu_coords, k.mat)) \
             == STD.Ldot
+
+
+def _sample_group_oracle(std, rng, isometry, factors):
+    """``sample_group`` in Mat arithmetic: the product of the Mat-formula
+    Cayley images (1 - lam X)(1 + X)^-1 of ``sample_lie`` draws (1 + X
+    in the general-linear family), times a random unit scalar."""
+    space = std.space
+    one = space.identity()
+    g = None
+    for _ in range(factors):
+        X = sample_lie(std, rng, isometry=isometry)
+        f = one + X.mat
+        if space.has_form:
+            lam = (space.ring.one + X.alpha).inv()
+            f = (one - X.mat * lam) * f.inv()
+        g = f if g is None else g * f
+    if not isometry:
+        p = space.ring.p
+        s = rng.randint(1, 5 * p)
+        while s % p == 0:
+            s = rng.randint(1, 5 * p)
+        g = g * s
+    return certify_group(space, g)
+
+
+def _oracle_spaces():
+    """The five standard models at p = 3, and an orthogonal form with
+    J = diag(1, 3), whose star has the rational coefficient 1/3."""
+    out = [pytest.param(standard_space(
+        family, 2, Ring(3, INERT if family in (HERMITIAN, SKEW_HERMITIAN)
+                        else SPLIT)), id=family) for family in FAMILIES]
+    ring = Ring(3, SPLIT)
+    return out + [pytest.param(validate_space(
+        Mat(ring, [[1, 0], [0, 3]]), +1, ring, H=Mat.identity(ring, 2)),
+        id="orthogonal-rational-star")]
+
+
+@pytest.mark.parametrize("space", _oracle_spaces())
+def test_sample_group_is_the_mat_oracle(space):
+    # the same Mat, the same mu and the same random state after each draw
+    std = standard_lattices(space)
+    for factors in (1, 2, 3, 4):
+        for isometry in (False, True):
+            seed = 100 * factors + isometry
+            rng, oracle_rng = make_rng(seed), make_rng(seed)
+            for _ in range(3):
+                g = sample_group(std, rng, isometry=isometry,
+                                 factors=factors)
+                want = _sample_group_oracle(std, oracle_rng, isometry,
+                                            factors)
+                assert (g.mat, g.mu) == (want.mat, want.mu)
+                assert rng.getstate() == oracle_rng.getstate()
