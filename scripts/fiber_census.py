@@ -3,7 +3,10 @@
 
 Enumerates every Lie element in the working domain mod p^N, buckets the
 images, and cross-checks each bucket against the per-element fiber
-computation (affine solves).  Prints the tag distribution, any mismatch
+computation, which decides each branch lambda from
+(lambda + g)(1 + X) = (1 + lambda) 1: in closed form where 1 + lambda
+and lambda + g are units, by an affine solve where both are 0 mod p,
+and not at all otherwise.  Prints the tag distribution, any mismatch
 between the two independent computations, and the number of preimages
 outside the working domain, which must be 0.  Exits 1 when either count
 is not 0, and 2 with one line on stderr on bad arguments or when the

@@ -7,8 +7,8 @@ cut out by two conditions, 1+alpha and det(1+X) regular (``in_domain``),
 and is stable under theta and Ad; ``cayley`` decides the second through
 the determinant of 1+X it computes anyway.  Every preimage the fiber
 analysis returns lies in it.  Over truncated rings "nonzero" uniformly means
-"unit", and fibers are computed as exact affine solves so that they agree
-with exhaustive bucketing residue-for-residue.
+"unit", and fibers are solved exactly, branch by branch, so that they
+agree with exhaustive bucketing residue-for-residue.
 
 In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
@@ -24,8 +24,9 @@ certificates and the Cayley map, one formula on residues mod p^N and on
 exact numerators over one denominator, reduced to lowest terms once,
 when a ``Mat`` is decoded.  A fiber branch where lambda + g is a unit is
 the closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse and one
-product; only a singular branch is written as an integer system for an
-affine solve.  Preimages are certified on integers; ``Mat``,
+product; a branch that can hold no domain preimage is skipped, and only
+lambda + g = 0 mod p is written as an integer system for an affine
+solve.  Preimages are certified on integers; ``Mat``,
 ``GroupElem`` and ``LieElem`` are decoded only where a public function
 returns one.
 """
@@ -160,7 +161,9 @@ def fiber(g: GroupElem) -> FiberResult:
     Over the exact field this follows the proved case analysis; over a
     truncated ring each branch lambda is solved exactly (the case pattern
     can blur at finite precision, e.g. near the identity): in closed form
-    X_lambda where lambda + g is a unit, by an affine solve elsewhere."""
+    X_lambda where 1 + lambda and lambda + g are units, by an affine solve
+    where both are 0 mod p, and not at all otherwise, since such a branch
+    holds no preimage with 1 + X a unit."""
     space = g.space
     ring = space.ring
     if not space.has_form:
@@ -680,36 +683,41 @@ def _left_multiplication(space: Space, s: tuple) -> list:
     return A
 
 
-def _solve_branch(space: Space, x: tuple, lam: int, limit):
+def _solve_branch(space: Space, x: tuple, lam: int, t, limit):
     """All X mod p^N, as components, with (lam + g) X = 1 - g and
-    X + X* = (lam^-1 - 1) 1, where g has components x.  When lam + g is a
-    unit (``matrix_inverse_kernel`` decides) the first equation has the
-    one solution X_lam = (1 - g)(lam + g)^-1, the factors commuting, and
-    the branch is [X_lam] or [] by the second.  Otherwise the two are
-    written as one integer system, X -> (lam + g) X on components stacked
-    on ``lie_system`` without alpha, for ``modsolve.solve_affine_mod``."""
+    X + X* = (lam^-1 - 1) 1, where g has components x and t is the
+    inverse of lam + g from ``matrix_inverse_kernel``, None when it is
+    singular.  With t the first equation has the one solution
+    X_lam = (1 - g) t, the factors commuting, and the branch is [X_lam]
+    or [] by the second.  Otherwise the two are written as one integer
+    system, X -> (lam + g) X on components stacked on ``lie_system``
+    without alpha, for ``modsolve.solve_affine_mod``."""
     ring = space.ring
     M = ring.modulus
     ident = identity_comps(space)
-    shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
-    t = matrix_inverse_kernel(space)(shifted)
     if t is not None:
         X = product_kernel(space)(rhs, t)
         return [X] if all((v + w - e) % M == 0 for v, w, e in zip(
             X, star_kernel(space)(X), target)) else []
     from . import modsolve          # only the solving paths load it
+    shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     A = _left_multiplication(space, shifted) + _plus_star_system(space)
     return modsolve.solve_affine_mod(A, rhs + target, ring.p, ring.prec,
                                      limit)
 
 
 def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
+    """Each branch lambda = +-sqrt(mu(g)) is decided before it is solved:
+    a domain preimage X on it has (lambda + g)(1 + X) = (1 + lambda) 1
+    with 1 + X a unit.  If 1 + lambda is a unit, so is lambda + g, and the
+    branch is the closed form or empty; if not, only a lambda + g that is
+    0 mod p is solved affinely, keeping the solutions with 1 + X a unit."""
     space = g.space
     ring = space.ring
-    M = ring.modulus
-    root = sqrt_mod_prime_power(g.mu.a, ring.p, ring.prec)
+    p, M = ring.p, ring.modulus
+    root = sqrt_mod_prime_power(g.mu.a, p, ring.prec)
     if root is None:
         return FiberResult(EMPTY)
     x = tuple(mat_components(space, g.mat))
@@ -719,18 +727,19 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
     found = {}                      # components of X -> (alpha, lambda)
     lambdas = []
     for lam in (root, -root % M):
-        # a solution has (lam + g)(1 + X) = (1 + lam) 1: 1 + X is a unit
-        # if 1 + lam is, and not if only lam + g is; the inverse of 1 + X
-        # decides on a singular branch or for an entry that is no solution
         shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+        unit = (1 + lam) % p != 0
+        t = inv(shifted) if unit else None
+        if unit and t is None or not unit and any(v % p for v in shifted):
+            continue
         scaled = tuple((1 + lam) * e % M for e in ident)
-        unit = (1 + lam) % ring.p != 0
-        decides = unit or inv(shifted) is not None
-        for comps in _solve_branch(space, x, lam, limit):
+        # the identity shows 1 + X a unit on a unit branch; the inverse of
+        # 1 + X decides elsewhere or for an entry that is no solution
+        for comps in _solve_branch(space, x, lam, t, limit):
             one_plus = tuple((e + v) % M for e, v in zip(ident, comps))
             if comps in found or not (
-                    unit if decides and mul(shifted, one_plus) == scaled
-                    else inv(one_plus) is not None):
+                    unit and mul(shifted, one_plus) == scaled
+                    or inv(one_plus) is not None):
                 continue
             found[comps] = alpha_of(comps), lam
             if lam not in lambdas:

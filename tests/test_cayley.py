@@ -410,8 +410,8 @@ def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):
     want = [(p.X.mat.key(), p.lam) for p in fiber(g).preimages]
     real = cayley_module._solve_branch
 
-    def with_singular(space, x, lam, limit):
-        return sorted(real(space, x, lam, limit) + [(8, 0, 0, 8)])
+    def with_singular(space, x, lam, t, limit):
+        return sorted(real(space, x, lam, t, limit) + [(8, 0, 0, 8)])
     monkeypatch.setattr(cayley_module, "_solve_branch", with_singular)
     got = [(p.X.mat.key(), p.lam) for p in fiber(g).preimages]
     assert got == want and (8, 0, 0, 0, 0, 0, 8, 0) not in \

@@ -3,8 +3,10 @@ with it, pinned by sha256 digests: the Lie enumerations, the Lie-algebra
 coordinate bases, the star and iota kernels, and the affine systems of
 the conjugator and fiber solves."""
 
+import functools
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 
 from simdual import modsolve
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
-                            bucket_domain_images, cayley,
-                            components_per_scalar, fiber, identity_comps,
-                            iota_kernel, linear_system, mat_components,
+                            bucket_domain_images, cayley, cayley_kernel,
+                            comps_key, components_per_scalar, fiber,
+                            identity_comps, iota_kernel, lie_alpha_kernel,
+                            linear_system, mat_components,
                             mat_from_components, matrix_inverse_kernel,
                             multiplier_predicate, product_kernel,
                             star_kernel)
@@ -22,7 +25,7 @@ from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
 from simdual.matrices import parse_matrix
 from simdual.scalars import INERT, SPLIT, Ring, sqrt_mod_prime_power
-from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
+from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
                             certify_lie, standard_space)
 
@@ -203,11 +206,12 @@ def _check_branch(space, x, lam, written):
     M = ring.modulus
     A, b = _probed_branch_system(space, x, lam)
     want = modsolve.solve_affine_mod(A, b, ring.p, ring.prec, 10**5)
-    del written[:]
-    assert _solve_branch(space, x, lam, 10**5) == want
     shifted = tuple((lam * e + v) % M
                     for e, v in zip(identity_comps(space), x))
-    if matrix_inverse_kernel(space)(shifted) is not None:
+    t = matrix_inverse_kernel(space)(shifted)
+    del written[:]
+    assert _solve_branch(space, x, lam, t, 10**5) == want
+    if t is not None:
         assert written == []
         return False, want
     (WA, Wb), = written
@@ -241,12 +245,19 @@ def test_fiber_branch_systems_match_the_pinned_digest(written, family,
     assert _singular_branches(g.space, x, written) == (family == SYMPLECTIC)
 
 
-def _census_images(family, step):
-    """Every step-th image of the census mod 9, as components."""
-    space = standard_space(family, 2, Ring(3, _ext(family), 2))
-    keys = sorted(bucket_domain_images(space))[::step]
+@functools.cache
+def _census(family, n=2):
+    """The space and every image of the census mod 9, as components."""
+    space = standard_space(family, n, Ring(3, _ext(family), 2))
+    keys = sorted(bucket_domain_images(space))
     # a split key lists the pair (a, 0) of every entry
     return space, [k if space.ring.ext == INERT else k[::2] for k in keys]
+
+
+def _census_images(family, step):
+    """Every step-th image of the census mod 9, as components."""
+    space, xs = _census(family)
+    return space, xs[::step]
 
 
 @pytest.mark.parametrize("family, step, images",
@@ -273,3 +284,103 @@ def test_closed_form_branch_is_empty_off_the_multiplier(written):
                 singular, sols = _check_branch(space, x, lam, written)
                 empty += not singular and not sols
     assert empty
+
+
+def _sampled_images(space, draws, seed):
+    """The images of ``draws`` Lie elements of a truncated symplectic
+    space of dimension 2, drawn with a fixed seed (every matrix is one,
+    with alpha its trace); every second draw is multiplied by p, so that
+    its image is 1 mod p and both branches have 1 + lam or lam + g 0 mod p
+    often.  Draws outside the domain have no image."""
+    ring = space.ring
+    D = space.n * space.n * components_per_scalar(space)
+    c, alpha_of = cayley_kernel(space), lie_alpha_kernel(space)
+    rng = random.Random(seed)
+    images = set()
+    for i in range(draws):
+        x = tuple(rng.randrange(ring.modulus) * ring.p ** (i % 2)
+                  % ring.modulus for _ in range(D))
+        image = c(x, alpha_of(x))
+        if image is not None:
+            images.add(image[0])
+    return sorted(images)
+
+
+def _decided_branches(space, x, written):
+    """The fiber over the image with components x against the oracle of
+    solving every branch through the probed system and keeping the
+    solutions with 1 + X a unit.  Asserts that ``fiber`` gives the
+    oracle's preimages and lambdas, that a branch the rule skips holds no
+    oracle preimage, and that ``fiber`` hands exactly the unskipped
+    branches with lam + g singular to the affine solve.  Returns the kind
+    of each branch."""
+    ring = space.ring
+    p, M = ring.p, ring.modulus
+    ident = identity_comps(space)
+    inv = matrix_inverse_kernel(space)
+    found, kinds = {}, []
+    for lam in _lambdas(space, x):
+        A, b = _probed_branch_system(space, x, lam)
+        sols = [v for v in modsolve.solve_affine_mod(A, b, p, ring.prec,
+                                                      10**5)
+                if inv(tuple((e + w) % M for e, w in zip(ident, v)))
+                is not None]
+        for v in sols:
+            found.setdefault(v, lam)
+        shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+        if (1 + lam) % p:
+            kind = "closed" if inv(shifted) is not None else "singular"
+        else:
+            kind = "off" if any(v % p for v in shifted) else "solved"
+        assert kind in ("closed", "solved") or not sols
+        kinds.append(kind)
+    del written[:]
+    res = fiber(certify_group(space, mat_from_components(space, x)))
+    assert len(written) == kinds.count("solved")
+    assert [(pre.X.mat.key(), pre.lam.a) for pre in res.preimages] == \
+        [(comps_key(space, v), lam) for v, lam in sorted(found.items())]
+    assert [lam.a for lam in res.lambdas] == \
+        [lam for lam in _lambdas(space, x) if lam in found.values()]
+    return kinds
+
+
+def _census_or_sample(family, n, p, step):
+    if p == 3:
+        space, xs = _census(family, n)
+        return space, xs[::step]
+    space = standard_space(family, n, Ring(p, _ext(family), 2))
+    return space, _sampled_images(space, step, seed=22)
+
+
+@pytest.mark.parametrize("family, n, p, step, kinds", [
+    (SYMPLECTIC, 2, 3, 1, {"closed": 1215, "off": 1134, "solved": 81}),
+    (ORTHOGONAL, 3, 3, 1, {"closed": 1215, "off": 1134, "solved": 81}),
+    (HERMITIAN, 2, 3, 99, {"closed": 170, "off": 168, "solved": 2}),
+    (SYMPLECTIC, 2, 5, 100,
+     {"closed": 91, "off": 11, "singular": 5, "solved": 57}),
+])
+def test_decided_branches_match_solving_every_branch(written, family, n, p,
+                                                     step, kinds):
+    # every image of the symplectic and orthogonal censuses mod 9, every
+    # step-th hermitian one, and the images of step draws mod 25: fiber
+    # equals the oracle, skipping the branches of no domain preimage
+    space, xs = _census_or_sample(family, n, p, step)
+    counts = {}
+    for x in xs:
+        for kind in _decided_branches(space, x, written):
+            counts[kind] = counts.get(kind, 0) + 1
+    assert dict(sorted(counts.items())) == kinds
+
+
+@pytest.mark.parametrize("family, solves", [(SYMPLECTIC, 81),
+                                            (HERMITIAN, 243)])
+def test_census_mod9_makes_one_affine_solve_per_solved_branch(written,
+                                                              family,
+                                                              solves):
+    # of the 2 x 1215 symplectic and 2 x 16767 hermitian branches, only
+    # those with 1 + lam and lam + g both 0 mod p reach the affine solve
+    space, xs = _census(family)
+    del written[:]                  # the Lie enumeration solves once
+    for x in xs:
+        fiber(certify_group(space, mat_from_components(space, x)))
+    assert len(written) == solves
