@@ -19,14 +19,16 @@ The work runs on integer component tuples (the layout of
 ring (the inverse is adj det^-1, det^-1 the conjugate over the norm when
 inert), the product, the integer determinant (once per n) and the
 F-linear maps star, theta and iota, probed on unit vectors and compiled
-from their sparse rows.  From these come the multiplier and alpha
-certificates and the Cayley map, one formula on residues mod p^N and on
-exact numerators over one denominator, reduced to lowest terms once,
-when a ``Mat`` is decoded.  A fiber branch where lambda + g is a unit is
-the closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse and one
-product; a branch that can hold no domain preimage is skipped, and only
-lambda + g = 0 mod p is written as an integer system for an affine
-solve.  Preimages are certified on integers; ``Mat``,
+from their sparse rows.  From these come the alpha certificate and the
+multiplier certificate, the one that ``spaces.similitude_multiplier``
+runs on every ring, and the Cayley map: one generated function per space
+that scales the adjugate of 1 + X, with one formula on residues mod p^N
+and on exact numerators over one denominator, reduced to lowest terms
+once, when a ``Mat`` is decoded.  A fiber branch where lambda + g is a
+unit is the closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse
+and one product; a branch that can hold no domain preimage is skipped,
+and only lambda + g = 0 mod p is written as an integer system for an
+affine solve.  Preimages are certified on integers; ``Mat``,
 ``GroupElem`` and ``LieElem`` are decoded only where a public function
 returns one.
 """
@@ -364,11 +366,14 @@ def lie_system(space: Space, alpha: bool = True) -> list:
 
 @_per_space
 def _adjugate_code(space: Space) -> tuple:
-    """(lines, A, q): straight-line source, on the unpacked components of
-    x, of the (A, q) of ``adjugate_kernel``, each minor expanded along its
-    first row into one local shared by the cofactors."""
+    """(lines, A, q, k): straight-line source, on the components x0, x1,
+    ... of a matrix g, of A = adj(g) tau(det g) and q = det(g) tau(det g),
+    the determinant (split) or its norm (inert), so that g A = q 1 on
+    integers and g^-1 = A / q where q is nonzero (a unit mod p^N).  Each
+    minor is expanded along its first row into one local shared by the
+    cofactors; the first k lines are those the determinant needs."""
     n, d, u = space.n, components_per_scalar(space), space.ring._u
-    lines, minors = [_unpack("x", d * n * n)], {}
+    lines, minors = [], {}
 
     def times(a, b, sign):
         """The component terms of sign a b, for a and b by component."""
@@ -396,33 +401,26 @@ def _adjugate_code(space: Space) -> tuple:
 
     rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
     det = minor(tuple(range(n)), tuple(range(n)))
+    k = len(lines)
     conj = ("1",) if d == 1 else (det[0], f"(-{det[1]})")
     adj = [t for r, c in itertools.product(range(n), repeat=2)
            for t in times(minor(rest[c], rest[r]), conj,
                           "-" if (r + c) % 2 else "+")]
-    return lines, adj, times(det, conj, "+")[0]
-
-
-@_per_space
-def adjugate_kernel(space: Space):
-    """``adj(x)``: (A, q) with g A = q 1 on integers, for the matrix g with
-    integer components x: A = adj(g) tau(det g) and q = det(g) tau(det g),
-    the determinant (split) or its norm (inert), so g^-1 = A / q where q
-    is nonzero (a unit mod p^N); straight-line code made once per space."""
-    lines, adj, q = _adjugate_code(space)
-    return _generated("x", lines, f"({', '.join(adj)},), {q}")
+    return lines, adj, times(det, conj, "+")[0], k
 
 
 @_per_space
 def matrix_inverse_kernel(space: Space):
     """``inv(x)``: the components of the inverse mod p^N of the matrix
     with components x, or None when it is singular: A q^-1 for the
-    (A, q) of ``adjugate_kernel``, generated as one function."""
-    lines, adj, q = _adjugate_code(space)
+    (A, q) of ``_adjugate_code``, generated as one function."""
+    lines, adj, q, _ = _adjugate_code(space)
     p, M = space.ring.p, space.ring.modulus
-    return _generated("x", lines + [f"q = {q}", f"if q % {p} == 0:",
-                                    "    return None", f"f = pow(q, -1, {M})"],
-                      "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
+    D = len(adj)
+    return _generated("x", [_unpack("x", D)] + lines + [
+        f"q = {q}", f"if q % {p} == 0:", "    return None",
+        f"f = pow(q, -1, {M})"],
+        "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
 
 
 @functools.cache
@@ -440,23 +438,25 @@ def det_kernel(n: int):
 
 @_per_space
 def multiplier_predicate(space: Space):
-    """``mu_of(comps)`` for a truncated space: the residue mu when the
-    matrix g with components ``comps`` (the layout of ``mat_components``)
-    satisfies g star(g) = mu * 1 with mu a unit of the base ring, else
-    None.  It agrees with ``similitude_multiplier`` but runs in integer
-    arithmetic mod p^N: star is F-linear on components, so its matrix is
-    found once per space by probing unit vectors.  In the general-linear
-    family mu = 1 exactly for the g whose integer determinant is a unit.
+    """``mu_of(comps)``, the membership certificate of
+    ``spaces.similitude_multiplier``: for the matrix g with components
+    ``comps`` (the layout of ``mat_components``), the mu with
+    g star(g) = mu * 1 and mu in the base ring, regular (a unit mod p^N,
+    nonzero over the exact field), else None.  It runs in integer
+    arithmetic on the product and star kernels, mod p^N on residues;
+    over an exact space on the numerators x of g = x / den, where it
+    returns mu den^2 (a Fraction only where star has a rational
+    coefficient).  In the general-linear family, mod p^N over the split
+    ring only, mu = 1 exactly for the g whose integer determinant is a
+    unit.
     """
-    if space.ring.exact:
-        raise ValueError("the multiplier predicate works mod p^N")
     ring = space.ring
-    n, p = space.n, ring.p
+    n, p, exact = space.n, ring.p, ring.exact
 
     if not space.has_form:
-        if ring.ext == INERT:
-            raise SpaceError("the general-linear multiplier works over the "
-                             "split ring")
+        if exact or ring.ext == INERT:
+            raise SpaceError("the general-linear multiplier works mod p^N "
+                             "over the split ring")
         det = det_kernel(n)
         return lambda x: 1 if det(x) % p else None
 
@@ -469,7 +469,8 @@ def multiplier_predicate(space: Space):
     def mu_of(x):
         z = mul(x, star_of(x))
         mu = z[0]
-        if mu % p and z.count(0) == zeros and z[::step].count(mu) == n:
+        if (mu if exact else mu % p) and z.count(0) == zeros \
+                and z[::step].count(mu) == n:
             return mu
         return None
     return mu_of
@@ -548,8 +549,11 @@ def linear_kernel(rows: list, M: int | None, scaled: bool = False,
 @_per_space
 def star_kernel(space: Space):
     """``star(x)``: the components of star(g) mod p^N for the matrix g
-    with components x; star probed once per space."""
-    return linear_kernel(_star_rows(space), space.ring.modulus)
+    with components x, over an exact space with no modulus; star probed
+    once per space."""
+    ring = space.ring
+    return linear_kernel(_star_rows(space), None if ring.exact
+                         else ring.modulus)
 
 
 @_per_space
@@ -632,34 +636,52 @@ def lie_alpha_kernel(space: Space):
 
 @_per_space
 def cayley_kernel(space: Space):
-    """``c(x, alpha, den=1)``: ``cayley`` on integer components, one
-    formula on every ring.  For X = x / den with alpha(X) = alpha / den
-    (``lie_alpha_kernel``), put Y = den 1 + x and s = den + alpha, so
-    that 1 + X = Y / den and 1 + alpha(X) = s / den; then
-    c(X) = (s 1 - x) adj(Y) den / (s det Y) and lambda = den / s.  Mod
-    p^N (den 1) it gives (components, mu) of c(X) with mu = lambda^2;
-    over an exact space (numerators, denominator, s), the denominator
-    s q for the (A, q) of ``adjugate_kernel`` on Y.  None outside the
-    domain (``in_domain``): s or det Y not regular.  In the
-    general-linear family c(X) = Y / den and lambda = 1."""
-    ident = identity_comps(space)
-    adj, mul = adjugate_kernel(space), product_kernel(space)
-    p, M = space.ring.p, None if space.ring.exact else space.ring.modulus
-
-    def c(x, alpha, den=1):
-        s = den + alpha                  # alpha is 0 without a form
-        y = [den * e + v for e, v in zip(ident, x)]
-        a, q = adj(y)                    # Y^-1 = a / q
-        if not (s and q) if M is None else (s % p == 0 or q % p == 0):
-            return None
-        if not space.has_form:
-            return (y, den, s) if M is None else (tuple(v % M for v in y), 1)
-        P = mul([s * e - v for e, v in zip(ident, x)], a)
+    """``c(x, alpha)`` mod p^N, ``c(x, alpha, den)`` over an exact space:
+    ``cayley`` on integer components, one generated straight-line function
+    per space.  For X = x / den with alpha(X) = alpha / den
+    (``lie_alpha_kernel``; den = 1 mod p^N) put Y = den 1 + x and
+    s = den + alpha, so that 1 + X = Y / den and 1 + alpha(X) = s / den,
+    and take Y A = q 1 from ``_adjugate_code``.  Then
+    c(X) = (s 1 - x) A den / (s q) and lambda = den / s, and since
+    x A = (Y - den 1) A = q 1 - den A, the product (s 1 - x) A is
+    (s + den) A - q 1, the adjugate scaled with q taken off the diagonal.
+    Mod p^N it gives (components, mu) of c(X) with mu = lambda^2 =
+    (q (s q)^-1)^2, one inverse for both; over an exact space
+    (numerators, denominator s q, s).  None outside the domain
+    (``in_domain``): s or det Y not regular.  In the general-linear
+    family (alpha = 0) c(X) = Y / den, lambda = 1, and only the
+    determinant of Y is computed."""
+    ring, n = space.ring, space.n
+    lines, adj, q, k = _adjugate_code(space)
+    p, M = ring.p, None if ring.exact else ring.modulus
+    D = len(adj)
+    step = components_per_scalar(space) * (n + 1)
+    diag = range(0, D, step)               # the a-components of Y_ii
+    den = "den" if M is None else "1"
+    regular = "if not {}:" if M is None else f"if {{}} % {p} == 0:"
+    code = [_unpack("x", D), f"s = {den} + alpha", regular.format("s"),
+            "    return None"]
+    code += [f"x{i} += {den}" for i in diag]
+    code += (lines if space.has_form else lines[:k]) + [
+        f"q = {q}", regular.format("q"), "    return None"]
+    args = "x, alpha, den" if M is None else "x, alpha"
+    if not space.has_form:
         if M is None:
-            return [v * den for v in P], s * q, s
-        f = pow(s * q, -1, M)
-        return tuple(v * f % M for v in P), pow(s, -2, M)
-    return c
+            result = f"({''.join(f'x{i}, ' for i in range(D))}), den, s"
+        else:
+            result = f"({''.join(f'x{i} % {M}, ' for i in range(D))}), 1"
+    elif M is None:
+        code.append("t = s + den")
+        result = "(" + "".join(
+            f"(t*({a}) - q)*den, " if i in diag else f"t*({a})*den, "
+            for i, a in enumerate(adj)) + "), s * q, s"
+    else:
+        code += [f"f = pow(s * q, -1, {M})", f"t = (s + 1) * f % {M}",
+                 f"h = q * f % {M}"]           # h = s^-1
+        result = "(" + "".join(
+            f"(t*({a}) - h) % {M}, " if i in diag else f"t*({a}) % {M}, "
+            for i, a in enumerate(adj)) + f"), h * h % {M}"
+    return _generated(args, code, result)
 
 
 @_per_space

@@ -10,9 +10,9 @@ Euclid loop and no augmented columns, and every integer stays below p^N
 GTM 138, 2.4).
 
 Both entry points enumerate with the one coset enumerator ``_iter_coset``:
-x0 plus every combination of the triangular kernel basis, one
-``itertools.product`` over each column's multiples, first column
-slowest.  ``iter_affine_mod`` yields it lazily; ``solve_affine_mod`` and
+x0 plus every combination of the triangular kernel basis, first column
+slowest, as an odometer that adds one fixed vector per step.
+``iter_affine_mod`` yields it lazily; ``solve_affine_mod`` and
 ``kernel_mod`` sort it under a budget.  ``residues`` is the one
 enumeration of all tuples of residues mod a modulus: the matrix scans of
 ``involution`` and ``cayley``, and the coordinate and congruence scans of
@@ -268,11 +268,29 @@ def _coset_steps(basis, k, M):
 
 def _iter_coset(x0, basis, k, M):
     """The coset x0 + <basis> in lexicographic order of the coefficients,
-    the first basis column slowest."""
-    parts = [[tuple(c * e for e in col) for c in range(step)]
-             for col, step in zip(basis, _coset_steps(basis, k, M))]
-    return (tuple(sum(t) % M for t in zip(x0, *combo))
-            for combo in itertools.product(*parts))
+    the first basis column slowest, as an odometer on one running vector:
+    stepping coefficient j by one, with every later coefficient wrapping
+    from its bound to 0, adds the fixed vector col_j minus
+    (step_i - 1) col_i over the later columns i."""
+    steps = _coset_steps(basis, k, M)
+    carries = []
+    tail = [0] * k
+    for col, step in zip(reversed(basis), reversed(steps)):
+        carries.append([(e - t) % M for e, t in zip(col, tail)])
+        tail = [t + (step - 1) * e for e, t in zip(col, tail)]
+    carries.reverse()
+    coeffs = [0] * len(basis)
+    v = [a % M for a in x0]
+    while True:
+        yield tuple(v)
+        j = len(basis) - 1
+        while j >= 0 and coeffs[j] + 1 == steps[j]:
+            coeffs[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        coeffs[j] += 1
+        v = [(a + e) % M for a, e in zip(v, carries[j])]
 
 
 def _enumerate_coset(x0, basis, k, M, limit):

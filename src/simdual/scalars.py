@@ -136,12 +136,17 @@ class Ring:
     # -- constructors -------------------------------------------------
 
     def scalar(self, a, b=0) -> "Scalar":
+        """a + b*sqrt(u) for ints or rationals a and b.  Two exact ints
+        are stored at once, reduced mod p^N when truncated; only other
+        values pay the ``Fraction`` conversion."""
         if b != 0 and self.ext != INERT:
             raise ValueError("nonzero sqrt(u)-part in a split ring")
         m = self._mod
-        if m is None:
-            if type(a) is int and type(b) is int:
+        if type(a) is int and type(b) is int:
+            if m is None:
                 return Scalar(self, a, b, 1)
+            return Scalar(self, a % m, b % m, 1)
+        if m is None:
             a, b = Fraction(a), Fraction(b)
             da, db = a.denominator, b.denominator
             d = math.lcm(da, db)

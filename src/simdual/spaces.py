@@ -209,17 +209,24 @@ def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:
     """The scalar mu with g star(g) = mu * 1, or None if g is not a member.
 
     mu must be a unit lying in the base field; in the general-linear family
-    every invertible g is a member with mu = 1.
+    every invertible g is a member with mu = 1.  The certificate is
+    ``cayley.multiplier_predicate`` on integers: on the residues of g mod
+    p^N, over the exact field on its numerators over one denominator den,
+    whose mu den^2 it divides by den^2.  Only the general-linear family
+    over the exact field or the inert ring, which has no integer
+    predicate, inverts g instead.
     """
-    if not space.has_form:
-        return space.ring.one if g.is_invertible() else None
-    mu = (g * star(space, g)).scalar_part()
-    if mu is None or not mu.is_in_base():
-        return None
-    invertible = bool(mu) if space.ring.exact else mu.is_unit()
-    if not invertible:
-        return None
-    return mu
+    from .cayley import mat_components, mat_numerators, multiplier_predicate
+    ring = space.ring
+    if not space.has_form and (ring.exact or ring.ext == INERT):
+        return ring.one if g.is_invertible() else None
+    if ring.exact:
+        x, den = mat_numerators(space, g)
+        mu = multiplier_predicate(space)(x)
+        return None if mu is None else ring.ratio(
+            mu.numerator, 0, mu.denominator * den * den)
+    mu = multiplier_predicate(space)(mat_components(space, g))
+    return None if mu is None else Scalar(ring, mu, 0, 1)
 
 
 def lie_alpha(space: Space, X: Mat) -> Scalar | None:

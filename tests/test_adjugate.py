@@ -1,16 +1,20 @@
-"""The generated adjugate kernel and the inverse mod p^N built on it,
-against an integer Gauss-Jordan oracle that embeds the inert ring as
-2 x 2 blocks over the base ring."""
+"""The generated adjugate code, the inverse mod p^N built on it and the
+fused Cayley kernel: the inverse against an integer Gauss-Jordan oracle
+that embeds the inert ring as 2 x 2 blocks over the base ring, the
+Cayley kernel against the composition of the adjugate, the product and
+list comprehensions that it replaces."""
 
 import random
 
 import pytest
 
-from simdual.cayley import (adjugate_kernel, components_per_scalar,
+from simdual.cayley import (_adjugate_code, _generated, _unpack,
+                            cayley_kernel, components_per_scalar,
                             identity_comps, mat_from_components,
                             matrix_inverse_kernel, product_kernel)
 from simdual.scalars import INERT, SPLIT, Ring
-from simdual.spaces import HERMITIAN, ORTHOGONAL, standard_space
+from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
+                            SKEW_HERMITIAN, SYMPLECTIC, standard_space)
 
 
 def gauss_jordan(x, n, p, M):
@@ -97,6 +101,82 @@ def test_inverse_kernel_is_the_gauss_jordan_inverse(ext, n, p, N):
         assert inv(x) == want
         verdicts.add(want is None)
     assert verdicts == {True, False}
+
+
+def adjugate_kernel(space):
+    """``adj(x)``: (A, q) with g A = q 1 on integers, for the matrix g
+    with integer components x, run from the lines of ``_adjugate_code``."""
+    lines, adj, q, _ = _adjugate_code(space)
+    return _generated("x", [_unpack("x", len(adj))] + lines,
+                      f"({', '.join(adj)},), {q}")
+
+
+def composed_cayley(space):
+    """The Cayley kernel as the composition it replaces: Y = den 1 + x,
+    (A, q) = adj(Y), s = den + alpha, and the product (s 1 - x) A."""
+    ident = identity_comps(space)
+    adj, mul = adjugate_kernel(space), product_kernel(space)
+    p, M = space.ring.p, None if space.ring.exact else space.ring.modulus
+
+    def c(x, alpha, den=1):
+        s = den + alpha
+        y = [den * e + v for e, v in zip(ident, x)]
+        a, q = adj(y)
+        if not (s and q) if M is None else (s % p == 0 or q % p == 0):
+            return None
+        if not space.has_form:
+            return (y, den, s) if M is None else (tuple(v % M for v in y), 1)
+        P = mul([s * e - v for e, v in zip(ident, x)], a)
+        if M is None:
+            return [v * den for v in P], s * q, s
+        f = pow(s * q, -1, M)
+        return tuple(v * f % M for v in P), pow(s, -2, M)
+    return c
+
+
+def _cayley_cases():
+    """(family, ext, n) of every space the families allow at n = 1..4,
+    the general-linear family over both rings."""
+    exts = {ORTHOGONAL: [SPLIT], SYMPLECTIC: [SPLIT], HERMITIAN: [INERT],
+            SKEW_HERMITIAN: [INERT], GENERAL_LINEAR: [SPLIT, INERT]}
+    for family in FAMILIES:
+        for ext in exts[family]:
+            for n in range(1, 5):
+                if family != SYMPLECTIC or n % 2 == 0:
+                    yield family, ext, n
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, None])
+@pytest.mark.parametrize("family, ext, n", list(_cayley_cases()))
+def test_fused_cayley_kernel_is_the_composition(family, ext, n, N):
+    # the same integers on every draw, None included: a third of the
+    # draws has 1 + alpha singular, a third a row of Y = den 1 + x that is
+    # 0 mod p (a zero row over the exact field)
+    base = standard_space(family, n, Ring(3, ext))
+    space = base if N is None else base.truncated(N)
+    d, p = components_per_scalar(space), space.ring.p
+    fused, composed = cayley_kernel(space), composed_cayley(space)
+    rng = random.Random(f"{family}-{ext}-{n}-{N}")
+    bound = 30 if N is None else p**N
+    nones = set()
+    for k in range(90):
+        den = rng.randint(1, 12) if N is None else 1
+        x = [rng.randrange(-bound, bound) for _ in range(d * n * n)]
+        alpha = rng.randrange(-bound, bound) if space.has_form else 0
+        if k % 3 == 1 and space.has_form:
+            alpha = -den + p * rng.randrange(bound) * (N is not None)
+        elif k % 3 == 2:
+            i = rng.randrange(n)
+            x[d * n * i:d * n * (i + 1)] = [
+                -den * (j == d * i) + p * rng.randrange(bound) * (N is not None)
+                for j in range(d * n)]
+        args = (x, alpha, den) if N is None else (x, alpha)
+        want, got = composed(*args), fused(*args)
+        if want is not None:
+            want = (tuple(want[0]),) + tuple(want[1:])
+        assert got == want
+        nones.add(got is None)
+    assert nones == {True, False}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

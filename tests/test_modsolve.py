@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from simdual.cayley import mat_components
 from simdual.decomposition import _conjugator_system
 from simdual.matrices import parse_matrix
-from simdual.modsolve import (SolveBudgetError, iter_affine_mod, kernel_mod,
-                              residues, smith, solve_affine_mod)
+from simdual.modsolve import (SolveBudgetError, _coset_steps, _iter_coset,
+                              iter_affine_mod, kernel_mod, residues, smith,
+                              solve_affine_mod, subgroup_basis)
 from simdual.scalars import INERT, Ring
 from simdual.spaces import HERMITIAN, certify_group, standard_space
 
@@ -60,6 +63,36 @@ def test_iter_matches_solve_as_sets():
     A = [[1, 2, 0], [0, 3, 3]]
     b = [2, 3]
     assert sorted(iter_affine_mod(A, b, 3, 2)) == solve_affine_mod(A, b, 3, 2)
+
+
+def product_coset(x0, basis, k, M):
+    """The coset x0 + <basis> as one ``itertools.product`` over each
+    column's multiples, first column slowest, every candidate summed
+    afresh: the order ``_iter_coset`` keeps."""
+    parts = [[tuple(c * e for e in col) for c in range(step)]
+             for col, step in zip(basis, _coset_steps(basis, k, M))]
+    return [tuple(sum(t) % M for t in zip(x0, *combo))
+            for combo in itertools.product(*parts)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_odometer_walks_the_coset_in_product_order(seed):
+    # random triangular bases mod 3^N and 5^N with at most 3000 coset
+    # members, some columns of step 1 (leading entry M), some bases empty
+    rng = random.Random(seed)
+    tried = 0
+    while tried < 40:
+        p, N = rng.choice([3, 5]), rng.randint(1, 3)
+        M, k = p**N, rng.randint(0, 6)
+        gens = [[rng.randrange(M) * p**rng.randint(0, N) for _ in range(k)]
+                for _ in range(rng.randint(0, 3))]
+        basis = subgroup_basis(gens, k, M) if gens else []
+        if math.prod(_coset_steps(basis, k, M)) > 3000:
+            continue
+        tried += 1
+        x0 = tuple(rng.randrange(M) for _ in range(k))
+        assert list(_iter_coset(x0, basis, k, M)) == \
+            product_coset(x0, basis, k, M)
 
 
 def test_kernel_mod():

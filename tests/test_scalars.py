@@ -195,3 +195,18 @@ def test_dot_matches_termwise_sum(xs, ys):
         for x, y in list(zip(tx, ty))[1:]:
             want = want + x * y
         assert dot(t, tx, ty) == want
+
+
+@pytest.mark.parametrize("ext", [SPLIT, INERT])
+@pytest.mark.parametrize("prec", [None, 1, 2, 3])
+def test_int_scalars_equal_their_fraction_path(ext, prec):
+    # two exact ints skip the Fraction conversion; the scalar they give
+    # has the same storage as the one built from Fractions, negative and
+    # beyond-modulus ints included
+    ring = Ring(3, ext, prec)
+    for a in range(-60, 61, 7):
+        for b in (range(-60, 61, 11) if ext == INERT else [0]):
+            got = ring.scalar(a, b)
+            want = ring.scalar(Fraction(a), Fraction(b))
+            assert (got.x, got.y, got.d) == (want.x, want.y, want.d)
+            assert ring.scalar(a) == ring.scalar(Fraction(a))

@@ -1,10 +1,18 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdual.cayley import (mat_components, mat_from_components,
+                            multiplier_predicate)
+from simdual.lattices import standard_lattices
 from simdual.matrices import Mat
+from simdual.sampling import make_rng, sample_group, sample_stabilizing
 from simdual.scalars import INERT, SPLIT, Ring
-from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
+from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, MembershipError,
                             SpaceError, certify_group, certify_lie,
                             lie_alpha, similitude_multiplier, standard_space,
@@ -116,3 +124,126 @@ def test_symplectic_lie_membership_criterion(rows):
     # every 2x2 matrix is in the symplectic similitude Lie algebra,
     # with alpha equal to the trace
     assert alpha == X[0, 0] + X[1, 1]
+
+
+def scalar_multiplier(space, g):
+    """The certificate in ``Scalar`` arithmetic that the integer one
+    replaced: g star(g) = mu 1 with mu a regular element of the base
+    field, mu = 1 for an invertible g without a form."""
+    ring = space.ring
+    if not space.has_form:
+        return ring.one if g.is_invertible() else None
+    mu = (g * star(space, g)).scalar_part()
+    if mu is None or not mu.is_in_base():
+        return None
+    return mu if (bool(mu) if ring.exact else mu.is_unit()) else None
+
+
+def _certificates_agree(space, g) -> bool:
+    """Assert that similitude_multiplier is the Scalar certificate, with
+    the same storage; return whether g is a member."""
+    want, got = scalar_multiplier(space, g), similitude_multiplier(space, g)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.x, got.y, got.d) == (want.x, want.y, want.d)
+    return got is not None
+
+
+def _spaces(N):
+    """The five families at n = 2, p = 3 (mod p^N, or exact for None),
+    the general-linear family over both rings."""
+    out = []
+    for family in FAMILIES:
+        for ext in (SPLIT, INERT):
+            if (ext == INERT) == (family in (HERMITIAN, SKEW_HERMITIAN)) \
+                    or family == GENERAL_LINEAR:
+                space = standard_space(family, 2, Ring(3, ext))
+                out.append(space if N is None else space.truncated(N))
+    return out
+
+
+@pytest.mark.parametrize("space", _spaces(1),
+                         ids=lambda s: f"{s.family}-{s.ring.ext}")
+def test_certificate_on_every_matrix_mod_3(space):
+    d = 2 if space.ring.ext == INERT else 1
+    members = sum(_certificates_agree(space, mat_from_components(space, x))
+                  for x in itertools.product(range(3), repeat=4 * d))
+    assert 0 < members < 3**(4 * d)
+
+
+@pytest.mark.parametrize("space", _spaces(3),
+                         ids=lambda s: f"{s.family}-{s.ring.ext}")
+def test_certificate_on_random_matrices_mod_27(space):
+    # members: integral Cayley images c(3 X) times a unit scalar, reduced
+    # mod 27; non-members: the same with one component moved by 9, and
+    # random matrices
+    ring = space.ring
+    std = standard_lattices(standard_space(space.family, 2,
+                                           Ring(3, ring.ext)))
+    rng, draws = make_rng(27), random.Random(27)
+    verdicts = []
+    for _ in range(40):
+        g = sample_stabilizing(std, rng).mat.reduce(3)
+        unit = draws.choice([1, 2, 4, 5, 7, 8])
+        x = [v * unit for v in mat_components(space, g)]
+        verdicts.append(_certificates_agree(
+            space, mat_from_components(space, x)))
+        x[draws.randrange(len(x))] += 9
+        verdicts.append(_certificates_agree(
+            space, mat_from_components(space, x)))
+        verdicts.append(_certificates_agree(space, mat_from_components(
+            space, [draws.randrange(27) for _ in x])))
+    assert verdicts[::3] == [True] * 40
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("space", _spaces(None),
+                         ids=lambda s: f"{s.family}-{s.ring.ext}")
+def test_certificate_on_exact_draws(space):
+    # sampled members, the same with one entry moved by 1/3, random
+    # rational matrices, and singular ones (two equal rows), which no
+    # family admits
+    ring = space.ring
+    rng, draws = make_rng(7), random.Random(7)
+    std = standard_lattices(space)
+    verdicts = []
+    for _ in range(25):
+        g = sample_group(std, rng).mat
+        verdicts.append(_certificates_agree(space, g))
+        rows = [list(row) for row in g.rows]
+        rows[draws.randrange(2)][draws.randrange(2)] += Fraction(1, 3)
+        verdicts.append(_certificates_agree(space, Mat(ring, rows)))
+        row = [ring.scalar(Fraction(draws.randint(-9, 9), draws.randint(1, 9)))
+               for _ in range(2)]
+        verdicts.append(_certificates_agree(space, Mat(ring, [row, row])))
+        verdicts.append(_certificates_agree(space, Mat(ring, [row, [
+            ring.scalar(Fraction(draws.randint(-9, 9), draws.randint(1, 9)))
+            for _ in range(2)]])))
+    assert verdicts[::4] == [True] * 25
+    assert verdicts[2::4] == [False] * 25
+
+
+def test_certificate_with_a_rational_star_coefficient():
+    # J = diag(1, 2): star(a) = J^-1 a^T J has the coefficients 2 and 1/2
+    ring = Ring(3, SPLIT)
+    space = validate_space(Mat(ring, [[1, 0], [0, 2]]), +1, ring)
+    assert space.family == ORTHOGONAL
+    half = Fraction(1, 2)
+    members = [Mat(ring, [[Fraction(2, 3), 0], [0, Fraction(2, 3)]]),
+               Mat(ring, [[1, 0], [0, -1]]),
+               Mat(ring, [[half, -1], [half, half]])]
+    others = [Mat(ring, [[1, 2], [0, 1]]), Mat(ring, [[half, 1], [0, 3]]),
+              Mat.zeros(ring, 2)]
+    assert [_certificates_agree(space, g) for g in members + others] == \
+        [True] * 3 + [False] * 3
+
+
+def test_general_linear_certificate_off_the_split_ring_inverts():
+    # the integer predicate covers the general-linear family only mod p^N
+    # over the split ring; elsewhere similitude_multiplier inverts g
+    for ring in (Ring(3, INERT, 2), Ring(3, INERT), Ring(3, SPLIT)):
+        gl = standard_space(GENERAL_LINEAR, 2, ring)
+        with pytest.raises(SpaceError):
+            multiplier_predicate(gl)
+        assert similitude_multiplier(gl, gl.identity()) == ring.one
+        assert similitude_multiplier(gl, Mat.zeros(ring, 2)) is None
