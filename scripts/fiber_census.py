@@ -24,8 +24,8 @@ import argparse
 import sys
 from collections import Counter
 
-from simdual.cayley import (bucket_domain_images, fiber, in_domain,
-                            mat_from_components)
+from simdual.cayley import bucket_domain_images, fiber, in_domain
+from simdual.matrices import Mat
 from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, is_odd_prime
 from simdual.spaces import (HERMITIAN, ORTHOGONAL, SKEW_HERMITIAN, SYMPLECTIC,
@@ -71,7 +71,8 @@ def _census(space) -> int:
         # an inert key is the components; a split key lists the pair
         # (a, 0) of every entry
         comps = key if space.ring.ext == INERT else key[::2]
-        g = certify_group(space, mat_from_components(space, comps))
+        g = certify_group(space,
+                          Mat.from_components(space.ring, space.n, comps))
         res = fiber(g)
         tags[res.tag] += 1
         sizes[len(buckets[key])] += 1

@@ -14,23 +14,23 @@ In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
 
 The work runs on integer component tuples (the layout of
-``mat_components``) through kernels derived once per space and kept in
-``space.memo``, all generated straight-line code: the adjugate over the
-ring (the inverse is adj det^-1, det^-1 the conjugate over the norm when
-inert), the product, the integer determinant (once per n) and the
-F-linear maps star, theta and iota, probed on unit vectors and compiled
-from their sparse rows.  From these come the alpha certificate and the
+``Mat.components``) through generated straight-line code: the inverse
+mod p^N of ``matrices`` (A q^-1 with g A = q 1), and kernels derived
+once per space and kept in ``space.memo``, the product and the F-linear
+maps star, theta and iota, probed on unit vectors and compiled from
+their sparse rows.  From these come the alpha certificate and the
 multiplier certificate, the one that ``spaces.similitude_multiplier``
-runs on every ring, and the Cayley map: one generated function per space
-that scales the adjugate of 1 + X, with one formula on residues mod p^N
-and on exact numerators over one denominator, reduced to lowest terms
-once, when a ``Mat`` is decoded.  A fiber branch where lambda + g is a
-unit is the closed form X_lambda = (1 - g)(lambda + g)^-1 of one inverse
-and one product; a branch that can hold no domain preimage is skipped,
-and only lambda + g = 0 mod p is written as an integer system for an
-affine solve.  Preimages are certified on integers; ``Mat``,
-``GroupElem`` and ``LieElem`` are decoded only where a public function
-returns one.
+runs on every ring (in the general-linear family the determinant lines
+of the adjugate code), and the Cayley map: one generated function per
+space that scales the adjugate of 1 + X, with one formula on residues
+mod p^N and on exact numerators over one denominator, reduced to lowest
+terms once, when a ``Mat`` is decoded.  A fiber branch where lambda + g
+is a unit is the closed form X_lambda = (1 - g)(lambda + g)^-1 of one
+inverse and one product (over the exact field the inverse also decides
+the branch); a branch that can hold no domain preimage is skipped, and
+only lambda + g = 0 mod p is written as an integer system for an affine
+solve.  Preimages are certified on integers; ``Mat``, ``GroupElem`` and
+``LieElem`` are decoded only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .matrices import Mat
+from .matrices import (Mat, NotInvertibleError, _adjugate_code, _generated,
+                       _unpack, components_per_scalar, det_norm_kernel,
+                       matrix_inverse_kernel)
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
                      certify_lie, star)
@@ -56,12 +57,6 @@ EMPTY = "empty"
 
 class DomainError(ValueError):
     pass
-
-
-def _mat_regular(m: Mat) -> bool:
-    if m.ring.exact:
-        return bool(m.det())
-    return m.is_invertible()
 
 
 def in_domain(X: LieElem) -> bool:
@@ -78,8 +73,8 @@ def _kernel_image(X: LieElem) -> tuple:
     numerators over one denominator den that also clears alpha."""
     space, alpha = X.space, X.alpha
     if not space.ring.exact:
-        return cayley_kernel(space)(mat_components(space, X.mat), alpha.x), 1
-    x, den = mat_numerators(space, X.mat)
+        return cayley_kernel(space)(X.mat.components(), alpha.x), 1
+    x, den = X.mat.numerators()
     k = alpha.d // math.gcd(den, alpha.d)
     den *= k
     return cayley_kernel(space)([v * k for v in x], alpha.x * (den // alpha.d),
@@ -96,15 +91,16 @@ def cayley(X: LieElem) -> GroupElem:
         raise DomainError("X is outside the Cayley domain" if space.has_form
                           else "1 + X is singular")
     if not ring.exact:
-        return GroupElem(space, mat_from_components(space, image[0]),
+        return GroupElem(space, Mat.from_components(ring, space.n, image[0]),
                          ring.scalar(image[1]))
     nums, q, s = image
-    return GroupElem(space, mat_from_components(space, nums, q),
+    return GroupElem(space, Mat.from_components(ring, space.n, nums, q),
                      ring.ratio(den * den, 0, s * s))
 
 
 def x_lambda(g: GroupElem, lam: Scalar) -> LieElem:
-    """X_lambda = (1 - g)(lambda + g)^-1, the branch-lambda preimage of g."""
+    """X_lambda = (1 - g)(lambda + g)^-1, the branch-lambda preimage of g;
+    DomainError where lambda + g is singular."""
     space = g.space
     if not space.has_form:
         raise SpaceError("x_lambda is specific to the form families; in the "
@@ -112,10 +108,11 @@ def x_lambda(g: GroupElem, lam: Scalar) -> LieElem:
     if lam * lam != g.mu:
         raise DomainError("lambda^2 != mu(g)")
     one = space.identity()
-    shifted = Mat.scalar_mat(space.ring, space.n, lam) + g.mat
-    if not _mat_regular(shifted):
-        raise DomainError("lambda + g is singular")
-    X = (one - g.mat) * shifted.inv()
+    try:
+        inverse = (Mat.scalar_mat(space.ring, space.n, lam) + g.mat).inv()
+    except NotInvertibleError:
+        raise DomainError("lambda + g is singular") from None
+    X = (one - g.mat) * inverse
     lie = certify_lie(space, X)
     # alpha(X_lambda) = lambda^-1 - 1
     assert lie.alpha == lam.inv() - space.ring.one
@@ -153,10 +150,6 @@ class FiberResult:
         return X.alpha == ring.scalar(-2) and in_domain(X)
 
 
-def _preimage(g: GroupElem, lam: Scalar) -> FiberPreimage:
-    return FiberPreimage(x_lambda(g, lam), lam)
-
-
 def fiber(g: GroupElem) -> FiberResult:
     """Image membership and full preimage list for g under the Cayley map.
 
@@ -178,99 +171,48 @@ def fiber(g: GroupElem) -> FiberResult:
 
 
 def _fiber_exact(g: GroupElem) -> FiberResult:
+    """The branches lambda = +-sqrt(mu(g)) (only lambda = 1 when mu = 1),
+    each decided by the one inverse of lambda + g that ``x_lambda``
+    takes."""
     space = g.space
     ring = space.ring
-    one = space.identity()
     mu = g.mu
     lam_a = rational_sqrt(mu.a)
     if lam_a is None:
         return FiberResult(EMPTY)
+    if mu == ring.one and g.mat == space.identity():
+        zero = certify_lie(space, Mat.zeros(ring, space.n))
+        return FiberResult(INFINITE_IDENTITY, [FiberPreimage(zero, ring.one)],
+                           [ring.one])
     lam = ring.scalar(lam_a)
-    if mu == ring.one:
-        if g.mat == one:
-            zero = certify_lie(space, Mat.zeros(ring, space.n))
-            return FiberResult(INFINITE_IDENTITY,
-                               [FiberPreimage(zero, ring.one)],
-                               [ring.one])
-        if _mat_regular(one + g.mat):
-            return FiberResult(UNIQUE_MU1, [_preimage(g, ring.one)], [ring.one])
+    found = []
+    for branch in (lam,) if mu == ring.one else (lam, -lam):
+        try:
+            found.append(FiberPreimage(x_lambda(g, branch), branch))
+        except DomainError:                  # lambda + g is singular
+            pass
+    if not found:
         return FiberResult(EMPTY)
-    plus_ok = _mat_regular(Mat.scalar_mat(ring, space.n, lam) + g.mat)
-    minus_ok = _mat_regular(Mat.scalar_mat(ring, space.n, -lam) + g.mat)
-    if plus_ok and minus_ok:
-        return FiberResult(TWO_PREIMAGES,
-                           [_preimage(g, lam), _preimage(g, -lam)],
-                           [lam, -lam])
-    if plus_ok:
-        return FiberResult(UNIQUE_LAMBDA, [_preimage(g, lam)], [lam])
-    if minus_ok:
-        return FiberResult(UNIQUE_LAMBDA, [_preimage(g, -lam)], [-lam])
-    return FiberResult(EMPTY)
+    tag = (UNIQUE_MU1 if mu == ring.one else
+           TWO_PREIMAGES if len(found) == 2 else UNIQUE_LAMBDA)
+    return FiberResult(tag, found, [pre.lam for pre in found])
 
 
 # -- truncated-mode machinery -----------------------------------------
-
-
-def components_per_scalar(space: Space) -> int:
-    return 2 if space.ring.ext == INERT else 1
-
-
-def mat_components(space: Space, m: Mat) -> list[int]:
-    d = components_per_scalar(space)
-    out = []
-    for row in m.rows:
-        for x in row:
-            out.append(x.a)
-            if d == 2:
-                out.append(x.b)
-    return out
-
-
-def mat_numerators(space: Space, m: Mat) -> tuple[list[int], int]:
-    """The components of m, in the layout of ``mat_components``, as integer
-    numerators over one common denominator: (numerators, denominator)."""
-    d = components_per_scalar(space)
-    entries = [x for row in m.rows for x in row]
-    den = math.lcm(*(x.d for x in entries))
-    out = []
-    for x in entries:
-        f = den // x.d
-        out.append(x.x * f)
-        if d == 2:
-            out.append(x.y * f)
-    return out, den
-
-
-def mat_from_components(space: Space, comps, den: int = 1) -> Mat:
-    """The matrix with components ``comps`` (the layout of
-    ``mat_components``), each divided by the integer ``den``."""
-    d = components_per_scalar(space)
-    n = space.n
-    ring = space.ring
-    rows = []
-    it = iter(comps)
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            a = next(it)
-            b = next(it) if d == 2 else 0
-            row.append(ring.scalar(a, b) if den == 1 else ring.ratio(a, b, den))
-        rows.append(tuple(row))
-    return Mat._make(ring, tuple(rows))
 
 
 def comps_key(space: Space, comps) -> tuple:
     """``Mat.key()`` of the truncated matrix with components ``comps``:
     the components themselves when inert, each paired with 0 when split.
     Both orders agree, so sorted components are sorted keys."""
-    if components_per_scalar(space) == 2:
+    if components_per_scalar(space.ring) == 2:
         return tuple(comps)
     return tuple(v for c in comps for v in (c, 0))
 
 
 class Members(Sequence):
     """Group elements held as component tuples ``comps`` (the layout of
-    ``mat_components``) with multiplier residues ``mus``.  A
+    ``Mat.components``) with multiplier residues ``mus``.  A
     ``GroupElem`` is decoded on access, so none is kept per element."""
 
     def __init__(self, space: Space, comps, mus):
@@ -284,9 +226,10 @@ class Members(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        space = self.space
-        return GroupElem(space, mat_from_components(space, self.comps[i]),
-                         space.ring.scalar(self.mus[i]))
+        ring, n = self.space.ring, self.space.n
+        return GroupElem(self.space,
+                         Mat.from_components(ring, n, self.comps[i]),
+                         ring.scalar(self.mus[i]))
 
 
 def linear_system(D: int, f) -> tuple[list, list]:
@@ -304,15 +247,15 @@ def linear_system(D: int, f) -> tuple[list, list]:
 
 def matrix_system(space: Space, f) -> tuple[list, list]:
     """``linear_system`` of a map ``f`` from n x n matrices to a tuple of
-    n x n matrices, on components (the layout of ``mat_components``,
+    n x n matrices, on components (the layout of ``Mat.components``,
     one block per matrix of the tuple, stacked)."""
     def on_components(v):
         out = []
-        for m in f(mat_from_components(space, v)):
-            out += mat_components(space, m)
+        for m in f(Mat.from_components(space.ring, space.n, v)):
+            out += m.components()
         return out
-    return linear_system(space.n * space.n * components_per_scalar(space),
-                         on_components)
+    return linear_system(
+        space.n * space.n * components_per_scalar(space.ring), on_components)
 
 
 def _sparse_rows(space: Space, f) -> list:
@@ -338,7 +281,7 @@ def _per_space(build):
 @_per_space
 def identity_comps(space: Space) -> tuple:
     """The integer components of the identity matrix."""
-    return tuple(mat_numerators(space, space.identity())[0])
+    return tuple(space.identity().numerators()[0])
 
 
 @_per_space
@@ -353,102 +296,31 @@ def lie_system(space: Space, alpha: bool = True) -> list:
     ``alpha`` False the unknowns are the components of X alone and the
     kernel is the isometry Lie algebra."""
     ring = space.ring
-    D = space.n * space.n * components_per_scalar(space)
+    D = space.n * space.n * components_per_scalar(ring)
 
     def residual(v):
-        X = mat_from_components(space, v[:D])
+        X = Mat.from_components(ring, space.n, v[:D])
         a = ring.scalar(v[D]) if alpha else ring.zero
-        return mat_components(
-            space, X + star(space, X) - Mat.scalar_mat(ring, space.n, a))
+        return (X + star(space, X)
+                - Mat.scalar_mat(ring, space.n, a)).components()
     A, _ = linear_system(D + 1 if alpha else D, residual)
     return A
-
-
-@_per_space
-def _adjugate_code(space: Space) -> tuple:
-    """(lines, A, q, k): straight-line source, on the components x0, x1,
-    ... of a matrix g, of A = adj(g) tau(det g) and q = det(g) tau(det g),
-    the determinant (split) or its norm (inert), so that g A = q 1 on
-    integers and g^-1 = A / q where q is nonzero (a unit mod p^N).  Each
-    minor is expanded along its first row into one local shared by the
-    cofactors; the first k lines are those the determinant needs."""
-    n, d, u = space.n, components_per_scalar(space), space.ring._u
-    lines, minors = [], {}
-
-    def times(a, b, sign):
-        """The component terms of sign a b, for a and b by component."""
-        if d == 1:
-            return [f" {sign} {a[0]}*{b[0]}"]
-        return [f" {sign} {a[0]}*{b[0]} {sign} {u}*{a[1]}*{b[1]}",
-                f" {sign} {a[0]}*{b[1]} {sign} {a[1]}*{b[0]}"]
-
-    def minor(rows, cols):
-        """The component names of the minor of g on ``rows`` x ``cols``."""
-        if not rows:
-            return ("1", "0")[:d]
-        if len(rows) == 1:
-            k = d * (rows[0] * n + cols[0])
-            return tuple(f"x{k + c}" for c in range(d))
-        if (rows, cols) not in minors:
-            terms = [times(minor(rows[:1], cols[i:i + 1]),
-                           minor(rows[1:], cols[:i] + cols[i + 1:]),
-                           "-" if i % 2 else "+") for i in range(len(cols))]
-            name = f"m{len(minors)}"
-            lines.extend(f"{name}_{k} =" + "".join(t[k] for t in terms)
-                         for k in range(d))
-            minors[rows, cols] = tuple(f"{name}_{k}" for k in range(d))
-        return minors[rows, cols]
-
-    rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
-    det = minor(tuple(range(n)), tuple(range(n)))
-    k = len(lines)
-    conj = ("1",) if d == 1 else (det[0], f"(-{det[1]})")
-    adj = [t for r, c in itertools.product(range(n), repeat=2)
-           for t in times(minor(rest[c], rest[r]), conj,
-                          "-" if (r + c) % 2 else "+")]
-    return lines, adj, times(det, conj, "+")[0], k
-
-
-@_per_space
-def matrix_inverse_kernel(space: Space):
-    """``inv(x)``: the components of the inverse mod p^N of the matrix
-    with components x, or None when it is singular: A q^-1 for the
-    (A, q) of ``_adjugate_code``, generated as one function."""
-    lines, adj, q, _ = _adjugate_code(space)
-    p, M = space.ring.p, space.ring.modulus
-    D = len(adj)
-    return _generated("x", [_unpack("x", D)] + lines + [
-        f"q = {q}", f"if q % {p} == 0:", "    return None",
-        f"f = pow(q, -1, {M})"],
-        "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
-
-
-@functools.cache
-def det_kernel(n: int):
-    """``det(x)``: the integer determinant of the n x n matrix with
-    row-major entries x, generated once per n as the straight-line
-    Leibniz sum over the permutations of range(n)."""
-    terms = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        factors = "*".join(f"x{i * n + j}" for i, j in enumerate(perm))
-        terms.append(("- " if inversions % 2 else "+ ") + factors)
-    return _generated("x", [_unpack("x", n * n)], " ".join(terms))
 
 
 @_per_space
 def multiplier_predicate(space: Space):
     """``mu_of(comps)``, the membership certificate of
     ``spaces.similitude_multiplier``: for the matrix g with components
-    ``comps`` (the layout of ``mat_components``), the mu with
+    ``comps`` (the layout of ``Mat.components``), the mu with
     g star(g) = mu * 1 and mu in the base ring, regular (a unit mod p^N,
     nonzero over the exact field), else None.  It runs in integer
     arithmetic on the product and star kernels, mod p^N on residues;
     over an exact space on the numerators x of g = x / den, where it
     returns mu den^2 (a Fraction only where star has a rational
     coefficient).  In the general-linear family, mod p^N over the split
-    ring only, mu = 1 exactly for the g whose integer determinant is a
-    unit.
+    ring only, mu = 1 exactly for the g whose integer determinant, from
+    the determinant lines of the adjugate code (``det_norm_kernel``), is
+    a unit.
     """
     ring = space.ring
     n, p, exact = space.n, ring.p, ring.exact
@@ -457,13 +329,13 @@ def multiplier_predicate(space: Space):
         if exact or ring.ext == INERT:
             raise SpaceError("the general-linear multiplier works mod p^N "
                              "over the split ring")
-        det = det_kernel(n)
+        det = det_norm_kernel(ring, n)
         return lambda x: 1 if det(x) % p else None
 
     star_of, mul = star_kernel(space), product_kernel(space)
     # g star(g) = mu * 1: its n diagonal a-components, every
     # (n + 1) entries apart, equal mu and its other components are zero
-    d = components_per_scalar(space)
+    d = components_per_scalar(ring)
     step, zeros = d * (n + 1), d * n * n - n
 
     def mu_of(x):
@@ -479,7 +351,7 @@ def multiplier_predicate(space: Space):
 @_per_space
 def product_kernel(space: Space):
     """``mul(x, y)``: the components of g h mod p^N, where g and h have
-    components x and y (the layout of ``mat_components``), for split and
+    components x and y (the layout of ``Mat.components``), for split and
     inert rings; over an exact space the integer components of the
     product of the integer matrices x and y, with no modulus.  The
     product is generated once per space as one straight-line expression
@@ -511,20 +383,6 @@ def product_kernel(space: Space):
         D = n * n
     return _generated("x, y", [_unpack("x", D), _unpack("y", D)],
                       f"({', '.join(terms)},)")
-
-
-def _unpack(v: str, D: int) -> str:
-    """The line unpacking the length-D tuple ``v`` into v0, v1, ..."""
-    return f"{', '.join(f'{v}{i}' for i in range(D))}, = {v}"
-
-
-def _generated(args: str, lines: list, result: str):
-    """The function of ``args`` that runs ``lines`` and returns
-    ``result``, compiled from generated source."""
-    body = "".join(f"    {line}\n" for line in lines + [f"return {result}"])
-    namespace = {"Fraction": Fraction}
-    exec(f"def f({args}):\n{body}", namespace)
-    return namespace["f"]
 
 
 def linear_kernel(rows: list, M: int | None, scaled: bool = False,
@@ -566,7 +424,7 @@ def inverse_kernel(space: Space):
         raise ValueError("the inverse kernel works mod p^N")
     if space.has_form:
         return linear_kernel(_star_rows(space), space.ring.modulus, True)
-    inv = matrix_inverse_kernel(space)
+    inv = matrix_inverse_kernel(space.ring, space.n)
     return lambda x, mu: inv(x)
 
 
@@ -619,7 +477,7 @@ def lie_alpha_kernel(space: Space):
     plus_star = linear_kernel(
         _sparse_rows(space, lambda m: m + star(space, m)),
         None if space.ring.exact else space.ring.modulus)
-    n, d = space.n, components_per_scalar(space)
+    n, d = space.n, components_per_scalar(space.ring)
     # X + X* = alpha 1: its n diagonal a-components equal alpha and its
     # other components are zero
     step, size = d * (n + 1), d * n * n
@@ -630,7 +488,8 @@ def lie_alpha_kernel(space: Space):
         if z[::step].count(a) == n and z.count(0) == (size - n if a else size):
             return a
         raise MembershipError("not in the similitude Lie algebra: "
-                              + mat_from_components(space, x).to_text())
+                              + Mat.from_components(space.ring, space.n,
+                                                    x).to_text())
     return alpha
 
 
@@ -641,7 +500,7 @@ def cayley_kernel(space: Space):
     per space.  For X = x / den with alpha(X) = alpha / den
     (``lie_alpha_kernel``; den = 1 mod p^N) put Y = den 1 + x and
     s = den + alpha, so that 1 + X = Y / den and 1 + alpha(X) = s / den,
-    and take Y A = q 1 from ``_adjugate_code``.  Then
+    and take Y A = q 1 from ``matrices._adjugate_code``.  Then
     c(X) = (s 1 - x) A den / (s q) and lambda = den / s, and since
     x A = (Y - den 1) A = q 1 - den A, the product (s 1 - x) A is
     (s + den) A - q 1, the adjugate scaled with q taken off the diagonal.
@@ -652,10 +511,11 @@ def cayley_kernel(space: Space):
     family (alpha = 0) c(X) = Y / den, lambda = 1, and only the
     determinant of Y is computed."""
     ring, n = space.ring, space.n
-    lines, adj, q, k = _adjugate_code(space)
+    d = components_per_scalar(ring)
+    lines, adj, q, k = _adjugate_code(n, d, ring._u)
     p, M = ring.p, None if ring.exact else ring.modulus
     D = len(adj)
-    step = components_per_scalar(space) * (n + 1)
+    step = d * (n + 1)
     diag = range(0, D, step)               # the a-components of Y_ii
     den = "den" if M is None else "1"
     regular = "if not {}:" if M is None else f"if {{}} % {p} == 0:"
@@ -694,7 +554,7 @@ def _left_multiplication(space: Space, s: tuple) -> list:
     """The matrix of X -> s X on components, s given by its components:
     row (i, j) holds s_ik at column (k, j), over the inert ring as the
     block [[a, u b], [b, a]] of s_ik = a + b s."""
-    n, d = space.n, components_per_scalar(space)
+    n, d = space.n, components_per_scalar(space.ring)
     A = [[0] * (d * n * n) for _ in range(d * n * n)]
     for i, k, j in itertools.product(range(n), repeat=3):
         a, r, c = s[d * (i * n + k)], d * (i * n + j), d * (k * n + j)
@@ -742,9 +602,9 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
     root = sqrt_mod_prime_power(g.mu.a, p, ring.prec)
     if root is None:
         return FiberResult(EMPTY)
-    x = tuple(mat_components(space, g.mat))
+    x = tuple(g.mat.components())
     ident = identity_comps(space)
-    inv, mul = matrix_inverse_kernel(space), product_kernel(space)
+    inv, mul = matrix_inverse_kernel(ring, space.n), product_kernel(space)
     alpha_of = lie_alpha_kernel(space)
     found = {}                      # components of X -> (alpha, lambda)
     lambdas = []
@@ -769,7 +629,8 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
     if not found:
         return FiberResult(EMPTY)
     preimages = [FiberPreimage(
-        LieElem(space, mat_from_components(space, comps), ring.scalar(alpha)),
+        LieElem(space, Mat.from_components(ring, space.n, comps),
+                ring.scalar(alpha)),
         ring.scalar(lam))
         for comps, (alpha, lam) in sorted(found.items())]
     if x == ident:
@@ -790,7 +651,7 @@ def _lie_components(space: Space, limit) -> list:
     ring = space.ring
     if ring.exact:
         raise ValueError("cannot enumerate an exact Lie algebra")
-    D = space.n * space.n * components_per_scalar(space)
+    D = space.n * space.n * components_per_scalar(ring)
     if not space.has_form:
         return list(modsolve.residues(D, ring.modulus, limit))
     sols = modsolve.kernel_mod(lie_system(space), ring.p, ring.prec, limit)

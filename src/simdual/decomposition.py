@@ -20,7 +20,7 @@ anti-automorphism and mu(k) = 1.  So one solve per orbit of C under these
 conjugations suffices; every carried conjugator is re-checked.
 
 Members are held as integer component tuples mod p^N (the layout of
-``cayley.mat_components``): the subgroup c(p^l0 Ldot) comes from
+``Mat.components``): the subgroup c(p^l0 Ldot) comes from
 ``lattices.level_images``, as Ldot is the identity basis of the Lie
 coordinates, and products, inverses, theta and the multiplier from the
 kernels of ``cayley``.  ``CosetSet.members`` decodes a
@@ -38,9 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import modsolve
-from .cayley import (Members, inverse_kernel, linear_system, mat_components,
-                     mat_from_components, multiplier_predicate,
-                     product_kernel, theta_kernel)
+from .cayley import (Members, inverse_kernel, linear_system,
+                     multiplier_predicate, product_kernel, theta_kernel)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices, level_images
 from .matrices import Mat
@@ -112,7 +111,7 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
     bt = certify_group(st, b.reduce(N) if b.ring.exact else b)
     subgroup = cayley_image_members(std, l0, N, limit=limit)
     mul = product_kernel(st)
-    bx, mu_b, M = tuple(mat_components(st, bt.mat)), bt.mu.a, st.ring.modulus
+    bx, mu_b, M = tuple(bt.mat.components()), bt.mu.a, st.ring.modulus
     seen = {}
     for k, mu in zip(subgroup.comps, subgroup.mus):
         m = mul(bx, k)
@@ -159,7 +158,7 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
     ta = theta_group(a).mat
     if ta == a.mat:
         return GroupElem(space, space.identity(), ring.one)
-    A, b = _conjugator_system(space, tuple(mat_components(space, a.mat)))
+    A, b = _conjugator_system(space, tuple(a.mat.components()))
     mu_of = multiplier_predicate(space)
     tried = 0
     for comps in modsolve.iter_affine_mod(A, b, ring.p, ring.prec):
@@ -171,7 +170,7 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
         # remaining condition is x star(x) = 1.
         if mu_of(comps) != 1:
             continue
-        x = mat_from_components(space, comps)
+        x = Mat.from_components(space.ring, space.n, comps)
         mu = similitude_multiplier(space, x)
         # theta(x) = H tau(x^-1) H^-1 (mu = 1): a formula not theta_group's
         theta_x = (space.H * x.inv().tau() * space.Hinv if space.has_form
@@ -239,7 +238,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
         if first is None:
             first = x
         reached.add(root)
-        queue = deque([(root, tuple(mat_components(space, x.mat)))])
+        queue = deque([(root, tuple(x.mat.components()))])
         while queue:
             a, x = queue.popleft()
             for k, kinv, tkinv in gens:
@@ -251,7 +250,8 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
                 if failed:
                     raise DecompositionError(
                         f"carried conjugator fails ({failed}) at "
-                        f"{mat_from_components(space, a2).to_text()}")
+                        + Mat.from_components(space.ring, space.n,
+                                              a2).to_text())
                 reached.add(a2)
                 queue.append((a2, x2))
     return first
@@ -267,7 +267,7 @@ def verify_piece(members: Members, g: GroupElem) -> bool:
     space = g.space
     comps = members.comps
     mul, theta = product_kernel(space), theta_kernel(space)
-    gx = tuple(mat_components(space, g.mat))
+    gx = tuple(g.mat.components())
     ginv = inverse_kernel(space)(gx, g.mu.a)
     hit = dict.fromkeys(map(theta, comps), False)
     for s in comps:
@@ -300,11 +300,11 @@ def decompose(C: CosetSet, std: StandardLattices,
         x = _orbit_conjugators(C, std, max_candidates)
     a = members[i]
     M = space.ring.modulus
-    w = product_kernel(space)(tuple(mat_components(space, x.mat)),
+    w = product_kernel(space)(tuple(x.mat.components()),
                               inverse_kernel(space)(members.comps[i],
                                                     members.mus[i]))
     mu_w = x.mu.a * pow(members.mus[i], -1, M) % M
-    witness = GroupElem(space, mat_from_components(space, w),
+    witness = GroupElem(space, Mat.from_components(space.ring, space.n, w),
                         space.ring.scalar(mu_w))
     piece = Piece(members, witness,
                   {"a": a.mat.to_text(), "x": x.mat.to_text(),

@@ -9,10 +9,10 @@ class-inversion criterion is what this module verifies, exhaustively,
 together with an explicit theta-symmetric conjugator for every class.
 
 A group is held as integer tables over the component tuples of its
-matrices (the layout of ``cayley.mat_components``).  ``build_group``
+matrices (the layout of ``Mat.components``).  ``build_group``
 scans every matrix over F_q (F_{q^2} for the unitary families) and keeps
 those with g star(g) = mu * 1, decided by ``cayley.multiplier_predicate``
-(in ``gl``, a unit determinant from the generated ``cayley.det_kernel``);
+(in ``gl``, a unit determinant from the adjugate code of ``matrices``);
 the scan order is the canonical one, so positions follow ``Mat.key()``.
 Products come from ``cayley.product_kernel``.  A greedy generating set S
 carries one right-multiplication table R_s per generator (R_s[g] =
@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cayley import (Members, identity_comps, inverse_kernel, iota_kernel,
-                     mat_components, multiplier_predicate, product_kernel,
-                     theta_kernel)
+                     multiplier_predicate, product_kernel, theta_kernel)
 from .involution import enumerate_matrices, iota_group
-from .matrices import Mat
+from .matrices import Mat, components_per_scalar
 from .modsolve import SolveBudgetError
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL, SYMPLECTIC,
@@ -98,7 +97,7 @@ def finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
 def scan_size(family: str, n: int, q: int) -> int:
     """How many matrices ``build_group`` scans for the group."""
     space, _ = finite_space(family, n, q)
-    d = 2 if space.ring.ext == INERT else 1
+    d = components_per_scalar(space.ring)
     return (q**d) ** (n * n)
 
 
@@ -138,7 +137,7 @@ class FiniteGroupTable:
 
     def position(self, m: Mat) -> int:
         """The position of the matrix m; KeyError if it is not a member."""
-        return self.index[tuple(mat_components(self.space, m))]
+        return self.index[tuple(m.components())]
 
 
 def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
@@ -238,7 +237,7 @@ def _verify_table(table: FiniteGroupTable):
                 raise FiniteGroupError("iota is not multiplicative")
     for s in table.gens:
         image = iota_group(table.elements[s]).mat
-        if tuple(mat_components(space, image)) != comps[iota[s]]:
+        if tuple(image.components()) != comps[iota[s]]:
             raise FiniteGroupError("iota differs from iota_group on a "
                                    "generator")
     if space.has_form:

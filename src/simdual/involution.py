@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .matrices import Mat
+from .matrices import Mat, components_per_scalar
 from .modsolve import residues
-from .scalars import INERT, Ring
+from .scalars import Ring
 from .spaces import (GroupElem, LieElem, Space, SpaceError, _apply_tau,
                      _entry_map)
 
@@ -106,8 +106,8 @@ def is_theta_fixed(g: GroupElem) -> bool:
 
 def enumerate_matrices(ring: Ring, n: int, limit: int) -> Iterator[tuple]:
     """All n x n matrices over a truncated ring, as component tuples in
-    the layout of ``cayley.mat_components``, in canonical order (that of
+    the layout of ``Mat.components``, in canonical order (that of
     ``Mat.key()``); SolveBudgetError before the first one when there are
     more than ``limit``."""
-    d = 2 if ring.ext == INERT else 1
+    d = components_per_scalar(ring)
     yield from residues(n * n * d, ring.modulus, limit)

@@ -30,12 +30,11 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from . import modsolve
-from .cayley import (DomainError, cayley_kernel, components_per_scalar,
-                     comps_key, identity_comps, lie_alpha_kernel, lie_system,
-                     linear_kernel, mat_from_components, mat_numerators,
+from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
+                     lie_alpha_kernel, lie_system, linear_kernel,
                      matrix_system, multiplier_predicate, product_kernel)
 from .involution import theta_lie
-from .matrices import Mat
+from .matrices import Mat, components_per_scalar
 from .scalars import Ring, Scalar, val_int
 from .spaces import Space, certify_lie
 
@@ -208,14 +207,14 @@ class LieCoords:
             raise LatticeError("coordinates are built over the exact field")
         self.space = space
         self.isometry = isometry
-        self.d = components_per_scalar(space)
+        self.d = components_per_scalar(space.ring)
         self.m0 = space.n * space.n * self.d
         self.basis, self.alphas = self._build_basis()
         self.m = len(self.basis)
         # the integer matrix whose columns are the basis components
         cols = []
         for B in self.basis:
-            comps, den = mat_numerators(space, B)
+            comps, den = B.numerators()
             if den != 1:
                 raise LatticeError("coordinate basis is not integral")
             cols.append(tuple(comps))
@@ -226,8 +225,8 @@ class LieCoords:
     def _build_basis(self):
         space = self.space
         if not space.has_form:
-            basis = [mat_from_components(space, [int(i == j)
-                                                 for i in range(self.m0)])
+            basis = [Mat.from_components(space.ring, space.n,
+                                         [int(i == j) for i in range(self.m0)])
                      for j in range(self.m0)]
             return basis, [space.ring.zero] * self.m0
         E = [_over_one_denominator(row)[0]
@@ -239,7 +238,8 @@ class LieCoords:
         basis, alphas = [], []
         for j in range(rank, len(V)):
             vec = [V[i][j] for i in range(len(V))]
-            X = mat_from_components(space, [Fraction(v) for v in vec[:self.m0]])
+            X = Mat.from_components(space.ring, space.n,
+                                    [Fraction(v) for v in vec[:self.m0]])
             alpha = (space.ring.zero if self.isometry
                      else space.ring.scalar(vec[self.m0]))
             basis.append(X)
@@ -279,21 +279,23 @@ class LieCoords:
         return [[x * (den // d) for x in c] for c, d in cols], den
 
     def to_coords(self, X: Mat):
-        c, den = self._coords(*mat_numerators(self.space, X))
+        c, den = self._coords(*X.numerators())
         return [Fraction(x, den) for x in c]
 
-    def numerators(self, c) -> tuple[list, int]:
-        """(integer components, den) of the matrix with coordinates c."""
-        nums, den = _over_one_denominator(c)
-        return [sum(map(mul, row, nums)) for row in self._M], den
+    def numerators(self, nums) -> list[int]:
+        """The integer components of the matrix with integer coordinates
+        ``nums``: over a denominator, its numerators over the same."""
+        return [sum(map(mul, row, nums)) for row in self._M]
 
     def from_coords(self, c) -> Mat:
-        return mat_from_components(self.space, *self.numerators(c))
+        nums, den = _over_one_denominator(c)
+        return Mat.from_components(self.space.ring, self.space.n,
+                                   self.numerators(nums), den)
 
     def operator_matrix(self, f) -> Operator:
         """The F-linear operator X -> f(X) in these coordinates."""
         return Operator.from_columns(*self._columns(
-            mat_numerators(self.space, f(B)) for B in self.basis))
+            f(B).numerators() for B in self.basis))
 
     @cached_property
     def theta(self) -> Operator:
@@ -376,8 +378,8 @@ def _conjugation(coords: LieCoords, x: Mat, xinv: Mat) -> tuple[list, int]:
     image is in the Lie algebra."""
     space = coords.space
     prod = product_kernel(space)
-    left, dl = mat_numerators(space, x)
-    right, dr = mat_numerators(space, xinv)
+    left, dl = x.numerators()
+    right, dr = xinv.numerators()
     den = dl * dr
     return coords._columns((prod(prod(left, B), right), den)
                            for B in coords._basis_comps)
@@ -422,7 +424,7 @@ def _congruence_scan(space: Space, k: int, N: int, budget: int):
     (space, k, N), kept in ``space.memo``; the isometry variant filters it.
     The budget applies on every call, also when the scan is kept.
     """
-    D = space.n * space.n * components_per_scalar(space)
+    D = space.n * space.n * components_per_scalar(space.ring)
     scan = modsolve.residues(D, space.ring.p**(N - k), budget)
     memo_key = ("congruence-scan", k, N)
     if memo_key in space.memo:

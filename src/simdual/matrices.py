@@ -1,15 +1,26 @@
-"""Small dense matrices over a scalar ring (exact or truncated).
+"""Small dense matrices over a scalar ring (exact or truncated), their
+integer component codec, and the one generated adjugate that inverts
+them, sized for n <= 4.
 
-Everything here is sized for n <= 4; determinants use cofactor expansion
-and inverses Gauss-Jordan with unit pivoting, which is the correct notion
-of invertibility over the truncated local rings as well.
+The codec lays a matrix out row-major, one integer component per entry
+over the split ring and two (a, b of a + b s) over the inert one:
+residues mod p^N, or numerators over one common denominator.  On that
+layout ``_adjugate_code`` generates, once per (n, components per scalar,
+u), A = adj(g) tau(det g) and q = det(g) tau(det g) with g A = q 1 on
+integers.  g is invertible exactly when q is regular (nonzero over the
+exact field, a unit mod p^N), and g^-1 = A / q: ``Mat.inv`` and
+``Mat.is_invertible`` run on it over every ring, and so do the inverse,
+Cayley and general-linear membership kernels of ``cayley``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
-from .scalars import Ring, Scalar, dot
+from .scalars import INERT, Ring, Scalar, dot
 
 
 class NotInvertibleError(ValueError):
@@ -140,53 +151,34 @@ class Mat:
         return Mat._make(self.ring, tuple(tuple(a.tau() for a in r)
                                           for r in self.rows))
 
-    def det(self) -> Scalar:
-        if not self.is_square():
-            raise ValueError("determinant of non-square matrix")
-        return _det(self.ring, [list(r) for r in self.rows])
-
     def inv(self) -> "Mat":
-        """Inverse via Gauss-Jordan, pivoting on units (required mod p^N);
-        2 x 2 inverses use the adjugate, invertible iff the determinant is
-        nonzero (exact) or a unit (truncated)."""
-        if not self.is_square():
+        """g^-1 from the generated adjugate: A q^-1 mod p^N
+        (``matrix_inverse_kernel``), and over the exact field den A / q
+        for the (A, q) of ``adjugate_kernel`` on the numerators x of
+        g = x / den.  NotInvertibleError where ``is_invertible`` is
+        False."""
+        ring, n = self.ring, self.nrows
+        if n != self.ncols:
             raise NotInvertibleError("non-square matrix")
-        n = self.nrows
-        ring = self.ring
-        exact = ring.exact
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            det = a * d - b * c
-            if not (bool(det) if exact else det.is_unit()):
+        x, den = self.numerators()
+        if not ring.exact:
+            y = matrix_inverse_kernel(ring, n)(x)
+            if y is None:
                 raise NotInvertibleError("matrix is not invertible")
-            di = det.inv()
-            return Mat._make(ring, ((d * di, -(b * di)), (-(c * di), a * di)))
-        aug = [list(self.rows[i]) + [ring.one if j == i else ring.zero
-                                     for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                entry = aug[r][col]
-                if bool(entry) if exact else entry.is_unit():
-                    piv = r
-                    break
-            if piv is None:
-                raise NotInvertibleError("matrix is not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pinv = aug[col][col].inv()
-            aug[col] = [x * pinv for x in aug[col]]
-            for r in range(n):
-                if r != col and bool(aug[r][col]):
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Mat._make(ring, tuple(tuple(row[n:]) for row in aug))
+            return Mat.from_components(ring, n, y)
+        A, q = adjugate_kernel(ring, n)(x)
+        if not q:
+            raise NotInvertibleError("matrix is not invertible")
+        return Mat.from_components(ring, n, [den * a for a in A], q)
 
     def is_invertible(self) -> bool:
-        try:
-            self.inv()
-            return True
-        except NotInvertibleError:
+        """Whether q = det(g) tau(det g) is nonzero (exact) or a unit (mod
+        p^N), from the determinant lines of the adjugate code alone."""
+        ring, n = self.ring, self.nrows
+        if n != self.ncols:
             return False
+        q = det_norm_kernel(ring, n)(self.numerators()[0])
+        return bool(q if ring.exact else q % ring.p)
 
     def scalar_part(self) -> Scalar | None:
         """If the matrix equals s*I, return s, else None."""
@@ -215,26 +207,157 @@ class Mat:
                 out.append(x.y)
         return tuple(out)
 
+    # -- integer component codec -------------------------------------
+
+    def components(self) -> list:
+        """The components, row-major, a (and b when inert) per entry:
+        residues mod p^N, the ``Fraction`` components over the exact
+        field."""
+        inert = self.ring.ext == INERT
+        out = []
+        for row in self.rows:
+            for x in row:
+                out.append(x.a)
+                if inert:
+                    out.append(x.b)
+        return out
+
+    def numerators(self) -> tuple[list[int], int]:
+        """The components, in the layout of ``components``, as integer
+        numerators over one common denominator: (numerators, denominator)."""
+        inert = self.ring.ext == INERT
+        entries = [x for row in self.rows for x in row]
+        den = math.lcm(*(x.d for x in entries))
+        out = []
+        for x in entries:
+            f = den // x.d
+            out.append(x.x * f)
+            if inert:
+                out.append(x.y * f)
+        return out, den
+
+    @staticmethod
+    def from_components(ring: Ring, n: int, comps, den: int = 1) -> "Mat":
+        """The n x n matrix with components ``comps`` (the layout of
+        ``components``), each divided by the integer ``den``."""
+        inert = ring.ext == INERT
+        rows = []
+        it = iter(comps)
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                a = next(it)
+                b = next(it) if inert else 0
+                row.append(ring.scalar(a, b) if den == 1
+                           else ring.ratio(a, b, den))
+            rows.append(tuple(row))
+        return Mat._make(ring, tuple(rows))
+
     # -- canonical text form ------------------------------------------
 
     def to_text(self) -> str:
         return "; ".join(", ".join(str(x) for x in row) for row in self.rows)
 
 
-def _det(ring, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ring.zero
-    for j in range(n):
-        if not bool(rows[0][j]):
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det(ring, minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def components_per_scalar(ring: Ring) -> int:
+    return 2 if ring.ext == INERT else 1
+
+
+# -- the generated adjugate -------------------------------------------
+
+
+@functools.cache
+def _adjugate_code(n: int, d: int, u: int) -> tuple:
+    """(lines, A, q, k): straight-line source, on the components x0, x1,
+    ... of an n x n matrix g with d components per scalar (a + b s with
+    s^2 = u when d = 2), of A = adj(g) tau(det g) and q = det(g)
+    tau(det g), the determinant (split) or its norm (inert), so that
+    g A = q 1 on integers and g^-1 = A / q where q is nonzero (a unit mod
+    p^N).  Each minor is expanded along its first row into one local
+    shared by the cofactors; the first k lines are those the determinant
+    needs."""
+    lines, minors = [], {}
+
+    def times(a, b, sign):
+        """The component terms of sign a b, for a and b by component."""
+        if d == 1:
+            return [f" {sign} {a[0]}*{b[0]}"]
+        return [f" {sign} {a[0]}*{b[0]} {sign} {u}*{a[1]}*{b[1]}",
+                f" {sign} {a[0]}*{b[1]} {sign} {a[1]}*{b[0]}"]
+
+    def minor(rows, cols):
+        """The component names of the minor of g on ``rows`` x ``cols``."""
+        if not rows:
+            return ("1", "0")[:d]
+        if len(rows) == 1:
+            k = d * (rows[0] * n + cols[0])
+            return tuple(f"x{k + c}" for c in range(d))
+        if (rows, cols) not in minors:
+            terms = [times(minor(rows[:1], cols[i:i + 1]),
+                           minor(rows[1:], cols[:i] + cols[i + 1:]),
+                           "-" if i % 2 else "+") for i in range(len(cols))]
+            name = f"m{len(minors)}"
+            lines.extend(f"{name}_{k} =" + "".join(t[k] for t in terms)
+                         for k in range(d))
+            minors[rows, cols] = tuple(f"{name}_{k}" for k in range(d))
+        return minors[rows, cols]
+
+    rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
+    det = minor(tuple(range(n)), tuple(range(n)))
+    k = len(lines)
+    conj = ("1",) if d == 1 else (det[0], f"(-{det[1]})")
+    adj = [t for r, c in itertools.product(range(n), repeat=2)
+           for t in times(minor(rest[c], rest[r]), conj,
+                          "-" if (r + c) % 2 else "+")]
+    return lines, adj, times(det, conj, "+")[0], k
+
+
+@functools.cache
+def adjugate_kernel(ring: Ring, n: int):
+    """``adj(x)``: (A, q) of ``_adjugate_code`` for the n x n matrix over
+    ``ring`` with integer components x, generated as one function."""
+    lines, adj, q, _ = _adjugate_code(n, components_per_scalar(ring),
+                                      ring._u)
+    return _generated("x", [_unpack("x", len(adj))] + lines,
+                      f"({', '.join(adj)},), {q}")
+
+
+@functools.cache
+def matrix_inverse_kernel(ring: Ring, n: int):
+    """``inv(x)``: the components of the inverse mod p^N of the n x n
+    matrix over the truncated ``ring`` with components x, A q^-1 for the
+    (A, q) of ``_adjugate_code``, or None where q is 0 mod p; generated
+    as one function."""
+    lines, adj, q, _ = _adjugate_code(n, components_per_scalar(ring),
+                                      ring._u)
+    p, M = ring.p, ring.modulus
+    return _generated("x", [_unpack("x", len(adj))] + lines + [
+        f"q = {q}", f"if q % {p} == 0:", "    return None",
+        f"f = pow(q, -1, {M})"],
+        "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
+
+
+@functools.cache
+def det_norm_kernel(ring: Ring, n: int):
+    """``q(x)``: the q of ``_adjugate_code`` alone, from its first k
+    (determinant) lines."""
+    d = components_per_scalar(ring)
+    lines, _, q, k = _adjugate_code(n, d, ring._u)
+    return _generated("x", [_unpack("x", d * n * n)] + lines[:k], q)
+
+
+def _unpack(v: str, D: int) -> str:
+    """The line unpacking the length-D tuple ``v`` into v0, v1, ..."""
+    return f"{', '.join(f'{v}{i}' for i in range(D))}, = {v}"
+
+
+def _generated(args: str, lines: list, result: str):
+    """The function of ``args`` that runs ``lines`` and returns
+    ``result``, compiled from generated source."""
+    body = "".join(f"    {line}\n" for line in lines + [f"return {result}"])
+    namespace = {"Fraction": Fraction}
+    exec(f"def f({args}):\n{body}", namespace)
+    return namespace["f"]
 
 
 def _rational(text: str) -> Fraction:

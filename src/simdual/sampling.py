@@ -12,12 +12,12 @@ certified once.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .cayley import (cayley, cayley_kernel, identity_comps, in_domain,
-                     lie_alpha_kernel, mat_from_components, product_kernel)
+                     lie_alpha_kernel, product_kernel)
 from .involution import theta_group
 from .lattices import StandardLattices
+from .matrices import Mat
 from .spaces import GroupElem, LieElem, certify_group, certify_lie
 
 
@@ -29,20 +29,18 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _coefficient(rng: random.Random, p: int, numerator_bound: int,
-                 denominator_valuation: int) -> Fraction:
-    num = rng.randint(-numerator_bound, numerator_bound)
-    den = p ** rng.randint(0, denominator_valuation)
-    return Fraction(num, den)
-
-
 def _draws(coords, rng: random.Random, numerator_bound: int = 20,
            denominator_valuation: int = 1, max_rejects: int = 200):
-    """The coordinates a rejection sampler tries, ``max_rejects`` of them."""
+    """The coordinates a rejection sampler tries, ``max_rejects`` of them:
+    each coordinate a numerator and then a power of p as its denominator,
+    all given as (integer numerators, den) over the largest power den."""
     p = coords.space.ring.p
     for _ in range(max_rejects):
-        yield [_coefficient(rng, p, numerator_bound, denominator_valuation)
-               for _ in range(coords.m)]
+        draws = [(rng.randint(-numerator_bound, numerator_bound),
+                  rng.randint(0, denominator_valuation))
+                 for _ in range(coords.m)]
+        top = max((e for _, e in draws), default=0)
+        yield [num * p ** (top - e) for num, e in draws], p ** top
     raise SamplingError("rejection sampling exhausted its attempt budget")
 
 
@@ -52,9 +50,11 @@ def sample_lie(std: StandardLattices, rng: random.Random,
                max_rejects: int = 200) -> LieElem:
     """A random certified Lie element inside the working domain."""
     coords = std.u_coords if isometry else std.gu_coords
-    for c in _draws(coords, rng, numerator_bound, denominator_valuation,
-                    max_rejects):
-        X = certify_lie(coords.space, coords.from_coords(c))
+    space = coords.space
+    for nums, den in _draws(coords, rng, numerator_bound,
+                            denominator_valuation, max_rejects):
+        X = certify_lie(space, Mat.from_components(
+            space.ring, space.n, coords.numerators(nums), den))
         if in_domain(X):
             return X
 
@@ -66,7 +66,7 @@ def sample_integral_lie(std: StandardLattices, rng: random.Random,
     coords = std.gu_coords
     space = coords.space
     pk = space.ring.p ** level
-    c = [Fraction(rng.randint(-numerator_bound, numerator_bound) * pk)
+    c = [rng.randint(-numerator_bound, numerator_bound) * pk
          for _ in range(coords.m)]
     return certify_lie(space, coords.from_coords(c))
 
@@ -84,8 +84,8 @@ def sample_group(std: StandardLattices, rng: random.Random,
     alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
     nums, den = identity_comps(space), 1
     for _ in range(factors):
-        for v in _draws(coords, rng):        # rejected as by in_domain
-            x, d = coords.numerators(v)
+        for v, d in _draws(coords, rng):     # rejected as by in_domain
+            x = coords.numerators(v)
             a = alpha_of(x)                 # alpha d; k clears a fraction
             k = a.denominator
             image = c([e * k for e in x], a.numerator, d * k)
@@ -98,7 +98,8 @@ def sample_group(std: StandardLattices, rng: random.Random,
         while s % p == 0:
             s = rng.randint(1, 5 * p)
         nums = [v * s for v in nums]
-    return certify_group(space, mat_from_components(space, nums, den))
+    return certify_group(space,
+                         Mat.from_components(space.ring, space.n, nums, den))
 
 
 def sample_theta_fixed(std: StandardLattices, rng: random.Random) -> GroupElem:

@@ -214,18 +214,19 @@ def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:
     p^N, over the exact field on its numerators over one denominator den,
     whose mu den^2 it divides by den^2.  Only the general-linear family
     over the exact field or the inert ring, which has no integer
-    predicate, inverts g instead.
+    predicate, asks ``Mat.is_invertible`` instead, the determinant lines
+    of the same adjugate code that ``Mat.inv`` runs.
     """
-    from .cayley import mat_components, mat_numerators, multiplier_predicate
+    from .cayley import multiplier_predicate
     ring = space.ring
     if not space.has_form and (ring.exact or ring.ext == INERT):
         return ring.one if g.is_invertible() else None
     if ring.exact:
-        x, den = mat_numerators(space, g)
+        x, den = g.numerators()
         mu = multiplier_predicate(space)(x)
         return None if mu is None else ring.ratio(
             mu.numerator, 0, mu.denominator * den * den)
-    mu = multiplier_predicate(space)(mat_components(space, g))
+    mu = multiplier_predicate(space)(g.components())
     return None if mu is None else Scalar(ring, mu, 0, 1)
 
 

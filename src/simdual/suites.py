@@ -363,6 +363,8 @@ def _payload_std(payload):
     """Standard lattices of the payload's (family, n, p), and its base."""
     base = {"family": _field(payload, "family", str),
             "n": _field(payload, "n"), "p": _field(payload, "p")}
+    if base["n"] < 1:
+        raise ConfigError("n must be >= 1")
     try:
         space = build_space(base["family"], base["n"], base["p"])
     except ValueError as exc:                 # SpaceError, or a bad p
@@ -415,6 +417,8 @@ def _replay_decompose_coset(payload) -> CheckRow:
 def _replay_class_inversion(payload) -> CheckRow:
     family, n, q = (_field(payload, "family", str), _field(payload, "n"),
                     _field(payload, "q"))
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     try:
         table = build_group(family, n, q)
     except (SolveBudgetError, ValueError) as exc:   # FiniteGroupError, bad q

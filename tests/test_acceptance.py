@@ -4,14 +4,15 @@ the elapsed wall time."""
 
 import time
 
-from simdual.cayley import (INFINITE_IDENTITY, _lie_components, cayley,
-                            fiber, in_domain, mat_from_components)
+from simdual.cayley import (INFINITE_IDENTITY, _lie_components, cayley, fiber,
+                            in_domain)
 from simdual.decomposition import coset_set, decompose, verify_piece
 from simdual.finite import build_group, conjugacy_classes, \
     verify_class_inversion
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import (ad_operator, check_cayley_level, lattice_of_x,
                               standard_lattices)
+from simdual.matrices import Mat
 from simdual.sampling import (make_rng, sample_group, sample_integral_lie,
                               sample_lie, sample_stabilizing,
                               sample_theta_fixed)
@@ -64,7 +65,8 @@ def test_criterion_2_fiber_analysis():
     buckets = {}
     images = {}
     for comps in _lie_components(trunc, 10**6):
-        lie = certify_lie(trunc, mat_from_components(trunc, comps))
+        lie = certify_lie(trunc,
+                          Mat.from_components(trunc.ring, trunc.n, comps))
         if not in_domain(lie):
             continue
         g = cayley(lie)

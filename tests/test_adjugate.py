@@ -1,17 +1,22 @@
-"""The generated adjugate code, the inverse mod p^N built on it and the
-fused Cayley kernel: the inverse against an integer Gauss-Jordan oracle
-that embeds the inert ring as 2 x 2 blocks over the base ring, the
-Cayley kernel against the composition of the adjugate, the product and
-list comprehensions that it replaces."""
+"""The generated adjugate code and what is built on it: the inverse mod
+p^N and ``Mat.inv``/``Mat.is_invertible`` against an integer Gauss-Jordan
+oracle that embeds the inert ring as 2 x 2 blocks over the base ring,
+the determinant lines against a Leibniz sum, and the fused Cayley kernel
+against the composition of the adjugate, the product and list
+comprehensions that it replaces."""
 
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simdual.cayley import (_adjugate_code, _generated, _unpack,
-                            cayley_kernel, components_per_scalar,
-                            identity_comps, mat_from_components,
-                            matrix_inverse_kernel, product_kernel)
+from simdual.cayley import (cayley_kernel, identity_comps,
+                            multiplier_predicate, product_kernel)
+from simdual.matrices import (Mat, NotInvertibleError, adjugate_kernel,
+                              components_per_scalar, matrix_inverse_kernel)
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, standard_space)
@@ -71,7 +76,7 @@ def _matrices(space, rng, count):
     """Random component tuples mod p^N, a third of them made singular
     mod p: a row that is zero mod p, or a row repeated."""
     ring = space.ring
-    n, d, M = space.n, components_per_scalar(space), ring.modulus
+    n, d, M = space.n, components_per_scalar(space.ring), ring.modulus
     width = d * n
     out = []
     for k in range(count):
@@ -92,30 +97,65 @@ def _matrices(space, rng, count):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("ext", [SPLIT, INERT])
 def test_inverse_kernel_is_the_gauss_jordan_inverse(ext, n, p, N):
+    # the kernel, Mat.inv and Mat.is_invertible on the same draws
     space = _space(ext, n, p, N)
-    inv = matrix_inverse_kernel(space)
+    ring = space.ring
+    inv = matrix_inverse_kernel(ring, n)
     rng = random.Random(n * 100 + p * 10 + N)
     verdicts = set()
     for x in _matrices(space, rng, 60):
         want = oracle_inverse(space, x)
         assert inv(x) == want
+        g = Mat.from_components(ring, n, x)
+        assert g.is_invertible() == (want is not None)
+        if want is None:
+            with pytest.raises(NotInvertibleError):
+                g.inv()
+        else:
+            assert g.inv() == Mat.from_components(ring, n, want)
         verdicts.add(want is None)
     assert verdicts == {True, False}
 
 
-def adjugate_kernel(space):
-    """``adj(x)``: (A, q) with g A = q 1 on integers, for the matrix g
-    with integer components x, run from the lines of ``_adjugate_code``."""
-    lines, adj, q, _ = _adjugate_code(space)
-    return _generated("x", [_unpack("x", len(adj))] + lines,
-                      f"({', '.join(adj)},), {q}")
+def leibniz_det(m):
+    """det m as the Leibniz sum over the permutations of range(n), in
+    ``Scalar`` arithmetic."""
+    ring, n = m.ring, m.nrows
+    total = ring.zero
+    for perm in itertools.permutations(range(n)):
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@functools.cache
+def _general_linear(n, p):
+    return standard_space(GENERAL_LINEAR, n, Ring(p, SPLIT, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-50, 50), min_size=n * n,
+                         max_size=n * n))),
+       st.sampled_from([3, 5]))
+def test_general_linear_predicate_is_a_unit_determinant(nx, p):
+    # the determinant lines of the adjugate code, run on the integers x,
+    # against the Leibniz sum: mu = 1 exactly where det x is a unit mod p
+    n, x = nx
+    det = leibniz_det(Mat(Ring(p, SPLIT), [x[i * n:(i + 1) * n]
+                                           for i in range(n)]))
+    assert multiplier_predicate(_general_linear(n, p))(x) == \
+        (1 if det.x % p else None)
 
 
 def composed_cayley(space):
     """The Cayley kernel as the composition it replaces: Y = den 1 + x,
     (A, q) = adj(Y), s = den + alpha, and the product (s 1 - x) A."""
     ident = identity_comps(space)
-    adj, mul = adjugate_kernel(space), product_kernel(space)
+    adj, mul = adjugate_kernel(space.ring, space.n), product_kernel(space)
     p, M = space.ring.p, None if space.ring.exact else space.ring.modulus
 
     def c(x, alpha, den=1):
@@ -154,7 +194,7 @@ def test_fused_cayley_kernel_is_the_composition(family, ext, n, N):
     # 0 mod p (a zero row over the exact field)
     base = standard_space(family, n, Ring(3, ext))
     space = base if N is None else base.truncated(N)
-    d, p = components_per_scalar(space), space.ring.p
+    d, p = components_per_scalar(space.ring), space.ring.p
     fused, composed = cayley_kernel(space), composed_cayley(space)
     rng = random.Random(f"{family}-{ext}-{n}-{N}")
     bound = 30 if N is None else p**N
@@ -186,17 +226,17 @@ def test_adjugate_kernel_is_the_exact_inverse(ext, n):
     # determinant (split) or its norm (inert), and A / q is Mat.inv
     space = _space(ext, n, 3)
     ring = space.ring
-    adj, mul = adjugate_kernel(space), product_kernel(space)
-    d = components_per_scalar(space)
+    d = components_per_scalar(ring)
+    adj, mul = adjugate_kernel(ring, n), product_kernel(space)
     rng = random.Random(n)
     for _ in range(20):
         x = tuple(rng.randint(-30, 30) for _ in range(d * n * n))
         a, q = adj(x)
-        g = mat_from_components(space, x)
-        det = g.det()
+        g = Mat.from_components(ring, n, x)
+        det = leibniz_det(g)
         assert q == (det.x if d == 1 else det.x ** 2 - ring.u * det.y ** 2)
         assert list(mul(x, a)) == list(mul(a, x)) == \
             [q * e for e in identity_comps(space)]
         if q:
-            assert mat_from_components(space, a, q) == g.inv()
+            assert Mat.from_components(ring, n, a, q) == g.inv()
     assert adj(identity_comps(space)) == (identity_comps(space), 1)

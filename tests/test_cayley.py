@@ -11,15 +11,14 @@ from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
                             TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
                             _sparse_rows, _star_rows, bucket_domain_images,
-                            cayley, cayley_kernel, components_per_scalar,
-                            det_kernel, fiber, identity_comps, in_domain,
-                            inverse_kernel, iota_kernel, lie_alpha_kernel,
-                            mat_components, mat_from_components,
-                            matrix_inverse_kernel, product_kernel,
-                            star_kernel, theta_kernel, theta_map, x_lambda)
+                            cayley, cayley_kernel, fiber, identity_comps,
+                            in_domain, inverse_kernel, iota_kernel,
+                            lie_alpha_kernel, product_kernel, star_kernel,
+                            theta_kernel, theta_map, x_lambda)
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import standard_lattices
-from simdual.matrices import Mat, NotInvertibleError
+from simdual.matrices import (Mat, NotInvertibleError, components_per_scalar,
+                              matrix_inverse_kernel)
 from simdual.sampling import make_rng, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
@@ -157,7 +156,8 @@ def census9():
     buckets = {}
     images = {}
     for comps in _lie_components(SYMPL9, 10**6):
-        lieel = certify_lie(SYMPL9, mat_from_components(SYMPL9, comps))
+        lieel = certify_lie(SYMPL9,
+                            Mat.from_components(SYMPL9.ring, 2, comps))
         if not in_domain(lieel):
             continue
         g = cayley(lieel)
@@ -291,7 +291,7 @@ STDS = {family: standard_lattices(standard_space(family, 2, Ring(3, ext)))
 
 
 def _comps(space, m):
-    return tuple(mat_components(space, m))
+    return tuple(m.components())
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,7 +318,8 @@ def test_integer_kernels_match_the_mat_level_maps(family, N, coords, s):
             inverse = _comps(space, (one + X).inv())
         except NotInvertibleError:
             inverse = None
-        assert matrix_inverse_kernel(space)(_comps(space, one + X)) == inverse
+        assert matrix_inverse_kernel(space.ring, space.n)(
+            _comps(space, one + X)) == inverse
         image = cayley_kernel(space)(x, alpha)
         assert (image is not None) == in_domain(lie_t)
         if image is None:
@@ -349,10 +350,10 @@ def _three_conditions(X: LieElem) -> bool:
     regular = bool if space.ring.exact else (lambda s: s.is_unit())
     one = space.identity()
     if not space.has_form:
-        return regular((one + X.mat).det())
+        return (one + X.mat).is_invertible()
     a1 = space.ring.one + X.alpha
-    return (regular(a1) and regular((one + X.mat).det())
-            and regular((one * a1 - X.mat).det()))
+    return (regular(a1) and (one + X.mat).is_invertible()
+            and (one * a1 - X.mat).is_invertible())
 
 
 def _det_is_unit(x, d) -> bool:
@@ -378,7 +379,7 @@ def test_domain_needs_only_two_of_its_three_conditions(family):
     ring = space.ring
     M = ring.modulus
     ident = identity_comps(space)
-    d = components_per_scalar(space)
+    d = components_per_scalar(space.ring)
     alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
     verdicts = set()
     for i, x in enumerate(_lie_components(space, 10**6)):
@@ -391,7 +392,7 @@ def test_domain_needs_only_two_of_its_three_conditions(family):
         assert (c(x, alpha) is not None) == three
         verdicts.add(three)
         if i % 49 == 0:
-            X = LieElem(space, mat_from_components(space, x),
+            X = LieElem(space, Mat.from_components(space.ring, space.n, x),
                         ring.scalar(alpha))
             assert in_domain(X) == _three_conditions(X) == three
     assert verdicts == {True, False}
@@ -416,21 +417,6 @@ def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):
     got = [(p.X.mat.key(), p.lam) for p in fiber(g).preimages]
     assert got == want and (8, 0, 0, 0, 0, 0, 8, 0) not in \
         [key for key, _ in got]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(-50, 50), min_size=n * n,
-                         max_size=n * n))),
-       st.sampled_from([3, 5]))
-def test_det_kernel_matches_mat_det(nx, p):
-    # the generated Leibniz sum against Mat.det, exact and mod p
-    n, x = nx
-    rows = [x[i * n:(i + 1) * n] for i in range(n)]
-    det = det_kernel(n)(x)
-    exact = Ring(p, SPLIT)
-    assert Mat(exact, rows).det() == exact.scalar(det)
-    assert Mat(Ring(p, SPLIT, 1), rows).det().a == det % p
 
 
 def _apply_rows(rows, x, M, s=1):
@@ -475,7 +461,7 @@ def _cayley_formula(X: LieElem):
     space = X.space
     ring, one = space.ring, space.identity()
     one_plus = one + X.mat
-    if not one_plus.det():
+    if not one_plus.is_invertible():
         return None
     if not space.has_form:
         return one_plus, ring.one

@@ -191,6 +191,19 @@ def test_markdown_format(capsys):
     ["finite-dual", "--family", "o+", "--dim", "3"],             # n = 2 only
     ["verify", "--suite", "decompose", "--cosets", "0"],         # no cosets
     ["verify", "--cosets", "-1"],
+    ["replay", json.dumps({"check": "multiplier-identity",       # n = 0
+                           "payload": {"family": "symplectic", "n": 0,
+                                       "p": 3, "X": "1"}})],
+    ["replay", json.dumps({"check": "theta-stable-lattice",      # n = 0
+                           "payload": {"family": "hermitian", "n": 0,
+                                       "p": 3}})],
+    ["replay", json.dumps({"check": "decompose-coset",           # n = -2
+                           "payload": {"family": "hermitian", "n": -2,
+                                       "p": 3, "level": 1, "precision": 2,
+                                       "b": "1"}})],
+    ["replay", json.dumps({"check": "class-inversion",           # n = 0
+                           "payload": {"family": "gl", "n": 0, "q": 3,
+                                       "rep": "1"}})],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     budget = tmp_path / "budget.cfg"

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from simdual import decomposition
-from simdual.cayley import Members, mat_components
+from simdual.cayley import Members
 from simdual.decomposition import (DecompositionError, _carried_check,
                                    cayley_image_members, coset_set, decompose,
                                    find_conjugator_mod, verify_piece)
@@ -281,7 +281,7 @@ def test_carried_pair_is_rechecked(corrupt, expected):
     st = C.space
     failure = _carried_check(st, set(C.members.comps))
     a = C.members.comps[0]
-    x = tuple(mat_components(st, find_conjugator_mod(C.members[0]).mat))
+    x = tuple(find_conjugator_mod(C.members[0]).mat.components())
     assert failure(a, x) is None
     one = (1, 0, 0, 1)
     if corrupt == "member":          # mu(1) = 1 is not mu(b) = 2 mod 3

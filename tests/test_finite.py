@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from simdual.cayley import mat_components, mat_from_components, product_kernel
+from simdual.cayley import product_kernel
 from simdual.finite import (FiniteGroupError, _verify_table, build_group,
                             conjugacy_classes, verify_class_inversion)
 from simdual.involution import iota_group
-from simdual.matrices import parse_matrix
+from simdual.matrices import Mat, parse_matrix
 from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
@@ -88,8 +88,9 @@ def test_product_kernel_matches_matrix_product(family, n, ext, N):
     for _ in range(200):
         x, y = (tuple(rng.randrange(3**N) for _ in range(D))
                 for _ in range(2))
-        prod = mat_from_components(space, x) * mat_from_components(space, y)
-        assert mul(x, y) == tuple(mat_components(space, prod))
+        prod = (Mat.from_components(space.ring, space.n, x)
+                * Mat.from_components(space.ring, space.n, y))
+        assert mul(x, y) == tuple(prod.components())
 
 
 def test_corrupted_iota_is_not_multiplicative():

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simdual.cayley import (cayley, components_per_scalar, in_domain,
-                            linear_kernel, mat_from_components)
+from simdual.cayley import cayley, in_domain, linear_kernel
 from simdual.involution import theta_group
 from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
                               _congruence_scan, _dual_rows, ad_operator,
                               check_cayley_level, lattice_of_x,
                               standard_lattices)
-from simdual.matrices import Mat
+from simdual.matrices import Mat, components_per_scalar
 from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
@@ -70,7 +69,7 @@ _ENTRIES = st.builds(Fraction, st.integers(-40, 40),
 def test_hnf_properties(p, dim, data):
     column = st.lists(_ENTRIES, min_size=dim, max_size=dim)
     cols = data.draw(st.lists(column, min_size=dim, max_size=dim + 2))
-    assume(Mat(Ring(p), list(zip(*cols[:dim]))).det())
+    assume(Mat(Ring(p), list(zip(*cols[:dim]))).is_invertible())
     form = hnf_columns(p, dim, cols)
     rows = [[x.a for x in col] for col in form]
     # lower triangular, pivots p^e, entries left of a pivot in [0, pivot)
@@ -245,12 +244,12 @@ def _mat_level_scan(space, k, N):
     """Reference: similitude_multiplier on every 1 + p^k Y mod p^N."""
     st = space.truncated(N)
     ring = st.ring
-    m0 = st.n * st.n * components_per_scalar(st)
+    m0 = st.n * st.n * components_per_scalar(st.ring)
     pk = ring.p**k
     out = []
     for coeffs in itertools.product(range(ring.p**(N - k)), repeat=m0):
-        g = Mat.identity(ring, st.n) + mat_from_components(
-            st, [c * pk for c in coeffs])
+        g = Mat.identity(ring, st.n) + Mat.from_components(
+            st.ring, st.n, [c * pk for c in coeffs])
         mu = similitude_multiplier(st, g)
         if mu is not None:
             out.append((g.key(), mu.a, mu.b))
@@ -367,7 +366,7 @@ def test_integer_dual_is_the_inverse_rows(p):
         dim = rng.randint(1, 5)
         cols = [[Fraction(rng.randint(-30, 30), rng.choice([1, 2, p, p * p]))
                  for _ in range(dim)] for _ in range(dim + rng.randint(0, 2))]
-        if not Mat(Ring(p), list(zip(*cols[:dim]))).det():
+        if not Mat(Ring(p), list(zip(*cols[:dim]))).is_invertible():
             continue
         lat = LatticeBasis.from_columns(p, dim, cols)
         rows, den = _dual_rows(lat.nums, lat.den)

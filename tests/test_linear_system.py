@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 from simdual import modsolve
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
                             bucket_domain_images, cayley, cayley_kernel,
-                            comps_key, components_per_scalar, fiber,
-                            identity_comps, iota_kernel, lie_alpha_kernel,
-                            linear_system, mat_components,
-                            mat_from_components, matrix_inverse_kernel,
+                            comps_key, fiber, identity_comps, iota_kernel,
+                            lie_alpha_kernel, linear_system,
                             multiplier_predicate, product_kernel,
                             star_kernel)
 from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
-from simdual.matrices import parse_matrix
+from simdual.matrices import (Mat, components_per_scalar,
+                              matrix_inverse_kernel, parse_matrix)
 from simdual.scalars import INERT, SPLIT, Ring, sqrt_mod_prime_power
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
@@ -83,7 +82,7 @@ PINNED_LIE_KEYS = {
 @pytest.mark.parametrize("family, N", list(PINNED_LIE_KEYS))
 def test_enumerate_lie_matches_the_pinned_digest(family, N):
     space = standard_space(family, 2, Ring(3, _ext(family), N))
-    lies = [certify_lie(space, mat_from_components(space, comps))
+    lies = [certify_lie(space, Mat.from_components(space.ring, space.n, comps))
             for comps in _lie_components(space, 10**6)]
     keys = [list(lie.mat.key()) + _scalar(lie.alpha) for lie in lies]
     assert _digest(keys) == PINNED_LIE_KEYS[family, N]
@@ -123,7 +122,7 @@ PINNED_KERNELS = {
 @pytest.mark.parametrize("family", list(PINNED_KERNELS))
 def test_star_and_iota_kernels_match_the_pinned_digest(family):
     space = standard_space(family, 2, Ring(3, _ext(family), 1))
-    D = space.n * space.n * components_per_scalar(space)
+    D = space.n * space.n * components_per_scalar(space.ring)
     iota = iota_kernel(space)
     units = [[int(i == j) for i in range(D)] for j in range(D)]
     data = [_star_rows(space),
@@ -145,7 +144,7 @@ PINNED_CONJUGATOR_SYSTEMS = {
 def test_conjugator_system_matches_the_pinned_digest(family, N, text):
     space = standard_space(family, 2, Ring(3, _ext(family), N))
     a = certify_group(space, parse_matrix(space.ring, text))
-    a = tuple(mat_components(space, a.mat))
+    a = tuple(a.mat.components())
     assert (_digest(_conjugator_system(space, a))
             == PINNED_CONJUGATOR_SYSTEMS[family, N, text])
 
@@ -208,7 +207,7 @@ def _check_branch(space, x, lam, written):
     want = modsolve.solve_affine_mod(A, b, ring.p, ring.prec, 10**5)
     shifted = tuple((lam * e + v) % M
                     for e, v in zip(identity_comps(space), x))
-    t = matrix_inverse_kernel(space)(shifted)
+    t = matrix_inverse_kernel(space.ring, space.n)(shifted)
     del written[:]
     assert _solve_branch(space, x, lam, t, 10**5) == want
     if t is not None:
@@ -235,7 +234,7 @@ def test_fiber_branch_systems_match_the_pinned_digest(written, family,
     space = standard_space(family, 2, Ring(3, _ext(family)))
     X = standard_lattices(space).gu_coords.from_coords(coords).reduce(2)
     g = cayley(certify_lie(space.truncated(2), X))
-    x = tuple(mat_components(g.space, g.mat))
+    x = tuple(g.mat.components())
     probed = [_probed_branch_system(g.space, x, lam)
               for lam in _lambdas(g.space, x)]
     assert _digest([[A, b] for A, b in probed]) == \
@@ -293,7 +292,7 @@ def _sampled_images(space, draws, seed):
     its image is 1 mod p and both branches have 1 + lam or lam + g 0 mod p
     often.  Draws outside the domain have no image."""
     ring = space.ring
-    D = space.n * space.n * components_per_scalar(space)
+    D = space.n * space.n * components_per_scalar(space.ring)
     c, alpha_of = cayley_kernel(space), lie_alpha_kernel(space)
     rng = random.Random(seed)
     images = set()
@@ -317,7 +316,7 @@ def _decided_branches(space, x, written):
     ring = space.ring
     p, M = ring.p, ring.modulus
     ident = identity_comps(space)
-    inv = matrix_inverse_kernel(space)
+    inv = matrix_inverse_kernel(space.ring, space.n)
     found, kinds = {}, []
     for lam in _lambdas(space, x):
         A, b = _probed_branch_system(space, x, lam)
@@ -335,7 +334,8 @@ def _decided_branches(space, x, written):
         assert kind in ("closed", "solved") or not sols
         kinds.append(kind)
     del written[:]
-    res = fiber(certify_group(space, mat_from_components(space, x)))
+    res = fiber(certify_group(
+        space, Mat.from_components(space.ring, space.n, x)))
     assert len(written) == kinds.count("solved")
     assert [(pre.X.mat.key(), pre.lam.a) for pre in res.preimages] == \
         [(comps_key(space, v), lam) for v, lam in sorted(found.items())]
@@ -382,5 +382,6 @@ def test_census_mod9_makes_one_affine_solve_per_solved_branch(written,
     space, xs = _census(family)
     del written[:]                  # the Lie enumeration solves once
     for x in xs:
-        fiber(certify_group(space, mat_from_components(space, x)))
+        fiber(certify_group(
+            space, Mat.from_components(space.ring, space.n, x)))
     assert len(written) == solves

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,12 +30,39 @@ def test_arithmetic_and_transpose():
 
 
 def test_det_trace_inverse():
+    # det a = -2, so a^-1 = adj(a) / -2
     a = Mat(EXACT, [[1, 2], [3, 4]])
-    assert a.det() == EXACT.scalar(-2)
+    assert a.inv() == Mat(EXACT, [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
     assert a[0, 0] + a[1, 1] == EXACT.scalar(5)
     assert a * a.inv() == Mat.identity(EXACT, 2)
     with pytest.raises(NotInvertibleError):
         Mat(EXACT, [[1, 2], [2, 4]]).inv()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_inert_inverse(n):
+    # m m^-1 = m^-1 m = 1 on rational a + b s entries; a zero row or a
+    # repeated row makes m singular, and inv raises
+    ring = Ring(3, INERT)
+    rng = random.Random(n)
+    one = Mat.identity(ring, n)
+    for k in range(30):
+        rows = [[ring.scalar(Fraction(rng.randint(-9, 9), rng.choice([1, 3])),
+                             Fraction(rng.randint(-9, 9), rng.choice([1, 5])))
+                 for _ in range(n)] for _ in range(n)]
+        if k % 3 == 1:
+            rows[rng.randrange(n)] = [ring.zero] * n
+        elif k % 3 == 2 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = rows[i]
+        m = Mat(ring, rows)
+        if k % 3 == 0 or n == 1 and k % 3 == 2:
+            assert m.is_invertible()
+            assert m * m.inv() == m.inv() * m == one
+        else:
+            assert not m.is_invertible()
+            with pytest.raises(NotInvertibleError):
+                m.inv()
 
 
 def test_truncated_inverse_needs_unit_pivots():
@@ -87,7 +115,7 @@ def _mats(ring, size=2, lo=-6, hi=6):
 @settings(max_examples=60)
 @given(_mats(EXACT), _mats(EXACT))
 def test_product_inverse_property(a, b):
-    if bool(a.det()) and bool(b.det()):
+    if a.is_invertible() and b.is_invertible():
         assert (a * b).inv() == b.inv() * a.inv()
 
 

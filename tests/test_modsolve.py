@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdual.cayley import mat_components
 from simdual.decomposition import _conjugator_system
 from simdual.matrices import parse_matrix
 from simdual.modsolve import (SolveBudgetError, _coset_steps, _iter_coset,
@@ -204,7 +203,7 @@ def test_iter_order_of_a_conjugator_system_is_pinned():
     space = standard_space(HERMITIAN, 2, Ring(3, INERT, 2))
     a = certify_group(space, parse_matrix(
         space.ring, "16+16*s, 17+8*s; 10+19*s, 7+25*s"))
-    A, b = _conjugator_system(space, tuple(mat_components(space, a.mat)))
+    A, b = _conjugator_system(space, tuple(a.mat.components()))
     first = list(itertools.islice(iter_affine_mod(A, b, 3, 2), 20))
     assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == \
         "cc72e4790752864aaaedeea776e1200ffb00f0f3663a4b2d92d58a4417e0dcab"

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdual.cayley import (mat_components, mat_from_components,
-                            multiplier_predicate)
+from simdual.cayley import multiplier_predicate
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat
 from simdual.sampling import make_rng, sample_group, sample_stabilizing
@@ -166,7 +165,8 @@ def _spaces(N):
                          ids=lambda s: f"{s.family}-{s.ring.ext}")
 def test_certificate_on_every_matrix_mod_3(space):
     d = 2 if space.ring.ext == INERT else 1
-    members = sum(_certificates_agree(space, mat_from_components(space, x))
+    members = sum(_certificates_agree(
+        space, Mat.from_components(space.ring, space.n, x))
                   for x in itertools.product(range(3), repeat=4 * d))
     assert 0 < members < 3**(4 * d)
 
@@ -185,14 +185,14 @@ def test_certificate_on_random_matrices_mod_27(space):
     for _ in range(40):
         g = sample_stabilizing(std, rng).mat.reduce(3)
         unit = draws.choice([1, 2, 4, 5, 7, 8])
-        x = [v * unit for v in mat_components(space, g)]
+        x = [v * unit for v in g.components()]
         verdicts.append(_certificates_agree(
-            space, mat_from_components(space, x)))
+            space, Mat.from_components(space.ring, space.n, x)))
         x[draws.randrange(len(x))] += 9
         verdicts.append(_certificates_agree(
-            space, mat_from_components(space, x)))
-        verdicts.append(_certificates_agree(space, mat_from_components(
-            space, [draws.randrange(27) for _ in x])))
+            space, Mat.from_components(space.ring, space.n, x)))
+        verdicts.append(_certificates_agree(space, Mat.from_components(
+            space.ring, space.n, [draws.randrange(27) for _ in x])))
     assert verdicts[::3] == [True] * 40
     assert False in verdicts
 

@@ -1,6 +1,6 @@
-"""sympy as an independent oracle for three integer kernels: the Smith
-form of ``modsolve``, the split inverse mod p^N of ``cayley`` and the exact
-determinant of ``Mat``.  Skipped where sympy is not installed."""
+"""sympy as an independent oracle for three kernels: the Smith form of
+``modsolve``, the split inverse mod p^N of ``matrices`` and the exact split
+inverse of ``Mat``.  Skipped where sympy is not installed."""
 
 import math
 import random
@@ -8,11 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from simdual.cayley import matrix_inverse_kernel
-from simdual.matrices import Mat
+from simdual.matrices import Mat, NotInvertibleError, matrix_inverse_kernel
 from simdual.modsolve import smith
 from simdual.scalars import SPLIT, Ring
-from simdual.spaces import GENERAL_LINEAR, standard_space
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -46,8 +44,7 @@ def test_smith_invariant_factors_match_sympy(seed):
 @pytest.mark.parametrize("p, N, n", [(3, 1, 2), (3, 2, 3), (5, 2, 2),
                                      (3, 3, 4)])
 def test_split_inverse_mod_pN_matches_sympy(p, N, n):
-    inv = matrix_inverse_kernel(
-        standard_space(GENERAL_LINEAR, n, Ring(p, SPLIT, N)))
+    inv = matrix_inverse_kernel(Ring(p, SPLIT, N), n)
     M = p**N
     rng = random.Random(p * 100 + N * 10 + n)
     for _ in range(30):
@@ -61,12 +58,25 @@ def test_split_inverse_mod_pN_matches_sympy(p, N, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_exact_det_matches_sympy(n):
+def test_exact_split_inverse_matches_sympy(n):
+    # a third of the draws repeats a row, so sympy's determinant is 0
     rng = random.Random(n)
     ring = Ring(3)
-    for _ in range(20):
+    singular = 0
+    for k in range(30):
         rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 9, 5]))
                  for _ in range(n)] for _ in range(n)]
-        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                              for x in row] for row in rows]).det()
-        assert Mat(ring, rows).det().a == Fraction(int(want.p), int(want.q))
+        if k % 3 == 2 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = rows[i]
+        A = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                           for x in row] for row in rows])
+        if A.det() == 0:
+            singular += 1
+            with pytest.raises(NotInvertibleError):
+                Mat(ring, rows).inv()
+            continue
+        want = [[Fraction(int(x.p), int(x.q)) for x in A.inv().row(i)]
+                for i in range(n)]
+        assert Mat(ring, rows).inv() == Mat(ring, want)
+    assert singular >= (9 if n > 1 else 0)
