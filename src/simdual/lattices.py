@@ -1,6 +1,6 @@
 """Lattices: the stable lattice in V, the Lie-algebra lattice, intersection
-lattices attached to group elements, congruence-level enumerations, and
-the Cayley level-bijection checker.
+lattices attached to group elements, congruence subgroups, and the Cayley
+level-bijection checker.
 
 All lattices are full-rank o_F-modules presented by a basis matrix in a
 canonical Hermite form over the localization of the integers at p (pivots
@@ -9,16 +9,16 @@ equality is literal equality of normal forms.  A basis is held on
 integers: its columns as integer tuples over one power of p, the least
 that clears every denominator.  An operator on Lie coordinates is an
 integer matrix over one positive denominator in lowest terms.  The
-Hermite form, the duals of an intersection (forward substitution on the
-triangular basis, with exact divisions), the image of a basis under an
-operator and the conjugation operators (the integer product kernel of
-``cayley`` on the integral Lie basis, then the integer coordinate
-solver) all run on Python integers; scalars of the exact split field
-appear only in the public views ``LatticeBasis.cols`` and
-``Operator.rows``.  ``level_images`` is the one enumeration of c(p^k L)
-mod p^N: the level check and the subgroup K of ``decomposition`` both
-run on it.  The o_E-structure of the vector-space lattice is tracked
-through the choice of F-coordinates but all computation happens over F.
+Hermite form, L(x) as the kernel of Ad(x) mod a power of p (one
+chain-ring solve, no duals), the image of a basis under an operator and
+the conjugation operators all run on Python integers; scalars of the
+exact split field appear only in ``LatticeBasis.cols`` and
+``Operator.rows``.  Nothing scans residues: the congruence subgroup is
+lifted from the identity one p-adic digit at a time, and ``level_images``
+is the one enumeration of c(p^k L) mod p^N, for the level check and the
+subgroup K of ``decomposition``.  The o_E-structure of the vector-space
+lattice is tracked through the choice of F-coordinates but all
+computation happens over F.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from operator import mul
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      lie_alpha_kernel, lie_system, linear_kernel,
-                     matrix_system, multiplier_predicate, product_kernel)
+                     matrix_system, multiplier_predicate, product_kernel,
+                     star_kernel)
 from .involution import theta_lie
 from .matrices import Mat, components_per_scalar
 from .scalars import Ring, Scalar, val_int
@@ -94,28 +95,6 @@ def _hnf(p: int, dim: int, cols, den: int) -> tuple[tuple, int]:
     return tuple(tuple(x // g for x in col) for col in basis), den // g
 
 
-def _dual_rows(cols, den: int) -> tuple[list, int]:
-    """The rows of B^-1 for the basis matrix B with the lower-triangular
-    integer columns ``cols`` over ``den``, as integer rows over one
-    denominator.  With T the integer matrix of B and P the product of its
-    pivots, P T^-1 is integral, and forward substitution finds it column
-    by column with exact divisions; then B^-1 = (den / P) (P T^-1)."""
-    dim = len(cols)
-    P = math.prod(col[i] for i, col in enumerate(cols))
-    inv_cols = []
-    for k in range(dim):
-        z = [0] * dim
-        for i in range(k, dim):
-            rest = (P if i == k else 0) - sum(cols[j][i] * z[j]
-                                              for j in range(k, i))
-            z[i], r = divmod(rest, cols[i][i])
-            if r:
-                raise LatticeError("inexact division: the basis is not "
-                                   "lower triangular")
-        inv_cols.append(z)
-    return [[col[i] * den for col in inv_cols] for i in range(dim)], P
-
-
 @dataclass(frozen=True)
 class Operator:
     """An F-linear operator on Lie coordinates: the integer matrix ``nums``
@@ -175,20 +154,6 @@ class LatticeBasis:
                 for col in self.nums]
         return LatticeBasis(self.p, self.dim, *_hnf(
             self.p, self.dim, cols, T.den * self.den))
-
-    def intersect(self, other: "LatticeBasis") -> "LatticeBasis":
-        """The dual of the sum of the duals: the rows of B^-1 span the dual
-        of the lattice with basis matrix B."""
-        if (self.p, self.dim) != (other.p, other.dim):
-            raise LatticeError("incompatible lattices")
-        (rows_a, da), (rows_b, db) = (_dual_rows(self.nums, self.den),
-                                      _dual_rows(other.nums, other.den))
-        den = math.lcm(da, db)
-        rows = ([[x * (den // da) for x in row] for row in rows_a]
-                + [[x * (den // db) for x in row] for row in rows_b])
-        sum_dual = _hnf(self.p, self.dim, rows, den)
-        return LatticeBasis(self.p, self.dim, *_hnf(
-            self.p, self.dim, *_dual_rows(*sum_dual)))
 
 
 # -- Lie-algebra coordinates ------------------------------------------
@@ -391,12 +356,19 @@ def ad_operator(coords: LieCoords, x: Mat) -> Operator:
 
 
 def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
-    """The intersection lattice Ad(x^-1) L meet L, with one inverse of x:
-    the image of the standard lattice L under Ad(x^-1) is spanned by the
-    columns of that operator."""
+    """Ad(x^-1) L meet L = {Y in L : Ad(x) Y in L}, L the standard lattice:
+    with Ad(x) = C / d in lowest terms and e = v_p(d), the integer Y with
+    C Y = 0 mod p^e, one chain-ring kernel basis (which holds p^e Z^m, and
+    is not empty, as det Ad(x) = +-1) in one Hermite form."""
     p, m = coords.space.ring.p, coords.m
-    image = LatticeBasis(p, m, *_hnf(p, m, *_conjugation(coords, x.inv(), x)))
-    return image.intersect(coords.standard_lattice())
+    cols, den = _conjugation(coords, x, x.inv())
+    g = math.gcd(den, *(a for col in cols for a in col))
+    e = val_int(den // g, p)
+    if not e:
+        return coords.standard_lattice()
+    basis = modsolve._chain_solution(
+        [[a // g for a in row] for row in zip(*cols)], [0] * m, p, e)[1]
+    return LatticeBasis(p, m, *_hnf(p, m, basis, 1))
 
 
 # -- congruence levels ------------------------------------------------
@@ -418,32 +390,54 @@ def level_images(coords: LieCoords, k: int, N: int, budget: int):
     return coords.cayley_images(space.truncated(N), vectors)
 
 
-def _congruence_scan(space: Space, k: int, N: int, budget: int):
-    """(truncated space, [(key, comps, mu)]) for every residue 1 + p^k Y
-    mod p^N in the similitude group, sorted by key.  One integer scan per
-    (space, k, N), kept in ``space.memo``; the isometry variant filters it.
-    The budget applies on every call, also when the scan is kept.
-    """
-    D = space.n * space.n * components_per_scalar(space.ring)
-    scan = modsolve.residues(D, space.ring.p**(N - k), budget)
-    memo_key = ("congruence-scan", k, N)
+def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
+    """[(comps, mu)], sorted, for the similitudes g = 1 mod p^k mod p^N of
+    the space of the similitude coordinates ``coords``, lifted one p-adic
+    digit at a time from the identity (Hensel lifting): g mod p^j lifts
+    to g + p^j Z exactly when (Z, nu) solves ``lie_system`` mod p with
+    right side -(g g* - mu0 1) / p^j, mu0 the base component of entry
+    (0, 0) of g g*, one matrix for every g as g = 1 mod p.  Every Z lifts
+    in the general-linear family.  A member that ``multiplier_predicate``
+    rejects raises LatticeError.  SolveBudgetError, on every call, when
+    the p^(m (N - k)) members exceed ``budget``; kept in ``space.memo``."""
+    space = coords.space
+    p = space.ring.p
+    total = p**(coords.m * (N - k))
+    if total > budget:
+        raise modsolve.SolveBudgetError(
+            f"congruence subgroup of {total} members exceeds budget {budget}")
+    memo_key = ("congruence-members", k, N)
     if memo_key in space.memo:
         return space.memo[memo_key]
-    space_t = space.truncated(N) if space.ring.exact else space
-    ring = space_t.ring
-    pk, M = ring.p**k, ring.modulus
+    A = lie_system(space.truncated(1)) if space.has_form else None
+    space_t = space.truncated(N)
     ident = identity_comps(space_t)
+    if A is not None:
+        mul, star_of = product_kernel(space_t), star_kernel(space_t)
+    members = [ident]
+    for j in range(k, N):
+        pj = p**j
+        lifted = []
+        for g in members:
+            if A is None:
+                steps = modsolve.residues(coords.m0, p, budget)
+            else:
+                z = mul(g, star_of(g))
+                steps = modsolve.iter_affine_mod(A, [
+                    (z[0] * e - v) // pj for v, e in zip(z, ident)], p, 1)
+            # zip drops the nu of each (Z, nu)
+            lifted += [tuple(a + pj * s for a, s in zip(g, step))
+                       for step in steps]
+        members = lifted
     mu_of = multiplier_predicate(space_t)
     entries = []
-    for coeffs in scan:
-        comps = [(e + c * pk) % M for e, c in zip(ident, coeffs)]
+    for comps in sorted(members):
         mu = mu_of(comps)
         if mu is None:
-            continue
-        entries.append((comps_key(space_t, comps), comps, mu))
-    entries.sort(key=lambda e: e[0])
-    space.memo[memo_key] = space_t, entries
-    return space_t, entries
+            raise LatticeError(f"lifted member {comps} is not a similitude")
+        entries.append((comps, mu))
+    space.memo[memo_key] = entries
+    return entries
 
 
 @dataclass
@@ -490,19 +484,17 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
             alpha_ok = False
         if (mu - 1) % pk:
             mu_ok = False
-        key = comps_key(space, comps)
-        if key in image:
+        if comps in image:
             injective = False
-        image.add(key)
-    _, entries = _congruence_scan(space, k, N, budget)
-    member_keys = {key for key, _, mu in entries
-                   if variant != "u" or mu == 1}
-    sets_equal = set(image) == member_keys
+        image.add(comps)
+    members = {comps for comps, mu in congruence_members(
+        std.gu_coords, k, N, budget) if variant != "u" or mu == 1}
+    sets_equal = image == members
     mismatches = []
     if not sets_equal:
-        for key in sorted(set(image) ^ member_keys)[:5]:
-            side = "image-only" if key in image else "congruence-only"
-            mismatches.append((side, key))
+        for comps in sorted(image ^ members)[:5]:
+            side = "image-only" if comps in image else "congruence-only"
+            mismatches.append((side, comps_key(space, comps)))
     return LevelCheckReport(space.family, k, N, variant, len(image),
-                            len(member_keys), injective, sets_equal, alpha_ok,
+                            len(members), injective, sets_equal, alpha_ok,
                             mu_ok, mismatches)

@@ -15,9 +15,9 @@ slowest, as an odometer that adds one fixed vector per step.
 ``iter_affine_mod`` yields it lazily; ``solve_affine_mod`` and
 ``kernel_mod`` sort it under a budget.  ``residues`` is the one
 enumeration of all tuples of residues mod a modulus: the matrix scans of
-``involution`` and ``cayley``, and the coordinate and congruence scans of
-``lattices``, all run on it.  Every enumeration over its budget raises
-``SolveBudgetError``.
+``involution`` and ``cayley``, and the coordinate vectors and
+general-linear congruence digits of ``lattices``, all run on it.  Every
+enumeration over its budget raises ``SolveBudgetError``.
 
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and, over

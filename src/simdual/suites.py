@@ -448,13 +448,13 @@ REPLAY_REGISTRY = {
 
 
 def _setup(cfg: SuiteConfig):
-    std = standard_lattices(build_space(cfg.family, cfg.n, cfg.p))
-    base = {"family": cfg.family, "n": cfg.n, "p": cfg.p}
-    return std, make_rng(cfg.seed), base
+    """A fresh rng on the seed, so that a suite draws the same values
+    whatever runs before it, and the payload base."""
+    return make_rng(cfg.seed), {"family": cfg.family, "n": cfg.n, "p": cfg.p}
 
 
-def suite_identity(cfg: SuiteConfig) -> list:
-    std, rng, base = _setup(cfg)
+def suite_identity(cfg: SuiteConfig, std) -> list:
+    rng, base = _setup(cfg)
     rows = []
     space = std.space
     if space.has_form:
@@ -468,13 +468,13 @@ def suite_identity(cfg: SuiteConfig) -> list:
     return rows + _sampled_rows("identity", std, rng, base, cfg.samples)
 
 
-def suite_cayley(cfg: SuiteConfig) -> list:
-    std, rng, base = _setup(cfg)
+def suite_cayley(cfg: SuiteConfig, std) -> list:
+    rng, base = _setup(cfg)
     return _sampled_rows("cayley", std, rng, base, cfg.samples)
 
 
-def suite_lattice(cfg: SuiteConfig) -> list:
-    std, rng, base = _setup(cfg)
+def suite_lattice(cfg: SuiteConfig, std) -> list:
+    rng, base = _setup(cfg)
     rows = [_theta_stable_lattice(std, base)]
     rows += _sampled_rows("lattice", std, rng, base, min(cfg.samples, 100))
     for variant in ("gu", "u") if std.space.has_form else ("gu",):
@@ -502,8 +502,8 @@ def sample_coset_base(std, rng, N: int) -> Mat:
     raise ConfigError("could not sample a coset base point")
 
 
-def suite_decompose(cfg: SuiteConfig) -> list:
-    std, rng, base = _setup(cfg)
+def suite_decompose(cfg: SuiteConfig, std) -> list:
+    rng, base = _setup(cfg)
     N = cfg.decompose_precision
     if not (1 <= cfg.level < N):
         raise ConfigError("need 1 <= level < decompose precision")
@@ -520,7 +520,7 @@ def suite_decompose(cfg: SuiteConfig) -> list:
     return rows
 
 
-def suite_finite(cfg: SuiteConfig) -> list:
+def suite_finite(cfg: SuiteConfig, std) -> list:
     family = _finite_family(cfg.family)
     t0 = time.monotonic()
     try:
@@ -554,11 +554,14 @@ SUITE_FUNCTIONS = {
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Execute the selected suites; identical config + seed gives an
-    identical report (timing excluded unless requested)."""
+    """Execute the selected suites on one build of the standard lattices;
+    identical config + seed gives an identical report (timing excluded
+    unless requested)."""
     validate_config(cfg)
+    std = None if set(cfg.suites) <= {"finite-dual"} else standard_lattices(
+        build_space(cfg.family, cfg.n, cfg.p))
     rows = []
     for name in cfg.suites:
-        rows.extend(SUITE_FUNCTIONS[name](cfg))
+        rows.extend(SUITE_FUNCTIONS[name](cfg, std))
     return Report(suite="+".join(cfg.suites), params=cfg.as_params(),
                   rows=rows)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from simdual.cayley import cayley, in_domain, linear_kernel
 from simdual.involution import theta_group
+from simdual import modsolve
+from simdual.cayley import (comps_key, identity_comps, multiplier_predicate,
+                            product_kernel, star_kernel)
 from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
-                              _congruence_scan, _dual_rows, ad_operator,
-                              check_cayley_level, lattice_of_x,
+                              _hnf, ad_operator, check_cayley_level,
+                              congruence_members, lattice_of_x,
                               standard_lattices)
 from simdual.matrices import Mat, components_per_scalar
 from simdual.modsolve import SolveBudgetError
@@ -26,6 +30,66 @@ SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
 HERM1 = standard_space(HERMITIAN, 1, Ring(3, INERT))
 STD_H1 = standard_lattices(HERM1)
+
+
+# -- oracles: the meet by duals and the congruence residue scan ---------
+
+
+def _dual_rows(cols, den: int) -> tuple[list, int]:
+    """The rows of B^-1 for the basis matrix B with the lower-triangular
+    integer columns ``cols`` over ``den``, as integer rows over one
+    denominator.  With T the integer matrix of B and P the product of its
+    pivots, P T^-1 is integral, and forward substitution finds it column
+    by column with exact divisions; then B^-1 = (den / P) (P T^-1)."""
+    dim = len(cols)
+    P = math.prod(col[i] for i, col in enumerate(cols))
+    inv_cols = []
+    for k in range(dim):
+        z = [0] * dim
+        for i in range(k, dim):
+            rest = (P if i == k else 0) - sum(cols[j][i] * z[j]
+                                              for j in range(k, i))
+            z[i], r = divmod(rest, cols[i][i])
+            assert not r, "the basis is not lower triangular"
+        inv_cols.append(z)
+    return [[col[i] * den for col in inv_cols] for i in range(dim)], P
+
+
+def intersect(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
+    """a meet b as the dual of the sum of the duals: the rows of B^-1 span
+    the dual of the lattice with basis matrix B."""
+    assert (a.p, a.dim) == (b.p, b.dim)
+    (rows_a, da), (rows_b, db) = (_dual_rows(a.nums, a.den),
+                                  _dual_rows(b.nums, b.den))
+    den = math.lcm(da, db)
+    rows = ([[x * (den // da) for x in row] for row in rows_a]
+            + [[x * (den // db) for x in row] for row in rows_b])
+    sum_dual = _hnf(a.p, a.dim, rows, den)
+    return LatticeBasis(a.p, a.dim, *_hnf(a.p, a.dim, *_dual_rows(*sum_dual)))
+
+
+def _lattice_by_meet(coords, x):
+    """Ad(x^-1) L meet L as the meet of the image of L with L."""
+    image = coords.standard_lattice().transform(ad_operator(coords, x.inv()))
+    return intersect(image, coords.standard_lattice())
+
+
+def _congruence_scan(space, k, N):
+    """[(comps, mu)] for every residue 1 + p^k Y mod p^N that
+    ``multiplier_predicate`` accepts, sorted: the scan of all
+    p^(D (N - k)) residues."""
+    space_t = space.truncated(N)
+    pk, M = space_t.ring.p**k, space_t.ring.modulus
+    mu_of = multiplier_predicate(space_t)
+    entries = []
+    for coeffs in itertools.product(range(space_t.ring.p**(N - k)),
+                                    repeat=len(identity_comps(space_t))):
+        comps = tuple((e + c * pk) % M
+                      for e, c in zip(identity_comps(space_t), coeffs))
+        mu = mu_of(comps)
+        if mu is not None:
+            entries.append((comps, mu))
+    return sorted(entries)
 
 
 def hnf_columns(p, dim, cols):
@@ -110,8 +174,8 @@ def test_lattice_equality_is_basis_independent():
     assert a == b
     assert pa == _times_p(a)
     assert pa != a
-    assert a.intersect(pa) == pa
-    assert pa.intersect(a) != a
+    assert intersect(a, pa) == pa
+    assert intersect(pa, a) != a
 
 
 def test_lie_lattice_dimensions():
@@ -150,9 +214,9 @@ def test_lattice_of_x_pinned_diag_1_3():
     x = Mat(SYMPL.ring, [[1, 0], [0, 3]])
     lx = lattice_of_x(STD.gu_coords, x)
     assert lx != STD.Ldot
-    assert STD.Ldot.intersect(lx) == lx
+    assert intersect(STD.Ldot, lx) == lx
     pL = _times_p(STD.Ldot)
-    assert lx.intersect(pL) == pL
+    assert intersect(lx, pL) == pL
     # a vector is in lx exactly when adding it as a column leaves lx
     # unchanged
     def contains(v):
@@ -190,8 +254,8 @@ def test_stabilizer_coset_invariance():
 
 
 def test_congruence_members_pinned_u1():
-    _, entries = _congruence_scan(HERM1, 1, 2, 10**6)
-    members = [comps for _, comps, mu in entries if mu == 1]
+    members = [comps for comps, mu in congruence_members(
+        STD_H1.gu_coords, 1, 2, 10**6) if mu == 1]
     assert len(members) == 3
     for a, b in members:
         assert a == 1 and b % 3 == 0
@@ -207,16 +271,19 @@ def test_level_bijection_pinned_counts():
 
 
 def test_level_check_budget_does_not_depend_on_call_history():
-    # orthogonal n = 2: 9 coordinate vectors, but 3^4 = 81 congruence
-    # residues, over budget 10 also when a larger budget has kept the scan
+    # orthogonal n = 2: 9 congruence members mod 9 at level 1, over budget
+    # 8 also when a larger budget has kept them
     space = standard_space(ORTHOGONAL, 2, Ring(3, SPLIT))
     std = standard_lattices(space)
-    with pytest.raises(SolveBudgetError, match="81 residues exceeds"):
-        check_cayley_level(space, std, 1, 2, "gu", budget=10)
-    rep = check_cayley_level(space, std, 1, 2, "gu", budget=10**6)
-    assert rep.passed and rep.image_size == rep.congruence_size == 9
-    with pytest.raises(SolveBudgetError, match="81 residues exceeds"):
-        check_cayley_level(space, std, 1, 2, "gu", budget=10)
+    for passing_call in (True, False):
+        with pytest.raises(SolveBudgetError,
+                           match="9 members exceeds budget 8"):
+            congruence_members(std.gu_coords, 1, 2, 8)
+        with pytest.raises(SolveBudgetError, match="exceeds budget 8"):
+            check_cayley_level(space, std, 1, 2, "gu", budget=8)
+        if passing_call:
+            rep = check_cayley_level(space, std, 1, 2, "gu", budget=10**6)
+            assert rep.passed and rep.image_size == rep.congruence_size == 9
 
 
 def test_level_check_validates_inputs():
@@ -256,16 +323,68 @@ def _mat_level_scan(space, k, N):
     return sorted(out)
 
 
+def _digit_lift_scan(space, k, N):
+    """[(comps, mu)] for every g + p^(N-1) Z mod p^N that the similitude
+    test accepts, g over the residue scan mod p^(N-1) and Z over all p^D
+    digit vectors, sorted: complete, since a similitude mod p^N reduces to
+    one mod p^(N-1).  The product and star kernels run on numpy columns,
+    one array per component across the Z of each g."""
+    import numpy as np
+    space_t = space.truncated(N)
+    p, n = space_t.ring.p, space_t.n
+    D = len(identity_comps(space_t))
+    diag = {D // (n * n) * (n + 1) * i for i in range(n)}
+    mul, star_of = product_kernel(space_t), star_kernel(space_t)
+    digits = np.array(list(itertools.product(range(p), repeat=D))).T
+    out = []
+    for g, _ in _congruence_scan(space, k, N - 1):
+        x = tuple(a + p**(N - 1) * row for a, row in zip(g, digits))
+        z = mul(x, star_of(x))
+        ok = z[0] % p != 0
+        for i, c in enumerate(z):
+            ok &= c == (z[0] if i in diag else 0)
+        out += [(tuple(int(v[j]) for v in x), int(z[0][j]))
+                for j in np.flatnonzero(ok)]
+    return sorted(out)
+
+
 @pytest.mark.parametrize("family, k, N", [
     (ORTHOGONAL, 1, 2), (SYMPLECTIC, 1, 2), (HERMITIAN, 1, 2),
     (SKEW_HERMITIAN, 1, 2), (GENERAL_LINEAR, 1, 2),
-    (SYMPLECTIC, 1, 3), (ORTHOGONAL, 1, 3)])
+    (SYMPLECTIC, 1, 3), (ORTHOGONAL, 1, 3), (ORTHOGONAL, 2, 4),
+    (HERMITIAN, 1, 3), (SKEW_HERMITIAN, 1, 3)])
 def test_integer_congruence_scan_matches_mat_level(family, k, N):
+    # the lifted members against the residue scan and the Mat-level scan;
+    # the inert families mod 27 have 3^16 residues, so there the oracle
+    # scans the digit lifts of the residue scan mod 9
     ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
     space = standard_space(family, 2, Ring(3, ext))
-    _, entries = _congruence_scan(space, k, N, 10**6)
-    got = [(key, mu, 0) for key, _, mu in entries]
+    members = congruence_members(standard_lattices(space).gu_coords, k, N,
+                                 10**6)
+    if ext == INERT and N - k > 1:
+        assert members == _digit_lift_scan(space, k, N)
+        assert len(members) == 3**(5 * (N - k))
+        return
+    assert members == _congruence_scan(space, k, N)
+    got = [(comps_key(space, comps), mu, 0) for comps, mu in members]
     assert got == _mat_level_scan(space, k, N)
+
+
+def test_lifter_raises_on_a_non_similitude(monkeypatch):
+    # a stray lift is re-certified and raises, it is not dropped
+    coords = standard_lattices(
+        standard_space(ORTHOGONAL, 2, Ring(3, SPLIT))).gu_coords
+    solve = modsolve.iter_affine_mod
+
+    def with_a_stray(A, b, p, N):
+        sols = list(solve(A, b, p, N))
+        yield from sols
+        yield ((sols[0][0] + 1) % p,) + sols[0][1:]
+    monkeypatch.setattr(modsolve, "iter_affine_mod", with_a_stray)
+    with pytest.raises(LatticeError, match="not a similitude"):
+        congruence_members(coords, 1, 2, 10**6)
+    with pytest.raises(LatticeError, match="not a similitude"):
+        congruence_members(coords, 1, 3, 10**6)
 
 
 def _text(rows) -> list:
@@ -284,7 +403,7 @@ def _lattice_digests(family, ext):
         x = sample_group(std, rng, factors=4).mat
         lx = lattice_of_x(coords, x)
         lattices += [lx, lx.transform(theta),
-                     lx.transform(ad_operator(coords, x)), lx.intersect(pL)]
+                     lx.transform(ad_operator(coords, x)), intersect(lx, pL)]
     operators = [getattr(op, "rows", op) for op in
                  (std.gu_coords.theta, std.u_coords.theta)]
     coordinates = [coords.to_coords(sample_lie(std, rng).mat)
@@ -401,6 +520,18 @@ def test_lattice_of_x_is_the_meet_by_inverses(family, ext):
         xinv = x.inv()
         image = base.transform(coords.operator_matrix(lambda B: xinv * B * x))
         assert lattice_of_x(coords, x) == _meet_by_inverses(image, base)
+
+
+@pytest.mark.parametrize("family, ext, n", [
+    *((family, ext, 2) for family, ext in FIVE_FAMILIES), (HERMITIAN, INERT, 3)])
+def test_lattice_of_x_is_the_meet_of_the_image(family, ext, n):
+    # the kernel solve against the meet by duals of Ad(x^-1) L and L
+    std = standard_lattices(standard_space(family, n, Ring(3, ext)))
+    rng = make_rng(2525)
+    for _ in range(200):
+        x = sample_group(std, rng, factors=4).mat
+        assert lattice_of_x(std.gu_coords, x) \
+            == _lattice_by_meet(std.gu_coords, x)
 
 
 def test_coordinate_solver_rejects_matrices_outside_the_lie_algebra():
