@@ -18,25 +18,30 @@ The work runs on integer component tuples (the layout of
 mod p^N of ``matrices`` (A q^-1 with g A = q 1), and kernels derived
 once per space and kept in ``space.memo``, the product and the F-linear
 maps star, theta and iota, probed on unit vectors and compiled from
-their sparse rows.  From these come the alpha certificate and the
-multiplier certificate, the one that ``spaces.similitude_multiplier``
-runs on every ring (in the general-linear family the determinant lines
-of the adjugate code), and the Cayley map: one generated function per
-space that scales the adjugate of 1 + X, with one formula on residues
-mod p^N and on exact numerators over one denominator, reduced to lowest
-terms once, when a ``Mat`` is decoded.  A fiber branch where lambda + g
-is a unit is the closed form X_lambda = (1 - g)(lambda + g)^-1 of one
-inverse and one product (over the exact field the inverse also decides
-the branch); a branch that can hold no domain preimage is skipped, and
-only lambda + g = 0 mod p is written as an integer system for an affine
-solve.  Preimages are certified on integers; ``Mat``, ``GroupElem`` and
-``LieElem`` are decoded only where a public function returns one.
+their sparse rows.  ``linear_system`` is the one writer of integer
+systems: every probe, and the Lie system (X, alpha) -> X + X* - alpha 1
+(``lie_system``), probed once per space on the star kernel.  The alpha
+certificate compiles its rows, and ``spaces.lie_alpha`` runs it on
+every ring, as ``spaces.similitude_multiplier`` runs the multiplier
+certificate (in the general-linear family the determinant lines of the
+adjugate code); the Lie coordinates, the congruence lift and the fiber
+branch solves read the same rows.  The Cayley map is one generated
+function per space that scales the adjugate of 1 + X, with one formula
+on residues mod p^N and on exact numerators over one denominator,
+reduced to lowest terms once, when a ``Mat`` is decoded.  A fiber branch
+where lambda + g is a unit is the closed form X_lambda =
+(1 - g)(lambda + g)^-1 of one inverse and one product (over the exact
+field the inverse also decides the branch); a branch that can hold no
+domain preimage is skipped, and only lambda + g = 0 mod p is written as
+an integer system for an affine solve, X -> (lambda + g) X probed on the
+product kernel over the Lie system.  Preimages are certified on
+integers; ``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where
+a public function returns one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -53,6 +58,11 @@ TWO_PREIMAGES = "two-preimages"
 UNIQUE_MU1 = "unique-mu1"
 INFINITE_IDENTITY = "infinite-identity"
 EMPTY = "empty"
+
+# the most solutions of one truncated fiber branch, and the most Lie
+# elements the bucketing oracle enumerates
+BRANCH_BUDGET = 10**5
+BUCKET_BUDGET = 10**6
 
 
 class DomainError(ValueError):
@@ -290,21 +300,24 @@ def _star_rows(space: Space) -> list:
     return _sparse_rows(space, lambda m: star(space, m))
 
 
-def lie_system(space: Space, alpha: bool = True) -> list:
+@_per_space
+def lie_system(space: Space) -> tuple:
     """The matrix of (X, alpha) -> X + X* - alpha 1 on the components of
-    X followed by alpha: the similitude Lie algebra is its kernel.  With
-    ``alpha`` False the unknowns are the components of X alone and the
-    kernel is the isometry Lie algebra."""
-    ring = space.ring
-    D = space.n * space.n * components_per_scalar(ring)
+    X followed by alpha, as tuples of rows (mod p^N, residues): the
+    similitude Lie algebra is its kernel.  Without the last column it is
+    the matrix of X -> X + X*, whose kernel is the isometry Lie algebra.
+    The one derivation of X + X*, probed once per space on
+    ``star_kernel`` and ``identity_comps``."""
+    star_of, ident = star_kernel(space), identity_comps(space)
+    D = len(ident)
+    M = None if space.ring.exact else space.ring.modulus
 
     def residual(v):
-        X = Mat.from_components(ring, space.n, v[:D])
-        a = ring.scalar(v[D]) if alpha else ring.zero
-        return (X + star(space, X)
-                - Mat.scalar_mat(ring, space.n, a)).components()
-    A, _ = linear_system(D + 1 if alpha else D, residual)
-    return A
+        x, a = v[:D], v[D]
+        r = [u + w - a * e for u, w, e in zip(x, star_of(x), ident)]
+        return r if M is None else [c % M for c in r]
+    A, _ = linear_system(D + 1, residual)
+    return tuple(map(tuple, A))
 
 
 @_per_space
@@ -443,24 +456,15 @@ def iota_kernel(space: Space):
         space.ring.modulus, True)
 
 
-def theta_map(space: Space):
-    """theta on group members as a map on matrices: g -> H J^-1 g^T J H^-1,
-    which is mu(g) H tau(g^-1) H^-1 (``involution.theta_group``) because
-    g^-1 = mu^-1 tau(J^-1 g^T J) for a similitude g.  It is linear in g;
-    in the general-linear family it is the transpose."""
-    if not space.has_form:
-        return Mat.transpose
-    left, right = space.H * space.Jinv, space.J * space.Hinv
-    return lambda m: left * m.transpose() * right
-
-
 @_per_space
 def theta_kernel(space: Space):
     """``theta(x)``: the components of theta(g) mod p^N for the member g
-    with components x; ``theta_map`` probed once per space."""
+    with components x; ``involution.theta_mat``, linear in g, probed once
+    per space."""
+    from .involution import theta_mat   # it loads modsolve
     if space.ring.exact:
         raise ValueError("the theta kernel works mod p^N")
-    return linear_kernel(_sparse_rows(space, theta_map(space)),
+    return linear_kernel(_sparse_rows(space, lambda m: theta_mat(space, m)),
                          space.ring.modulus)
 
 
@@ -470,12 +474,14 @@ def lie_alpha_kernel(space: Space):
     base ring, for the X with components x (0 in the general-linear
     family); over an exact space, for X = x / den with integer x,
     alpha den (a Fraction only where star has a rational coefficient).
-    Raises MembershipError, as ``certify_lie`` does, when X is not in
-    the similitude Lie algebra."""
+    X + X* is compiled from the rows of ``lie_system`` without alpha, and
+    ``spaces.lie_alpha`` (so ``certify_lie``) runs this certificate.
+    Raises MembershipError when X is not in the similitude Lie algebra."""
     if not space.has_form:
         return lambda x: 0
     plus_star = linear_kernel(
-        _sparse_rows(space, lambda m: m + star(space, m)),
+        [[(j, c) for j, c in enumerate(row[:-1]) if c]
+         for row in lie_system(space)],
         None if space.ring.exact else space.ring.modulus)
     n, d = space.n, components_per_scalar(space.ring)
     # X + X* = alpha 1: its n diagonal a-components equal alpha and its
@@ -544,53 +550,34 @@ def cayley_kernel(space: Space):
     return _generated(args, code, result)
 
 
-@_per_space
-def _plus_star_system(space: Space) -> list:
-    """``lie_system`` without alpha, the matrix of X -> X + X*."""
-    return lie_system(space, alpha=False)
-
-
-def _left_multiplication(space: Space, s: tuple) -> list:
-    """The matrix of X -> s X on components, s given by its components:
-    row (i, j) holds s_ik at column (k, j), over the inert ring as the
-    block [[a, u b], [b, a]] of s_ik = a + b s."""
-    n, d = space.n, components_per_scalar(space.ring)
-    A = [[0] * (d * n * n) for _ in range(d * n * n)]
-    for i, k, j in itertools.product(range(n), repeat=3):
-        a, r, c = s[d * (i * n + k)], d * (i * n + j), d * (k * n + j)
-        A[r][c] = a
-        if d == 2:
-            b = s[d * (i * n + k) + 1]
-            A[r][c + 1], A[r + 1][c], A[r + 1][c + 1] = space.ring.u * b, b, a
-    return A
-
-
-def _solve_branch(space: Space, x: tuple, lam: int, t, limit):
+def _solve_branch(space: Space, x: tuple, lam: int, t):
     """All X mod p^N, as components, with (lam + g) X = 1 - g and
     X + X* = (lam^-1 - 1) 1, where g has components x and t is the
     inverse of lam + g from ``matrix_inverse_kernel``, None when it is
     singular.  With t the first equation has the one solution
     X_lam = (1 - g) t, the factors commuting, and the branch is [X_lam]
     or [] by the second.  Otherwise the two are written as one integer
-    system, X -> (lam + g) X on components stacked on ``lie_system``
-    without alpha, for ``modsolve.solve_affine_mod``."""
+    system, X -> (lam + g) X probed on ``product_kernel`` stacked on
+    ``lie_system`` without alpha, for ``modsolve.solve_affine_mod``."""
     ring = space.ring
     M = ring.modulus
     ident = identity_comps(space)
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
+    mul = product_kernel(space)
     if t is not None:
-        X = product_kernel(space)(rhs, t)
+        X = mul(rhs, t)
         return [X] if all((v + w - e) % M == 0 for v, w, e in zip(
             X, star_kernel(space)(X), target)) else []
     from . import modsolve          # only the solving paths load it
     shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
-    A = _left_multiplication(space, shifted) + _plus_star_system(space)
+    A, _ = linear_system(len(ident), lambda v: mul(shifted, v))
+    A += [list(row[:-1]) for row in lie_system(space)]
     return modsolve.solve_affine_mod(A, rhs + target, ring.p, ring.prec,
-                                     limit)
+                                     BRANCH_BUDGET)
 
 
-def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
+def _fiber_trunc(g: GroupElem) -> FiberResult:
     """Each branch lambda = +-sqrt(mu(g)) is decided before it is solved:
     a domain preimage X on it has (lambda + g)(1 + X) = (1 + lambda) 1
     with 1 + X a unit.  If 1 + lambda is a unit, so is lambda + g, and the
@@ -617,7 +604,7 @@ def _fiber_trunc(g: GroupElem, limit=10**5) -> FiberResult:
         scaled = tuple((1 + lam) * e % M for e in ident)
         # the identity shows 1 + X a unit on a unit branch; the inverse of
         # 1 + X decides elsewhere or for an entry that is no solution
-        for comps in _solve_branch(space, x, lam, t, limit):
+        for comps in _solve_branch(space, x, lam, t):
             one_plus = tuple((e + v) % M for e, v in zip(ident, comps))
             if comps in found or not (
                     unit and mul(shifted, one_plus) == scaled
@@ -658,7 +645,7 @@ def _lie_components(space: Space, limit) -> list:
     return sorted(comps[:D] for comps in sols)
 
 
-def bucket_domain_images(space: Space, limit=10**6):
+def bucket_domain_images(space: Space):
     """Exhaustive oracle: bucket c over all working-domain X of a truncated
     space, keyed by the image residue, each bucket listing its X in
     canonical order.  Ground truth for fiber(); runs on components, and
@@ -666,7 +653,7 @@ def bucket_domain_images(space: Space, limit=10**6):
     alpha_of = lie_alpha_kernel(space)
     c = cayley_kernel(space)
     buckets = {}
-    for x in _lie_components(space, limit):
+    for x in _lie_components(space, BUCKET_BUDGET):
         image = c(x, alpha_of(x))
         if image is not None:
             buckets.setdefault(comps_key(space, image[0]), []).append(

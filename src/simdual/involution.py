@@ -6,7 +6,8 @@ The theta-symmetric conjugator search is
 The semilinear map h is stored by its matrix H with action v -> H tau(v),
 so h o h has the matrix H tau(H).  Both thetas are sparse entry maps of
 ``spaces``, derived once per space: H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1))
-on the Lie algebra, and H J^-1 g^T J H^-1, with no inverse, on a member.
+on the Lie algebra, and H J^-1 g^T J H^-1, with no inverse, on a member
+(``theta_mat``, which ``cayley.theta_kernel`` probes).
 """
 
 from __future__ import annotations
@@ -66,16 +67,20 @@ def _tau_pair(space: Space) -> tuple:
     return space.H.tau(), space.Hinv.tau()
 
 
-def theta_group(g: GroupElem) -> GroupElem:
-    """theta(g) = mu(g) H tau(g^-1) H^-1 = H J^-1 g^T J H^-1 for a member
-    g (g^-1 = mu^-1 star(g)), with no inverse; transpose for general-linear."""
-    space = g.space
+def theta_mat(space: Space, g: Mat) -> Mat:
+    """theta on members as a map on matrices, g -> H J^-1 g^T J H^-1, which
+    is mu(g) H tau(g^-1) H^-1 for a member g (g^-1 = mu^-1 star(g)), with
+    no inverse; it is linear in g, and the transpose for general-linear."""
     if not space.has_form:
-        return GroupElem(space, g.mat.transpose(), g.mu)
+        return g.transpose()
     entries = _entry_map(space, "theta", lambda: (
         space.H * space.Jinv, space.J * space.Hinv), transpose=True)
-    return GroupElem(space, Mat._make(space.ring, _apply_tau(
-        space, entries, g.mat, conj=False)), g.mu)
+    return Mat._make(space.ring, _apply_tau(space, entries, g, conj=False))
+
+
+def theta_group(g: GroupElem) -> GroupElem:
+    """theta(g) = mu(g) H tau(g^-1) H^-1 (``theta_mat``)."""
+    return GroupElem(g.space, theta_mat(g.space, g.mat), g.mu)
 
 
 def iota_group(g: GroupElem) -> GroupElem:

@@ -8,12 +8,14 @@ are powers of p, entries below a pivot reduced mod that pivot), so lattice
 equality is literal equality of normal forms.  A basis is held on
 integers: its columns as integer tuples over one power of p, the least
 that clears every denominator.  An operator on Lie coordinates is an
-integer matrix over one positive denominator in lowest terms.  The
-Hermite form, L(x) as the kernel of Ad(x) mod a power of p (one
-chain-ring solve, no duals), the image of a basis under an operator and
-the conjugation operators all run on Python integers; scalars of the
-exact split field appear only in ``LatticeBasis.cols`` and
-``Operator.rows``.  Nothing scans residues: the congruence subgroup is
+integer matrix over one positive denominator in lowest terms.  The Lie
+coordinates are the integer kernel of ``cayley.lie_system`` (without its
+alpha column for the isometry algebra), and the congruence subgroup is
+lifted on the same rows mod p.  The Hermite form, L(x) as the kernel of
+Ad(x) mod a power of p (one chain-ring solve, no duals), the image of a
+basis under an operator and the conjugation operators all run on Python
+integers, and no scalar of the split field is built for a basis or an
+operator.  Nothing scans residues: the congruence subgroup is
 lifted from the identity one p-adic digit at a time, and ``level_images``
 is the one enumeration of c(p^k L) mod p^N, for the level check and the
 subgroup K of ``decomposition``.  The o_E-structure of the vector-space
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
 
 from . import modsolve
@@ -36,19 +38,12 @@ from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      star_kernel)
 from .involution import theta_lie
 from .matrices import Mat, components_per_scalar
-from .scalars import Ring, Scalar, val_int
+from .scalars import Scalar, val_int
 from .spaces import Space, certify_lie
 
 
 class LatticeError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _field(p: int) -> Ring:
-    """The exact split ring F, one object per p, so that the scalars of
-    every view take the same-ring arithmetic paths."""
-    return Ring(p)
 
 
 def _over_one_denominator(xs) -> tuple[list[int], int]:
@@ -111,12 +106,6 @@ class Operator:
         return Operator(tuple(tuple(x // g for x in row)
                               for row in zip(*cols)), den // g)
 
-    @property
-    def rows(self) -> tuple:
-        """The entries as Fractions, row by row."""
-        return tuple(tuple(Fraction(x, self.den) for x in row)
-                     for row in self.nums)
-
 
 @dataclass(frozen=True)
 class LatticeBasis:
@@ -140,13 +129,6 @@ class LatticeBasis:
     def standard(p: int, dim: int) -> "LatticeBasis":
         return LatticeBasis(p, dim, tuple(
             tuple(int(i == j) for i in range(dim)) for j in range(dim)), 1)
-
-    @property
-    def cols(self) -> tuple:
-        """The basis columns as scalars of the split field."""
-        ring, den = _field(self.p), self.den
-        return tuple(tuple(ring.ratio(x, 0, den) for x in col)
-                     for col in self.nums)
 
     def transform(self, T: Operator) -> "LatticeBasis":
         """Image under an invertible F-linear operator T."""
@@ -194,8 +176,9 @@ class LieCoords:
                                          [int(i == j) for i in range(self.m0)])
                      for j in range(self.m0)]
             return basis, [space.ring.zero] * self.m0
-        E = [_over_one_denominator(row)[0]
-             for row in lie_system(space, alpha=not self.isometry)]
+        # the isometry Lie algebra is the kernel without the alpha column
+        E = [_over_one_denominator(row[:-1] if self.isometry else row)[0]
+             for row in lie_system(space)]
         _, D, V = modsolve.smith(E)
         rank = 0
         while rank < min(len(D), len(V)) and D[rank][rank] != 0:

@@ -29,15 +29,22 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _draws(coords, rng: random.Random, numerator_bound: int = 20,
-           denominator_valuation: int = 1, max_rejects: int = 200):
-    """The coordinates a rejection sampler tries, ``max_rejects`` of them:
+# every coordinate draw is a numerator in [-NUMERATOR_BOUND,
+# NUMERATOR_BOUND] over p^e, e in [0, DENOMINATOR_VALUATION]; a rejection
+# sampler gives up after MAX_REJECTS draws
+NUMERATOR_BOUND = 20
+DENOMINATOR_VALUATION = 1
+MAX_REJECTS = 200
+
+
+def _draws(coords, rng: random.Random):
+    """The coordinates a rejection sampler tries, ``MAX_REJECTS`` of them:
     each coordinate a numerator and then a power of p as its denominator,
     all given as (integer numerators, den) over the largest power den."""
     p = coords.space.ring.p
-    for _ in range(max_rejects):
-        draws = [(rng.randint(-numerator_bound, numerator_bound),
-                  rng.randint(0, denominator_valuation))
+    for _ in range(MAX_REJECTS):
+        draws = [(rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND),
+                  rng.randint(0, DENOMINATOR_VALUATION))
                  for _ in range(coords.m)]
         top = max((e for _, e in draws), default=0)
         yield [num * p ** (top - e) for num, e in draws], p ** top
@@ -45,14 +52,11 @@ def _draws(coords, rng: random.Random, numerator_bound: int = 20,
 
 
 def sample_lie(std: StandardLattices, rng: random.Random,
-               isometry: bool = False, numerator_bound: int = 20,
-               denominator_valuation: int = 1,
-               max_rejects: int = 200) -> LieElem:
+               isometry: bool = False) -> LieElem:
     """A random certified Lie element inside the working domain."""
     coords = std.u_coords if isometry else std.gu_coords
     space = coords.space
-    for nums, den in _draws(coords, rng, numerator_bound,
-                            denominator_valuation, max_rejects):
+    for nums, den in _draws(coords, rng):
         X = certify_lie(space, Mat.from_components(
             space.ring, space.n, coords.numerators(nums), den))
         if in_domain(X):
@@ -60,13 +64,13 @@ def sample_lie(std: StandardLattices, rng: random.Random,
 
 
 def sample_integral_lie(std: StandardLattices, rng: random.Random,
-                        level: int = 1, numerator_bound: int = 20) -> LieElem:
+                        level: int = 1) -> LieElem:
     """A random element of p^level * Ldot (always in the working domain
     for level >= 1)."""
     coords = std.gu_coords
     space = coords.space
     pk = space.ring.p ** level
-    c = [rng.randint(-numerator_bound, numerator_bound) * pk
+    c = [rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND) * pk
          for _ in range(coords.m)]
     return certify_lie(space, coords.from_coords(c))
 

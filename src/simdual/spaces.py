@@ -13,6 +13,11 @@ coefficients c = P_ik Q_lj != 0 (a_lk with the transpose), derived once
 per space and kept in ``Space.memo``.  That holds for any J, monomial or
 not, and costs a few scalar products instead of two matrix products.
 
+Both memberships are decided on integers by certificates of ``cayley``,
+on residues mod p^N and on exact numerators over one denominator alike:
+mu by ``multiplier_predicate``, alpha by ``lie_alpha_kernel`` on the
+rows of ``lie_system``, the one linearization of X -> X + X*.
+
 The "general-linear" family carries no form; its anti-involution is the
 transpose, membership is just invertibility (mu = 1) resp. anything
 (alpha = 0).
@@ -234,14 +239,23 @@ def lie_alpha(space: Space, X: Mat) -> Scalar | None:
     """The scalar alpha with X + star(X) = alpha * 1, or None.
 
     alpha = 0 certifies membership in the isometry Lie algebra.  In the
-    general-linear family every X is a member with alpha = 0.
+    general-linear family every X is a member with alpha = 0.  The
+    certificate is ``cayley.lie_alpha_kernel`` on integers, as for the
+    multiplier: on the residues of X mod p^N, over the exact field on its
+    numerators over one denominator den, whose alpha den it divides by den.
     """
+    from .cayley import lie_alpha_kernel
+    ring = space.ring
     if not space.has_form:
-        return space.ring.zero
-    alpha = (X + star(space, X)).scalar_part()
-    if alpha is None or not alpha.is_in_base():
+        return ring.zero
+    try:
+        if ring.exact:
+            x, den = X.numerators()
+            alpha = lie_alpha_kernel(space)(x)
+            return ring.ratio(alpha.numerator, 0, alpha.denominator * den)
+        return Scalar(ring, lie_alpha_kernel(space)(X.components()), 0, 1)
+    except MembershipError:
         return None
-    return alpha
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,27 @@ def test_decompose_subcommand(tmp_path):
     assert data["rows"][0]["detail"]["pieces"] == 1
 
 
+# sha256 of the full decompose report mod 9 of a fast-path coset (a
+# theta-fixed member gives the witness) and of a general-path one (a
+# conjugator solve gives it), recorded while alpha was still decided on
+# Mat and the fiber branch systems were written by hand
+DECOMPOSE_PINS = {
+    ("symplectic", "8, 6; 7, 2"):
+        "e5c2c5b91ad3a4817ac7b9e53836b08a18222fbbf0b3bf87b9fea4a9edce5707",
+    ("hermitian", "1+8*s, 5+7*s; 4+2*s, 7+5*s"):
+        "d9645851e9b38e77ea248aefb8091713c81d5f07719ddeb06d2542c74a6cf915",
+}
+
+
+@pytest.mark.parametrize("family, base", list(DECOMPOSE_PINS))
+def test_decompose_report_with_its_witness_is_pinned(tmp_path, family, base):
+    out = tmp_path / "d.json"
+    assert run(["decompose", "--family", family, "--precision", "2", base,
+                "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        DECOMPOSE_PINS[family, base]
+
+
 @pytest.mark.parametrize("error", [
     ConjugatorNotFound("no theta-symmetric conjugator", 7),
     DecompositionError("witness fails")])

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -30,6 +31,27 @@ SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
 HERM1 = standard_space(HERMITIAN, 1, Ring(3, INERT))
 STD_H1 = standard_lattices(HERM1)
+
+
+# -- views: bases and operators as split-field scalars and Fractions ----
+
+
+@functools.cache
+def _field(p: int) -> Ring:
+    """The exact split ring F, one object per p, for every view."""
+    return Ring(p)
+
+
+def _cols(lat: LatticeBasis) -> tuple:
+    """The basis columns of ``lat`` as scalars of the split field."""
+    ring = _field(lat.p)
+    return tuple(tuple(ring.ratio(x, 0, lat.den) for x in col)
+                 for col in lat.nums)
+
+
+def _rows(op) -> tuple:
+    """The entries of the operator ``op`` as Fractions, row by row."""
+    return tuple(tuple(Fraction(x, op.den) for x in row) for row in op.nums)
 
 
 # -- oracles: the meet by duals and the congruence residue scan ---------
@@ -94,13 +116,13 @@ def _congruence_scan(space, k, N):
 
 def hnf_columns(p, dim, cols):
     """The Hermite form of the span of ``cols``, as split-field scalars."""
-    return LatticeBasis.from_columns(p, dim, cols).cols
+    return _cols(LatticeBasis.from_columns(p, dim, cols))
 
 
 def _times_p(lat):
     """p * lat, from the scaled basis columns."""
     return LatticeBasis.from_columns(
-        lat.p, lat.dim, [[lat.p * x for x in c] for c in lat.cols])
+        lat.p, lat.dim, [[lat.p * x for x in c] for c in _cols(lat)])
 
 
 def test_hnf_canonical_form():
@@ -220,7 +242,7 @@ def test_lattice_of_x_pinned_diag_1_3():
     # a vector is in lx exactly when adding it as a column leaves lx
     # unchanged
     def contains(v):
-        return LatticeBasis.from_columns(lx.p, lx.dim, [*lx.cols, v]) == lx
+        return LatticeBasis.from_columns(lx.p, lx.dim, [*_cols(lx), v]) == lx
 
     # the upper-right matrix coordinate is forced into 3 o_F
     e12 = STD.gu_coords.to_coords(Mat(SYMPL.ring, [[0, 1], [0, 0]]))
@@ -404,12 +426,11 @@ def _lattice_digests(family, ext):
         lx = lattice_of_x(coords, x)
         lattices += [lx, lx.transform(theta),
                      lx.transform(ad_operator(coords, x)), intersect(lx, pL)]
-    operators = [getattr(op, "rows", op) for op in
-                 (std.gu_coords.theta, std.u_coords.theta)]
+    operators = [_rows(op) for op in (std.gu_coords.theta, std.u_coords.theta)]
     coordinates = [coords.to_coords(sample_lie(std, rng).mat)
                    for _ in range(30)]
     return tuple(hashlib.sha256(repr(data).encode()).hexdigest()[:32]
-                 for data in ([_text(lat.cols) for lat in lattices],
+                 for data in ([_text(_cols(lat)) for lat in lattices],
                               [_text(op) for op in operators],
                               _text(coordinates)))
 
@@ -466,7 +487,7 @@ def test_coordinate_kernel_is_the_coordinate_matrix():
 
 def _inverse_rows(lat):
     """The rows of B^-1 for the basis matrix B of ``lat``, by Mat.inv."""
-    return Mat(Ring(lat.p), list(zip(*lat.cols))).inv().rows
+    return Mat(Ring(lat.p), list(zip(*_cols(lat)))).inv().rows
 
 
 def _meet_by_inverses(a, b):

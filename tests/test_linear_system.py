@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdual import cayley as cayley_module
 from simdual import modsolve
+from simdual import spaces as spaces_module
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
                             bucket_domain_images, cayley, cayley_kernel,
                             comps_key, fiber, identity_comps, iota_kernel,
-                            lie_alpha_kernel, linear_system,
+                            lie_alpha_kernel, lie_system, linear_system,
                             multiplier_predicate, product_kernel,
                             star_kernel)
 from simdual.decomposition import _conjugator_system
@@ -53,6 +55,36 @@ def test_linear_system_recovers_an_integer_affine_map(Ab):
 
 def _ext(family):
     return INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
+
+
+@pytest.mark.parametrize("N", [None, 2])
+@pytest.mark.parametrize("family", [SYMPLECTIC, HERMITIAN])
+def test_plus_star_is_probed_once_per_space(monkeypatch, family, N):
+    # on a fresh space, lie_system, lie_alpha_kernel and a certify_lie
+    # linearize two maps, star on the D components and the Lie residual
+    # on D + 1, and the Mat-level star runs only for the probe of star
+    ring = Ring(3, _ext(family)) if N is None else Ring(3, _ext(family), N)
+    space = standard_space(family, 2, ring)
+    D = space.n * space.n * components_per_scalar(ring)
+    widths, stars = [], []
+    probe, star = cayley_module.linear_system, spaces_module.star
+
+    def recording(width, f):
+        widths.append(width)
+        return probe(width, f)
+
+    def counting(space, a):
+        stars.append(a)
+        return star(space, a)
+    monkeypatch.setattr(cayley_module, "linear_system", recording)
+    monkeypatch.setattr(cayley_module, "star", counting)
+    monkeypatch.setattr(spaces_module, "star", counting)
+    assert lie_system(space) is lie_system(space)
+    lie_alpha_kernel(space)
+    assert certify_lie(space, Mat(ring, [[1, 2], [-2, 1]])).alpha == \
+        ring.scalar(2)
+    assert widths == [D, D + 1]
+    assert len(stars) == D + 1
 
 
 def _digest(data) -> str:
@@ -199,8 +231,9 @@ def written(monkeypatch):
 def _check_branch(space, x, lam, written):
     """The branch lam of the fiber over the image with components x gives
     the probed solve's solutions, and when lam + g is singular it writes
-    the probed system mod p^N.  Returns whether lam + g is singular, and
-    the solutions."""
+    exactly the probed system reduced mod p^N (the probe reduces each
+    residual, so its differences lie in (-p^N, p^N)).  Returns whether
+    lam + g is singular, and the solutions."""
     ring = space.ring
     M = ring.modulus
     A, b = _probed_branch_system(space, x, lam)
@@ -209,14 +242,13 @@ def _check_branch(space, x, lam, written):
                     for e, v in zip(identity_comps(space), x))
     t = matrix_inverse_kernel(space.ring, space.n)(shifted)
     del written[:]
-    assert _solve_branch(space, x, lam, t, 10**5) == want
+    assert _solve_branch(space, x, lam, t) == want
     if t is not None:
         assert written == []
         return False, want
     (WA, Wb), = written
-    assert [[a % M for a in row] for row in WA] == \
-        [[a % M for a in row] for row in A]
-    assert [v % M for v in Wb] == [v % M for v in b]
+    assert WA == [[a % M for a in row] for row in A]
+    assert Wb == [v % M for v in b]
     return True, want
 
 

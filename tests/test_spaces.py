@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from simdual.cayley import multiplier_predicate
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat
-from simdual.sampling import make_rng, sample_group, sample_stabilizing
+from simdual.sampling import (make_rng, sample_group, sample_lie,
+                              sample_stabilizing)
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, MembershipError,
@@ -247,3 +248,94 @@ def test_general_linear_certificate_off_the_split_ring_inverts():
             multiplier_predicate(gl)
         assert similitude_multiplier(gl, gl.identity()) == ring.one
         assert similitude_multiplier(gl, Mat.zeros(ring, 2)) is None
+
+
+# -- the integer alpha certificate against the Mat-level test ----------
+
+
+def lie_alpha_oracle(space, X):
+    """The Mat-level test that the integer certificate replaced:
+    X + star(X) = alpha 1 with alpha in the base field, else None; every
+    X is a member with alpha = 0 without a form."""
+    ring = space.ring
+    if not space.has_form:
+        return ring.zero
+    alpha = (X + star(space, X)).scalar_part()
+    if alpha is None or not alpha.is_in_base():
+        return None
+    return alpha
+
+
+def _lie_certificates_agree(space, X) -> bool:
+    """Assert that certify_lie agrees with ``lie_alpha_oracle``, with the
+    same storage, and rejects exactly its non-members; return whether X
+    is a member."""
+    want = lie_alpha_oracle(space, X)
+    if want is None:
+        with pytest.raises(MembershipError, match="not in the similitude Lie"):
+            certify_lie(space, X)
+        return False
+    got = certify_lie(space, X).alpha
+    assert (got.x, got.y, got.d) == (want.x, want.y, want.d)
+    return True
+
+
+@pytest.mark.parametrize("N", [None, 2])
+@pytest.mark.parametrize("space", _spaces(None),
+                         ids=lambda s: f"{s.family}-{s.ring.ext}")
+def test_lie_certificate_matches_the_mat_level_test(space, N):
+    # 200 sample_lie draws of both Lie algebras (mod 9: their numerators);
+    # random matrices; over the inert ring the draws plus sqrt(u) times a
+    # random diagonal, which X + X* cancels for a form, and the same with
+    # one off-diagonal sqrt(u) part, which it does not
+    std = standard_lattices(space)
+    target = space if N is None else space.truncated(N)
+    ring = target.ring
+    inert = ring.ext == INERT
+    rng, draws = make_rng(26), random.Random(26)
+
+    def entry():
+        return (ring.scalar(Fraction(draws.randint(-9, 9), draws.randint(1, 9)))
+                if N is None else ring.scalar(draws.randrange(9)))
+
+    def on_target(X):
+        if N is None:
+            return X
+        x, _ = X.numerators()
+        return Mat.from_components(ring, 2, [v % 9 for v in x])
+
+    verdicts = []
+    for k in range(200):
+        X = on_target(sample_lie(std, rng, isometry=k % 2 == 1).mat)
+        verdicts.append(_lie_certificates_agree(target, X))
+        verdicts.append(_lie_certificates_agree(target, Mat(
+            ring, [[entry(), entry()], [entry(), entry()]])))
+        if inert:
+            s = ring.gen
+            diagonal = Mat(ring, [[entry() * s, 0], [0, entry() * s]])
+            verdicts.append(_lie_certificates_agree(target, X + diagonal))
+            verdicts.append(_lie_certificates_agree(
+                target, X + Mat(ring, [[0, s], [0, 0]])))
+    step = 4 if inert else 2
+    assert verdicts[::step] == [True] * 200
+    # every 2 x 2 matrix is a symplectic similitude Lie element
+    if space.family not in (SYMPLECTIC, GENERAL_LINEAR):
+        assert False in verdicts[1::step]
+    if inert:
+        assert verdicts[2::step] == [True] * 200
+        assert verdicts[3::step] == [not space.has_form] * 200
+
+
+def test_lie_certificate_with_a_rational_star_coefficient():
+    # J = diag(1, 2): X + X* = [[2a, b + 2c], [c + b/2, 2d]] for
+    # X = [[a, b], [c, d]], a member exactly when a = d and b = -2c
+    ring = Ring(3, SPLIT)
+    space = validate_space(Mat(ring, [[1, 0], [0, 2]]), +1, ring)
+    third = Fraction(1, 3)
+    members = [Mat(ring, [[third, 2], [-1, third]]),
+               Mat(ring, [[1, -1], [Fraction(1, 2), 1]]), Mat.zeros(ring, 2)]
+    others = [Mat(ring, [[1, 0], [0, 2]]), Mat(ring, [[0, 1], [1, 0]]),
+              Mat(ring, [[third, 1], [Fraction(1, 2), third]])]
+    assert [_lie_certificates_agree(space, X) for X in members + others] \
+        == [True] * 3 + [False] * 3
+    assert certify_lie(space, members[0]).alpha == ring.scalar(2 * third)
