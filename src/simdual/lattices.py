@@ -10,17 +10,17 @@ integers: its columns as integer tuples over one power of p, the least
 that clears every denominator.  An operator on Lie coordinates is an
 integer matrix over one positive denominator in lowest terms.  The Lie
 coordinates are the integer kernel of ``cayley.lie_system`` (without its
-alpha column for the isometry algebra), and the congruence subgroup is
-lifted on the same rows mod p.  The Hermite form, L(x) as the kernel of
-Ad(x) mod a power of p (one chain-ring solve, no duals), the image of a
-basis under an operator and the conjugation operators all run on Python
-integers, and no scalar of the split field is built for a basis or an
-operator.  Nothing scans residues: the congruence subgroup is
-lifted from the identity one p-adic digit at a time, and ``level_images``
-is the one enumeration of c(p^k L) mod p^N, for the level check and the
-subgroup K of ``decomposition``.  The o_E-structure of the vector-space
-lattice is tracked through the choice of F-coordinates but all
-computation happens over F.
+alpha column for the isometry algebra).  The Hermite form, L(x) as the
+kernel of Ad(x) mod a power of p (one chain-ring solve, no duals), the
+image of a basis under an operator and the conjugation operators all run
+on Python integers, and no scalar of the split field is built for a
+basis or an operator.  Nothing scans residues: the congruence subgroup
+is lifted from the identity one p-adic digit at a time, on the rows of
+``lie_system`` mod p, and ``level_images`` is the one enumeration of
+c(p^k L) mod p^N, for the level check and the subgroup K of
+``decomposition``.  The o_E-structure of the vector-space lattice is
+tracked through the choice of F-coordinates but all computation happens
+over F.
 """
 
 from __future__ import annotations

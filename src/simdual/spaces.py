@@ -248,14 +248,14 @@ def lie_alpha(space: Space, X: Mat) -> Scalar | None:
     ring = space.ring
     if not space.has_form:
         return ring.zero
+    x, den = X.numerators() if ring.exact else (X.components(), 1)
     try:
-        if ring.exact:
-            x, den = X.numerators()
-            alpha = lie_alpha_kernel(space)(x)
-            return ring.ratio(alpha.numerator, 0, alpha.denominator * den)
-        return Scalar(ring, lie_alpha_kernel(space)(X.components()), 0, 1)
+        alpha = lie_alpha_kernel(space)(x)
     except MembershipError:
         return None
+    if ring.exact:
+        return ring.ratio(alpha.numerator, 0, alpha.denominator * den)
+    return Scalar(ring, alpha, 0, 1)
 
 
 @dataclass(frozen=True)

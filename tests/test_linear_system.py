@@ -73,9 +73,9 @@ def test_plus_star_is_probed_once_per_space(monkeypatch, family, N):
         widths.append(width)
         return probe(width, f)
 
-    def counting(space, a):
+    def counting(on, a):
         stars.append(a)
-        return star(space, a)
+        return star(on, a)
     monkeypatch.setattr(cayley_module, "linear_system", recording)
     monkeypatch.setattr(cayley_module, "star", counting)
     monkeypatch.setattr(spaces_module, "star", counting)
