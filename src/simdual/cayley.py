@@ -641,8 +641,9 @@ def _lie_components(space: Space, limit) -> list:
     D = space.n * space.n * components_per_scalar(ring)
     if not space.has_form:
         return list(modsolve.residues(D, ring.modulus, limit))
-    sols = modsolve.kernel_mod(lie_system(space), ring.p, ring.prec, limit)
-    return sorted(comps[:D] for comps in sols)
+    # nu is a function of Z, so cutting it off keeps the sorted order
+    return [comps[:D] for comps in modsolve.solve_affine_mod(
+        lie_system(space), [0] * D, ring.p, ring.prec, limit)]
 
 
 def bucket_domain_images(space: Space):

@@ -15,12 +15,12 @@ kernel of Ad(x) mod a power of p (one chain-ring solve, no duals), the
 image of a basis under an operator and the conjugation operators all run
 on Python integers, and no scalar of the split field is built for a
 basis or an operator.  Nothing scans residues: the congruence subgroup
-is lifted from the identity one p-adic digit at a time, on the rows of
-``lie_system`` mod p, and ``level_images`` is the one enumeration of
-c(p^k L) mod p^N, for the level check and the subgroup K of
-``decomposition``.  The o_E-structure of the vector-space lattice is
-tracked through the choice of F-coordinates but all computation happens
-over F.
+is lifted from the identity one p-adic digit at a time in closed form,
+on one elimination of ``lie_system`` mod p, and ``level_images`` is the
+one enumeration of c(p^k L) mod p^N, for the level check (one sorted
+list) and the subgroup K of ``decomposition``.  The o_E-structure of the
+vector-space lattice is tracked through the choice of F-coordinates but
+all computation happens over F.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import islice
+from operator import mul, ne
 
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
@@ -375,12 +376,13 @@ def level_images(coords: LieCoords, k: int, N: int, budget: int):
 
 def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
     """[(comps, mu)], sorted, for the similitudes g = 1 mod p^k mod p^N of
-    the space of the similitude coordinates ``coords``, lifted one p-adic
-    digit at a time from the identity (Hensel lifting): g mod p^j lifts
-    to g + p^j Z exactly when (Z, nu) solves ``lie_system`` mod p with
-    right side -(g g* - mu0 1) / p^j, mu0 the base component of entry
-    (0, 0) of g g*, one matrix for every g as g = 1 mod p.  Every Z lifts
-    in the general-linear family.  A member that ``multiplier_predicate``
+    the space of the similitude coordinates ``coords``, Hensel-lifted from
+    the identity one p-adic digit at a time in closed form: a member g mod
+    p^j has g g* = mu0 1 + p^j R, mu0 the base component of entry (0, 0),
+    R = R*, so (p odd) Z0 = -R/2 solves Z + Z* - nu 1 = -R mod p, and the
+    coset odometer walks its lifts g + p^j (Z0 + Y) mod p^(j+1), Y over
+    the kernel of ``lie_system`` mod p, eliminated once per call (every Y
+    in the general-linear family).  A member that ``multiplier_predicate``
     rejects raises LatticeError.  SolveBudgetError, on every call, when
     the p^(m (N - k)) members exceed ``budget``; kept in ``space.memo``."""
     space = coords.space
@@ -392,29 +394,30 @@ def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
     memo_key = ("congruence-members", k, N)
     if memo_key in space.memo:
         return space.memo[memo_key]
-    A = lie_system(space.truncated(1)) if space.has_form else None
     space_t = space.truncated(N)
     ident = identity_comps(space_t)
-    if A is not None:
+    D = len(ident)
+    if space.has_form:
+        # the Z part of each kernel column (Z, nu): Z = 0 forces nu = 0
+        basis = [col[:D] for col in modsolve._chain_solution(
+            lie_system(space.truncated(1)), [0] * D, p, 1)[1]]
         mul, star_of = product_kernel(space_t), star_kernel(space_t)
+        half = (p + 1) // 2
+
+        def lift(g):               # g - p^j R / 2 mod p^(j+1)
+            z = mul(g, star_of(g))
+            return [a + (z[0] * e - v) * half for a, v, e in zip(g, z, ident)]
+    else:                          # every Y lifts
+        basis, lift = modsolve._identity(D), lambda g: g
     members = [ident]
     for j in range(k, N):
-        pj = p**j
-        lifted = []
-        for g in members:
-            if A is None:
-                steps = modsolve.residues(coords.m0, p, budget)
-            else:
-                z = mul(g, star_of(g))
-                steps = modsolve.iter_affine_mod(A, [
-                    (z[0] * e - v) // pj for v, e in zip(z, ident)], p, 1)
-            # zip drops the nu of each (Z, nu)
-            lifted += [tuple(a + pj * s for a, s in zip(g, step))
-                       for step in steps]
-        members = lifted
+        step = [[p**j * a for a in col] for col in basis]
+        members = [m for g in members
+                   for m in modsolve._iter_coset(lift(g), step, D, p**(j + 1))]
+    members.sort()
     mu_of = multiplier_predicate(space_t)
     entries = []
-    for comps in sorted(members):
+    for comps in members:
         mu = mu_of(comps)
         if mu is None:
             raise LatticeError(f"lifted member {comps} is not a similitude")
@@ -454,30 +457,27 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
     if not space.ring.exact:
         raise LatticeError("level check starts from the exact space")
     coords = std.u_coords if variant == "u" else std.gu_coords
-    images = level_images(coords, k, N, budget)
     pk = space.ring.p**k
-    image = set()
-    alpha_ok = True
-    mu_ok = True
-    injective = True
+    image, alpha_ok, mu_ok = [], True, True
     # alpha is the residue mod p^N of the exact alpha of the integral X,
     # and N > k, so it is 0 mod p^k exactly when that alpha is in p^k o_F
-    for comps, mu, alpha in images:
-        if alpha % pk:
-            alpha_ok = False
-        if (mu - 1) % pk:
-            mu_ok = False
-        if comps in image:
-            injective = False
-        image.add(comps)
-    members = {comps for comps, mu in congruence_members(
-        std.gu_coords, k, N, budget) if variant != "u" or mu == 1}
-    sets_equal = image == members
-    mismatches = []
-    if not sets_equal:
-        for comps in sorted(image ^ members)[:5]:
-            side = "image-only" if comps in image else "congruence-only"
+    for comps, mu, alpha in level_images(coords, k, N, budget):
+        alpha_ok = alpha_ok and alpha % pk == 0
+        mu_ok = mu_ok and (mu - 1) % pk == 0
+        image.append(comps)
+    image.sort()
+    members = [comps for comps, mu in congruence_members(
+        std.gu_coords, k, N, budget) if variant != "u" or mu == 1]
+    # a repeat in the sorted image is an adjacent pair; the members are
+    # distinct, so sets are built only when the two lists differ
+    injective = all(map(ne, image, islice(image, 1, None)))
+    image_size, sets_equal, mismatches = len(image), True, []
+    if image != members:
+        image_set, member_set = set(image), set(members)
+        image_size, sets_equal = len(image_set), image_set == member_set
+        for comps in sorted(image_set ^ member_set)[:5]:
+            side = "image-only" if comps in image_set else "congruence-only"
             mismatches.append((side, comps_key(space, comps)))
-    return LevelCheckReport(space.family, k, N, variant, len(image),
+    return LevelCheckReport(space.family, k, N, variant, image_size,
                             len(members), injective, sets_equal, alpha_ok,
                             mu_ok, mismatches)

@@ -9,15 +9,15 @@ Euclid loop and no augmented columns, and every integer stays below p^N
 (Storjohann, *Algorithms for Matrix Canonical Forms*, ETH 2000; Cohen,
 GTM 138, 2.4).
 
-Both entry points enumerate with the one coset enumerator ``_iter_coset``:
-x0 plus every combination of the triangular kernel basis, first column
-slowest, as an odometer that adds one fixed vector per step.
-``iter_affine_mod`` yields it lazily; ``solve_affine_mod`` and
-``kernel_mod`` sort it under a budget.  ``residues`` is the one
-enumeration of all tuples of residues mod a modulus: the matrix scans of
-``involution`` and ``cayley``, and the coordinate vectors and
-general-linear congruence digits of ``lattices``, all run on it.  Every
-enumeration over its budget raises ``SolveBudgetError``.
+Every coset is walked by the one odometer ``_iter_coset``: x0 plus every
+combination of the triangular kernel basis, first column slowest, adding
+one fixed vector per step.  ``iter_affine_mod`` yields it lazily,
+``solve_affine_mod`` sorts it under a budget, and the congruence lift of
+``lattices`` walks it around a closed-form translate per member.
+``residues`` is the one enumeration of all tuples of residues mod a
+modulus: the matrix scans of ``involution`` and ``cayley`` and the
+coordinate vectors of ``lattices`` run on it.  Every enumeration over
+its budget raises ``SolveBudgetError``.
 
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and, over
@@ -213,11 +213,6 @@ def iter_affine_mod(A, b, p, N):
     data = _chain_solution(A, b, p, N)
     if data is not None:
         yield from _iter_coset(*data)
-
-
-def kernel_mod(A, p, N, limit=10**6):
-    m = len(A)
-    return solve_affine_mod(A, [0] * m, p, N, limit)
 
 
 def subgroup_basis(gens, k, M):

@@ -403,6 +403,8 @@ def _replay_level_bijection(payload) -> CheckRow:
 def _replay_decompose_coset(payload) -> CheckRow:
     std, _ = _payload_std(payload)
     level, N = _field(payload, "level"), _field(payload, "precision")
+    if not 1 <= level < N:
+        raise ConfigError("replay payload needs 1 <= level < precision")
 
     def coset_base(text):
         b = square_matrix(std.space, text)

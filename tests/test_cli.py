@@ -225,6 +225,14 @@ def test_markdown_format(capsys):
     ["replay", json.dumps({"check": "class-inversion",           # n = 0
                            "payload": {"family": "gl", "n": 0, "q": 3,
                                        "rep": "1"}})],
+    ["replay", json.dumps({"check": "decompose-coset",           # level 0
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "level": 0, "precision": 2,
+                                       "b": "1, 0; 0, 1"}})],
+    ["replay", json.dumps({"check": "decompose-coset",           # level = N
+                           "payload": {"family": "symplectic", "n": 2,
+                                       "p": 3, "level": 2, "precision": 2,
+                                       "b": "1, 0; 0, 1"}})],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     budget = tmp_path / "budget.cfg"

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from simdual.cayley import cayley, in_domain, linear_kernel
 from simdual.involution import theta_group
-from simdual import modsolve
+from simdual import lattices, modsolve
 from simdual.cayley import (comps_key, identity_comps, multiplier_predicate,
                             product_kernel, star_kernel)
-from simdual.lattices import (LatticeBasis, LatticeError, _check_h_stable,
-                              _hnf, ad_operator, check_cayley_level,
-                              congruence_members, lattice_of_x,
-                              standard_lattices)
+from simdual.lattices import (LatticeBasis, LatticeError, LieCoords,
+                              _check_h_stable, _hnf, ad_operator,
+                              check_cayley_level, congruence_members,
+                              lattice_of_x, standard_lattices)
 from simdual.matrices import Mat, components_per_scalar
 from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
@@ -318,6 +318,36 @@ def test_level_check_validates_inputs():
             check_cayley_level(SYMPL, STD, 1, 2, variant)
 
 
+def test_level_check_failure_path_is_pinned(monkeypatch):
+    # a repeated image, with and without a dropped one, and a dropped
+    # member: the sizes count distinct residues, and the mismatches name
+    # the residues found on one side only
+    real_images, real_members = LieCoords.cayley_images, \
+        lattices.congruence_members
+
+    def report(images=None, members=None):
+        if images:
+            monkeypatch.setattr(LieCoords, "cayley_images",
+                                lambda self, *args: images(
+                                    list(real_images(self, *args))))
+        if members:
+            monkeypatch.setattr(lattices, "congruence_members",
+                                lambda *args: members(real_members(*args)))
+        rep = check_cayley_level(SYMPL, STD, 1, 2, "gu")
+        monkeypatch.undo()
+        assert rep.alpha_integral and rep.mu_congruent and not rep.passed
+        return (rep.injective, rep.sets_equal, rep.image_size,
+                rep.congruence_size, rep.mismatches)
+
+    assert report(images=lambda im: im[:1] + im[:-1]) == (
+        False, False, 80, 81,
+        [("congruence-only", (1, 0, 6, 0, 6, 0, 7, 0))])
+    assert report(images=lambda im: im + im[-1:]) == (
+        False, True, 81, 81, [])
+    assert report(members=lambda ms: ms[1:]) == (
+        True, False, 81, 80, [("image-only", (1, 0, 0, 0, 0, 0, 1, 0))])
+
+
 def test_scaled_lattice_inside_domain():
     # every element of p * Ldot lies in the working domain
     coords = STD.gu_coords
@@ -370,22 +400,31 @@ def _digit_lift_scan(space, k, N):
     return sorted(out)
 
 
-@pytest.mark.parametrize("family, k, N", [
-    (ORTHOGONAL, 1, 2), (SYMPLECTIC, 1, 2), (HERMITIAN, 1, 2),
-    (SKEW_HERMITIAN, 1, 2), (GENERAL_LINEAR, 1, 2),
-    (SYMPLECTIC, 1, 3), (ORTHOGONAL, 1, 3), (ORTHOGONAL, 2, 4),
-    (HERMITIAN, 1, 3), (SKEW_HERMITIAN, 1, 3)])
-def test_integer_congruence_scan_matches_mat_level(family, k, N):
+@pytest.mark.parametrize("family, p, k, N", [
+    pytest.param(family, 3, k, N, id=f"{family}-{k}-{N}")
+    for family, k, N in [
+        (ORTHOGONAL, 1, 2), (SYMPLECTIC, 1, 2), (HERMITIAN, 1, 2),
+        (SKEW_HERMITIAN, 1, 2), (GENERAL_LINEAR, 1, 2),
+        (SYMPLECTIC, 1, 3), (ORTHOGONAL, 1, 3), (ORTHOGONAL, 2, 4),
+        (HERMITIAN, 1, 3), (SKEW_HERMITIAN, 1, 3)]] + [
+    (SYMPLECTIC, 5, 1, 2), (ORTHOGONAL, 5, 1, 2), (SYMPLECTIC, 7, 1, 2),
+    (ORTHOGONAL, 7, 1, 2), (SYMPLECTIC, 5, 1, 3), (ORTHOGONAL, 5, 1, 3),
+    (ORTHOGONAL, 7, 1, 3)])
+def test_integer_congruence_scan_matches_mat_level(family, p, k, N):
     # the lifted members against the residue scan and the Mat-level scan;
-    # the inert families mod 27 have 3^16 residues, so there the oracle
-    # scans the digit lifts of the residue scan mod 9
+    # past 3^8 residues (the inert families mod 27, the split ones at
+    # p = 5, 7 and N = 3) the oracle scans the digit lifts of the residue
+    # scan mod p^(N-1).  The translate -R/2 of a lift past the first
+    # level depends on p; R is 0 from the identity and, for symplectic
+    # n = 2 (g g* = det(g) 1), at every level, so orthogonal (1, 3)
+    # carries that dependence at p = 5 and 7
     ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
-    space = standard_space(family, 2, Ring(3, ext))
-    members = congruence_members(standard_lattices(space).gu_coords, k, N,
-                                 10**6)
-    if ext == INERT and N - k > 1:
+    space = standard_space(family, 2, Ring(p, ext))
+    coords = standard_lattices(space).gu_coords
+    members = congruence_members(coords, k, N, 10**6)
+    if p**(coords.m0 * (N - k)) > 3**8:
         assert members == _digit_lift_scan(space, k, N)
-        assert len(members) == 3**(5 * (N - k))
+        assert len(members) == p**(coords.m * (N - k))
         return
     assert members == _congruence_scan(space, k, N)
     got = [(comps_key(space, comps), mu, 0) for comps, mu in members]
@@ -393,20 +432,41 @@ def test_integer_congruence_scan_matches_mat_level(family, k, N):
 
 
 def test_lifter_raises_on_a_non_similitude(monkeypatch):
-    # a stray lift is re-certified and raises, it is not dropped
+    # a stray lift, the first with its top digit of entry (0, 0) off by
+    # one, is re-certified and raises, it is not dropped
     coords = standard_lattices(
         standard_space(ORTHOGONAL, 2, Ring(3, SPLIT))).gu_coords
-    solve = modsolve.iter_affine_mod
+    walk = modsolve._iter_coset
 
-    def with_a_stray(A, b, p, N):
-        sols = list(solve(A, b, p, N))
-        yield from sols
-        yield ((sols[0][0] + 1) % p,) + sols[0][1:]
-    monkeypatch.setattr(modsolve, "iter_affine_mod", with_a_stray)
+    def with_a_stray(x0, basis, k, M):
+        lifts = list(walk(x0, basis, k, M))
+        yield from lifts
+        yield ((lifts[0][0] + M // 3) % M,) + lifts[0][1:]
+    monkeypatch.setattr(modsolve, "_iter_coset", with_a_stray)
     with pytest.raises(LatticeError, match="not a similitude"):
         congruence_members(coords, 1, 2, 10**6)
     with pytest.raises(LatticeError, match="not a similitude"):
         congruence_members(coords, 1, 3, 10**6)
+
+
+@pytest.mark.parametrize("family, k, N", [(HERMITIAN, 1, 3),
+                                          (SYMPLECTIC, 2, 4)])
+def test_congruence_lift_eliminates_once(monkeypatch, family, k, N):
+    # one elimination of the Lie system mod p per call, whatever the
+    # number of members lifted
+    ext = INERT if family == HERMITIAN else SPLIT
+    coords = standard_lattices(
+        standard_space(family, 2, Ring(3, ext))).gu_coords
+    calls = []
+    solve = modsolve._chain_solution
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(modsolve, "_chain_solution", counted)
+    members = congruence_members(coords, k, N, 10**6)
+    assert len(members) == 3**(coords.m * (N - k))
+    assert len(calls) == 1
 
 
 def _text(rows) -> list:

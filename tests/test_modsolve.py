@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from simdual.decomposition import _conjugator_system
 from simdual.matrices import parse_matrix
 from simdual.modsolve import (SolveBudgetError, _coset_steps, _iter_coset,
-                              iter_affine_mod, kernel_mod, residues, smith,
+                              iter_affine_mod, residues, smith,
                               solve_affine_mod, subgroup_basis)
 from simdual.scalars import INERT, Ring
 from simdual.spaces import HERMITIAN, certify_group, standard_space
@@ -95,7 +95,7 @@ def test_odometer_walks_the_coset_in_product_order(seed):
 
 
 def test_kernel_mod():
-    ker = kernel_mod([[1, 1]], 3, 1)
+    ker = solve_affine_mod([[1, 1]], [0], 3, 1)
     assert ker == sorted(brute_force([[1, 1]], [0], 3, 1))
 
 
@@ -182,7 +182,8 @@ def test_solve_property_p3_p5(system):
     want = sorted(brute_force(A, b, p, N))
     assert solve_affine_mod(A, b, p, N) == want
     assert sorted(iter_affine_mod(A, b, p, N)) == want
-    assert kernel_mod(A, p, N) == sorted(brute_force(A, [0] * len(A), p, N))
+    assert solve_affine_mod(A, [0] * len(A), p, N) == \
+        sorted(brute_force(A, [0] * len(A), p, N))
 
 
 @settings(max_examples=60, deadline=None)
