@@ -14,11 +14,12 @@ In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
 
 The work runs on integer component tuples (the layout of
-``Mat.components``) through generated straight-line code: the inverse
-mod p^N of ``matrices`` (A q^-1 with g A = q 1), and kernels derived
-once per space and kept in ``space.memo``, the product and the F-linear
-maps star, theta and iota, probed on unit vectors and compiled from
-their sparse rows.  ``linear_system`` is the one writer of integer
+``Mat.components``) through generated straight-line code: the one
+inverse mod p^N, of ``matrices`` (A q^-1 with g A = q 1), and kernels
+derived once per space and kept in ``space.memo``, the product and the
+F-linear maps star and theta, probed on unit vectors and compiled from
+their sparse rows, and no iota or scaled-inverse kernel: iota is the
+theta kernel on the inverse.  ``linear_system`` is the one writer of integer
 systems: every probe, and the Lie system (X, alpha) -> X + X* - alpha 1
 (``lie_system``), probed once per space on the star kernel.  The alpha
 certificate compiles its rows, and ``spaces.lie_alpha`` runs it on
@@ -398,22 +399,18 @@ def product_kernel(space: Space):
                       f"({', '.join(terms)},)")
 
 
-def linear_kernel(rows: list, M: int | None, scaled: bool = False,
-                  width: int | None = None):
+def linear_kernel(rows: list, M: int | None, width: int | None = None):
     """The linear map L with the sparse rows ``rows`` (those of
     ``_sparse_rows``) as generated straight-line code on tuples of
-    ``width`` entries (default: square, one per row): ``L(x)`` mod M
-    (with no modulus when M is None, a rational coefficient as a
-    Fraction), or with ``scaled`` ``(x, mu) -> mu^-1 L(x)`` mod M."""
+    ``width`` entries (default: square, one per row): ``L(x)`` mod M,
+    with no modulus when M is None (a rational coefficient as a
+    Fraction)."""
     sums = [" + ".join(f"{c if c.denominator == 1 else repr(c)}*x{j}"
                        for j, c in row) or "0" for row in rows]
     width = len(rows) if width is None else width
     lines = [_unpack("x", width)] if width else []
-    if scaled:
-        lines.append(f"s = pow(mu, -1, {M})")
-        sums = [f"({t})*s" for t in sums]
     mod = "" if M is None else f" % {M}"
-    return _generated("x, mu" if scaled else "x", lines,
+    return _generated("x", lines,
                       f"({', '.join(f'({t}){mod}' for t in sums)},)")
 
 
@@ -428,39 +425,10 @@ def star_kernel(space: Space):
 
 
 @_per_space
-def inverse_kernel(space: Space):
-    """``inv(x, mu)``: the components of g^-1 mod p^N for the member g
-    with components x and multiplier residue mu.  With a form g^-1 =
-    mu^-1 star(g), star probed once; in the general-linear family the
-    adjugate inverse (mu is 1 there)."""
-    if space.ring.exact:
-        raise ValueError("the inverse kernel works mod p^N")
-    if space.has_form:
-        return linear_kernel(_star_rows(space), space.ring.modulus, True)
-    inv = matrix_inverse_kernel(space.ring, space.n)
-    return lambda x, mu: inv(x)
-
-
-@_per_space
-def iota_kernel(space: Space):
-    """``iota(x, mu)``: the components of iota(g) = mu^-1 H tau(g) H^-1
-    mod p^N (``involution.iota_group``) for the member g with components
-    x and multiplier residue mu; g -> H tau(g) H^-1 is F-linear on
-    components and probed once per space."""
-    if space.ring.exact:
-        raise ValueError("the iota kernel works mod p^N")
-    if not space.has_form:
-        raise SpaceError("general-linear iota is the inverse transpose")
-    return linear_kernel(
-        _sparse_rows(space, lambda m: space.H * m.tau() * space.Hinv),
-        space.ring.modulus, True)
-
-
-@_per_space
 def theta_kernel(space: Space):
     """``theta(x)``: the components of theta(g) mod p^N for the member g
     with components x; ``involution.theta_mat``, linear in g, probed once
-    per space."""
+    per space.  On the inverse of g it gives iota(g) = theta(g^-1)."""
     from .involution import theta_mat   # it loads modsolve
     if space.ring.exact:
         raise ValueError("the theta kernel works mod p^N")

@@ -22,8 +22,9 @@ conjugations suffices; every carried conjugator is re-checked.
 Members are held as integer component tuples mod p^N (the layout of
 ``Mat.components``): the subgroup c(p^l0 Ldot) comes from
 ``lattices.level_images``, as Ldot is the identity basis of the Lie
-coordinates, and products, inverses, theta and the multiplier from the
-kernels of ``cayley``.  ``CosetSet.members`` decodes a
+coordinates, products, theta and the multiplier from the kernels of
+``cayley``, and inverses from the adjugate kernel
+``matrices.matrix_inverse_kernel``.  ``CosetSet.members`` decodes a
 ``GroupElem`` on access.
 
 The conjugator search exploits that for an isometry x the two conditions
@@ -38,11 +39,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import modsolve
-from .cayley import (Members, inverse_kernel, linear_system,
-                     multiplier_predicate, product_kernel, theta_kernel)
+from .cayley import (Members, linear_system, multiplier_predicate,
+                     product_kernel, theta_kernel)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices, level_images
-from .matrices import Mat
+from .matrices import Mat, matrix_inverse_kernel
 from .spaces import GroupElem, Space, certify_group, similitude_multiplier
 
 
@@ -218,7 +219,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
     """
     space = C.space
     mul, theta = product_kernel(space), theta_kernel(space)
-    inv = inverse_kernel(space)
+    inv = matrix_inverse_kernel(space.ring, space.n)
     members = C.members
     failure = _carried_check(space, set(members.comps))
     # isometries k = c(p^l0 B) of c(p^l0 Ldot), B in the isometry Lie
@@ -227,7 +228,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
     pl = space.ring.p**C.level
     unit_vectors = [[pl * (i == j) for i in range(coords.m)]
                     for j in range(coords.m)]
-    gens = [(k, inv(k, 1), inv(theta(k), 1))
+    gens = [(k, inv(k), inv(theta(k)))
             for k, _, _ in coords.cayley_images(space, unit_vectors)]
     reached = set()
     first = None
@@ -268,7 +269,9 @@ def verify_piece(members: Members, g: GroupElem) -> bool:
     comps = members.comps
     mul, theta = product_kernel(space), theta_kernel(space)
     gx = tuple(g.mat.components())
-    ginv = inverse_kernel(space)(gx, g.mu.a)
+    ginv = matrix_inverse_kernel(space.ring, space.n)(gx)
+    if ginv is None:                     # a singular g is no witness
+        return False
     hit = dict.fromkeys(map(theta, comps), False)
     for s in comps:
         c = mul(mul(gx, s), ginv)
@@ -300,9 +303,9 @@ def decompose(C: CosetSet, std: StandardLattices,
         x = _orbit_conjugators(C, std, max_candidates)
     a = members[i]
     M = space.ring.modulus
-    w = product_kernel(space)(tuple(x.mat.components()),
-                              inverse_kernel(space)(members.comps[i],
-                                                    members.mus[i]))
+    w = product_kernel(space)(
+        tuple(x.mat.components()),
+        matrix_inverse_kernel(space.ring, space.n)(members.comps[i]))
     mu_w = x.mu.a * pow(members.mus[i], -1, M) % M
     witness = GroupElem(space, Mat.from_components(space.ring, space.n, w),
                         space.ring.scalar(mu_w))

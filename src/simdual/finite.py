@@ -1,12 +1,13 @@
 """Exhaustive dualizing-involution checks for small classical and
 similitude groups over finite fields.
 
-For a finite group the map iota(g) = mu(g)^-1 H tau(g) H^-1 (transpose-
-inverse in the matrix family without a form) is a dualizing involution --
-every irreducible representation composed with iota is isomorphic to its
-dual -- if and only if iota(g) is conjugate to g^-1 for every g.  That
-class-inversion criterion is what this module verifies, exhaustively,
-together with an explicit theta-symmetric conjugator for every class.
+For a finite group the map iota(g) = theta(g)^-1 = mu(g)^-1 H tau(g) H^-1
+(transpose-inverse in the matrix family without a form) is a dualizing
+involution -- every irreducible representation composed with iota is
+isomorphic to its dual -- if and only if iota(g) is conjugate to g^-1
+for every g.  That class-inversion criterion is what this module
+verifies, exhaustively, with an explicit theta-symmetric conjugator for
+every class.
 
 A group is held as integer tables over the component tuples of its
 matrices (the layout of ``Mat.components``).  ``build_group``
@@ -20,9 +21,10 @@ position of g s), so subgroup closure and the conjugation orbits
 g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.  Inverses come
 from the generator tree: the closure first reaches each element as
 k = a s, and k^-1 = s^-1 a^-1 is one product, so only the generators are
-inverted (``cayley.inverse_kernel``).  iota is derived per element from a
-linear map probed once (iota(g) = mu^-1 H tau(g) H^-1; the transpose of
-the inverse in ``gl``).
+inverted (the adjugate inverse ``matrices.matrix_inverse_kernel``).
+There is no iota kernel: iota(g) = theta(g^-1) is ``cayley.theta_kernel``
+on the inverse table, for every family (the transpose of the inverse in
+``gl``).
 
 The table is re-checked before use: every inverse by one product, iota
 as a bijective involution, iota on the generators against
@@ -36,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cayley import (Members, identity_comps, inverse_kernel, iota_kernel,
-                     multiplier_predicate, product_kernel, theta_kernel)
+from .cayley import (Members, identity_comps, multiplier_predicate,
+                     product_kernel, theta_kernel)
 from .involution import enumerate_matrices, iota_group
-from .matrices import Mat, components_per_scalar
+from .matrices import Mat, components_per_scalar, matrix_inverse_kernel
 from .modsolve import SolveBudgetError
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL, SYMPLECTIC,
@@ -158,12 +160,10 @@ def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
         if len(comps) > order_budget:
             raise SolveBudgetError(f"group order exceeds {order_budget}")
     index = {x: i for i, x in enumerate(comps)}
-    gens, right, inverse = _generators(space, comps, mus, index)
-    if space.has_form:
-        images = map(iota_kernel(space), comps, mus)
-    else:                                # iota(g) = (g^-1)^T
-        images = map(theta_kernel(space), (comps[j] for j in inverse))
-    iota = [index.get(y, -1) for y in images]
+    gens, right, inverse = _generators(space, comps, index)
+    theta = theta_kernel(space)
+    # iota(g) = theta(g^-1)
+    iota = [index.get(theta(comps[j]), -1) for j in inverse]
     if -1 in iota:
         raise FiniteGroupError("iota leaves the table")
     table = FiniteGroupTable(family, n, q, space, comps, mus, index,
@@ -172,13 +172,14 @@ def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
     return table
 
 
-def _generators(space: Space, comps, mus, index):
+def _generators(space: Space, comps, index):
     """A small generating set, grown greedily in element order, the
     right-multiplication table of each generator, and the inverse table.
     The closure first reaches each element k as k = a s, with a reached
     before and s a generator, and sets k^-1 = s^-1 a^-1; only the
     generators are inverted."""
-    mul, inv_of = product_kernel(space), inverse_kernel(space)
+    mul = product_kernel(space)
+    inv_of = matrix_inverse_kernel(space.ring, space.n)
     n = len(comps)
     gens, right, gen_invs = [], [], []
     identity = index[identity_comps(space)]
@@ -188,7 +189,7 @@ def _generators(space: Space, comps, mus, index):
     for i in range(n):
         if inverse[i] >= 0:
             continue
-        t = inv_of(comps[i], mus[i])
+        t = inv_of(comps[i])
         if t not in index:
             raise FiniteGroupError("table is not closed under inversion")
         gens.append(i)

@@ -4,10 +4,12 @@ The theta-symmetric conjugator search is
 ``decomposition.find_conjugator_mod``.
 
 The semilinear map h is stored by its matrix H with action v -> H tau(v),
-so h o h has the matrix H tau(H).  Both thetas are sparse entry maps of
-``spaces``, derived once per space: H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1))
-on the Lie algebra, and H J^-1 g^T J H^-1, with no inverse, on a member
-(``theta_mat``, which ``cayley.theta_kernel`` probes).
+so h o h has the matrix H tau(H).  One linear map on matrices,
+``theta_mat``(g) = H J^-1 g^T J H^-1 (a sparse entry map of ``spaces``,
+derived once per space, with no inverse), is theta on members, theta on
+the Lie algebra (its differential, ``theta_lie``) and, composed with the
+inverse, iota(g) = theta(g)^-1 = theta(g^-1); ``cayley.theta_kernel``
+probes it.
 """
 
 from __future__ import annotations
@@ -62,19 +64,14 @@ def _failing_pair(lhs: Mat, target: Mat):
 # -- theta and iota ---------------------------------------------------
 
 
-def _tau_pair(space: Space) -> tuple:
-    """(tau(H), tau(H^-1)): H tau(Y) H^-1 = tau(tau(H) Y tau(H^-1))."""
-    return space.H.tau(), space.Hinv.tau()
-
-
 def theta_mat(space: Space, g: Mat) -> Mat:
     """theta on members as a map on matrices, g -> H J^-1 g^T J H^-1, which
-    is mu(g) H tau(g^-1) H^-1 for a member g (g^-1 = mu^-1 star(g)), with
-    no inverse; it is linear in g, and the transpose for general-linear."""
+    is mu(g) H tau(g^-1) H^-1 for a member g (g star(g) = mu 1), with no
+    inverse; it is linear in g, and the transpose for general-linear."""
     if not space.has_form:
         return g.transpose()
     entries = _entry_map(space, "theta", lambda: (
-        space.H * space.Jinv, space.J * space.Hinv), transpose=True)
+        space.H * space.Jinv, space.J * space.Hinv))
     return Mat._make(space.ring, _apply_tau(space, entries, g, conj=False))
 
 
@@ -89,17 +86,10 @@ def iota_group(g: GroupElem) -> GroupElem:
 
 
 def theta_lie(X: LieElem) -> LieElem:
-    """theta(X) = alpha(X) * 1 - H tau(X) H^-1; transpose for general-linear."""
-    space = X.space
-    if not space.has_form:
-        return LieElem(space, X.mat.transpose(), X.alpha)
-    entries = _entry_map(space, "minus-theta", lambda: _tau_pair(space),
-                         sign=-1)
-    alpha = X.alpha
-    rows = _apply_tau(space, entries, X.mat)
-    return LieElem(space, Mat._make(space.ring, tuple(
-        tuple(x + alpha if i == j else x for j, x in enumerate(row))
-        for i, row in enumerate(rows))), alpha)
+    """theta(X) = ``theta_mat``(X), the differential of theta on G: it is
+    alpha(X) * 1 - H tau(X) H^-1, since X + X* = alpha 1 gives
+    J^-1 X^T J = alpha - tau(X); the transpose for general-linear."""
+    return LieElem(X.space, theta_mat(X.space, X.mat), X.alpha)
 
 
 def is_theta_fixed(g: GroupElem) -> bool:

@@ -37,10 +37,10 @@ from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      lie_alpha_kernel, lie_system, linear_kernel,
                      matrix_system, multiplier_predicate, product_kernel,
                      star_kernel)
-from .involution import theta_lie
+from .involution import theta_mat
 from .matrices import Mat, components_per_scalar
 from .scalars import Scalar, val_int
-from .spaces import Space, certify_lie
+from .spaces import Space
 
 
 class LatticeError(ValueError):
@@ -250,8 +250,7 @@ class LieCoords:
     def theta(self) -> Operator:
         """theta on the Lie algebra in these coordinates, built on first
         use and kept."""
-        return self.operator_matrix(
-            lambda B: theta_lie(certify_lie(self.space, B)).mat)
+        return self.operator_matrix(lambda B: theta_mat(self.space, B))
 
     def standard_lattice(self) -> LatticeBasis:
         return LatticeBasis.standard(self.space.ring.p, self.m)

@@ -6,11 +6,11 @@ The form convention is <u, v> = u^T J tau(v) (linear in the first slot),
 which pins down all matrix formulas: star(a) = tau(J^-1 a^T J), group
 membership g star(g) = mu * 1, Lie membership X + star(X) = alpha * 1.
 
-Maps of the shape a -> tau(P a Q) or tau(P a^T Q) for a fixed pair
-(P, Q) of the space, star and the two thetas of ``involution``, run as
-sparse entry maps: entry (i, j) of the image is tau(sum c a_kl) over the
-coefficients c = P_ik Q_lj != 0 (a_lk with the transpose), derived once
-per space and kept in ``Space.memo``.  That holds for any J, monomial or
+Maps of the shape a -> P a^T Q for a fixed pair (P, Q) of the space,
+star (followed by tau) and theta of ``involution``, which is also theta
+on the Lie algebra, run as sparse entry maps: entry (i, j) of the image
+is sum c a_lk over the coefficients c = P_ik Q_lj != 0, derived once per
+space and kept in ``Space.memo``.  That holds for any J, monomial or
 not, and costs a few scalar products instead of two matrix products.
 
 Both memberships are decided on integers by certificates of ``cayley``,
@@ -154,14 +154,12 @@ def validate_space(J: Mat, eps: int, ring: Ring, family: str | None = None,
     return space
 
 
-def _entry_map(space: Space, name: str, pair, transpose: bool = False,
-               sign: int = 1) -> tuple:
-    """The map a -> sign * P a Q (P a^T Q with ``transpose``), for the
-    matrices (P, Q) = ``pair()``, as sparse rows kept in ``space.memo``
-    under ``name``.  Entry (i, j) of the image is a pair (c, source): for
-    one term with coefficient +-1 the int c and the source (k, l) of the
-    entry of a ((l, k) with the transpose), else the tuples of the nonzero
-    coefficients sign * P_ik Q_lj and of their sources."""
+def _entry_map(space: Space, name: str, pair) -> tuple:
+    """The map a -> P a^T Q, for the matrices (P, Q) = ``pair()``, as
+    sparse rows kept in ``space.memo`` under ``name``.  Entry (i, j) of
+    the image is a pair (c, source): for one term with coefficient +-1 the
+    int c and the source (l, k) of the entry of a, else the tuples of the
+    nonzero coefficients P_ik Q_lj and of their sources."""
     if name not in space.memo:
         n, one = space.n, space.ring.one
         P, Q = pair()
@@ -169,8 +167,7 @@ def _entry_map(space: Space, name: str, pair, transpose: bool = False,
         for i in range(n):
             row = []
             for j in range(n):
-                terms = [(P[i, k] * Q[l, j] * sign, (l, k) if transpose
-                          else (k, l))
+                terms = [(P[i, k] * Q[l, j], (l, k))
                          for k in range(n) if P[i, k]
                          for l in range(n) if Q[l, j]]
                 if len(terms) == 1 and terms[0][0] in (one, -one):
@@ -206,7 +203,7 @@ def star(space: Space, a: Mat) -> Mat:
     """The adjoint anti-involution a* = tau(J^-1 a^T J)."""
     if not space.has_form:
         raise SpaceError("general-linear family has no star; theta is transpose")
-    entries = _entry_map(space, "star", lambda: (space.Jinv, space.J), True)
+    entries = _entry_map(space, "star", lambda: (space.Jinv, space.J))
     return Mat._make(space.ring, _apply_tau(space, entries, a))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -146,6 +147,13 @@ def test_replay_registry_roundtrip():
                         "payload": {"family": "symplectic", "n": 2, "p": 3,
                                     "X": "0, 1; 0, 0"}})
     assert row.status == PASS
+
+
+def test_config_keys_cover_every_suite_config_field():
+    # a --config file sets every SuiteConfig field; suites is parsed apart,
+    # as a comma list
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+    assert set(cli._CONFIG_KEYS) == fields - {"suites"}
 
 
 def test_validate_config():

@@ -168,6 +168,15 @@ def test_verify_piece_needs_every_theta_image_hit():
     assert verify_piece(S, GroupElem(st, st.identity(), st.ring.one))
 
 
+def test_verify_piece_rejects_a_singular_witness():
+    # zero sends S = {0} onto theta(S) = {0}, but it has no inverse
+    st = SYMPL.truncated(2)
+    S = Members(st, [(0, 0, 0, 0)], [1])
+    assert not verify_piece(S, GroupElem(st, Mat.zeros(st.ring, 2),
+                                         st.ring.one))
+    assert verify_piece(S, GroupElem(st, st.identity(), st.ring.one))
+
+
 def test_coset_set_validates_level():
     b = Mat.identity(SYMPL.ring, 2)
     with pytest.raises(DecompositionError):

@@ -13,7 +13,7 @@ from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
 from simdual.matrices import Mat
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN,
-                            SKEW_HERMITIAN, SYMPLECTIC, GroupElem, LieElem,
+                            SKEW_HERMITIAN, SYMPLECTIC, GroupElem,
                             SpaceError, certify_group, certify_lie,
                             standard_space, star, validate_space)
 
@@ -214,13 +214,26 @@ def test_theta_group_entry_map_is_the_matrix_formula(space):
         assert theta_group(x).mu == x.mu
 
 
+def _random_lie(space, rng, count=25):
+    """Certified Lie elements Y - Y* + b 1 for random matrices Y and base
+    scalars b; any Y without a form."""
+    ring = space.ring
+    out = []
+    for Y in _random_matrices(space, rng, count=count):
+        if space.has_form:
+            b = ring.scalar(_random_scalar(ring, rng).a)
+            Y = Y - star(space, Y) + Mat.scalar_mat(ring, space.n, b)
+        out.append(certify_lie(space, Y))
+    return out
+
+
 @pytest.mark.parametrize("space", ENTRY_MAP_SPACES)
 def test_theta_lie_entry_map_is_the_matrix_formula(space):
-    # the formula holds for any X and any scalar alpha
+    # on certified Lie elements theta_mat, the entry map theta_lie runs,
+    # is the formula alpha 1 - H tau(X) H^-1
     rng = random.Random(29)
-    for X in _random_matrices(space, rng):
-        alpha = _random_scalar(space.ring, rng)
-        Y = LieElem(space, X, alpha)
-        want = _theta_lie_formula(Y) if space.has_form else X.transpose()
-        assert theta_lie(Y).mat == want
-        assert theta_lie(Y).alpha == alpha
+    for X in _random_lie(space, rng):
+        want = (_theta_lie_formula(X) if space.has_form
+                else X.mat.transpose())
+        assert theta_lie(X).mat == want
+        assert theta_lie(X).alpha == X.alpha
