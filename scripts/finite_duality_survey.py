@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from simdual.finite import scan_size
+from simdual.finite import SCAN_BUDGET, scan_size
 from simdual.report import PASS
 from simdual.suites import SuiteConfig, run_suite
 
@@ -27,7 +27,7 @@ TARGETS = [
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--budget", type=int, default=10**7,
+    ap.add_argument("--budget", type=int, default=SCAN_BUDGET,
                     help="maximum matrix-scan size")
     args = ap.parse_args(argv)
     print(f"{'group':12s} {'order':>7s} {'classes':>7s} "

@@ -426,14 +426,13 @@ def star_kernel(space: Space):
 
 @_per_space
 def theta_kernel(space: Space):
-    """``theta(x)``: the components of theta(g) mod p^N for the member g
-    with components x; ``involution.theta_mat``, linear in g, probed once
-    per space.  On the inverse of g it gives iota(g) = theta(g^-1)."""
+    """``theta(x)``: the components of theta(g) mod p^N for the matrix g
+    with components x, over an exact space with no modulus, as
+    ``star_kernel``; ``involution.theta_mat`` probed once per space.  On
+    the inverse of g it gives iota(g) = theta(g^-1)."""
     from .involution import theta_mat   # it loads modsolve
-    if space.ring.exact:
-        raise ValueError("the theta kernel works mod p^N")
     return linear_kernel(_sparse_rows(space, lambda m: theta_mat(space, m)),
-                         space.ring.modulus)
+                         None if space.ring.exact else space.ring.modulus)
 
 
 @_per_space

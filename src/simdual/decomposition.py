@@ -51,6 +51,10 @@ class DecompositionError(ValueError):
     pass
 
 
+# the most candidates one conjugator solve tries
+CONJUGATOR_BUDGET = 10**5
+
+
 # -- enumeration of c(p^l * Ldot) mod p^N -----------------------------
 
 
@@ -144,13 +148,14 @@ def _conjugator_system(space: Space, a: tuple):
     return linear_system(len(a), f)
 
 
-def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
+def find_conjugator_mod(a: GroupElem) -> GroupElem:
     """First theta-symmetric isometry x with x a x^-1 = theta(a) mod p^N.
 
     Candidates are solutions of the linearized system, traversed in a
     deterministic order; each is filtered by the unit and isometry
-    conditions and the two defining equations.  Exhaustion raises
-    ConjugatorNotFound, never a silent miss.
+    conditions and the two defining equations.  Exhaustion, or
+    ``CONJUGATOR_BUDGET`` candidates, raises ConjugatorNotFound, never a
+    silent miss.
     """
     space = a.space
     ring = space.ring
@@ -163,7 +168,7 @@ def find_conjugator_mod(a: GroupElem, max_candidates: int = 10**5) -> GroupElem:
     mu_of = multiplier_predicate(space)
     tried = 0
     for comps in modsolve.iter_affine_mod(A, b, ring.p, ring.prec):
-        if tried == max_candidates:
+        if tried == CONJUGATOR_BUDGET:
             break
         tried += 1
         # the linear system already encodes x a = theta(a) x exactly and
@@ -207,8 +212,7 @@ def _carried_check(space: Space, keys):
     return failure
 
 
-def _orbit_conjugators(C: CosetSet, std: StandardLattices,
-                       max_candidates: int) -> GroupElem:
+def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
     """Check that every member of C has a theta-symmetric isometry
     conjugator; return the one of C.members[0].
 
@@ -235,7 +239,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices,
     for i, root in enumerate(members.comps):
         if root in reached:
             continue
-        x = find_conjugator_mod(members[i], max_candidates=max_candidates)
+        x = find_conjugator_mod(members[i])
         if first is None:
             first = x
         reached.add(root)
@@ -281,8 +285,7 @@ def verify_piece(members: Members, g: GroupElem) -> bool:
     return all(hit.values())
 
 
-def decompose(C: CosetSet, std: StandardLattices,
-              max_candidates: int = 10**5) -> list[Piece]:
+def decompose(C: CosetSet, std: StandardLattices) -> list[Piece]:
     """Partition C into verified conjugate-theta-stable pieces: the one
     piece C, since a * c(p^l0 Ldot) = C for every member a.
 
@@ -300,7 +303,7 @@ def decompose(C: CosetSet, std: StandardLattices,
         x = GroupElem(space, space.identity(), space.ring.one)
     else:
         i = 0
-        x = _orbit_conjugators(C, std, max_candidates)
+        x = _orbit_conjugators(C, std)
     a = members[i]
     M = space.ring.modulus
     w = product_kernel(space)(

@@ -44,8 +44,9 @@ from .involution import enumerate_matrices, iota_group
 from .matrices import Mat, components_per_scalar, matrix_inverse_kernel
 from .modsolve import SolveBudgetError
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
-from .spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL, SYMPLECTIC,
-                     Space, standard_space, validate_space)
+from .spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
+                     SKEW_HERMITIAN, SYMPLECTIC, Space, standard_space,
+                     validate_space)
 
 SP = "sp"
 GSP = "gsp"
@@ -57,13 +58,28 @@ GL = "gl"
 
 FINITE_FAMILIES = (SP, GSP, UNITARY, GUNITARY, OPLUS, OMINUS, GL)
 
+# the most matrices ``build_group`` scans, and the largest group it keeps
+SCAN_BUDGET = 10**7
+ORDER_BUDGET = 10**6
+
 
 class FiniteGroupError(ValueError):
     pass
 
 
+def family_ext(family: str) -> str:
+    """The ring of a p-adic family or finite tag: inert for the unitary
+    ones, whose scalars live in the quadratic extension."""
+    unitary = (HERMITIAN, SKEW_HERMITIAN, UNITARY, GUNITARY)
+    return INERT if family in unitary else SPLIT
+
+
 def finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
-    """The ambient space over the residue field and the similitude flag."""
+    """The ambient space over the residue field and the similitude flag;
+    a p-adic family gives its standard space mod p, as similitudes."""
+    if family in FAMILIES:
+        ring = Ring(q, family_ext(family), 1)
+        return standard_space(family, n, ring), True
     if family in (SP, GSP):
         ring = Ring(q, SPLIT, 1)
         return standard_space(SYMPLECTIC, n, ring), family == GSP
@@ -142,23 +158,22 @@ class FiniteGroupTable:
         return self.index[tuple(m.components())]
 
 
-def build_group(family: str, n: int, q: int, order_budget: int = 10**6,
-                scan_budget: int = 10**7) -> FiniteGroupTable:
+def build_group(family: str, n: int, q: int) -> FiniteGroupTable:
     """Enumerate the group, attach inverse, iota and the generators'
     right-multiplication tables, and verify the table invariants.  A scan
-    of more than ``scan_budget`` matrices, or a group of more than
-    ``order_budget`` elements, raises ``modsolve.SolveBudgetError``."""
+    of more than ``SCAN_BUDGET`` matrices, or a group of more than
+    ``ORDER_BUDGET`` elements, raises ``modsolve.SolveBudgetError``."""
     space, similitude = finite_space(family, n, q)
     mu_of = multiplier_predicate(space)
     comps, mus = [], []
-    for x in enumerate_matrices(space.ring, n, scan_budget):
+    for x in enumerate_matrices(space.ring, n, SCAN_BUDGET):
         mu = mu_of(x)
         if mu is None or (mu != 1 and not similitude):
             continue
         comps.append(x)
         mus.append(mu)
-        if len(comps) > order_budget:
-            raise SolveBudgetError(f"group order exceeds {order_budget}")
+        if len(comps) > ORDER_BUDGET:
+            raise SolveBudgetError(f"group order exceeds {ORDER_BUDGET}")
     index = {x: i for i, x in enumerate(comps)}
     gens, right, inverse = _generators(space, comps, index)
     theta = theta_kernel(space)

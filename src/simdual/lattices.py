@@ -9,18 +9,18 @@ equality is literal equality of normal forms.  A basis is held on
 integers: its columns as integer tuples over one power of p, the least
 that clears every denominator.  An operator on Lie coordinates is an
 integer matrix over one positive denominator in lowest terms.  The Lie
-coordinates are the integer kernel of ``cayley.lie_system`` (without its
-alpha column for the isometry algebra).  The Hermite form, L(x) as the
-kernel of Ad(x) mod a power of p (one chain-ring solve, no duals), the
-image of a basis under an operator and the conjugation operators all run
-on Python integers, and no scalar of the split field is built for a
-basis or an operator.  Nothing scans residues: the congruence subgroup
-is lifted from the identity one p-adic digit at a time in closed form,
-on one elimination of ``lie_system`` mod p, and ``level_images`` is the
-one enumeration of c(p^k L) mod p^N, for the level check (one sorted
-list) and the subgroup K of ``decomposition``.  The o_E-structure of the
-vector-space lattice is tracked through the choice of F-coordinates but
-all computation happens over F.
+coordinates are read off the kernel basis of ``cayley.lie_system`` from
+one Smith form, with no solver: each is a component of X, or alpha(X).
+The Hermite form, L(x) as the kernel of Ad(x) mod a power of p (one
+chain-ring solve, no duals), the image of a basis under an operator and
+the conjugation operators all run on Python integers, and no scalar of the
+split field is built for a basis or an operator.  Nothing scans residues:
+the congruence subgroup is lifted from the identity one p-adic digit at a
+time in closed form, on one elimination of ``lie_system`` mod p, and
+``level_images`` is the one enumeration of c(p^k L) mod p^N, for the level
+check (one sorted list) and the subgroup K of ``decomposition``.  The
+o_E-structure of the vector-space lattice is tracked through the choice of
+F-coordinates but all computation happens over F.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import mul, ne
+from operator import ne
 
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      lie_alpha_kernel, lie_system, linear_kernel,
                      matrix_system, multiplier_predicate, product_kernel,
-                     star_kernel)
-from .involution import theta_mat
+                     star_kernel, theta_kernel)
 from .matrices import Mat, components_per_scalar
 from .scalars import Scalar, val_int
-from .spaces import Space
+from .spaces import MembershipError, Space
 
 
 class LatticeError(ValueError):
@@ -145,80 +144,70 @@ class LatticeBasis:
 class LieCoords:
     """F-coordinates on the (similitude or isometry) Lie algebra of a space.
 
-    The basis is integral and spans the standard Lie lattice (integral
-    matrices inside the algebra) over o_F, so the standard lattice is the
-    identity basis in these coordinates.
+    The basis, held as integer columns, spans the standard Lie lattice
+    (integral matrices inside the algebra) over o_F, so the standard
+    lattice is the identity basis in these coordinates.  Each basis
+    vector of (X, alpha) is 1 on the entry it reads, where every other
+    vector is 0: each coordinate of X is one of its components, or
+    alpha(X).  ``numerators`` is the one map from coordinates to
+    components, a generated linear kernel.
     """
 
     def __init__(self, space: Space, isometry: bool = False):
         if not space.ring.exact:
             raise LatticeError("coordinates are built over the exact field")
         self.space = space
-        self.isometry = isometry
-        self.d = components_per_scalar(space.ring)
-        self.m0 = space.n * space.n * self.d
-        self.basis, self.alphas = self._build_basis()
-        self.m = len(self.basis)
-        # the integer matrix whose columns are the basis components
-        cols = []
-        for B in self.basis:
-            comps, den = B.numerators()
-            if den != 1:
-                raise LatticeError("coordinate basis is not integral")
-            cols.append(tuple(comps))
-        self._basis_comps = cols
-        self._M = [[col[i] for col in cols] for i in range(self.m0)]
-        self._solver = self._build_solver()
+        self.m0 = space.n * space.n * components_per_scalar(space.ring)
+        vectors = self._kernel_vectors(isometry)
+        self.m = len(vectors)
+        # the entry each vector reads: 1 there, and 0 in every other vector
+        support = [sum(map(bool, entry)) for entry in zip(*vectors)]
+        self._reads = [next((i for i, a in enumerate(vec)
+                             if a == 1 and support[i] == 1), None)
+                       for vec in vectors]
+        if None in self._reads:
+            raise LatticeError("a basis vector reads no entry of its own")
+        self._alpha_of = (lie_alpha_kernel(space) if self.m0 in self._reads
+                          else None)
+        self._basis_comps = [tuple(vec[:self.m0]) for vec in vectors]
+        self._M = [[col[i] for col in self._basis_comps]
+                   for i in range(self.m0)]
+        # the integer components of the matrix with integer coordinates
+        # (over a denominator, its numerators over the same)
+        self.numerators = linear_kernel(
+            [[(j, a) for j, a in enumerate(row) if a] for row in self._M],
+            None, width=self.m)
 
-    def _build_basis(self):
+    def _kernel_vectors(self, isometry: bool) -> list:
+        """The integer kernel of ``cayley.lie_system`` (without its alpha
+        column for the isometry algebra): the columns past the rank of V
+        in one Smith form U E V = D; the identity without a form."""
         space = self.space
         if not space.has_form:
-            basis = [Mat.from_components(space.ring, space.n,
-                                         [int(i == j) for i in range(self.m0)])
-                     for j in range(self.m0)]
-            return basis, [space.ring.zero] * self.m0
-        # the isometry Lie algebra is the kernel without the alpha column
-        E = [_over_one_denominator(row[:-1] if self.isometry else row)[0]
+            return modsolve._identity(self.m0)
+        E = [_over_one_denominator(row[:-1] if isometry else row)[0]
              for row in lie_system(space)]
         _, D, V = modsolve.smith(E)
-        rank = 0
-        while rank < min(len(D), len(V)) and D[rank][rank] != 0:
-            rank += 1
-        basis, alphas = [], []
-        for j in range(rank, len(V)):
-            vec = [V[i][j] for i in range(len(V))]
-            X = Mat.from_components(space.ring, space.n,
-                                    [Fraction(v) for v in vec[:self.m0]])
-            alpha = (space.ring.zero if self.isometry
-                     else space.ring.scalar(vec[self.m0]))
-            basis.append(X)
-            alphas.append(alpha)
-        return basis, alphas
-
-    def _build_solver(self):
-        """An integer matrix S and a denominator den with S M = den times
-        the identity, for M the coordinate matrix: from the Smith form
-        U M V = D, S = V diag(den / D_ii) U, on the first m rows of U."""
-        U, D, V = modsolve.smith(self._M)
-        diag = [D[i][i] for i in range(self.m)]
-        if 0 in diag:
-            raise LatticeError("coordinate basis is degenerate")
-        den = math.lcm(*diag)
-        rows = [[den // d * a for a in U[i]] for i, d in enumerate(diag)]
-        return [[sum(v * r[k] for v, r in zip(V[i], rows))
-                 for k in range(self.m0)] for i in range(self.m)], den
+        rank = sum(1 for i in range(min(len(D), len(V))) if D[i][i])
+        return [[row[j] for row in V] for j in range(rank, len(V))]
 
     def _coords(self, flat, den: int) -> tuple[list, int]:
-        """The coordinates of the matrix with integer components ``flat``
-        over ``den``, as integers over one denominator; LatticeError when
-        the matrix is not in the Lie algebra."""
-        solve, solve_den = self._solver
-        c = [sum(map(mul, row, flat)) for row in solve]
-        # c / (solve_den * den) are the coordinates; check that they give X
-        for row, x in zip(self._M, flat):
-            if sum(map(mul, row, c)) != x * solve_den:
-                raise LatticeError("matrix is not in the Lie algebra")
-        return c, den * solve_den
+        """The coordinates of X, the integer components ``flat`` over
+        ``den``, as integers over one denominator: the entries the basis
+        reads (alpha(X) den for alpha), checked to give X (LatticeError)."""
+        entries, k = tuple(flat), 1
+        if self._alpha_of is not None:
+            try:
+                alpha = self._alpha_of(entries)
+            except MembershipError:
+                raise LatticeError("matrix is not in the Lie algebra") \
+                    from None
+            k = alpha.denominator    # a Fraction where star has one
+            entries = tuple(x * k for x in entries) + (alpha.numerator,)
+        c = [entries[i] for i in self._reads]
+        if self.numerators(c) != entries[:self.m0]:
+            raise LatticeError("matrix is not in the Lie algebra")
+        return c, den * k
 
     def _columns(self, images) -> tuple[list, int]:
         """The coordinates of each (integer components, denominator) pair
@@ -231,26 +220,18 @@ class LieCoords:
         c, den = self._coords(*X.numerators())
         return [Fraction(x, den) for x in c]
 
-    def numerators(self, nums) -> list[int]:
-        """The integer components of the matrix with integer coordinates
-        ``nums``: over a denominator, its numerators over the same."""
-        return [sum(map(mul, row, nums)) for row in self._M]
-
     def from_coords(self, c) -> Mat:
         nums, den = _over_one_denominator(c)
         return Mat.from_components(self.space.ring, self.space.n,
                                    self.numerators(nums), den)
 
-    def operator_matrix(self, f) -> Operator:
-        """The F-linear operator X -> f(X) in these coordinates."""
-        return Operator.from_columns(*self._columns(
-            f(B).numerators() for B in self.basis))
-
     @cached_property
     def theta(self) -> Operator:
-        """theta on the Lie algebra in these coordinates, built on first
-        use and kept."""
-        return self.operator_matrix(lambda B: theta_mat(self.space, B))
+        """theta on the Lie algebra in these coordinates, the exact
+        ``theta_kernel`` on the basis columns; built on first use."""
+        theta_of = theta_kernel(self.space)
+        return Operator.from_columns(*self._columns(
+            _over_one_denominator(theta_of(B)) for B in self._basis_comps))
 
     def standard_lattice(self) -> LatticeBasis:
         return LatticeBasis.standard(self.space.ring.p, self.m)
@@ -261,13 +242,9 @@ class LieCoords:
         is the space truncated at N.  Every X is certified in the Lie
         algebra mod p^N (MembershipError), and one outside the Cayley
         domain raises DomainError."""
-        to_comps = linear_kernel(
-            [[(j, a) for j, a in enumerate(row) if a] for row in self._M],
-            space_t.ring.modulus, width=self.m)
-        alpha_of = lie_alpha_kernel(space_t)
-        c = cayley_kernel(space_t)
+        alpha_of, c = lie_alpha_kernel(space_t), cayley_kernel(space_t)
         for v in vectors:
-            x = to_comps(v)
+            x = self.numerators(v)     # the mod p^N kernels reduce it
             alpha = alpha_of(x)
             image = c(x, alpha)
             if image is None:
@@ -322,8 +299,8 @@ def _conjugation(coords: LieCoords, x: Mat, xinv: Mat) -> tuple[list, int]:
     """The columns of the operator B -> x B xinv, for xinv the inverse of
     x, as integers over one denominator: every product runs on the
     integer components of the integral basis with the exact
-    ``product_kernel``, and the integer coordinate solver checks that each
-    image is in the Lie algebra."""
+    ``product_kernel``, and the read-off coordinates are checked against
+    each image (LatticeError off the Lie algebra)."""
     space = coords.space
     prod = product_kernel(space)
     left, dl = x.numerators()

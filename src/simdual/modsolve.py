@@ -21,8 +21,8 @@ its budget raises ``SolveBudgetError``.
 
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and, over
-Z, the Hermite forms of ``lattices``.  ``smith`` also serves the Lie
-coordinates of ``lattices``, which work over Z.
+Z, the Hermite forms of ``lattices``.  ``smith`` serves only the Lie
+basis of ``lattices``, whose coordinates are read off its kernel.
 
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 (at most a few dozen rows), so the classical algorithms are plenty.

@@ -21,8 +21,8 @@ from typing import Callable
 
 from .cayley import cayley, fiber, in_domain
 from .decomposition import DecompositionError, coset_set, decompose
-from .finite import FINITE_FAMILIES, GUNITARY, UNITARY, FiniteGroupError, \
-    build_group, conjugacy_classes, finite_space, verify_class_inversion
+from .finite import FINITE_FAMILIES, FiniteGroupError, build_group, \
+    conjugacy_classes, family_ext, finite_space, verify_class_inversion
 from .involution import AntiUnitaryError, ConjugatorNotFound, \
     is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
 from .lattices import ad_operator, check_cayley_level, lattice_of_x, \
@@ -32,22 +32,15 @@ from .modsolve import SolveBudgetError
 from .report import FAIL, FINDING, PASS, CheckRow, Report
 from .sampling import make_rng, sample_group, sample_integral_lie, \
     sample_lie, sample_stabilizing, sample_theta_fixed
-from .scalars import INERT, SPLIT, Ring, is_odd_prime, val_fraction
-from .spaces import (FAMILIES, HERMITIAN, SKEW_HERMITIAN, SpaceError,
-                     certify_group, certify_lie, standard_space, star)
+from .scalars import Ring, is_odd_prime, val_fraction
+from .spaces import (FAMILIES, SpaceError, certify_group, certify_lie,
+                     standard_space, star)
 
 ALL_SUITES = ("identity", "cayley", "lattice", "decompose", "finite-dual")
-
-# families whose scalars live in the quadratic extension
-_INERT_FAMILIES = (HERMITIAN, SKEW_HERMITIAN, UNITARY, GUNITARY)
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _family_ext(family: str) -> str:
-    return INERT if family in _INERT_FAMILIES else SPLIT
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class SuiteConfig:
     def as_params(self) -> dict:
         return {
             "family": self.family, "n": self.n, "p": self.p,
-            "ext": _family_ext(self.family), "precision": self.precision,
+            "ext": family_ext(self.family), "precision": self.precision,
             "level": self.level, "samples": self.samples, "seed": self.seed,
             "cosets": self.cosets,
             "decompose_precision": self.decompose_precision,
@@ -91,7 +84,7 @@ def validate_config(cfg: SuiteConfig) -> None:
             f"family {cfg.family!r} only supports the finite-dual suite")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    ring_ext = _family_ext(cfg.family)
+    ring_ext = family_ext(cfg.family)
     if cfg.ext not in ("auto", ring_ext):
         raise ConfigError(f"family {cfg.family!r} works over the {ring_ext} "
                           f"ring, not ext {cfg.ext!r}")
@@ -101,15 +94,17 @@ def validate_config(cfg: SuiteConfig) -> None:
         except SpaceError as exc:
             raise ConfigError(str(exc))
     if "finite-dual" in cfg.suites:
-        family = _finite_family(cfg.family)
         try:
-            finite_space(family, cfg.n, cfg.p)
+            finite_space(cfg.family, cfg.n, cfg.p)
         except (SpaceError, FiniteGroupError) as exc:
-            raise ConfigError(f"finite-dual group {family}: {exc}")
+            raise ConfigError(f"finite-dual group {cfg.family}: {exc}")
     if not (1 <= cfg.level < cfg.precision):
         raise ConfigError(
             f"need 1 <= level < precision, got level={cfg.level} "
             f"precision={cfg.precision}")
+    if "decompose" in cfg.suites \
+            and not (1 <= cfg.level < cfg.decompose_precision):
+        raise ConfigError("need 1 <= level < decompose precision")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
     if cfg.cosets < 1:
@@ -121,14 +116,8 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError(f"unknown format {cfg.fmt!r}")
 
 
-def _finite_family(family: str) -> str:
-    """The finite group the finite-dual suite builds: a p-adic family
-    runs it on sp."""
-    return family if family in FINITE_FAMILIES else "sp"
-
-
 def build_space(family: str, n: int, p: int):
-    return standard_space(family, n, Ring(p, _family_ext(family)))
+    return standard_space(family, n, Ring(p, family_ext(family)))
 
 
 def _row(name, ok, payload=None, check=None, detail=None):
@@ -507,8 +496,6 @@ def sample_coset_base(std, rng, N: int) -> Mat:
 def suite_decompose(cfg: SuiteConfig, std) -> list:
     rng, base = _setup(cfg)
     N = cfg.decompose_precision
-    if not (1 <= cfg.level < N):
-        raise ConfigError("need 1 <= level < decompose precision")
     rows = []
     for i in range(cfg.cosets):
         b = sample_coset_base(std, rng, N)
@@ -523,10 +510,9 @@ def suite_decompose(cfg: SuiteConfig, std) -> list:
 
 
 def suite_finite(cfg: SuiteConfig, std) -> list:
-    family = _finite_family(cfg.family)
     t0 = time.monotonic()
     try:
-        table = build_group(family, cfg.n, cfg.p)
+        table = build_group(cfg.family, cfg.n, cfg.p)
     except (SolveBudgetError, FiniteGroupError) as exc:
         return [CheckRow("finite-build", FAIL, detail={"error": str(exc)})]
     classes = conjugacy_classes(table)
@@ -535,7 +521,7 @@ def suite_finite(cfg: SuiteConfig, std) -> list:
         "order": table.order, "classes": classes.num_classes}),
         CheckRow("iota-inverse-permutations",
                  PASS if rep.permutations_equal else FINDING)]
-    rows += [_class_inversion(cls, r, family, cfg.n, cfg.p)
+    rows += [_class_inversion(cls, r, cfg.family, cfg.n, cfg.p)
              for cls, r in enumerate(rep.rows) if r.status != "pass"]
     passing = sum(1 for r in rep.rows if r.status == "pass")
     rows.append(CheckRow(

@@ -419,8 +419,10 @@ def test_fiber_drops_preimages_with_singular_one_plus_x(monkeypatch):
 
 
 def _apply_rows(rows, x, M):
-    """The sparse-row application the generated linear kernels replace."""
-    return tuple(sum(c * x[j] for j, c in row) % M for row in rows)
+    """The sparse-row application the generated linear kernels replace,
+    with no modulus when M is None."""
+    sums = (sum(c * x[j] for j, c in row) for row in rows)
+    return tuple(sums if M is None else (t % M for t in sums))
 
 
 def _theta_formula(space):
@@ -433,19 +435,23 @@ def _theta_formula(space):
     return lambda m: left * m.transpose() * right
 
 
-@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("N", [None, 1, 2])
 @pytest.mark.parametrize("family", sorted(STDS))
 def test_compiled_linear_kernels_match_their_sparse_rows(family, N):
-    # star and theta, generated from sparse rows, on random tuples
-    space = STDS[family].space.truncated(N)
-    M = space.ring.modulus
+    # star and theta, generated from sparse rows, on random tuples; the
+    # exact space (N = None) on integers with no modulus
+    space = STDS[family].space
+    if N is not None:
+        space = space.truncated(N)
+    M = None if N is None else space.ring.modulus
     D = len(identity_comps(space))
-    rng = make_rng(N)
+    rng = make_rng(N or 0)
     theta_rows = _sparse_rows(space, _theta_formula(space))
     if space.has_form:
         star_rows = _star_rows(space)
     for _ in range(100):
-        x = tuple(rng.randrange(M) for _ in range(D))
+        x = tuple(rng.randrange(-50, 50) if M is None else rng.randrange(M)
+                  for _ in range(D))
         assert theta_kernel(space)(x) == _apply_rows(theta_rows, x, M)
         if not space.has_form:
             continue

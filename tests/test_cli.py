@@ -215,8 +215,8 @@ def test_markdown_format(capsys):
      "2, 0; 0, 1"],
     ["decompose", "--family", "symplectic", "--precision", "2",  # 3x3 base
      "1, 0, 0; 0, 1, 0; 0, 0, 1"],
-    ["verify", "--family", "hermitian", "--dim", "3",            # sp at n = 3
-     "--suite", "finite-dual"],
+    ["verify", "--family", "hermitian", "--suite", "all",        # level = N
+     "--decompose-precision", "1"],
     ["finite-dual", "--family", "o+", "--dim", "3"],             # n = 2 only
     ["verify", "--suite", "decompose", "--cosets", "0"],         # no cosets
     ["verify", "--cosets", "-1"],

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from simdual import decomposition
-from simdual.cayley import Members
+from simdual.cayley import Members, linear_kernel
 from simdual.decomposition import (DecompositionError, _carried_check,
                                    cayley_image_members, coset_set, decompose,
                                    find_conjugator_mod, verify_piece)
@@ -79,16 +79,19 @@ def test_conjugator_solver_matches_defining_equations():
 
 
 @pytest.mark.parametrize("k", [0, 1, 16])
-def test_conjugator_cap_counts_the_candidates_tested(k):
+def test_conjugator_cap_counts_the_candidates_tested(monkeypatch, k):
     # the first conjugator of 2, 0; 0, 1 mod 9 is candidate 18 of 81
     st = SYMPL.truncated(2)
     a = certify_group(st, Mat(st.ring, [[2, 0], [0, 1]]))
+    monkeypatch.setattr(decomposition, "CONJUGATOR_BUDGET", k)
     with pytest.raises(ConjugatorNotFound) as err:
-        find_conjugator_mod(a, max_candidates=k)
+        find_conjugator_mod(a)
     assert err.value.tried == k
     assert f"({k} candidates tried)" in str(err.value)
-    assert find_conjugator_mod(a, max_candidates=18).mat == \
-        find_conjugator_mod(a).mat
+    monkeypatch.setattr(decomposition, "CONJUGATOR_BUDGET", 18)
+    x = find_conjugator_mod(a).mat
+    monkeypatch.undo()
+    assert x == find_conjugator_mod(a).mat
 
 
 def test_conjugator_theta_fixed_fast_path():
@@ -100,9 +103,9 @@ def test_conjugator_theta_fixed_fast_path():
 def _counting_solver(monkeypatch):
     calls = []
 
-    def counted(a, **kwargs):
+    def counted(a):
         calls.append(a.mat.key())
-        return find_conjugator_mod(a, **kwargs)
+        return find_conjugator_mod(a)
     monkeypatch.setattr(decomposition, "find_conjugator_mod", counted)
     return calls
 
@@ -132,7 +135,7 @@ def test_general_path_pinned_witness_and_solves(monkeypatch, family, ext,
 def test_carried_conjugators_are_rechecked(monkeypatch):
     # a solver that returns the identity for a non-theta-fixed member is
     # caught when its conjugator is carried to the next member of the orbit
-    def identity_solver(a, **kwargs):
+    def identity_solver(a):
         return GroupElem(a.space, a.space.identity(), a.space.ring.one)
     monkeypatch.setattr(decomposition, "find_conjugator_mod", identity_solver)
     C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
@@ -141,10 +144,11 @@ def test_carried_conjugators_are_rechecked(monkeypatch):
         decompose(C, STD)
 
 
-def test_failing_solve_names_the_first_member():
+def test_failing_solve_names_the_first_member(monkeypatch):
     C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
+    monkeypatch.setattr(decomposition, "CONJUGATOR_BUDGET", 0)
     with pytest.raises(ConjugatorNotFound) as err:
-        decompose(C, STD, max_candidates=0)
+        decompose(C, STD)
     assert C.members[0].mat.to_text() in str(err.value)
 
 
@@ -219,13 +223,18 @@ def test_coset_and_piece_pinned_digest(family, ext, base, N, digest):
 
 
 def test_cayley_images_certify_every_x():
-    # a corrupted coordinate matrix puts X outside the Lie algebra; each
+    # a corrupted coordinate map puts X outside the Lie algebra; each
     # space keeps its K, so the corrupted build runs on a fresh space
     def fresh():
         return standard_lattices(standard_space(HERMITIAN, 2, Ring(3, INERT)))
     assert len(cayley_image_members(fresh(), 1, 2)) == 243
     std = fresh()
-    std.gu_coords._M[2][0] += 1
+    coords = std.gu_coords
+    rows = [row[:] for row in coords._M]
+    rows[2][0] += 1
+    coords.numerators = linear_kernel(
+        [[(j, a) for j, a in enumerate(row) if a] for row in rows], None,
+        width=coords.m)
     with pytest.raises(MembershipError, match="not in the similitude Lie"):
         cayley_image_members(std, 1, 2)
 
@@ -271,8 +280,8 @@ def test_decompose_rechecks_the_witness(monkeypatch):
     C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
     monkeypatch.setattr(
         decomposition, "_orbit_conjugators",
-        lambda C, std, max_candidates: GroupElem(C.space, C.space.identity(),
-                                                 C.space.ring.one))
+        lambda C, std: GroupElem(C.space, C.space.identity(),
+                                 C.space.ring.one))
     with pytest.raises(DecompositionError, match="witness fails"):
         decompose(C, STD)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from simdual import finite
 from simdual.cayley import product_kernel
 from simdual.finite import (FiniteGroupError, _verify_table, build_group,
                             conjugacy_classes, verify_class_inversion)
@@ -160,11 +161,13 @@ def test_class_sizes_divide_order():
         assert table.order % row.size == 0
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(finite, "SCAN_BUDGET", 10**6)
     with pytest.raises(SolveBudgetError):
-        build_group("gl", 3, 5, scan_budget=10**6)
+        build_group("gl", 3, 5)
+    monkeypatch.setattr(finite, "ORDER_BUDGET", 10)
     with pytest.raises(SolveBudgetError, match="group order exceeds 10$"):
-        build_group("sp", 2, 3, order_budget=10)
+        build_group("sp", 2, 3)
 
 
 def test_survey_script_skips_groups_over_the_scan_budget(capsys):

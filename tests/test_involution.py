@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from simdual.cayley import DomainError, cayley
+from simdual import decomposition
 from simdual.decomposition import find_conjugator_mod
 from simdual.finite import OMINUS, OPLUS, finite_space
 from simdual.involution import (AntiUnitaryError, ConjugatorNotFound,
@@ -89,17 +90,19 @@ def test_pinned_conjugator_general_linear():
     assert x.mat == Mat(GL_F3.ring, [[0, 1], [1, 0]])
 
 
-def test_theta_fixed_gets_identity_conjugator():
+def test_theta_fixed_gets_identity_conjugator(monkeypatch):
     a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 2]]))
     assert is_theta_fixed(a)
-    x = find_conjugator_mod(a, max_candidates=0)
+    monkeypatch.setattr(decomposition, "CONJUGATOR_BUDGET", 0)
+    x = find_conjugator_mod(a)
     assert x.mat == SYMPL_F3.identity()
 
 
-def test_conjugator_exhaustion_raises():
+def test_conjugator_exhaustion_raises(monkeypatch):
     a = certify_group(SYMPL_F3, Mat(SYMPL_F3.ring, [[2, 0], [0, 1]]))
+    monkeypatch.setattr(decomposition, "CONJUGATOR_BUDGET", 0)
     with pytest.raises(ConjugatorNotFound) as info:
-        find_conjugator_mod(a, max_candidates=0)
+        find_conjugator_mod(a)
     assert info.value.tried == 0
 
 

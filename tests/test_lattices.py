@@ -15,7 +15,7 @@ from simdual import lattices, modsolve
 from simdual.cayley import (comps_key, identity_comps, multiplier_predicate,
                             product_kernel, star_kernel)
 from simdual.lattices import (LatticeBasis, LatticeError, LieCoords,
-                              _check_h_stable, _hnf, ad_operator,
+                              Operator, _check_h_stable, _hnf, ad_operator,
                               check_cayley_level, congruence_members,
                               lattice_of_x, standard_lattices)
 from simdual.matrices import Mat, components_per_scalar
@@ -23,9 +23,9 @@ from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
-                            SKEW_HERMITIAN, SYMPLECTIC, certify_group,
-                            certify_lie, similitude_multiplier,
-                            standard_space)
+                            SKEW_HERMITIAN, SYMPLECTIC, MembershipError,
+                            certify_group, certify_lie,
+                            similitude_multiplier, standard_space)
 
 SYMPL = standard_space(SYMPLECTIC, 2, Ring(3, SPLIT))
 STD = standard_lattices(SYMPL)
@@ -579,6 +579,18 @@ FIVE_FAMILIES = [(ORTHOGONAL, SPLIT), (SYMPLECTIC, SPLIT), (HERMITIAN, INERT),
                  (SKEW_HERMITIAN, INERT), (GENERAL_LINEAR, SPLIT)]
 
 
+def _operator_matrix(coords, f) -> Operator:
+    """The operator X -> f(X) in the coordinates ``coords``: f in Mat
+    arithmetic on each decoded basis matrix, and its image in
+    coordinates by ``to_coords``."""
+    ring, n = coords.space.ring, coords.space.n
+    cols = [coords.to_coords(f(Mat.from_components(ring, n, B)))
+            for B in coords._basis_comps]
+    den = math.lcm(*(x.denominator for col in cols for x in col))
+    return Operator.from_columns(
+        [[int(x * den) for x in col] for col in cols], den)
+
+
 @pytest.mark.parametrize("family, ext", FIVE_FAMILIES)
 def test_ad_operator_is_the_operator_matrix(family, ext):
     std = standard_lattices(standard_space(family, 2, Ring(3, ext)))
@@ -588,7 +600,7 @@ def test_ad_operator_is_the_operator_matrix(family, ext):
             x = sample_group(std, rng).mat
             xinv = x.inv()
             assert ad_operator(coords, x) \
-                == coords.operator_matrix(lambda B: x * B * xinv)
+                == _operator_matrix(coords, lambda B: x * B * xinv)
 
 
 @pytest.mark.parametrize("family, ext", FIVE_FAMILIES)
@@ -599,7 +611,8 @@ def test_lattice_of_x_is_the_meet_by_inverses(family, ext):
     for _ in range(15):
         x = sample_group(std, rng, factors=3).mat
         xinv = x.inv()
-        image = base.transform(coords.operator_matrix(lambda B: xinv * B * x))
+        image = base.transform(_operator_matrix(coords,
+                                                lambda B: xinv * B * x))
         assert lattice_of_x(coords, x) == _meet_by_inverses(image, base)
 
 
@@ -616,11 +629,63 @@ def test_lattice_of_x_is_the_meet_of_the_image(family, ext, n):
 
 
 def test_coordinate_solver_rejects_matrices_outside_the_lie_algebra():
-    # the integer solver checks M c = den t, so an off-algebra matrix, or a
-    # conjugation by a non-similitude, raises instead of being projected
+    # the read-off coordinates are checked against M c = t, so an
+    # off-algebra matrix, or a conjugation by a non-similitude, raises
+    # instead of being projected
     std = standard_lattices(standard_space(ORTHOGONAL, 2, Ring(3, SPLIT)))
     ring = std.space.ring
     with pytest.raises(LatticeError, match="not in the Lie algebra"):
         std.gu_coords.to_coords(Mat(ring, [[0, 1], [0, 0]]))
     with pytest.raises(LatticeError, match="not in the Lie algebra"):
         ad_operator(std.gu_coords, Mat(ring, [[1, 1], [0, 1]]))
+
+
+# -- coordinates read off the Smith basis -------------------------------
+
+
+@pytest.mark.parametrize("family, ext", FIVE_FAMILIES)
+def test_read_off_coordinates_round_trip(family, ext):
+    # every family, n <= 6, p = 3, 5, 7 and both algebras; the symplectic
+    # similitude algebras read alpha for one coordinate
+    rng = make_rng(29)
+    reads_alpha = 0
+    for n, p in itertools.product(range(1, 7), (3, 5, 7)):
+        if family == SYMPLECTIC and n % 2:
+            continue
+        space = standard_space(family, n, Ring(p, ext))
+        for coords in (LieCoords(space), LieCoords(space, isometry=True)):
+            reads_alpha += coords._alpha_of is not None
+            for _ in range(3):
+                c = [rng.randint(-50, 50) for _ in range(coords.m)]
+                assert coords._coords(coords.numerators(c), 1) == (c, 1)
+    assert reads_alpha == (9 if family == SYMPLECTIC else 0)
+
+
+def test_a_non_member_raises_through_the_alpha_entry():
+    # gsp_4 reads alpha for one coordinate: a matrix with X + X* not a
+    # scalar fails the alpha certificate; sp_4 reads no alpha, and the
+    # identity (alpha = 2) fails the check M c = t
+    space = standard_space(SYMPLECTIC, 4, Ring(3, SPLIT))
+    std = standard_lattices(space)
+    assert std.gu_coords._alpha_of is not None
+    assert std.u_coords._alpha_of is None
+    e12 = Mat.from_components(space.ring, 4, [int(i == 1) for i in range(16)])
+    with pytest.raises(LatticeError, match="not in the Lie algebra") as err:
+        std.gu_coords.to_coords(e12)
+    assert isinstance(err.value.__context__, MembershipError)
+    one = Mat.identity(space.ring, 4)
+    assert std.gu_coords.from_coords(std.gu_coords.to_coords(one)) == one
+    with pytest.raises(LatticeError, match="not in the Lie algebra") as err:
+        std.u_coords.to_coords(one)
+    assert err.value.__context__ is None
+
+
+def test_a_basis_without_read_entries_raises_at_construction(monkeypatch):
+    # a unimodular basis of gl_2 whose first two vectors share both of
+    # their nonzero entries reads no entry of its own
+    space = standard_space(GENERAL_LINEAR, 2, Ring(3, SPLIT))
+    assert LieCoords(space)._reads == [0, 1, 2, 3]
+    monkeypatch.setattr(LieCoords, "_kernel_vectors", lambda self, iso: [
+        [1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(LatticeError, match="reads no entry of its own"):
+        LieCoords(space)

@@ -136,10 +136,15 @@ PINNED_COORDS = {
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lie_coordinates_match_the_pinned_digest(family):
-    std = standard_lattices(standard_space(family, 2, Ring(3, _ext(family))))
-    data = [[[B.to_text() for B in coords.basis],
-             [_scalar(a) for a in coords.alphas]]
-            for coords in (std.gu_coords, std.u_coords)]
+    # the basis columns decoded, each with its alpha from certify_lie
+    space = standard_space(family, 2, Ring(3, _ext(family)))
+    std = standard_lattices(space)
+    data = []
+    for coords in (std.gu_coords, std.u_coords):
+        basis = [Mat.from_components(space.ring, 2, B)
+                 for B in coords._basis_comps]
+        data.append([[B.to_text() for B in basis],
+                     [_scalar(certify_lie(space, B).alpha) for B in basis]])
     assert _digest(data) == PINNED_COORDS[family]
 
 

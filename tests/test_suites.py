@@ -8,7 +8,8 @@ import pytest
 from simdual import finite, suites
 from simdual.report import FAIL, FINDING, PASS
 from simdual.spaces import FAMILIES
-from simdual.suites import SuiteConfig, replay_check, run_suite
+from simdual.suites import (ALL_SUITES, ConfigError, SuiteConfig,
+                            replay_check, run_suite)
 
 
 def _replay(row):
@@ -86,6 +87,31 @@ def test_a_bug_is_not_a_fail_row(monkeypatch):
                               decompose_precision=2, suites=("decompose",)))
 
 
+def test_a_bad_decompose_precision_is_rejected_before_any_suite(monkeypatch):
+    def unreachable(space):
+        raise AssertionError("a suite ran before the config was checked")
+    monkeypatch.setattr(suites, "standard_lattices", unreachable)
+    with pytest.raises(ConfigError, match="decompose precision"):
+        run_suite(SuiteConfig(family="hermitian", suites=ALL_SUITES,
+                              decompose_precision=1))
+
+
+# order and class count of the similitude group over F_3 that the
+# finite-dual suite of each p-adic family builds at n = 2
+P_ADIC_FINITE_GROUPS = {"orthogonal": (16, 7), "symplectic": (48, 8),
+                        "hermitian": (192, 32), "skew-hermitian": (192, 32),
+                        "general-linear": (48, 8)}
+
+
+@pytest.mark.parametrize("family", list(P_ADIC_FINITE_GROUPS))
+def test_the_finite_dual_suite_of_a_p_adic_family_builds_its_group(family):
+    rep = run_suite(SuiteConfig(family=family, suites=("finite-dual",)))
+    order, classes = P_ADIC_FINITE_GROUPS[family]
+    assert rep.rows[0].detail == {"order": order, "classes": classes}
+    assert all(row.status == PASS for row in rep.rows)
+    assert rep.rows[-1].detail == {"passing": classes, "classes": classes}
+
+
 def test_a_finite_group_over_the_scan_budget_is_one_fail_row():
     # sp(4, 3) scans 3^16 matrices, over the default budget of 10^7;
     # the scan stops before its first matrix
@@ -93,4 +119,10 @@ def test_a_finite_group_over_the_scan_budget_is_one_fail_row():
                                 suites=("finite-dual",)))
     assert [(row.name, row.status, row.detail) for row in rep.rows] == [
         ("finite-build", FAIL, {"error": "enumeration of 43046721 residues "
+                                         "exceeds budget 10000000"})]
+    # the unitary similitude group of a hermitian run at n = 3 scans 9^9
+    rep = run_suite(SuiteConfig(family="hermitian", n=3,
+                                suites=("finite-dual",)))
+    assert [(row.name, row.status, row.detail) for row in rep.rows] == [
+        ("finite-build", FAIL, {"error": "enumeration of 387420489 residues "
                                          "exceeds budget 10000000"})]
