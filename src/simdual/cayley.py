@@ -256,23 +256,14 @@ def linear_system(D: int, f) -> tuple[list, list]:
     return [list(row) for row in zip(*cols)], [-c for c in const]
 
 
-def matrix_system(space: Space, f) -> tuple[list, list]:
-    """``linear_system`` of a map ``f`` from n x n matrices to a tuple of
-    n x n matrices, on components (the layout of ``Mat.components``,
-    one block per matrix of the tuple, stacked)."""
-    def on_components(v):
-        out = []
-        for m in f(Mat.from_components(space.ring, space.n, v)):
-            out += m.components()
-        return out
-    return linear_system(
-        space.n * space.n * components_per_scalar(space.ring), on_components)
-
-
 def _sparse_rows(space: Space, f) -> list:
     """The F-linear map ``f`` on matrices as sparse rows on components:
-    row i lists the pairs (j, c) with component i of f(e_j) equal to c."""
-    A, _ = matrix_system(space, lambda m: (f(m),))
+    row i lists the pairs (j, c) with component i of f(e_j) equal to c,
+    from ``linear_system`` on components (the layout of
+    ``Mat.components``)."""
+    A, _ = linear_system(
+        space.n * space.n * components_per_scalar(space.ring),
+        lambda v: f(Mat.from_components(space.ring, space.n, v)).components())
     return [[(j, c) for j, c in enumerate(row) if c] for row in A]
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from .cayley import (Members, identity_comps, multiplier_predicate,
                      product_kernel, theta_kernel)
 from .involution import enumerate_matrices, iota_group
-from .matrices import Mat, components_per_scalar, matrix_inverse_kernel
+from .matrices import Mat, matrix_inverse_kernel
 from .modsolve import SolveBudgetError
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
@@ -110,13 +110,6 @@ def finite_space(family: str, n: int, q: int) -> tuple[Space, bool]:
         ring = Ring(q, SPLIT, 1)
         return standard_space(GENERAL_LINEAR, n, ring), True
     raise FiniteGroupError(f"unknown finite family {family!r}")
-
-
-def scan_size(family: str, n: int, q: int) -> int:
-    """How many matrices ``build_group`` scans for the group."""
-    space, _ = finite_space(family, n, q)
-    d = components_per_scalar(space.ring)
-    return (q**d) ** (n * n)
 
 
 @dataclass

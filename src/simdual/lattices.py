@@ -9,8 +9,9 @@ equality is literal equality of normal forms.  A basis is held on
 integers: its columns as integer tuples over one power of p, the least
 that clears every denominator.  An operator on Lie coordinates is an
 integer matrix over one positive denominator in lowest terms.  The Lie
-coordinates are read off the kernel basis of ``cayley.lie_system`` from
-one Smith form, with no solver: each is a component of X, or alpha(X).
+coordinates are read off the integer kernel basis of ``cayley.lie_system``
+from the one column reduction of ``modsolve``, with no solver: each is a
+component of X.
 The Hermite form, L(x) as the kernel of Ad(x) mod a power of p (one
 chain-ring solve, no duals), the image of a basis under an operator and
 the conjugation operators all run on Python integers, and no scalar of the
@@ -35,11 +36,11 @@ from operator import ne
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      lie_alpha_kernel, lie_system, linear_kernel,
-                     matrix_system, multiplier_predicate, product_kernel,
-                     star_kernel, theta_kernel)
-from .matrices import Mat, components_per_scalar
+                     multiplier_predicate, product_kernel, star_kernel,
+                     theta_kernel)
+from .matrices import Mat, components_per_scalar, det_norm_kernel
 from .scalars import Scalar, val_int
-from .spaces import MembershipError, Space
+from .spaces import Space
 
 
 class LatticeError(ValueError):
@@ -147,10 +148,10 @@ class LieCoords:
     The basis, held as integer columns, spans the standard Lie lattice
     (integral matrices inside the algebra) over o_F, so the standard
     lattice is the identity basis in these coordinates.  Each basis
-    vector of (X, alpha) is 1 on the entry it reads, where every other
-    vector is 0: each coordinate of X is one of its components, or
-    alpha(X).  ``numerators`` is the one map from coordinates to
-    components, a generated linear kernel.
+    vector is 1 on the component of X it reads, where every other vector
+    is 0: each coordinate of X is one of its components.  ``numerators``
+    is the one map from coordinates to components, a generated linear
+    kernel.
     """
 
     def __init__(self, space: Space, isometry: bool = False):
@@ -160,15 +161,21 @@ class LieCoords:
         self.m0 = space.n * space.n * components_per_scalar(space.ring)
         vectors = self._kernel_vectors(isometry)
         self.m = len(vectors)
-        # the entry each vector reads: 1 there, and 0 in every other vector
-        support = [sum(map(bool, entry)) for entry in zip(*vectors)]
-        self._reads = [next((i for i, a in enumerate(vec)
-                             if a == 1 and support[i] == 1), None)
-                       for vec in vectors]
-        if None in self._reads:
-            raise LatticeError("a basis vector reads no entry of its own")
-        self._alpha_of = (lie_alpha_kernel(space) if self.m0 in self._reads
-                          else None)
+        # each vector reads its first +-1 entry of X, made 1 and cleared
+        # from every other vector
+        self._reads = []
+        for vec in vectors:
+            i = next((i for i, a in enumerate(vec[:self.m0]) if abs(a) == 1),
+                     None)
+            if i is None:
+                raise LatticeError("a basis vector reads no entry of its own")
+            if vec[i] < 0:
+                vec[:] = [-a for a in vec]
+            for other in vectors:
+                if other is not vec and other[i]:
+                    q = other[i]
+                    other[:] = [a - q * b for a, b in zip(other, vec)]
+            self._reads.append(i)
         self._basis_comps = [tuple(vec[:self.m0]) for vec in vectors]
         self._M = [[col[i] for col in self._basis_comps]
                    for i in range(self.m0)]
@@ -179,46 +186,40 @@ class LieCoords:
             None, width=self.m)
 
     def _kernel_vectors(self, isometry: bool) -> list:
-        """The integer kernel of ``cayley.lie_system`` (without its alpha
-        column for the isometry algebra): the columns past the rank of V
-        in one Smith form U E V = D; the identity without a form."""
+        """The integer kernel of the Lie system E (``cayley.lie_system``,
+        without its alpha column for the isometry algebra): the I-parts of
+        the columns of [E; I] whose E-part is zero in its one column
+        reduction over Z; the identity without a form."""
         space = self.space
         if not space.has_form:
             return modsolve._identity(self.m0)
         E = [_over_one_denominator(row[:-1] if isometry else row)[0]
              for row in lie_system(space)]
-        _, D, V = modsolve.smith(E)
-        rank = sum(1 for i in range(min(len(D), len(V))) if D[i][i])
-        return [[row[j] for row in V] for j in range(rank, len(V))]
+        r, k = len(E), len(E[0])
+        cols = [[row[j] for row in E] + [int(i == j) for i in range(k)]
+                for j in range(k)]
+        return [col[r:] for col in modsolve.subgroup_basis(cols, r + k, 0)
+                if not any(col[:r])]
 
-    def _coords(self, flat, den: int) -> tuple[list, int]:
-        """The coordinates of X, the integer components ``flat`` over
-        ``den``, as integers over one denominator: the entries the basis
-        reads (alpha(X) den for alpha), checked to give X (LatticeError)."""
-        entries, k = tuple(flat), 1
-        if self._alpha_of is not None:
-            try:
-                alpha = self._alpha_of(entries)
-            except MembershipError:
-                raise LatticeError("matrix is not in the Lie algebra") \
-                    from None
-            k = alpha.denominator    # a Fraction where star has one
-            entries = tuple(x * k for x in entries) + (alpha.numerator,)
-        c = [entries[i] for i in self._reads]
-        if self.numerators(c) != entries[:self.m0]:
+    def _coords(self, flat) -> list:
+        """The coordinates of X with the integer components ``flat``
+        (numerators over a denominator give coordinates over the same):
+        the entries the basis reads, checked to give X (LatticeError)."""
+        c = [flat[i] for i in self._reads]
+        if self.numerators(c) != tuple(flat):
             raise LatticeError("matrix is not in the Lie algebra")
-        return c, den * k
+        return c
 
     def _columns(self, images) -> tuple[list, int]:
         """The coordinates of each (integer components, denominator) pair
         of ``images``, as integer columns over one denominator."""
-        cols = [self._coords(flat, den) for flat, den in images]
+        cols = [(self._coords(flat), den) for flat, den in images]
         den = math.lcm(*(d for _, d in cols))
         return [[x * (den // d) for x in c] for c, d in cols], den
 
     def to_coords(self, X: Mat):
-        c, den = self._coords(*X.numerators())
-        return [Fraction(x, den) for x in c]
+        flat, den = X.numerators()
+        return [Fraction(x, den) for x in self._coords(flat)]
 
     def from_coords(self, c) -> Mat:
         nums, den = _over_one_denominator(c)
@@ -282,13 +283,13 @@ def standard_lattices(space: Space) -> StandardLattices:
 
 
 def _check_h_stable(space: Space):
-    # h acts on each column of a matrix M by v -> H tau(v), so the standard
-    # lattice of V is h-stable exactly when the integral matrices are
-    # stable under M -> H tau(M)
-    A, _ = matrix_system(space, lambda m: (space.H * m.tau(),))
-    D = len(A)
-    img_lat = LatticeBasis.from_columns(space.ring.p, D, zip(*A))
-    if img_lat != LatticeBasis.standard(space.ring.p, D):
+    # h acts on each column of a matrix M by v -> H tau(v), and tau keeps
+    # the integral matrices, so the standard lattice of V is h-stable
+    # exactly when H M_n(o_E) = M_n(o_E): when H is in GL_n(o_E), integral
+    # with det(H) tau(det H) a unit
+    p = space.ring.p
+    nums, den = space.H.numerators()
+    if not den % p or not det_norm_kernel(space.ring, space.n)(nums) % p:
         raise LatticeError("standard lattice is not stable under h")
 
 

@@ -1,6 +1,6 @@
-"""Integer linear algebra mod p^N: one elimination for affine solves,
-Smith normal form over Z, column Hermite reduction, and the one budgeted
-enumeration of residue tuples.
+"""Integer linear algebra mod p^N: one elimination for affine solves, one
+column Hermite reduction, and the one budgeted enumeration of residue
+tuples.
 
 Every affine solve mod p^N eliminates over the chain ring Z/p^N
 (``_chain_solution``): every entry is p^v times a unit, so pivoting on
@@ -21,8 +21,8 @@ its budget raises ``SolveBudgetError``.
 
 The column reduction ``subgroup_basis`` is the one triangularization of
 integer columns: it gives the kernel bases of the affine solves and, over
-Z, the Hermite forms of ``lattices``.  ``smith`` serves only the Lie
-basis of ``lattices``, whose coordinates are read off its kernel.
+Z, the Hermite forms of ``lattices`` and the integer kernel of the Lie
+system, read off the reduction of [E; I] (Cohen, GTM 138, 2.4).
 
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 (at most a few dozen rows), so the classical algorithms are plenty.
@@ -52,66 +52,6 @@ def residues(count, modulus, limit):
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith(A):
-    """Smith diagonalization: returns (U, D, V) with U A V = D diagonal,
-    U and V unimodular over Z.  No divisibility chain is enforced."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [row[:] for row in A]
-    U = _identity(m)
-    V = _identity(n)
-    t = 0
-    while t < min(m, n):
-        # pick pivot of minimal absolute value in the trailing block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            D[t], D[i0] = D[i0], D[t]
-            U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            for row in D:
-                row[t], row[j0] = row[j0], row[t]
-            for row in V:
-                row[t], row[j0] = row[j0], row[t]
-        # eliminate row t and column t
-        dirty = False
-        for i in range(t + 1, m):
-            if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                if q:
-                    for j in range(n):
-                        D[i][j] -= q * D[t][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[t][j]
-                if D[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                if q:
-                    for i in range(m):
-                        D[i][j] -= q * D[i][t]
-                    for i in range(n):
-                        V[i][j] -= q * V[i][t]
-                if D[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        if D[t][t] < 0:
-            for j in range(n):
-                D[t][j] = -D[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        t += 1
-    return U, D, V
 
 
 def _chain_solution(A, b, p, N):

@@ -121,7 +121,13 @@ def test_finite_dual_subcommand(tmp_path):
     data = json.loads(out.read_text())
     names = [r["name"] for r in data["rows"]]
     assert "class-inversion-summary" in names
-    assert run(["finite-dual", "--family", "symplectic"]) == 2
+    # a p-adic family gives the report of verify's finite-dual suite
+    sym = tmp_path / "sym.json"
+    assert run(["finite-dual", "--family", "symplectic",
+                "--output", str(sym)]) == 0
+    assert run(["verify", "--family", "symplectic", "--suite", "finite-dual",
+                "--output", str(out)]) == 0
+    assert sym.read_text() == out.read_text()
 
 
 def test_replay_subcommand(tmp_path, capsys):

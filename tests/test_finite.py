@@ -170,18 +170,20 @@ def test_budget_guard(monkeypatch):
         build_group("sp", 2, 3)
 
 
-def test_survey_script_skips_groups_over_the_scan_budget(capsys):
+def test_survey_script_counts_groups_over_the_scan_budget_as_bad(
+        monkeypatch, capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" \
         / "finite_duality_survey.py"
     spec = importlib.util.spec_from_file_location("finite_duality_survey",
                                                   path)
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
-    assert survey.main(["--budget", "1000"]) == 0
+    monkeypatch.setattr(finite, "SCAN_BUDGET", 1000)
+    assert survey.main([]) == 1
     lines = capsys.readouterr().out.splitlines()
-    skipped = [line.split()[0] for line in lines
-               if line.endswith("(skipped: over budget)")]
-    assert skipped == ["u(2,3)", "gu(2,3)", "gl(3,3)"]
+    failed = [line.split()[0] for line in lines
+              if "(build failed: " in line and "exceeds budget 1000" in line]
+    assert failed == ["u(2,3)", "gu(2,3)", "gl(3,3)"]
     assert sum(line.split()[3] == "holds" for line in lines[1:]) == 10
 
 

@@ -16,7 +16,7 @@ from simdual import cayley as cayley_module
 from simdual import modsolve
 from simdual import spaces as spaces_module
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
-                            bucket_domain_images, cayley, cayley_kernel,
+                            bucket_domain_images, cayley_kernel,
                             comps_key, fiber, identity_comps,
                             lie_alpha_kernel, lie_system, linear_system,
                             multiplier_predicate, product_kernel,
@@ -120,15 +120,17 @@ def test_enumerate_lie_matches_the_pinned_digest(family, N):
     assert _digest(keys) == PINNED_LIE_KEYS[family, N]
 
 
+# recorded on the integer kernel basis from the column reduction of
+# [E; I], E the Lie system
 PINNED_COORDS = {
     "orthogonal":
-        "13b760d8ddefca29fa42bfca39ecb2b40d14313eba339006a255a5a142841ed4",
+        "c522d6fe29ffc3606990b78536078d5f2564e59a1c19d50ecc35d20678cb2a52",
     "symplectic":
-        "22a632984683bd41b70326be27409590dad56ff382a0d5c97a3a7c6b6693600c",
+        "8cb236c28d47849ef000bac2b5d382a05990d5cbeab74ecf2280e8fc365a5903",
     "hermitian":
-        "6aba5dbfb564ce131eb9f5da5c88289e6d1e17a889e6dff06a5b2fbe9cdbf9bf",
+        "c414f655ff8d2cf75f4c75214fa6a5b8e70b0c75018b52ec4921911b3ac87819",
     "skew-hermitian":
-        "6aba5dbfb564ce131eb9f5da5c88289e6d1e17a889e6dff06a5b2fbe9cdbf9bf",
+        "c414f655ff8d2cf75f4c75214fa6a5b8e70b0c75018b52ec4921911b3ac87819",
     "general-linear":
         "2af5d3b4d7c297f794c96ad4417ea5100c46d503999e4082aedd6d14f0150f56",
 }
@@ -182,9 +184,9 @@ def test_conjugator_system_matches_the_pinned_digest(family, N, text):
 
 
 PINNED_BRANCH_SYSTEMS = {
-    (SYMPLECTIC, (1, 0, 0, 0)):
+    (SYMPLECTIC, "1, 7; 0, 1"):
         "634a5d3c64673acce597dc4470244ff46b490d10e8df79ce5da03ad239b5ac17",
-    (HERMITIAN, (1, 0, 1, 0, 3)):
+    (HERMITIAN, "1+2*s, 8+5*s; 1+4*s, 2+1*s"):
         "a21ba122be38c214f97b56dc8045ff73a9c36d9162b003ff7349bf98718139b2",
 }
 
@@ -258,19 +260,18 @@ def _singular_branches(space, x, written):
                for lam in _lambdas(space, x))
 
 
-@pytest.mark.parametrize("family, coords", list(PINNED_BRANCH_SYSTEMS))
-def test_fiber_branch_systems_match_the_pinned_digest(written, family,
-                                                      coords):
+@pytest.mark.parametrize("family, text", [
+    pytest.param(*key, id=key[0]) for key in PINNED_BRANCH_SYSTEMS])
+def test_fiber_branch_systems_match_the_pinned_digest(written, family, text):
     # the probed (A, b) of both lambda branches, pinned when every branch
     # went to the affine solve; now one branch takes the closed form
-    space = standard_space(family, 2, Ring(3, _ext(family)))
-    X = standard_lattices(space).gu_coords.from_coords(coords).reduce(2)
-    g = cayley(certify_lie(space.truncated(2), X))
+    space = standard_space(family, 2, Ring(3, _ext(family), 2))
+    g = certify_group(space, parse_matrix(space.ring, text))
     x = tuple(g.mat.components())
     probed = [_probed_branch_system(g.space, x, lam)
               for lam in _lambdas(g.space, x)]
     assert _digest([[A, b] for A, b in probed]) == \
-        PINNED_BRANCH_SYSTEMS[family, coords]
+        PINNED_BRANCH_SYSTEMS[family, text]
     assert fiber(g).preimages
     # one symplectic branch is singular; both hermitian ones are units
     assert _singular_branches(g.space, x, written) == (family == SYMPLECTIC)

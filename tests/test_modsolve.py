@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from simdual.decomposition import _conjugator_system
 from simdual.matrices import parse_matrix
 from simdual.modsolve import (SolveBudgetError, _coset_steps, _iter_coset,
-                              iter_affine_mod, residues, smith,
+                              iter_affine_mod, residues,
                               solve_affine_mod, subgroup_basis)
 from simdual.scalars import INERT, Ring
 from simdual.spaces import HERMITIAN, certify_group, standard_space
@@ -26,17 +26,6 @@ def brute_force(A, b, p, N):
                for i in range(len(A))):
             out.append(tuple(x))
     return out
-
-
-def test_smith_factorization():
-    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    U, D, V = smith(A)
-    # U A V == D
-    import numpy as np
-    assert (np.array(U) @ np.array(A) @ np.array(V) == np.array(D)).all()
-    assert all(D[i][j] == 0 for i in range(3) for j in range(3) if i != j)
-    assert round(abs(np.linalg.det(np.array(U)))) == 1
-    assert round(abs(np.linalg.det(np.array(V)))) == 1
 
 
 def test_solve_matches_brute_force():

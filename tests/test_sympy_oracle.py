@@ -1,6 +1,7 @@
-"""sympy as an independent oracle for three kernels: the Smith form of
-``modsolve``, the split inverse mod p^N of ``matrices`` and the exact split
-inverse of ``Mat``.  Skipped where sympy is not installed."""
+"""sympy as an independent oracle for three kernels: the integer kernel
+basis of the Lie systems in ``lattices``, the split inverse mod p^N of
+``matrices`` and the exact split inverse of ``Mat``.  Skipped where sympy
+is not installed."""
 
 import math
 import random
@@ -8,37 +9,60 @@ from fractions import Fraction
 
 import pytest
 
+from simdual.cayley import lie_alpha_kernel, lie_system
+from simdual.lattices import LieCoords
 from simdual.matrices import Mat, NotInvertibleError, matrix_inverse_kernel
-from simdual.modsolve import smith
-from simdual.scalars import SPLIT, Ring
+from simdual.scalars import INERT, SPLIT, Ring
+from simdual.spaces import (FAMILIES, HERMITIAN, SKEW_HERMITIAN, SYMPLECTIC,
+                            standard_space, validate_space)
 
 sympy = pytest.importorskip("sympy")
-normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
 
-def _chain(diag):
-    """The invariant factors of a diagonal matrix: gcd and lcm pushed
-    along until each entry divides the next, zeros last."""
-    d = [abs(x) for x in diag]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
-    return d
+def _lie_spaces():
+    """The five families at n <= 4 (symplectic at 2 and 4), p = 3, 5, and
+    three orthogonal forms off the standard models at p = 3."""
+    out = []
+    for family in FAMILIES:
+        ext = INERT if family in (HERMITIAN, SKEW_HERMITIAN) else SPLIT
+        for n in ((2, 4) if family == SYMPLECTIC else (1, 2, 3, 4)):
+            out += [pytest.param(standard_space(family, n, Ring(p, ext)),
+                                 id=f"{family}-{n}-{p}") for p in (3, 5)]
+    ring = Ring(3, SPLIT)
+    return out + [pytest.param(validate_space(
+        Mat(ring, J), +1, ring, H=Mat.identity(ring, 2)), id=name)
+        for J, name in (([[1, 0], [0, 3]], "diag-1-3"),
+                        ([[1, 0], [0, 2]], "diag-1-2"),
+                        ([[2, 1], [1, 1]], "dense-J"))]
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_smith_invariant_factors_match_sympy(seed):
-    rng = random.Random(seed)
-    m, n = rng.randint(1, 4), rng.randint(1, 4)
-    A = [[rng.choice([0, 0, 1, -2, 3, 6, 9, -27, 14]) for _ in range(n)]
-         for _ in range(m)]
-    U, D, V = smith(A)
-    assert sympy.Matrix(U) * sympy.Matrix(A) * sympy.Matrix(V) \
-        == sympy.Matrix(D)
-    assert abs(sympy.Matrix(U).det()) == abs(sympy.Matrix(V).det()) == 1
-    want = normalforms.invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)
-    assert _chain([D[i][i] for i in range(min(m, n))]) == \
-        [abs(int(x)) for x in want]
+@pytest.mark.parametrize("space", _lie_spaces())
+def test_lie_kernel_basis_matches_sympy(space):
+    # each basis vector (X, alpha) is an integer kernel vector of the Lie
+    # system, there are as many as sympy's nullity, and the entries they
+    # read form an identity minor: an integer kernel vector w is then
+    # the sum of w[read] times its vector, so the basis spans the whole
+    # integer kernel; the general-linear system has no rows and no alpha
+    for isometry in (False, True):
+        coords = LieCoords(space, isometry)
+        if space.has_form:
+            E = sympy.Matrix([[sympy.Rational(Fraction(a))
+                               for a in (row[:-1] if isometry else row)]
+                              for row in lie_system(space)])
+        else:
+            E = sympy.zeros(0, coords.m0)
+        vectors = []
+        for B in coords._basis_comps:
+            v = list(B)
+            if E.cols > len(v):
+                alpha = Fraction(lie_alpha_kernel(space)(B))
+                assert alpha.denominator == 1
+                v.append(int(alpha))
+            assert E * sympy.Matrix(v) == sympy.zeros(E.rows, 1)
+            vectors.append(v)
+        assert len(vectors) == E.cols - E.rank()
+        assert [[v[i] for v in vectors] for i in coords._reads] == \
+            [[int(i == j) for j in range(coords.m)] for i in range(coords.m)]
 
 
 @pytest.mark.parametrize("p, N, n", [(3, 1, 2), (3, 2, 3), (5, 2, 2),
