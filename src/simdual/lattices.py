@@ -10,14 +10,15 @@ integers: its columns as integer tuples over one power of p, the least
 that clears every denominator.  An operator on Lie coordinates is an
 integer matrix over one positive denominator in lowest terms.  The Lie
 coordinates are read off the integer kernel basis of ``cayley.lie_system``
-from the one column reduction of ``modsolve``, with no solver: each is a
-component of X.
-The Hermite form, L(x) as the kernel of Ad(x) mod a power of p (one
-chain-ring solve, no duals), the image of a basis under an operator and
-the conjugation operators all run on Python integers, and no scalar of the
+with no solver: each is a component of X.  Every kernel here is read off
+the one column reduction of ``modsolve`` (``_affine_solution``): the Lie
+kernel over Z, L(x) as the kernel of Ad(x) mod a power of p (no duals),
+and the kernel of ``lie_system`` mod p that the congruence lift walks.
+The Hermite form, the image of a basis under an operator and the
+conjugation operators all run on Python integers, and no scalar of the
 split field is built for a basis or an operator.  Nothing scans residues:
 the congruence subgroup is lifted from the identity one p-adic digit at a
-time in closed form, on one elimination of ``lie_system`` mod p, and
+time in closed form, on one reduction of ``lie_system`` mod p, and
 ``level_images`` is the one enumeration of c(p^k L) mod p^N, for the level
 check (one sorted list) and the subgroup K of ``decomposition``.  The
 o_E-structure of the vector-space lattice is tracked through the choice of
@@ -39,7 +40,7 @@ from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      multiplier_predicate, product_kernel, star_kernel,
                      theta_kernel)
 from .matrices import Mat, components_per_scalar, det_norm_kernel
-from .scalars import Scalar, val_int
+from .scalars import val_int
 from .spaces import Space
 
 
@@ -48,12 +49,10 @@ class LatticeError(ValueError):
 
 
 def _over_one_denominator(xs) -> tuple[list[int], int]:
-    """(numerators, den): the rationals ``xs`` (ints, Fractions or scalars
-    of the split field) as integers over one common denominator den > 0."""
-    pairs = [(x.x, x.d) if isinstance(x, Scalar)
-             else (x.numerator, x.denominator) for x in xs]
-    den = math.lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
+    """(numerators, den): the rationals ``xs`` (ints or Fractions) as
+    integers over one common denominator den > 0."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _hnf(p: int, dim: int, cols, den: int) -> tuple[tuple, int]:
@@ -120,13 +119,6 @@ class LatticeBasis:
     den: int
 
     @staticmethod
-    def from_columns(p: int, dim: int, cols) -> "LatticeBasis":
-        """The lattice spanned by the rational columns ``cols``."""
-        flat, den = _over_one_denominator([x for col in cols for x in col])
-        return LatticeBasis(p, dim, *_hnf(
-            p, dim, [flat[i:i + dim] for i in range(0, len(flat), dim)], den))
-
-    @staticmethod
     def standard(p: int, dim: int) -> "LatticeBasis":
         return LatticeBasis(p, dim, tuple(
             tuple(int(i == j) for i in range(dim)) for j in range(dim)), 1)
@@ -186,20 +178,16 @@ class LieCoords:
             None, width=self.m)
 
     def _kernel_vectors(self, isometry: bool) -> list:
-        """The integer kernel of the Lie system E (``cayley.lie_system``,
-        without its alpha column for the isometry algebra): the I-parts of
-        the columns of [E; I] whose E-part is zero in its one column
-        reduction over Z; the identity without a form."""
+        """The integer kernel basis of the Lie system E
+        (``cayley.lie_system``, without its alpha column for the isometry
+        algebra), from the one column reduction over Z; the identity
+        without a form."""
         space = self.space
         if not space.has_form:
             return modsolve._identity(self.m0)
         E = [_over_one_denominator(row[:-1] if isometry else row)[0]
              for row in lie_system(space)]
-        r, k = len(E), len(E[0])
-        cols = [[row[j] for row in E] + [int(i == j) for i in range(k)]
-                for j in range(k)]
-        return [col[r:] for col in modsolve.subgroup_basis(cols, r + k, 0)
-                if not any(col[:r])]
+        return modsolve._affine_solution(E, [0] * len(E), 0)[1]
 
     def _coords(self, flat) -> list:
         """The coordinates of X with the integer components ``flat``
@@ -319,16 +307,16 @@ def ad_operator(coords: LieCoords, x: Mat) -> Operator:
 def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
     """Ad(x^-1) L meet L = {Y in L : Ad(x) Y in L}, L the standard lattice:
     with Ad(x) = C / d in lowest terms and e = v_p(d), the integer Y with
-    C Y = 0 mod p^e, one chain-ring kernel basis (which holds p^e Z^m, and
-    is not empty, as det Ad(x) = +-1) in one Hermite form."""
+    C Y = 0 mod p^e: the span of the square kernel basis mod p^e, whose
+    pivot product is the index of that lattice, in one Hermite form."""
     p, m = coords.space.ring.p, coords.m
     cols, den = _conjugation(coords, x, x.inv())
     g = math.gcd(den, *(a for col in cols for a in col))
     e = val_int(den // g, p)
     if not e:
         return coords.standard_lattice()
-    basis = modsolve._chain_solution(
-        [[a // g for a in row] for row in zip(*cols)], [0] * m, p, e)[1]
+    basis = modsolve._affine_solution(
+        [[a // g for a in row] for row in zip(*cols)], [0] * m, p**e)[1]
     return LatticeBasis(p, m, *_hnf(p, m, basis, 1))
 
 
@@ -376,8 +364,8 @@ def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
     D = len(ident)
     if space.has_form:
         # the Z part of each kernel column (Z, nu): Z = 0 forces nu = 0
-        basis = [col[:D] for col in modsolve._chain_solution(
-            lie_system(space.truncated(1)), [0] * D, p, 1)[1]]
+        basis = [col[:D] for col in modsolve._affine_solution(
+            lie_system(space.truncated(1)), [0] * D, p)[1]]
         mul, star_of = product_kernel(space_t), star_kernel(space_t)
         half = (p + 1) // 2
 

@@ -1,13 +1,19 @@
-"""Integer linear algebra mod p^N: one elimination for affine solves, one
-column Hermite reduction, and the one budgeted enumeration of residue
-tuples.
+"""Integer linear algebra mod p^N and over Z: one column reduction for
+every kernel, affine solve and Hermite form, and the one budgeted
+enumeration of residue tuples.
 
-Every affine solve mod p^N eliminates over the chain ring Z/p^N
-(``_chain_solution``): every entry is p^v times a unit, so pivoting on
-the least p-valuation clears each column with exact quotients, with no
-Euclid loop and no augmented columns, and every integer stays below p^N
-(Storjohann, *Algorithms for Matrix Canonical Forms*, ETH 2000; Cohen,
-GTM 138, 2.4).
+The column reduction ``subgroup_basis`` is the one triangularization of
+integer columns.  Over Z it gcd-reduces each row, and gives the Hermite
+forms of ``lattices``.  Mod p^N every entry is p^v times a unit, so each
+row pivots on an entry of least valuation and clears the others with
+exact quotients, with no Euclid loop, every integer below p^N
+(Storjohann, *Algorithms for Matrix Canonical Forms*, ETH 2000).  Every
+kernel and affine solve is read off one reduction of [A, -b; 0, 1; I, 0]
+(``_affine_solution``): the columns that vanish on the rows of A are the
+(t, x) with A x = t b, so t = 1 gives a solution and t = 0 the triangular
+kernel basis (Cohen, GTM 138, 2.4).  It serves the affine solves, the
+intersection lattices and the congruence lift mod p^e, and, over Z, the
+integer kernel of the Lie system.
 
 Every coset is walked by the one odometer ``_iter_coset``: x0 plus every
 combination of the triangular kernel basis, first column slowest, adding
@@ -18,11 +24,6 @@ one fixed vector per step.  ``iter_affine_mod`` yields it lazily,
 modulus: the matrix scans of ``involution`` and ``cayley`` and the
 coordinate vectors of ``lattices`` run on it.  Every enumeration over
 its budget raises ``SolveBudgetError``.
-
-The column reduction ``subgroup_basis`` is the one triangularization of
-integer columns: it gives the kernel bases of the affine solves and, over
-Z, the Hermite forms of ``lattices`` and the integer kernel of the Lie
-system, read off the reduction of [E; I] (Cohen, GTM 138, 2.4).
 
 Matrices are plain lists of lists of Python ints.  Sizes here are tiny
 (at most a few dozen rows), so the classical algorithms are plenty.
@@ -54,83 +55,21 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _chain_solution(A, b, p, N):
-    """Particular solution and kernel basis of A x = b mod M = p^N, or
-    None, by one elimination over the chain ring Z/M.
-
-    Each step takes a pivot of least p-valuation v in the trailing block
-    and scales its row to make the pivot p^v.  Every entry of its column
-    and row then has valuation >= v, so row operations (applied to b too)
-    clear the column and column operations (recorded in V) clear the row,
-    each with the exact quotient entry // p^v.  This gives D = U A V
-    diagonal with U and V invertible mod M, and A x = b becomes
-    p^v y_t = c_t on the pivots and 0 = c_i past the rank.  Returns
-    (x0, basis, k, M) with x0 = V y0 and ``basis`` the lower-triangular
-    column basis (``subgroup_basis``) of the kernel, which the generators
-    V p^(N-v) e_t (v > 0) and V e_t (t a free column) span with M Z^k.
-    """
-    M = p**N
-    m = len(A)
-    k = len(A[0]) if m else 0
-    D = [[a % M for a in row] for row in A]
-    c = [v % M for v in b]
-    V = [[int(i == j) for i in range(k)] for j in range(k)]  # columns
-    pivots = []                     # p^v of each pivot, in order
-    for t in range(min(m, k)):
-        best, piv = N, None
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, k):
-                a = row[j]
-                if a:
-                    v = 0
-                    while a % p == 0:
-                        a //= p
-                        v += 1
-                    if v < best:
-                        best, piv = v, (i, j)
-                        if not v:
-                            break
-            if not best:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        D[t], D[i0] = D[i0], D[t]
-        c[t], c[i0] = c[i0], c[t]
-        if j0 != t:
-            for row in D[t:]:
-                row[t], row[j0] = row[j0], row[t]
-            V[t], V[j0] = V[j0], V[t]
-        pv = p**best
-        row = D[t]
-        f = pow(row[t] // pv, -1, M)
-        row = D[t] = [a * f % M for a in row]
-        ct = c[t] = c[t] * f % M
-        for i in range(t + 1, m):
-            q = D[i][t] // pv
-            if q:
-                D[i] = [(a - q * e) % M for a, e in zip(D[i], row)]
-                c[i] = (c[i] - q * ct) % M
-        # the pivot row is not read again, so only V records the column
-        # operations that clear it
-        vt = V[t]
-        for j in range(t + 1, k):
-            q = row[j] // pv
-            if q:
-                V[j] = [(a - q * e) % M for a, e in zip(V[j], vt)]
-        pivots.append(pv)
-    r = len(pivots)
-    if any(c[r:]) or any(ct % pv for ct, pv in zip(c, pivots)):
-        return None
-    x0 = [0] * k
-    for ct, pv, col in zip(c, pivots, V):
-        y = ct // pv
-        if y:
-            x0 = [(a + y * e) % M for a, e in zip(x0, col)]
-    gens = [[a * (M // pv) for a in col]
-            for pv, col in zip(pivots, V) if pv > 1] + V[r:]
-    return tuple(x0), subgroup_basis(gens, k, M) if gens else [], k, M
+def _affine_solution(A, b, M):
+    """(x0, basis) for A x = b mod M (M = 0: over Z): x0 a solution, None
+    when there is none, and ``basis`` the triangular basis of the kernel,
+    read off one column reduction (``subgroup_basis``) of
+    [A, -b; 0, 1; I, 0].  Its columns that vanish on the rows of A are
+    the (t, x) with A x = t b: the one whose leading entry t is 1 gives
+    x0, and the ones with t = 0 give the kernel basis."""
+    r, k = len(A), len(A[0])
+    cols = [[row[j] for row in A] + [0] + [int(i == j) for i in range(k)]
+            for j in range(k)]
+    cols.append([-v for v in b] + [1] + [0] * k)
+    found = [col for col in subgroup_basis(cols, r + 1 + k, M)
+             if not any(col[:r])]
+    x0 = next((tuple(col[r + 1:]) for col in found if col[r] == 1), None)
+    return x0, [col[r + 1:] for col in found if not col[r]]
 
 
 def solve_affine_mod(A, b, p, N, limit=10**6):
@@ -139,29 +78,77 @@ def solve_affine_mod(A, b, p, N, limit=10**6):
     Returns a (possibly empty) sorted list of tuples; raises
     SolveBudgetError if the solution set exceeds ``limit``.
     """
-    data = _chain_solution(A, b, p, N)
-    return [] if data is None else _enumerate_coset(*data, limit)
+    M = p**N
+    x0, basis = _affine_solution(A, b, M)
+    return [] if x0 is None else _enumerate_coset(x0, basis, len(x0), M,
+                                                  limit)
 
 
 def iter_affine_mod(A, b, p, N):
     """Yield the solutions of A x = b mod p^N lazily.
 
     The order is deterministic (fixed traversal of the triangular kernel
-    basis of ``_chain_solution``) but not globally sorted; intended for
+    basis of ``_affine_solution``) but not globally sorted; intended for
     first-hit searches.
     """
-    data = _chain_solution(A, b, p, N)
-    if data is not None:
-        yield from _iter_coset(*data)
+    M = p**N
+    x0, basis = _affine_solution(A, b, M)
+    if x0 is not None:
+        yield from _iter_coset(x0, basis, len(x0), M)
 
 
 def subgroup_basis(gens, k, M):
     """Lower-triangular basis (list of columns) of the subgroup of (Z/M)^k
     generated by ``gens`` together with M Z^k; M = 0 means over Z.  The
     columns have their first nonzero entries at increasing rows, and those
-    entries are positive."""
-    cols = [g[:] for g in gens] + [[M if i == j else 0 for i in range(k)]
-                                   for j in range(k) if M]
+    entries are positive.
+
+    Over Z each row is gcd-reduced across the columns.  Mod M = p^N every
+    entry is p^v times a unit, so each row pivots on an entry a of least
+    gcd(a, M), its column scaled by a unit to make the pivot that gcd g,
+    which clears the row from every other column with exact quotients;
+    (M / g) times the pivot column is 0 on the row and joins the
+    generators of the later rows.  A row with no pivot gets the column
+    M e_row, so the basis is square, with a power of p dividing M on its
+    diagonal and every entry below it in [0, M).
+    """
+    if not M:
+        return _hermite_columns(gens, k)
+    cols = [[a % M for a in g] for g in gens]
+    basis = []
+    for row in range(k):
+        least, g = None, M
+        for c in cols:
+            if c[row]:
+                d = math.gcd(c[row], M)
+                if d < g:
+                    least, g = c, d
+                    if d == 1:
+                        break
+        if least is None:
+            basis.append([0] * k)
+            basis[-1][row] = M
+            continue
+        unit = pow(least[row] // g, -1, M)
+        pivot = [a * unit % M for a in least]
+        rest = []
+        for c in cols:
+            if c is least:
+                continue
+            q = c[row] // g
+            if q:
+                c = [(a - q * e) % M for a, e in zip(c, pivot)]
+            rest.append(c)
+        if g > 1:
+            rest.append([a * (M // g) % M for a in pivot])
+        cols = rest
+        basis.append(pivot)
+    return basis
+
+
+def _hermite_columns(gens, k):
+    """``subgroup_basis`` over Z."""
+    cols = [g[:] for g in gens]
     basis = []
     row = 0
     while row < k and cols:

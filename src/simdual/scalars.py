@@ -374,9 +374,6 @@ class Scalar:
             return Scalar(self.ring, self.x, -self.y, self.d)
         return Scalar(self.ring, self.x, -self.y % m, 1)
 
-    def is_in_base(self) -> bool:
-        return self.y == 0
-
     # -- valuation and integrality ------------------------------------
 
     def val(self):

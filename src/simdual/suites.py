@@ -109,6 +109,8 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError("samples must be >= 1")
     if cfg.cosets < 1:
         raise ConfigError("cosets must be >= 1")
+    if not cfg.suites:
+        raise ConfigError("no suite to run")
     for s in cfg.suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}")

@@ -86,7 +86,7 @@ DECOMPOSE_PINS = {
     ("symplectic", "8, 6; 7, 2"):
         "e5c2c5b91ad3a4817ac7b9e53836b08a18222fbbf0b3bf87b9fea4a9edce5707",
     ("hermitian", "1+8*s, 5+7*s; 4+2*s, 7+5*s"):
-        "d9645851e9b38e77ea248aefb8091713c81d5f07719ddeb06d2542c74a6cf915",
+        "9d77e50b09d70eab3dd4343b4e349083a19d3ab60eefc316b758879e09429039",
 }
 
 
@@ -167,6 +167,8 @@ def test_validate_config():
         validate_config(SuiteConfig(samples=0))
     with pytest.raises(ConfigError):
         validate_config(SuiteConfig(suites=("bogus",)))
+    with pytest.raises(ConfigError, match="no suite"):
+        validate_config(SuiteConfig(suites=()))
     with pytest.raises(ConfigError):
         validate_config(SuiteConfig(family="sp"))   # finite tag, p-adic suite
     validate_config(SuiteConfig(family="sp", suites=("finite-dual",)))
@@ -247,11 +249,13 @@ def test_markdown_format(capsys):
                            "payload": {"family": "symplectic", "n": 2,
                                        "p": 3, "level": 2, "precision": 2,
                                        "b": "1, 0; 0, 1"}})],
+    ["verify", "--config", "NO_SUITES"],                          # nothing
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
-    budget = tmp_path / "budget.cfg"
-    budget.write_text("budget = 10\n")
-    args = [str(budget) if a == "BUDGET_10" else a for a in args]
+    configs = {"BUDGET_10": "budget = 10\n", "NO_SUITES": "suites =\n"}
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in configs else a for a in args]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -15,13 +15,15 @@ from simdual import lattices, modsolve
 from simdual.cayley import (comps_key, identity_comps, multiplier_predicate,
                             product_kernel, star_kernel)
 from simdual.lattices import (LatticeBasis, LatticeError, LieCoords,
-                              Operator, _check_h_stable, _hnf, ad_operator,
+                              Operator, _check_h_stable, _hnf,
+                              _over_one_denominator, ad_operator,
                               check_cayley_level, congruence_members,
                               lattice_of_x, standard_lattices)
 from simdual.matrices import Mat, components_per_scalar
 from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
-from simdual.scalars import INERT, SPLIT, Ring, val_fraction, val_int
+from simdual.scalars import (INERT, SPLIT, Ring, Scalar, val_fraction,
+                             val_int)
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC,
                             certify_group, certify_lie,
@@ -47,6 +49,15 @@ def _cols(lat: LatticeBasis) -> tuple:
     ring = _field(lat.p)
     return tuple(tuple(ring.ratio(x, 0, lat.den) for x in col)
                  for col in lat.nums)
+
+
+def _from_columns(p: int, dim: int, cols) -> LatticeBasis:
+    """The lattice spanned by the columns ``cols`` of ints, Fractions or
+    split-field scalars."""
+    flat, den = _over_one_denominator([x.a if isinstance(x, Scalar) else x
+                                       for col in cols for x in col])
+    return LatticeBasis(p, dim, *_hnf(
+        p, dim, [flat[i:i + dim] for i in range(0, len(flat), dim)], den))
 
 
 def _rows(op) -> tuple:
@@ -116,12 +127,12 @@ def _congruence_scan(space, k, N):
 
 def hnf_columns(p, dim, cols):
     """The Hermite form of the span of ``cols``, as split-field scalars."""
-    return _cols(LatticeBasis.from_columns(p, dim, cols))
+    return _cols(_from_columns(p, dim, cols))
 
 
 def _times_p(lat):
     """p * lat, from the scaled basis columns."""
-    return LatticeBasis.from_columns(
+    return _from_columns(
         lat.p, lat.dim, [[lat.p * x for x in c] for c in _cols(lat)])
 
 
@@ -190,9 +201,9 @@ def test_hnf_properties(p, dim, data):
 
 
 def test_lattice_equality_is_basis_independent():
-    a = LatticeBasis.from_columns(3, 2, [[1, 0], [0, 1]])
-    b = LatticeBasis.from_columns(3, 2, [[1, 1], [2, 1], [0, 3]])
-    pa = LatticeBasis.from_columns(3, 2, [[3, 0], [0, 3]])
+    a = _from_columns(3, 2, [[1, 0], [0, 1]])
+    b = _from_columns(3, 2, [[1, 1], [2, 1], [0, 3]])
+    pa = _from_columns(3, 2, [[3, 0], [0, 3]])
     assert a == b
     assert pa == _times_p(a)
     assert pa != a
@@ -242,7 +253,7 @@ def test_lattice_of_x_pinned_diag_1_3():
     # a vector is in lx exactly when adding it as a column leaves lx
     # unchanged
     def contains(v):
-        return LatticeBasis.from_columns(lx.p, lx.dim, [*_cols(lx), v]) == lx
+        return _from_columns(lx.p, lx.dim, [*_cols(lx), v]) == lx
 
     # the upper-right matrix coordinate is forced into 3 o_F
     e12 = STD.gu_coords.to_coords(Mat(SYMPL.ring, [[0, 1], [0, 0]]))
@@ -458,12 +469,12 @@ def test_congruence_lift_eliminates_once(monkeypatch, family, k, N):
     coords = standard_lattices(
         standard_space(family, 2, Ring(3, ext))).gu_coords
     calls = []
-    solve = modsolve._chain_solution
+    solve = modsolve._affine_solution
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
-    monkeypatch.setattr(modsolve, "_chain_solution", counted)
+    monkeypatch.setattr(modsolve, "_affine_solution", counted)
     members = congruence_members(coords, k, N, 10**6)
     assert len(members) == 3**(coords.m * (N - k))
     assert len(calls) == 1
@@ -556,9 +567,9 @@ def _inverse_rows(lat):
 def _meet_by_inverses(a, b):
     """a meet b as the dual of the sum of the duals, each dual the rows
     of a Mat.inv."""
-    sum_dual = LatticeBasis.from_columns(
+    sum_dual = _from_columns(
         a.p, a.dim, _inverse_rows(a) + _inverse_rows(b))
-    return LatticeBasis.from_columns(a.p, a.dim, _inverse_rows(sum_dual))
+    return _from_columns(a.p, a.dim, _inverse_rows(sum_dual))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -571,7 +582,7 @@ def test_integer_dual_is_the_inverse_rows(p):
                  for _ in range(dim)] for _ in range(dim + rng.randint(0, 2))]
         if not Mat(Ring(p), list(zip(*cols[:dim]))).is_invertible():
             continue
-        lat = LatticeBasis.from_columns(p, dim, cols)
+        lat = _from_columns(p, dim, cols)
         rows, den = _dual_rows(lat.nums, lat.den)
         assert [[Fraction(x, den) for x in row] for row in rows] \
             == [[x.a for x in row] for row in _inverse_rows(lat)]

@@ -67,6 +67,9 @@ def product_coset(x0, basis, k, M):
 def test_odometer_walks_the_coset_in_product_order(seed):
     # random triangular bases mod 3^N and 5^N with at most 3000 coset
     # members, some columns of step 1 (leading entry M), some bases empty
+    # (M / g) times a pivot column of gcd g joins the later rows: the
+    # multiple 3 (3, 1) = (0, 3) of the generator below is in the span
+    assert subgroup_basis([[3, 1]], 2, 9) == [[3, 1], [0, 3]]
     rng = random.Random(seed)
     tried = 0
     while tried < 40:
@@ -81,6 +84,49 @@ def test_odometer_walks_the_coset_in_product_order(seed):
         x0 = tuple(rng.randrange(M) for _ in range(k))
         assert list(_iter_coset(x0, basis, k, M)) == \
             product_coset(x0, basis, k, M)
+
+
+def _closure(gens, k, M):
+    """The subgroup of (Z/M)^k generated by ``gens``, by adding generators
+    from 0 until nothing new appears."""
+    members, frontier = {(0,) * k}, [(0,) * k]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((a + e) % M for a, e in zip(v, g))
+            if w not in members:
+                members.add(w)
+                frontier.append(w)
+    return members
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subgroup_basis_mod_pn_spans_the_generated_subgroup(seed):
+    # random generator sets mod 3^N and 5^N (N <= 3, k <= 5, at most 6561
+    # residue vectors), some empty, with entries of every valuation
+    # (M / g) times a pivot column of gcd g joins the later rows: the
+    # multiple 3 (3, 1) = (0, 3) of the generator below is in the span
+    assert subgroup_basis([[3, 1]], 2, 9) == [[3, 1], [0, 3]]
+    rng = random.Random(seed)
+    tried = 0
+    while tried < 40:
+        p, N, k = rng.choice([3, 5]), rng.randint(1, 3), rng.randint(1, 5)
+        M = p**N
+        if M**k > 6561:
+            continue
+        tried += 1
+        gens = [[rng.randrange(M) * p**rng.randint(0, N - 1)
+                 for _ in range(k)] for _ in range(rng.randint(0, 4))]
+        basis = subgroup_basis(gens, k, M)
+        leads = [next(i for i, a in enumerate(col) if a) for col in basis]
+        assert all(i < j for i, j in zip(leads, leads[1:]))
+        assert leads == list(range(k))         # square: one column a row
+        # each leading entry a power of p dividing M
+        assert all(col[i] in [p**v for v in range(N + 1)]
+                   for col, i in zip(basis, leads))
+        walk = list(_iter_coset((0,) * k, basis, k, M))
+        assert len(walk) == len(set(walk))
+        assert set(walk) == _closure(gens, k, M)
 
 
 def test_kernel_mod():
@@ -188,7 +234,7 @@ def test_budget_error_exactly_past_the_count(system):
 
 def test_iter_order_of_a_conjugator_system_is_pinned():
     # the first 20 candidates of the conjugator search on the hermitian
-    # general-path member below, in the order of the chain-ring kernel
+    # general-path member below, in the order of the triangular kernel
     # basis: the first hit of this order is a reported witness
     space = standard_space(HERMITIAN, 2, Ring(3, INERT, 2))
     a = certify_group(space, parse_matrix(

@@ -134,7 +134,7 @@ def scalar_multiplier(space, g):
     if not space.has_form:
         return ring.one if g.is_invertible() else None
     mu = (g * star(space, g)).scalar_part()
-    if mu is None or not mu.is_in_base():
+    if mu is None or mu.y != 0:
         return None
     return mu if (bool(mu) if ring.exact else mu.is_unit()) else None
 
@@ -261,7 +261,7 @@ def lie_alpha_oracle(space, X):
     if not space.has_form:
         return ring.zero
     alpha = (X + star(space, X)).scalar_part()
-    if alpha is None or not alpha.is_in_base():
+    if alpha is None or alpha.y != 0:
         return None
     return alpha
 
