@@ -15,11 +15,14 @@ fiber of g is the single point g - 1.
 
 The work runs on integer component tuples (the layout of
 ``Mat.components``) through generated straight-line code: the one
-inverse mod p^N, of ``matrices`` (A q^-1 with g A = q 1), and kernels
-derived once per space and kept in ``space.memo``, the product and the
-F-linear maps star and theta, probed on unit vectors and compiled from
-their sparse rows, and no iota or scaled-inverse kernel: iota is the
-theta kernel on the inverse.  ``linear_system`` is the one writer of integer
+product and the one inverse mod p^N of ``matrices`` (A q^-1 with
+g A = q 1), and kernels derived once per space and kept in
+``space.memo``, among them the F-linear maps star and theta, probed on
+unit vectors from their definitions in ``Mat`` products
+(``_star_definition``, ``_theta_definition``) and compiled from their
+sparse rows.  ``spaces.star`` and ``involution.theta_mat`` run these two
+kernels; there is no iota or scaled-inverse kernel: iota is the theta
+kernel on the inverse.  ``linear_system`` is the one writer of integer
 systems: every probe, and the Lie system (X, alpha) -> X + X* - alpha 1
 (``lie_system``), probed once per space on the star kernel.  The alpha
 certificate compiles its rows, and ``spaces.lie_alpha`` runs it on
@@ -49,10 +52,10 @@ from dataclasses import dataclass, field
 
 from .matrices import (Mat, NotInvertibleError, _adjugate_code, _generated,
                        _unpack, components_per_scalar, det_norm_kernel,
-                       matrix_inverse_kernel)
+                       matrix_inverse_kernel, product_kernel)
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
-                     certify_lie, star)
+                     certify_lie)
 
 UNIQUE_LAMBDA = "unique-lambda"
 TWO_PREIMAGES = "two-preimages"
@@ -286,10 +289,24 @@ def identity_comps(space: Space) -> tuple:
     return tuple(space.identity().numerators()[0])
 
 
+def _star_definition(space: Space, a: Mat) -> Mat:
+    """star(a) = tau(J^-1 a^T J) in ``Mat`` products, which
+    ``star_kernel`` probes."""
+    return (space.Jinv * a.transpose() * space.J).tau()
+
+
+def _theta_definition(space: Space, g: Mat) -> Mat:
+    """theta(g) = H J^-1 g^T J H^-1 in ``Mat`` products, g^T without a
+    form, which ``theta_kernel`` probes."""
+    if not space.has_form:
+        return g.transpose()
+    return space.H * space.Jinv * g.transpose() * space.J * space.Hinv
+
+
 @_per_space
 def _star_rows(space: Space) -> list:
     """Sparse rows of star, probed once per space."""
-    return _sparse_rows(space, lambda m: star(space, m))
+    return _sparse_rows(space, lambda m: _star_definition(space, m))
 
 
 @_per_space
@@ -337,7 +354,7 @@ def multiplier_predicate(space: Space):
         det = det_norm_kernel(ring, n)
         return lambda x: 1 if det(x) % p else None
 
-    star_of, mul = star_kernel(space), product_kernel(space)
+    star_of, mul = star_kernel(space), product_kernel(ring, n)
     # g star(g) = mu * 1: its n diagonal a-components, every
     # (n + 1) entries apart, equal mu and its other components are zero
     d = components_per_scalar(ring)
@@ -351,43 +368,6 @@ def multiplier_predicate(space: Space):
             return mu
         return None
     return mu_of
-
-
-@_per_space
-def product_kernel(space: Space):
-    """``mul(x, y)``: the components of g h mod p^N, where g and h have
-    components x and y (the layout of ``Mat.components``), for split and
-    inert rings; over an exact space the integer components of the
-    product of the integer matrices x and y, with no modulus.  The
-    product is generated once per space as one straight-line expression
-    over the unpacked components, which runs several times faster than a
-    loop over index lists.
-    """
-    ring = space.ring
-    n = space.n
-    mod = "" if ring.exact else f" % {ring.modulus}"
-    if ring.ext == INERT:
-        def entry(v, i, j):              # (a, b) names of entry (i, j)
-            k = 2 * (i * n + j)
-            return f"{v}{k}", f"{v}{k + 1}"
-        terms = []
-        for i in range(n):
-            for j in range(n):
-                pairs = [(entry("x", i, k), entry("y", k, j))
-                         for k in range(n)]
-                a = " + ".join(f"{xa}*{ya}" for (xa, _), (ya, _) in pairs)
-                u = " + ".join(f"{xb}*{yb}" for (_, xb), (_, yb) in pairs)
-                b = " + ".join(f"{xa}*{yb} + {xb}*{ya}"
-                               for (xa, xb), (ya, yb) in pairs)
-                terms += [f"({a} + {ring.u}*({u})){mod}", f"({b}){mod}"]
-        D = 2 * n * n
-    else:
-        terms = [" + ".join(f"x{i * n + k}*y{k * n + j}" for k in range(n))
-                 for i in range(n) for j in range(n)]
-        terms = [f"({t}){mod}" for t in terms]
-        D = n * n
-    return _generated("x, y", [_unpack("x", D), _unpack("y", D)],
-                      f"({', '.join(terms)},)")
 
 
 def linear_kernel(rows: list, M: int | None, width: int | None = None):
@@ -419,11 +399,11 @@ def star_kernel(space: Space):
 def theta_kernel(space: Space):
     """``theta(x)``: the components of theta(g) mod p^N for the matrix g
     with components x, over an exact space with no modulus, as
-    ``star_kernel``; ``involution.theta_mat`` probed once per space.  On
-    the inverse of g it gives iota(g) = theta(g^-1)."""
-    from .involution import theta_mat   # it loads modsolve
-    return linear_kernel(_sparse_rows(space, lambda m: theta_mat(space, m)),
-                         None if space.ring.exact else space.ring.modulus)
+    ``star_kernel``; theta probed once per space.  On the inverse of g it
+    gives iota(g) = theta(g^-1)."""
+    return linear_kernel(
+        _sparse_rows(space, lambda m: _theta_definition(space, m)),
+        None if space.ring.exact else space.ring.modulus)
 
 
 @_per_space
@@ -522,7 +502,7 @@ def _solve_branch(space: Space, x: tuple, lam: int, t):
     ident = identity_comps(space)
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
-    mul = product_kernel(space)
+    mul = product_kernel(ring, space.n)
     if t is not None:
         X = mul(rhs, t)
         return [X] if all((v + w - e) % M == 0 for v, w, e in zip(
@@ -549,7 +529,8 @@ def _fiber_trunc(g: GroupElem) -> FiberResult:
         return FiberResult(EMPTY)
     x = tuple(g.mat.components())
     ident = identity_comps(space)
-    inv, mul = matrix_inverse_kernel(ring, space.n), product_kernel(space)
+    inv = matrix_inverse_kernel(ring, space.n)
+    mul = product_kernel(ring, space.n)
     alpha_of = lie_alpha_kernel(space)
     found = {}                      # components of X -> (alpha, lambda)
     lambdas = []

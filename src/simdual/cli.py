@@ -173,7 +173,8 @@ def _cmd_verify(args) -> int:
 def _cmd_decompose(args) -> int:
     cfg = _config_from_args(args, SuiteConfig(precision=3))
     cfg = replace(cfg, suites=("decompose",))
-    validate_config(cfg)
+    # the subcommand decomposes at --precision, not decompose_precision
+    validate_config(replace(cfg, decompose_precision=cfg.precision))
     space = build_space(cfg.family, cfg.n, cfg.p)
     try:
         b = square_matrix(space, args.base)

@@ -22,9 +22,9 @@ conjugations suffices; every carried conjugator is re-checked.
 Members are held as integer component tuples mod p^N (the layout of
 ``Mat.components``): the subgroup c(p^l0 Ldot) comes from
 ``lattices.level_images``, as Ldot is the identity basis of the Lie
-coordinates, products, theta and the multiplier from the kernels of
-``cayley``, and inverses from the adjugate kernel
-``matrices.matrix_inverse_kernel``.  ``CosetSet.members`` decodes a
+coordinates, theta and the multiplier from the kernels of ``cayley``,
+and products and inverses from the product and adjugate kernels of
+``matrices``.  ``CosetSet.members`` decodes a
 ``GroupElem`` on access.
 
 The conjugator search exploits that for an isometry x the two conditions
@@ -39,11 +39,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import modsolve
-from .cayley import (Members, linear_system, multiplier_predicate,
-                     product_kernel, theta_kernel)
+from .cayley import Members, linear_system, multiplier_predicate, theta_kernel
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices, level_images
-from .matrices import Mat, matrix_inverse_kernel
+from .matrices import Mat, matrix_inverse_kernel, product_kernel
 from .spaces import GroupElem, Space, certify_group, similitude_multiplier
 
 
@@ -115,7 +114,7 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
     st = space.truncated(N) if space.ring.exact else space
     bt = certify_group(st, b.reduce(N) if b.ring.exact else b)
     subgroup = cayley_image_members(std, l0, N, limit=limit)
-    mul = product_kernel(st)
+    mul = product_kernel(st.ring, st.n)
     bx, mu_b, M = tuple(bt.mat.components()), bt.mu.a, st.ring.modulus
     seen = {}
     for k, mu in zip(subgroup.comps, subgroup.mus):
@@ -137,7 +136,7 @@ def _conjugator_system(space: Space, a: tuple):
     Quadratic conditions (x a unit isometry) are checked per candidate
     afterwards.
     """
-    mul, theta = product_kernel(space), theta_kernel(space)
+    mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
     M = space.ring.modulus
     ta = theta(a)
 
@@ -196,7 +195,7 @@ def _carried_check(space: Space, keys):
     """``failure(a, x)``: the first of the four conditions on a carried
     pair (a', x') = (a, x) that fails, or None: a' in C (``keys``),
     mu(x') = 1, theta(x') = x' and x' a' = theta(a') x'."""
-    mul, theta = product_kernel(space), theta_kernel(space)
+    mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
     mu_of = multiplier_predicate(space)
 
     def failure(a, x):
@@ -222,7 +221,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
     ``_carried_check``.
     """
     space = C.space
-    mul, theta = product_kernel(space), theta_kernel(space)
+    mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
     inv = matrix_inverse_kernel(space.ring, space.n)
     members = C.members
     failure = _carried_check(space, set(members.comps))
@@ -271,7 +270,7 @@ def verify_piece(members: Members, g: GroupElem) -> bool:
     is stored, as a dict of hit flags; g S g^-1 is never held whole."""
     space = g.space
     comps = members.comps
-    mul, theta = product_kernel(space), theta_kernel(space)
+    mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
     gx = tuple(g.mat.components())
     ginv = matrix_inverse_kernel(space.ring, space.n)(gx)
     if ginv is None:                     # a singular g is no witness
@@ -306,7 +305,7 @@ def decompose(C: CosetSet, std: StandardLattices) -> list[Piece]:
         x = _orbit_conjugators(C, std)
     a = members[i]
     M = space.ring.modulus
-    w = product_kernel(space)(
+    w = product_kernel(space.ring, space.n)(
         tuple(x.mat.components()),
         matrix_inverse_kernel(space.ring, space.n)(members.comps[i]))
     mu_w = x.mu.a * pow(members.mus[i], -1, M) % M

@@ -15,7 +15,7 @@ scans every matrix over F_q (F_{q^2} for the unitary families) and keeps
 those with g star(g) = mu * 1, decided by ``cayley.multiplier_predicate``
 (in ``gl``, a unit determinant from the adjugate code of ``matrices``);
 the scan order is the canonical one, so positions follow ``Mat.key()``.
-Products come from ``cayley.product_kernel``.  A greedy generating set S
+Products come from ``matrices.product_kernel``.  A greedy generating set S
 carries one right-multiplication table R_s per generator (R_s[g] =
 position of g s), so subgroup closure and the conjugation orbits
 g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.  Inverses come
@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cayley import (Members, identity_comps, multiplier_predicate,
-                     product_kernel, theta_kernel)
+                     theta_kernel)
 from .involution import enumerate_matrices, iota_group
-from .matrices import Mat, matrix_inverse_kernel
+from .matrices import Mat, matrix_inverse_kernel, product_kernel
 from .modsolve import SolveBudgetError
 from .scalars import INERT, SPLIT, Ring, smallest_nonresidue
 from .spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
@@ -186,7 +186,7 @@ def _generators(space: Space, comps, index):
     The closure first reaches each element k as k = a s, with a reached
     before and s a generator, and sets k^-1 = s^-1 a^-1; only the
     generators are inverted."""
-    mul = product_kernel(space)
+    mul = product_kernel(space.ring, space.n)
     inv_of = matrix_inverse_kernel(space.ring, space.n)
     n = len(comps)
     gens, right, gen_invs = [], [], []
@@ -228,7 +228,7 @@ def _verify_table(table: FiniteGroupTable):
     n = table.order
     comps, iota = table.comps, table.iota
     space = table.space
-    mul = product_kernel(space)
+    mul = product_kernel(space.ring, space.n)
     one = identity_comps(space)
     for x, j in zip(comps, table.inverse):
         if mul(x, comps[j]) != one:
@@ -334,7 +334,7 @@ def _theta_symmetric_conjugator(table: FiniteGroupTable, pos: int) -> int | None
     comps, iota, inverse = table.comps, table.iota, table.inverse
     a = comps[pos]
     theta_a = comps[inverse[iota[pos]]]              # theta = iota^-1
-    mul = product_kernel(table.space)
+    mul = product_kernel(table.space.ring, table.n)
     has_form = table.space.has_form
     for i, h in enumerate(comps):
         if has_form and table.mus[i] != 1:

@@ -5,22 +5,22 @@ The theta-symmetric conjugator search is
 
 The semilinear map h is stored by its matrix H with action v -> H tau(v),
 so h o h has the matrix H tau(H).  One linear map on matrices,
-``theta_mat``(g) = H J^-1 g^T J H^-1 (a sparse entry map of ``spaces``,
-derived once per space, with no inverse), is theta on members, theta on
-the Lie algebra (its differential, ``theta_lie``) and, composed with the
-inverse, iota(g) = theta(g)^-1 = theta(g^-1); ``cayley.theta_kernel``
-probes it.
+``theta_mat``(g) = H J^-1 g^T J H^-1, with no inverse, is theta on
+members and theta on the Lie algebra (its differential, ``theta_lie``);
+it runs ``cayley.theta_kernel``, probed once per space from that
+definition.  iota(g) = theta(g)^-1 = mu(g)^-1 H tau(g) H^-1 is its own
+formula in ``iota_group``, so that it can check the theta kernel.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from .cayley import theta_kernel
 from .matrices import Mat, components_per_scalar
 from .modsolve import residues
 from .scalars import Ring
-from .spaces import (GroupElem, LieElem, Space, SpaceError, _apply_tau,
-                     _entry_map)
+from .spaces import GroupElem, LieElem, Space, SpaceError
 
 
 class AntiUnitaryError(ValueError):
@@ -67,12 +67,13 @@ def _failing_pair(lhs: Mat, target: Mat):
 def theta_mat(space: Space, g: Mat) -> Mat:
     """theta on members as a map on matrices, g -> H J^-1 g^T J H^-1, which
     is mu(g) H tau(g^-1) H^-1 for a member g (g star(g) = mu 1), with no
-    inverse; it is linear in g, and the transpose for general-linear."""
+    inverse; it is linear in g, and the transpose for general-linear.
+    ``cayley.theta_kernel`` on the numerators of g."""
     if not space.has_form:
         return g.transpose()
-    entries = _entry_map(space, "theta", lambda: (
-        space.H * space.Jinv, space.J * space.Hinv))
-    return Mat._make(space.ring, _apply_tau(space, entries, g, conj=False))
+    x, den = g.numerators()
+    return Mat.from_components(space.ring, space.n, theta_kernel(space)(x),
+                               den)
 
 
 def theta_group(g: GroupElem) -> GroupElem:
@@ -81,8 +82,13 @@ def theta_group(g: GroupElem) -> GroupElem:
 
 
 def iota_group(g: GroupElem) -> GroupElem:
-    """iota(g) = theta(g)^-1 = mu(g)^-1 H tau(g) H^-1."""
-    return theta_group(g).inv()
+    """iota(g) = theta(g)^-1 = mu(g)^-1 H tau(g) H^-1, the transpose of
+    g^-1 for general-linear: a formula of its own, not ``theta_mat``, so
+    that ``finite`` can check the theta kernel against it."""
+    space, mu = g.space, g.mu.inv()
+    if not space.has_form:
+        return GroupElem(space, g.mat.inv().transpose(), mu)
+    return GroupElem(space, space.H * g.mat.tau() * space.Hinv * mu, mu)
 
 
 def theta_lie(X: LieElem) -> LieElem:

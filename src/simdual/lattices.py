@@ -37,9 +37,9 @@ from operator import ne
 from . import modsolve
 from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
                      lie_alpha_kernel, lie_system, linear_kernel,
-                     multiplier_predicate, product_kernel, star_kernel,
-                     theta_kernel)
-from .matrices import Mat, components_per_scalar, det_norm_kernel
+                     multiplier_predicate, star_kernel, theta_kernel)
+from .matrices import (Mat, components_per_scalar, det_norm_kernel,
+                       product_kernel)
 from .scalars import val_int
 from .spaces import Space
 
@@ -291,7 +291,7 @@ def _conjugation(coords: LieCoords, x: Mat, xinv: Mat) -> tuple[list, int]:
     ``product_kernel``, and the read-off coordinates are checked against
     each image (LatticeError off the Lie algebra)."""
     space = coords.space
-    prod = product_kernel(space)
+    prod = product_kernel(space.ring, space.n)
     left, dl = x.numerators()
     right, dr = xinv.numerators()
     den = dl * dr
@@ -366,7 +366,8 @@ def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
         # the Z part of each kernel column (Z, nu): Z = 0 forces nu = 0
         basis = [col[:D] for col in modsolve._affine_solution(
             lie_system(space.truncated(1)), [0] * D, p)[1]]
-        mul, star_of = product_kernel(space_t), star_kernel(space_t)
+        mul = product_kernel(space_t.ring, space.n)
+        star_of = star_kernel(space_t)
         half = (p + 1) // 2
 
         def lift(g):               # g - p^j R / 2 mod p^(j+1)

@@ -1,12 +1,16 @@
-"""Small dense matrices over a scalar ring (exact or truncated), their
-integer component codec, and the one generated adjugate that inverts
-them, sized for n <= 4.
+"""Small dense square matrices over a scalar ring (exact or truncated),
+their integer component codec, and the one generated product and the
+one generated adjugate that multiply and invert them, sized for n <= 4.
 
 The codec lays a matrix out row-major, one integer component per entry
 over the split ring and two (a, b of a + b s) over the inert one:
 residues mod p^N, or numerators over one common denominator.  On that
-layout ``_adjugate_code`` generates, once per (n, components per scalar,
-u), A = adj(g) tau(det g) and q = det(g) tau(det g) with g A = q 1 on
+layout ``product_kernel`` generates, once per (ring, n), the product of
+two matrices as one straight-line expression: ``Mat.__mul__`` runs it on
+numerators and decodes over the product of the denominators, and every
+kernel of ``cayley`` and its callers multiplies with it.
+``_adjugate_code`` generates, once per (n, components per scalar, u),
+A = adj(g) tau(det g) and q = det(g) tau(det g) with g A = q 1 on
 integers.  g is invertible exactly when q is regular (nonzero over the
 exact field, a unit mod p^N), and g^-1 = A / q: ``Mat.inv`` and
 ``Mat.is_invertible`` run on it over every ring, and so do the inverse,
@@ -20,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import INERT, Ring, Scalar, dot
+from .scalars import INERT, Ring, Scalar
 
 
 class NotInvertibleError(ValueError):
@@ -60,9 +64,8 @@ class Mat:
         return Mat.diag(ring, [ring.one] * n)
 
     @staticmethod
-    def zeros(ring: Ring, n: int, m: int | None = None) -> "Mat":
-        m = n if m is None else m
-        return Mat._make(ring, ((ring.zero,) * m,) * n)
+    def zeros(ring: Ring, n: int) -> "Mat":
+        return Mat._make(ring, ((ring.zero,) * n,) * n)
 
     @staticmethod
     def diag(ring: Ring, entries) -> "Mat":
@@ -131,12 +134,14 @@ class Mat:
                                          for r in self.rows))
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.ncols != other.nrows or \
+        n = self.nrows
+        if not n == self.ncols == other.nrows == other.ncols or \
                 (ring is not other.ring and ring != other.ring):
             raise ValueError("incompatible matrix product")
-        cols = tuple(zip(*other.rows))
-        return Mat._make(ring, tuple(tuple(dot(ring, r, c) for c in cols)
-                                     for r in self.rows))
+        x, dx = self.numerators()
+        y, dy = other.numerators()
+        return Mat.from_components(ring, n, product_kernel(ring, n)(x, y),
+                                   dx * dy)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -225,16 +230,12 @@ class Mat:
     def numerators(self) -> tuple[list[int], int]:
         """The components, in the layout of ``components``, as integer
         numerators over one common denominator: (numerators, denominator)."""
-        inert = self.ring.ext == INERT
         entries = [x for row in self.rows for x in row]
-        den = math.lcm(*(x.d for x in entries))
-        out = []
-        for x in entries:
-            f = den // x.d
-            out.append(x.x * f)
-            if inert:
-                out.append(x.y * f)
-        return out, den
+        den = math.lcm(*[x.d for x in entries])
+        if self.ring.ext == INERT:
+            return [v * (den // x.d) for x in entries for v in (x.x, x.y)], \
+                den
+        return [x.x * (den // x.d) for x in entries], den
 
     @staticmethod
     def from_components(ring: Ring, n: int, comps, den: int = 1) -> "Mat":
@@ -335,6 +336,32 @@ def matrix_inverse_kernel(ring: Ring, n: int):
         f"q = {q}", f"if q % {p} == 0:", "    return None",
         f"f = pow(q, -1, {M})"],
         "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
+
+
+@functools.cache
+def product_kernel(ring: Ring, n: int):
+    """``mul(x, y)``: the components of g h for the n x n matrices g and h
+    over ``ring`` with components x and y, residues mod p^N; over the
+    exact field the integer components of the product of the integer
+    matrices x and y, with no modulus.  Generated once per (ring, n) as
+    one straight-line expression over the unpacked components, which
+    runs several times faster than a loop over index lists; ``Mat``
+    products run it on numerators."""
+    d = components_per_scalar(ring)
+    mod = "" if ring.exact else f" % {ring.modulus}"
+    terms = []
+    for i, j in itertools.product(range(n), repeat=2):
+        pairs = [(d * (i * n + k), d * (k * n + j)) for k in range(n)]
+        first = " + ".join(f"x{a}*y{b}" for a, b in pairs)
+        if d == 1:
+            terms.append(first)
+            continue
+        u = " + ".join(f"x{a + 1}*y{b + 1}" for a, b in pairs)
+        terms += [f"{first} + {ring.u}*({u})", " + ".join(
+            f"x{a}*y{b + 1} + x{a + 1}*y{b}" for a, b in pairs)]
+    D = d * n * n
+    return _generated("x, y", [_unpack("x", D), _unpack("y", D)],
+                      f"({', '.join(f'({t}){mod}' for t in terms)},)")
 
 
 @functools.cache

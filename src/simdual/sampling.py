@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 
 from .cayley import (cayley, cayley_kernel, identity_comps, in_domain,
-                     lie_alpha_kernel, product_kernel)
+                     lie_alpha_kernel)
 from .involution import theta_group
 from .lattices import StandardLattices
-from .matrices import Mat
+from .matrices import Mat, product_kernel
 from .spaces import GroupElem, LieElem, certify_group, certify_lie
 
 
@@ -86,6 +86,7 @@ def sample_group(std: StandardLattices, rng: random.Random,
     space = std.space
     coords = std.u_coords if isometry else std.gu_coords
     alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
+    mul = product_kernel(space.ring, space.n)
     nums, den = identity_comps(space), 1
     for _ in range(factors):
         for v, d in _draws(coords, rng):     # rejected as by in_domain
@@ -95,7 +96,7 @@ def sample_group(std: StandardLattices, rng: random.Random,
             image = c([e * k for e in x], a.numerator, d * k)
             if image is not None:
                 break
-        nums, den = product_kernel(space)(nums, image[0]), den * image[1]
+        nums, den = mul(nums, image[0]), den * image[1]
     if not isometry:
         p = space.ring.p
         s = rng.randint(1, 5 * p)

@@ -14,8 +14,9 @@ are kept in lowest terms, gcd(x, y, d) = 1, so that equal values have
 equal storage and equality, hashing and reduction mod p^N read the
 integers directly.  Truncated scalars store their residues 0 <= x, y < p^N
 with d = 1.  The read-only views ``a`` and ``b`` give the components as
-``Fraction`` (exact) or ``int`` (truncated).  ``dot`` sums products with a
-single normalization, which is what matrix products use.
+``Fraction`` (exact) or ``int`` (truncated).  Matrices do not multiply
+these objects: their products run on integer components, in the
+generated kernels of ``matrices``.
 """
 
 from __future__ import annotations
@@ -159,9 +160,11 @@ class Ring:
             b = canonical_residue(b, self.p, self.prec)
         return Scalar(self, a % m, b % m, 1)
 
-    def ratio(self, x: int, y: int, d: int) -> "Scalar":
-        """(x + y*sqrt(u)) / d for integers x, y and d != 0."""
-        if not self.exact or (y and self.ext != INERT):
+    def ratio(self, x, y, d: int) -> "Scalar":
+        """(x + y*sqrt(u)) / d for integers or ``Fraction`` x and y and an
+        integer d != 0."""
+        if not self.exact or (y and self.ext != INERT) \
+                or type(x) is not int or type(y) is not int:
             return self.scalar(Fraction(x, d), Fraction(y, d))
         if d < 0:
             x, y, d = -x, -y, -d
@@ -415,39 +418,6 @@ class Scalar:
                         f"{c} has negative {p}-adic valuation")
         dinv = pow(self.d, -1, m)
         return Scalar(ring.truncated(N), self.x * dinv % m, self.y * dinv % m, 1)
-
-
-def dot(ring: Ring, xs, ys) -> Scalar:
-    """sum(x * y for x, y in zip(xs, ys)) for nonempty sequences of scalars
-    of ``ring``, normalized once instead of after every term."""
-    u, m = ring._u, ring._mod
-    acc_x = acc_y = 0
-    acc_d = 1
-    for s, t in zip(xs, ys):
-        x1, y1, x2, y2 = s.x, s.y, t.x, t.y
-        if y1 or y2:
-            x = x1 * x2 + u * y1 * y2
-            y = x1 * y2 + y1 * x2
-        else:
-            x, y = x1 * x2, 0
-        if m is not None:
-            acc_x += x
-            acc_y += y
-            continue
-        d = s.d * t.d
-        if d == acc_d:
-            acc_x += x
-            acc_y += y
-        else:
-            g = math.gcd(acc_d, d)
-            acc_x = acc_x * (d // g) + x * (acc_d // g)
-            acc_y = acc_y * (d // g) + y * (acc_d // g)
-            acc_d = acc_d // g * d
-    if m is not None:
-        return Scalar(ring, acc_x % m, acc_y % m, 1)
-    if acc_d == 1:
-        return Scalar(ring, acc_x, acc_y, 1)
-    return _exact(ring, acc_x, acc_y, acc_d)
 
 
 # -- square roots -----------------------------------------------------

@@ -6,12 +6,10 @@ The form convention is <u, v> = u^T J tau(v) (linear in the first slot),
 which pins down all matrix formulas: star(a) = tau(J^-1 a^T J), group
 membership g star(g) = mu * 1, Lie membership X + star(X) = alpha * 1.
 
-Maps of the shape a -> P a^T Q for a fixed pair (P, Q) of the space,
-star (followed by tau) and theta of ``involution``, which is also theta
-on the Lie algebra, run as sparse entry maps: entry (i, j) of the image
-is sum c a_lk over the coefficients c = P_ik Q_lj != 0, derived once per
-space and kept in ``Space.memo``.  That holds for any J, monomial or
-not, and costs a few scalar products instead of two matrix products.
+``star`` runs ``cayley.star_kernel``, the sparse rows of star on
+integer components, probed once per space from the definition in
+``Mat`` products and kept in ``Space.memo``; it holds for any J,
+monomial or not.  theta of ``involution`` runs the same way.
 
 Both memberships are decided on integers by certificates of ``cayley``,
 on residues mod p^N and on exact numerators over one denominator alike:
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .matrices import Mat
-from .scalars import INERT, SPLIT, Ring, Scalar, dot
+from .scalars import INERT, SPLIT, Ring, Scalar
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -154,57 +152,14 @@ def validate_space(J: Mat, eps: int, ring: Ring, family: str | None = None,
     return space
 
 
-def _entry_map(space: Space, name: str, pair) -> tuple:
-    """The map a -> P a^T Q, for the matrices (P, Q) = ``pair()``, as
-    sparse rows kept in ``space.memo`` under ``name``.  Entry (i, j) of
-    the image is a pair (c, source): for one term with coefficient +-1 the
-    int c and the source (l, k) of the entry of a, else the tuples of the
-    nonzero coefficients P_ik Q_lj and of their sources."""
-    if name not in space.memo:
-        n, one = space.n, space.ring.one
-        P, Q = pair()
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                terms = [(P[i, k] * Q[l, j], (l, k))
-                         for k in range(n) if P[i, k]
-                         for l in range(n) if Q[l, j]]
-                if len(terms) == 1 and terms[0][0] in (one, -one):
-                    c, src = terms[0]
-                    row.append((1 if c == one else -1, src))
-                else:
-                    row.append((tuple(c for c, _ in terms),
-                                tuple(src for _, src in terms)))
-            rows.append(tuple(row))
-        space.memo[name] = tuple(rows)
-    return space.memo[name]
-
-
-def _apply_tau(space: Space, entries: tuple, a: Mat, conj=True) -> tuple:
-    """The rows of tau(a') for the image a' of ``a`` under the entry map
-    ``entries`` of ``_entry_map`` (of a' itself without ``conj``)."""
-    ring, rows = space.ring, a.rows
-    out = []
-    for entry_row in entries:
-        row = []
-        for c, src in entry_row:
-            if c.__class__ is int:
-                k, l = src
-                x = rows[k][l] if c == 1 else -rows[k][l]
-            else:
-                x = dot(ring, c, [rows[k][l] for k, l in src])
-            row.append(x.tau() if conj else x)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def star(space: Space, a: Mat) -> Mat:
-    """The adjoint anti-involution a* = tau(J^-1 a^T J)."""
+    """The adjoint anti-involution a* = tau(J^-1 a^T J):
+    ``cayley.star_kernel`` on the numerators of a."""
     if not space.has_form:
         raise SpaceError("general-linear family has no star; theta is transpose")
-    entries = _entry_map(space, "star", lambda: (space.Jinv, space.J))
-    return Mat._make(space.ring, _apply_tau(space, entries, a))
+    from .cayley import star_kernel
+    x, den = a.numerators()
+    return Mat.from_components(space.ring, space.n, star_kernel(space)(x), den)
 
 
 def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:

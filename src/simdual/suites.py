@@ -332,7 +332,14 @@ def replay_check(entry: dict) -> CheckRow:
     return REPLAY_REGISTRY[name](payload)
 
 
-def _field(payload, key, parse=int):
+def _integer(value) -> int:
+    """A JSON integer: no float, no bool, no string."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _field(payload, key, parse=_integer):
     """``parse(payload[key])``; a missing or malformed value raises
     ConfigError."""
     if key not in payload:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdual.cayley import (cayley_kernel, identity_comps,
-                            multiplier_predicate, product_kernel)
+from simdual.cayley import cayley_kernel, identity_comps, multiplier_predicate
 from simdual.matrices import (Mat, NotInvertibleError, adjugate_kernel,
-                              components_per_scalar, matrix_inverse_kernel)
+                              components_per_scalar, matrix_inverse_kernel,
+                              product_kernel)
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, standard_space)
@@ -155,7 +155,8 @@ def composed_cayley(space):
     """The Cayley kernel as the composition it replaces: Y = den 1 + x,
     (A, q) = adj(Y), s = den + alpha, and the product (s 1 - x) A."""
     ident = identity_comps(space)
-    adj, mul = adjugate_kernel(space.ring, space.n), product_kernel(space)
+    adj = adjugate_kernel(space.ring, space.n)
+    mul = product_kernel(space.ring, space.n)
     p, M = space.ring.p, None if space.ring.exact else space.ring.modulus
 
     def c(x, alpha, den=1):
@@ -227,7 +228,7 @@ def test_adjugate_kernel_is_the_exact_inverse(ext, n):
     space = _space(ext, n, 3)
     ring = space.ring
     d = components_per_scalar(ring)
-    adj, mul = adjugate_kernel(ring, n), product_kernel(space)
+    adj, mul = adjugate_kernel(ring, n), product_kernel(ring, n)
     rng = random.Random(n)
     for _ in range(20):
         x = tuple(rng.randint(-30, 30) for _ in range(d * n * n))

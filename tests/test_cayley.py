@@ -12,12 +12,12 @@ from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
                             TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
                             _sparse_rows, _star_rows, bucket_domain_images,
                             cayley, cayley_kernel, fiber, identity_comps,
-                            in_domain, lie_alpha_kernel, product_kernel,
-                            star_kernel, theta_kernel, x_lambda)
+                            in_domain, lie_alpha_kernel, star_kernel,
+                            theta_kernel, x_lambda)
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import standard_lattices
 from simdual.matrices import (Mat, NotInvertibleError, components_per_scalar,
-                              matrix_inverse_kernel)
+                              matrix_inverse_kernel, product_kernel)
 from simdual.sampling import make_rng, sample_lie
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
@@ -332,10 +332,9 @@ def test_integer_kernels_match_the_mat_level_maps(family, N, coords, s):
         return
     scalar = Mat.scalar_mat(ring, 2, ring.scalar(s))
     g = certify_group(space, members[0].mat * members[1].mat * scalar)
-    gx = product_kernel(space)(
-        product_kernel(space)(_comps(space, members[0].mat),
-                              _comps(space, members[1].mat)),
-        _comps(space, scalar))
+    mul = product_kernel(ring, 2)
+    gx = mul(mul(_comps(space, members[0].mat), _comps(space, members[1].mat)),
+             _comps(space, scalar))
     assert gx == _comps(space, g.mat)
     for h in (members[0], members[1], g):
         assert theta_kernel(space)(_comps(space, h.mat)) == \

@@ -78,6 +78,21 @@ def test_decompose_subcommand(tmp_path):
     assert data["rows"][0]["detail"]["pieces"] == 1
 
 
+def test_decompose_subcommand_checks_level_against_its_precision(capsys):
+    # the level is checked against --precision, the precision the
+    # subcommand decomposes at; decompose_precision (default 3) stays in
+    # the report params
+    assert run(["decompose", "--family", "symplectic", "--level", "3",
+                "--precision", "4", "1, 0; 0, 1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["rows"][0]["detail"] == {"members": 81, "pieces": 1}
+    assert (data["params"]["level"], data["params"]["precision"],
+            data["params"]["decompose_precision"]) == (3, 4, 3)
+    assert run(["decompose", "--family", "symplectic", "--level", "4",
+                "--precision", "4", "1, 0; 0, 1"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 # sha256 of the full decompose report mod 9 of a fast-path coset (a
 # theta-fixed member gives the witness) and of a general-path one (a
 # conjugator solve gives it), recorded while alpha was still decided on
@@ -250,6 +265,12 @@ def test_markdown_format(capsys):
                                        "p": 3, "level": 2, "precision": 2,
                                        "b": "1, 0; 0, 1"}})],
     ["verify", "--config", "NO_SUITES"],                          # nothing
+    ["replay", json.dumps({"check": "theta-stable-lattice",      # floats
+                           "payload": {"family": "symplectic", "n": 2.9,
+                                       "p": 3.7}})],
+    ["replay", json.dumps({"check": "class-inversion",           # n = 2.5
+                           "payload": {"family": "sp", "n": 2.5, "q": 3,
+                                       "rep": "1, 0; 0, 1"}})],
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     configs = {"BUDGET_10": "budget = 10\n", "NO_SUITES": "suites =\n"}

@@ -6,12 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from simdual import finite
-from simdual.cayley import product_kernel
+from simdual import cayley, finite
 from simdual.finite import (FiniteGroupError, _verify_table, build_group,
                             conjugacy_classes, verify_class_inversion)
 from simdual.involution import iota_group
-from simdual.matrices import Mat, parse_matrix
+from simdual.matrices import Mat, parse_matrix, product_kernel
 from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
@@ -82,15 +81,19 @@ def test_inverse_and_iota_tables_match_group_elements(target):
     (HERMITIAN, 2, INERT, 1), (HERMITIAN, 2, INERT, 2),
     (HERMITIAN, 3, INERT, 2)])
 def test_product_kernel_matches_matrix_product(family, n, ext, N):
+    # the oracle is the termwise sum of scalar products, not Mat.__mul__,
+    # which runs this kernel
     space = standard_space(family, n, Ring(3, ext, N))
-    mul = product_kernel(space)
+    mul = product_kernel(space.ring, n)
     D = n * n * (2 if ext == INERT else 1)
     rng = random.Random(7)
     for _ in range(200):
         x, y = (tuple(rng.randrange(3**N) for _ in range(D))
                 for _ in range(2))
-        prod = (Mat.from_components(space.ring, space.n, x)
-                * Mat.from_components(space.ring, space.n, y))
+        a, b = (Mat.from_components(space.ring, n, v) for v in (x, y))
+        prod = Mat(space.ring, [[sum((a[i, k] * b[k, j] for k in range(n)),
+                                     space.ring.zero) for j in range(n)]
+                                for i in range(n)])
         assert mul(x, y) == tuple(prod.components())
 
 
@@ -107,6 +110,18 @@ def test_corrupted_iota_is_not_multiplicative():
     table.iota = corrupted
     with pytest.raises(FiniteGroupError, match="iota is not multiplicative"):
         _verify_table(table)
+
+
+def test_wrong_theta_kernel_is_caught_by_iota_group(monkeypatch):
+    # with theta probed as the plain transpose, iota is transpose-inverse:
+    # on GSp_2(F_3) = GL_2(F_3) still a bijective, involutive
+    # automorphism, so only the independent iota_group formula on the
+    # generators can catch it
+    monkeypatch.setattr(cayley, "_theta_definition",
+                        lambda space, g: g.transpose())
+    with pytest.raises(FiniteGroupError,
+                       match="iota differs from iota_group on a generator"):
+        build_group("gsp", 2, 3)
 
 
 @pytest.mark.parametrize("target", [("gl", 2, 3), ("gu", 2, 3)],

@@ -106,10 +106,16 @@ def test_conjugator_exhaustion_raises(monkeypatch):
     assert info.value.tried == 0
 
 
-# -- the entry maps of star and theta against their matrix formulas ----
+# -- product, star and theta against oracles that do not run them ------
+#
+# Mat products, star and theta each run one generated kernel, and the
+# star and theta kernels are probed from definitions in Mat products.
+# The product is checked against the termwise sum of scalar products,
+# and star and theta (the maps on entries the kernels compute) against
+# matrix formulas other than the probed definitions.
 
 
-def _entry_map_spaces():
+def _oracle_spaces():
     """All five families at p = 3, exact and mod 9, the finite o+ and o-
     spaces at q = 5, and an orthogonal form with a J that is not monomial
     (every entry of star and theta a sum of several terms), exact and
@@ -129,7 +135,7 @@ def _entry_map_spaces():
                      pytest.param(dense.truncated(2), id="dense-J-mod9")]
 
 
-ENTRY_MAP_SPACES = _entry_map_spaces()
+ENTRY_MAP_SPACES = _oracle_spaces()
 
 
 def _random_scalar(ring, rng):
@@ -155,7 +161,8 @@ def _random_matrices(space, rng, count=25, invertible=False):
 
 
 def _star_formula(space, a):
-    return (space.Jinv * a.transpose() * space.J).tau()
+    return _termwise_product(_termwise_product(space.Jinv, a.transpose()),
+                             space.J).tau()
 
 
 def _theta_group_formula(g):
@@ -167,6 +174,26 @@ def _theta_lie_formula(X):
     space = X.space
     return Mat.scalar_mat(space.ring, space.n, X.alpha) \
         - space.H * X.mat.tau() * space.Hinv
+
+
+def _termwise_product(a, b):
+    """a b, entry (i, j) the sum of the scalar products a_ik b_kj taken
+    term by term: the oracle for the generated product kernel."""
+    n, zero = a.nrows, a.ring.zero
+    return Mat(a.ring, [[sum((a[i, k] * b[k, j] for k in range(n)), zero)
+                         for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("space", ENTRY_MAP_SPACES)
+def test_product_is_the_termwise_sum(space):
+    rng = random.Random(17)
+    mats = _random_matrices(space, rng, count=26)
+    for a, b in zip(mats, mats[1:]):
+        assert a * b == _termwise_product(a, b)
+    for a in mats[:5]:
+        for P in (space.J, space.H) if space.has_form else ():
+            assert P * a == _termwise_product(P, a)
+            assert a * P == _termwise_product(a, P)
 
 
 @pytest.mark.parametrize("space", ENTRY_MAP_SPACES)

@@ -13,13 +13,13 @@ from simdual.cayley import cayley, in_domain, linear_kernel
 from simdual.involution import theta_group
 from simdual import lattices, modsolve
 from simdual.cayley import (comps_key, identity_comps, multiplier_predicate,
-                            product_kernel, star_kernel)
+                            star_kernel)
 from simdual.lattices import (LatticeBasis, LatticeError, LieCoords,
                               Operator, _check_h_stable, _hnf,
                               _over_one_denominator, ad_operator,
                               check_cayley_level, congruence_members,
                               lattice_of_x, standard_lattices)
-from simdual.matrices import Mat, components_per_scalar
+from simdual.matrices import Mat, components_per_scalar, product_kernel
 from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import (INERT, SPLIT, Ring, Scalar, val_fraction,
@@ -397,7 +397,7 @@ def _digit_lift_scan(space, k, N):
     p, n = space_t.ring.p, space_t.n
     D = len(identity_comps(space_t))
     diag = {D // (n * n) * (n + 1) * i for i in range(n)}
-    mul, star_of = product_kernel(space_t), star_kernel(space_t)
+    mul, star_of = product_kernel(space_t.ring, n), star_kernel(space_t)
     digits = np.array(list(itertools.product(range(p), repeat=D))).T
     out = []
     for g, _ in _congruence_scan(space, k, N - 1):

@@ -14,17 +14,16 @@ from hypothesis import strategies as st
 
 from simdual import cayley as cayley_module
 from simdual import modsolve
-from simdual import spaces as spaces_module
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
                             bucket_domain_images, cayley_kernel,
                             comps_key, fiber, identity_comps,
                             lie_alpha_kernel, lie_system, linear_system,
-                            multiplier_predicate, product_kernel,
-                            star_kernel)
+                            multiplier_predicate, star_kernel)
 from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
 from simdual.matrices import (Mat, components_per_scalar,
-                              matrix_inverse_kernel, parse_matrix)
+                              matrix_inverse_kernel, parse_matrix,
+                              product_kernel)
 from simdual.scalars import INERT, SPLIT, Ring, sqrt_mod_prime_power
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, certify_group,
@@ -62,12 +61,14 @@ def _ext(family):
 def test_plus_star_is_probed_once_per_space(monkeypatch, family, N):
     # on a fresh space, lie_system, lie_alpha_kernel and a certify_lie
     # linearize two maps, star on the D components and the Lie residual
-    # on D + 1, and the Mat-level star runs only for the probe of star
+    # on D + 1, and the star definition in Mat products runs only for the
+    # probe of star
     ring = Ring(3, _ext(family)) if N is None else Ring(3, _ext(family), N)
     space = standard_space(family, 2, ring)
     D = space.n * space.n * components_per_scalar(ring)
     widths, stars = [], []
-    probe, star = cayley_module.linear_system, spaces_module.star
+    probe = cayley_module.linear_system
+    definition = cayley_module._star_definition
 
     def recording(width, f):
         widths.append(width)
@@ -75,10 +76,9 @@ def test_plus_star_is_probed_once_per_space(monkeypatch, family, N):
 
     def counting(on, a):
         stars.append(a)
-        return star(on, a)
+        return definition(on, a)
     monkeypatch.setattr(cayley_module, "linear_system", recording)
-    monkeypatch.setattr(cayley_module, "star", counting)
-    monkeypatch.setattr(spaces_module, "star", counting)
+    monkeypatch.setattr(cayley_module, "_star_definition", counting)
     assert lie_system(space) is lie_system(space)
     lie_alpha_kernel(space)
     assert certify_lie(space, Mat(ring, [[1, 2], [-2, 1]])).alpha == \
@@ -205,7 +205,7 @@ def _probed_branch_system(space, x, lam):
     the residual of (lam + g) X = 1 - g and X + X* = (lam^-1 - 1) 1."""
     M = space.ring.modulus
     ident = identity_comps(space)
-    mul, star_of = product_kernel(space), star_kernel(space)
+    mul, star_of = product_kernel(space.ring, space.n), star_kernel(space)
     shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e for e in ident]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdual.matrices import Mat
 from simdual.scalars import (INERT, INF, SPLIT, NotIntegralError, NotUnitError,
-                             Ring, canonical_residue, dot, is_odd_prime,
+                             Ring, canonical_residue, is_odd_prime,
                              rational_sqrt, smallest_nonresidue,
                              sqrt_mod_prime_power, val_fraction)
 
@@ -176,25 +177,31 @@ def test_exact_storage_matches_fraction_pairs(p, ext, a, b, c, d):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_FRACTIONS, _FRACTIONS), min_size=1, max_size=4),
+@given(st.lists(st.tuples(_FRACTIONS, _FRACTIONS), min_size=4, max_size=4),
        st.lists(st.tuples(_FRACTIONS, _FRACTIONS), min_size=4, max_size=4))
-def test_dot_matches_termwise_sum(xs, ys):
+def test_mat_product_matches_termwise_sum(xs, ys):
+    # a Mat product runs the generated product kernel on numerators; each
+    # entry must be the termwise sum of the Fraction-pair products, and
+    # mod 9 the termwise sum of the reduced scalars
     ring = Ring(3, INERT)
-    sx = [ring.scalar(a, b) for a, b in xs]
-    sy = [ring.scalar(a, b) for a, b in ys]
-    acc = (Fraction(0), Fraction(0))
-    for x, y in zip(xs, ys):
-        t = _ref_mul(x, y, ring.u)
-        acc = (acc[0] + t[0], acc[1] + t[1])
-    _assert_matches(dot(ring, sx, sy), acc)
-    t = Ring(3, INERT, 2)
-    tx = [s.reduce(2) for s in sx if s.val() >= 0]
-    ty = [s.reduce(2) for s in sy if s.val() >= 0]
-    if tx and ty:
-        want = tx[0] * ty[0]
-        for x, y in list(zip(tx, ty))[1:]:
-            want = want + x * y
-        assert dot(t, tx, ty) == want
+    a = Mat(ring, [[ring.scalar(*xs[2 * i + k]) for k in range(2)]
+                   for i in range(2)])
+    b = Mat(ring, [[ring.scalar(*ys[2 * k + j]) for j in range(2)]
+                   for k in range(2)])
+    prod = a * b
+    for i in range(2):
+        for j in range(2):
+            acc = (Fraction(0), Fraction(0))
+            for k in range(2):
+                t = _ref_mul(xs[2 * i + k], ys[2 * k + j], ring.u)
+                acc = (acc[0] + t[0], acc[1] + t[1])
+            _assert_matches(prod[i, j], acc)
+    if all(x.val() >= 0 for m in (a, b) for row in m.rows for x in row):
+        ta, tb = a.reduce(2), b.reduce(2)
+        tprod = ta * tb
+        for i in range(2):
+            for j in range(2):
+                assert tprod[i, j] == ta[i, 0] * tb[0, j] + ta[i, 1] * tb[1, j]
 
 
 @pytest.mark.parametrize("ext", [SPLIT, INERT])

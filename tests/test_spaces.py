@@ -59,9 +59,11 @@ def test_star_hermitian_conjugates():
 
 
 def test_inner_form_symmetry():
+    # the vectors u and v are the first columns of square matrices, the
+    # other column zero, as products stay square
     ring = HERM.ring
-    u = Mat(ring, [[ring.scalar(1, 1)], [ring.scalar(2)]])
-    v = Mat(ring, [[ring.scalar(0, 1)], [ring.scalar(1, -1)]])
+    u = Mat(ring, [[ring.scalar(1, 1), 0], [ring.scalar(2), 0]])
+    v = Mat(ring, [[ring.scalar(0, 1), 0], [ring.scalar(1, -1), 0]])
 
     def inner(x, y):                     # <x, y> = x^T J tau(y)
         return (x.transpose() * HERM.J * y.tau())[0, 0]
