@@ -14,7 +14,8 @@ In the general-linear family c(X) = 1 + X, every multiplier is 1, and the
 fiber of g is the single point g - 1.
 
 The work runs on integer component tuples (the layout of
-``Mat.components``) through generated straight-line code: the one
+``Mat.components``, the numerators a ``Mat`` stores; the identity's are
+``space.identity().nums``) through generated straight-line code: the one
 product and the one inverse mod p^N of ``matrices`` (A q^-1 with
 g A = q 1), and kernels derived once per space and kept in
 ``space.memo``, among them the F-linear maps star and theta, probed on
@@ -32,15 +33,16 @@ adjugate code); the Lie coordinates, the congruence lift and the fiber
 branch solves read the same rows.  The Cayley map is one generated
 function per space that scales the adjugate of 1 + X, with one formula
 on residues mod p^N and on exact numerators over one denominator,
-reduced to lowest terms once, when a ``Mat`` is decoded.  A fiber branch
+reduced to lowest terms once, when the ``Mat`` is built.  A fiber branch
 where lambda + g is a unit is the closed form X_lambda =
 (1 - g)(lambda + g)^-1 of one inverse and one product (over the exact
 field the inverse also decides the branch); a branch that can hold no
 domain preimage is skipped, and only lambda + g = 0 mod p is written as
 an integer system for an affine solve, X -> (lambda + g) X probed on the
 product kernel over the Lie system.  Preimages are certified on
-integers; ``Mat``, ``GroupElem`` and ``LieElem`` are decoded only where
-a public function returns one.
+integers; ``Mat``, ``GroupElem`` and ``LieElem`` are built only where
+a public function returns one, and a ``Mat`` keeps the integers it is
+built from, so its kernels read them back with no conversion.
 """
 
 from __future__ import annotations
@@ -83,12 +85,13 @@ def in_domain(X: LieElem) -> bool:
 
 
 def _kernel_image(X: LieElem) -> tuple:
-    """(``cayley_kernel`` image, den) for X: over the exact field on
-    numerators over one denominator den that also clears alpha."""
+    """(``cayley_kernel`` image, den) for X: on its stored numerators over
+    its denominator den (1 mod p^N), over the exact field scaled so that
+    den also clears alpha."""
     space, alpha = X.space, X.alpha
-    if not space.ring.exact:
-        return cayley_kernel(space)(X.mat.components(), alpha.x), 1
     x, den = X.mat.numerators()
+    if not space.ring.exact:
+        return cayley_kernel(space)(x, alpha.x), 1
     k = alpha.d // math.gcd(den, alpha.d)
     den *= k
     return cayley_kernel(space)([v * k for v in x], alpha.x * (den // alpha.d),
@@ -283,12 +286,6 @@ def _per_space(build):
     return get
 
 
-@_per_space
-def identity_comps(space: Space) -> tuple:
-    """The integer components of the identity matrix."""
-    return tuple(space.identity().numerators()[0])
-
-
 def _star_definition(space: Space, a: Mat) -> Mat:
     """star(a) = tau(J^-1 a^T J) in ``Mat`` products, which
     ``star_kernel`` probes."""
@@ -316,8 +313,8 @@ def lie_system(space: Space) -> tuple:
     similitude Lie algebra is its kernel.  Without the last column it is
     the matrix of X -> X + X*, whose kernel is the isometry Lie algebra.
     The one derivation of X + X*, probed once per space on
-    ``star_kernel`` and ``identity_comps``."""
-    star_of, ident = star_kernel(space), identity_comps(space)
+    ``star_kernel`` and the components of the identity."""
+    star_of, ident = star_kernel(space), space.identity().nums
     D = len(ident)
     M = None if space.ring.exact else space.ring.modulus
 
@@ -499,7 +496,7 @@ def _solve_branch(space: Space, x: tuple, lam: int, t):
     ``lie_system`` without alpha, for ``modsolve.solve_affine_mod``."""
     ring = space.ring
     M = ring.modulus
-    ident = identity_comps(space)
+    ident = space.identity().nums
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
     mul = product_kernel(ring, space.n)
@@ -527,8 +524,7 @@ def _fiber_trunc(g: GroupElem) -> FiberResult:
     root = sqrt_mod_prime_power(g.mu.a, p, ring.prec)
     if root is None:
         return FiberResult(EMPTY)
-    x = tuple(g.mat.components())
-    ident = identity_comps(space)
+    x, ident = g.mat.nums, space.identity().nums
     inv = matrix_inverse_kernel(ring, space.n)
     mul = product_kernel(ring, space.n)
     alpha_of = lie_alpha_kernel(space)

@@ -112,10 +112,10 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
     if not (1 <= l0 < N):
         raise DecompositionError("need 1 <= l0 < N")
     st = space.truncated(N) if space.ring.exact else space
-    bt = certify_group(st, b.reduce(N) if b.ring.exact else b)
+    bt = certify_group(st, b.reduce(N))
     subgroup = cayley_image_members(std, l0, N, limit=limit)
     mul = product_kernel(st.ring, st.n)
-    bx, mu_b, M = tuple(bt.mat.components()), bt.mu.a, st.ring.modulus
+    bx, mu_b, M = bt.mat.nums, bt.mu.a, st.ring.modulus
     seen = {}
     for k, mu in zip(subgroup.comps, subgroup.mus):
         m = mul(bx, k)
@@ -163,7 +163,7 @@ def find_conjugator_mod(a: GroupElem) -> GroupElem:
     ta = theta_group(a).mat
     if ta == a.mat:
         return GroupElem(space, space.identity(), ring.one)
-    A, b = _conjugator_system(space, tuple(a.mat.components()))
+    A, b = _conjugator_system(space, a.mat.nums)
     mu_of = multiplier_predicate(space)
     tried = 0
     for comps in modsolve.iter_affine_mod(A, b, ring.p, ring.prec):
@@ -242,7 +242,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
         if first is None:
             first = x
         reached.add(root)
-        queue = deque([(root, tuple(x.mat.components()))])
+        queue = deque([(root, x.mat.nums)])
         while queue:
             a, x = queue.popleft()
             for k, kinv, tkinv in gens:
@@ -271,7 +271,7 @@ def verify_piece(members: Members, g: GroupElem) -> bool:
     space = g.space
     comps = members.comps
     mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
-    gx = tuple(g.mat.components())
+    gx = g.mat.nums
     ginv = matrix_inverse_kernel(space.ring, space.n)(gx)
     if ginv is None:                     # a singular g is no witness
         return False
@@ -306,7 +306,7 @@ def decompose(C: CosetSet, std: StandardLattices) -> list[Piece]:
     a = members[i]
     M = space.ring.modulus
     w = product_kernel(space.ring, space.n)(
-        tuple(x.mat.components()),
+        x.mat.nums,
         matrix_inverse_kernel(space.ring, space.n)(members.comps[i]))
     mu_w = x.mu.a * pow(members.mus[i], -1, M) % M
     witness = GroupElem(space, Mat.from_components(space.ring, space.n, w),

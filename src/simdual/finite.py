@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cayley import (Members, identity_comps, multiplier_predicate,
-                     theta_kernel)
+from .cayley import Members, multiplier_predicate, theta_kernel
 from .involution import enumerate_matrices, iota_group
 from .matrices import Mat, matrix_inverse_kernel, product_kernel
 from .modsolve import SolveBudgetError
@@ -148,7 +147,7 @@ class FiniteGroupTable:
 
     def position(self, m: Mat) -> int:
         """The position of the matrix m; KeyError if it is not a member."""
-        return self.index[tuple(m.components())]
+        return self.index[m.nums]
 
 
 def build_group(family: str, n: int, q: int) -> FiniteGroupTable:
@@ -190,7 +189,7 @@ def _generators(space: Space, comps, index):
     inv_of = matrix_inverse_kernel(space.ring, space.n)
     n = len(comps)
     gens, right, gen_invs = [], [], []
-    identity = index[identity_comps(space)]
+    identity = index[space.identity().nums]
     inverse = [-1] * n                   # -1: not reached yet
     inverse[identity] = identity
     members = [identity]
@@ -229,7 +228,7 @@ def _verify_table(table: FiniteGroupTable):
     comps, iota = table.comps, table.iota
     space = table.space
     mul = product_kernel(space.ring, space.n)
-    one = identity_comps(space)
+    one = space.identity().nums
     for x, j in zip(comps, table.inverse):
         if mul(x, comps[j]) != one:
             raise FiniteGroupError("inverse table is wrong")
@@ -246,7 +245,7 @@ def _verify_table(table: FiniteGroupTable):
                 raise FiniteGroupError("iota is not multiplicative")
     for s in table.gens:
         image = iota_group(table.elements[s]).mat
-        if tuple(image.components()) != comps[iota[s]]:
+        if image.nums != comps[iota[s]]:
             raise FiniteGroupError("iota differs from iota_group on a "
                                    "generator")
     if space.has_form:

@@ -68,12 +68,11 @@ def theta_mat(space: Space, g: Mat) -> Mat:
     """theta on members as a map on matrices, g -> H J^-1 g^T J H^-1, which
     is mu(g) H tau(g^-1) H^-1 for a member g (g star(g) = mu 1), with no
     inverse; it is linear in g, and the transpose for general-linear.
-    ``cayley.theta_kernel`` on the numerators of g."""
+    ``cayley.theta_kernel`` on the numerators of g, over its denominator."""
     if not space.has_form:
         return g.transpose()
-    x, den = g.numerators()
-    return Mat.from_components(space.ring, space.n, theta_kernel(space)(x),
-                               den)
+    return Mat.from_components(space.ring, space.n,
+                               theta_kernel(space)(g.nums), g.den)
 
 
 def theta_group(g: GroupElem) -> GroupElem:

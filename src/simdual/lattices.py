@@ -35,24 +35,17 @@ from itertools import islice
 from operator import ne
 
 from . import modsolve
-from .cayley import (DomainError, cayley_kernel, comps_key, identity_comps,
-                     lie_alpha_kernel, lie_system, linear_kernel,
-                     multiplier_predicate, star_kernel, theta_kernel)
+from .cayley import (DomainError, cayley_kernel, comps_key, lie_alpha_kernel,
+                     lie_system, linear_kernel, multiplier_predicate,
+                     star_kernel, theta_kernel)
 from .matrices import (Mat, components_per_scalar, det_norm_kernel,
-                       product_kernel)
+                       over_one_denominator, product_kernel)
 from .scalars import val_int
 from .spaces import Space
 
 
 class LatticeError(ValueError):
     pass
-
-
-def _over_one_denominator(xs) -> tuple[list[int], int]:
-    """(numerators, den): the rationals ``xs`` (ints or Fractions) as
-    integers over one common denominator den > 0."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _hnf(p: int, dim: int, cols, den: int) -> tuple[tuple, int]:
@@ -185,7 +178,7 @@ class LieCoords:
         space = self.space
         if not space.has_form:
             return modsolve._identity(self.m0)
-        E = [_over_one_denominator(row[:-1] if isometry else row)[0]
+        E = [over_one_denominator(row[:-1] if isometry else row)[0]
              for row in lie_system(space)]
         return modsolve._affine_solution(E, [0] * len(E), 0)[1]
 
@@ -210,7 +203,7 @@ class LieCoords:
         return [Fraction(x, den) for x in self._coords(flat)]
 
     def from_coords(self, c) -> Mat:
-        nums, den = _over_one_denominator(c)
+        nums, den = over_one_denominator(c)
         return Mat.from_components(self.space.ring, self.space.n,
                                    self.numerators(nums), den)
 
@@ -220,7 +213,7 @@ class LieCoords:
         ``theta_kernel`` on the basis columns; built on first use."""
         theta_of = theta_kernel(self.space)
         return Operator.from_columns(*self._columns(
-            _over_one_denominator(theta_of(B)) for B in self._basis_comps))
+            over_one_denominator(theta_of(B)) for B in self._basis_comps))
 
     def standard_lattice(self) -> LatticeBasis:
         return LatticeBasis.standard(self.space.ring.p, self.m)
@@ -360,7 +353,7 @@ def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
     if memo_key in space.memo:
         return space.memo[memo_key]
     space_t = space.truncated(N)
-    ident = identity_comps(space_t)
+    ident = space_t.identity().nums
     D = len(ident)
     if space.has_form:
         # the Z part of each kernel column (Z, nu): Z = 0 forces nu = 0

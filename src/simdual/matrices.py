@@ -1,20 +1,23 @@
 """Small dense square matrices over a scalar ring (exact or truncated),
-their integer component codec, and the one generated product and the
+held as their integer components, and the one generated product and the
 one generated adjugate that multiply and invert them, sized for n <= 4.
 
-The codec lays a matrix out row-major, one integer component per entry
-over the split ring and two (a, b of a + b s) over the inert one:
-residues mod p^N, or numerators over one common denominator.  On that
-layout ``product_kernel`` generates, once per (ring, n), the product of
-two matrices as one straight-line expression: ``Mat.__mul__`` runs it on
-numerators and decodes over the product of the denominators, and every
-kernel of ``cayley`` and its callers multiplies with it.
-``_adjugate_code`` generates, once per (n, components per scalar, u),
-A = adj(g) tau(det g) and q = det(g) tau(det g) with g A = q 1 on
-integers.  g is invertible exactly when q is regular (nonzero over the
-exact field, a unit mod p^N), and g^-1 = A / q: ``Mat.inv`` and
-``Mat.is_invertible`` run on it over every ring, and so do the inverse,
-Cayley and general-linear membership kernels of ``cayley``.
+A matrix is its components, row-major, one integer per entry over the
+split ring and two (a, b of a + b s) over the inert one, over one
+positive denominator: residues mod p^N over 1, or over the exact field
+numerators over their least common denominator, in lowest terms.  Equal
+matrices have equal fields, and ``Scalar`` entries are built only where
+an entry is read.  On that layout ``product_kernel`` generates, once per
+(ring, n), the product of two matrices as one straight-line expression:
+``Mat.__mul__`` runs it on the stored numerators, over the product of
+the denominators, and every kernel of ``cayley`` and its callers
+multiplies with it.  ``_adjugate_code`` generates, once per (n,
+components per scalar, u), A = adj(g) tau(det g) and q = det(g)
+tau(det g) with g A = q 1 on integers.  g is invertible exactly when q
+is regular (nonzero over the exact field, a unit mod p^N), and
+g^-1 = A / q: ``Mat.inv`` and ``Mat.is_invertible`` run on it over
+every ring, and so do the inverse, Cayley and general-linear membership
+kernels of ``cayley``.
 """
 
 from __future__ import annotations
@@ -24,80 +27,141 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import INERT, Ring, Scalar
+from .scalars import INERT, NotIntegralError, Ring, Scalar, val_fraction
 
 
 class NotInvertibleError(ValueError):
     pass
 
 
-class Mat:
-    """Immutable matrix over a Ring; rows is a tuple of tuples of Scalar."""
+def over_one_denominator(comps, den: int = 1) -> tuple[tuple, int]:
+    """(nums, den): the rationals ``comps`` / ``den``, for int or
+    ``Fraction`` comps and a nonzero integer den, as integers over one
+    positive denominator, in lowest terms."""
+    if Fraction in map(type, comps):
+        lcm = math.lcm(*(c.denominator for c in comps))
+        comps = [c.numerator * (lcm // c.denominator) for c in comps]
+        den *= lcm
+    if den < 0:
+        comps, den = [-c for c in comps], -den
+    g = math.gcd(den, *comps)
+    return tuple(c // g for c in comps) if g != 1 else tuple(comps), den // g
 
-    __slots__ = ("ring", "rows", "nrows", "ncols")
+
+def _scalar(ring: Ring, x) -> Scalar:
+    """x as a scalar of ``ring``; a scalar of another ring is rejected."""
+    if not isinstance(x, Scalar):
+        return ring.scalar(x)
+    if x.ring is not ring and x.ring != ring:
+        raise ValueError("mixed scalar rings")
+    return x
+
+
+class Mat:
+    """Immutable matrix over a Ring: the integer components ``nums`` (the
+    layout of ``components``) over the positive denominator ``den``,
+    residues over 1 mod p^N, in lowest terms over the exact field."""
+
+    __slots__ = ("ring", "nrows", "ncols", "nums", "den")
 
     def __init__(self, ring: Ring, rows):
-        self.ring = ring
-        self.rows = tuple(tuple(x if isinstance(x, Scalar) else ring.scalar(x)
-                                for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
+        rows = [[_scalar(ring, x) for x in row] for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        entries = [x for row in rows for x in row]
+        den = math.lcm(*(x.d for x in entries))
+        d = components_per_scalar(ring)
+        self._put(ring, len(rows), ncols, [
+            v * (den // x.d) for x in entries for v in (x.x, x.y)[:d]], den)
+
+    def _put(self, ring: Ring, nrows: int, ncols: int, comps, den: int):
+        """Store ``comps`` / ``den`` in the canonical form: reduced mod p^N
+        (NotIntegralError for a component of negative valuation, the first
+        in the layout), or in lowest terms over the exact field."""
+        self.ring, self.nrows, self.ncols = ring, nrows, ncols
+        if ring.exact:
+            self.nums, self.den = over_one_denominator(comps, den)
+            return
+        M = ring.modulus
+        if den != 1 or Fraction in map(type, comps):
+            comps, den = over_one_denominator(comps, den)
+            if den % ring.p:
+                f = pow(den, -1, M)
+                comps = [c * f for c in comps]
+            else:
+                c = next(Fraction(c, den) for c in comps
+                         if val_fraction(Fraction(c, den), ring.p) < 0)
+                raise NotIntegralError(
+                    f"{c} has negative {ring.p}-adic valuation")
+        self.nums, self.den = tuple([c % M for c in comps]), 1
 
     @staticmethod
-    def _make(ring: Ring, rows: tuple) -> "Mat":
-        """Trusted constructor for internal results: ``rows`` is already a
-        rectangular tuple of tuples of scalars of ``ring``."""
+    def _new(ring: Ring, nrows: int, ncols: int, comps, den: int = 1) -> "Mat":
+        """The nrows x ncols matrix with components ``comps`` / ``den``."""
         m = object.__new__(Mat)
-        m.ring = ring
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = len(rows[0]) if rows else 0
+        m._put(ring, nrows, ncols, comps, den)
         return m
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Mat":
-        return Mat.diag(ring, [ring.one] * n)
+        return Mat.scalar_mat(ring, n, 1)
 
     @staticmethod
     def zeros(ring: Ring, n: int) -> "Mat":
-        return Mat._make(ring, ((ring.zero,) * n,) * n)
+        return Mat.scalar_mat(ring, n, 0)
 
     @staticmethod
     def diag(ring: Ring, entries) -> "Mat":
         n = len(entries)
-        return Mat(ring, [[entries[i] if i == j else ring.zero for j in range(n)]
+        return Mat(ring, [[entries[i] if i == j else 0 for j in range(n)]
                           for i in range(n)])
 
     @staticmethod
     def scalar_mat(ring: Ring, n: int, s) -> "Mat":
-        return Mat.diag(ring, [s] * n)
+        """s * 1, for a scalar, int or Fraction s."""
+        s = _scalar(ring, s)
+        d = components_per_scalar(ring)
+        comps = [0] * (d * n * n)
+        comps[::d * (n + 1)] = [s.x] * n
+        if d == 2:
+            comps[1::2 * (n + 1)] = [s.y] * n
+        return Mat.from_components(ring, n, comps, s.d)
 
     # -- basics -------------------------------------------------------
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
-        return f"Mat[{body}]"
+        return f"Mat[{self.to_text()}]"
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.ring is other.ring or self.ring == other.ring) \
-            and self.rows == other.rows
+        return self.nums == other.nums and self.den == other.den \
+            and self.ncols == other.ncols \
+            and (self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nums, self.den))
 
     def __bool__(self):
-        return any(bool(x) for row in self.rows for x in row)
+        return any(self.nums)
 
     def __getitem__(self, ij):
+        """Entry (i, j), decoded into a ``Scalar``."""
         i, j = ij
-        return self.rows[i][j]
+        ring, nums = self.ring, self.nums
+        if ring.ext != INERT:
+            return ring.ratio(nums[i * self.ncols + j], 0, self.den)
+        k = 2 * (i * self.ncols + j)
+        return ring.ratio(nums[k], nums[k + 1], self.den)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries, row by row, decoded into ``Scalar`` objects."""
+        return tuple(tuple(self[i, j] for j in range(self.ncols))
+                     for i in range(self.nrows))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -105,43 +169,39 @@ class Mat:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        return Mat._make(self.ring, tuple(
-            tuple(a + b for a, b in zip(r, s))
-            for r, s in zip(self.rows, other.rows)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return Mat._make(self.ring, tuple(
-            tuple(a - b for a, b in zip(r, s))
-            for r, s in zip(self.rows, other.rows)))
+        return self._combine(other, -1)
 
-    def __neg__(self):
-        return Mat._make(self.ring, tuple(tuple(-a for a in r)
-                                          for r in self.rows))
-
-    def _check(self, other):
+    def _combine(self, other, sign: int) -> "Mat":
+        """self + sign * other, over the lcm of the denominators."""
         if (self.ring is not other.ring and self.ring != other.ring) \
                 or self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("incompatible matrices")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return Mat._new(self.ring, self.nrows, self.ncols, [
+            a * x + b * y for x, y in zip(self.nums, other.nums)], den)
+
+    def __neg__(self):
+        return Mat._new(self.ring, self.nrows, self.ncols,
+                        [-x for x in self.nums], self.den)
 
     def __mul__(self, other):
-        ring = self.ring
+        """The product, on the one product kernel; a scalar multiplies as
+        ``scalar_mat``."""
+        ring, n = self.ring, self.nrows
         if isinstance(other, (Scalar, int, Fraction)):
-            if not isinstance(other, Scalar):
-                other = ring.scalar(other)
-            return Mat._make(ring, tuple(tuple(a * other for a in r)
-                                         for r in self.rows))
-        if not isinstance(other, Mat):
+            other = Mat.scalar_mat(ring, n, other)
+        elif not isinstance(other, Mat):
             return NotImplemented
-        n = self.nrows
         if not n == self.ncols == other.nrows == other.ncols or \
                 (ring is not other.ring and ring != other.ring):
             raise ValueError("incompatible matrix product")
-        x, dx = self.numerators()
-        y, dy = other.numerators()
-        return Mat.from_components(ring, n, product_kernel(ring, n)(x, y),
-                                   dx * dy)
+        return Mat.from_components(
+            ring, n, product_kernel(ring, n)(self.nums, other.nums),
+            self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -149,12 +209,18 @@ class Mat:
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return Mat._make(self.ring, tuple(zip(*self.rows)))
+        d, r, c = components_per_scalar(self.ring), self.nrows, self.ncols
+        return Mat._new(self.ring, c, r, [
+            self.nums[d * (i * c + j) + k]
+            for j in range(c) for i in range(r) for k in range(d)], self.den)
 
     def tau(self) -> "Mat":
-        """Entrywise Galois conjugation."""
-        return Mat._make(self.ring, tuple(tuple(a.tau() for a in r)
-                                          for r in self.rows))
+        """Entrywise Galois conjugation: the b components negated."""
+        if self.ring.ext != INERT:
+            return self
+        nums = list(self.nums)
+        nums[1::2] = [-y for y in nums[1::2]]
+        return Mat._new(self.ring, self.nrows, self.ncols, nums, self.den)
 
     def inv(self) -> "Mat":
         """g^-1 from the generated adjugate: A q^-1 mod p^N
@@ -165,16 +231,15 @@ class Mat:
         ring, n = self.ring, self.nrows
         if n != self.ncols:
             raise NotInvertibleError("non-square matrix")
-        x, den = self.numerators()
         if not ring.exact:
-            y = matrix_inverse_kernel(ring, n)(x)
+            y = matrix_inverse_kernel(ring, n)(self.nums)
             if y is None:
                 raise NotInvertibleError("matrix is not invertible")
             return Mat.from_components(ring, n, y)
-        A, q = adjugate_kernel(ring, n)(x)
+        A, q = adjugate_kernel(ring, n)(self.nums)
         if not q:
             raise NotInvertibleError("matrix is not invertible")
-        return Mat.from_components(ring, n, [den * a for a in A], q)
+        return Mat.from_components(ring, n, [self.den * a for a in A], q)
 
     def is_invertible(self) -> bool:
         """Whether q = det(g) tau(det g) is nonzero (exact) or a unit (mod
@@ -182,77 +247,56 @@ class Mat:
         ring, n = self.ring, self.nrows
         if n != self.ncols:
             return False
-        q = det_norm_kernel(ring, n)(self.numerators()[0])
+        q = det_norm_kernel(ring, n)(self.nums)
         return bool(q if ring.exact else q % ring.p)
 
     def scalar_part(self) -> Scalar | None:
         """If the matrix equals s*I, return s, else None."""
         if not self.is_square():
             return None
-        s = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if (x != s) if i == j else bool(x):
-                    return None
-        return s
+        s = self[0, 0]
+        return s if self == Mat.scalar_mat(self.ring, self.nrows, s) else None
 
     def reduce(self, N: int) -> "Mat":
-        return Mat._make(self.ring.truncated(N), tuple(
-            tuple(a.reduce(N) for a in r) for r in self.rows))
+        """The matrix mod p^N, a ring homomorphism on integral matrices;
+        NotIntegralError names the first component of negative
+        valuation."""
+        ring = self.ring
+        if not ring.exact and N > ring.prec:
+            raise ValueError("cannot increase precision of a truncated matrix")
+        return Mat._new(ring.truncated(N), self.nrows, self.ncols, self.nums,
+                        self.den)
 
     def key(self):
         """Canonical sort key: the row-major (a, b) components, flat."""
-        if self.ring.exact:
-            return tuple([v for row in self.rows for x in row
-                          for v in (x.a, x.b)])
-        out = []
-        for row in self.rows:
-            for x in row:
-                out.append(x.x)
-                out.append(x.y)
-        return tuple(out)
+        comps = self.components()
+        if self.ring.ext == INERT:
+            return tuple(comps)
+        key = [0] * (2 * len(comps))
+        key[::2] = comps
+        return tuple(key)
 
-    # -- integer component codec -------------------------------------
+    # -- integer components -------------------------------------------
 
     def components(self) -> list:
         """The components, row-major, a (and b when inert) per entry:
         residues mod p^N, the ``Fraction`` components over the exact
         field."""
-        inert = self.ring.ext == INERT
-        out = []
-        for row in self.rows:
-            for x in row:
-                out.append(x.a)
-                if inert:
-                    out.append(x.b)
-        return out
+        if self.ring.exact:
+            return [Fraction(x, self.den) for x in self.nums]
+        return list(self.nums)
 
-    def numerators(self) -> tuple[list[int], int]:
-        """The components, in the layout of ``components``, as integer
-        numerators over one common denominator: (numerators, denominator)."""
-        entries = [x for row in self.rows for x in row]
-        den = math.lcm(*[x.d for x in entries])
-        if self.ring.ext == INERT:
-            return [v * (den // x.d) for x in entries for v in (x.x, x.y)], \
-                den
-        return [x.x * (den // x.d) for x in entries], den
+    def numerators(self) -> tuple[tuple, int]:
+        """The stored pair: the components as integer numerators over one
+        common denominator, (nums, den)."""
+        return self.nums, self.den
 
     @staticmethod
     def from_components(ring: Ring, n: int, comps, den: int = 1) -> "Mat":
         """The n x n matrix with components ``comps`` (the layout of
-        ``components``), each divided by the integer ``den``."""
-        inert = ring.ext == INERT
-        rows = []
-        it = iter(comps)
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                a = next(it)
-                b = next(it) if inert else 0
-                row.append(ring.scalar(a, b) if den == 1
-                           else ring.ratio(a, b, den))
-            rows.append(tuple(row))
-        return Mat._make(ring, tuple(rows))
+        ``components``, ints or Fractions), each divided by the nonzero
+        integer ``den``."""
+        return Mat._new(ring, n, n, comps, den)
 
     # -- canonical text form ------------------------------------------
 

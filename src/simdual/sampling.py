@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .cayley import (cayley, cayley_kernel, identity_comps, in_domain,
-                     lie_alpha_kernel)
+from .cayley import cayley, cayley_kernel, in_domain, lie_alpha_kernel
 from .involution import theta_group
 from .lattices import StandardLattices
 from .matrices import Mat, product_kernel
@@ -87,7 +86,7 @@ def sample_group(std: StandardLattices, rng: random.Random,
     coords = std.u_coords if isometry else std.gu_coords
     alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
     mul = product_kernel(space.ring, space.n)
-    nums, den = identity_comps(space), 1
+    nums, den = space.identity().numerators()
     for _ in range(factors):
         for v, d in _draws(coords, rng):     # rejected as by in_domain
             x = coords.numerators(v)

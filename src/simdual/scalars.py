@@ -11,12 +11,13 @@ finite fields F_p and F_{p^2}.
 Every scalar a + b*sqrt(u) is stored as three plain integers (x, y, d)
 with a = x/d and b = y/d.  Exact scalars share one denominator d > 0 and
 are kept in lowest terms, gcd(x, y, d) = 1, so that equal values have
-equal storage and equality, hashing and reduction mod p^N read the
-integers directly.  Truncated scalars store their residues 0 <= x, y < p^N
-with d = 1.  The read-only views ``a`` and ``b`` give the components as
-``Fraction`` (exact) or ``int`` (truncated).  Matrices do not multiply
-these objects: their products run on integer components, in the
-generated kernels of ``matrices``.
+equal storage and equality and hashing read the integers directly.
+Truncated scalars store their residues 0 <= x, y < p^N with d = 1.  The
+read-only views ``a`` and ``b`` give the components as
+``Fraction`` (exact) or ``int`` (truncated).  Matrices do not hold
+these objects: a ``Mat`` stores integer components, decodes an entry
+into a scalar only where it is read, and runs its arithmetic, Galois
+conjugation and reduction mod p^N on those integers.
 """
 
 from __future__ import annotations
@@ -163,12 +164,14 @@ class Ring:
     def ratio(self, x, y, d: int) -> "Scalar":
         """(x + y*sqrt(u)) / d for integers or ``Fraction`` x and y and an
         integer d != 0."""
-        if not self.exact or (y and self.ext != INERT) \
-                or type(x) is not int or type(y) is not int:
-            return self.scalar(Fraction(x, d), Fraction(y, d))
-        if d < 0:
-            x, y, d = -x, -y, -d
-        return _exact(self, x, y, d)
+        if type(x) is int and type(y) is int:
+            if d == 1:
+                return self.scalar(x, y)
+            if self.exact and (not y or self.ext == INERT):
+                if d < 0:
+                    x, y, d = -x, -y, -d
+                return _exact(self, x, y, d)
+        return self.scalar(Fraction(x, d), Fraction(y, d))
 
     @property
     def gen(self) -> "Scalar":
@@ -357,26 +360,6 @@ class Scalar:
             raise NotUnitError(f"{self} is not a unit mod {ring.p}^{ring.prec}")
         return Scalar(ring, x * ninv % m, -y * ninv % m, 1)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
-
-    # -- Galois structure ---------------------------------------------
-
-    def tau(self) -> "Scalar":
-        """Conjugation a + b*s -> a - b*s; identity on the base field."""
-        if self.y == 0:
-            return self
-        m = self.ring._mod
-        if m is None:
-            return Scalar(self.ring, self.x, -self.y, self.d)
-        return Scalar(self.ring, self.x, -self.y % m, 1)
-
     # -- valuation and integrality ------------------------------------
 
     def val(self):
@@ -399,25 +382,6 @@ class Scalar:
         if self.ring.ext == SPLIT:
             return self.x % p != 0
         return (self.x * self.x - self.ring._u * self.y * self.y) % p != 0
-
-    # -- mode changes -------------------------------------------------
-
-    def reduce(self, N: int) -> "Scalar":
-        """Reduce an integral exact scalar mod p^N (a ring homomorphism)."""
-        ring = self.ring
-        p = ring.p
-        m = p**N
-        if not ring.exact:
-            if N > ring.prec:
-                raise ValueError("cannot increase precision of a truncated scalar")
-            return Scalar(ring.truncated(N), self.x % m, self.y % m, 1)
-        if self.d % p == 0:
-            for c in (self.a, self.b):
-                if val_fraction(c, p) < 0:
-                    raise NotIntegralError(
-                        f"{c} has negative {p}-adic valuation")
-        dinv = pow(self.d, -1, m)
-        return Scalar(ring.truncated(N), self.x * dinv % m, self.y * dinv % m, 1)
 
 
 # -- square roots -----------------------------------------------------

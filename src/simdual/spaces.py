@@ -9,12 +9,15 @@ membership g star(g) = mu * 1, Lie membership X + star(X) = alpha * 1.
 ``star`` runs ``cayley.star_kernel``, the sparse rows of star on
 integer components, probed once per space from the definition in
 ``Mat`` products and kept in ``Space.memo``; it holds for any J,
-monomial or not.  theta of ``involution`` runs the same way.
+monomial or not.  theta of ``involution`` runs the same way.  A space
+has one truncated copy per precision (``Space.truncated``), so these
+kernels are derived once per precision.
 
 Both memberships are decided on integers by certificates of ``cayley``,
-on residues mod p^N and on exact numerators over one denominator alike:
-mu by ``multiplier_predicate``, alpha by ``lie_alpha_kernel`` on the
-rows of ``lie_system``, the one linearization of X -> X + X*.
+run on the numerators a ``Mat`` stores over its denominator, residues
+over 1 mod p^N, with no branch on the ring: mu by
+``multiplier_predicate``, alpha by ``lie_alpha_kernel`` on the rows of
+``lie_system``, the one linearization of X -> X + X*.
 
 The "general-linear" family carries no form; its anti-involution is the
 transpose, membership is just invertibility (mu = 1) resp. anything
@@ -77,10 +80,16 @@ class Space:
         return self.H.inv()
 
     def truncated(self, N: int) -> "Space":
-        ring = self.ring.truncated(N)
-        J = self.J.reduce(N) if self.J is not None else None
-        H = self.H.reduce(N) if self.H is not None else None
-        return Space(self.family, self.n, ring, self.eps, J, H)
+        """The space mod p^N, one object per precision (as
+        ``Ring.truncated``), so its kernels are derived once."""
+        variants = self.memo.setdefault("truncated", {self.ring.prec: self})
+        if N not in variants:
+            J, H = (None if m is None else m.reduce(N) for m in (self.J, self.H))
+            space = Space(self.family, self.n, self.ring.truncated(N),
+                          self.eps, J, H)
+            space.memo["truncated"] = variants
+            variants[N] = space
+        return variants[N]
 
     def identity(self) -> Mat:
         """The identity matrix, built once per space."""
@@ -154,12 +163,12 @@ def validate_space(J: Mat, eps: int, ring: Ring, family: str | None = None,
 
 def star(space: Space, a: Mat) -> Mat:
     """The adjoint anti-involution a* = tau(J^-1 a^T J):
-    ``cayley.star_kernel`` on the numerators of a."""
+    ``cayley.star_kernel`` on the numerators of a, over its denominator."""
     if not space.has_form:
         raise SpaceError("general-linear family has no star; theta is transpose")
     from .cayley import star_kernel
-    x, den = a.numerators()
-    return Mat.from_components(space.ring, space.n, star_kernel(space)(x), den)
+    return Mat.from_components(space.ring, space.n,
+                               star_kernel(space)(a.nums), a.den)
 
 
 def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:
@@ -167,24 +176,20 @@ def similitude_multiplier(space: Space, g: Mat) -> Scalar | None:
 
     mu must be a unit lying in the base field; in the general-linear family
     every invertible g is a member with mu = 1.  The certificate is
-    ``cayley.multiplier_predicate`` on integers: on the residues of g mod
-    p^N, over the exact field on its numerators over one denominator den,
-    whose mu den^2 it divides by den^2.  Only the general-linear family
-    over the exact field or the inert ring, which has no integer
-    predicate, asks ``Mat.is_invertible`` instead, the determinant lines
-    of the same adjugate code that ``Mat.inv`` runs.
+    ``cayley.multiplier_predicate`` on the stored numerators of g over
+    its denominator den (1 mod p^N): mu den^2 divided by den^2.  Only
+    the general-linear family over the exact field or the inert ring,
+    which has no integer predicate, asks ``Mat.is_invertible`` instead,
+    the determinant lines of the same adjugate code that ``Mat.inv``
+    runs.
     """
     from .cayley import multiplier_predicate
     ring = space.ring
     if not space.has_form and (ring.exact or ring.ext == INERT):
         return ring.one if g.is_invertible() else None
-    if ring.exact:
-        x, den = g.numerators()
-        mu = multiplier_predicate(space)(x)
-        return None if mu is None else ring.ratio(
-            mu.numerator, 0, mu.denominator * den * den)
-    mu = multiplier_predicate(space)(g.components())
-    return None if mu is None else Scalar(ring, mu, 0, 1)
+    mu = multiplier_predicate(space)(g.nums)
+    return None if mu is None else ring.ratio(
+        mu.numerator, 0, mu.denominator * g.den * g.den)
 
 
 def lie_alpha(space: Space, X: Mat) -> Scalar | None:
@@ -192,22 +197,19 @@ def lie_alpha(space: Space, X: Mat) -> Scalar | None:
 
     alpha = 0 certifies membership in the isometry Lie algebra.  In the
     general-linear family every X is a member with alpha = 0.  The
-    certificate is ``cayley.lie_alpha_kernel`` on integers, as for the
-    multiplier: on the residues of X mod p^N, over the exact field on its
-    numerators over one denominator den, whose alpha den it divides by den.
+    certificate is ``cayley.lie_alpha_kernel`` on the stored numerators
+    of X over its denominator den (1 mod p^N), as for the multiplier:
+    alpha den divided by den.
     """
     from .cayley import lie_alpha_kernel
     ring = space.ring
     if not space.has_form:
         return ring.zero
-    x, den = X.numerators() if ring.exact else (X.components(), 1)
     try:
-        alpha = lie_alpha_kernel(space)(x)
+        alpha = lie_alpha_kernel(space)(X.nums)
     except MembershipError:
         return None
-    if ring.exact:
-        return ring.ratio(alpha.numerator, 0, alpha.denominator * den)
-    return Scalar(ring, alpha, 0, 1)
+    return ring.ratio(alpha.numerator, 0, alpha.denominator * X.den)
 
 
 @dataclass(frozen=True)

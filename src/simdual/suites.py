@@ -98,7 +98,7 @@ def validate_config(cfg: SuiteConfig) -> None:
             finite_space(cfg.family, cfg.n, cfg.p)
         except (SpaceError, FiniteGroupError) as exc:
             raise ConfigError(f"finite-dual group {cfg.family}: {exc}")
-    if not (1 <= cfg.level < cfg.precision):
+    if "lattice" in cfg.suites and not (1 <= cfg.level < cfg.precision):
         raise ConfigError(
             f"need 1 <= level < precision, got level={cfg.level} "
             f"precision={cfg.precision}")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdual.cayley import cayley_kernel, identity_comps, multiplier_predicate
+from simdual.cayley import cayley_kernel, multiplier_predicate
 from simdual.matrices import (Mat, NotInvertibleError, adjugate_kernel,
                               components_per_scalar, matrix_inverse_kernel,
                               product_kernel)
@@ -154,7 +154,7 @@ def test_general_linear_predicate_is_a_unit_determinant(nx, p):
 def composed_cayley(space):
     """The Cayley kernel as the composition it replaces: Y = den 1 + x,
     (A, q) = adj(Y), s = den + alpha, and the product (s 1 - x) A."""
-    ident = identity_comps(space)
+    ident = space.identity().nums
     adj = adjugate_kernel(space.ring, space.n)
     mul = product_kernel(space.ring, space.n)
     p, M = space.ring.p, None if space.ring.exact else space.ring.modulus
@@ -237,7 +237,7 @@ def test_adjugate_kernel_is_the_exact_inverse(ext, n):
         det = leibniz_det(g)
         assert q == (det.x if d == 1 else det.x ** 2 - ring.u * det.y ** 2)
         assert list(mul(x, a)) == list(mul(a, x)) == \
-            [q * e for e in identity_comps(space)]
+            [q * e for e in space.identity().nums]
         if q:
             assert Mat.from_components(ring, n, a, q) == g.inv()
-    assert adj(identity_comps(space)) == (identity_comps(space), 1)
+    assert adj(space.identity().nums) == (space.identity().nums, 1)

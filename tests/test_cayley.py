@@ -11,9 +11,9 @@ from simdual import cayley as cayley_module
 from simdual.cayley import (DomainError, EMPTY, INFINITE_IDENTITY,
                             TWO_PREIMAGES, UNIQUE_MU1, _lie_components,
                             _sparse_rows, _star_rows, bucket_domain_images,
-                            cayley, cayley_kernel, fiber, identity_comps,
-                            in_domain, lie_alpha_kernel, star_kernel,
-                            theta_kernel, x_lambda)
+                            cayley, cayley_kernel, fiber, in_domain,
+                            lie_alpha_kernel, star_kernel, theta_kernel,
+                            x_lambda)
 from simdual.involution import theta_group, theta_lie
 from simdual.lattices import standard_lattices
 from simdual.matrices import (Mat, NotInvertibleError, components_per_scalar,
@@ -376,7 +376,7 @@ def test_domain_needs_only_two_of_its_three_conditions(family):
     space = std.space.truncated(2)
     ring = space.ring
     M = ring.modulus
-    ident = identity_comps(space)
+    ident = space.identity().nums
     d = components_per_scalar(space.ring)
     alpha_of, c = lie_alpha_kernel(space), cayley_kernel(space)
     verdicts = set()
@@ -443,7 +443,7 @@ def test_compiled_linear_kernels_match_their_sparse_rows(family, N):
     if N is not None:
         space = space.truncated(N)
     M = None if N is None else space.ring.modulus
-    D = len(identity_comps(space))
+    D = len(space.identity().nums)
     rng = make_rng(N or 0)
     theta_rows = _sparse_rows(space, _theta_formula(space))
     if space.has_form:

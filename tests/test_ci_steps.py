@@ -36,7 +36,7 @@ def test_the_workflow_parses_into_its_named_steps():
     # read only: no step is run here
     ci = _ci_steps()
     steps = ci.parse_steps(ci.WORKFLOW.read_text())
-    assert len(steps) == 20
+    assert len(steps) == 21
     assert all(script for _, script in steps)
     assert [name for name, script in steps if "pip install" in script] == [
         "Install the test dependencies"]

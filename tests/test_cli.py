@@ -47,6 +47,22 @@ def test_bad_config_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["finite-dual", "--family", "sp", "--dim", "2", "--prime", "3",
+     "--level", "2"],
+    ["verify", "--suite", "finite-dual", "--family", "symplectic",
+     "--precision", "1"],
+    ["verify", "--suite", "decompose", "--family", "symplectic", "--level",
+     "2", "--decompose-precision", "4", "--cosets", "1"],
+])
+def test_level_is_checked_against_the_precision_of_the_suites_run(args,
+                                                                  capsys):
+    # only the lattice suite reads --level with --precision; the decompose
+    # suite checks it against --decompose-precision
+    assert run(args) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = hermitian\nsamples = 5\nsuites = identity\n"
@@ -271,6 +287,7 @@ def test_markdown_format(capsys):
     ["replay", json.dumps({"check": "class-inversion",           # n = 2.5
                            "payload": {"family": "sp", "n": 2.5, "q": 3,
                                        "rep": "1, 0; 0, 1"}})],
+    ["verify", "--suite", "lattice", "--level", "2"],            # level = N
 ])
 def test_bad_input_exits_2_with_one_line(args, capsys, tmp_path):
     configs = {"BUDGET_10": "budget = 10\n", "NO_SUITES": "suites =\n"}

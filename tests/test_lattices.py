@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from simdual.cayley import cayley, in_domain, linear_kernel
 from simdual.involution import theta_group
 from simdual import lattices, modsolve
-from simdual.cayley import (comps_key, identity_comps, multiplier_predicate,
-                            star_kernel)
+from simdual.cayley import comps_key, multiplier_predicate, star_kernel
 from simdual.lattices import (LatticeBasis, LatticeError, LieCoords,
-                              Operator, _check_h_stable, _hnf,
-                              _over_one_denominator, ad_operator,
+                              Operator, _check_h_stable, _hnf, ad_operator,
                               check_cayley_level, congruence_members,
                               lattice_of_x, standard_lattices)
-from simdual.matrices import Mat, components_per_scalar, product_kernel
+from simdual.matrices import (Mat, components_per_scalar, over_one_denominator,
+                              product_kernel)
 from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import (INERT, SPLIT, Ring, Scalar, val_fraction,
@@ -54,7 +53,7 @@ def _cols(lat: LatticeBasis) -> tuple:
 def _from_columns(p: int, dim: int, cols) -> LatticeBasis:
     """The lattice spanned by the columns ``cols`` of ints, Fractions or
     split-field scalars."""
-    flat, den = _over_one_denominator([x.a if isinstance(x, Scalar) else x
+    flat, den = over_one_denominator([x.a if isinstance(x, Scalar) else x
                                        for col in cols for x in col])
     return LatticeBasis(p, dim, *_hnf(
         p, dim, [flat[i:i + dim] for i in range(0, len(flat), dim)], den))
@@ -116,9 +115,9 @@ def _congruence_scan(space, k, N):
     mu_of = multiplier_predicate(space_t)
     entries = []
     for coeffs in itertools.product(range(space_t.ring.p**(N - k)),
-                                    repeat=len(identity_comps(space_t))):
+                                    repeat=len(space_t.identity().nums)):
         comps = tuple((e + c * pk) % M
-                      for e, c in zip(identity_comps(space_t), coeffs))
+                      for e, c in zip(space_t.identity().nums, coeffs))
         mu = mu_of(comps)
         if mu is not None:
             entries.append((comps, mu))
@@ -395,7 +394,7 @@ def _digit_lift_scan(space, k, N):
     import numpy as np
     space_t = space.truncated(N)
     p, n = space_t.ring.p, space_t.n
-    D = len(identity_comps(space_t))
+    D = len(space_t.identity().nums)
     diag = {D // (n * n) * (n + 1) * i for i in range(n)}
     mul, star_of = product_kernel(space_t.ring, n), star_kernel(space_t)
     digits = np.array(list(itertools.product(range(p), repeat=D))).T

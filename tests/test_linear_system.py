@@ -16,9 +16,8 @@ from simdual import cayley as cayley_module
 from simdual import modsolve
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
                             bucket_domain_images, cayley_kernel,
-                            comps_key, fiber, identity_comps,
-                            lie_alpha_kernel, lie_system, linear_system,
-                            multiplier_predicate, star_kernel)
+                            comps_key, fiber, lie_alpha_kernel, lie_system,
+                            linear_system, multiplier_predicate, star_kernel)
 from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
 from simdual.matrices import (Mat, components_per_scalar,
@@ -204,7 +203,7 @@ def _probed_branch_system(space, x, lam):
     """The (A, b) of a fiber branch built by probing: ``linear_system`` on
     the residual of (lam + g) X = 1 - g and X + X* = (lam^-1 - 1) 1."""
     M = space.ring.modulus
-    ident = identity_comps(space)
+    ident = space.identity().nums
     mul, star_of = product_kernel(space.ring, space.n), star_kernel(space)
     shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     rhs = [(e - v) % M for e, v in zip(ident, x)]
@@ -241,7 +240,7 @@ def _check_branch(space, x, lam, written):
     A, b = _probed_branch_system(space, x, lam)
     want = modsolve.solve_affine_mod(A, b, ring.p, ring.prec, 10**5)
     shifted = tuple((lam * e + v) % M
-                    for e, v in zip(identity_comps(space), x))
+                    for e, v in zip(space.identity().nums, x))
     t = matrix_inverse_kernel(space.ring, space.n)(shifted)
     del written[:]
     assert _solve_branch(space, x, lam, t) == want
@@ -348,7 +347,7 @@ def _decided_branches(space, x, written):
     of each branch."""
     ring = space.ring
     p, M = ring.p, ring.modulus
-    ident = identity_comps(space)
+    ident = space.identity().nums
     inv = matrix_inverse_kernel(space.ring, space.n)
     found, kinds = {}, []
     for lam in _lambdas(space, x):

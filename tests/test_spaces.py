@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdual import cayley as cayley_module
 from simdual.cayley import multiplier_predicate
 from simdual.lattices import standard_lattices
 from simdual.matrices import Mat
 from simdual.sampling import (make_rng, sample_group, sample_lie,
                               sample_stabilizing)
 from simdual.scalars import INERT, SPLIT, Ring
+from simdual.suites import SuiteConfig, run_suite
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, MembershipError,
                             SpaceError, certify_group, certify_lie,
@@ -65,8 +67,8 @@ def test_inner_form_symmetry():
     u = Mat(ring, [[ring.scalar(1, 1), 0], [ring.scalar(2), 0]])
     v = Mat(ring, [[ring.scalar(0, 1), 0], [ring.scalar(1, -1), 0]])
 
-    def inner(x, y):                     # <x, y> = x^T J tau(y)
-        return (x.transpose() * HERM.J * y.tau())[0, 0]
+    def inner(x, y):         # <x, y> = x^T J tau(y), as a 1 x 1 matrix
+        return Mat(ring, [[(x.transpose() * HERM.J * y.tau())[0, 0]]])
     # <u, v> = eps * tau(<v, u>)
     assert inner(u, v) == inner(v, u).tau() * HERM.eps
     # star is the adjoint: <a u, v> = <u, star(a) v>
@@ -341,3 +343,30 @@ def test_lie_certificate_with_a_rational_star_coefficient():
     assert [_lie_certificates_agree(space, X) for X in members + others] \
         == [True] * 3 + [False] * 3
     assert certify_lie(space, members[0]).alpha == ring.scalar(2 * third)
+
+
+def test_truncated_copies_share_their_kernels(monkeypatch):
+    # one truncated space per precision, shared by every copy of the
+    # space, so star and theta are probed once per precision: twice at
+    # 3^3 in the hermitian decompose suite (19 times with a fresh copy per
+    # call), and once per form family at 3^2 in a round of the default
+    # suites of the five families (12 times)
+    space = standard_space(HERMITIAN, 2, Ring(3, INERT))
+    assert space.truncated(3) is space.truncated(3)
+    assert space.truncated(3).truncated(1) is space.truncated(1)
+    assert space.truncated(1).truncated(1) is space.truncated(1)
+    assert space.truncated(2) == standard_space(HERMITIAN, 2,
+                                                Ring(3, INERT, 2))
+    probes = []
+    sparse_rows = cayley_module._sparse_rows
+
+    def counting(on, f):
+        probes.append(on.ring.prec)
+        return sparse_rows(on, f)
+    monkeypatch.setattr(cayley_module, "_sparse_rows", counting)
+    run_suite(SuiteConfig(family=HERMITIAN, suites=("decompose",)))
+    assert probes.count(3) == 2
+    probes.clear()
+    for family in FAMILIES:
+        run_suite(SuiteConfig(family=family, samples=25, seed=7))
+    assert probes.count(2) == 4
