@@ -30,7 +30,13 @@ certificate compiles its rows, and ``spaces.lie_alpha`` runs it on
 every ring, as ``spaces.similitude_multiplier`` runs the multiplier
 certificate (in the general-linear family the determinant lines of the
 adjugate code); the Lie coordinates, the congruence lift and the fiber
-branch solves read the same rows.  The Cayley map is one generated
+branch solves read the same rows.  The multiplier certificate is one
+generated function per space: star written inline from its rows, then
+the components of g star(g) from the term builder of the product,
+returning None at the first that fails.  ``product_map`` compiles
+x -> left x right for fixed operands, probed on the product kernel, for
+the loops of ``finite`` and ``decomposition`` that multiply many
+matrices by one fixed matrix.  The Cayley map is one generated
 function per space that scales the adjugate of 1 + X, with one formula
 on residues mod p^N and on exact numerators over one denominator,
 reduced to lowest terms once, when the ``Mat`` is built.  A fiber branch
@@ -53,8 +59,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .matrices import (Mat, NotInvertibleError, _adjugate_code, _generated,
-                       _unpack, components_per_scalar, det_norm_kernel,
-                       matrix_inverse_kernel, product_kernel)
+                       _product_terms, _unpack, components_per_scalar,
+                       det_norm_kernel, matrix_inverse_kernel, product_kernel)
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
                      certify_lie)
@@ -262,6 +268,12 @@ def linear_system(D: int, f) -> tuple[list, list]:
     return [list(row) for row in zip(*cols)], [-c for c in const]
 
 
+def _sparse(A) -> list:
+    """The rows of the matrix A as sparse rows: row i lists the pairs
+    (j, c) with A[i][j] = c nonzero."""
+    return [[(j, c) for j, c in enumerate(row) if c] for row in A]
+
+
 def _sparse_rows(space: Space, f) -> list:
     """The F-linear map ``f`` on matrices as sparse rows on components:
     row i lists the pairs (j, c) with component i of f(e_j) equal to c,
@@ -270,7 +282,27 @@ def _sparse_rows(space: Space, f) -> list:
     A, _ = linear_system(
         space.n * space.n * components_per_scalar(space.ring),
         lambda v: f(Mat.from_components(space.ring, space.n, v)).components())
-    return [[(j, c) for j, c in enumerate(row) if c] for row in A]
+    return _sparse(A)
+
+
+def product_map(space: Space, left: tuple | None = None,
+                right: tuple | None = None):
+    """``f(x)``: the components of left g right mod p^N for the matrix g
+    with components x, where ``left`` and ``right`` are fixed component
+    tuples (None: the identity).  The map is Z-linear on components mod
+    p^N, so the kernel probed with ``linear_system`` on
+    ``product_kernel`` and compiled by ``linear_kernel`` equals the
+    product on every input; it serves a loop that multiplies many
+    matrices by one fixed matrix."""
+    ring, n = space.ring, space.n
+    mul = product_kernel(ring, n)
+
+    def f(x):
+        if left is not None:
+            x = mul(left, x)
+        return x if right is None else mul(x, right)
+    A, _ = linear_system(n * n * components_per_scalar(ring), f)
+    return linear_kernel(_sparse(A), ring.modulus)
 
 
 def _per_space(build):
@@ -332,14 +364,18 @@ def multiplier_predicate(space: Space):
     ``spaces.similitude_multiplier``: for the matrix g with components
     ``comps`` (the layout of ``Mat.components``), the mu with
     g star(g) = mu * 1 and mu in the base ring, regular (a unit mod p^N,
-    nonzero over the exact field), else None.  It runs in integer
-    arithmetic on the product and star kernels, mod p^N on residues;
-    over an exact space on the numerators x of g = x / den, where it
-    returns mu den^2 (a Fraction only where star has a rational
-    coefficient).  In the general-linear family, mod p^N over the split
-    ring only, mu = 1 exactly for the g whose integer determinant, from
-    the determinant lines of the adjugate code (``det_norm_kernel``), is
-    a unit.
+    nonzero over the exact field), else None.  It is one generated
+    straight-line function per space, mod p^N on residues; over an exact
+    space on the numerators x of g = x / den, where it returns mu den^2
+    (a Fraction only where star has a rational coefficient).  The star
+    components are written inline from ``_star_rows``, then the
+    components of g star(g) (``matrices._product_terms``): the
+    off-diagonal ones, which must be 0, then the b-components of the
+    diagonal, 0 too, then its a-components, each equal to the first, mu;
+    it returns None at the first that fails.  In the general-linear
+    family, mod p^N over the split ring only, mu = 1 exactly for the g
+    whose integer determinant, from the determinant lines of the
+    adjugate code (``det_norm_kernel``), is a unit.
     """
     ring = space.ring
     n, p, exact = space.n, ring.p, ring.exact
@@ -351,20 +387,36 @@ def multiplier_predicate(space: Space):
         det = det_norm_kernel(ring, n)
         return lambda x: 1 if det(x) % p else None
 
-    star_of, mul = star_kernel(space), product_kernel(ring, n)
-    # g star(g) = mu * 1: its n diagonal a-components, every
-    # (n + 1) entries apart, equal mu and its other components are zero
     d = components_per_scalar(ring)
-    step, zeros = d * (n + 1), d * n * n - n
+    D = d * n * n
+    mod = "" if exact else f" % {ring.modulus}"
+    # star(g) needs no reduction: every product component is reduced
+    code = [_unpack("x", D)] + [f"s{i} = {t}" for i, t in
+                                enumerate(_linear_sums(_star_rows(space)))]
+    z = [f"({t}){mod}" for t in _product_terms(n, d, ring._u, "x", "s")]
+    # g star(g) = mu * 1: its n diagonal a-components, every (n + 1)
+    # entries apart, equal mu and its other components are zero
+    diag = range(0, D, d * (n + 1))
+    zeros = [i for i in range(D) if i // d % (n + 1)]
+    zeros += [i + 1 for i in diag] if d == 2 else []
+    for i in zeros:
+        code += [f"if {z[i]}:", "    return None"]
+    code += [f"mu = {z[0]}", "if not mu:" if exact else f"if mu % {p} == 0:",
+             "    return None"]
+    for i in diag[1:]:
+        code += [f"if {z[i]} != mu:", "    return None"]
+    return _generated("x", code, "mu")
 
-    def mu_of(x):
-        z = mul(x, star_of(x))
-        mu = z[0]
-        if (mu if exact else mu % p) and z.count(0) == zeros \
-                and z[::step].count(mu) == n:
-            return mu
-        return None
-    return mu_of
+
+def _linear_sums(rows: list) -> list:
+    """The expression of each sparse row (those of ``_sparse_rows``) on
+    the components x0, x1, ...: a coefficient +-1 as a sign, a rational
+    one as a Fraction."""
+    def term(j, c):
+        if c in (1, -1):
+            return f"{'-' if c < 0 else ''}x{j}"
+        return f"{c if c.denominator == 1 else repr(c)}*x{j}"
+    return [" + ".join(term(j, c) for j, c in row) or "0" for row in rows]
 
 
 def linear_kernel(rows: list, M: int | None, width: int | None = None):
@@ -373,8 +425,7 @@ def linear_kernel(rows: list, M: int | None, width: int | None = None):
     ``width`` entries (default: square, one per row): ``L(x)`` mod M,
     with no modulus when M is None (a rational coefficient as a
     Fraction)."""
-    sums = [" + ".join(f"{c if c.denominator == 1 else repr(c)}*x{j}"
-                       for j, c in row) or "0" for row in rows]
+    sums = _linear_sums(rows)
     width = len(rows) if width is None else width
     lines = [_unpack("x", width)] if width else []
     mod = "" if M is None else f" % {M}"
@@ -415,8 +466,7 @@ def lie_alpha_kernel(space: Space):
     if not space.has_form:
         return lambda x: 0
     plus_star = linear_kernel(
-        [[(j, c) for j, c in enumerate(row[:-1]) if c]
-         for row in lie_system(space)],
+        _sparse(row[:-1] for row in lie_system(space)),
         None if space.ring.exact else space.ring.modulus)
     n, d = space.n, components_per_scalar(space.ring)
     # X + X* = alpha 1: its n diagonal a-components equal alpha and its

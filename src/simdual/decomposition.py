@@ -24,7 +24,10 @@ Members are held as integer component tuples mod p^N (the layout of
 ``lattices.level_images``, as Ldot is the identity basis of the Lie
 coordinates, theta and the multiplier from the kernels of ``cayley``,
 and products and inverses from the product and adjugate kernels of
-``matrices``.  ``CosetSet.members`` decodes a
+``matrices``.  A product by a fixed matrix runs one compiled
+``cayley.product_map``: k -> b k for the coset, a -> k a k^-1 and
+x -> theta(k)^-1 x k^-1 for the orbit steps, s -> g s g^-1 for the
+witness check.  ``CosetSet.members`` decodes a
 ``GroupElem`` on access.
 
 The conjugator search exploits that for an isometry x the two conditions
@@ -39,7 +42,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import modsolve
-from .cayley import Members, linear_system, multiplier_predicate, theta_kernel
+from .cayley import (Members, linear_system, multiplier_predicate,
+                     product_map, theta_kernel)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices, level_images
 from .matrices import Mat, matrix_inverse_kernel, product_kernel
@@ -111,14 +115,14 @@ def coset_set(space: Space, std: StandardLattices, b: Mat, l0: int,
     """Build C = b * c(p^l0 Ldot) mod p^N with its full member list."""
     if not (1 <= l0 < N):
         raise DecompositionError("need 1 <= l0 < N")
-    st = space.truncated(N) if space.ring.exact else space
+    st = space.truncated(N)
     bt = certify_group(st, b.reduce(N))
     subgroup = cayley_image_members(std, l0, N, limit=limit)
-    mul = product_kernel(st.ring, st.n)
-    bx, mu_b, M = bt.mat.nums, bt.mu.a, st.ring.modulus
+    times = product_map(st, left=bt.mat.nums)
+    mu_b, M = bt.mu.a, st.ring.modulus
     seen = {}
     for k, mu in zip(subgroup.comps, subgroup.mus):
-        m = mul(bx, k)
+        m = times(k)
         if m in seen:
             raise DecompositionError("coset members are not pairwise distinct")
         seen[m] = mu_b * mu % M
@@ -221,18 +225,22 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
     ``_carried_check``.
     """
     space = C.space
-    mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
+    theta = theta_kernel(space)
     inv = matrix_inverse_kernel(space.ring, space.n)
     members = C.members
     failure = _carried_check(space, set(members.comps))
     # isometries k = c(p^l0 B) of c(p^l0 Ldot), B in the isometry Lie
-    # basis, so mu(k) = 1; kept with k^-1 and theta(k)^-1
+    # basis, so mu(k) = 1; each kept as its two steps a -> k a k^-1 and
+    # x -> theta(k)^-1 x k^-1
     coords = std.u_coords
     pl = space.ring.p**C.level
     unit_vectors = [[pl * (i == j) for i in range(coords.m)]
                     for j in range(coords.m)]
-    gens = [(k, inv(k), inv(theta(k)))
-            for k, _, _ in coords.cayley_images(space, unit_vectors)]
+    gens = []
+    for k, _, _ in coords.cayley_images(space, unit_vectors):
+        kinv = inv(k)
+        gens.append((product_map(space, k, kinv),
+                     product_map(space, inv(theta(k)), kinv)))
     reached = set()
     first = None
     for i, root in enumerate(members.comps):
@@ -245,11 +253,11 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
         queue = deque([(root, x.mat.nums)])
         while queue:
             a, x = queue.popleft()
-            for k, kinv, tkinv in gens:
-                a2 = mul(mul(k, a), kinv)
+            for ad_k, carry_k in gens:
+                a2 = ad_k(a)
                 if a2 in reached:
                     continue
-                x2 = mul(mul(tkinv, x), kinv)
+                x2 = carry_k(x)
                 failed = failure(a2, x2)
                 if failed:
                     raise DecompositionError(
@@ -270,14 +278,14 @@ def verify_piece(members: Members, g: GroupElem) -> bool:
     is stored, as a dict of hit flags; g S g^-1 is never held whole."""
     space = g.space
     comps = members.comps
-    mul, theta = product_kernel(space.ring, space.n), theta_kernel(space)
     gx = g.mat.nums
     ginv = matrix_inverse_kernel(space.ring, space.n)(gx)
     if ginv is None:                     # a singular g is no witness
         return False
-    hit = dict.fromkeys(map(theta, comps), False)
+    hit = dict.fromkeys(map(theta_kernel(space), comps), False)
+    conjugate = product_map(space, gx, ginv)
     for s in comps:
-        c = mul(mul(gx, s), ginv)
+        c = conjugate(s)
         if c not in hit:
             return False
         hit[c] = True

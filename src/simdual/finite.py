@@ -15,13 +15,17 @@ scans every matrix over F_q (F_{q^2} for the unitary families) and keeps
 those with g star(g) = mu * 1, decided by ``cayley.multiplier_predicate``
 (in ``gl``, a unit determinant from the adjugate code of ``matrices``);
 the scan order is the canonical one, so positions follow ``Mat.key()``.
-Products come from ``matrices.product_kernel``.  A greedy generating set S
-carries one right-multiplication table R_s per generator (R_s[g] =
-position of g s), so subgroup closure and the conjugation orbits
-g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.  Inverses come
-from the generator tree: the closure first reaches each element as
-k = a s, and k^-1 = s^-1 a^-1 is one product, so only the generators are
-inverted (the adjugate inverse ``matrices.matrix_inverse_kernel``).
+A greedy generating set S carries one right-multiplication table R_s per
+generator (R_s[g] = position of g s), so subgroup closure and the
+conjugation orbits g^-1 e g = inverse[R_g[inverse[R_g[e]]]] are lookups.
+Inverses come from the generator tree: the closure first reaches each
+element as k = a s, and k^-1 = s^-1 a^-1 is one product, so only the
+generators are inverted (the adjugate inverse
+``matrices.matrix_inverse_kernel``).  A product with a generator as one
+operand (x s for R_s, s^-1 x for the inverses, x iota(s) in the
+multiplicativity check) runs the compiled linear kernel
+``cayley.product_map`` of that generator; a product of two varying
+matrices runs ``matrices.product_kernel``.
 There is no iota kernel: iota(g) = theta(g^-1) is ``cayley.theta_kernel``
 on the inverse table, for every family (the transpose of the inverse in
 ``gl``).
@@ -38,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cayley import Members, multiplier_predicate, theta_kernel
+from .cayley import (Members, multiplier_predicate, product_map,
+                     theta_kernel)
 from .involution import enumerate_matrices, iota_group
 from .matrices import Mat, matrix_inverse_kernel, product_kernel
 from .modsolve import SolveBudgetError
@@ -184,11 +189,12 @@ def _generators(space: Space, comps, index):
     right-multiplication table of each generator, and the inverse table.
     The closure first reaches each element k as k = a s, with a reached
     before and s a generator, and sets k^-1 = s^-1 a^-1; only the
-    generators are inverted."""
-    mul = product_kernel(space.ring, space.n)
+    generators are inverted.  Both products have a fixed operand, each
+    run as its compiled ``cayley.product_map``: x -> x s for the table
+    and x -> s^-1 x for the inverses."""
     inv_of = matrix_inverse_kernel(space.ring, space.n)
     n = len(comps)
-    gens, right, gen_invs = [], [], []
+    gens, right, left_invs = [], [], []
     identity = index[space.identity().nums]
     inverse = [-1] * n                   # -1: not reached yet
     inverse[identity] = identity
@@ -200,18 +206,19 @@ def _generators(space: Space, comps, index):
         if t not in index:
             raise FiniteGroupError("table is not closed under inversion")
         gens.append(i)
-        gen_invs.append(t)
-        right.append([index[mul(x, comps[i])] for x in comps])
+        left_invs.append(product_map(space, left=t))
+        times_s = product_map(space, right=comps[i])
+        right.append([index[times_s(x)] for x in comps])
         # close the subgroup under right multiplication by every generator
         frontier = members[:]
         while frontier:
             nxt = []
             for a in frontier:
                 a_inv = comps[inverse[a]]
-                for R, s_inv in zip(right, gen_invs):
+                for R, s_inv_times in zip(right, left_invs):
                     k = R[a]
                     if inverse[k] < 0:
-                        inverse[k] = index[mul(s_inv, a_inv)]
+                        inverse[k] = index[s_inv_times(a_inv)]
                         nxt.append(k)
             members += nxt
             frontier = nxt
@@ -239,9 +246,9 @@ def _verify_table(table: FiniteGroupTable):
             raise FiniteGroupError("iota is not an involution")
     # iota(g s) = iota(g) iota(s) for all g in G and s in S
     for s, R in zip(table.gens, table.right):
-        t = comps[iota[s]]
+        times_t = product_map(space, right=comps[iota[s]])
         for g in range(n):
-            if comps[iota[R[g]]] != mul(comps[iota[g]], t):
+            if comps[iota[R[g]]] != times_t(comps[iota[g]]):
                 raise FiniteGroupError("iota is not multiplicative")
     for s in table.gens:
         image = iota_group(table.elements[s]).mat

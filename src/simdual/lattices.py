@@ -297,20 +297,24 @@ def ad_operator(coords: LieCoords, x: Mat) -> Operator:
     return Operator.from_columns(*_conjugation(coords, x, x.inv()))
 
 
-def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
-    """Ad(x^-1) L meet L = {Y in L : Ad(x) Y in L}, L the standard lattice:
-    with Ad(x) = C / d in lowest terms and e = v_p(d), the integer Y with
-    C Y = 0 mod p^e: the span of the square kernel basis mod p^e, whose
-    pivot product is the index of that lattice, in one Hermite form."""
+def lattice_meet(coords: LieCoords, T: Operator) -> LatticeBasis:
+    """T^-1 L meet L = {Y in L : T Y in L}, L the standard lattice of
+    ``coords``: with T = C / d in lowest terms and e = v_p(d), the
+    integer Y with C Y = 0 mod p^e: the span of the square kernel basis
+    mod p^e, whose pivot product is the index of that lattice, in one
+    Hermite form."""
     p, m = coords.space.ring.p, coords.m
-    cols, den = _conjugation(coords, x, x.inv())
-    g = math.gcd(den, *(a for col in cols for a in col))
-    e = val_int(den // g, p)
+    e = val_int(T.den, p)
     if not e:
         return coords.standard_lattice()
-    basis = modsolve._affine_solution(
-        [[a // g for a in row] for row in zip(*cols)], [0] * m, p**e)[1]
+    basis = modsolve._affine_solution(T.nums, [0] * m, p**e)[1]
     return LatticeBasis(p, m, *_hnf(p, m, basis, 1))
+
+
+def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
+    """L(x) = Ad(x^-1) L meet L = {Y in L : Ad(x) Y in L}, L the standard
+    lattice: ``lattice_meet`` of ``ad_operator``."""
+    return lattice_meet(coords, ad_operator(coords, x))
 
 
 # -- congruence levels ------------------------------------------------

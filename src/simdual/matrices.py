@@ -382,27 +382,37 @@ def matrix_inverse_kernel(ring: Ring, n: int):
         "(" + "".join(f"({a})*f % {M}, " for a in adj) + ")")
 
 
+def _product_terms(n: int, d: int, u: int, x: str = "x",
+                   y: str = "y") -> list:
+    """The component expressions of g h, for the n x n matrices g and h
+    with d components per scalar (a + b s with s^2 = u when d = 2) named
+    x0, x1, ... and y0, y1, ... (prefixes ``x`` and ``y``), in the layout
+    of ``Mat.components``."""
+    terms = []
+    for i, j in itertools.product(range(n), repeat=2):
+        pairs = [(d * (i * n + k), d * (k * n + j)) for k in range(n)]
+        first = " + ".join(f"{x}{a}*{y}{b}" for a, b in pairs)
+        if d == 1:
+            terms.append(first)
+            continue
+        b_terms = " + ".join(f"{x}{a + 1}*{y}{b + 1}" for a, b in pairs)
+        terms += [f"{first} + {u}*({b_terms})", " + ".join(
+            f"{x}{a}*{y}{b + 1} + {x}{a + 1}*{y}{b}" for a, b in pairs)]
+    return terms
+
+
 @functools.cache
 def product_kernel(ring: Ring, n: int):
     """``mul(x, y)``: the components of g h for the n x n matrices g and h
     over ``ring`` with components x and y, residues mod p^N; over the
     exact field the integer components of the product of the integer
     matrices x and y, with no modulus.  Generated once per (ring, n) as
-    one straight-line expression over the unpacked components, which
-    runs several times faster than a loop over index lists; ``Mat``
-    products run it on numerators."""
+    one straight-line expression over the unpacked components
+    (``_product_terms``), which runs several times faster than a loop
+    over index lists; ``Mat`` products run it on numerators."""
     d = components_per_scalar(ring)
     mod = "" if ring.exact else f" % {ring.modulus}"
-    terms = []
-    for i, j in itertools.product(range(n), repeat=2):
-        pairs = [(d * (i * n + k), d * (k * n + j)) for k in range(n)]
-        first = " + ".join(f"x{a}*y{b}" for a, b in pairs)
-        if d == 1:
-            terms.append(first)
-            continue
-        u = " + ".join(f"x{a + 1}*y{b + 1}" for a, b in pairs)
-        terms += [f"{first} + {ring.u}*({u})", " + ".join(
-            f"x{a}*y{b + 1} + x{a + 1}*y{b}" for a, b in pairs)]
+    terms = _product_terms(n, d, ring._u)
     D = d * n * n
     return _generated("x, y", [_unpack("x", D), _unpack("y", D)],
                       f"({', '.join(f'({t}){mod}' for t in terms)},)")

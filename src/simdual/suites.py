@@ -25,8 +25,8 @@ from .finite import FINITE_FAMILIES, FiniteGroupError, build_group, \
     conjugacy_classes, family_ext, finite_space, verify_class_inversion
 from .involution import AntiUnitaryError, ConjugatorNotFound, \
     is_theta_fixed, theta_group, theta_lie, validate_anti_unitary
-from .lattices import ad_operator, check_cayley_level, lattice_of_x, \
-    standard_lattices
+from .lattices import ad_operator, check_cayley_level, lattice_meet, \
+    lattice_of_x, standard_lattices
 from .matrices import Mat, parse_matrix
 from .modsolve import SolveBudgetError
 from .report import FAIL, FINDING, PASS, CheckRow, Report
@@ -188,9 +188,10 @@ def _fiber_roundtrip(std, X) -> bool:
 
 
 def _lattice_theta_ad(std, x) -> bool:
-    lx = lattice_of_x(std.gu_coords, x.mat)
-    return lx.transform(std.gu_coords.theta) \
-        == lx.transform(ad_operator(std.gu_coords, x.mat))
+    """theta(L(x)) = Ad(x) L(x), with Ad(x) built once for both sides."""
+    ad = ad_operator(std.gu_coords, x.mat)
+    lx = lattice_meet(std.gu_coords, ad)
+    return lx.transform(std.gu_coords.theta) == lx.transform(ad)
 
 
 # in report order within each suite

@@ -1,5 +1,7 @@
 import hashlib
 import importlib.util
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from simdual.involution import theta_group, theta_lie
 from simdual.lattices import standard_lattices
 from simdual.matrices import (Mat, NotInvertibleError, components_per_scalar,
                               matrix_inverse_kernel, product_kernel)
-from simdual.sampling import make_rng, sample_lie
+from simdual.sampling import (make_rng, sample_group, sample_lie,
+                              sample_stabilizing)
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
                             SKEW_HERMITIAN, SYMPLECTIC, LieElem,
@@ -522,3 +525,130 @@ def test_exact_cayley_is_the_mat_formula(space):
         g = cayley(X)
         assert (g.mat, g.mu) == want
     assert domain_errors >= (2 if space.has_form else 1)
+
+
+# -- the fixed-operand product kernel and the generated certificate ----
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("ext", [SPLIT, INERT])
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_map_is_the_product_with_a_fixed_operand(n, ext, N):
+    # x -> left x, x -> x right and x -> left x right on random residues,
+    # against product_kernel on the same operands
+    ring = Ring(3, ext, N)
+    space = standard_space(GENERAL_LINEAR, n, ring)
+    mul = product_kernel(ring, n)
+    D = n * n * components_per_scalar(ring)
+    draws = random.Random(100 * n + 10 * N + (ext == INERT))
+
+    def draw():
+        return tuple(draws.randrange(3**N) for _ in range(D))
+    for _ in range(5):
+        left, right = draw(), draw()
+        maps = [(cayley_module.product_map(space, left=left),
+                 lambda x: mul(left, x)),
+                (cayley_module.product_map(space, right=right),
+                 lambda x: mul(x, right)),
+                (cayley_module.product_map(space, left, right),
+                 lambda x: mul(mul(left, x), right))]
+        for _ in range(20):
+            x = draw()
+            for fast, oracle in maps:
+                assert fast(x) == oracle(x)
+
+
+def _certificate_oracle(space):
+    """The certificate the generated one replaced: g star(g) on the
+    product and star kernels, then mu = its component 0 if it is regular,
+    every other component is 0 and the diagonal a-components equal mu."""
+    ring, n = space.ring, space.n
+    star_of, mul = star_kernel(space), product_kernel(ring, n)
+    d = components_per_scalar(ring)
+    step, zeros = d * (n + 1), d * n * n - n
+
+    def mu_of(x):
+        z = mul(x, star_of(x))
+        mu = z[0]
+        if (mu if ring.exact else mu % ring.p) and z.count(0) == zeros \
+                and z[::step].count(mu) == n:
+            return mu
+        return None
+    return mu_of
+
+
+def _agree(space, inputs) -> int:
+    """Assert the generated certificate equals the oracle, value and type,
+    on every tuple of ``inputs``; return the number of members."""
+    got_of = cayley_module.multiplier_predicate(space)
+    want_of = _certificate_oracle(space)
+    members = 0
+    for x in inputs:
+        got, want = got_of(x), want_of(x)
+        assert got == want and type(got) is type(want), (x, got, want)
+        members += got is not None
+    return members
+
+
+def _form_spaces():
+    """The four form families at n = 2, p = 3, exact, with J = diag(1, 2)
+    (star has the coefficients 2 and 1/2) and the dense J = [[2, 1],
+    [1, 1]]."""
+    out = [standard_space(family, 2, Ring(3, ext)) for family, ext in (
+        (SYMPLECTIC, SPLIT), (ORTHOGONAL, SPLIT), (HERMITIAN, INERT),
+        (SKEW_HERMITIAN, INERT))]
+    ring = Ring(3, SPLIT)
+    for J in ([[1, 0], [0, 2]], [[2, 1], [1, 1]]):
+        out.append(validate_space(Mat(ring, J), +1, ring,
+                                  H=Mat.identity(ring, 2)))
+    return out
+
+
+FORM_IDS = ["symplectic", "orthogonal", "hermitian", "skew-hermitian",
+            "rational-star", "dense-J"]
+
+
+@pytest.mark.parametrize("space", _form_spaces(), ids=FORM_IDS)
+def test_generated_certificate_on_every_matrix_mod_3(space):
+    target = space.truncated(1)
+    d = components_per_scalar(target.ring)
+    members = _agree(target, itertools.product(range(3), repeat=4 * d))
+    assert 0 < members < 3**(4 * d)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("space", _form_spaces(), ids=FORM_IDS)
+def test_generated_certificate_on_residues(space, N):
+    # members: integral similitudes of the stable lattice times a unit,
+    # reduced mod 3^N; non-members: the same with one component moved by
+    # 3^(N-1), and random residues
+    target = space.truncated(N)
+    M = target.ring.modulus
+    std = standard_lattices(space)
+    rng, draws = make_rng(34 + N), random.Random(34 + N)
+    inputs = []
+    for _ in range(30):
+        unit = draws.choice([1, 2, 4, 5, 7, 8])
+        x = [v * unit % M for v in
+             sample_stabilizing(std, rng).mat.reduce(N).nums]
+        inputs.append(tuple(x))
+        x[draws.randrange(len(x))] += 3**(N - 1)
+        inputs.append(tuple(v % M for v in x))
+        inputs.append(tuple(draws.randrange(M) for _ in x))
+    assert _agree(target, inputs) >= 30
+
+
+@pytest.mark.parametrize("space", _form_spaces(), ids=FORM_IDS)
+def test_generated_certificate_on_exact_numerators(space):
+    # the numerators of sampled similitudes, scaled ones, one component
+    # moved, and random integer tuples
+    std = standard_lattices(space)
+    rng, draws = make_rng(340), random.Random(340)
+    inputs = []
+    for _ in range(30):
+        x = list(sample_group(std, rng).mat.nums)
+        inputs += [tuple(x), tuple(3 * v for v in x)]
+        x[draws.randrange(len(x))] += 1
+        inputs.append(tuple(x))
+        inputs.append(tuple(draws.randint(-9, 9) for _ in x))
+    assert _agree(space, inputs) >= 60

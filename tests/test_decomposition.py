@@ -311,3 +311,17 @@ def test_carried_pair_is_rechecked(corrupt, expected):
     else:                            # a is not theta-fixed
         x = one
     assert failure(a, x) == expected
+
+
+def test_coset_of_a_space_truncated_at_another_precision():
+    # a space truncated at 3 gives the coset mod 9 on the space mod 9,
+    # the same members as from the exact space
+    for b in (Mat.identity(SYMPL.ring, 2),
+              parse_matrix(SYMPL.ring, "1, 1; 0, 1")):
+        want = coset_set(SYMPL, STD, b, 1, 2)
+        got = coset_set(SYMPL.truncated(3), STD, b, 1, 2)
+        assert got.space is SYMPL.truncated(2)
+        assert got.space.ring.prec == got.N == 2
+        assert got.base.mat == want.base.mat
+        assert got.members.comps == want.members.comps
+        assert got.members.mus == want.members.mus

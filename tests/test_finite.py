@@ -10,7 +10,8 @@ from simdual import cayley, finite
 from simdual.finite import (FiniteGroupError, _verify_table, build_group,
                             conjugacy_classes, verify_class_inversion)
 from simdual.involution import iota_group
-from simdual.matrices import Mat, parse_matrix, product_kernel
+from simdual.matrices import (Mat, matrix_inverse_kernel, parse_matrix,
+                              product_kernel)
 from simdual.modsolve import SolveBudgetError
 from simdual.scalars import INERT, SPLIT, Ring
 from simdual.spaces import (GENERAL_LINEAR, HERMITIAN, SYMPLECTIC,
@@ -251,3 +252,46 @@ def test_tables_and_classes_match_the_pinned_digest(target):
               r.conjugator] for r in rep.rows]]
     digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
     assert (table.order, classes.num_classes, digest) == PINNED[target]
+
+
+def _plain_generators(space, comps, index):
+    """The greedy generators, right tables and inverse table of
+    ``finite._generators``, built with a general ``product_kernel`` call
+    for every product."""
+    mul = product_kernel(space.ring, space.n)
+    inv_of = matrix_inverse_kernel(space.ring, space.n)
+    gens, right, gen_invs = [], [], []
+    identity = index[space.identity().nums]
+    inverse = [-1] * len(comps)
+    inverse[identity] = identity
+    members = [identity]
+    for i in range(len(comps)):
+        if inverse[i] >= 0:
+            continue
+        gens.append(i)
+        gen_invs.append(inv_of(comps[i]))
+        right.append([index[mul(x, comps[i])] for x in comps])
+        frontier = members[:]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for R, s_inv in zip(right, gen_invs):
+                    k = R[a]
+                    if inverse[k] < 0:
+                        inverse[k] = index[mul(s_inv, comps[inverse[a]])]
+                        nxt.append(k)
+            members += nxt
+            frontier = nxt
+        if len(members) == len(comps):
+            return gens, right, inverse
+
+
+@pytest.mark.parametrize("target", list(PINNED),
+                         ids=lambda t: "%s(%d,%d)" % t)
+def test_compiled_products_build_the_plain_tables(target):
+    # the fixed-operand kernels give the same generators, right tables
+    # and inverses as general products; the pinned digests cover neither
+    # gens nor right
+    table = build_group(*target)
+    assert (table.gens, table.right, table.inverse) == _plain_generators(
+        table.space, table.comps, table.index)
