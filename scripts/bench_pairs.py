@@ -9,7 +9,10 @@ traced pair on the seed after the largest one.  Both sides run for the
 ``run_seconds`` that the parent's BENCHMARK.json sets.  The final JSON
 line each run prints is kept unedited under "result", in the order the
 runs were made, and the file is rewritten after every run, so a stopped
-loop keeps what it finished.
+loop keeps what it finished.  Python reads an existing ``__pycache__``
+even with PYTHONDONTWRITEBYTECODE=1, so a checkout that holds one under
+``src`` would start faster than a clean one: the script exits 2 with one
+line on stderr before any run.
 
 Usage:
   python3 scripts/bench_pairs.py PARENT CHANGE --workload W [W ...]
@@ -66,6 +69,11 @@ def main(argv=None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             print(f"error: no perfbench/run.py under {checkout}",
                   file=sys.stderr)
+            return 2
+        cache = next((checkout / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            print(f"error: {cache} holds bytecode from an earlier run; "
+                  f"remove it before timing", file=sys.stderr)
             return 2
     seconds = json.loads(
         (args.parent / "BENCHMARK.json").read_text())["run_seconds"]

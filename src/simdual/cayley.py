@@ -45,7 +45,13 @@ where lambda + g is a unit is the closed form X_lambda =
 field the inverse also decides the branch); a branch that can hold no
 domain preimage is skipped, and only lambda + g = 0 mod p is written as
 an integer system for an affine solve, X -> (lambda + g) X probed on the
-product kernel over the Lie system.  Preimages are certified on
+product kernel over the Lie system.  The truncated fiber runs on bare
+component tuples: what it reads per space (the identity components, the
+diagonal slots, and the inverse, product, star and alpha kernels) is
+derived once (``_fiber_kernels``), lambda 1 + g, 1 - g and 1 + X are
+built by updating diagonal components, and the closed-form branch runs
+inline, with its checks kept: X + X* = (lambda^-1 - 1) 1, 1 + X a unit
+and the alpha certificate.  Preimages are certified on
 integers; ``Mat``, ``GroupElem`` and ``LieElem`` are built only where
 a public function returns one, and a ``Mat`` keeps the integers it is
 built from, so its kernels read them back with no conversion.
@@ -59,8 +65,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .matrices import (Mat, NotInvertibleError, _adjugate_code, _generated,
-                       _product_terms, _unpack, components_per_scalar,
-                       det_norm_kernel, matrix_inverse_kernel, product_kernel)
+                       _product_terms, _unpack, comps_key,
+                       components_per_scalar, det_norm_kernel,
+                       matrix_inverse_kernel, product_kernel)
 from .scalars import INERT, Scalar, rational_sqrt, sqrt_mod_prime_power
 from .spaces import (GroupElem, LieElem, MembershipError, Space, SpaceError,
                      certify_lie)
@@ -222,15 +229,6 @@ def _fiber_exact(g: GroupElem) -> FiberResult:
 
 
 # -- truncated-mode machinery -----------------------------------------
-
-
-def comps_key(space: Space, comps) -> tuple:
-    """``Mat.key()`` of the truncated matrix with components ``comps``:
-    the components themselves when inert, each paired with 0 when split.
-    Both orders agree, so sorted components are sorted keys."""
-    if components_per_scalar(space.ring) == 2:
-        return tuple(comps)
-    return tuple(v for c in comps for v in (c, 0))
 
 
 class Members(Sequence):
@@ -535,26 +533,19 @@ def cayley_kernel(space: Space):
     return _generated(args, code, result)
 
 
-def _solve_branch(space: Space, x: tuple, lam: int, t):
+def _solve_branch(space: Space, x: tuple, lam: int) -> list:
     """All X mod p^N, as components, with (lam + g) X = 1 - g and
-    X + X* = (lam^-1 - 1) 1, where g has components x and t is the
-    inverse of lam + g from ``matrix_inverse_kernel``, None when it is
-    singular.  With t the first equation has the one solution
-    X_lam = (1 - g) t, the factors commuting, and the branch is [X_lam]
-    or [] by the second.  Otherwise the two are written as one integer
-    system, X -> (lam + g) X probed on ``product_kernel`` stacked on
-    ``lie_system`` without alpha, for ``modsolve.solve_affine_mod``."""
+    X + X* = (lam^-1 - 1) 1, where g has components x: the two written
+    as one integer system, X -> (lam + g) X probed on ``product_kernel``
+    stacked on ``lie_system`` without alpha, for
+    ``modsolve.solve_affine_mod``."""
+    from . import modsolve          # only the solving paths load it
     ring = space.ring
     M = ring.modulus
     ident = space.identity().nums
     rhs = [(e - v) % M for e, v in zip(ident, x)]
     target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
     mul = product_kernel(ring, space.n)
-    if t is not None:
-        X = mul(rhs, t)
-        return [X] if all((v + w - e) % M == 0 for v, w, e in zip(
-            X, star_kernel(space)(X), target)) else []
-    from . import modsolve          # only the solving paths load it
     shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     A, _ = linear_system(len(ident), lambda v: mul(shifted, v))
     A += [list(row[:-1]) for row in lie_system(space)]
@@ -562,37 +553,73 @@ def _solve_branch(space: Space, x: tuple, lam: int, t):
                                      BRANCH_BUDGET)
 
 
+@_per_space
+def _fiber_kernels(space: Space) -> tuple:
+    """What ``_fiber_trunc`` reads per space: the identity components,
+    the slots of the diagonal a-components, and the inverse, product,
+    star and alpha kernels."""
+    ring, n = space.ring, space.n
+    ident = space.identity().nums
+    diag = range(0, len(ident), components_per_scalar(ring) * (n + 1))
+    return (ident, diag, matrix_inverse_kernel(ring, n),
+            product_kernel(ring, n), star_kernel(space),
+            lie_alpha_kernel(space))
+
+
 def _fiber_trunc(g: GroupElem) -> FiberResult:
     """Each branch lambda = +-sqrt(mu(g)) is decided before it is solved:
     a domain preimage X on it has (lambda + g)(1 + X) = (1 + lambda) 1
     with 1 + X a unit.  If 1 + lambda is a unit, so is lambda + g, and the
-    branch is the closed form or empty; if not, only a lambda + g that is
-    0 mod p is solved affinely, keeping the solutions with 1 + X a unit."""
+    branch is the closed form X = (1 - g)(lambda + g)^-1 (the factors
+    commute) when X + X* = (lambda^-1 - 1) 1, else empty; if not, only a
+    lambda + g that is 0 mod p is solved affinely (``_solve_branch``),
+    keeping the solutions with 1 + X a unit.  It runs on component
+    tuples: lambda 1 + g, 1 - g and 1 + X update the diagonal components
+    of g and X."""
     space = g.space
     ring = space.ring
     p, M = ring.p, ring.modulus
     root = sqrt_mod_prime_power(g.mu.a, p, ring.prec)
     if root is None:
         return FiberResult(EMPTY)
-    x, ident = g.mat.nums, space.identity().nums
-    inv = matrix_inverse_kernel(ring, space.n)
-    mul = product_kernel(ring, space.n)
-    alpha_of = lie_alpha_kernel(space)
+    ident, diag, inv, mul, star, alpha_of = _fiber_kernels(space)
+    x = g.mat.nums
+    rhs = [-v % M for v in x]                   # 1 - g
+    for i in diag:
+        rhs[i] = (1 - x[i]) % M
     found = {}                      # components of X -> (alpha, lambda)
     lambdas = []
     for lam in (root, -root % M):
-        shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
-        unit = (1 + lam) % p != 0
-        t = inv(shifted) if unit else None
-        if unit and t is None or not unit and any(v % p for v in shifted):
+        shifted = list(x)                       # lambda 1 + g
+        for i in diag:
+            shifted[i] = (lam + x[i]) % M
+        scaled = None                           # (1 + lambda) 1
+        if (1 + lam) % p:
+            t = inv(shifted)
+            if t is None:
+                continue
+            X = mul(rhs, t)
+            nu = (pow(lam, -1, M) - 1) % M
+            target = [0] * len(x)               # (lambda^-1 - 1) 1
+            scaled = [0] * len(x)
+            for i in diag:
+                target[i], scaled[i] = nu, (1 + lam) % M
+            if [(u + w) % M for u, w in zip(X, star(X))] != target:
+                continue
+            solutions, scaled = [X], tuple(scaled)
+        elif any(v % p for v in shifted):
             continue
-        scaled = tuple((1 + lam) * e % M for e in ident)
-        # the identity shows 1 + X a unit on a unit branch; the inverse of
-        # 1 + X decides elsewhere or for an entry that is no solution
-        for comps in _solve_branch(space, x, lam, t):
-            one_plus = tuple((e + v) % M for e, v in zip(ident, comps))
+        else:
+            solutions = _solve_branch(space, x, lam)
+        for comps in solutions:
+            one_plus = list(comps)              # 1 + X
+            for i in diag:
+                one_plus[i] = (1 + comps[i]) % M
+            # the identity shows 1 + X a unit on a unit branch; the
+            # inverse of 1 + X decides elsewhere or for an entry that is
+            # no solution
             if comps in found or not (
-                    unit and mul(shifted, one_plus) == scaled
+                    scaled is not None and mul(shifted, one_plus) == scaled
                     or inv(one_plus) is not None):
                 continue
             found[comps] = alpha_of(comps), lam
@@ -637,11 +664,11 @@ def bucket_domain_images(space: Space):
     canonical order.  Ground truth for fiber(); runs on components, and
     ``cayley_kernel`` is None exactly outside the domain."""
     alpha_of = lie_alpha_kernel(space)
-    c = cayley_kernel(space)
+    c, ring = cayley_kernel(space), space.ring
     buckets = {}
     for x in _lie_components(space, BUCKET_BUDGET):
         image = c(x, alpha_of(x))
         if image is not None:
-            buckets.setdefault(comps_key(space, image[0]), []).append(
-                comps_key(space, x))
+            buckets.setdefault(comps_key(ring, image[0]), []).append(
+                comps_key(ring, x))
     return buckets

@@ -13,11 +13,15 @@ member, else x_a a^-1 for the first member.
 
 The per-member existence of x_a is checked on the general path (no
 theta-fixed member) without one solve per member.  Conjugation by an
-isometry k of c(p^l0 Ldot) keeps C, and if x conjugates a to theta(a)
-then x' = theta(k)^-1 x k^-1 conjugates k a k^-1 to its theta-image, is
-theta-symmetric and keeps mu = 1, because theta is an involutive
-anti-automorphism and mu(k) = 1.  So one solve per orbit of C under these
-conjugations suffices; every carried conjugator is re-checked.
+isometry k of K = c(p^l0 Ldot) keeps C, and if x conjugates a to
+theta(a) then x' = theta(k)^-1 x k^-1 conjugates k a k^-1 to its
+theta-image, is theta-symmetric and keeps mu = 1, because theta is an
+involutive anti-automorphism and mu(k) = 1.  A scalar member z of K
+keeps C too, and is central and theta-fixed, so the same x conjugates
+a z to theta(a z) = z theta(a).  So one solve per orbit of C under
+<Ad(K_iso), Z(K)> suffices, walked from the Cayley images of the
+isometry Lie basis and of p^l0 t 1 (t = 1, and t = sqrt(u) over the
+inert ring); every carried conjugator is re-checked.
 
 Members are held as integer component tuples mod p^N (the layout of
 ``Mat.components``): the subgroup c(p^l0 Ldot) comes from
@@ -25,9 +29,9 @@ Members are held as integer component tuples mod p^N (the layout of
 coordinates, theta and the multiplier from the kernels of ``cayley``,
 and products and inverses from the product and adjugate kernels of
 ``matrices``.  A product by a fixed matrix runs one compiled
-``cayley.product_map``: k -> b k for the coset, a -> k a k^-1 and
-x -> theta(k)^-1 x k^-1 for the orbit steps, s -> g s g^-1 for the
-witness check.  ``CosetSet.members`` decodes a
+``cayley.product_map``: k -> b k for the coset, a -> k a k^-1,
+x -> theta(k)^-1 x k^-1 and a -> a z for the orbit steps, s -> g s g^-1
+for the witness check.  ``CosetSet.members`` decodes a
 ``GroupElem`` on access.
 
 The conjugator search exploits that for an isometry x the two conditions
@@ -42,11 +46,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import modsolve
-from .cayley import (Members, linear_system, multiplier_predicate,
-                     product_map, theta_kernel)
+from .cayley import (Members, cayley_kernel, lie_alpha_kernel, linear_system,
+                     multiplier_predicate, product_map, theta_kernel)
 from .involution import ConjugatorNotFound, theta_group
 from .lattices import StandardLattices, level_images
-from .matrices import Mat, matrix_inverse_kernel, product_kernel
+from .matrices import (Mat, components_per_scalar, matrix_inverse_kernel,
+                       product_kernel)
 from .spaces import GroupElem, Space, certify_group, similitude_multiplier
 
 
@@ -215,14 +220,34 @@ def _carried_check(space: Space, keys):
     return failure
 
 
+def _centre(space: Space, level: int) -> list:
+    """The components of z = c(p^level t 1) mod p^N for t = 1, and
+    t = sqrt(u) over the inert ring: scalar matrices, so central and
+    theta-fixed, and members of K = c(p^level Ldot), as t 1 is an
+    integral member of the similitude Lie algebra (``lie_alpha_kernel``
+    certifies it).  At level >= 1 both lie in the Cayley domain."""
+    ring, n = space.ring, space.n
+    d = components_per_scalar(ring)
+    c, alpha_of = cayley_kernel(space), lie_alpha_kernel(space)
+    centre = []
+    for slot in range(d):           # the a-, then the b-component of t
+        x = [0] * (d * n * n)
+        x[slot::d * (n + 1)] = [ring.p**level] * n
+        centre.append(c(x, alpha_of(x))[0])
+    return centre
+
+
 def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
     """Check that every member of C has a theta-symmetric isometry
     conjugator; return the one of C.members[0].
 
     Members are visited in sorted order.  Each member not yet reached is
-    solved, and its conjugator is carried over its orbit under the
-    isometry generators, with every carried x' re-checked by
-    ``_carried_check``.
+    solved, and its conjugator is carried over its orbit under
+    <Ad(K_iso), Z(K)>: the steps (a, x) -> (k a k^-1,
+    theta(k)^-1 x k^-1) of the isometry generators k, then the centre
+    steps (a, x) -> (a z, x) of ``_centre``.  Every carried pair is
+    re-checked by ``_carried_check``, so one solve per orbit, with
+    C.members[0] solved first.
     """
     space = C.space
     theta = theta_kernel(space)
@@ -241,6 +266,10 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
         kinv = inv(k)
         gens.append((product_map(space, k, kinv),
                      product_map(space, inv(theta(k)), kinv)))
+    # centre steps (a, x) -> (a z, x): z is central and theta-fixed, so
+    # x conjugates a z to theta(a z) = z theta(a)
+    gens += [(product_map(space, right=z), None)
+             for z in _centre(space, C.level)]
     reached = set()
     first = None
     for i, root in enumerate(members.comps):
@@ -257,7 +286,7 @@ def _orbit_conjugators(C: CosetSet, std: StandardLattices) -> GroupElem:
                 a2 = ad_k(a)
                 if a2 in reached:
                     continue
-                x2 = carry_k(x)
+                x2 = x if carry_k is None else carry_k(x)
                 failed = failure(a2, x2)
                 if failed:
                     raise DecompositionError(

@@ -35,10 +35,10 @@ from itertools import islice
 from operator import ne
 
 from . import modsolve
-from .cayley import (DomainError, cayley_kernel, comps_key, lie_alpha_kernel,
-                     lie_system, linear_kernel, multiplier_predicate,
-                     star_kernel, theta_kernel)
-from .matrices import (Mat, components_per_scalar, det_norm_kernel,
+from .cayley import (DomainError, cayley_kernel, lie_alpha_kernel, lie_system,
+                     linear_kernel, multiplier_predicate, star_kernel,
+                     theta_kernel)
+from .matrices import (Mat, comps_key, components_per_scalar, det_norm_kernel,
                        over_one_denominator, product_kernel)
 from .scalars import val_int
 from .spaces import Space
@@ -321,19 +321,18 @@ def lattice_of_x(coords: LieCoords, x: Mat) -> LatticeBasis:
 
 
 def level_images(coords: LieCoords, k: int, N: int, budget: int):
-    """(components, mu, alpha) of c(p^k X) mod p^N for the X with integer
-    coordinates v, for every v of ``modsolve.residues(m, p^(N-k))`` in
-    its lexicographic order: c(p^k L) mod p^N, L the integral lattice of
-    ``coords`` (``LieCoords.cayley_images``).  LatticeError unless
-    1 <= k < N; SolveBudgetError, on the call, for more than ``budget``
-    vectors."""
+    """(components, mu, alpha) of c(X) mod p^N for the X with integer
+    coordinates p^k v, for every v of ``modsolve.residues(m, p^(N-k))`` in
+    its lexicographic order, enumerated directly as the multiples of p^k
+    mod p^N: c(p^k L) mod p^N, L the integral lattice of ``coords``
+    (``LieCoords.cayley_images``).  LatticeError unless 1 <= k < N;
+    SolveBudgetError, on the call, for more than ``budget`` vectors."""
     if not (1 <= k < N):
         raise LatticeError("need 1 <= k < N")
     space = coords.space
-    pk = space.ring.p**k
-    vectors = ([c * pk for c in v] for v in
-               modsolve.residues(coords.m, space.ring.p**(N - k), budget))
-    return coords.cayley_images(space.truncated(N), vectors)
+    p = space.ring.p
+    return coords.cayley_images(
+        space.truncated(N), modsolve.residues(coords.m, p**N, budget, p**k))
 
 
 def congruence_members(coords: LieCoords, k: int, N: int, budget: int):
@@ -440,7 +439,7 @@ def check_cayley_level(space: Space, std: StandardLattices, k: int, N: int,
         image_size, sets_equal = len(image_set), image_set == member_set
         for comps in sorted(image_set ^ member_set)[:5]:
             side = "image-only" if comps in image_set else "congruence-only"
-            mismatches.append((side, comps_key(space, comps)))
+            mismatches.append((side, comps_key(space.ring, comps)))
     return LevelCheckReport(space.family, k, N, variant, image_size,
                             len(members), injective, sets_equal, alpha_ok,
                             mu_ok, mismatches)

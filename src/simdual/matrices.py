@@ -268,13 +268,9 @@ class Mat:
                         self.den)
 
     def key(self):
-        """Canonical sort key: the row-major (a, b) components, flat."""
-        comps = self.components()
-        if self.ring.ext == INERT:
-            return tuple(comps)
-        key = [0] * (2 * len(comps))
-        key[::2] = comps
-        return tuple(key)
+        """Canonical sort key: the row-major (a, b) components, flat
+        (``comps_key``)."""
+        return comps_key(self.ring, self.components())
 
     # -- integer components -------------------------------------------
 
@@ -306,6 +302,18 @@ class Mat:
 
 def components_per_scalar(ring: Ring) -> int:
     return 2 if ring.ext == INERT else 1
+
+
+def comps_key(ring: Ring, comps) -> tuple:
+    """``Mat.key()`` of the matrix over ``ring`` with components ``comps``
+    (the layout of ``Mat.components``): the components themselves when
+    inert, each paired with 0 when split.  Both orders agree, so sorted
+    components are sorted keys."""
+    if ring.ext == INERT:
+        return tuple(comps)
+    key = [0] * (2 * len(comps))
+    key[::2] = comps
+    return tuple(key)
 
 
 # -- the generated adjugate -------------------------------------------

@@ -39,16 +39,17 @@ class SolveBudgetError(RuntimeError):
     """An enumeration would exceed the stated budget."""
 
 
-def residues(count, modulus, limit):
-    """Every tuple of ``count`` residues in range(modulus), in lexicographic
-    order, as a lazy ``itertools.product``.  The budget is checked here, on
-    the call, before any tuple exists: SolveBudgetError when there are more
-    than ``limit`` tuples."""
-    total = modulus**count
+def residues(count, modulus, limit, step=1):
+    """Every tuple of ``count`` residues in range(0, modulus, step), the
+    multiples of ``step``, a divisor of ``modulus``, in lexicographic
+    order, as a lazy ``itertools.product``.  The budget is checked here,
+    on the call, before any tuple exists: SolveBudgetError when there are
+    more than ``limit`` tuples."""
+    total = (modulus // step)**count
     if total > limit:
         raise SolveBudgetError(
             f"enumeration of {total} residues exceeds budget {limit}")
-    return itertools.product(range(modulus), repeat=count)
+    return itertools.product(range(0, modulus, step), repeat=count)
 
 
 def _identity(n):

@@ -111,14 +111,15 @@ def _counting_solver(monkeypatch):
 
 
 @pytest.mark.parametrize("family, ext, base, N, witness, x, solves", [
-    (SYMPLECTIC, SPLIT, "2, 0; 0, 1", 3, "0, 1; 13, 0", "0, 1; 26, 0", 81),
+    (SYMPLECTIC, SPLIT, "2, 0; 0, 1", 3, "0, 1; 13, 0", "0, 1; 26, 0", 9),
     (HERMITIAN, INERT, "16+16*s, 17+8*s; 10+19*s, 7+25*s", 2,
-     "8+5*s, 5+5*s; 5+5*s, 4+1*s", "0+2*s, 0; 0, 6+7*s", 27),
+     "8+5*s, 5+5*s; 5+5*s, 4+1*s", "0+2*s, 0; 0, 6+7*s", 3),
 ], ids=["symplectic-mod27", "hermitian-mod9"])
 def test_general_path_pinned_witness_and_solves(monkeypatch, family, ext,
                                                 base, N, witness, x, solves):
-    # one solve per orbit under the isometries of c(p Ldot), where one
-    # solve per member took 6561 and 243
+    # one solve per orbit under the isometries and the centre of
+    # c(p Ldot), where one solve per member took 6561 and 243, and one
+    # per orbit under the isometries alone 81 and 27
     space = standard_space(family, 2, Ring(3, ext))
     std = standard_lattices(space)
     C = coset_set(space, std, parse_matrix(space.ring, base), 1, N)
@@ -325,3 +326,64 @@ def test_coset_of_a_space_truncated_at_another_precision():
         assert got.base.mat == want.base.mat
         assert got.members.comps == want.members.comps
         assert got.members.mus == want.members.mus
+
+
+def test_centre_step_with_a_non_central_member_is_rechecked(monkeypatch):
+    # k = (1, 0; 3, 4) in K is not central: a k stays in C, but x no
+    # longer conjugates a k to theta(a k), and the carried check catches
+    # the step (some members of K, such as the isometry 1, 0; 3, 1, give
+    # no wrong step on this coset)
+    C = coset_set(SYMPL, STD, Mat(SYMPL.ring, [[2, 0], [0, 1]]), 1, 2)
+    k = (1, 0, 3, 4)
+    assert k in cayley_image_members(STD, 1, 2).comps
+    monkeypatch.setattr(decomposition, "_centre", lambda space, level: [k])
+    with pytest.raises(DecompositionError, match="carried conjugator fails"):
+        decompose(C, STD)
+
+
+def _orbit_count(C, K):
+    """The orbits of C under Ad(k), for every isometry k of K, and the
+    products a z, for every scalar z of K, by a breadth-first search on
+    ``Mat`` products."""
+    ring, n = C.space.ring, C.space.n
+    isometries, centre = [], []
+    for k in K:
+        if k.mu == ring.one:
+            isometries.append((k.mat, k.mat.inv()))
+        if k.mat == Mat.scalar_mat(ring, n, k.mat.rows[0][0]):
+            centre.append(k.mat)
+    members = {m.nums: m for m in (a.mat for a in C.members)}
+    seen, orbits = set(), 0
+    for root in members.values():
+        if root.nums in seen:
+            continue
+        orbits += 1
+        seen.add(root.nums)
+        queue = [root]
+        while queue:
+            a = queue.pop()
+            for b in ([k * a * kinv for k, kinv in isometries]
+                      + [a * z for z in centre]):
+                assert b.nums in members
+                if b.nums not in seen:
+                    seen.add(b.nums)
+                    queue.append(b)
+    return orbits, len(centre)
+
+
+@pytest.mark.parametrize("family, ext, base, scalars, solves", [
+    (SYMPLECTIC, SPLIT, "2, 0; 0, 1", 3, 3),
+    (HERMITIAN, INERT, "16+16*s, 17+8*s; 10+19*s, 7+25*s", 9, 3),
+], ids=["symplectic", "hermitian"])
+def test_solves_equal_the_orbits_under_isometries_and_centre(
+        monkeypatch, family, ext, base, scalars, solves):
+    # the general-path cosets mod 9: one solve per orbit of C under
+    # <Ad(k), z>, k over the isometries and z over the scalars of K
+    space = standard_space(family, 2, Ring(3, ext))
+    std = standard_lattices(space)
+    C = coset_set(space, std, parse_matrix(space.ring, base), 1, 2)
+    orbits, centre = _orbit_count(C, cayley_image_members(std, 1, 2))
+    assert centre == scalars
+    calls = _counting_solver(monkeypatch)
+    decompose(C, std)
+    assert len(calls) == orbits == solves

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from simdual.cayley import cayley, in_domain, linear_kernel
 from simdual.involution import theta_group
 from simdual import lattices, modsolve
-from simdual.cayley import comps_key, multiplier_predicate, star_kernel
+from simdual.cayley import multiplier_predicate, star_kernel
 from simdual.lattices import (LatticeBasis, LatticeError, LieCoords,
                               Operator, _check_h_stable, _hnf, ad_operator,
                               check_cayley_level, congruence_members,
                               lattice_of_x, standard_lattices)
-from simdual.matrices import (Mat, components_per_scalar, over_one_denominator,
-                              product_kernel)
+from simdual.matrices import (Mat, comps_key, components_per_scalar,
+                              over_one_denominator, product_kernel)
 from simdual.modsolve import SolveBudgetError
 from simdual.sampling import make_rng, sample_group, sample_lie
 from simdual.scalars import (INERT, SPLIT, Ring, Scalar, val_fraction,
@@ -437,7 +437,7 @@ def test_integer_congruence_scan_matches_mat_level(family, p, k, N):
         assert len(members) == p**(coords.m * (N - k))
         return
     assert members == _congruence_scan(space, k, N)
-    got = [(comps_key(space, comps), mu, 0) for comps, mu in members]
+    got = [(comps_key(space.ring, comps), mu, 0) for comps, mu in members]
     assert got == _mat_level_scan(space, k, N)
 
 

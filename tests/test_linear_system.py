@@ -15,18 +15,18 @@ from hypothesis import strategies as st
 from simdual import cayley as cayley_module
 from simdual import modsolve
 from simdual.cayley import (_lie_components, _solve_branch, _star_rows,
-                            bucket_domain_images, cayley_kernel,
-                            comps_key, fiber, lie_alpha_kernel, lie_system,
-                            linear_system, multiplier_predicate, star_kernel)
+                            bucket_domain_images, cayley_kernel, fiber,
+                            lie_alpha_kernel, lie_system, linear_system,
+                            multiplier_predicate, star_kernel)
 from simdual.decomposition import _conjugator_system
 from simdual.lattices import standard_lattices
-from simdual.matrices import (Mat, components_per_scalar,
+from simdual.matrices import (Mat, comps_key, components_per_scalar,
                               matrix_inverse_kernel, parse_matrix,
                               product_kernel)
 from simdual.scalars import INERT, SPLIT, Ring, sqrt_mod_prime_power
 from simdual.spaces import (FAMILIES, GENERAL_LINEAR, HERMITIAN, ORTHOGONAL,
-                            SKEW_HERMITIAN, SYMPLECTIC, certify_group,
-                            certify_lie, standard_space)
+                            SKEW_HERMITIAN, SYMPLECTIC, LieElem,
+                            certify_group, certify_lie, standard_space)
 
 
 @st.composite
@@ -230,27 +230,34 @@ def written(monkeypatch):
 
 
 def _check_branch(space, x, lam, written):
-    """The branch lam of the fiber over the image with components x gives
-    the probed solve's solutions, and when lam + g is singular it writes
-    exactly the probed system reduced mod p^N (the probe reduces each
-    residual, so its differences lie in (-p^N, p^N)).  Returns whether
+    """The branch lam of the fiber over the image with components x: the
+    affine solve of ``_solve_branch`` gives the probed solve's solutions
+    and writes exactly the probed system reduced mod p^N (the probe
+    reduces each residual, so its differences lie in (-p^N, p^N)); when
+    lam + g is a unit, the closed form X_lam = (1 - g)(lam + g)^-1, kept
+    when X + X* = (lam^-1 - 1) 1, gives them too.  Returns whether
     lam + g is singular, and the solutions."""
     ring = space.ring
     M = ring.modulus
     A, b = _probed_branch_system(space, x, lam)
     want = modsolve.solve_affine_mod(A, b, ring.p, ring.prec, 10**5)
-    shifted = tuple((lam * e + v) % M
-                    for e, v in zip(space.identity().nums, x))
+    ident = space.identity().nums
+    shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
     t = matrix_inverse_kernel(space.ring, space.n)(shifted)
     del written[:]
-    assert _solve_branch(space, x, lam, t) == want
-    if t is not None:
-        assert written == []
-        return False, want
+    assert _solve_branch(space, x, lam) == want
     (WA, Wb), = written
     assert WA == [[a % M for a in row] for row in A]
     assert Wb == [v % M for v in b]
-    return True, want
+    if t is None:
+        return True, want
+    X = product_kernel(space.ring, space.n)(
+        [(e - v) % M for e, v in zip(ident, x)], t)
+    nu = pow(lam, -1, M) - 1
+    closed = [X] if all((v + w - nu * e) % M == 0 for v, w, e in zip(
+        X, star_kernel(space)(X), ident)) else []
+    assert closed == want
+    return False, want
 
 
 def _singular_branches(space, x, written):
@@ -370,7 +377,7 @@ def _decided_branches(space, x, written):
         space, Mat.from_components(space.ring, space.n, x)))
     assert len(written) == kinds.count("solved")
     assert [(pre.X.mat.key(), pre.lam.a) for pre in res.preimages] == \
-        [(comps_key(space, v), lam) for v, lam in sorted(found.items())]
+        [(comps_key(space.ring, v), lam) for v, lam in sorted(found.items())]
     assert [lam.a for lam in res.lambdas] == \
         [lam for lam in _lambdas(space, x) if lam in found.values()]
     return kinds
@@ -417,3 +424,88 @@ def test_census_mod9_makes_one_affine_solve_per_solved_branch(written,
         fiber(certify_group(
             space, Mat.from_components(space.ring, space.n, x)))
     assert len(written) == solves
+
+
+def _frozen_solve_branch(space, x, lam, t):
+    """The branch solver as it was before the fiber moved onto bare
+    tuples: the closed form where t, the inverse of lam + g, exists, else
+    the affine solve."""
+    ring = space.ring
+    M = ring.modulus
+    ident = space.identity().nums
+    rhs = [(e - v) % M for e, v in zip(ident, x)]
+    target = [(pow(lam, -1, M) - 1) * e % M for e in ident]
+    mul = product_kernel(ring, space.n)
+    if t is not None:
+        X = mul(rhs, t)
+        return [X] if all((v + w - e) % M == 0 for v, w, e in zip(
+            X, star_kernel(space)(X), target)) else []
+    shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+    A, _ = linear_system(len(ident), lambda v: mul(shifted, v))
+    A += [list(row[:-1]) for row in lie_system(space)]
+    return modsolve.solve_affine_mod(A, rhs + target, ring.p, ring.prec,
+                                     cayley_module.BRANCH_BUDGET)
+
+
+def _frozen_fiber_trunc(g):
+    """The truncated fiber as it was before it moved onto bare tuples,
+    kept as the oracle of ``cayley._fiber_trunc``."""
+    space = g.space
+    ring = space.ring
+    p, M = ring.p, ring.modulus
+    root = sqrt_mod_prime_power(g.mu.a, p, ring.prec)
+    if root is None:
+        return cayley_module.FiberResult(cayley_module.EMPTY)
+    x, ident = g.mat.nums, space.identity().nums
+    inv = matrix_inverse_kernel(ring, space.n)
+    mul = product_kernel(ring, space.n)
+    alpha_of = lie_alpha_kernel(space)
+    found = {}
+    lambdas = []
+    for lam in (root, -root % M):
+        shifted = tuple((lam * e + v) % M for e, v in zip(ident, x))
+        unit = (1 + lam) % p != 0
+        t = inv(shifted) if unit else None
+        if unit and t is None or not unit and any(v % p for v in shifted):
+            continue
+        scaled = tuple((1 + lam) * e % M for e in ident)
+        for comps in _frozen_solve_branch(space, x, lam, t):
+            one_plus = tuple((e + v) % M for e, v in zip(ident, comps))
+            if comps in found or not (
+                    unit and mul(shifted, one_plus) == scaled
+                    or inv(one_plus) is not None):
+                continue
+            found[comps] = alpha_of(comps), lam
+            if lam not in lambdas:
+                lambdas.append(lam)
+    if not found:
+        return cayley_module.FiberResult(cayley_module.EMPTY)
+    preimages = [cayley_module.FiberPreimage(
+        LieElem(space, Mat.from_components(ring, space.n, comps),
+                ring.scalar(alpha)),
+        ring.scalar(lam))
+        for comps, (alpha, lam) in sorted(found.items())]
+    if x == ident:
+        tag = cayley_module.INFINITE_IDENTITY
+    elif g.mu == ring.one:
+        tag = cayley_module.UNIQUE_MU1
+    elif len(preimages) == 2:
+        tag = cayley_module.TWO_PREIMAGES
+    else:
+        tag = cayley_module.UNIQUE_LAMBDA
+    return cayley_module.FiberResult(tag, preimages,
+                                     [ring.scalar(lam) for lam in lambdas])
+
+
+@pytest.mark.parametrize("family, images", [
+    (ORTHOGONAL, 27), (SYMPLECTIC, 1215), (HERMITIAN, 16767),
+    (SKEW_HERMITIAN, 16767)])
+def test_tuple_fiber_matches_the_frozen_fiber(family, images):
+    # tag, preimages and lambdas on every image of the census mod 9
+    space, xs = _census(family)
+    assert len(xs) == images
+    for x in xs:
+        g = certify_group(space, Mat.from_components(space.ring, space.n, x))
+        want, got = _frozen_fiber_trunc(g), fiber(g)
+        assert (got.tag, got.preimages, got.lambdas) == \
+            (want.tag, want.preimages, want.lambdas)

@@ -140,6 +140,15 @@ def test_residues_lexicographic_up_to_the_budget():
     assert list(residues(0, 5, 1)) == [()]
 
 
+def test_stepped_residues_are_the_scaled_residues():
+    # the multiples of 3 mod 27, in the order of 3 v for v mod 9, with
+    # the budget on the 81 tuples
+    got = list(residues(2, 27, 81, 3))
+    assert got == [(3 * a, 3 * b) for a, b in residues(2, 9, 81)]
+    with pytest.raises(SolveBudgetError, match="81 residues exceeds budget 80"):
+        residues(2, 27, 80, 3)
+
+
 def test_residues_over_budget_raise_on_the_call():
     # the error comes before iteration: no tuple is ever produced
     with pytest.raises(SolveBudgetError) as info:
